@@ -15,10 +15,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Kernel + scheduler fast-path benchmarks. Compare against the committed
+# Kernel, task hand-off and scheduler fast-path benchmarks. Compare against the committed
 # baseline with ./bench_compare.sh.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan' \
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkHandoff' \
 		-benchmem -benchtime 0.5s ./...
 
 # Regenerate every table and figure of the paper's evaluation section.

@@ -21,6 +21,7 @@ import (
 
 func main() {
 	rig := testbed.New(testbed.Options{Seed: 33})
+	defer rig.Close()
 	client := rig.AddClient("player")
 	schedCard, ext := rig.AddSchedulerNI("node-b/ni", 1, nic.SchedulerConfig{
 		EligibleEarly: 10 * sim.Millisecond,

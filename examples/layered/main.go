@@ -20,6 +20,7 @@ import (
 
 func main() {
 	rig := testbed.New(testbed.Options{Seed: 21})
+	defer rig.Close()
 	rig.AddClient("player")
 	// A 10 Mbps bottleneck would be the realistic squeeze; here the squeeze
 	// is the stream periods vs what we admit, so a plain scheduler NI works.

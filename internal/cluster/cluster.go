@@ -591,6 +591,7 @@ func (c *Cluster) TotalMem() int64 {
 // by sizing tools. It simply admits into a fresh identical cluster.
 func Capacity(cfgs []NodeConfig, req StreamRequest) int {
 	eng := sim.NewEngine(1)
+	defer eng.Close()
 	scratch := New(eng, cfgs)
 	n := 0
 	for {

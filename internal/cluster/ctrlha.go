@@ -805,6 +805,7 @@ func RunCtrlChaos(cfg FleetChaosConfig) *CtrlChaosResult {
 	cfg.CtrlHA = true
 	cfg.setDefaults()
 	f := buildFleetChaos(cfg, nil)
+	defer f.close()
 	f.runChaos()
 	f.collectChaos()
 	return f.collectHA()

@@ -148,6 +148,16 @@ type fleet struct {
 	drop func(from, home int) bool
 }
 
+// close ends every card's parked tasks once the run's results are collected;
+// without it each run's task coroutines would stay parked and pin the fleet.
+func (f *fleet) close() {
+	if f.topo == nil {
+		f.mono.Close()
+	} else {
+		f.topo.Close()
+	}
+}
+
 // forward carries one media frame across the fleet network: NetLatency of
 // distribution-network flight, then the home card's receive link to the
 // client. In partitioned mode this is the inter-partition channel whose
@@ -263,6 +273,7 @@ func RunFleet(cfg FleetConfig) *FleetResult {
 			mustConnect(f.topo, p, f.ctrl, cfg.NetLatency)
 		}
 	}
+	defer f.close()
 
 	// Streams, producers, clients. Card i's clients are homed with card
 	// (i+1)%Cards, so media crosses the fleet network (and, partitioned, a

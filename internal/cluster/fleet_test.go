@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -73,5 +75,43 @@ func TestFleetSingleCard(t *testing.T) {
 	}
 	if !strings.Contains(r.Pulse, "ni00") {
 		t.Fatalf("controller never heard from the card:\n%s", r.Pulse)
+	}
+}
+
+// settledGoroutines reads the goroutine count once it has fallen back to
+// want, giving partition workers that have already signalled their
+// WaitGroup a moment to finish exiting. Callers test for growth only:
+// workers of earlier tests in the package may still be exiting too.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// Every card task is a coroutine parked on its own goroutine when the run
+// ends; the run closes its engines, so none outlives it — on the shared
+// engine, inline, and with tasks resumed from a fresh worker goroutine per
+// window (the race job runs this with Workers 4).
+func TestFleetRunsLeaveNoGoroutines(t *testing.T) {
+	chaos := FleetChaosConfig{Cards: 4, Dur: 2 * sim.Second, Workers: 4}
+	runs := []struct {
+		name string
+		run  func()
+	}{
+		{"RunFleet monolithic", func() { RunFleet(testFleetConfig(0, true)) }},
+		{"RunFleet workers=1", func() { RunFleet(testFleetConfig(1, false)) }},
+		{"RunFleet workers=4", func() { RunFleet(testFleetConfig(4, false)) }},
+		{"RunFleetChaos", func() { RunFleetChaos(chaos) }},
+		{"RunFleetObs", func() { RunFleetObs(FleetObsConfig{FleetChaosConfig: chaos}) }},
+		{"RunCtrlChaos", func() { RunCtrlChaos(chaos) }},
+	}
+	before := runtime.NumGoroutine()
+	for _, r := range runs {
+		r.run()
+		if after := settledGoroutines(before); after > before {
+			t.Errorf("%s: %d goroutines before, %d after", r.name, before, after)
+		}
 	}
 }

@@ -820,6 +820,7 @@ func (f *fleetChaos) affects(e faults.Event, st *chaosStream) bool {
 func RunFleetChaos(cfg FleetChaosConfig) *FleetChaosResult {
 	cfg.setDefaults()
 	f := buildFleetChaos(cfg, nil)
+	defer f.close()
 	f.runChaos()
 	f.collectChaos()
 	return f.res

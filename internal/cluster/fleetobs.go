@@ -514,6 +514,7 @@ func RunFleetObs(cfg FleetObsConfig) *FleetObsResult {
 	cfg.setDefaults()
 	obs := newFleetObs(cfg)
 	f := buildFleetChaos(cfg.FleetChaosConfig, obs)
+	defer f.close()
 	f.ctrlEng().Every(cfg.ScrapeEvery, obs.scrape)
 	obs.armStress()
 	f.runChaos()

@@ -95,6 +95,7 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 	a := &DiagnosticsArtifacts{Dur: cfg.Dur}
 
 	eng := sim.NewEngine(42)
+	defer eng.Close()
 	reg := telemetry.New()
 
 	seg := bus.New(eng, bus.PCI("pci0"))

@@ -333,6 +333,14 @@ type SchedulerExt struct {
 	task *rtos.Task
 	regB int // next free register-file word for ring allocation
 
+	// The paced sleep's state lives here and its two callbacks are built
+	// once (LoadScheduler), so a wait between decisions allocates nothing.
+	sleepAt      sim.Time  // when the sleep in progress times out
+	sleepEv      sim.Event // its timer
+	sleepWake    func()    // its completion, from Await
+	startSleepFn func(wake func())
+	endSleepFn   func()
+
 	// decoupled-dispatch state (nil/unused when coupled)
 	dispatchQ   []*dwcs.Packet
 	dispatchSem *rtos.Semaphore
@@ -387,6 +395,7 @@ func (c *Card) LoadScheduler(cfg SchedulerConfig) (*SchedulerExt, error) {
 	}
 	ext.Sched = c.buildScheduler(cfg, &ext.regB)
 	ext.work = rtos.NewSemaphore(c.Kernel, c.Name+"/work", 0)
+	ext.startSleepFn, ext.endSleepFn = ext.startSleep, ext.endSleep
 	if err := c.VCM.Register(ext); err != nil {
 		return nil, err
 	}
@@ -895,22 +904,24 @@ func (ext *SchedulerExt) sleepUntil(tc *rtos.TaskCtx, until sim.Time) {
 	if until <= ext.Card.Eng.Now() {
 		return // charging the decision's CPU time already passed the target
 	}
-	fired := false
-	tc.Await(func(done func()) {
-		once := func() {
-			if fired {
-				return
-			}
-			fired = true
-			ext.kick = nil
-			done()
-		}
-		ev := ext.Card.Eng.At(until, once)
-		ext.kick = func() {
-			ev.Cancel()
-			once()
-		}
-	})
+	ext.sleepAt = until
+	tc.Await(ext.startSleepFn)
+}
+
+// startSleep arms the paced sleep's timer; until it ends, an enqueue kicks
+// the task awake instead of giving the work semaphore.
+func (ext *SchedulerExt) startSleep(wake func()) {
+	ext.sleepWake = wake
+	ext.sleepEv = ext.Card.Eng.At(ext.sleepAt, ext.endSleepFn)
+	ext.kick = ext.endSleepFn
+}
+
+// endSleep wakes the task: the timer fired, or a kick came first (the timer
+// is then cancelled, so the sleep ends exactly once).
+func (ext *SchedulerExt) endSleep() {
+	ext.kick = nil
+	ext.sleepEv.Cancel()
+	ext.sleepWake()
 }
 
 // Producer is a frame source feeding a scheduler extension.

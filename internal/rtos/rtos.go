@@ -3,19 +3,32 @@
 // binary semaphores, blocking I/O waits, and the timestamp-counter rollover
 // management the paper adds to the kernel (§2).
 //
-// Tasks are Go routines driven in strict handoff by the simulation engine:
-// exactly one task (or the kernel) executes at any instant and control
-// passes through channels, so the simulation stays deterministic. A task
-// consumes simulated CPU with Run (or Charge, which drains a cpu.Meter
-// lap), blocks with Sleep/Await/Take, and the kernel always runs the
-// highest-priority ready task, paying a context-switch cost on every
-// switch. A CPU burst is not preempted mid-flight (bursts in this system
-// are microseconds long); preemption happens at burst and blocking
-// boundaries.
+// Tasks are coroutines (iter.Pull) driven in strict handoff by the
+// simulation engine: exactly one task (or the kernel) executes at any
+// instant, the kernel resumes a task with one coroutine switch and the task
+// hands the CPU back with one more, so the simulation stays deterministic
+// and a hand-off never goes through the Go scheduler. A task consumes
+// simulated CPU with Run (or Charge, which drains a cpu.Meter lap), blocks
+// with Sleep/Await/Take, and the kernel always runs the highest-priority
+// ready task, paying a context-switch cost on every switch. A CPU burst is
+// not preempted mid-flight (bursts in this system are microseconds long);
+// preemption happens at burst and blocking boundaries.
+//
+// A task body runs on the goroutine that steps the engine, so a panic in a
+// body surfaces there. Because a hand-off sits under every simulated frame,
+// the steady-state Run/Sleep/Await/Take paths allocate nothing: every
+// engine callback the kernel schedules is a func value built once, at
+// NewKernel or at Spawn.
+//
+// A task parked when a run ends would otherwise stay parked forever and pin
+// everything its body references. Shutdown unwinds every such task; kernels
+// register it with their engine, so closing the engine (sim.Engine.Close,
+// sim.Topology.Close) is what a run does when its results are collected.
 package rtos
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/cpu"
 	"repro/internal/sim"
@@ -32,13 +45,18 @@ const (
 	Exited
 )
 
+// yieldKind is what a task reports when it hands the CPU back; a body that
+// returns ends the coroutine instead.
 type yieldKind int
 
 const (
-	yBlocked yieldKind = iota
-	yBurst
-	yExited
+	yBlocked yieldKind = iota // off the CPU until woken
+	yBurst                    // CPU stays held until the burst-done event
 )
+
+// taskKilled is the panic value that unwinds a parked task's body when its
+// kernel shuts down; Spawn's coroutine wrapper recovers it.
+type taskKilled struct{}
 
 // Task is one VxWorks-style task.
 type Task struct {
@@ -49,8 +67,18 @@ type Task struct {
 	state       TaskState
 	wakePending bool
 	sliceUsed   sim.Time // CPU consumed since last dispatch (time slicing)
-	resume      chan struct{}
-	yielded     chan yieldKind
+	burst       sim.Time // length of the CPU burst in flight
+
+	// The coroutine: next runs the body up to its next yield (ok == false
+	// once the body has returned), stop unwinds a parked body.
+	next func() (yieldKind, bool)
+	stop func()
+
+	// Engine callbacks, built once at Spawn so scheduling them allocates
+	// nothing.
+	wakeFn       func()
+	burstDoneFn  func()
+	switchDoneFn func()
 
 	// CPUTime accumulates simulated CPU consumed by this task.
 	CPUTime sim.Time
@@ -71,7 +99,9 @@ type Kernel struct {
 	name    string
 	ctxCost sim.Time
 
+	tasks           []*Task // every task spawned, for Shutdown
 	ready           []*Task // sorted by (prio, seq)
+	dispatchFn      func()  // k.dispatch, built once
 	running         *Task
 	last            *Task
 	spawnSeq        int64
@@ -91,8 +121,12 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel on eng charging ctxCost per context switch.
+// The kernel shuts down when eng is closed.
 func NewKernel(eng *sim.Engine, name string, ctxCost sim.Time) *Kernel {
-	return &Kernel{eng: eng, name: name, ctxCost: ctxCost}
+	k := &Kernel{eng: eng, name: name, ctxCost: ctxCost}
+	k.dispatchFn = k.dispatch
+	eng.OnClose(k.Shutdown)
+	return k
 }
 
 // Name returns the kernel's name.
@@ -117,6 +151,9 @@ func (k *Kernel) Utilization() float64 {
 type TaskCtx struct {
 	k *Kernel
 	t *Task
+	// yield hands the CPU back to the kernel and returns when the kernel
+	// next resumes the task: false if it shut down instead.
+	yield func(yieldKind) bool
 }
 
 // Kernel returns the owning kernel.
@@ -130,19 +167,25 @@ func (tc *TaskCtx) Now() sim.Time { return tc.k.eng.Now() }
 func (k *Kernel) Spawn(name string, prio int, body func(tc *TaskCtx)) *Task {
 	k.spawnSeq++
 	t := &Task{
-		name:    name,
-		prio:    prio,
-		seq:     k.spawnSeq,
-		state:   Ready,
-		resume:  make(chan struct{}),
-		yielded: make(chan yieldKind),
+		name:  name,
+		prio:  prio,
+		seq:   k.spawnSeq,
+		state: Ready,
 	}
-	go func() {
-		<-t.resume
-		body(&TaskCtx{k: k, t: t})
-		t.state = Exited
-		t.yielded <- yExited
-	}()
+	t.wakeFn = func() { k.wake(t) }
+	t.burstDoneFn = func() { k.burstDone(t) }
+	t.switchDoneFn = func() { k.switchDone(t) }
+	t.next, t.stop = iter.Pull(func(yield func(yieldKind) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, killed := r.(taskKilled); !killed {
+					panic(r)
+				}
+			}
+		}()
+		body(&TaskCtx{k: k, t: t, yield: yield})
+	})
+	k.tasks = append(k.tasks, t)
 	k.enqueueReady(t)
 	k.kick()
 	return t
@@ -188,7 +231,7 @@ func (k *Kernel) kick() {
 		return
 	}
 	k.dispatchPending = true
-	k.eng.After(0, k.dispatch)
+	k.eng.After(0, k.dispatchFn)
 }
 
 func (k *Kernel) dispatch() {
@@ -196,45 +239,102 @@ func (k *Kernel) dispatch() {
 	if k.halted || k.running != nil || len(k.ready) == 0 {
 		return
 	}
-	t := k.ready[0]
-	k.ready = k.ready[1:]
+	t := popFront(&k.ready)
 	if k.last != t && k.last != nil && k.ctxCost > 0 {
 		// Pay the switch cost, then run.
 		k.Switches++
 		k.running = t // reserve the CPU during the switch
-		k.eng.After(k.ctxCost, func() {
-			if k.halted {
-				// The crash landed mid-switch: park the task instead.
-				k.running = nil
-				k.enqueueReady(t)
-				return
-			}
-			k.resumeTask(t)
-		})
+		k.eng.After(k.ctxCost, t.switchDoneFn)
 		return
 	}
 	if k.last != t {
 		k.Switches++
 	}
-	k.running = t
 	k.resumeTask(t)
 }
 
-// resumeTask hands the CPU to t and processes its next yield.
+// popFront removes and returns the head of q, shifting the rest down in
+// place: re-slicing from the front would walk the slice off its backing
+// array and make the next append allocate a new one.
+func popFront(q *[]*Task) *Task {
+	s := *q
+	t := s[0]
+	n := copy(s, s[1:])
+	s[n] = nil
+	*q = s[:n]
+	return t
+}
+
+// switchDone ends the context switch dispatch started towards t.
+func (k *Kernel) switchDone(t *Task) {
+	if k.halted {
+		// The crash landed mid-switch: park the task instead.
+		k.running = nil
+		k.enqueueReady(t)
+		return
+	}
+	k.resumeTask(t)
+}
+
+// resumeTask gives t the CPU at the start of a fresh time slice.
 func (k *Kernel) resumeTask(t *Task) {
 	k.running = t
 	k.last = t
-	t.state = Running
 	t.sliceUsed = 0
-	t.resume <- struct{}{}
-	kind := <-t.yielded
-	switch kind {
-	case yBurst:
-		// CPU stays reserved; the burst-completion event resumes the task.
-	case yBlocked, yExited:
-		k.running = nil
-		k.kick()
+	k.handoff(t)
+}
+
+// handoff runs t's body up to its next yield and acts on it.
+func (k *Kernel) handoff(t *Task) {
+	t.state = Running
+	kind, ok := t.next()
+	if ok && kind == yBurst {
+		return // CPU stays reserved; the burst-done event resumes the task
 	}
+	if !ok {
+		t.state = Exited
+	}
+	k.running = nil
+	k.kick()
+}
+
+// burstDone ends t's CPU burst: a preemption point.
+func (k *Kernel) burstDone(t *Task) {
+	t.sliceUsed += t.burst
+	if k.halted {
+		// The processor froze during this burst: park the task; Resume
+		// re-dispatches it from the ready queue.
+		k.running = nil
+		k.enqueueReady(t)
+		return
+	}
+	// A higher-priority ready task always takes the CPU; with time slicing
+	// enabled, an equal-priority ready task does too once this task's slice
+	// is spent.
+	preempt := len(k.ready) > 0 && k.ready[0].prio < t.prio
+	if !preempt && k.TimeSlice > 0 && t.sliceUsed >= k.TimeSlice {
+		preempt = len(k.ready) > 0 && k.ready[0].prio == t.prio
+	}
+	if preempt {
+		k.running = nil
+		k.enqueueReady(t)
+		k.kick()
+		return
+	}
+	k.handoff(t)
+}
+
+// Shutdown ends every task that has not exited: a parked task's body is
+// unwound (its deferred calls run), a task that was never dispatched never
+// starts. The kernel is halted for good. Call it once the engine has
+// stopped running — never from a task body or an engine callback.
+func (k *Kernel) Shutdown() {
+	k.halted = true
+	for _, t := range k.tasks {
+		t.stop()
+		t.state = Exited
+	}
+	k.tasks, k.ready, k.running = nil, nil, nil
 }
 
 // wake makes t ready; if t has not yet blocked (a completion raced ahead of
@@ -251,8 +351,15 @@ func (k *Kernel) wake(t *Task) {
 	}
 }
 
-// block parks the calling task until wake. Must be called from the task's
-// own goroutine.
+// park hands the CPU back to the kernel until it resumes the task. Must be
+// called from the task's own body.
+func (tc *TaskCtx) park(kind yieldKind) {
+	if !tc.yield(kind) {
+		panic(taskKilled{}) // the kernel shut down: unwind the body
+	}
+}
+
+// block parks the calling task until wake.
 func (tc *TaskCtx) block() {
 	t := tc.t
 	if t.wakePending {
@@ -260,8 +367,7 @@ func (tc *TaskCtx) block() {
 		return
 	}
 	t.state = Blocked
-	t.yielded <- yBlocked
-	<-t.resume
+	tc.park(yBlocked)
 }
 
 // Run consumes d of simulated CPU, holding the processor.
@@ -273,45 +379,12 @@ func (tc *TaskCtx) Run(d sim.Time) {
 		return
 	}
 	t := tc.t
-	k := tc.k
 	t.CPUTime += d
-	k.BusyTime += d
-	k.eng.After(d, func() {
-		t.sliceUsed += d
-		if k.halted {
-			// The processor froze during this burst: park the task; Resume
-			// re-dispatches it from the ready queue.
-			k.running = nil
-			k.enqueueReady(t)
-			return
-		}
-		// Burst boundary: a preemption point. A higher-priority ready task
-		// always takes the CPU; with time slicing enabled, an equal-
-		// priority ready task does too once this task's slice is spent.
-		preempt := len(k.ready) > 0 && k.ready[0].prio < t.prio
-		if !preempt && k.TimeSlice > 0 && t.sliceUsed >= k.TimeSlice {
-			preempt = len(k.ready) > 0 && k.ready[0].prio == t.prio
-		}
-		if preempt {
-			k.running = nil
-			k.enqueueReady(t)
-			k.kick()
-			return
-		}
-		t.state = Running
-		t.resume <- struct{}{}
-		kind := <-t.yielded
-		switch kind {
-		case yBurst:
-			// another burst follows; CPU stays held
-		case yBlocked, yExited:
-			k.running = nil
-			k.kick()
-		}
-	})
+	tc.k.BusyTime += d
+	t.burst = d
+	tc.k.eng.After(d, t.burstDoneFn)
 	t.state = Running
-	t.yielded <- yBurst
-	<-t.resume
+	tc.park(yBurst)
 }
 
 // Charge consumes CPU for all cycles accumulated on lap since its last
@@ -323,8 +396,7 @@ func (tc *TaskCtx) Sleep(d sim.Time) {
 	if d <= 0 {
 		return
 	}
-	t := tc.t
-	tc.k.eng.After(d, func() { tc.k.wake(t) })
+	tc.k.eng.After(d, tc.t.wakeFn)
 	tc.block()
 }
 
@@ -340,8 +412,7 @@ func (tc *TaskCtx) SleepUntil(at sim.Time) {
 // callback fires. start receives the completion function to pass to the
 // substrate (disk read, DMA, link send, ...).
 func (tc *TaskCtx) Await(start func(done func())) {
-	t := tc.t
-	start(func() { tc.k.wake(t) })
+	start(tc.t.wakeFn)
 	tc.block()
 }
 
@@ -382,9 +453,7 @@ func (s *Semaphore) TryTake() bool {
 // Give increments the semaphore, waking the longest-waiting task if any.
 func (s *Semaphore) Give() {
 	if len(s.waiters) > 0 {
-		t := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		s.k.wake(t)
+		s.k.wake(popFront(&s.waiters))
 		return
 	}
 	s.count++

@@ -292,11 +292,11 @@ func TestSLOEscalationRegresses(t *testing.T) {
 
 func TestSLOParseErrors(t *testing.T) {
 	cases := map[string]string{
-		"no header":     "id name state short long tgt trans\n0 s0 ok 0 0 0.5 0\n",
-		"bad state":     "slo c: health=ok, 1 eval(s), 0 transition(s), 0 violation(s)\n0 s0 warp 0 0 0.5 0\n",
-		"bad health":    "slo c: health=warp, 1 eval(s), 0 transition(s), 0 violation(s)\n",
-		"short row":     "slo c: health=ok, 1 eval(s), 0 transition(s), 0 violation(s)\n0 s0 ok 0\n",
-		"bad burn":      "slo c: health=ok, 1 eval(s), 0 transition(s), 0 violation(s)\n0 s0 ok x 0 0.5 0\n",
+		"no header":  "id name state short long tgt trans\n0 s0 ok 0 0 0.5 0\n",
+		"bad state":  "slo c: health=ok, 1 eval(s), 0 transition(s), 0 violation(s)\n0 s0 warp 0 0 0.5 0\n",
+		"bad health": "slo c: health=warp, 1 eval(s), 0 transition(s), 0 violation(s)\n",
+		"short row":  "slo c: health=ok, 1 eval(s), 0 transition(s), 0 violation(s)\n0 s0 ok 0\n",
+		"bad burn":   "slo c: health=ok, 1 eval(s), 0 transition(s), 0 violation(s)\n0 s0 ok x 0 0.5 0\n",
 	}
 	for name, text := range cases {
 		if _, err := ParseSLO(text); !errors.Is(err, ErrParse) {

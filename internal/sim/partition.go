@@ -416,3 +416,10 @@ func (t *Topology) Drain() {
 		p.eng.Drain()
 	}
 }
+
+// Close closes every partition's engine (see Engine.Close).
+func (t *Topology) Close() {
+	for _, p := range t.parts {
+		p.eng.Close()
+	}
+}

@@ -110,6 +110,8 @@ type Engine struct {
 	slots []eventSlot // event arena
 	free  []int32     // recycled arena slots
 	heap  []int32     // 4-ary min-heap of arena indices, keyed by (at, seq)
+
+	closers []func() // OnClose registrations, run by Close
 }
 
 // NewEngine returns an engine at time zero with a deterministic RNG.
@@ -312,6 +314,23 @@ func (e *Engine) Drain() {
 	e.slots = nil
 	e.free = nil
 	e.heap = nil
+}
+
+// OnClose registers fn to run when the engine is closed. Components that
+// hold a resource the garbage collector cannot reclaim on its own (an rtos
+// kernel's parked task coroutines) register their release here.
+func (e *Engine) OnClose(fn func()) { e.closers = append(e.closers, fn) }
+
+// Close releases what the engine's components registered with OnClose, in
+// registration order. Call it when the run is over and its results are
+// collected, from outside any event callback; the engine must not be run
+// again. Closing twice is harmless.
+func (e *Engine) Close() {
+	closers := e.closers
+	e.closers = nil
+	for _, fn := range closers {
+		fn()
+	}
 }
 
 // ArenaCap reports the event arena's current capacity in slots — the

@@ -137,3 +137,7 @@ func (r *Rig) addCard(name string, seg int, cacheOn bool) *nic.Card {
 
 // Run advances the rig to t.
 func (r *Rig) Run(t sim.Time) { r.Eng.RunUntil(t) }
+
+// Close ends the rig once its results are read: the cards' parked tasks are
+// unwound (sim.Engine.Close) and the rig must not be run again.
+func (r *Rig) Close() { r.Eng.Close() }

@@ -19,6 +19,7 @@ func TestRigDefaults(t *testing.T) {
 
 func TestRigEndToEndStreaming(t *testing.T) {
 	r := New(Options{Seed: 7})
+	defer r.Close()
 	client := r.AddClient("player")
 	_, ext := r.AddSchedulerNI("ni-sched", 1, nic.SchedulerConfig{
 		EligibleEarly: 10 * sim.Millisecond,
