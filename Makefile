@@ -15,10 +15,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Kernel, task hand-off and scheduler fast-path benchmarks. Compare against the committed
-# baseline with ./bench_compare.sh.
+# Kernel, task hand-off, scheduler fast-path and observability record/read
+# benchmarks. Compare against the committed baseline with ./bench_compare.sh.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkHandoff' \
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkHandoff|BenchmarkSpanRecord|BenchmarkTraceRecord|BenchmarkStitchCollect' \
 		-benchmem -benchtime 0.5s ./...
 
 # Regenerate every table and figure of the paper's evaluation section.

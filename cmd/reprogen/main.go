@@ -42,6 +42,11 @@ func main() {
 	durSec := flag.Int("dur", 100, "figure observation length (seconds)")
 	workers := flag.Int("workers", 0, "worker pool for every experiment fan-out (0 = GOMAXPROCS, 1 = sequential); never changes output bytes")
 	flag.Parse()
+	if err := checkSelection(*table, *figure); err != nil {
+		fmt.Fprintln(os.Stderr, "reprogen:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	experiments.DefaultWorkers = *workers
 
 	dur := sim.Time(*durSec) * sim.Second
@@ -166,6 +171,18 @@ func main() {
 		}
 		fmt.Printf("curves written to %s\n", *csvDir)
 	}
+}
+
+// checkSelection rejects a -table or -figure the paper does not have; 0 is
+// "not selected".
+func checkSelection(table, figure int) error {
+	if table != 0 && (table < 1 || table > 5) {
+		return fmt.Errorf("-table %d: the paper has tables 1-5", table)
+	}
+	if figure != 0 && (figure < 6 || figure > 10) {
+		return fmt.Errorf("-figure %d: the paper has figures 6-10", figure)
+	}
+	return nil
 }
 
 // dumpTelemetry writes the observability artifacts of an instrumented run.

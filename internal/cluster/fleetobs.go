@@ -140,6 +140,7 @@ type fleetObs struct {
 	ctel      []*telemetry.Registry // client-side spans (tx/wire/playout), epoch −1
 	mon       []*slo.Monitor
 	cardEpoch []map[int]int // card i's view: gid → serving epoch
+	migSrc    []string      // card i's trace source for handoff marks
 
 	// Static after build.
 	homed [][]*chaosStream // card → streams whose client is homed there
@@ -168,6 +169,7 @@ func newFleetObs(cfg FleetObsConfig) *fleetObs {
 		ctel:      make([]*telemetry.Registry, n),
 		mon:       make([]*slo.Monitor, n),
 		cardEpoch: make([]map[int]int, n),
+		migSrc:    make([]string, n),
 		homed:     make([][]*chaosStream, n),
 		cursor:    make([]int64, n),
 		rung:      make([]int, n),
@@ -214,6 +216,7 @@ func (o *fleetObs) attachCard(i int) {
 	o.ctel[i] = cli
 
 	fc.ext.Trace = trace.New(fc.eng, 4096)
+	o.migSrc[i] = fc.sched.Name + "/migrate"
 
 	mon := slo.NewMonitor(fc.sched.Name, slo.Config{})
 	mon.OnChange = func(stream int, from, to slo.State) {
@@ -268,8 +271,8 @@ func (o *fleetObs) cardImport(to int, st *chaosStream, epoch int, seq int64) sim
 	dst := o.f.cards[to]
 	o.cardEpoch[to][st.gid] = epoch
 	o.trackOn(to, st)
-	dst.ext.Trace.Recordf(trace.KindHandoff, dst.sched.Name+"/migrate", st.gid, seq,
-		"import epoch=%d", epoch)
+	dst.ext.Trace.RecordArg(trace.KindHandoff, o.migSrc[to], st.gid, seq,
+		"import epoch=%d", trace.Int(int64(epoch)))
 	return dst.eng.Now()
 }
 
@@ -511,15 +514,22 @@ func (o *fleetObs) armStress() {
 // RunFleetObs builds the chaos fleet with the scrape plane attached, runs
 // it, and renders the observability artifacts alongside the chaos ones.
 func RunFleetObs(cfg FleetObsConfig) *FleetObsResult {
+	obs := runFleetObs(cfg)
+	defer obs.f.close()
+	return obs.collect()
+}
+
+// runFleetObs runs the observed chaos fleet to its end and leaves it settled
+// for collect; the caller closes it.
+func runFleetObs(cfg FleetObsConfig) *fleetObs {
 	cfg.setDefaults()
 	obs := newFleetObs(cfg)
 	f := buildFleetChaos(cfg.FleetChaosConfig, obs)
-	defer f.close()
 	f.ctrlEng().Every(cfg.ScrapeEvery, obs.scrape)
 	obs.armStress()
 	f.runChaos()
 	f.collectChaos()
-	return obs.collect()
+	return obs
 }
 
 // collect renders the observability artifacts from the settled fleet.
@@ -610,24 +620,30 @@ func (o *fleetObs) collect() *FleetObsResult {
 	res.EventsShipped, res.EventsLost = tot.events, tot.lost
 
 	// Stitched traces: every stream that recorded at least one handoff link,
-	// reassembled from all card- and client-side span registries.
-	var segs []telemetry.Segment
-	for i := range f.cards {
-		segs = append(segs, o.tel[i].Spans.Segments...)
-		segs = append(segs, o.ctel[i].Spans.Segments...)
-	}
-	moved := map[int]bool{}
+	// reassembled from all card- and client-side span registries. One pass
+	// over the logs, in card order, buckets the moved streams' segments; the
+	// rest of the fleet's spans are never copied.
+	moved := map[int][]telemetry.Segment{}
 	for _, l := range o.links {
-		moved[l.Stream] = true
+		moved[l.Stream] = nil
 	}
-	var gids []int
+	for i := range f.cards {
+		for _, log := range [2]*telemetry.SpanLog{o.tel[i].Spans, o.ctel[i].Spans} {
+			for seg := range log.All() {
+				if segs, ok := moved[seg.Stream]; ok {
+					moved[seg.Stream] = append(segs, seg)
+				}
+			}
+		}
+	}
+	gids := make([]int, 0, len(moved))
 	for g := range moved {
 		gids = append(gids, g)
 	}
 	sort.Ints(gids)
 	var sb strings.Builder
 	for _, g := range gids {
-		st := fleetobs.Stitch(g, segs, o.links)
+		st := fleetobs.Stitch(g, moved[g], o.links)
 		sb.WriteString(st.Render())
 		if st.LiveMigrated() && st.FullPath() {
 			res.StitchedLive++

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -149,5 +151,46 @@ func TestFleetObsShedsUnderPressureThenRestores(t *testing.T) {
 		if !strings.Contains(res.Timeline, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, clip(res.Timeline))
 		}
+	}
+}
+
+// The end-of-run reads render what they rendered before span storage was
+// packed and collect became one pass: Stitched, Timeline and ScrapeStats of
+// the small chaos shape (11 live migrations, 15 links) equal the strings
+// captured from the concatenate-then-filter implementation.
+func TestFleetObsArtifactsMatchGolden(t *testing.T) {
+	res := RunFleetObs(obsTestConfig())
+	if res.Chaos.LiveMigrations == 0 {
+		t.Fatalf("shape produced no live migration; the golden strings need one")
+	}
+	for name, got := range map[string]string{
+		"fleetobs_stitched.golden": res.Stitched,
+		"fleetobs_timeline.golden": res.Timeline,
+		"fleetobs_scrape.golden":   res.ScrapeStats,
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s differs\ngot:\n%s\nwant:\n%s", name, clip(got), clip(string(want)))
+		}
+	}
+}
+
+var benchStitched int
+
+// BenchmarkStitchCollect is the end-of-run read of a settled 16-card observed
+// fleet: rollups, timeline, scrape accounting and every moved stream's
+// stitched trace.
+func BenchmarkStitchCollect(b *testing.B) {
+	cfg := obsTestConfig()
+	cfg.Cards, cfg.Dur = 16, 10*sim.Second
+	obs := runFleetObs(cfg)
+	defer obs.f.close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchStitched += len(obs.collect().Stitched)
 	}
 }

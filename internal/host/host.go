@@ -193,8 +193,8 @@ func (h *Scheduler) pump() {
 					h.telQDelay.Observe((h.eng.Now() - p.Enqueued).Milliseconds())
 				}
 				h.Sent++
-				h.Trace.Recordf(trace.KindDispatch, "host/dwcs", p.StreamID, p.Seq,
-					"qdelay=%v", h.eng.Now()-p.Enqueued)
+				h.Trace.RecordArg(trace.KindDispatch, "host/dwcs", p.StreamID, p.Seq,
+					"qdelay=%v", trace.Dur(h.eng.Now()-p.Enqueued))
 				if h.link != nil {
 					h.link.Send(&netsim.Packet{
 						Src:        "host",

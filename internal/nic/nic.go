@@ -328,6 +328,10 @@ type SchedulerExt struct {
 
 	telQDelay *telemetry.Histogram
 
+	// Trace sources and the queue span's site, built once (LoadScheduler) so
+	// no event or span concatenates a name.
+	srcDWCS, srcOverload string
+
 	work *rtos.Semaphore
 	kick func() // wakes a paced sleep early; nil when not sleeping
 	task *rtos.Task
@@ -390,8 +394,10 @@ func (c *Card) NewBenchScheduler(cfg SchedulerConfig) *dwcs.Scheduler {
 // the name "dwcs", and starts the scheduler task.
 func (c *Card) LoadScheduler(cfg SchedulerConfig) (*SchedulerExt, error) {
 	ext := &SchedulerExt{
-		Card:   c,
-		QDelay: make(map[int]*stats.DelayTracker),
+		Card:        c,
+		QDelay:      make(map[int]*stats.DelayTracker),
+		srcDWCS:     c.Name + "/dwcs",
+		srcOverload: c.Name + "/overload",
 	}
 	ext.Sched = c.buildScheduler(cfg, &ext.regB)
 	ext.work = rtos.NewSemaphore(c.Kernel, c.Name+"/work", 0)
@@ -404,7 +410,7 @@ func (c *Card) LoadScheduler(cfg SchedulerConfig) (*SchedulerExt, error) {
 		ext.dispatchSem = rtos.NewSemaphore(c.Kernel, c.Name+"/dispatchq", 0)
 		c.Kernel.Spawn(c.Name+"/dispatch", PrioScheduler+1, ext.runDispatcher)
 	}
-	ext.task = c.Kernel.Spawn(c.Name+"/dwcs", PrioScheduler, ext.run)
+	ext.task = c.Kernel.Spawn(ext.srcDWCS, PrioScheduler, ext.run)
 	return ext, nil
 }
 
@@ -685,8 +691,10 @@ func (ext *SchedulerExt) AttachOverload(ctl *overload.Controller) {
 	}
 	prev := ctl.Ladder.OnChange
 	ctl.Ladder.OnChange = func(from, to overload.Rung) {
-		ext.Trace.Recordf(trace.KindUser, ext.Card.Name+"/overload", -1, -1,
-			"ladder %s -> %s", from, to)
+		if ext.Trace.On() {
+			ext.Trace.Record(trace.KindUser, ext.srcOverload, -1, -1,
+				fmt.Sprintf("ladder %s -> %s", from, to))
+		}
 		if prev != nil {
 			prev(from, to)
 		}
@@ -709,7 +717,7 @@ func (ext *SchedulerExt) shedTolerant(max int) int {
 		}
 		releasePayload(pkt.Payload)
 		ext.Dropped++
-		ext.Trace.Record(trace.KindDrop, ext.Card.Name+"/overload",
+		ext.Trace.Record(trace.KindDrop, ext.srcOverload,
 			pkt.StreamID, pkt.Seq, "shed within tolerance")
 		ext.Blackbox.Record(blackbox.Event{At: ext.Card.Eng.Now(), Kind: blackbox.KindDrop,
 			Stream: pkt.StreamID, Seq: pkt.Seq, A: pkt.Bytes, Note: "shed"})
@@ -743,8 +751,10 @@ func (ext *SchedulerExt) revokeLowestValue() bool {
 		return false
 	}
 	ext.revoked = append(ext.revoked, bestSpec)
-	ext.Trace.Recordf(trace.KindUser, ext.Card.Name+"/overload", best, -1,
-		"revoked (loss %v)", bestSpec.Loss)
+	if ext.Trace.On() {
+		ext.Trace.Record(trace.KindUser, ext.srcOverload, best, -1,
+			fmt.Sprintf("revoked (loss %v)", bestSpec.Loss))
+	}
 	return true
 }
 
@@ -772,7 +782,7 @@ func (ext *SchedulerExt) reinstateOne() bool {
 		return false
 	}
 	ext.revoked = ext.revoked[1:]
-	ext.Trace.Recordf(trace.KindUser, ext.Card.Name+"/overload", spec.ID, -1, "reinstated")
+	ext.Trace.Record(trace.KindUser, ext.srcOverload, spec.ID, -1, "reinstated")
 	if ext.OnReinstate != nil {
 		ext.OnReinstate(spec)
 	}
@@ -787,7 +797,7 @@ func (ext *SchedulerExt) Enqueue(id int, p dwcs.Packet) error {
 	if err := ext.Sched.Enqueue(id, p); err != nil {
 		return err
 	}
-	ext.Trace.Recordf(trace.KindEnqueue, ext.Card.Name+"/dwcs", id, -1, "%dB", p.Bytes)
+	ext.Trace.RecordArg(trace.KindEnqueue, ext.srcDWCS, id, -1, "%dB", trace.Int(p.Bytes))
 	if ext.kick != nil {
 		ext.kick()
 	} else {
@@ -805,7 +815,7 @@ func (ext *SchedulerExt) run(tc *rtos.TaskCtx) {
 		tc.Charge(lap) // decision CPU time at i960 speed
 		ext.Dropped += int64(len(d.Dropped))
 		for _, p := range d.Dropped {
-			ext.Trace.Record(trace.KindDrop, c.Name+"/dwcs", p.StreamID, p.Seq, "deadline missed")
+			ext.Trace.Record(trace.KindDrop, ext.srcDWCS, p.StreamID, p.Seq, "deadline missed")
 			ext.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDrop,
 				Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, Note: "deadline"})
 			releasePayload(p.Payload)
@@ -844,12 +854,12 @@ func (ext *SchedulerExt) dispatch(tc *rtos.TaskCtx, lap *cpu.Lap, p *dwcs.Packet
 		t.Record(tc.Now() - p.Enqueued)
 	}
 	if c.Tel != nil {
-		c.Tel.Span(p.StreamID, p.Seq, telemetry.StageQueue, c.Name+"/dwcs", p.Enqueued, tc.Now())
+		c.Tel.Span(p.StreamID, p.Seq, telemetry.StageQueue, ext.srcDWCS, p.Enqueued, tc.Now())
 		ext.telQDelay.Observe((tc.Now() - p.Enqueued).Milliseconds())
 	}
 	ext.Sent++
-	ext.Trace.Recordf(trace.KindDispatch, c.Name+"/dwcs", p.StreamID, p.Seq,
-		"qdelay=%v", tc.Now()-p.Enqueued)
+	ext.Trace.RecordArg(trace.KindDispatch, ext.srcDWCS, p.StreamID, p.Seq,
+		"qdelay=%v", trace.Dur(tc.Now()-p.Enqueued))
 	ext.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDecision,
 		Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, B: int64(tc.Now() - p.Enqueued)})
 	if ext.OnDispatch != nil {

@@ -70,6 +70,7 @@ type Topology struct {
 	Rounds int64
 
 	scratch []xmsg // merge buffer, reused across rounds
+	lbts    []Time // horizons' per-partition bounds, reused across rounds
 }
 
 // NewTopology returns an empty topology. seed decorrelates the partitions'
@@ -287,7 +288,10 @@ func (t *Topology) deliver() {
 func (t *Topology) horizons(cap Time) bool {
 	// Next pending event per partition (cancelled-but-unreaped events
 	// included — they only make the bound tighter, never wrong).
-	next := make([]Time, len(t.parts))
+	if len(t.lbts) != len(t.parts) {
+		t.lbts = make([]Time, len(t.parts))
+	}
+	next := t.lbts
 	for i, p := range t.parts {
 		if at, ok := p.eng.NextAt(); ok {
 			next[i] = at

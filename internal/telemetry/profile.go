@@ -22,12 +22,23 @@ type ProfileEntry struct {
 // meter.Observe(reg.Prof); code sets context via meter.SetContext. A nil
 // *Profiler is valid and records nothing.
 type Profiler struct {
-	byKey map[string]*ProfileEntry
+	// entries is scanned, not indexed: the pairs are the few contexts the
+	// substrates name in code, and comparing two of those literals is a
+	// length and pointer check.
+	entries []*ProfileEntry
 }
 
 // NewProfiler returns an empty profiler.
-func NewProfiler() *Profiler {
-	return &Profiler{byKey: make(map[string]*ProfileEntry)}
+func NewProfiler() *Profiler { return &Profiler{} }
+
+// entry finds the accumulator of one (component, operation) pair.
+func (p *Profiler) entry(component, operation string) *ProfileEntry {
+	for _, e := range p.entries {
+		if e.Component == component && e.Operation == operation {
+			return e
+		}
+	}
+	return nil
 }
 
 // ObserveCycles implements cpu.CycleObserver. Charges arriving with no
@@ -43,11 +54,10 @@ func (p *Profiler) ObserveCycles(component, operation string, ops, cycles int64)
 	if operation == "" {
 		operation = "other"
 	}
-	key := component + "\x00" + operation
-	e, ok := p.byKey[key]
-	if !ok {
+	e := p.entry(component, operation)
+	if e == nil {
 		e = &ProfileEntry{Component: component, Operation: operation}
-		p.byKey[key] = e
+		p.entries = append(p.entries, e)
 	}
 	e.Ops += ops
 	e.Cycles += cycles
@@ -59,8 +69,8 @@ func (p *Profiler) Entries() []ProfileEntry {
 	if p == nil {
 		return nil
 	}
-	out := make([]ProfileEntry, 0, len(p.byKey))
-	for _, e := range p.byKey {
+	out := make([]ProfileEntry, 0, len(p.entries))
+	for _, e := range p.entries {
 		out = append(out, *e)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -80,7 +90,7 @@ func (p *Profiler) Cycles(component, operation string) int64 {
 	if p == nil {
 		return 0
 	}
-	if e, ok := p.byKey[component+"\x00"+operation]; ok {
+	if e := p.entry(component, operation); e != nil {
 		return e.Cycles
 	}
 	return 0
@@ -93,7 +103,7 @@ func (p *Profiler) Total() int64 {
 	if p == nil {
 		return 0
 	}
-	for _, e := range p.byKey {
+	for _, e := range p.entries {
 		t += e.Cycles
 	}
 	return t

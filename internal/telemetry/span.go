@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"fmt"
+	"iter"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,11 +85,34 @@ type SpanLink struct {
 	Kind      string
 }
 
-// SpanLog accumulates span segments. Recording order is engine order, which
-// is already deterministic; exports additionally sort canonically so two
-// logs with the same segment set render identically.
+// spanChunk is how many records one storage chunk of a SpanLog holds: 40 KB,
+// small enough that a short run's one chunk is cheap, large enough that a
+// long run appends a chunk pointer a few times a second at most.
+const spanChunk = 1024
+
+// spanRec is a Segment as the log stores it: pointer-free, so the collector
+// never scans span memory, with Where interned to an index into the log's
+// name table. Stream, Seq and the times keep their full width; Epoch narrows
+// to 32 bits (placements count migrations, and -1 round-trips).
+type spanRec struct {
+	start, end sim.Time
+	seq        int64
+	stream     int64
+	epoch      int32
+	where      uint16
+	stage      Stage
+}
+
+// SpanLog accumulates span segments in fixed-size chunks of packed records:
+// a full chunk is never copied or cleared again, and the first chunk is
+// allocated by the first Record, so a log nothing records into costs nothing.
+// Recording order is engine order, which is already deterministic; exports
+// additionally sort canonically so two logs with the same segment set render
+// identically. Read the segments back with All.
 type SpanLog struct {
-	Segments []Segment
+	chunks []*[spanChunk]spanRec
+	n      int      // recorded segments; the last chunk holds n % spanChunk
+	wheres []string // interned Segment.Where names, indexed by spanRec.where
 
 	// Links are the recorded epoch-handoff edges, in engine order.
 	Links []SpanLink
@@ -97,16 +123,64 @@ type SpanLog struct {
 	Observer func(Segment)
 }
 
-// Record appends one segment. Zero-length and negative segments are kept
-// out of the log — they carry no latency information and would divide by
-// zero in rate math.
+// Record appends one segment. A segment that ends before it starts is
+// dropped; a zero-length one (End == Start) is kept — the real daemon's tx
+// hop can complete inside one clock reading, and it still counts as a frame
+// that crossed the stage. Nil-safe.
 func (l *SpanLog) Record(seg Segment) {
 	if l == nil || seg.End < seg.Start {
 		return
 	}
-	l.Segments = append(l.Segments, seg)
+	i := l.n % spanChunk
+	if i == 0 {
+		l.chunks = append(l.chunks, new([spanChunk]spanRec))
+	}
+	l.chunks[len(l.chunks)-1][i] = spanRec{
+		start: seg.Start, end: seg.End, seq: seg.Seq, stream: int64(seg.Stream),
+		epoch: int32(seg.Epoch), where: l.intern(seg.Where), stage: seg.Stage,
+	}
+	l.n++
 	if l.Observer != nil {
 		l.Observer(seg)
+	}
+}
+
+// intern returns where's index in the log's name table, adding it on first
+// sight. A log sees a handful of names (a card's own hops, the cards that
+// served a client), so the table is scanned, newest first: consecutive
+// records mostly repeat a recent name.
+func (l *SpanLog) intern(where string) uint16 {
+	for i := len(l.wheres) - 1; i >= 0; i-- {
+		if l.wheres[i] == where {
+			return uint16(i)
+		}
+	}
+	if len(l.wheres) > math.MaxUint16 {
+		panic("telemetry: more than 65536 distinct span sites in one log")
+	}
+	l.wheres = append(l.wheres, where)
+	return uint16(len(l.wheres) - 1)
+}
+
+// All iterates the recorded segments in recording order.
+func (l *SpanLog) All() iter.Seq[Segment] {
+	return func(yield func(Segment) bool) {
+		if l == nil {
+			return
+		}
+		left := l.n
+		for _, c := range l.chunks {
+			for i := range c[:min(left, spanChunk)] {
+				r := &c[i]
+				if !yield(Segment{
+					Stream: int(r.stream), Seq: r.seq, Epoch: int(r.epoch), Stage: r.stage,
+					Where: l.wheres[r.where], Start: r.start, End: r.end,
+				}) {
+					return
+				}
+			}
+			left -= spanChunk
+		}
 	}
 }
 
@@ -123,13 +197,16 @@ func (l *SpanLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.Segments)
+	return l.n
 }
 
 // sorted returns the segments in canonical order: by start time, then
 // stream, sequence, stage, instance, end.
 func (l *SpanLog) sorted() []Segment {
-	out := append([]Segment(nil), l.Segments...)
+	out := make([]Segment, 0, l.Len())
+	for seg := range l.All() {
+		out = append(out, seg)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Start != b.Start {
@@ -155,7 +232,8 @@ func (l *SpanLog) sorted() []Segment {
 	return out
 }
 
-// stageAgg is the critical-path analyzer's accumulator for one stage.
+// stageAgg is the critical-path analyzer's accumulator for one stage. durs
+// is sorted ascending once aggregate returns.
 type stageAgg struct {
 	count     int64
 	total     sim.Time
@@ -172,10 +250,7 @@ var stageBucketsUs = [...]int64{
 
 func (l *SpanLog) aggregate() [numStages]stageAgg {
 	var agg [numStages]stageAgg
-	if l == nil {
-		return agg
-	}
-	for _, seg := range l.Segments {
+	for seg := range l.All() {
 		if int(seg.Stage) >= int(numStages) {
 			continue
 		}
@@ -200,11 +275,14 @@ func (l *SpanLog) aggregate() [numStages]stageAgg {
 			a.histogram[len(stageBucketsUs)]++
 		}
 	}
+	for i := range agg {
+		slices.Sort(agg[i].durs)
+	}
 	return agg
 }
 
-// quantile returns the q-quantile of ds (ds is sorted in place). The edge
-// cases are pinned, not incidental: an empty slice yields 0, a single
+// quantile returns the q-quantile of ds, which must be sorted ascending. The
+// edge cases are pinned, not incidental: an empty slice yields 0, a single
 // sample answers every q, q ≤ 0 is the minimum, and q ≥ 1 is the maximum —
 // the index is clamped so no floating-point rounding of q can step outside
 // the slice.
@@ -212,7 +290,6 @@ func quantile(ds []sim.Time, q float64) sim.Time {
 	if len(ds) == 0 {
 		return 0
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 	if q <= 0 {
 		return ds[0]
 	}
@@ -281,11 +358,8 @@ func (l *SpanLog) StageHistograms() string {
 // "frame;<stage>;<where> <µs>" line per distinct stack, sorted — directly
 // consumable by flamegraph.pl and speedscope.
 func (l *SpanLog) Folded() string {
-	if l == nil {
-		return ""
-	}
 	totals := make(map[string]int64)
-	for _, seg := range l.Segments {
+	for seg := range l.All() {
 		totals["frame;"+seg.Stage.String()+";"+seg.Where] += int64(seg.Dur() / sim.Microsecond)
 	}
 	keys := make([]string, 0, len(totals))

@@ -6,7 +6,9 @@
 // client end" (§4.1).
 //
 // The log is a bounded ring: old events are overwritten once the capacity
-// is reached, like an on-card trace buffer would be.
+// is reached, like an on-card trace buffer would be. Recording stores the
+// event's fields; a note with an argument (RecordArg) becomes text only when
+// a reader asks for it.
 package trace
 
 import (
@@ -75,10 +77,56 @@ func (e Event) String() string {
 	return b
 }
 
+// Arg is the one value a deferred note formats: RecordArg stores it beside
+// the format and a reader applies the format, so the record path builds no
+// string and boxes nothing.
+type Arg struct {
+	kind argKind
+	v    int64
+}
+
+type argKind uint8
+
+const (
+	argNone argKind = iota // the note is literal text
+	argInt
+	argDur
+)
+
+// Int is an integer argument (%d).
+func Int(n int64) Arg { return Arg{argInt, n} }
+
+// Dur is a simulated-time argument (%v renders it as sim.Time does).
+func Dur(d sim.Time) Arg { return Arg{argDur, int64(d)} }
+
+// record is an Event as the ring holds it: note is still the format when
+// argKind is set.
+type record struct {
+	at       sim.Time
+	seq, arg int64
+	stream   int
+	source   string
+	note     string
+	kind     Kind
+	argKind  argKind
+}
+
+// event renders the record as readers see it.
+func (r *record) event() Event {
+	e := Event{At: r.at, Kind: r.kind, Source: r.source, Stream: r.stream, Seq: r.seq, Note: r.note}
+	switch r.argKind {
+	case argInt:
+		e.Note = fmt.Sprintf(r.note, r.arg)
+	case argDur:
+		e.Note = fmt.Sprintf(r.note, sim.Time(r.arg))
+	}
+	return e
+}
+
 // Log is a bounded event ring.
 type Log struct {
 	eng    *sim.Engine
-	events []Event
+	events []record
 	next   int
 	full   bool
 
@@ -94,13 +142,24 @@ func New(eng *sim.Engine, capacity int) *Log {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Log{eng: eng, events: make([]Event, capacity), Enabled: true}
+	return &Log{eng: eng, events: make([]record, capacity), Enabled: true}
 }
+
+// On reports whether a Record would be kept, for the rare caller whose note
+// takes work to build. A nil log is off.
+func (l *Log) On() bool { return l != nil && l.Enabled }
 
 // Record appends an event at the current simulated time. Out-of-range kinds
 // are clamped to KindUser so they can't skew per-kind tallies (Summary) or
 // dodge ByKind filters.
 func (l *Log) Record(kind Kind, source string, stream int, seq int64, note string) {
+	l.RecordArg(kind, source, stream, seq, note, Arg{})
+}
+
+// RecordArg is Record with a note formatted from one argument — when the
+// event is read, not now: an event overwritten before anyone looks never
+// pays for its text.
+func (l *Log) RecordArg(kind Kind, source string, stream int, seq int64, format string, arg Arg) {
 	if l == nil || !l.Enabled {
 		return
 	}
@@ -110,22 +169,15 @@ func (l *Log) Record(kind Kind, source string, stream int, seq int64, note strin
 	if l.full {
 		l.Dropped++
 	}
-	l.events[l.next] = Event{
-		At: l.eng.Now(), Kind: kind, Source: source, Stream: stream, Seq: seq, Note: note,
+	l.events[l.next] = record{
+		at: l.eng.Now(), seq: seq, arg: arg.v, stream: stream,
+		source: source, note: format, kind: kind, argKind: arg.kind,
 	}
 	l.next++
 	if l.next == len(l.events) {
 		l.next = 0
 		l.full = true
 	}
-}
-
-// Recordf is Record with a formatted note.
-func (l *Log) Recordf(kind Kind, source string, stream int, seq int64, format string, args ...any) {
-	if l == nil || !l.Enabled {
-		return
-	}
-	l.Record(kind, source, stream, seq, fmt.Sprintf(format, args...))
 }
 
 // Len returns the number of retained events.
@@ -138,12 +190,11 @@ func (l *Log) Len() int {
 
 // Events returns retained events in chronological order.
 func (l *Log) Events() []Event {
-	if !l.full {
-		return append([]Event(nil), l.events[:l.next]...)
-	}
-	out := make([]Event, 0, len(l.events))
-	out = append(out, l.events[l.next:]...)
-	out = append(out, l.events[:l.next]...)
+	out := make([]Event, 0, l.Len())
+	l.Range(func(e Event) bool {
+		out = append(out, e)
+		return true
+	})
 	return out
 }
 
@@ -153,15 +204,12 @@ func (l *Log) Range(fn func(Event) bool) {
 	if l == nil {
 		return
 	}
+	first, n := 0, l.next
 	if l.full {
-		for _, e := range l.events[l.next:] {
-			if !fn(e) {
-				return
-			}
-		}
+		first, n = l.next, len(l.events)
 	}
-	for _, e := range l.events[:l.next] {
-		if !fn(e) {
+	for i := 0; i < n; i++ {
+		if !fn(l.events[(first+i)%len(l.events)].event()) {
 			return
 		}
 	}
@@ -202,10 +250,9 @@ func (l *Log) Dump(w io.Writer) error {
 // Summary tallies retained events by kind.
 func (l *Log) Summary() string {
 	var counts [numKinds]int
-	l.Range(func(e Event) bool {
-		counts[e.Kind]++
-		return true
-	})
+	for i := range l.events[:l.Len()] {
+		counts[l.events[i].kind]++
+	}
 	var parts []string
 	for k, n := range counts {
 		if n > 0 {

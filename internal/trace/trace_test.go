@@ -15,7 +15,7 @@ func TestRecordAndEvents(t *testing.T) {
 		l.Record(KindEnqueue, "ni0/dwcs", 1, 0, "")
 	})
 	eng.At(20*sim.Microsecond, func() {
-		l.Recordf(KindDispatch, "ni0/dwcs", 1, 0, "late=%v", false)
+		l.RecordArg(KindDispatch, "ni0/dwcs", 1, 0, "qdelay=%v", Dur(1500*sim.Microsecond))
 	})
 	eng.Run()
 	evs := l.Events()
@@ -25,7 +25,7 @@ func TestRecordAndEvents(t *testing.T) {
 	if evs[0].At != 10*sim.Microsecond || evs[0].Kind != KindEnqueue {
 		t.Fatalf("first = %+v", evs[0])
 	}
-	if evs[1].Note != "late=false" {
+	if evs[1].Note != "qdelay=1.500ms" {
 		t.Fatalf("note = %q", evs[1].Note)
 	}
 }
@@ -74,7 +74,10 @@ func TestDisabledAndNil(t *testing.T) {
 	}
 	var nilLog *Log
 	nilLog.Record(KindUser, "x", -1, -1, "") // must not panic
-	nilLog.Recordf(KindUser, "x", -1, -1, "%d", 1)
+	nilLog.RecordArg(KindUser, "x", -1, -1, "%d", Int(1))
+	if nilLog.On() || l.On() {
+		t.Fatal("nil or disabled log reports On")
+	}
 }
 
 func TestDumpAndSummary(t *testing.T) {
@@ -216,5 +219,56 @@ func TestRecordClampsOutOfRangeKind(t *testing.T) {
 	}
 	if got := l.ByKind(KindUser); len(got) != 2 {
 		t.Errorf("ByKind(KindUser) = %d events, want 2", len(got))
+	}
+}
+
+// A deferred note is text only once somebody reads it, and reads the same
+// through every reader; recording one allocates nothing.
+func TestRecordArgFormatsOnRead(t *testing.T) {
+	eng := sim.NewEngine(1)
+	l := New(eng, 4)
+	l.RecordArg(KindEnqueue, "ni0/dwcs", 1, -1, "%dB", Int(1500))
+	l.RecordArg(KindDispatch, "ni0/dwcs", 1, 7, "qdelay=%v", Dur(2*sim.Millisecond))
+	l.Record(KindDrop, "ni0/dwcs", 1, 8, "100% literal") // no argument: never a format
+	want := []string{"1500B", "qdelay=2.000ms", "100% literal"}
+	for i, e := range l.Events() {
+		if e.Note != want[i] {
+			t.Errorf("Events()[%d].Note = %q, want %q", i, e.Note, want[i])
+		}
+	}
+	if got := l.ByKind(KindEnqueue); len(got) != 1 || got[0].Note != "1500B" {
+		t.Errorf("ByKind(enqueue) = %+v", got)
+	}
+	if got := l.ByStream(1); len(got) != 3 || got[1].Note != "qdelay=2.000ms" {
+		t.Errorf("ByStream(1) = %+v", got)
+	}
+	var sb strings.Builder
+	if err := l.Dump(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range want {
+		if !strings.Contains(sb.String(), w) {
+			t.Errorf("dump missing %q:\n%s", w, sb.String())
+		}
+	}
+
+	seq := int64(0)
+	if n := testing.AllocsPerRun(1000, func() { // wraps the ring many times over
+		l.RecordArg(KindEnqueue, "ni0/dwcs", 1, -1, "%dB", Int(seq))
+		l.RecordArg(KindDispatch, "ni0/dwcs", 1, seq, "qdelay=%v", Dur(sim.Time(seq)))
+		seq++
+	}); n != 0 {
+		t.Errorf("RecordArg allocates %v per frame, want 0", n)
+	}
+}
+
+// BenchmarkTraceRecord is the card's two events per frame into a full ring.
+func BenchmarkTraceRecord(b *testing.B) {
+	l := New(sim.NewEngine(1), 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.RecordArg(KindEnqueue, "ni00/dwcs", i&127, -1, "%dB", Int(int64(i)))
+		l.RecordArg(KindDispatch, "ni00/dwcs", i&127, int64(i), "qdelay=%v", Dur(sim.Time(i)))
 	}
 }
