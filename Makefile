@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test race bench repro telemetry slo perfgate soak conformance build clean
+.PHONY: all test race fuzz bench repro telemetry slo perfgate soak conformance dwcsd-profile build clean
 
 all: build test
 
@@ -14,6 +14,14 @@ test:
 # detector is the canary for any shared state leaking between runs.
 race:
 	$(GO) test -race ./...
+
+# Ten seconds of each native fuzz target on the wire framing a hostile
+# sender can reach (go test -fuzz takes one target per run). The seed corpus
+# — including the two datagram sequences that used to crash dwcsd -recv —
+# runs as ordinary tests in `make test`.
+fuzz:
+	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzReassemblerIngest$$' -fuzztime 10s
+	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzUnmarshalMedia$$' -fuzztime 10s
 
 # Kernel, task hand-off, scheduler fast-path and observability record/read
 # benchmarks. Compare against the committed baseline with ./bench_compare.sh.
@@ -72,6 +80,20 @@ conformance:
 	$(GO) run ./cmd/reprogen -slo -slo-out /tmp/conf-sim -dur 8 > /dev/null
 	SOAK_DIR=/tmp/conf-soak ./bench_compare.sh -soak-only
 	$(GO) run ./cmd/tracetool -diff -conformance /tmp/conf-sim /tmp/conf-soak
+
+# CPU and heap profile of the sender at the dwcsd_burst shape (256
+# phase-aligned streams, 40 ms period, 10 s) against a local receiver.
+# Profiles and the binary land in /tmp/dwcsd-profile; read a function with
+# `go tool pprof -list 'pacer..loop' /tmp/dwcsd-profile/dwcsd /tmp/dwcsd-profile/cpu.prof`.
+dwcsd-profile:
+	mkdir -p /tmp/dwcsd-profile
+	$(GO) build -o /tmp/dwcsd-profile/dwcsd ./cmd/dwcsd
+	/tmp/dwcsd-profile/dwcsd -recv 127.0.0.1:9961 -dur 11s > /dev/null & \
+	sleep 0.5; \
+	/tmp/dwcsd-profile/dwcsd -dest 127.0.0.1:9961 -streams 256 -period 40ms -dur 10s \
+		-cpuprofile /tmp/dwcsd-profile/cpu.prof -memprofile /tmp/dwcsd-profile/mem.prof; \
+	wait
+	$(GO) tool pprof -top -nodecount 25 /tmp/dwcsd-profile/dwcsd /tmp/dwcsd-profile/cpu.prof
 
 clean:
 	$(GO) clean ./...

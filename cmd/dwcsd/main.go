@@ -37,6 +37,9 @@
 //	dwcsd -dest 127.0.0.1:9961 -metrics 127.0.0.1:9900
 //	curl http://127.0.0.1:9900/metrics
 //
+// Every mode takes -cpuprofile FILE and -memprofile FILE; the profiles are
+// complete on every way out, including a signal drain and a fatal error.
+//
 // SIGINT or SIGTERM shuts any mode down gracefully: the sender stops
 // injecting new frames and drains what the scheduler already holds (bounded
 // by -drain), the receiver reports the partial run, soak sessions wind down
@@ -54,6 +57,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"syscall"
 	"time"
@@ -80,11 +85,17 @@ func main() {
 	flash := flag.Bool("flash", false, "soak mode: flash-crowd arrivals (every session sets up inside the first 100ms)")
 	churn := flag.Float64("churn", 0.25, "soak mode: fraction of sessions torn down and replaced mid-run")
 	throttle := flag.Duration("throttle", 0, "soak mode: stall injected before every dispatch (validates the regression gate)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
 	lc := newLifecycle()
 	lc.watch(os.Interrupt, syscall.SIGTERM)
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
 	switch {
 	case *soak > 0:
 		cfg := soakConfig{
@@ -98,21 +109,59 @@ func main() {
 			Dir:      *artifacts,
 			Drain:    *drain,
 		}
-		if err := soakRun(cfg, lc, os.Stdout); err != nil {
-			fatal(err)
-		}
+		err = soakRun(cfg, lc, os.Stdout)
 	case *recv != "":
-		if err := receiver(*recv, *dur, *metricsAddr, *artifacts, lc); err != nil {
-			fatal(err)
-		}
+		err = receiver(*recv, *dur, *metricsAddr, *artifacts, lc)
 	case *dest != "":
-		if err := sender(*dest, *streams, *period, *dur, *metricsAddr, *artifacts, *drain, lc); err != nil {
-			fatal(err)
-		}
+		err = sender(*dest, *streams, *period, *dur, *metricsAddr, *artifacts, *drain, lc)
 	default:
 		fmt.Fprintln(os.Stderr, "dwcsd: need -dest (send), -recv (receive), or -soak N; see -h")
 		os.Exit(2)
 	}
+	// Every way out of a mode — full run, signal drain, error — comes back
+	// here, so the profiles are complete before fatal's os.Exit.
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// startProfiles starts the CPU profile and returns the function that stops
+// it and writes the heap profile; either path may be empty.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // so the profile shows what is live, not what is garbage
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // lifecycle coordinates signal-driven graceful shutdown: the send/receive
@@ -223,13 +272,9 @@ func sender(dest string, nStreams int, period, dur time.Duration, metricsAddr, a
 			err = werr
 		}
 	}()
-	sentN := o.reg.Counter("dwcsd", "frames_sent_total", "frames paced onto the wire by DWCS")
-	droppedN := o.reg.Counter("dwcsd", "frames_dropped_total", "frames dropped by the scheduler (deadline passed)")
-	o.reg.GaugeFunc("dwcsd", "streams",
-		"concurrent streams being paced", func() float64 { return float64(nStreams) })
-	perStream := make([]senderStream, nStreams)
-	for i := range perStream {
-		perStream[i] = newSenderStream(o, i)
+	p, sentN, droppedN, err := newSenderPacer(o.clk, conn, lc.stop, o, nStreams, sim.Time(period))
+	if err != nil {
+		return err
 	}
 	if metricsAddr != "" {
 		bound, stop, err := serveMetrics(metricsAddr, o.render)
@@ -240,144 +285,79 @@ func sender(dest string, nStreams int, period, dur time.Duration, metricsAddr, a
 		fmt.Fprintf(os.Stderr, "dwcsd: metrics on http://%s/metrics\n", bound)
 	}
 
-	clip := mpeg.GenerateDefault()
-	payload := mpeg.Encode(clip, 1960)
-
-	now := o.now
-	sched := dwcs.New(dwcs.Config{
-		Now:           now,
-		EligibleEarly: sim.Time(period) / 4,
-	})
-	type cursor struct {
-		next   int
-		inject sim.Time
+	if err := p.run(sim.Time(dur)); err != nil {
+		return err
 	}
-	cursors := make([]cursor, nStreams)
-	for i := 0; i < nStreams; i++ {
-		spec := dwcs.StreamSpec{
-			ID:     i,
-			Name:   fmt.Sprintf("s%d", i),
-			Period: sim.Time(period),
-			Loss:   fixed.New(1, 2),
-			Lossy:  true,
-			BufCap: 16,
-		}
-		if err := sched.AddStream(spec); err != nil {
-			return err
-		}
-		// The SLO's latency objective bounds queue wait at a small multiple
-		// of the frame period — the same derivation sim cards use.
-		o.track(spec, sched, 4*sim.Time(period))
-	}
-
-	emit := func(p *dwcs.Packet) error {
-		txStart := now()
-		frame := payload[p.Offset : p.Offset+p.Bytes]
-		for _, frag := range proto.FragmentFrame(uint32(p.StreamID), uint32(p.Seq), frame) {
-			if _, err := conn.Write(frag); err != nil {
-				return err
-			}
-		}
-		txEnd := now()
-		o.locked(func() {
-			o.reg.Span(p.StreamID, p.Seq, telemetry.StageQueue, o.where, p.Enqueued, txStart)
-			o.reg.Span(p.StreamID, p.Seq, telemetry.StageTx, o.where, txStart, txEnd)
-			o.rec.Record(blackbox.Event{At: txEnd, Kind: blackbox.KindDecision,
-				Stream: p.StreamID, Seq: p.Seq, A: p.Bytes})
-			sentN.Inc()
-			if p.StreamID < len(perStream) {
-				perStream[p.StreamID].sent.Inc()
-				perStream[p.StreamID].bytes.Add(p.Bytes)
-			}
-		})
-		return nil
-	}
-	drop := func(ps []*dwcs.Packet) {
-		if len(ps) == 0 {
-			return
-		}
-		o.locked(func() {
-			at := o.now()
-			for _, p := range ps {
-				o.rec.Record(blackbox.Event{At: at, Kind: blackbox.KindDrop,
-					Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, Note: "deadline"})
-				droppedN.Inc()
-				if p.StreamID < len(perStream) {
-					perStream[p.StreamID].drops.Inc()
-				}
-			}
-		})
-	}
-
-	for now() < sim.Time(dur) && !lc.stopped() {
-		// Inject due frames (producer side), half a period ahead.
-		for i := range cursors {
-			c := &cursors[i]
-			for c.inject <= now()+sim.Time(period) {
-				f := clip.Frames[c.next%len(clip.Frames)]
-				if sched.Enqueue(i, dwcs.Packet{Bytes: f.Size, Offset: f.Offset}) != nil {
-					// Ring full; note the refusal and retry next round.
-					o.event(blackbox.Event{At: o.now(), Kind: blackbox.KindRefusal,
-						Stream: i, A: f.Size, Note: "ring full"})
-					break
-				}
-				c.next++
-				c.inject += sim.Time(period)
-			}
-		}
-		d := sched.Schedule()
-		switch {
-		case d.Packet != nil:
-			if err := emit(d.Packet); err != nil {
-				return err
-			}
-		case d.WaitUntil > 0:
-			sleep := time.Duration(d.WaitUntil - now())
-			if sleep > time.Millisecond {
-				sleep = time.Millisecond // re-check injections periodically
-			}
-			if sleep > 0 {
-				time.Sleep(sleep)
-			}
-		default:
-			if len(d.Dropped) == 0 {
-				time.Sleep(time.Millisecond)
-			}
-		}
-		drop(d.Dropped)
-		o.tick()
-	}
-
 	// Interrupted: no new injections, but frames already accepted by the
 	// scheduler still go out on their DWCS pacing — bounded by the drain
 	// deadline, after which whatever remains is abandoned.
 	if lc.stopped() {
 		o.trigger("interrupted")
-		drained := 0
-		deadline := time.Now().Add(drainFor)
-		for time.Now().Before(deadline) {
-			d := sched.Schedule()
-			drop(d.Dropped)
-			switch {
-			case d.Packet != nil:
-				if err := emit(d.Packet); err != nil {
-					return err
-				}
-				drained++
-			case d.WaitUntil > 0:
-				time.Sleep(time.Millisecond)
-			default:
-				if len(d.Dropped) == 0 {
-					deadline = time.Time{} // scheduler empty; drain complete
-				}
-			}
-			o.tick()
+		drained, err := p.drain(drainFor)
+		if err != nil {
+			return err
 		}
 		fmt.Printf("dwcsd: interrupted; drained %d queued frame(s)\n", drained)
 	}
+	// bench/ and bench_compare.sh parse this line.
 	fmt.Printf("dwcsd: sent %d frames (%d dropped) on %d streams over %v\n",
 		sentN.Value(), droppedN.Value(), nStreams, dur)
 	return nil
+}
+
+// newSenderPacer wires serve mode onto a pacer: nStreams streams of the
+// default clip, their SLO objectives, and the counters the summary line and
+// /metrics report.
+func newSenderPacer(clk clock, w io.Writer, stop <-chan struct{}, o *obs, nStreams int, period sim.Time) (p *pacer, sentN, droppedN *telemetry.Counter, err error) {
+	sentN = o.reg.Counter("dwcsd", "frames_sent_total", "frames paced onto the wire by DWCS")
+	droppedN = o.reg.Counter("dwcsd", "frames_dropped_total", "frames dropped by the scheduler (deadline passed)")
+	o.reg.GaugeFunc("dwcsd", "streams",
+		"concurrent streams being paced", func() float64 { return float64(nStreams) })
+	perStream := make([]senderStream, nStreams)
+	for i := range perStream {
+		perStream[i] = newSenderStream(o, i)
+	}
+
+	clip := mpeg.GenerateDefault()
+	p = newPacer(clk, w, stop, o, period, dwcs.Scan)
+	p.payload = mpeg.Encode(clip, 1960)
+	p.frame = func(n int64) (bytes, offset int64) {
+		f := clip.Frames[n%int64(len(clip.Frames))]
+		return f.Size, f.Offset
+	}
+	p.account = func(e *paceEvent) {
+		switch e.kind {
+		case paceSent:
+			o.rec.Record(blackbox.Event{At: e.at, Kind: blackbox.KindDecision,
+				Stream: e.stream, Seq: e.seq, A: e.bytes})
+			sentN.Inc()
+			perStream[e.stream].sent.Inc()
+			perStream[e.stream].bytes.Add(e.bytes)
+		case paceDropped:
+			droppedN.Inc()
+			perStream[e.stream].drops.Inc()
+		}
+	}
+	for i := 0; i < nStreams; i++ {
+		spec := dwcs.StreamSpec{
+			ID:     i,
+			Name:   fmt.Sprintf("s%d", i),
+			Period: period,
+			Loss:   fixed.New(1, 2),
+			Lossy:  true,
+			BufCap: 16,
+		}
+		if err := p.sched.AddStream(spec); err != nil {
+			return nil, nil, nil, err
+		}
+		// The SLO's latency objective bounds queue wait at a small multiple
+		// of the frame period — the same derivation sim cards use.
+		o.track(spec, p.sched, 4*period)
+		// Producer side: each frame is handed to the scheduler a full
+		// period ahead of its slot.
+		p.addSource(i, 0)
+	}
+	return p, sentN, droppedN, nil
 }
 
 // recvStream is the per-stream export surface of the receive side: counters
@@ -419,6 +399,31 @@ func (r *recvStream) meanGapMs() float64 {
 	return r.jitter.Sum() / float64(r.jitter.Count())
 }
 
+// playoutStarts holds, per stream, when the first fragment of the frame in
+// flight landed — the start of its playout span. It is keyed by stream, as
+// the reassembler's own state is, so a frame that never completes leaves
+// nothing behind: the stream's next first fragment overwrites it.
+type playoutStarts map[uint32]playoutStart
+
+type playoutStart struct {
+	seq uint32
+	at  sim.Time
+}
+
+func (ps playoutStarts) begin(stream, seq uint32, at sim.Time) {
+	ps[stream] = playoutStart{seq, at}
+}
+
+// end returns when frame seq of stream began, if it is the one in flight.
+func (ps playoutStarts) end(stream, seq uint32) (sim.Time, bool) {
+	f, ok := ps[stream]
+	if !ok || f.seq != seq {
+		return 0, false
+	}
+	delete(ps, stream)
+	return f.at, true
+}
+
 // receiver reassembles frames until dur elapses (or shutdown triggers) and
 // prints a per-stream report. Large frames arrive as several datagrams;
 // proto.Reassembler rebuilds them exactly as a player-side segmenter would.
@@ -449,6 +454,7 @@ func receiver(listen string, dur time.Duration, metricsAddr, artifactsDir string
 	bytesN := o.reg.Counter("dwcsd", "bytes_received_total", "reassembled frame bytes")
 	discardedN := o.reg.Counter("dwcsd", "frames_discarded_total", "incomplete frames abandoned by the reassembler")
 	datagramsN := o.reg.Counter("dwcsd", "datagrams_total", "UDP datagrams ingested")
+	malformedN := o.reg.Counter("dwcsd", "datagrams_malformed_total", "datagrams the reassembler rejected")
 	if metricsAddr != "" {
 		bound, stop, err := serveMetrics(metricsAddr, o.render)
 		if err != nil {
@@ -459,10 +465,7 @@ func receiver(listen string, dur time.Duration, metricsAddr, artifactsDir string
 	}
 
 	streams := make(map[uint32]*recvStream)
-	// firstFrag tracks when each in-flight frame's first fragment landed —
-	// the start of its playout span.
-	firstFrag := make(map[uint64]sim.Time)
-	frameKey := func(stream, seq uint32) uint64 { return uint64(stream)<<32 | uint64(seq) }
+	firstFrag := make(playoutStarts)
 	var lastDiscarded int64
 	reasm := proto.NewReassembler(func(streamID, seq uint32, frame []byte) {
 		// Runs inside Ingest below, which the loop calls under o.locked.
@@ -475,8 +478,7 @@ func receiver(listen string, dur time.Duration, metricsAddr, artifactsDir string
 		r.observeArrival(at, len(frame))
 		framesN.Inc()
 		bytesN.Add(int64(len(frame)))
-		if t0, ok := firstFrag[frameKey(streamID, seq)]; ok {
-			delete(firstFrag, frameKey(streamID, seq))
+		if t0, ok := firstFrag.end(streamID, seq); ok {
 			o.reg.Span(int(streamID), int64(seq), telemetry.StagePlayout, o.where, t0, at)
 		}
 	})
@@ -497,9 +499,11 @@ func receiver(listen string, dur time.Duration, metricsAddr, artifactsDir string
 		}
 		o.locked(func() {
 			if h, _, err := proto.UnmarshalMedia(buf[:n]); err == nil && h.FragOff == 0 {
-				firstFrag[frameKey(h.StreamID, h.Seq)] = o.now()
+				firstFrag.begin(h.StreamID, h.Seq, o.now())
 			}
-			_ = reasm.Ingest(buf[:n]) // malformed datagrams are skipped
+			if reasm.Ingest(buf[:n]) != nil { // malformed datagrams are counted and skipped
+				malformedN.Inc()
+			}
 			datagramsN.Inc()
 			if d := int64(reasm.Discarded); d != lastDiscarded {
 				discardedN.Add(d - lastDiscarded)

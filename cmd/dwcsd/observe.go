@@ -36,7 +36,7 @@ type obs struct {
 	mon *slo.Monitor
 	rec *blackbox.Recorder
 
-	start    time.Time
+	clk      *wallClock // nanoseconds since the bundle was built
 	where    string
 	dir      string // artifact directory; "" disables writing
 	lastSnap sim.Time
@@ -50,7 +50,7 @@ func newObs(name, artifactsDir string) *obs {
 	o := &obs{
 		reg:   telemetry.New(),
 		mon:   slo.NewMonitor(name, slo.Config{}),
-		start: time.Now(),
+		clk:   newWallClock(time.Now()),
 		where: name,
 		dir:   artifactsDir,
 	}
@@ -84,27 +84,7 @@ func (o *obs) now() sim.Time {
 	if o == nil {
 		return 0
 	}
-	return sim.Time(time.Since(o.start))
-}
-
-// span records one causal stage segment in the sim vocabulary.
-func (o *obs) span(stream int, seq int64, stage telemetry.Stage, start, end sim.Time) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.reg.Span(stream, seq, stage, o.where, start, end)
-	o.mu.Unlock()
-}
-
-// event appends one flight-recorder ring event.
-func (o *obs) event(e blackbox.Event) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.rec.Record(e)
-	o.mu.Unlock()
+	return o.clk.Now()
 }
 
 // trigger captures an incident (ring contents + registry state).
@@ -138,14 +118,21 @@ func (o *obs) track(spec dwcs.StreamSpec, sched *dwcs.Scheduler, latencyBound si
 }
 
 // tick advances the periodic machinery: registry snapshots (metrics.csv
-// rows) and SLO evaluations. Call it from the main loop; cheap when nothing
-// is due.
+// rows) and SLO evaluations. The receive loop calls it once per datagram;
+// cheap when nothing is due.
 func (o *obs) tick() {
 	if o == nil {
 		return
 	}
 	at := o.now()
 	o.mu.Lock()
+	o.tickLocked(at)
+	o.mu.Unlock()
+}
+
+// tickLocked runs whichever of the snapshot and the SLO evaluation is due at
+// `at` and returns when the next one is. Caller holds o.mu.
+func (o *obs) tickLocked(at sim.Time) (next sim.Time) {
 	if at-o.lastSnap >= sim.Time(snapEvery) {
 		o.reg.Snapshot(at)
 		o.lastSnap = at
@@ -154,7 +141,7 @@ func (o *obs) tick() {
 		o.mon.Eval()
 		o.lastEval = at
 	}
-	o.mu.Unlock()
+	return min(o.lastSnap+sim.Time(snapEvery), o.lastEval+o.mon.Cfg.EvalEvery)
 }
 
 // render returns the Prometheus exposition under the lock — the -metrics

@@ -51,7 +51,6 @@ type soakSession struct {
 
 	started, ended     bool
 	startedAt, endedAt sim.Time
-	inject             sim.Time // next frame injection due time
 
 	framesSent, framesRecv, bytesRecv int64
 	lastRecv                          sim.Time
@@ -105,6 +104,18 @@ func soakPlan(cfg soakConfig) ([]*soakSession, []soakPlanEvent) {
 	return sessions, events
 }
 
+// stallWriter sleeps before every datagram: the injected regression the
+// soak gate must catch.
+type stallWriter struct {
+	w     io.Writer
+	stall time.Duration
+}
+
+func (s stallWriter) Write(b []byte) (int, error) {
+	time.Sleep(s.stall)
+	return s.w.Write(b)
+}
+
 // quantile returns the q-th quantile of xs (sorted in place); 0 when empty.
 func quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
@@ -118,7 +129,7 @@ func quantile(xs []float64, q float64) float64 {
 // soakRun drives one soak: a loopback receiver goroutine, a DWCS pacing
 // loop over every active session, plan-driven setup/teardown churn, and the
 // full observability bundle. The summary line it prints is the contract the
-// SOAK_BASELINE.txt gate in bench_compare.sh parses.
+// SOAK_BASELINE.txt gate in bench_compare.sh and bench/ parse.
 func soakRun(cfg soakConfig, lc *lifecycle, out io.Writer) (err error) {
 	if cfg.Sessions <= 0 {
 		return fmt.Errorf("soak: need at least one session")
@@ -126,11 +137,17 @@ func soakRun(cfg soakConfig, lc *lifecycle, out io.Writer) (err error) {
 	if cfg.Churn < 0 || cfg.Churn > 1 {
 		return fmt.Errorf("soak: churn %v outside [0,1]", cfg.Churn)
 	}
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return err
 	}
 	defer pc.Close()
+	// The client side is this harness, not the daemon under test: give its
+	// socket room for a whole burst, so a run whose session phases have
+	// collapsed together (they do after a host stall — every emptied stream
+	// restarts its deadlines from the same instant) loses nothing here. A
+	// kernel that grants less just leaves the default behaviour.
+	_ = pc.SetReadBuffer(4 << 20)
 	conn, err := net.Dial("udp", pc.LocalAddr().String())
 	if err != nil {
 		return err
@@ -168,30 +185,51 @@ func soakRun(cfg soakConfig, lc *lifecycle, out io.Writer) (err error) {
 		fmt.Fprintf(os.Stderr, "dwcsd: metrics on http://%s/metrics\n", bound)
 	}
 
-	now := o.now
 	period := sim.Time(cfg.Period)
+	var w io.Writer = conn
+	if cfg.Throttle > 0 {
+		w = stallWriter{conn, cfg.Throttle}
+	}
 	// Heaps is the selector built for this scale: best-packet selection
 	// stays O(log n) across thousands of streams.
-	sched := dwcs.New(dwcs.Config{
-		Now:           now,
-		Selector:      dwcs.Heaps,
-		EligibleEarly: period / 4,
-	})
+	p := newPacer(o.clk, w, lc.stop, o, period, dwcs.Heaps)
+	sched := p.sched
 
 	sessions, plan := soakPlan(cfg)
 	byStream := make(map[int]*soakSession, len(sessions))
-	// inflight maps (stream,seq) to dispatch time so the receive path can
-	// close each frame's wire span. Lost frames leak entries; the cap
-	// bounds that at a few MB even on a pathological run.
-	inflight := make(map[uint64]sim.Time)
-	const inflightCap = 1 << 17
-	fkey := func(stream int, seq int64) uint64 { return uint64(uint32(stream))<<32 | uint64(uint32(seq)) }
+	// wire pairs each frame's dispatch with its arrival to close the wire
+	// span. The receive goroutine can see a frame before the pacer's batch
+	// says it was sent, so whichever side comes first leaves a mark and the
+	// other closes the span. Lost frames leak entries; the cap bounds that
+	// at a few MB even on a pathological run.
+	type wireMark struct {
+		at      sim.Time
+		arrived bool // left by the receive side; else by the sender
+	}
+	wire := make(map[uint64]wireMark)
+	const wireCap = 1 << 17
+	// wireSpan runs under o.mu on both sides.
+	wireSpan := func(stream int, seq int64, at sim.Time, arrived bool) {
+		k := uint64(uint32(stream))<<32 | uint64(uint32(seq))
+		m, ok := wire[k]
+		switch {
+		case ok && m.arrived != arrived:
+			delete(wire, k)
+			sent, recvd := m.at, at
+			if m.arrived {
+				sent, recvd = at, m.at
+			}
+			o.reg.Span(stream, seq, telemetry.StageWire, o.where, sent, max(sent, recvd))
+		case !ok && len(wire) < wireCap:
+			wire[k] = wireMark{at: at, arrived: arrived}
+		}
+	}
 
 	// Frame payload: synthetic bytes, sized 256..640 by sequence so every
 	// frame fits one datagram and the wire sees some size diversity.
-	payload := make([]byte, 1024)
-	rand.New(rand.NewSource(2)).Read(payload)
-	frameSize := func(seq int64) int64 { return 256 + (seq%4)*128 }
+	p.payload = make([]byte, 1024)
+	rand.New(rand.NewSource(2)).Read(p.payload)
+	p.frame = func(n int64) (bytes, offset int64) { return 256 + (n%4)*128, 0 }
 
 	var jitterSamples, goodputSamples []float64
 	// endSession finalizes a session's goodput sample. Caller holds o.mu.
@@ -218,10 +256,7 @@ func soakRun(cfg soakConfig, lc *lifecycle, out io.Writer) (err error) {
 			return
 		}
 		at := o.now()
-		if t0, ok := inflight[fkey(int(streamID), int64(seq))]; ok {
-			delete(inflight, fkey(int(streamID), int64(seq)))
-			o.reg.Span(int(streamID), int64(seq), telemetry.StageWire, o.where, t0, at)
-		}
+		wireSpan(int(streamID), int64(seq), at, true)
 		if s.seenRecv {
 			gap := (at - s.lastRecv).Milliseconds() - period.Milliseconds()
 			if gap < 0 {
@@ -248,15 +283,19 @@ func soakRun(cfg soakConfig, lc *lifecycle, out io.Writer) (err error) {
 				return
 			default:
 			}
+			// One deadline per poll, not per datagram: the reads below run
+			// until it expires, then the stop check above runs again.
 			pc.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-			n, _, err := pc.ReadFrom(buf)
-			if err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					continue
+			for {
+				n, err := pc.Read(buf)
+				if err != nil {
+					if ne, ok := err.(net.Error); ok && ne.Timeout() {
+						break
+					}
+					return
 				}
-				return
+				o.locked(func() { _ = reasm.Ingest(buf[:n]) })
 			}
-			o.locked(func() { _ = reasm.Ingest(buf[:n]) })
 		}
 	}()
 	defer func() {
@@ -278,8 +317,9 @@ func soakRun(cfg soakConfig, lc *lifecycle, out io.Writer) (err error) {
 		if err := sched.AddStream(spec); err != nil {
 			return err
 		}
-		s.started, s.startedAt, s.inject = true, at, at
+		s.started, s.startedAt = true, at
 		byStream[s.id] = s
+		p.addSource(s.id, at)
 		active++
 		setupN.Inc()
 		o.rec.Record(blackbox.Event{At: at, Kind: blackbox.KindMigrate,
@@ -301,6 +341,7 @@ func soakRun(cfg soakConfig, lc *lifecycle, out io.Writer) (err error) {
 		if !s.started || s.ended {
 			return
 		}
+		p.removeSource(s.id)
 		if err := sched.RemoveStream(s.id); err == nil {
 			tearN.Inc()
 			o.rec.Record(blackbox.Event{At: at, Kind: blackbox.KindMigrate,
@@ -309,144 +350,53 @@ func soakRun(cfg soakConfig, lc *lifecycle, out io.Writer) (err error) {
 		endSession(s, at)
 	}
 
-	emit := func(p *dwcs.Packet) error {
-		if cfg.Throttle > 0 {
-			time.Sleep(cfg.Throttle)
-		}
-		txStart := now()
-		frame := payload[:p.Bytes]
-		for _, frag := range proto.FragmentFrame(uint32(p.StreamID), uint32(p.Seq), frame) {
-			if _, err := conn.Write(frag); err != nil {
-				return err
-			}
-		}
-		txEnd := now()
-		o.locked(func() {
-			o.reg.Span(p.StreamID, p.Seq, telemetry.StageQueue, o.where, p.Enqueued, txStart)
-			o.reg.Span(p.StreamID, p.Seq, telemetry.StageTx, o.where, txStart, txEnd)
-			if len(inflight) < inflightCap {
-				inflight[fkey(p.StreamID, p.Seq)] = txEnd
-			}
-			if s := byStream[p.StreamID]; s != nil {
+	p.account = func(e *paceEvent) {
+		switch e.kind {
+		case paceSent:
+			wireSpan(e.stream, e.seq, e.at, false)
+			if s := byStream[e.stream]; s != nil {
 				s.framesSent++
 			}
 			sentN.Inc()
-			if p.Seq%64 == 0 { // sampled: full decision volume would just churn the ring
-				o.rec.Record(blackbox.Event{At: txEnd, Kind: blackbox.KindDecision,
-					Stream: p.StreamID, Seq: p.Seq, A: p.Bytes})
+			if e.seq%64 == 0 { // sampled: full decision volume would just churn the ring
+				o.rec.Record(blackbox.Event{At: e.at, Kind: blackbox.KindDecision,
+					Stream: e.stream, Seq: e.seq, A: e.bytes})
 			}
-		})
-		return nil
-	}
-	drop := func(ps []*dwcs.Packet) {
-		if len(ps) == 0 {
-			return
+		case paceDropped:
+			dropN.Inc()
 		}
-		o.locked(func() {
-			at := o.now()
-			for _, p := range ps {
-				dropN.Inc()
-				o.rec.Record(blackbox.Event{At: at, Kind: blackbox.KindDrop,
-					Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, Note: "deadline"})
-			}
-		})
 	}
 
-	// scan processes due plan events and injects due frames; it runs at a
-	// bounded cadence so the per-dispatch hot path stays O(1) in sessions.
+	// The plan's arrivals and departures are the pacer's control actions.
 	planNext := 0
-	scan := func(at sim.Time) error {
-		var serr error
-		o.locked(func() {
-			for planNext < len(plan) && plan[planNext].at <= at {
-				ev := plan[planNext]
-				planNext++
-				if ev.setup {
-					if serr = setup(ev.sess, at); serr != nil {
-						return
-					}
-				} else {
-					teardown(ev.sess, at)
-				}
-			}
-			for _, s := range byStream {
-				if s.ended {
-					continue
-				}
-				for s.inject <= at+period {
-					sz := frameSize(int64(s.framesSent))
-					if sched.Enqueue(s.id, dwcs.Packet{Bytes: sz}) != nil {
-						o.rec.Record(blackbox.Event{At: at, Kind: blackbox.KindRefusal,
-							Stream: s.id, A: sz, Note: "ring full"})
-						break
-					}
-					s.inject += period
-				}
-			}
-		})
-		return serr
-	}
-	scanEvery := period / 4
-	if scanEvery < sim.Millisecond {
-		scanEvery = sim.Millisecond
-	}
-	lastScan := sim.Time(-scanEvery)
-
-	dur := sim.Time(cfg.Dur)
-	for now() < dur && !lc.stopped() {
-		if at := now(); at-lastScan >= scanEvery {
-			lastScan = at
-			if err := scan(at); err != nil {
-				return err
+	p.controlDue = 0
+	p.control = func(at sim.Time) (sim.Time, error) {
+		for planNext < len(plan) && plan[planNext].at <= at {
+			ev := plan[planNext]
+			planNext++
+			if !ev.setup {
+				teardown(ev.sess, at)
+			} else if err := setup(ev.sess, at); err != nil {
+				return never, err
 			}
 		}
-		d := sched.Schedule()
-		switch {
-		case d.Packet != nil:
-			if err := emit(d.Packet); err != nil {
-				return err
-			}
-		case d.WaitUntil > 0:
-			sleep := time.Duration(d.WaitUntil - now())
-			if sleep > time.Millisecond {
-				sleep = time.Millisecond
-			}
-			if sleep > 0 {
-				time.Sleep(sleep)
-			}
-		default:
-			if len(d.Dropped) == 0 {
-				time.Sleep(time.Millisecond)
-			}
+		if planNext == len(plan) {
+			return never, nil
 		}
-		drop(d.Dropped)
-		o.tick()
+		return plan[planNext].at, nil
 	}
 
+	if err := p.run(sim.Time(cfg.Dur)); err != nil {
+		return err
+	}
 	interrupted := lc.stopped()
 	if interrupted {
 		// Same drain contract as plain serve mode: no new injections, queued
 		// frames go out on their pacing, bounded by the drain deadline.
 		o.trigger("interrupted")
-		drained := 0
-		deadline := time.Now().Add(cfg.Drain)
-		for time.Now().Before(deadline) {
-			d := sched.Schedule()
-			drop(d.Dropped)
-			switch {
-			case d.Packet != nil:
-				if err := emit(d.Packet); err != nil {
-					return err
-				}
-				drained++
-			case d.WaitUntil > 0:
-				time.Sleep(time.Millisecond)
-			default:
-				if len(d.Dropped) == 0 {
-					deadline = time.Time{}
-				}
-			}
-			o.tick()
+		drained, err := p.drain(cfg.Drain)
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "dwcsd: interrupted; drained %d queued frame(s)\n", drained)
 	}
