@@ -2,42 +2,32 @@
 # bench_compare.sh — benchstat-style comparison of the kernel/scheduler
 # fast-path benchmarks against the committed baseline.
 #
-#   ./bench_compare.sh             compare current ns/op to BENCH_BASELINE.json
-#                                  and the telemetry per-stage latency table to
-#                                  STAGE_BASELINE.txt
-#   ./bench_compare.sh -update     re-measure and rewrite both baselines
+#   ./bench_compare.sh             compare current ns/op to BENCH_BASELINE.json,
+#                                  hold every scenario to its pinned baseline,
+#                                  and run the soak gate
+#   ./bench_compare.sh -update     re-measure the benchmarks and re-pin every
+#                                  scenario baseline
 #   ./bench_compare.sh -soak-only  run just the dwcsd soak gate (CI uses this
 #                                  for the real-traffic job; respects SOAK_DIR
 #                                  and SOAK_FLAGS)
 #
 # The bench baseline is a flat JSON object: one "BenchmarkName": ns_per_op
 # pair per line, so plain awk can read it and diffs stay line-per-benchmark.
-# The stage baseline is the exact stages.txt of the deterministic 5 s
-# telemetry run — simulated time, so any drift is a real behavior change,
-# not noise. The overload baseline is likewise the exact ladder.txt of the
-# deterministic 10 s overload sweep, and the chaos baseline the exact
-# summary/recovery/violations output of the deterministic 6 s fleet-chaos
-# run — a drift there means the fault plan, a migration decision, or the
-# loss-window accounting changed. The soak baseline is different in kind:
-# dwcsd -soak runs real UDP sockets on a wall clock, so SOAK_BASELINE.txt
-# holds goodput/jitter/drop thresholds instead of exact bytes, and
-# check_soak gates the summary line against them (set SOAK_DIR to keep the
-# run's artifact directory for upload). The fleet-obs baseline pins the 64-card
-# in-band observability run (rollups, scrape accounting, timeline excerpt,
-# stitched traces); the same run also gates scrape overhead: in-band
-# telemetry bytes must stay <= 2% of media goodput. The ctrl-chaos baseline
-# pins the replicated-control-plane drill (controller crash + split brain:
-# takeover, fencing, journal reconcile) and gates journal + checkpoint
-# replication traffic at <= 2% of media bytes the same way.
+# The simulator baselines (STAGE_, OVERLOAD_, CHAOS_, FLEETOBS_,
+# CTRLCHAOS_BASELINE.txt) are exact bytes of deterministic runs; which run,
+# at which shape, pins which file is written down once, in the scenario table
+# (internal/experiments/scenarios.go), and TestScenarios is the check: byte
+# equality with the baseline, byte-identical output at any worker count, and
+# the 2% scrape/journal overhead and zero-breach gates. -update runs that
+# test in its golden-file update mode. The soak baseline is different in
+# kind: dwcsd -soak runs real UDP sockets on a wall clock, so
+# SOAK_BASELINE.txt holds goodput/jitter/drop thresholds instead of exact
+# bytes, and check_soak gates the summary line against them (set SOAK_DIR to
+# keep the run's artifact directory for upload).
 set -e
 cd "$(dirname "$0")"
 
 BASELINE=BENCH_BASELINE.json
-STAGE_BASELINE=STAGE_BASELINE.txt
-OVERLOAD_BASELINE=OVERLOAD_BASELINE.txt
-CHAOS_BASELINE=CHAOS_BASELINE.txt
-FLEETOBS_BASELINE=FLEETOBS_BASELINE.txt
-CTRLCHAOS_BASELINE=CTRLCHAOS_BASELINE.txt
 SOAK_BASELINE=SOAK_BASELINE.txt
 BENCHES='BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkParallelEngine'
 
@@ -45,30 +35,10 @@ run_benches() {
 	go test -run xxx -bench "$BENCHES" -benchmem -benchtime 0.5s ./... 2>/dev/null
 }
 
-run_stages() {
-	tmp=$(mktemp -d)
-	go run ./cmd/reprogen -telemetry -telemetry-out "$tmp" -dur 5 >/dev/null
-	cat "$tmp/stages.txt"
-	rm -rf "$tmp"
-}
-
-run_overload() {
-	tmp=$(mktemp -d)
-	go run ./cmd/reprogen -overload -overload-out "$tmp" -dur 10 >/dev/null
-	cat "$tmp/ladder.txt"
-	rm -rf "$tmp"
-}
-
-run_chaos() {
-	go run ./cmd/clustersim -fleet-chaos -dur 6 -workers 1 2>/dev/null
-}
-
-run_fleetobs() {
-	go run ./cmd/clustersim -fleet-obs -cards 64 -dur 6 -workers 1 2>/dev/null
-}
-
-run_ctrlchaos() {
-	go run ./cmd/clustersim -ctrl-chaos -dur 8 -workers 1 2>/dev/null
+# scenarios runs the table test over every pinned simulator run; "-update"
+# rewrites the baseline files first.
+scenarios() {
+	go test ./internal/experiments -count=1 -run '^TestScenarios$' "$@"
 }
 
 # run_soak is the short CI shape: hundreds of sessions, flash arrivals,
@@ -80,32 +50,6 @@ run_soak() {
 	# shellcheck disable=SC2086 # SOAK_FLAGS is intentionally word-split
 	go run ./cmd/dwcsd -soak 300 -period 20ms -dur 2s -churn 0.25 -flash \
 		-artifacts "$soak_out" ${SOAK_FLAGS:-} 2>/dev/null
-}
-
-# check_obs_overhead fails when the run's in-band telemetry bytes exceed
-# 2% of media goodput (the "in-band obs=...B media=...B overhead=..%" line
-# of the scrape accounting table).
-check_obs_overhead() {
-	awk -F'overhead=' '/in-band obs=/ {
-		pct = $2 + 0
-		printf "scrape overhead: %s%% of media goodput (gate: 2%%)\n", pct
-		found = 1
-		if (pct > 2.0) { print "error: in-band scrape overhead above 2% gate" > "/dev/stderr"; exit 1 }
-	}
-	END { if (!found) { print "error: no overhead line in fleet-obs output" > "/dev/stderr"; exit 1 } }'
-}
-
-# check_journal_overhead fails when the control plane's journal + checkpoint
-# replication traffic exceeds 2% of media bytes (the "ctrl-ha: ...
-# journal=...B media=...B overhead=..%" summary line).
-check_journal_overhead() {
-	awk -F'overhead=' '/ctrl-ha:.*journal=/ {
-		pct = $2 + 0
-		printf "journal overhead: %s%% of media bytes (gate: 2%%)\n", pct
-		found = 1
-		if (pct > 2.0) { print "error: control-plane journal overhead above 2% gate" > "/dev/stderr"; exit 1 }
-	}
-	END { if (!found) { print "error: no ctrl-ha overhead line in ctrl-chaos output" > "/dev/stderr"; exit 1 } }'
 }
 
 # check_soak gates the soak summary line against the thresholds pinned in
@@ -141,16 +85,8 @@ check_soak() {
 }
 
 if [ "$1" = "-update" ]; then
-	run_stages > "$STAGE_BASELINE"
-	echo "wrote $STAGE_BASELINE"
-	run_overload > "$OVERLOAD_BASELINE"
-	echo "wrote $OVERLOAD_BASELINE"
-	run_chaos > "$CHAOS_BASELINE"
-	echo "wrote $CHAOS_BASELINE"
-	run_fleetobs > "$FLEETOBS_BASELINE"
-	echo "wrote $FLEETOBS_BASELINE"
-	run_ctrlchaos > "$CTRLCHAOS_BASELINE"
-	echo "wrote $CTRLCHAOS_BASELINE"
+	scenarios -update
+	echo "re-pinned the scenario baselines"
 	run_benches | awk '
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
@@ -179,72 +115,9 @@ if [ ! -f "$BASELINE" ]; then
 	exit 1
 fi
 
-# Per-stage latency table: simulated time, so it must match exactly.
-if [ -f "$STAGE_BASELINE" ]; then
-	if run_stages | diff -u "$STAGE_BASELINE" -; then
-		echo "stage table: unchanged"
-	else
-		echo "stage table drifted from $STAGE_BASELINE (rerun with -update if intended)" >&2
-		exit 1
-	fi
-else
-	echo "no $STAGE_BASELINE — run ./bench_compare.sh -update first" >&2
-fi
-
-# Overload ladder table: also simulated time, also exact.
-if [ -f "$OVERLOAD_BASELINE" ]; then
-	if run_overload | diff -u "$OVERLOAD_BASELINE" -; then
-		echo "overload ladder: unchanged"
-	else
-		echo "overload ladder drifted from $OVERLOAD_BASELINE (rerun with -update if intended)" >&2
-		exit 1
-	fi
-else
-	echo "no $OVERLOAD_BASELINE — run ./bench_compare.sh -update first" >&2
-fi
-
-# Fleet-chaos recovery tables: simulated time and a seeded fault plan, so
-# they must match exactly too.
-if [ -f "$CHAOS_BASELINE" ]; then
-	if run_chaos | diff -u "$CHAOS_BASELINE" -; then
-		echo "fleet-chaos tables: unchanged"
-	else
-		echo "fleet-chaos tables drifted from $CHAOS_BASELINE (rerun with -update if intended)" >&2
-		exit 1
-	fi
-else
-	echo "no $CHAOS_BASELINE — run ./bench_compare.sh -update first" >&2
-fi
-
-# Fleet-obs tables: the 64-card in-band scrape run is deterministic too, and
-# its telemetry overhead is gated at 2% of media goodput.
-if [ -f "$FLEETOBS_BASELINE" ]; then
-	obs_out=$(run_fleetobs)
-	if printf '%s\n' "$obs_out" | diff -u "$FLEETOBS_BASELINE" -; then
-		echo "fleet-obs tables: unchanged"
-	else
-		echo "fleet-obs tables drifted from $FLEETOBS_BASELINE (rerun with -update if intended)" >&2
-		exit 1
-	fi
-	printf '%s\n' "$obs_out" | check_obs_overhead
-else
-	echo "no $FLEETOBS_BASELINE — run ./bench_compare.sh -update first" >&2
-fi
-
-# Ctrl-chaos tables: the replicated-control-plane drill is deterministic, and
-# its journal replication overhead is gated at 2% of media bytes.
-if [ -f "$CTRLCHAOS_BASELINE" ]; then
-	ha_out=$(run_ctrlchaos)
-	if printf '%s\n' "$ha_out" | diff -u "$CTRLCHAOS_BASELINE" -; then
-		echo "ctrl-chaos tables: unchanged"
-	else
-		echo "ctrl-chaos tables drifted from $CTRLCHAOS_BASELINE (rerun with -update if intended)" >&2
-		exit 1
-	fi
-	printf '%s\n' "$ha_out" | check_journal_overhead
-else
-	echo "no $CTRLCHAOS_BASELINE — run ./bench_compare.sh -update first" >&2
-fi
+# Simulated time and seeded fault plans, so every pinned artifact must match
+# exactly (rerun with -update if a drift is intended).
+scenarios
 
 # Soak gate: real sockets on a wall clock, so thresholds instead of exact
 # bytes. SOAK_BASELINE.txt is hand-pinned, not regenerated by -update.

@@ -44,13 +44,15 @@
 //	                                           # reconciles its journal, and
 //	                                           # takes over; same byte-identical
 //	                                           # contract
+//
+// The -fleet* and -ctrl-chaos scenarios are one per run: two of them, or
+// -fleet-out with -chaos-sweep, is a usage error (exit 2).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -86,59 +88,73 @@ func main() {
 	telemetryOn := flag.Bool("telemetry", false, "instrument the run and write observability artifacts")
 	telemetryOut := flag.String("telemetry-out", "telemetry-out", "directory for -telemetry artifacts")
 	sloOn := flag.Bool("slo", false, "run an SLO monitor per scheduler NI; with -chaos, burning cards fail over early")
-	fleet := flag.Bool("fleet", false, "run the partitioned multi-card fleet on the parallel engine")
 	cards := flag.Int("cards", 8, "card complexes in the fleet (with -fleet)")
 	fleetStreams := flag.Int("fleet-streams", 2, "streams sourced per card (with -fleet)")
 	workers := flag.Int("workers", 0, "parallel-engine worker pool; 0 = GOMAXPROCS, 1 = sequential")
 	fleetOut := flag.String("fleet-out", "", "directory for -fleet artifacts (empty = stdout only)")
-	fleetChaos := flag.Bool("fleet-chaos", false, "inject correlated failure domains into the fleet and migrate streams live")
 	hostCrashes := flag.Int("host-crashes", 0, "host-crash faults to draw (with -fleet-chaos); 0 = default, negative = none")
 	netPartitions := flag.Int("net-partitions", 0, "switch-partition faults to draw (with -fleet-chaos); 0 = default, negative = none")
 	rollingDrains := flag.Int("rolling-drains", 0, "rolling-drain faults to draw (with -fleet-chaos); 0 = default, negative = none")
 	faultSeed := flag.Int64("fault-seed", 0, "chaos plan seed (with -fleet-chaos); 0 = derived from the fleet seed")
 	chaosSweep := flag.Bool("chaos-sweep", false, "render the severity × fleet-size recovery table (with -fleet-chaos)")
-	fleetObs := flag.Bool("fleet-obs", false, "scrape the chaos fleet in-band: rollups, incident timeline, stitched traces")
-	ctrlChaos := flag.Bool("ctrl-chaos", false, "replicate the DVCM controller and inject controller crashes/partitions into the chaos fleet")
 	ctrlCrashes := flag.Int("ctrl-crashes", 0, "controller-crash faults to draw (with -ctrl-chaos); 0 = default, negative = none")
 	ctrlPartitions := flag.Int("ctrl-partitions", 0, "replica-pair partition faults to draw (with -ctrl-chaos); 0 = default, negative = none")
 	scrapeEvery := flag.Int("scrape-every", 0, "controller scrape interval in ms (with -fleet-obs); 0 = default 200")
 	topK := flag.Int("topk", 0, "top-k streams by loss-window pressure (with -fleet-obs); 0 = default 8")
 	stressPct := flag.Int("stress-pct", 0, "fill every card's budget to this %% mid-run to exercise scrape shedding (with -fleet-obs); 0 = off")
+	// The fleet scenarios are rows of the experiments table, each selected
+	// by the flag the row names.
+	selected := map[string]*bool{}
+	for _, s := range experiments.Scenarios {
+		if s.Cmd == "clustersim" {
+			selected[s.Name] = flag.Bool(s.Name, false, s.Help)
+		}
+	}
 	flag.Parse()
 	experiments.DefaultWorkers = *workers
 
-	if *fleetObs {
-		runFleetObs(experiments.FleetObsConfig{
-			Cards: *cards, StreamsPerCard: *fleetStreams,
-			Dur: sim.Time(*durSec) * sim.Second, Workers: *workers,
-			ScrapeEvery: sim.Time(*scrapeEvery) * sim.Millisecond, TopK: *topK,
-			HostCrashes: *hostCrashes, NetPartitions: *netPartitions,
-			RollingDrains: *rollingDrains, FaultSeed: *faultSeed,
-			StressPct: *stressPct,
-		}, *fleetOut)
-		return
+	var picked []experiments.Scenario
+	for _, s := range experiments.Scenarios {
+		if on := selected[s.Name]; on != nil && *on {
+			picked = append(picked, s)
+		}
 	}
-	if *ctrlChaos {
-		runCtrlChaos(experiments.CtrlChaosConfig{
+	// Combinations that used to run something other than what was asked:
+	// two scenarios (the first won), and an artifact directory for the
+	// sweep, which writes none.
+	var misuse string
+	switch {
+	case len(picked) > 1:
+		misuse = fmt.Sprintf("-%s and -%s: pick one scenario", picked[0].Name, picked[1].Name)
+	case *chaosSweep && *fleetOut != "":
+		misuse = "-chaos-sweep prints one table and writes no artifacts; drop -fleet-out"
+	}
+	if misuse != "" {
+		fmt.Fprintln(os.Stderr, "clustersim:", misuse)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if len(picked) == 1 {
+		s := picked[0]
+		if *chaosSweep && s.Name == "fleet-chaos" {
+			fmt.Print(experiments.FleetChaosSweep(*workers))
+			return
+		}
+		// Everything on stdout and under -fleet-out is byte-identical at
+		// any -workers count; engine diagnostics go to stderr.
+		err := s.RunTo(cluster.FleetConfig{
 			Cards: *cards, StreamsPerCard: *fleetStreams,
 			Dur: sim.Time(*durSec) * sim.Second, Workers: *workers,
 			HostCrashes: *hostCrashes, NetPartitions: *netPartitions,
 			RollingDrains: *rollingDrains, FaultSeed: *faultSeed,
 			CtrlCrashes: *ctrlCrashes, CtrlPartitions: *ctrlPartitions,
-		}, *fleetOut)
-		return
-	}
-	if *fleetChaos {
-		runFleetChaos(experiments.FleetChaosConfig{
-			Cards: *cards, StreamsPerCard: *fleetStreams,
-			Dur: sim.Time(*durSec) * sim.Second, Workers: *workers,
-			HostCrashes: *hostCrashes, NetPartitions: *netPartitions,
-			RollingDrains: *rollingDrains, FaultSeed: *faultSeed,
-		}, *chaosSweep, *fleetOut)
-		return
-	}
-	if *fleet {
-		runFleet(*cards, *fleetStreams, *durSec, *workers, *fleetOut)
+			ScrapeEvery: sim.Time(*scrapeEvery) * sim.Millisecond, TopK: *topK,
+			StressPct: *stressPct,
+		}, *fleetOut, os.Stdout, os.Stderr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "clustersim:", err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -336,7 +352,7 @@ func main() {
 	}
 
 	if reg != nil {
-		if err := writeTelemetry(*telemetryOut, reg); err != nil {
+		if err := (experiments.Output{Files: experiments.RegistryFiles(reg)}).WriteDir(*telemetryOut); err != nil {
 			fmt.Fprintln(os.Stderr, "clustersim:", err)
 			os.Exit(1)
 		}
@@ -344,217 +360,6 @@ func main() {
 		fmt.Printf("telemetry artifacts written to %s (%d components, %d spans, %d snapshots)\n",
 			*telemetryOut, len(reg.Components()), reg.Spans.Len(), reg.Snapshots())
 	}
-}
-
-// runFleet drives the partitioned multi-card fleet on the parallel engine.
-// Everything printed to stdout and written under -fleet-out is
-// byte-identical at any -workers count (and to a monolithic single-engine
-// run); engine-internal diagnostics go to stderr so CI can diff stdout.
-func runFleet(cards, streamsPerCard, durSec, workers int, outDir string) {
-	a := experiments.RunFleet(experiments.FleetConfig{
-		Cards: cards, StreamsPerCard: streamsPerCard,
-		Dur: sim.Time(durSec) * sim.Second, Workers: workers,
-	})
-	fmt.Println(a.Summary)
-	fmt.Print(a.Table)
-	fmt.Print(a.Pulse)
-	fmt.Fprintf(os.Stderr, "fleet: %d synchronization rounds (workers=%d)\n", a.Rounds, workers)
-	if outDir == "" {
-		return
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		os.Exit(1)
-	}
-	for name, body := range map[string]string{
-		"summary.txt": a.Summary + "\n",
-		"table.txt":   a.Table,
-		"pulse.txt":   a.Pulse,
-		"streams.csv": a.CSV,
-	} {
-		if err := os.WriteFile(filepath.Join(outDir, name), []byte(body), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fleet artifacts written to %s\n", outDir)
-}
-
-// runFleetChaos injects a correlated chaos plan — host crashes, switch
-// partitions, rolling drains — into the partitioned fleet and lets the
-// controller migrate streams live. Everything printed to stdout and written
-// under -fleet-out is byte-identical at any -workers count (and to a
-// monolithic run); engine diagnostics go to stderr so CI can diff stdout.
-func runFleetChaos(cfg experiments.FleetChaosConfig, sweep bool, outDir string) {
-	if sweep {
-		fmt.Print(experiments.FleetChaosSweep(cfg.Workers))
-		return
-	}
-	a := experiments.RunFleetChaos(cfg)
-	fmt.Println(a.Plan)
-	fmt.Println(a.Summary)
-	fmt.Print(a.Table)
-	fmt.Print(a.Recovery)
-	fmt.Print(a.Violations)
-	fmt.Fprintf(os.Stderr, "fleet-chaos: %d synchronization rounds (workers=%d)\n",
-		a.Rounds, cfg.Workers)
-	if outDir == "" {
-		return
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		os.Exit(1)
-	}
-	for name, body := range map[string]string{
-		"plan.txt":       a.Plan + "\n",
-		"summary.txt":    a.Summary + "\n",
-		"table.txt":      a.Table,
-		"pulse.txt":      a.Pulse,
-		"migrations.txt": a.MigLog,
-		"recovery.txt":   a.Recovery,
-		"violations.txt": a.Violations,
-		"streams.csv":    a.CSV,
-	} {
-		if err := os.WriteFile(filepath.Join(outDir, name), []byte(body), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fleet-chaos artifacts written to %s\n", outDir)
-}
-
-// runCtrlChaos drives the replicated DVCM control plane under controller
-// faults: the primary replica journals placements and checkpoints to a
-// standby, the fault plan kills the primary mid-migration and later severs
-// the replica pair, and the standby fences the cards, reconciles its journal
-// against their reported state, and takes over. Everything printed to stdout
-// and written under -fleet-out is byte-identical at any -workers count (and
-// to a monolithic run); engine diagnostics go to stderr so CI can diff
-// stdout. The incident timeline keeps the timeline.txt name so tracetool
-// -timeline parses it unchanged.
-func runCtrlChaos(cfg experiments.CtrlChaosConfig, outDir string) {
-	a := experiments.RunCtrlChaos(cfg)
-	fmt.Println(a.Chaos.Plan)
-	fmt.Println(a.Chaos.Summary)
-	fmt.Println(a.HASummary)
-	fmt.Print(a.CtrlPlane)
-	fmt.Print(excerpt(a.HATimeline, 18))
-	fmt.Print(a.Chaos.Recovery)
-	fmt.Print(a.Chaos.Violations)
-	fmt.Fprintf(os.Stderr, "ctrl-chaos: %d synchronization rounds (workers=%d)\n",
-		a.Chaos.Rounds, cfg.Workers)
-	if outDir == "" {
-		return
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		os.Exit(1)
-	}
-	for name, body := range map[string]string{
-		"plan.txt":       a.Chaos.Plan + "\n",
-		"summary.txt":    a.Chaos.Summary + "\n" + a.HASummary + "\n",
-		"ctrlplane.txt":  a.CtrlPlane,
-		"timeline.txt":   a.HATimeline,
-		"table.txt":      a.Chaos.Table,
-		"pulse.txt":      a.Chaos.Pulse,
-		"migrations.txt": a.Chaos.MigLog,
-		"recovery.txt":   a.Chaos.Recovery,
-		"violations.txt": a.Chaos.Violations,
-		"streams.csv":    a.Chaos.CSV,
-	} {
-		if err := os.WriteFile(filepath.Join(outDir, name), []byte(body), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "ctrl-chaos artifacts written to %s\n", outDir)
-}
-
-// runFleetObs drives the in-band observability plane over the chaos fleet:
-// the controller partition scrapes every card across the simulated DVCM
-// links, reply buffers are charged to each card's overload budget, and the
-// controller renders rollups, the merged incident timeline, and the
-// cross-migration stitched traces. Everything printed to stdout and written
-// under -fleet-out is byte-identical at any -workers count (and to a
-// monolithic run); engine diagnostics go to stderr so CI can diff stdout.
-func runFleetObs(cfg experiments.FleetObsConfig, outDir string) {
-	a := experiments.RunFleetObs(cfg)
-	fmt.Println(a.Summary)
-	fmt.Println(a.Chaos.Summary)
-	fmt.Print(a.Rollup)
-	fmt.Print(a.TopK)
-	fmt.Print(a.ScrapeStats)
-	fmt.Print(excerpt(a.Timeline, 14))
-	fmt.Print(a.Stitched)
-	fmt.Fprintf(os.Stderr, "fleet-obs: %d synchronization rounds (workers=%d)\n",
-		a.Chaos.Rounds, cfg.Workers)
-	if outDir == "" {
-		return
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		os.Exit(1)
-	}
-	for name, body := range map[string]string{
-		"summary.txt":    a.Summary + "\n" + a.Chaos.Summary + "\n",
-		"rollup.txt":     a.Rollup,
-		"timeline.txt":   a.Timeline,
-		"topk.txt":       a.TopK,
-		"scrape.txt":     a.ScrapeStats,
-		"stitched.txt":   a.Stitched,
-		"plan.txt":       a.Chaos.Plan + "\n",
-		"table.txt":      a.Chaos.Table,
-		"pulse.txt":      a.Chaos.Pulse,
-		"migrations.txt": a.Chaos.MigLog,
-		"recovery.txt":   a.Chaos.Recovery,
-		"violations.txt": a.Chaos.Violations,
-		"streams.csv":    a.Chaos.CSV,
-	} {
-		if err := os.WriteFile(filepath.Join(outDir, name), []byte(body), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fleet-obs artifacts written to %s\n", outDir)
-}
-
-// excerpt returns the first n lines of a rendered artifact plus an elision
-// marker — enough of the incident timeline to read on a terminal without
-// drowning stdout; the full artifact goes to -fleet-out. A deterministic
-// prefix of a deterministic string, so the stdout contract still holds.
-func excerpt(s string, n int) string {
-	lines := strings.SplitAfter(s, "\n")
-	if len(lines) <= n+1 {
-		return s
-	}
-	return strings.Join(lines[:n], "") + fmt.Sprintf("  … %d more line(s); full timeline in -fleet-out\n", len(lines)-n-1)
-}
-
-// writeTelemetry dumps the registry's artifacts for an instrumented run.
-func writeTelemetry(dir string, reg *telemetry.Registry) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	traceJSON, err := telemetry.MarshalChrome(reg.Spans.ChromeEvents())
-	if err != nil {
-		return err
-	}
-	files := []struct {
-		name string
-		body []byte
-	}{
-		{"trace.json", traceJSON},
-		{"metrics.prom", []byte(reg.PrometheusText())},
-		{"metrics.csv", []byte(reg.SnapshotsCSV())},
-		{"stages.txt", []byte(reg.Spans.StageTable())},
-		{"spans.folded", []byte(reg.Spans.Folded())},
-	}
-	for _, f := range files {
-		if err := os.WriteFile(filepath.Join(dir, f.name), f.body, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // armChaos generates a seeded fault plan over the cluster's scheduler cards

@@ -1,0 +1,119 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/experiments"
+)
+
+// The test binary doubles as clustersim: re-executed with this variable set
+// it runs main, so the tests below see the real flag parsing and exit codes.
+const asMainEnv = "CLUSTERSIM_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asMainEnv) == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+func clustersim(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), asMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
+}
+
+// A scenario flag prints its row's stdout — the bytes CHAOS_BASELINE.txt
+// pins — and -fleet-out holds exactly the row's files; the diagnostics stay
+// on stderr.
+func TestScenarioFlagPrintsRowAndWritesItsFiles(t *testing.T) {
+	dir := t.TempDir()
+	stdout, stderr, code := clustersim(t, "-fleet-chaos", "-dur", "6", "-workers", "1", "-fleet-out", dir)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	want, err := os.ReadFile("../../CHAOS_BASELINE.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != string(want) {
+		t.Errorf("stdout differs from CHAOS_BASELINE.txt:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "synchronization rounds (workers=1)") ||
+		!strings.Contains(stderr, "fleet-chaos artifacts written to "+dir) {
+		t.Errorf("stderr lacks the diagnostics:\n%s", stderr)
+	}
+
+	var wantFiles []string
+	for _, s := range experiments.Scenarios {
+		if s.Name == "fleet-chaos" {
+			for _, f := range s.Run(cluster.FleetConfig{Dur: s.Pinned.Dur, Workers: 1}).Files {
+				wantFiles = append(wantFiles, f.Name)
+				got, err := os.ReadFile(filepath.Join(dir, f.Name))
+				if err != nil || string(got) != f.Body {
+					t.Errorf("%s: not the row's bytes (read error: %v)", f.Name, err)
+				}
+			}
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotFiles []string
+	for _, e := range entries {
+		gotFiles = append(gotFiles, e.Name())
+	}
+	sort.Strings(wantFiles)
+	if len(wantFiles) == 0 || strings.Join(gotFiles, " ") != strings.Join(wantFiles, " ") {
+		t.Errorf("-fleet-out holds %v, want exactly %v", gotFiles, wantFiles)
+	}
+}
+
+// Two scenario flags, or an artifact directory for the sweep that writes
+// none, are usage errors — not a silent run of something else.
+func TestConflictingFlagsAreUsageErrors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	for _, args := range [][]string{
+		{"-fleet-obs", "-ctrl-chaos"},
+		{"-fleet-chaos", "-chaos-sweep", "-fleet-out", dir},
+	} {
+		stdout, stderr, code := clustersim(t, args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if stdout != "" {
+			t.Errorf("%v: printed %q on stdout", args, stdout)
+		}
+		if !strings.Contains(stderr, "clustersim: ") || !strings.Contains(stderr, "-fleet-streams") {
+			t.Errorf("%v: stderr lacks the reason or the usage block:\n%s", args, stderr)
+		}
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Errorf("the rejected sweep still created %s", dir)
+	}
+}
+
+func TestDefaultModeAdmitsAndStreams(t *testing.T) {
+	stdout, stderr, code := clustersim(t, "-streams", "4", "-dur", "2")
+	if code != 0 || !strings.Contains(stdout, "admitted 4/4 streams across 1 node(s)") {
+		t.Errorf("exit %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 )
@@ -30,14 +31,17 @@ func main() {
 	figure := flag.Int("figure", 0, "regenerate one figure (6-10)")
 	headline := flag.Bool("headline", false, "regenerate the headline overhead comparison")
 	scaling := flag.Bool("scaling", false, "run the stream-count scaling study (§6 future work)")
-	faultsRun := flag.Bool("faults", false, "run the fault-recovery chaos experiment (strictly opt-in)")
-	telemetryRun := flag.Bool("telemetry", false, "run the instrumented observability demonstration (strictly opt-in)")
-	telemetryOut := flag.String("telemetry-out", "telemetry-out", "directory for -telemetry artifacts")
-	overloadRun := flag.Bool("overload", false, "run the overload-protection sweep (strictly opt-in)")
-	overloadOut := flag.String("overload-out", "overload-out", "directory for -overload artifacts")
-	sloRun := flag.Bool("slo", false, "run the chaos-diagnostics experiment: flight recorder, SLO monitor, incident dumps (strictly opt-in)")
-	sloOut := flag.String("slo-out", "slo-out", "directory for -slo artifacts")
-	overloadWorkers := flag.Int("overload-workers", 0, "worker pool for the overload sweep (0 = GOMAXPROCS)")
+	// The opt-in artifact runs are rows of the experiments table, each
+	// selected by the flag the row names and writing to its OutFlag directory.
+	selected := map[string]*bool{}
+	for _, s := range experiments.Scenarios {
+		if s.Cmd == "reprogen" {
+			selected[s.Name] = flag.Bool(s.Name, false, s.Help)
+		}
+	}
+	flag.String("telemetry-out", "telemetry-out", "directory for -telemetry artifacts")
+	flag.String("overload-out", "overload-out", "directory for -overload artifacts")
+	flag.String("slo-out", "slo-out", "directory for -slo artifacts")
 	csvDir := flag.String("csv", "", "directory to write figure curves as CSV")
 	durSec := flag.Int("dur", 100, "figure observation length (seconds)")
 	workers := flag.Int("workers", 0, "worker pool for every experiment fan-out (0 = GOMAXPROCS, 1 = sequential); never changes output bytes")
@@ -50,10 +54,16 @@ func main() {
 	experiments.DefaultWorkers = *workers
 
 	dur := sim.Time(*durSec) * sim.Second
-	// Chaos and telemetry never ride along with the paper's tables and
-	// figures: -faults and -telemetry are their own selections, so default
-	// runs are bit-identical with or without those subsystems present.
-	all := *table == 0 && *figure == 0 && !*headline && !*scaling && !*faultsRun && !*telemetryRun && !*overloadRun && !*sloRun
+	// The opt-in runs never ride along with the paper's tables and figures:
+	// each is its own selection, so default runs are bit-identical with or
+	// without those subsystems present.
+	var picked []experiments.Scenario
+	for _, s := range experiments.Scenarios {
+		if on := selected[s.Name]; on != nil && *on {
+			picked = append(picked, s)
+		}
+	}
+	all := *table == 0 && *figure == 0 && !*headline && !*scaling && len(picked) == 0
 
 	// Every table, figure bundle, and sweep is an independent simulation:
 	// fan the selected set across the worker pool, then print in the fixed
@@ -61,10 +71,6 @@ func main() {
 	var (
 		hostFigs                             *experiments.HostFigures
 		niFigs                               *experiments.NIFigures
-		faultRec                             *experiments.FaultRecovery
-		telArt                               *experiments.TelemetryArtifacts
-		ovArt                                *experiments.OverloadArtifacts
-		sloArt                               *experiments.DiagnosticsArtifacts
 		t1, t2, t3, t4, t5, headlineRes, sca *experiments.Result
 	)
 	needHost := all || (*figure >= 6 && *figure <= 8)
@@ -85,18 +91,24 @@ func main() {
 	add(all || *table == 5, func() { t5 = experiments.RunTable5() })
 	add(all || *headline, func() { headlineRes = experiments.RunHeadline() })
 	add(all || *scaling, func() { _, sca = experiments.RunStreamScaling([]int{4, 16, 64, 256}) })
-	add(*faultsRun, func() { faultRec = experiments.RunFaultRecovery(experiments.FaultConfig{Dur: dur}) })
-	add(*telemetryRun, func() { telArt = experiments.RunTelemetry(experiments.TelemetryConfig{Dur: dur}) })
-	add(*sloRun, func() { sloArt = experiments.RunDiagnostics(experiments.DiagnosticsConfig{Dur: dur}) })
-	// The overload sweep manages its own worker pool (its grid cells are the
-	// parallel unit), so it runs after the shared fan-out, not inside it.
 	experiments.Parallel(jobs...)
-	if *overloadRun {
-		ow := *overloadWorkers
-		if ow == 0 {
-			ow = *workers // -workers governs unless the sweep-specific knob is set
+
+	// A picked row runs, prints and writes its artifact directory in one go;
+	// its -workers is the pool of its own fan-out (the overload sweep's grid).
+	// The fault-recovery report is a Result table and prints with the tables,
+	// ahead of the figures; the artifact-directory runs follow them.
+	emit := func(faults bool) {
+		for _, s := range picked {
+			if (s.Name == "faults") != faults {
+				continue
+			}
+			dir := flag.Lookup(s.OutFlag).Value.String()
+			cfg := cluster.FleetConfig{Dur: dur, Workers: *workers}
+			if err := s.RunTo(cfg, dir, os.Stdout, os.Stderr); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", s.Name, err)
+				os.Exit(1)
+			}
 		}
-		ovArt = experiments.RunOverload(experiments.OverloadConfig{Dur: dur, Workers: ow})
 	}
 
 	for _, res := range []*experiments.Result{t1, t2, t3, t4, t5, headlineRes, sca} {
@@ -104,9 +116,7 @@ func main() {
 			fmt.Print(res)
 		}
 	}
-	if faultRec != nil {
-		fmt.Print(faultRec.Result())
-	}
+	emit(true)
 	if hostFigs != nil {
 		if all || *figure == 6 {
 			fmt.Print(hostFigs.Figure6())
@@ -130,42 +140,10 @@ func main() {
 		fmt.Print(experiments.JitterComparison(hostFigs, niFigs))
 	}
 
-	if telArt != nil {
-		if err := dumpTelemetry(*telemetryOut, telArt); err != nil {
-			fmt.Fprintln(os.Stderr, "telemetry:", err)
-			os.Exit(1)
-		}
-		fmt.Print(telArt.Summary)
-		fmt.Print(telArt.StageTable)
-		fmt.Print(telArt.CycleTable)
-		// Status goes to stderr: stdout carries only deterministic artifact
-		// text, so CI can diff two runs writing to different directories.
-		fmt.Fprintf(os.Stderr, "telemetry artifacts written to %s\n", *telemetryOut)
-	}
-
-	if ovArt != nil {
-		if err := dumpOverload(*overloadOut, ovArt); err != nil {
-			fmt.Fprintln(os.Stderr, "overload:", err)
-			os.Exit(1)
-		}
-		fmt.Print(ovArt.Summary)
-		fmt.Print(ovArt.Ladder)
-		fmt.Print(ovArt.Table)
-		fmt.Fprintf(os.Stderr, "overload artifacts written to %s\n", *overloadOut)
-	}
-
-	if sloArt != nil {
-		if err := dumpDiagnostics(*sloOut, sloArt); err != nil {
-			fmt.Fprintln(os.Stderr, "slo:", err)
-			os.Exit(1)
-		}
-		fmt.Print(sloArt.Summary)
-		fmt.Print(sloArt.SLO)
-		fmt.Fprintf(os.Stderr, "diagnostics artifacts written to %s\n", *sloOut)
-	}
+	emit(false)
 
 	if *csvDir != "" {
-		if err := dumpCSV(*csvDir, hostFigs, niFigs, faultRec); err != nil {
+		if err := dumpCSV(*csvDir, hostFigs, niFigs); err != nil {
 			fmt.Fprintln(os.Stderr, "csv:", err)
 			os.Exit(1)
 		}
@@ -185,80 +163,9 @@ func checkSelection(table, figure int) error {
 	return nil
 }
 
-// dumpTelemetry writes the observability artifacts of an instrumented run.
-func dumpTelemetry(dir string, a *experiments.TelemetryArtifacts) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	files := []struct {
-		name string
-		body []byte
-	}{
-		{"trace.json", a.TraceJSON},
-		{"metrics.prom", []byte(a.Prom)},
-		{"metrics.csv", []byte(a.CSV)},
-		{"stages.txt", []byte(a.StageTable)},
-		{"spans.folded", []byte(a.Folded)},
-		{"cycles.txt", []byte(a.CycleTable)},
-	}
-	for _, f := range files {
-		if err := os.WriteFile(filepath.Join(dir, f.name), f.body, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// dumpOverload writes the overload sweep's artifacts: the pinned ladder
-// summary, the full grid as CSV, the claim table, and the prose verdicts.
-func dumpOverload(dir string, a *experiments.OverloadArtifacts) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	files := []struct {
-		name string
-		body string
-	}{
-		{"ladder.txt", a.Ladder},
-		{"overload.csv", a.CSV},
-		{"table.txt", a.Table.String()},
-		{"summary.txt", a.Summary},
-	}
-	for _, f := range files {
-		if err := os.WriteFile(filepath.Join(dir, f.name), []byte(f.body), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// dumpDiagnostics writes the chaos-diagnostics artifacts: the incident dumps
-// from the flight recorder, the SLO health table, the metrics/stage views the
-// run-diff engine consumes, and the chaos plan that produced them.
-func dumpDiagnostics(dir string, a *experiments.DiagnosticsArtifacts) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	files := []struct {
-		name string
-		body string
-	}{
-		{"incidents.txt", a.Incidents},
-		{"slo.txt", a.SLO},
-		{"metrics.csv", a.MetricsCSV},
-		{"stages.txt", a.Stages},
-		{"plan.txt", a.Plan},
-		{"summary.txt", a.Summary},
-	}
-	for _, f := range files {
-		if err := os.WriteFile(filepath.Join(dir, f.name), []byte(f.body), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func dumpCSV(dir string, hostFigs *experiments.HostFigures, niFigs *experiments.NIFigures, faultRec *experiments.FaultRecovery) error {
+// dumpCSV writes the figure curves; -faults adds its own curves to the same
+// directory (the row's OutFlag is "csv").
+func dumpCSV(dir string, hostFigs *experiments.HostFigures, niFigs *experiments.NIFigures) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -296,13 +203,6 @@ func dumpCSV(dir string, hostFigs *experiments.HostFigures, niFigs *experiments.
 				if err := write(fmt.Sprintf("%s-qdelay-%s.csv", label, name), d.CSV()); err != nil {
 					return err
 				}
-			}
-		}
-	}
-	if faultRec != nil {
-		for name, s := range faultRec.BW {
-			if err := write("fault-bw-"+name+".csv", s.CSV()); err != nil {
-				return err
 			}
 		}
 	}

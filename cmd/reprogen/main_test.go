@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -59,5 +60,42 @@ func TestOutOfRangeSelectionIsUsageError(t *testing.T) {
 	stdout, stderr, code := reprogen(t, "-table", "1")
 	if code != 0 || !strings.Contains(stdout, "Table 1") {
 		t.Errorf("-table 1: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// -telemetry writes the table row's artifact directory: its stages.txt is
+// the file STAGE_BASELINE.txt pins at this shape, and the status line stays
+// off stdout.
+func TestTelemetryWritesThePinnedStageTable(t *testing.T) {
+	dir := t.TempDir()
+	stdout, stderr, code := reprogen(t, "-telemetry", "-dur", "5", "-telemetry-out", dir)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "stages.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../STAGE_BASELINE.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stages.txt differs from STAGE_BASELINE.txt:\n%s", got)
+	}
+	if !strings.Contains(stdout, string(want)) || strings.Contains(stdout, dir) {
+		t.Errorf("stdout should carry the stage table and no status line:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "telemetry artifacts written to "+dir) {
+		t.Errorf("stderr lacks the status line:\n%s", stderr)
+	}
+}
+
+// -workers governs every fan-out, the overload sweep's included; the
+// sweep-specific spelling is gone.
+func TestOverloadWorkersFlagIsGone(t *testing.T) {
+	stdout, stderr, code := reprogen(t, "-overload", "-overload-workers", "1")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -overload-workers") {
+		t.Errorf("exit %d, stdout %q, stderr:\n%s", code, stdout, stderr)
 	}
 }

@@ -262,14 +262,9 @@ func (r *ctrlRep) deadNow() bool { return r.f.ctrlDeadAt(r.id, r.eng().Now()) }
 // toCard runs fn in card i's partition one network hop from now. A crashed
 // replica sends nothing.
 func (r *ctrlRep) toCard(i int, fn func()) {
-	if r.deadNow() {
-		return
+	if !r.deadNow() {
+		r.f.hop(r.part, r.f.cards[i].part, fn)
 	}
-	if r.part == nil {
-		r.f.mono.After(r.f.cfg.NetLatency, fn)
-		return
-	}
-	r.part.Send(r.f.cards[i].part, r.f.cfg.NetLatency, fn)
 }
 
 // fromCard runs fn in this replica's partition one hop from now (card i
@@ -282,11 +277,7 @@ func (r *ctrlRep) fromCard(i int, fn func()) {
 		}
 		fn()
 	}
-	if r.part == nil {
-		r.f.mono.After(r.f.cfg.NetLatency, guarded)
-		return
-	}
-	r.f.cards[i].part.Send(r.part, r.f.cfg.NetLatency, guarded)
+	r.f.hop(r.f.cards[i].part, r.part, guarded)
 }
 
 // toPeer ships one replication message of the given wire size to the other
@@ -310,11 +301,7 @@ func (r *ctrlRep) toPeer(bytes int64, fn func()) {
 		}
 		fn()
 	}
-	if r.part == nil {
-		r.f.mono.After(r.f.cfg.NetLatency, deliver)
-		return
-	}
-	r.part.Send(p.part, r.f.cfg.NetLatency, deliver)
+	r.f.hop(r.part, p.part, deliver)
 }
 
 // cmd delivers a controller command to card i behind the leader-epoch fence:
@@ -539,7 +526,7 @@ func (r *ctrlRep) watchdog() {
 		return
 	}
 	gap := r.eng().Now() - r.lastCkpt
-	if gap < r.f.ccfg.PollEvery*3/2 {
+	if gap < r.f.cfg.PollEvery*3/2 {
 		return
 	}
 	r.leader = true
@@ -801,13 +788,10 @@ type CtrlChaosResult struct {
 
 // RunCtrlChaos builds the chaos fleet with the replicated control plane,
 // runs it, and renders the HA artifacts alongside the chaos ones.
-func RunCtrlChaos(cfg FleetChaosConfig) *CtrlChaosResult {
+func RunCtrlChaos(cfg FleetConfig) *CtrlChaosResult {
 	cfg.CtrlHA = true
-	cfg.setDefaults()
-	f := buildFleetChaos(cfg, nil)
+	f := runFleetChaos(cfg, false)
 	defer f.close()
-	f.runChaos()
-	f.collectChaos()
 	return f.collectHA()
 }
 

@@ -44,7 +44,7 @@ func TestEpochFenceAdmission(t *testing.T) {
 // image — frame cursor and DWCS (x,y) window intact, never double-placed,
 // never restarted with a fresh window.
 func TestStaleEpochMigrationFenced(t *testing.T) {
-	cfg := FleetChaosConfig{
+	cfg := FleetConfig{
 		Dur: 3 * sim.Second, Workers: 1, CtrlHA: true,
 		// No injected faults: the takeover below is the only disturbance.
 		HostCrashes: -1, NetPartitions: -1, RollingDrains: -1,
@@ -73,7 +73,7 @@ func TestStaleEpochMigrationFenced(t *testing.T) {
 		rb.fenceAndReconcile("takeover")
 	})
 
-	f.runChaos()
+	f.res.Rounds = f.run()
 	f.collectChaos()
 	res := f.collectHA()
 
@@ -148,7 +148,7 @@ func TestStaleEpochMigrationFenced(t *testing.T) {
 // follower seizes leadership, and every command the other replica sends at
 // its stale epoch is rejected and logged to the incident timeline.
 func TestCtrlChaosSplitBrainFencing(t *testing.T) {
-	res := RunCtrlChaos(FleetChaosConfig{Workers: 2})
+	res := RunCtrlChaos(FleetConfig{Workers: 2})
 	if res.Takeovers < 2 {
 		t.Fatalf("takeovers = %d, want crash takeover + partition takeover\n%s",
 			res.Takeovers, res.CtrlPlane)

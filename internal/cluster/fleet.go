@@ -49,39 +49,155 @@ const (
 	fleetRingBytes = 16 << 10
 )
 
-// FleetConfig parameterizes RunFleet.
+// FleetConfig is the one configuration of every fleet run. RunFleet reads
+// the shape, engine and network fields; the chaos runs add the failure
+// domains and the fault plan, RunCtrlChaos the controller faults, RunFleetObs
+// the scrape plane's knobs. A run ignores the fields of the layers it does
+// not build.
 type FleetConfig struct {
 	Cards          int      // card complexes; 0 = 8
 	StreamsPerCard int      // media streams sourced by each card; 0 = 2
-	Dur            sim.Time // simulated run length; 0 = 2 s
+	Dur            sim.Time // simulated run length; 0 = 2 s (RunFleet), 6 s (chaos), 8 s (CtrlHA)
 	Workers        int      // topology worker cap; 0 = GOMAXPROCS, 1 = sequential
 	NetLatency     sim.Time // distribution-network hop latency (= lookahead); 0 = 5 ms
-	PollEvery      sim.Time // controller poll period; 0 = 500 ms
+	PollEvery      sim.Time // controller poll/checkpoint period; 0 = 500 ms (RunFleet), 250 ms (chaos)
 	Seed           int64    // topology seed; 0 = 1960
 	// Monolithic builds the identical fleet on one shared Engine instead of
 	// partitions — the sequential reference the byte-identical contract is
 	// checked against.
 	Monolithic bool
+
+	// Failure-domain shape: cards per host bus, hosts per switch domain.
+	CardsPerHost   int // 0 = 2
+	HostsPerSwitch int // 0 = 2
+
+	// Chaos plan: how many correlated faults of each kind to draw. The
+	// zero value of all three means the default single event of each kind;
+	// set Severity below -1 to force an empty plan.
+	HostCrashes   int
+	NetPartitions int
+	RollingDrains int
+	FaultSeed     int64 // 0 = Seed+77
+
+	// DetectDelay is how long after a fault strikes (or clears) the
+	// controller reacts — the missed-heartbeat detection lag. 0 = 2 polls.
+	DetectDelay sim.Time
+	// SettleMargin pads the outage window when classifying loss-window
+	// violations: violations inside [At, At+Duration+DetectDelay+margin]
+	// count as "during" the outage. 0 = 500 ms.
+	SettleMargin sim.Time
+
+	// CtrlHA replicates the control plane: a standby controller replica
+	// ("ctl-b") receives the primary's placement journal and per-poll
+	// checkpoints and takes over with a bumped leader epoch when the primary
+	// goes silent (see ctrlha.go). Off by default — an unreplicated run is
+	// byte-identical to the pre-HA control plane.
+	CtrlHA bool
+	// CtrlCrashes / CtrlPartitions count the controller faults injected when
+	// CtrlHA is set (0 = 1 each; negative = none). Crashes kill the primary
+	// mid-migration; partitions sever the replica pair link (split brain).
+	CtrlCrashes    int
+	CtrlPartitions int
+
+	// The scrape plane's knobs, read only by RunFleetObs (see fleetobs.go).
+	// ScrapeEvery is the controller's base scrape period; 0 = 200 ms. A
+	// card at degradation rung r is scraped every ScrapeEvery<<r.
+	ScrapeEvery sim.Time
+	// TopK bounds the top-streams-by-pressure artifact; 0 = 8.
+	TopK int
+	// MaxScrapeRung caps the per-card degradation rung; 0 = 3 (so the
+	// widest interval is 8× the base period).
+	MaxScrapeRung int
+	// StressPct, when positive, charges each card's budget up to this
+	// percent of its size at StressAt and releases it StressDur later —
+	// deterministic memory pressure that forces the scrape plane to shed
+	// and widen before any media is dropped. 0 disables.
+	StressPct int
+	StressAt  sim.Time // 0 = Dur/3
+	StressDur sim.Time // 0 = Dur/4
 }
 
 func (cfg *FleetConfig) setDefaults() {
+	if cfg.Dur <= 0 {
+		cfg.Dur = 6 * sim.Second
+		if cfg.CtrlHA {
+			// Longer than the plain chaos run, so a crash, a takeover, a
+			// recovery, a split brain, and a heal all fit.
+			cfg.Dur = 8 * sim.Second
+		}
+	}
+	if cfg.PollEvery <= 0 {
+		cfg.PollEvery = 250 * sim.Millisecond
+	}
 	if cfg.Cards <= 0 {
 		cfg.Cards = 8
 	}
 	if cfg.StreamsPerCard <= 0 {
 		cfg.StreamsPerCard = 2
 	}
-	if cfg.Dur <= 0 {
-		cfg.Dur = 2 * sim.Second
-	}
 	if cfg.NetLatency <= 0 {
 		cfg.NetLatency = 5 * sim.Millisecond
 	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = 500 * sim.Millisecond
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1960
+	}
+	if cfg.CardsPerHost <= 0 {
+		cfg.CardsPerHost = 2
+	}
+	if cfg.HostsPerSwitch <= 0 {
+		cfg.HostsPerSwitch = 2
+	}
+	if cfg.HostCrashes == 0 && cfg.NetPartitions == 0 && cfg.RollingDrains == 0 {
+		cfg.HostCrashes, cfg.NetPartitions, cfg.RollingDrains = 1, 1, 1
+	}
+	if cfg.HostCrashes < 0 {
+		cfg.HostCrashes = 0
+	}
+	if cfg.NetPartitions < 0 {
+		cfg.NetPartitions = 0
+	}
+	if cfg.RollingDrains < 0 {
+		cfg.RollingDrains = 0
+	}
+	if cfg.FaultSeed == 0 {
+		cfg.FaultSeed = cfg.Seed + 77
+	}
+	if cfg.DetectDelay <= 0 {
+		cfg.DetectDelay = 2 * cfg.PollEvery
+	}
+	if cfg.SettleMargin <= 0 {
+		cfg.SettleMargin = 500 * sim.Millisecond
+	}
+	if cfg.CtrlHA {
+		if cfg.CtrlCrashes == 0 {
+			cfg.CtrlCrashes = 1
+		}
+		if cfg.CtrlPartitions == 0 {
+			cfg.CtrlPartitions = 1
+		}
+	}
+	if cfg.CtrlCrashes < 0 {
+		cfg.CtrlCrashes = 0
+	}
+	if cfg.CtrlPartitions < 0 {
+		cfg.CtrlPartitions = 0
+	}
+	if cfg.ScrapeEvery <= 0 {
+		cfg.ScrapeEvery = 200 * sim.Millisecond
+	}
+	if cfg.TopK <= 0 {
+		cfg.TopK = 8
+	}
+	if cfg.MaxScrapeRung <= 0 {
+		cfg.MaxScrapeRung = 3
+	}
+	if cfg.StressPct > 0 {
+		if cfg.StressAt <= 0 {
+			cfg.StressAt = cfg.Dur / 3
+		}
+		if cfg.StressDur <= 0 {
+			cfg.StressDur = cfg.Dur / 4
+		}
 	}
 }
 
@@ -172,11 +288,11 @@ func (f *fleet) forward(from int, p *netsim.Packet) {
 	}
 	dst := f.cards[home]
 	deliver := func() { dst.rx[p.Dst].Send(p, nil) }
-	if f.topo == nil || home == from {
-		f.cards[from].eng.After(f.cfg.NetLatency, deliver)
+	if home == from {
+		dst.eng.After(f.cfg.NetLatency, deliver)
 		return
 	}
-	f.cards[from].part.Send(dst.part, f.cfg.NetLatency, deliver)
+	f.hop(f.cards[from].part, dst.part, deliver)
 }
 
 // buildCard assembles card complex i on eng: PCI segment, disk NI,
@@ -217,17 +333,26 @@ func (f *fleet) buildCard(i int, eng *sim.Engine, part *sim.Partition) *fleetCar
 	}
 }
 
-// pollCard is one controller poll of card i: NetLatency out, a stats read
-// on the card, NetLatency back, one pulse row on arrival. send/reply
-// abstract the hop so monolithic and partitioned modes share the logic.
-func (f *fleet) pollCard(i int, send, reply func(fn func())) {
+// hop runs fn one network hop from now: on the shared engine in monolithic
+// mode, otherwise as a message from partition src to partition dst.
+func (f *fleet) hop(src, dst *sim.Partition, fn func()) {
+	if f.topo == nil {
+		f.mono.After(f.cfg.NetLatency, fn)
+		return
+	}
+	src.Send(dst, f.cfg.NetLatency, fn)
+}
+
+// pollCard is one controller poll of card i: one hop out, a stats read on
+// the card, one hop back, one pulse row on arrival.
+func (f *fleet) pollCard(i int) {
 	fc := f.cards[i]
-	send(func() {
+	f.hop(f.ctrl, fc.part, func() {
 		at := fc.eng.Now()
 		sent, dropped := fc.ext.Sent, fc.ext.Dropped
 		revoked := fc.ext.RevokedCount()
 		used, size := fc.ctl.Budget.Used(), fc.ctl.Budget.Size()
-		reply(func() {
+		f.hop(fc.part, f.ctrl, func() {
 			f.pulses = append(f.pulses, fmt.Sprintf(
 				"t=%-10v ni%02d sent=%-6d dropped=%-4d revoked=%d mem=%d/%d",
 				at, i, sent, dropped, revoked, used, size))
@@ -235,45 +360,75 @@ func (f *fleet) pollCard(i int, send, reply func(fn func())) {
 	})
 }
 
+// newFleet builds the topology every fleet scenario shares: one engine, or one
+// partition per card complex plus the "dvcm" controller partition with its
+// poll links to every card. Media hops are a ring (card i → i+1, where the
+// baseline homes its clients) or, with mesh, every ordered card pair — a
+// migrated stream's frames must reach its client's home card from wherever
+// the stream lands. cfg must have its defaults set.
+func newFleet(cfg FleetConfig, mesh bool) *fleet {
+	f := &fleet{cfg: cfg, route: map[string]int{}}
+	if cfg.Monolithic {
+		f.mono = sim.NewEngine(cfg.Seed)
+		for i := 0; i < cfg.Cards; i++ {
+			f.cards = append(f.cards, f.buildCard(i, f.mono, nil))
+		}
+		return f
+	}
+	f.topo = sim.NewTopology(cfg.Seed)
+	f.topo.Workers = cfg.Workers
+	f.ctrl = f.topo.AddPartition("dvcm")
+	parts := make([]*sim.Partition, cfg.Cards)
+	for i := range parts {
+		parts[i] = f.topo.AddPartition(fmt.Sprintf("card%02d", i))
+	}
+	for i, p := range parts {
+		f.cards = append(f.cards, f.buildCard(i, p.Eng(), p))
+	}
+	for i, p := range parts {
+		for j, q := range parts {
+			// Distinct endpoints only: a 1-card fleet keeps its media local.
+			if i != j && (mesh || j == (i+1)%cfg.Cards) {
+				mustConnect(f.topo, p, q, cfg.NetLatency)
+			}
+		}
+		mustConnect(f.topo, f.ctrl, p, cfg.NetLatency)
+		mustConnect(f.topo, p, f.ctrl, cfg.NetLatency)
+	}
+	return f
+}
+
+// run drives the built fleet to Dur and settles it, returning the engine's
+// synchronization-round count (0 in monolithic mode).
+func (f *fleet) run() int64 {
+	if f.topo == nil {
+		f.mono.RunUntil(f.cfg.Dur)
+		return 0
+	}
+	f.topo.RunUntil(f.cfg.Dur)
+	f.topo.Drain() // release every partition's peak arena before reporting
+	return f.topo.Rounds
+}
+
 // RunFleet builds and runs the fleet scenario, returning its deterministic
 // artifacts. The artifact bytes are identical for Monolithic, Workers=1,
 // and Workers=N runs of the same configuration.
 func RunFleet(cfg FleetConfig) *FleetResult {
-	cfg.setDefaults()
-	f := &fleet{cfg: cfg, route: map[string]int{}}
-
-	var ctrlEng *sim.Engine
-	if cfg.Monolithic {
-		f.mono = sim.NewEngine(cfg.Seed)
-		ctrlEng = f.mono
-		for i := 0; i < cfg.Cards; i++ {
-			f.cards = append(f.cards, f.buildCard(i, f.mono, nil))
-		}
-	} else {
-		f.topo = sim.NewTopology(cfg.Seed)
-		f.topo.Workers = cfg.Workers
-		f.ctrl = f.topo.AddPartition("dvcm")
-		ctrlEng = f.ctrl.Eng()
-		parts := make([]*sim.Partition, cfg.Cards)
-		for i := 0; i < cfg.Cards; i++ {
-			parts[i] = f.topo.AddPartition(fmt.Sprintf("card%02d", i))
-		}
-		for i := 0; i < cfg.Cards; i++ {
-			f.cards = append(f.cards, f.buildCard(i, parts[i].Eng(), parts[i]))
-		}
-		for i, p := range parts {
-			// Media ring hop (distinct endpoints only: a 1-card fleet keeps
-			// its media local) and the controller's poll round-trip.
-			if next := parts[(i+1)%cfg.Cards]; next != p {
-				if _, ok := f.topo.Lookahead(p, next); !ok {
-					mustConnect(f.topo, p, next, cfg.NetLatency)
-				}
-			}
-			mustConnect(f.topo, f.ctrl, p, cfg.NetLatency)
-			mustConnect(f.topo, p, f.ctrl, cfg.NetLatency)
-		}
+	// The baseline fleet's own defaults: a shorter run and a slower poll
+	// than the chaos runs'.
+	if cfg.Dur <= 0 {
+		cfg.Dur = 2 * sim.Second
 	}
+	if cfg.PollEvery <= 0 {
+		cfg.PollEvery = 500 * sim.Millisecond
+	}
+	cfg.setDefaults()
+	f := newFleet(cfg, false)
 	defer f.close()
+	ctrlEng := f.mono
+	if f.topo != nil {
+		ctrlEng = f.ctrl.Eng()
+	}
 
 	// Streams, producers, clients. Card i's clients are homed with card
 	// (i+1)%Cards, so media crosses the fleet network (and, partitioned, a
@@ -305,28 +460,12 @@ func RunFleet(cfg FleetConfig) *FleetResult {
 	// Controller: poll every card each PollEvery over the fleet network.
 	ctrlEng.Every(cfg.PollEvery, func() {
 		for i := range f.cards {
-			fc := f.cards[i]
-			if f.topo == nil {
-				f.pollCard(i,
-					func(fn func()) { ctrlEng.After(cfg.NetLatency, fn) },
-					func(fn func()) { fc.eng.After(cfg.NetLatency, fn) })
-			} else {
-				f.pollCard(i,
-					func(fn func()) { f.ctrl.Send(fc.part, cfg.NetLatency, fn) },
-					func(fn func()) { fc.part.Send(f.ctrl, cfg.NetLatency, fn) })
-			}
+			f.pollCard(i)
 		}
 	})
 
 	res := &FleetResult{Cards: cfg.Cards, Streams: cfg.Cards * cfg.StreamsPerCard, Dur: cfg.Dur}
-	if f.topo == nil {
-		f.mono.RunUntil(cfg.Dur)
-	} else {
-		f.topo.RunUntil(cfg.Dur)
-		res.Rounds = f.topo.Rounds
-		f.topo.Drain() // release every partition's peak arena before reporting
-	}
-
+	res.Rounds = f.run()
 	f.collect(res)
 	return res
 }

@@ -95,7 +95,7 @@ func settledGoroutines(want int) int {
 // engine, inline, and with tasks resumed from a fresh worker goroutine per
 // window (the race job runs this with Workers 4).
 func TestFleetRunsLeaveNoGoroutines(t *testing.T) {
-	chaos := FleetChaosConfig{Cards: 4, Dur: 2 * sim.Second, Workers: 4}
+	chaos := FleetConfig{Cards: 4, Dur: 2 * sim.Second, Workers: 4}
 	runs := []struct {
 		name string
 		run  func()
@@ -104,7 +104,7 @@ func TestFleetRunsLeaveNoGoroutines(t *testing.T) {
 		{"RunFleet workers=1", func() { RunFleet(testFleetConfig(1, false)) }},
 		{"RunFleet workers=4", func() { RunFleet(testFleetConfig(4, false)) }},
 		{"RunFleetChaos", func() { RunFleetChaos(chaos) }},
-		{"RunFleetObs", func() { RunFleetObs(FleetObsConfig{FleetChaosConfig: chaos}) }},
+		{"RunFleetObs", func() { RunFleetObs(chaos) }},
 		{"RunCtrlChaos", func() { RunCtrlChaos(chaos) }},
 	}
 	before := runtime.NumGoroutine()

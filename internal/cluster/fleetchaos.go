@@ -32,117 +32,11 @@ import (
 	"repro/internal/sim"
 )
 
-// FleetChaosConfig parameterizes RunFleetChaos.
-type FleetChaosConfig struct {
-	Cards          int      // card complexes; 0 = 8
-	StreamsPerCard int      // media streams sourced by each card; 0 = 2
-	Dur            sim.Time // simulated run length; 0 = 6 s
-	Workers        int      // topology worker cap; 0 = GOMAXPROCS, 1 = sequential
-	NetLatency     sim.Time // distribution-network hop latency; 0 = 5 ms
-	PollEvery      sim.Time // controller poll/checkpoint period; 0 = 250 ms
-	Seed           int64    // topology seed; 0 = 1960
-	Monolithic     bool     // single shared engine (the sequential reference)
-
-	// Failure-domain shape: cards per host bus, hosts per switch domain.
-	CardsPerHost   int // 0 = 2
-	HostsPerSwitch int // 0 = 2
-
-	// Chaos plan: how many correlated faults of each kind to draw. The
-	// zero value of all three means the default single event of each kind;
-	// set Severity below -1 to force an empty plan.
-	HostCrashes   int
-	NetPartitions int
-	RollingDrains int
-	FaultSeed     int64 // 0 = Seed+77
-
-	// DetectDelay is how long after a fault strikes (or clears) the
-	// controller reacts — the missed-heartbeat detection lag. 0 = 2 polls.
-	DetectDelay sim.Time
-	// SettleMargin pads the outage window when classifying loss-window
-	// violations: violations inside [At, At+Duration+DetectDelay+margin]
-	// count as "during" the outage. 0 = 500 ms.
-	SettleMargin sim.Time
-
-	// CtrlHA replicates the control plane: a standby controller replica
-	// ("ctl-b") receives the primary's placement journal and per-poll
-	// checkpoints and takes over with a bumped leader epoch when the primary
-	// goes silent (see ctrlha.go). Off by default — an unreplicated run is
-	// byte-identical to the pre-HA control plane.
-	CtrlHA bool
-	// CtrlCrashes / CtrlPartitions count the controller faults injected when
-	// CtrlHA is set (0 = 1 each; negative = none). Crashes kill the primary
-	// mid-migration; partitions sever the replica pair link (split brain).
-	CtrlCrashes    int
-	CtrlPartitions int
-}
-
-func (cfg *FleetChaosConfig) setDefaults() {
-	if cfg.Cards <= 0 {
-		cfg.Cards = 8
-	}
-	if cfg.StreamsPerCard <= 0 {
-		cfg.StreamsPerCard = 2
-	}
-	if cfg.Dur <= 0 {
-		cfg.Dur = 6 * sim.Second
-	}
-	if cfg.NetLatency <= 0 {
-		cfg.NetLatency = 5 * sim.Millisecond
-	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = 250 * sim.Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1960
-	}
-	if cfg.CardsPerHost <= 0 {
-		cfg.CardsPerHost = 2
-	}
-	if cfg.HostsPerSwitch <= 0 {
-		cfg.HostsPerSwitch = 2
-	}
-	if cfg.HostCrashes == 0 && cfg.NetPartitions == 0 && cfg.RollingDrains == 0 {
-		cfg.HostCrashes, cfg.NetPartitions, cfg.RollingDrains = 1, 1, 1
-	}
-	if cfg.HostCrashes < 0 {
-		cfg.HostCrashes = 0
-	}
-	if cfg.NetPartitions < 0 {
-		cfg.NetPartitions = 0
-	}
-	if cfg.RollingDrains < 0 {
-		cfg.RollingDrains = 0
-	}
-	if cfg.FaultSeed == 0 {
-		cfg.FaultSeed = cfg.Seed + 77
-	}
-	if cfg.DetectDelay <= 0 {
-		cfg.DetectDelay = 2 * cfg.PollEvery
-	}
-	if cfg.SettleMargin <= 0 {
-		cfg.SettleMargin = 500 * sim.Millisecond
-	}
-	if cfg.CtrlHA {
-		if cfg.CtrlCrashes == 0 {
-			cfg.CtrlCrashes = 1
-		}
-		if cfg.CtrlPartitions == 0 {
-			cfg.CtrlPartitions = 1
-		}
-	}
-	if cfg.CtrlCrashes < 0 {
-		cfg.CtrlCrashes = 0
-	}
-	if cfg.CtrlPartitions < 0 {
-		cfg.CtrlPartitions = 0
-	}
-}
-
-func (cfg *FleetChaosConfig) hosts() int {
+func (cfg *FleetConfig) hosts() int {
 	return (cfg.Cards + cfg.CardsPerHost - 1) / cfg.CardsPerHost
 }
 
-func (cfg *FleetChaosConfig) switches() int {
+func (cfg *FleetConfig) switches() int {
 	return (cfg.hosts() + cfg.HostsPerSwitch - 1) / cfg.HostsPerSwitch
 }
 
@@ -172,8 +66,8 @@ type FleetChaosResult struct {
 	ViolOutside  int64 // violations outside every outage window (want: 0)
 	SeveredDrops int64 // frames dropped on severed fleet-network hops
 
-	TotalRecv, TotalLate int64
-	Rounds               int64
+	Recv, Late int64
+	Rounds     int64
 }
 
 // chaosStream is one media stream plus its chaos bookkeeping.
@@ -198,7 +92,6 @@ type chaosStream struct {
 // replicas (ctrlha.go); an unreplicated run has exactly one.
 type fleetChaos struct {
 	*fleet
-	ccfg    FleetChaosConfig
 	plan    *faults.Plan
 	clip    *mpeg.Clip
 	cstream []*chaosStream
@@ -227,8 +120,8 @@ type fleetChaos struct {
 
 // --- failure-domain geometry ------------------------------------------------
 
-func (f *fleetChaos) hostOf(card int) int   { return card / f.ccfg.CardsPerHost }
-func (f *fleetChaos) switchOf(card int) int { return f.hostOf(card) / f.ccfg.HostsPerSwitch }
+func (f *fleetChaos) hostOf(card int) int   { return card / f.cfg.CardsPerHost }
+func (f *fleetChaos) switchOf(card int) int { return f.hostOf(card) / f.cfg.HostsPerSwitch }
 
 func (f *fleetChaos) hostName(h int) string   { return fmt.Sprintf("h%02d", h) }
 func (f *fleetChaos) switchName(s int) string { return fmt.Sprintf("sw%d", s) }
@@ -308,8 +201,8 @@ func (f *fleetChaos) desired(st *chaosStream, t sim.Time) int {
 	if ok(st.orig) {
 		return st.orig
 	}
-	for d := 1; d < f.ccfg.Cards; d++ {
-		if i := (st.orig + d) % f.ccfg.Cards; ok(i) {
+	for d := 1; d < f.cfg.Cards; d++ {
+		if i := (st.orig + d) % f.cfg.Cards; ok(i) {
 			return i
 		}
 	}
@@ -344,8 +237,8 @@ func (f *fleetChaos) candidates(st *chaosStream, t sim.Time, want int, relax boo
 		} else {
 			want = st.orig
 		}
-		for d := 0; d < f.ccfg.Cards; d++ {
-			add((want + d) % f.ccfg.Cards)
+		for d := 0; d < f.cfg.Cards; d++ {
+			add((want + d) % f.cfg.Cards)
 		}
 		return out
 	}
@@ -375,22 +268,6 @@ func (f *fleetChaos) wipedSince(card int, placedAt, t sim.Time) bool {
 	}
 	return false
 }
-
-// --- controller hops (observability-plane compatibility wrappers) -----------
-
-// ctrlEng, toCard, and toCtrl address "the controller" as the scrape plane
-// and other single-controller callers knew it: replica 0. With CtrlHA off
-// that replica is the whole control plane and these are exactly the old
-// single-controller hops.
-func (f *fleetChaos) ctrlEng() *sim.Engine { return f.reps[0].eng() }
-
-// toCard runs fn in card i's partition one network hop from now (controller
-// context).
-func (f *fleetChaos) toCard(i int, fn func()) { f.reps[0].toCard(i, fn) }
-
-// toCtrl runs fn in the controller partition one hop from now (card i
-// context).
-func (f *fleetChaos) toCtrl(i int, fn func()) { f.reps[0].fromCard(i, fn) }
 
 // --- the reconcile loop ------------------------------------------------------
 
@@ -671,7 +548,7 @@ func (r *ctrlRep) readd(st *chaosStream, to int, done func()) {
 // such an interval are attributed to the injected fault.
 func (f *fleetChaos) inOutage(a, b sim.Time) bool {
 	for _, e := range f.plan.Events {
-		end := e.At + e.Duration + f.ccfg.DetectDelay + f.ccfg.SettleMargin
+		end := e.At + e.Duration + f.cfg.DetectDelay + f.cfg.SettleMargin
 		if b >= e.At && a < end {
 			return true
 		}
@@ -756,7 +633,7 @@ func (r *ctrlRep) poll() {
 // producer cannot double-feed a migrated stream.
 func (f *fleetChaos) armHostCrash(e faults.Event) {
 	h := f.hostIndex(e.Target)
-	for i := 0; i < f.ccfg.Cards; i++ {
+	for i := 0; i < f.cfg.Cards; i++ {
 		if f.hostOf(i) != h {
 			continue
 		}
@@ -783,7 +660,7 @@ func (f *fleetChaos) armHostCrash(e faults.Event) {
 // recorder at strike and clear time (NetPartition and RollingDrain leave the
 // card itself running, so this is the only card-side trace).
 func (f *fleetChaos) armDomainMark(e faults.Event, member func(card int) bool) {
-	for i := 0; i < f.ccfg.Cards; i++ {
+	for i := 0; i < f.cfg.Cards; i++ {
 		if !member(i) {
 			continue
 		}
@@ -817,30 +694,36 @@ func (f *fleetChaos) affects(e faults.Event, st *chaosStream) bool {
 
 // RunFleetChaos builds the fleet with failure domains, arms the chaos plan,
 // and runs it, returning byte-deterministic artifacts.
-func RunFleetChaos(cfg FleetChaosConfig) *FleetChaosResult {
-	cfg.setDefaults()
-	f := buildFleetChaos(cfg, nil)
+func RunFleetChaos(cfg FleetConfig) *FleetChaosResult {
+	f := runFleetChaos(cfg, false)
 	defer f.close()
-	f.runChaos()
-	f.collectChaos()
 	return f.res
 }
 
+// runFleetChaos is the one build-run-collect path of every chaos-fleet
+// scenario: the fleet as cfg shapes it — replicated controller with CtrlHA,
+// scrape plane with observe — run to Dur and settled, its chaos artifacts
+// rendered. The caller renders what its layer adds and closes the fleet.
+func runFleetChaos(cfg FleetConfig, observe bool) *fleetChaos {
+	cfg.setDefaults()
+	var obs *fleetObs
+	if observe {
+		obs = newFleetObs(cfg.Cards)
+	}
+	f := buildFleetChaos(cfg, obs)
+	f.res.Rounds = f.run()
+	f.collectChaos()
+	return f
+}
+
 // buildFleetChaos assembles the chaos fleet ready to run: topology, cards,
-// streams, armed chaos plan, and the controller's poll loop. obs, when
-// non-nil, is wired in during the build so its card-side instrumentation
-// exists before the first event fires.
-func buildFleetChaos(cfg FleetChaosConfig, obs *fleetObs) *fleetChaos {
+// streams, armed chaos plan, and the controller's poll (and, with obs, scrape)
+// loop. obs, when non-nil, is wired in during the build so its card-side
+// instrumentation exists before the first event fires. cfg must have its
+// defaults set.
+func buildFleetChaos(cfg FleetConfig, obs *fleetObs) *fleetChaos {
 	f := &fleetChaos{
-		fleet: &fleet{
-			cfg: FleetConfig{
-				Cards: cfg.Cards, StreamsPerCard: cfg.StreamsPerCard,
-				Dur: cfg.Dur, Workers: cfg.Workers, NetLatency: cfg.NetLatency,
-				PollEvery: cfg.PollEvery, Seed: cfg.Seed, Monolithic: cfg.Monolithic,
-			},
-			route: map[string]int{},
-		},
-		ccfg:    cfg,
+		fleet:   newFleet(cfg, true),
 		severed: make([]int64, cfg.Cards),
 		res: &FleetChaosResult{
 			Cards: cfg.Cards, Hosts: cfg.hosts(), Switches: cfg.switches(),
@@ -881,47 +764,18 @@ func buildFleetChaos(cfg FleetChaosConfig, obs *fleetObs) *fleetChaos {
 	plan.Sort()
 	f.plan = plan
 
-	// Topology: same wiring as the baseline fleet, plus a full mesh between
-	// card partitions — a migrated stream's frames must reach its client's
-	// home card from wherever the stream lands. With CtrlHA the standby gets
-	// its own partition ("dvcm-b"), added after the cards so the merge order
-	// of same-instant cross-partition events puts the primary's traffic
-	// first — matching the monolithic insertion order.
-	var parts []*sim.Partition
-	if cfg.Monolithic {
-		f.mono = sim.NewEngine(cfg.Seed)
-		for i := 0; i < cfg.Cards; i++ {
-			f.cards = append(f.cards, f.buildCard(i, f.mono, nil))
-		}
-	} else {
-		f.topo = sim.NewTopology(cfg.Seed)
-		f.topo.Workers = cfg.Workers
-		f.ctrl = f.topo.AddPartition("dvcm")
-		parts = make([]*sim.Partition, cfg.Cards)
-		for i := 0; i < cfg.Cards; i++ {
-			parts[i] = f.topo.AddPartition(fmt.Sprintf("card%02d", i))
-		}
-		for i := 0; i < cfg.Cards; i++ {
-			f.cards = append(f.cards, f.buildCard(i, parts[i].Eng(), parts[i]))
-		}
-		for i, p := range parts {
-			for j, q := range parts {
-				if i != j {
-					mustConnect(f.topo, p, q, cfg.NetLatency)
-				}
-			}
-			mustConnect(f.topo, f.ctrl, p, cfg.NetLatency)
-			mustConnect(f.topo, p, f.ctrl, cfg.NetLatency)
-		}
-	}
+	// Controller replicas. With CtrlHA the standby gets its own partition
+	// ("dvcm-b"), added after the cards so the merge order of same-instant
+	// cross-partition events puts the primary's traffic first — matching the
+	// monolithic insertion order.
 	f.reps = append(f.reps, newCtrlRep(f, 0, f.ctrl))
 	if cfg.CtrlHA {
 		var bPart *sim.Partition
 		if !cfg.Monolithic {
 			bPart = f.topo.AddPartition("dvcm-b")
-			for _, p := range parts {
-				mustConnect(f.topo, bPart, p, cfg.NetLatency)
-				mustConnect(f.topo, p, bPart, cfg.NetLatency)
+			for _, fc := range f.cards {
+				mustConnect(f.topo, bPart, fc.part, cfg.NetLatency)
+				mustConnect(f.topo, fc.part, bPart, cfg.NetLatency)
 			}
 			mustConnect(f.topo, f.ctrl, bPart, cfg.NetLatency)
 			mustConnect(f.topo, bPart, f.ctrl, cfg.NetLatency)
@@ -1049,7 +903,10 @@ func buildFleetChaos(cfg FleetChaosConfig, obs *fleetObs) *fleetChaos {
 	for _, r := range f.reps {
 		r.eng().Every(cfg.PollEvery, r.tick)
 	}
-
+	if obs != nil {
+		f.reps[0].eng().Every(cfg.ScrapeEvery, obs.scrape)
+		obs.armStress()
+	}
 	return f
 }
 
@@ -1062,7 +919,7 @@ func buildFleetChaos(cfg FleetChaosConfig, obs *fleetObs) *fleetChaos {
 // (adopt) or not (re-issue). The partition starts after the last crash has
 // recovered and the replicas have exchanged a checkpoint or two, so the
 // split-brain scenario runs against a healthy pair.
-func appendCtrlEvents(plan *faults.Plan, cfg FleetChaosConfig) {
+func appendCtrlEvents(plan *faults.Plan, cfg FleetConfig) {
 	anchor := cfg.Dur / 3
 	if len(plan.Events) > 0 {
 		anchor = plan.Events[0].At
@@ -1122,22 +979,11 @@ func (f *fleetChaos) armCtrlFault(e faults.Event) {
 	}
 }
 
-// runChaos drives the built fleet to Dur and settles the topology.
-func (f *fleetChaos) runChaos() {
-	if f.topo == nil {
-		f.mono.RunUntil(f.ccfg.Dur)
-	} else {
-		f.topo.RunUntil(f.ccfg.Dur)
-		f.res.Rounds = f.topo.Rounds
-		f.topo.Drain()
-	}
-}
-
 // collectChaos renders the artifacts from the settled fleet. Runs after the
 // topology has fully stopped, so cross-partition reads are safe.
 func (f *fleetChaos) collectChaos() {
 	res := f.res
-	cfg := f.ccfg
+	cfg := f.cfg
 	lead := f.lead()
 
 	// Final sweep: fold each card's end-of-run stream stats into the leading
@@ -1185,8 +1031,8 @@ func (f *fleetChaos) collectChaos() {
 		fmt.Fprintf(&table, "ni%02d   %-5s %8d %8d %8d %8d %8d %8d %10.2f\n",
 			i, f.hostName(f.hostOf(i)), c.injected, fc.ext.Sent, fc.ext.Dropped,
 			c.recv, c.late, f.severed[i], float64(c.bytes)/(1<<20))
-		res.TotalRecv += c.recv
-		res.TotalLate += c.late
+		res.Recv += c.recv
+		res.Late += c.late
 		res.SeveredDrops += f.severed[i]
 	}
 	res.Table = table.String()
@@ -1257,5 +1103,5 @@ func (f *fleetChaos) collectChaos() {
 		res.Cards, res.Hosts, res.Switches, cfg.StreamsPerCard, res.Dur,
 		len(f.plan.Events), res.LiveMigrations, res.ColdMigrations, res.Readds,
 		res.Parked, res.Replayed, resumed,
-		res.ViolDuring, res.ViolOutside, res.SeveredDrops, res.TotalRecv, res.TotalLate)
+		res.ViolDuring, res.ViolOutside, res.SeveredDrops, res.Recv, res.Late)
 }

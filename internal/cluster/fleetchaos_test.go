@@ -25,8 +25,8 @@ func resumedPct(r *FleetChaosResult) float64 {
 // streams resume via live or cold migration (ID preserved, no teardown),
 // and zero loss-window violations land outside the padded outage windows.
 func TestFleetChaosSurvivesCorrelatedFaults(t *testing.T) {
-	r := RunFleetChaos(FleetChaosConfig{Workers: 1})
-	if r.TotalRecv == 0 {
+	r := RunFleetChaos(FleetConfig{Workers: 1})
+	if r.Recv == 0 {
 		t.Fatalf("no media delivered: %s", r.Summary)
 	}
 	if r.LiveMigrations+r.ColdMigrations == 0 {
@@ -64,7 +64,7 @@ func TestFleetChaosEachKindAlone(t *testing.T) {
 	for _, k := range kinds {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
-			r := RunFleetChaos(FleetChaosConfig{
+			r := RunFleetChaos(FleetConfig{
 				Workers: 1, HostCrashes: k.crash, NetPartitions: k.part, RollingDrains: k.drain,
 			})
 			if k.wantMove && r.LiveMigrations+r.ColdMigrations == 0 {
@@ -93,11 +93,11 @@ func TestFleetChaosEachKindAlone(t *testing.T) {
 // migration decision, and all artifacts must not depend on the worker count
 // or on partitioned-vs-monolithic execution.
 func TestFleetChaosDeterminism(t *testing.T) {
-	ref := chaosArtifacts(RunFleetChaos(FleetChaosConfig{Workers: 1}))
-	if got := chaosArtifacts(RunFleetChaos(FleetChaosConfig{Workers: 4})); got != ref {
+	ref := chaosArtifacts(RunFleetChaos(FleetConfig{Workers: 1}))
+	if got := chaosArtifacts(RunFleetChaos(FleetConfig{Workers: 4})); got != ref {
 		t.Fatalf("workers=4 artifacts diverged from workers=1:\n%s", firstDiff(ref, got))
 	}
-	if got := chaosArtifacts(RunFleetChaos(FleetChaosConfig{Monolithic: true})); got != ref {
+	if got := chaosArtifacts(RunFleetChaos(FleetConfig{Monolithic: true})); got != ref {
 		t.Fatalf("monolithic artifacts diverged from workers=1:\n%s", firstDiff(ref, got))
 	}
 }
@@ -120,7 +120,7 @@ func TestFleetChaosHeavyPlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy chaos plan")
 	}
-	r := RunFleetChaos(FleetChaosConfig{
+	r := RunFleetChaos(FleetConfig{
 		Workers: 1, Cards: 12, CardsPerHost: 2, HostsPerSwitch: 3,
 		HostCrashes: 2, NetPartitions: 1, RollingDrains: 1,
 	})

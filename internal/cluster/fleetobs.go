@@ -33,50 +33,6 @@ import (
 	"repro/internal/trace"
 )
 
-// FleetObsConfig parameterizes RunFleetObs: a chaos fleet plus the scrape
-// plane's knobs.
-type FleetObsConfig struct {
-	FleetChaosConfig
-
-	// ScrapeEvery is the controller's base scrape period; 0 = 200 ms. A
-	// card at degradation rung r is scraped every ScrapeEvery<<r.
-	ScrapeEvery sim.Time
-	// TopK bounds the top-streams-by-pressure artifact; 0 = 8.
-	TopK int
-	// MaxScrapeRung caps the per-card degradation rung; 0 = 3 (so the
-	// widest interval is 8× the base period).
-	MaxScrapeRung int
-
-	// StressPct, when positive, charges each card's budget up to this
-	// percent of its size at StressAt and releases it StressDur later —
-	// deterministic memory pressure that forces the scrape plane to shed
-	// and widen before any media is dropped. 0 disables.
-	StressPct int
-	StressAt  sim.Time // 0 = Dur/3
-	StressDur sim.Time // 0 = Dur/4
-}
-
-func (cfg *FleetObsConfig) setDefaults() {
-	cfg.FleetChaosConfig.setDefaults()
-	if cfg.ScrapeEvery <= 0 {
-		cfg.ScrapeEvery = 200 * sim.Millisecond
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 8
-	}
-	if cfg.MaxScrapeRung <= 0 {
-		cfg.MaxScrapeRung = 3
-	}
-	if cfg.StressPct > 0 {
-		if cfg.StressAt <= 0 {
-			cfg.StressAt = cfg.Dur / 3
-		}
-		if cfg.StressDur <= 0 {
-			cfg.StressDur = cfg.Dur / 4
-		}
-	}
-}
-
 // FleetObsResult carries one observed chaos run's artifacts. Everything but
 // Chaos.Rounds is byte-deterministic across Monolithic, Workers=1, and
 // Workers=N runs of the same configuration.
@@ -88,7 +44,7 @@ type FleetObsResult struct {
 	TopK        string // top streams by loss-window pressure
 	ScrapeStats string // per-card scrape accounting and overhead
 	Stitched    string // cross-migration stitched traces, one block per moved stream
-	ObsSummary  string
+	Summary     string
 
 	ObsBytes   int64 // total in-band scrape traffic (requests + replies)
 	MediaBytes int64 // client-received media bytes (the overhead denominator)
@@ -130,10 +86,10 @@ type scrapeStat struct {
 
 // fleetObs is the scrape plane's state, split by partition: tel/ctel/mon/
 // cardEpoch index i is touched only in card i's partition once the run
-// starts; everything else lives in the controller partition.
+// starts; everything else lives in the controller partition — replica 0's,
+// which without CtrlHA is the whole control plane.
 type fleetObs struct {
-	f   *fleetChaos
-	cfg FleetObsConfig
+	f *fleetChaos // its cfg carries the scrape plane's knobs
 
 	// Card-partition state.
 	tel       []*telemetry.Registry // serving-side spans (disk/bus/queue), epoch-stamped
@@ -161,10 +117,8 @@ type fleetObs struct {
 	restores int64
 }
 
-func newFleetObs(cfg FleetObsConfig) *fleetObs {
-	n := cfg.Cards
+func newFleetObs(n int) *fleetObs {
 	return &fleetObs{
-		cfg:       cfg,
 		tel:       make([]*telemetry.Registry, n),
 		ctel:      make([]*telemetry.Registry, n),
 		mon:       make([]*slo.Monitor, n),
@@ -313,7 +267,7 @@ func (o *fleetObs) reply(i int, cur int64) {
 	fc := o.f.cards[i]
 	at := fc.eng.Now()
 	if fc.sched.Crashed() {
-		o.f.toCtrl(i, func() { o.onDark(i) })
+		o.f.reps[0].fromCard(i, func() { o.onDark(i) })
 		return
 	}
 	raw, newest, lost := fc.rec.EventsSince(cur)
@@ -337,7 +291,7 @@ func (o *fleetObs) reply(i int, cur int64) {
 		}
 		fc.rec.Record(blackbox.Event{At: at, Kind: blackbox.KindRefusal,
 			A: cost, Note: "scrape shed"})
-		o.f.toCtrl(i, func() { o.onShed(i, cost) })
+		o.f.reps[0].fromCard(i, func() { o.onShed(i, cost) })
 		return
 	}
 	_ = bud.Charge(overload.ClassTelemetry, cost)
@@ -350,10 +304,10 @@ func (o *fleetObs) reply(i int, cur int64) {
 	for _, st := range o.homed[i] {
 		s.recvBytes += st.cl.RecvBytes
 	}
-	o.f.toCtrl(i, func() { o.onSample(i, s, newest) })
+	o.f.reps[0].fromCard(i, func() { o.onSample(i, s, newest) })
 }
 
-func (o *fleetObs) ctrlNow() sim.Time { return o.f.ctrlEng().Now() }
+func (o *fleetObs) ctrlNow() sim.Time { return o.f.reps[0].eng().Now() }
 
 // ctrlEvent drops one controller-local event on the timeline.
 func (o *fleetObs) ctrlEvent(kind string, stream int, seq int64, note string) {
@@ -383,7 +337,7 @@ func (o *fleetObs) onShed(i int, cost int64) {
 		o.dark[i] = false
 		o.ctrlEvent("scrape-recover", 0, 0, niName(i)+" answering again")
 	}
-	if o.rung[i] < o.cfg.MaxScrapeRung {
+	if o.rung[i] < o.f.cfg.MaxScrapeRung {
 		o.rung[i]++
 		if o.rung[i] > o.rungMax[i] {
 			o.rungMax[i] = o.rung[i]
@@ -486,7 +440,7 @@ func (o *fleetObs) abortMove(st *chaosStream, from, to int, seq int64, why strin
 // The charge never exceeds size (so it cannot breach), but past the high
 // water it makes every scrape reply — and nothing else — inadmissible.
 func (o *fleetObs) armStress() {
-	cfg := o.cfg
+	cfg := o.f.cfg
 	if cfg.StressPct <= 0 {
 		return
 	}
@@ -513,23 +467,10 @@ func (o *fleetObs) armStress() {
 
 // RunFleetObs builds the chaos fleet with the scrape plane attached, runs
 // it, and renders the observability artifacts alongside the chaos ones.
-func RunFleetObs(cfg FleetObsConfig) *FleetObsResult {
-	obs := runFleetObs(cfg)
-	defer obs.f.close()
-	return obs.collect()
-}
-
-// runFleetObs runs the observed chaos fleet to its end and leaves it settled
-// for collect; the caller closes it.
-func runFleetObs(cfg FleetObsConfig) *fleetObs {
-	cfg.setDefaults()
-	obs := newFleetObs(cfg)
-	f := buildFleetChaos(cfg.FleetChaosConfig, obs)
-	f.ctrlEng().Every(cfg.ScrapeEvery, obs.scrape)
-	obs.armStress()
-	f.runChaos()
-	f.collectChaos()
-	return obs
+func RunFleetObs(cfg FleetConfig) *FleetObsResult {
+	f := runFleetChaos(cfg, true)
+	defer f.close()
+	return f.obs.collect()
 }
 
 // collect renders the observability artifacts from the settled fleet.
@@ -578,7 +519,7 @@ func (o *fleetObs) collect() *FleetObsResult {
 		cards = append(cards, cs)
 	}
 	res.Rollup = fleetobs.RenderRollup(cards)
-	res.TopK = fleetobs.RenderTopK(pressures, o.cfg.TopK)
+	res.TopK = fleetobs.RenderTopK(pressures, o.f.cfg.TopK)
 	res.Timeline = o.tl.Render()
 
 	// Scrape accounting and the in-band overhead against media goodput.
@@ -587,7 +528,7 @@ func (o *fleetObs) collect() *FleetObsResult {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "in-band scrape accounting (base period %v, interval ×2 per shed)\n",
-		o.cfg.ScrapeEvery)
+		o.f.cfg.ScrapeEvery)
 	fmt.Fprintf(&b, "%-6s %6s %8s %6s %6s %6s %8s %6s %10s %8s\n",
 		"card", "reqs", "samples", "sheds", "skips", "dark", "events", "lost", "bytes", "rung_max")
 	var tot scrapeStat
@@ -654,11 +595,11 @@ func (o *fleetObs) collect() *FleetObsResult {
 	}
 	res.Stitched = sb.String()
 
-	res.ObsSummary = fmt.Sprintf(
+	res.Summary = fmt.Sprintf(
 		"fleet-obs: %d cards scraped every %v: reqs=%d samples=%d sheds=%d skips=%d dark=%d "+
 			"events=%d lost=%d degrades=%d restores=%d links=%d stitched_live=%d "+
 			"obs=%dB media=%dB overhead=%.3f%%",
-		len(f.cards), o.cfg.ScrapeEvery, tot.reqs, tot.samples, tot.sheds, tot.skips,
+		len(f.cards), o.f.cfg.ScrapeEvery, tot.reqs, tot.samples, tot.sheds, tot.skips,
 		tot.dark, tot.events, tot.lost, o.degrades, o.restores, len(o.links),
 		res.StitchedLive, res.ObsBytes, res.MediaBytes, overhead)
 	return res

@@ -9,12 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-func obsTestConfig() FleetObsConfig {
-	return FleetObsConfig{
-		FleetChaosConfig: FleetChaosConfig{
-			Cards: 8, StreamsPerCard: 2, Dur: 4 * sim.Second,
-		},
-	}
+func obsTestConfig() FleetConfig {
+	return FleetConfig{Cards: 8, StreamsPerCard: 2, Dur: 4 * sim.Second}
 }
 
 // obsArts lists every byte-compared observability artifact.
@@ -25,11 +21,13 @@ func obsArts(r *FleetObsResult) map[string]string {
 		"topk":     r.TopK,
 		"scrape":   r.ScrapeStats,
 		"stitched": r.Stitched,
-		"summary":  r.ObsSummary,
+		"summary":  r.Summary,
 		// The underlying chaos artifacts must stay deterministic too.
-		"chaos-miglog":  r.Chaos.MigLog,
-		"chaos-table":   r.Chaos.Table,
-		"chaos-summary": r.Chaos.Summary,
+		"chaos-miglog":   r.Chaos.MigLog,
+		"chaos-table":    r.Chaos.Table,
+		"chaos-summary":  r.Chaos.Summary,
+		"chaos-pulse":    r.Chaos.Pulse,
+		"chaos-recovery": r.Chaos.Recovery,
 	}
 }
 
@@ -144,7 +142,7 @@ func TestFleetObsShedsUnderPressureThenRestores(t *testing.T) {
 	if res.Breaches != 0 {
 		t.Fatalf("shedding must prevent breaches, got %d", res.Breaches)
 	}
-	if res.Chaos.TotalRecv == 0 {
+	if res.Chaos.Recv == 0 {
 		t.Fatalf("media stopped flowing under scrape pressure")
 	}
 	for _, want := range []string{"scrape-degrade", "scrape-restore", "scrape shed"} {
@@ -186,7 +184,7 @@ var benchStitched int
 func BenchmarkStitchCollect(b *testing.B) {
 	cfg := obsTestConfig()
 	cfg.Cards, cfg.Dur = 16, 10*sim.Second
-	obs := runFleetObs(cfg)
+	obs := runFleetChaos(cfg, true).obs
 	defer obs.f.close()
 	b.ReportAllocs()
 	b.ResetTimer()

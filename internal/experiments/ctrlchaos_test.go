@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -34,7 +35,7 @@ func parseSimTime(s string) (sim.Time, bool) {
 // (and logged), the journal traffic stays under the 2% overhead gate, and no
 // loss-window violation lands outside the padded outage windows.
 func TestCtrlChaosAcceptance(t *testing.T) {
-	a := RunCtrlChaos(CtrlChaosConfig{Workers: 2})
+	a := cluster.RunCtrlChaos(cluster.FleetConfig{Workers: 2})
 
 	if a.Takeovers < 1 {
 		t.Fatalf("no takeover happened:\n%s", a.HATimeline)
@@ -97,20 +98,12 @@ func TestCtrlChaosAcceptance(t *testing.T) {
 	}
 }
 
-// TestCtrlChaosDeterminism is the CI canary: monolithic, workers=1, and
-// workers=4 must render byte-identical artifacts, HA timeline included.
-func TestCtrlChaosDeterminism(t *testing.T) {
-	if err := CtrlChaosDeterminism(CtrlChaosConfig{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCtrlChaosWithoutControllerFaults proves the replicated control plane
 // is quiescent when healthy: with controller faults disabled the standby
 // never takes over, nothing is fenced, and the underlying chaos run still
 // recovers every stream.
 func TestCtrlChaosWithoutControllerFaults(t *testing.T) {
-	a := RunCtrlChaos(CtrlChaosConfig{Workers: 2, CtrlCrashes: -1, CtrlPartitions: -1})
+	a := cluster.RunCtrlChaos(cluster.FleetConfig{Workers: 2, CtrlCrashes: -1, CtrlPartitions: -1})
 	if a.Takeovers != 0 || a.FencedRejects != 0 {
 		t.Fatalf("healthy pair saw takeovers=%d fenced=%d:\n%s",
 			a.Takeovers, a.FencedRejects, a.HATimeline)

@@ -8,20 +8,11 @@ import (
 )
 
 // TestDiagnosticsDeterministicAndBudgeted is the tentpole acceptance test:
-// two identical chaos runs produce byte-identical incident dumps, and the
-// flight-recorder ring is charged to — and stays within — the card budget.
+// the chaos run fires its incident triggers, and the flight-recorder ring is
+// charged to — and stays within — the card budget. (That identical runs
+// produce byte-identical dumps is TestScenarios/slo.)
 func TestDiagnosticsDeterministicAndBudgeted(t *testing.T) {
-	cfg := DiagnosticsConfig{Dur: 8 * sim.Second}
-	a := RunDiagnostics(cfg)
-	b := RunDiagnostics(cfg)
-
-	if a.Incidents != b.Incidents {
-		t.Fatalf("incident dumps differ between identical runs:\n--- a ---\n%s\n--- b ---\n%s",
-			a.Incidents, b.Incidents)
-	}
-	if a.SLO != b.SLO || a.MetricsCSV != b.MetricsCSV || a.Summary != b.Summary {
-		t.Fatal("SLO table / metrics CSV / summary differ between identical runs")
-	}
+	a := RunDiagnostics(DiagnosticsConfig{Dur: 8 * sim.Second})
 
 	if a.Triggers == 0 {
 		t.Fatal("chaos run fired no incident triggers")

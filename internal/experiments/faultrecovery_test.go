@@ -61,32 +61,7 @@ func TestFaultRecoveryShape(t *testing.T) {
 	if len(fr.Log.Records) == 0 {
 		t.Fatal("chaos log empty; plan never fired")
 	}
-}
-
-// TestFaultRecoveryDeterminismAcrossWorkers is the determinism canary: the
-// same seed and chaos schedule must yield byte-identical reports whether
-// the runs execute sequentially or fanned across the worker pool.
-func TestFaultRecoveryDeterminismAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault-recovery runs in -short mode")
-	}
-	job := func() string {
-		return RunFaultRecovery(FaultConfig{Dur: 12 * sim.Second}).Result().String()
-	}
-	jobs := []func() string{job, job, job}
-
-	seq := CollectWith(Runner{Workers: 1}, jobs)
-	par := CollectWith(Runner{Workers: 3}, jobs)
-
-	for i := range jobs {
-		if seq[i] != seq[0] {
-			t.Fatalf("sequential run %d diverged from run 0:\n%s\nvs\n%s", i, seq[i], seq[0])
-		}
-		if par[i] != seq[i] {
-			t.Fatalf("parallel run %d diverged from sequential:\n%s\nvs\n%s", i, par[i], seq[i])
-		}
-	}
-	if !strings.Contains(seq[0], "chaos:") {
-		t.Fatalf("report missing the chaos log:\n%s", seq[0])
+	if report := fr.Result().String(); !strings.Contains(report, "chaos:") {
+		t.Fatalf("report missing the chaos log:\n%s", report)
 	}
 }

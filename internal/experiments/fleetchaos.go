@@ -1,10 +1,7 @@
-// Fleet-chaos experiment: correlated failure domains and live stream
-// migration on the partitioned fleet (cluster.RunFleetChaos), wrapped for
-// the artifact writers and the CI determinism canary. The canary extends
-// the fleet's byte-identical contract to chaos runs: the injected plan,
-// every migration decision the controller makes, and all rendered
-// artifacts must not depend on the worker count or on monolithic-vs-
-// partitioned execution.
+// The chaos fleet (internal/cluster) as the experiments layer sees it: the
+// observed run under the names the benchmark compiles against, and the
+// severity × fleet-size sweep. The artifact-writing runs themselves are rows
+// of the scenario table (scenarios.go).
 package experiments
 
 import (
@@ -12,99 +9,18 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/sim"
 )
 
-// FleetChaosConfig parameterizes the fleet-chaos experiment. Zero values
-// take the cluster-layer defaults (8 cards × 2 streams over 6 s, one fault
-// of each kind; see cluster.FleetChaosConfig).
-type FleetChaosConfig struct {
-	Cards          int
-	StreamsPerCard int
-	Dur            sim.Time
-	Workers        int
+// FleetObsConfig and FleetObsArtifacts are the cluster layer's own types:
+// one chaos-fleet configuration whose scrape-plane knobs RunFleetObs reads,
+// and that run's result.
+type (
+	FleetObsConfig    = cluster.FleetConfig
+	FleetObsArtifacts = cluster.FleetObsResult
+)
 
-	// Chaos severity: faults of each kind to draw. All three zero = one of
-	// each; negative = none of that kind.
-	HostCrashes   int
-	NetPartitions int
-	RollingDrains int
-	FaultSeed     int64
-}
-
-// FleetChaosArtifacts is everything one chaos run exports. Every string is
-// part of the byte-identical determinism contract; Rounds is not.
-type FleetChaosArtifacts struct {
-	Plan       string
-	Summary    string
-	Table      string
-	Pulse      string
-	MigLog     string
-	Recovery   string
-	Violations string
-	CSV        string
-
-	Live, Cold, Readds, Parked int
-	ViolDuring, ViolOutside    int64
-	Recv, Late                 int64
-	Rounds                     int64
-}
-
-func (cfg FleetChaosConfig) cluster() cluster.FleetChaosConfig {
-	return cluster.FleetChaosConfig{
-		Cards: cfg.Cards, StreamsPerCard: cfg.StreamsPerCard,
-		Dur: cfg.Dur, Workers: cfg.Workers,
-		HostCrashes: cfg.HostCrashes, NetPartitions: cfg.NetPartitions,
-		RollingDrains: cfg.RollingDrains, FaultSeed: cfg.FaultSeed,
-	}
-}
-
-func chaosArts(r *cluster.FleetChaosResult) *FleetChaosArtifacts {
-	return &FleetChaosArtifacts{
-		Plan: r.Plan, Summary: r.Summary, Table: r.Table, Pulse: r.Pulse,
-		MigLog: r.MigLog, Recovery: r.Recovery, Violations: r.Violations,
-		CSV:  r.CSV,
-		Live: r.LiveMigrations, Cold: r.ColdMigrations,
-		Readds: r.Readds, Parked: r.Parked,
-		ViolDuring: r.ViolDuring, ViolOutside: r.ViolOutside,
-		Recv: r.TotalRecv, Late: r.TotalLate, Rounds: r.Rounds,
-	}
-}
-
-// RunFleetChaos executes one chaos run on the partitioned fleet.
-func RunFleetChaos(cfg FleetChaosConfig) *FleetChaosArtifacts {
-	return chaosArts(cluster.RunFleetChaos(cfg.cluster()))
-}
-
-// FleetChaosDeterminism runs cfg monolithically, partitioned sequentially,
-// and partitioned with cfg.Workers, and returns an error naming the first
-// artifact that differs. nil means the chaos run kept the byte-identical
-// contract for this configuration.
-func FleetChaosDeterminism(cfg FleetChaosConfig) error {
-	run := func(workers int, mono bool) map[string]string {
-		c := cfg.cluster()
-		c.Workers, c.Monolithic = workers, mono
-		r := cluster.RunFleetChaos(c)
-		return map[string]string{
-			"plan": r.Plan, "summary": r.Summary, "table": r.Table,
-			"pulse": r.Pulse, "miglog": r.MigLog, "recovery": r.Recovery,
-			"violations": r.Violations, "csv": r.CSV,
-		}
-	}
-	arts := []string{"plan", "summary", "table", "pulse", "miglog", "recovery", "violations", "csv"}
-	ref := run(1, false)
-	for name, variant := range map[string]map[string]string{
-		"monolithic":                           run(0, true),
-		fmt.Sprintf("workers=%d", cfg.Workers): run(cfg.Workers, false),
-	} {
-		for _, art := range arts {
-			if variant[art] != ref[art] {
-				return fmt.Errorf("fleet-chaos determinism: %s artifact %q diverged from sequential partitioned run", name, art)
-			}
-		}
-	}
-	return nil
-}
+// RunFleetObs executes one observed chaos run on the partitioned fleet.
+func RunFleetObs(cfg FleetObsConfig) *FleetObsArtifacts { return cluster.RunFleetObs(cfg) }
 
 // FleetChaosSweep runs the chaos scenario across fault severity × fleet
 // size and renders a recovery table: how migration counts, recovery
@@ -127,19 +43,19 @@ func FleetChaosSweep(workers int) string {
 	}
 	for _, cards := range []int{8, 16} {
 		for _, sev := range severities {
-			a := RunFleetChaos(FleetChaosConfig{
+			r := cluster.RunFleetChaos(cluster.FleetConfig{
 				Cards: cards, Workers: workers,
 				HostCrashes: sev.crash, NetPartitions: sev.part, RollingDrains: sev.drain,
 			})
-			moved := a.Live + a.Cold
-			attempted := moved + a.Readds + a.Parked
+			moved := r.LiveMigrations + r.ColdMigrations
+			attempted := moved + r.Readds + r.Parked
 			resumed := 100.0
 			if attempted > 0 {
 				resumed = 100 * float64(moved) / float64(attempted)
 			}
 			fmt.Fprintf(&b, "%-8d %-22s %6d %6d %6d %6d %7.0f%% %10d %11d %8d\n",
-				cards, sev.name, a.Live, a.Cold, a.Readds, a.Parked,
-				resumed, a.ViolDuring, a.ViolOutside, a.Recv)
+				cards, sev.name, r.LiveMigrations, r.ColdMigrations, r.Readds, r.Parked,
+				resumed, r.ViolDuring, r.ViolOutside, r.Recv)
 		}
 	}
 	return b.String()

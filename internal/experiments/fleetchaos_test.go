@@ -3,16 +3,27 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/sim"
 )
 
-func TestFleetChaosDeterminismCanary(t *testing.T) {
-	if err := FleetChaosDeterminism(FleetChaosConfig{Workers: 4}); err != nil {
-		t.Fatal(err)
+func TestRunFleetArtifacts(t *testing.T) {
+	a := cluster.RunFleet(cluster.FleetConfig{Cards: 2, StreamsPerCard: 1, Dur: 600 * sim.Millisecond, Workers: 2})
+	for name, s := range map[string]string{
+		"summary": a.Summary, "table": a.Table, "pulse": a.Pulse, "csv": a.CSV,
+	} {
+		if s == "" {
+			t.Fatalf("empty %s artifact", name)
+		}
+	}
+	if a.TotalRecv == 0 {
+		t.Fatalf("no media delivered: %s", a.Summary)
 	}
 }
 
 func TestRunFleetChaosArtifacts(t *testing.T) {
-	a := RunFleetChaos(FleetChaosConfig{Workers: 1})
+	a := cluster.RunFleetChaos(cluster.FleetConfig{Workers: 1})
 	for name, s := range map[string]string{
 		"plan": a.Plan, "summary": a.Summary, "table": a.Table, "pulse": a.Pulse,
 		"miglog": a.MigLog, "recovery": a.Recovery, "violations": a.Violations,
@@ -25,7 +36,7 @@ func TestRunFleetChaosArtifacts(t *testing.T) {
 	if a.Recv == 0 {
 		t.Fatalf("no media delivered: %s", a.Summary)
 	}
-	if a.Live+a.Cold == 0 {
+	if a.LiveMigrations+a.ColdMigrations == 0 {
 		t.Fatalf("chaos displaced no streams: %s", a.Summary)
 	}
 	if a.ViolOutside != 0 {

@@ -6,12 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestFleetObsDeterminismCanary(t *testing.T) {
-	if err := FleetObsDeterminism(FleetObsConfig{Workers: 4, Dur: 4 * sim.Second}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunFleetObsArtifacts(t *testing.T) {
 	a := RunFleetObs(FleetObsConfig{Workers: 1, Dur: 4 * sim.Second})
 	for name, s := range map[string]string{
@@ -22,7 +16,7 @@ func TestRunFleetObsArtifacts(t *testing.T) {
 			t.Fatalf("empty %s artifact", name)
 		}
 	}
-	if a.Samples == 0 || a.ObsBytes == 0 {
+	if a.ScrapeSamples == 0 || a.ObsBytes == 0 {
 		t.Fatalf("scrape plane moved no data: %s", a.Summary)
 	}
 	if a.Breaches != 0 {

@@ -12,30 +12,6 @@ import (
 // budget ceiling and the ladder's revoke rung in its heaviest cells.
 var overloadTestConfig = OverloadConfig{Dur: 10 * sim.Second}
 
-// TestOverloadDeterminism is the canary: the same sweep executed serially and
-// on a 4-worker pool must produce byte-identical artifacts — the property the
-// CI overload step enforces end to end through reprogen.
-func TestOverloadDeterminism(t *testing.T) {
-	serial := overloadTestConfig
-	serial.Workers = 1
-	parallel := overloadTestConfig
-	parallel.Workers = 4
-	a := RunOverload(serial)
-	b := RunOverload(parallel)
-	if a.Ladder != b.Ladder {
-		t.Errorf("ladder summary differs between worker counts:\n%s\nvs\n%s", a.Ladder, b.Ladder)
-	}
-	if a.CSV != b.CSV {
-		t.Error("grid CSV differs between worker counts")
-	}
-	if a.Summary != b.Summary {
-		t.Error("summary differs between worker counts")
-	}
-	if a.Table.String() != b.Table.String() {
-		t.Error("claim table differs between worker counts")
-	}
-}
-
 // TestOverloadClaim asserts the claim-4 shape: the protected NI never
 // breaches its budget and keeps accounted bytes bounded in every cell, while
 // the host baseline's backlog grows far past the card's entire memory.

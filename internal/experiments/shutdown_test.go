@@ -26,14 +26,14 @@ func TestRunsLeaveNoGoroutines(t *testing.T) {
 		{"RunTable5", func() { RunTable5() }},
 		{"RunHeadline", func() { RunHeadline() }},
 		{"RunStreamScaling", func() { RunStreamScaling([]int{4, 16}) }},
-		{"RunFaultRecovery", func() { RunFaultRecovery(FaultConfig{Dur: 12 * sim.Second}) }},
-		{"RunTelemetry", func() { RunTelemetry(TelemetryConfig{Dur: dur}) }},
-		{"RunDiagnostics", func() { RunDiagnostics(DiagnosticsConfig{Dur: 8 * sim.Second}) }},
-		{"RunOverload", func() { RunOverload(OverloadConfig{Dur: dur}) }},
-		{"RunFleet", func() { RunFleet(FleetConfig{Cards: 3, StreamsPerCard: 1, Dur: dur, Workers: 4}) }},
-		{"RunFleetChaos", func() { RunFleetChaos(FleetChaosConfig{Workers: 4, Dur: dur}) }},
-		{"RunFleetObs", func() { RunFleetObs(FleetObsConfig{Workers: 4, Dur: dur}) }},
-		{"RunCtrlChaos", func() { RunCtrlChaos(CtrlChaosConfig{Workers: 4, Dur: dur}) }},
+	}
+	for _, s := range Scenarios {
+		cfg := s.Pinned
+		cfg.Workers = 4
+		runs = append(runs, struct {
+			name string
+			run  func()
+		}{"scenario " + s.Name, func() { s.Run(cfg) }})
 	}
 	before := runtime.NumGoroutine()
 	for _, r := range runs {

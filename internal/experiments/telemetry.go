@@ -150,27 +150,33 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 	prof, meterCycles, model := profiledMicrobench()
 	mb := RunMicrobench(cpu.FixedPoint, true, nic.StoreDRAM)
 
+	a := registryArtifacts(reg)
+	a.CycleTable = prof.Table(model)
+	a.ProfiledCycles = prof.Total()
+	a.MeteredCycles = meterCycles
+	a.ProfiledTime = model.Duration(prof.Total())
+	a.BenchTotal = mb.TotalSched
+	a.Summary = a.summarize(cfg)
+	return a
+}
+
+// registryArtifacts renders what any instrumented run exports from its
+// registry: the standard-format dumps and the registry's own counts.
+func registryArtifacts(reg *telemetry.Registry) *TelemetryArtifacts {
 	traceJSON, err := telemetry.MarshalChrome(reg.Spans.ChromeEvents())
 	if err != nil {
 		panic(err)
 	}
-	a := &TelemetryArtifacts{
-		TraceJSON:      traceJSON,
-		Prom:           reg.PrometheusText(),
-		CSV:            reg.SnapshotsCSV(),
-		StageTable:     reg.Spans.StageTable(),
-		Folded:         reg.Spans.Folded(),
-		CycleTable:     prof.Table(model),
-		Components:     reg.Components(),
-		SpanCount:      reg.Spans.Len(),
-		Snapshots:      reg.Snapshots(),
-		ProfiledCycles: prof.Total(),
-		MeteredCycles:  meterCycles,
-		ProfiledTime:   model.Duration(prof.Total()),
-		BenchTotal:     mb.TotalSched,
+	return &TelemetryArtifacts{
+		TraceJSON:  traceJSON,
+		Prom:       reg.PrometheusText(),
+		CSV:        reg.SnapshotsCSV(),
+		StageTable: reg.Spans.StageTable(),
+		Folded:     reg.Spans.Folded(),
+		Components: reg.Components(),
+		SpanCount:  reg.Spans.Len(),
+		Snapshots:  reg.Snapshots(),
 	}
-	a.Summary = a.summarize(cfg)
-	return a
 }
 
 // newTelemetryCluster builds the single-node cluster the demonstration

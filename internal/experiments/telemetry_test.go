@@ -12,40 +12,6 @@ import (
 // telemetryTestConfig keeps the instrumented run short for tests.
 var telemetryTestConfig = TelemetryConfig{Dur: 5 * sim.Second, Streams: 2}
 
-// TestTelemetryDeterminism is the canary: the same run executed serially and
-// on a parallel pool must produce byte-identical artifacts.
-func TestTelemetryDeterminism(t *testing.T) {
-	job := func() *TelemetryArtifacts { return RunTelemetry(telemetryTestConfig) }
-	serial := CollectWith(Runner{Workers: 1}, []func() *TelemetryArtifacts{job})
-	parallel := CollectWith(Runner{Workers: 4},
-		[]func() *TelemetryArtifacts{job, job, job, job})
-
-	want := serial[0]
-	for i, got := range parallel {
-		if !bytes.Equal(got.TraceJSON, want.TraceJSON) {
-			t.Errorf("run %d: trace JSON differs from serial run", i)
-		}
-		if got.Prom != want.Prom {
-			t.Errorf("run %d: Prometheus text differs", i)
-		}
-		if got.CSV != want.CSV {
-			t.Errorf("run %d: snapshot CSV differs", i)
-		}
-		if got.StageTable != want.StageTable {
-			t.Errorf("run %d: stage table differs", i)
-		}
-		if got.Folded != want.Folded {
-			t.Errorf("run %d: folded stacks differ", i)
-		}
-		if got.CycleTable != want.CycleTable {
-			t.Errorf("run %d: cycle table differs", i)
-		}
-		if got.Summary != want.Summary {
-			t.Errorf("run %d: summary differs", i)
-		}
-	}
-}
-
 // TestTelemetryComponents asserts every instrumented substrate shows up.
 func TestTelemetryComponents(t *testing.T) {
 	a := RunTelemetry(telemetryTestConfig)
