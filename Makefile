@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test race fuzz bench repro telemetry slo perfgate soak conformance dwcsd-profile build clean
+.PHONY: all test race cross fuzz bench repro telemetry slo perfgate soak conformance dwcsd-profile build clean
 
 all: build test
 
@@ -14,6 +14,14 @@ test:
 # detector is the canary for any shared state leaking between runs.
 race:
 	$(GO) test -race ./...
+
+# dwcsd sends a frame per syscall on Linux only (segment_linux.go); every
+# other system runs the per-datagram writer, which no Linux test builds.
+# Cross-compiling and vetting one of them keeps it from rotting. Offline:
+# the standard library is all it needs.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./cmd/dwcsd
 
 # Ten seconds of each native fuzz target on the wire framing a hostile
 # sender can reach (go test -fuzz takes one target per run). The seed corpus

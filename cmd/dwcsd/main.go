@@ -319,7 +319,7 @@ func newSenderPacer(clk clock, w io.Writer, stop <-chan struct{}, o *obs, nStrea
 	}
 
 	clip := mpeg.GenerateDefault()
-	p = newPacer(clk, w, stop, o, period, dwcs.Scan)
+	p = newPacer(clk, w, stop, o, period)
 	p.payload = mpeg.Encode(clip, 1960)
 	p.frame = func(n int64) (bytes, offset int64) {
 		f := clip.Frames[n%int64(len(clip.Frames))]

@@ -10,7 +10,9 @@ package main
 
 import (
 	"container/heap"
+	"errors"
 	"io"
+	"syscall"
 	"time"
 
 	"repro/internal/blackbox"
@@ -87,6 +89,38 @@ func (h *sourceHeap) Pop() any {
 	return s
 }
 
+// segmentLen is the wire size of every datagram of a frame but the last.
+const segmentLen = proto.MediaHeaderLen + proto.MaxMediaPayload
+
+// segmentWriter puts one frame on the wire: b holds its datagrams back to
+// back, each seg bytes long except possibly the last. newSegmentWriter picks
+// the platform's: one sendmsg per frame on Linux, datagramWriter elsewhere.
+type segmentWriter interface {
+	writeSegments(b []byte, seg int) error
+}
+
+// datagramWriter is the portable segmentWriter: one Write per datagram.
+type datagramWriter struct{ w io.Writer }
+
+func (d datagramWriter) writeSegments(b []byte, seg int) error {
+	for {
+		n := min(seg, len(b))
+		if _, err := d.w.Write(b[:n]); err != nil {
+			return err
+		}
+		if b = b[n:]; len(b) == 0 {
+			return nil
+		}
+	}
+}
+
+// transientSendError reports a send failure that says nothing about the next
+// send: a receiver that is restarting (the ICMP port-unreachable a connected
+// UDP socket reports once) or a queue that is full right now.
+func transientSendError(err error) bool {
+	return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.EAGAIN)
+}
+
 // paceKind says what a batched observation records.
 type paceKind uint8
 
@@ -94,6 +128,7 @@ const (
 	paceSent    paceKind = iota // frame written to the wire
 	paceDropped                 // frame dropped by the scheduler, deadline passed
 	paceRefused                 // hand-over bounced off a full ring
+	paceUnsent                  // frame lost to a transient send error
 )
 
 // paceEvent is one thing the pacer saw happen to a frame, kept until the
@@ -104,6 +139,7 @@ type paceEvent struct {
 	seq, bytes int64
 	enq, start sim.Time // sent: when it was enqueued, when its write began
 	at         sim.Time // when it finished (sent) or was noticed
+	err        error    // unsent: the error, on the first frame of a failing run only
 }
 
 const (
@@ -122,7 +158,7 @@ const (
 // what flush and control do under obs.mu.
 type pacer struct {
 	clk   clock
-	w     io.Writer // one Write per datagram
+	w     segmentWriter // one writeSegments per frame
 	stop  <-chan struct{}
 	obs   *obs
 	sched *dwcs.Scheduler
@@ -143,20 +179,26 @@ type pacer struct {
 
 	sources sourceHeap
 	batch   []paceEvent
-	dgram   []byte
+	wire    []byte   // the frame being sent, as its datagrams back to back
 	tickDue sim.Time // next snapshot or SLO evaluation
+
+	sendErrs *telemetry.Counter
+	failing  bool // the last send failed: the next failure is the same episode
 }
 
 // newPacer builds a pacer and its scheduler: paced DWCS on clk in which a
-// frame becomes eligible a quarter period before its deadline.
-func newPacer(clk clock, w io.Writer, stop <-chan struct{}, o *obs, period sim.Time, sel dwcs.SelectorKind) *pacer {
+// frame becomes eligible a quarter period before its deadline, chosen by the
+// Heaps eligibility index — a decision costs O(log streams) at any scale.
+func newPacer(clk clock, w io.Writer, stop <-chan struct{}, o *obs, period sim.Time) *pacer {
 	early := period / 4
 	return &pacer{
-		clk: clk, w: w, stop: stop, obs: o, period: period, early: early,
-		sched:      dwcs.New(dwcs.Config{Now: clk.Now, Selector: sel, EligibleEarly: early}),
+		clk: clk, w: newSegmentWriter(w), stop: stop, obs: o, period: period, early: early,
+		sched:      dwcs.New(dwcs.Config{Now: clk.Now, Selector: dwcs.Heaps, EligibleEarly: early}),
 		controlDue: never,
 		batch:      make([]paceEvent, 0, 4*batchFlush),
-		dgram:      make([]byte, 0, proto.MediaHeaderLen+proto.MaxMediaPayload),
+		wire:       make([]byte, 0, 4*segmentLen),
+		sendErrs: o.reg.Counter("dwcsd", "send_errors_total",
+			"frames lost to a transient send error (ECONNREFUSED, ENOBUFS, EAGAIN)"),
 	}
 }
 
@@ -213,20 +255,34 @@ func (p *pacer) handOver(at, horizon sim.Time) {
 	}
 }
 
-// emit fragments one dispatched frame into the reused datagram buffer,
-// writes it out and notes the two spans' worth of timestamps.
-func (p *pacer) emit(pkt *dwcs.Packet) error {
+// emit fragments one dispatched frame into the reused wire buffer, hands it
+// to the writer whole and notes the two spans' worth of timestamps. A
+// transient send error loses the frame, not the run: it is noted and pacing
+// goes on.
+func (p *pacer) emit(pkt *dwcs.Packet) (sent bool, err error) {
 	start := p.clk.Now()
 	frame := p.payload[pkt.Offset : pkt.Offset+pkt.Bytes]
+	p.wire = p.wire[:0]
 	for off := 0; off == 0 || off < len(frame); off += proto.MaxMediaPayload {
-		p.dgram = proto.AppendFragment(p.dgram[:0], uint32(pkt.StreamID), uint32(pkt.Seq), frame, off)
-		if _, err := p.w.Write(p.dgram); err != nil {
-			return err
-		}
+		p.wire = proto.AppendFragment(p.wire, uint32(pkt.StreamID), uint32(pkt.Seq), frame, off)
 	}
-	p.batch = append(p.batch, paceEvent{kind: paceSent, stream: pkt.StreamID, seq: pkt.Seq,
-		bytes: pkt.Bytes, enq: pkt.Enqueued, start: start, at: p.clk.Now()})
-	return nil
+	err = p.w.writeSegments(p.wire, segmentLen)
+	e := paceEvent{kind: paceSent, stream: pkt.StreamID, seq: pkt.Seq,
+		bytes: pkt.Bytes, enq: pkt.Enqueued, start: start, at: p.clk.Now()}
+	switch {
+	case err == nil:
+		p.failing = false
+	case transientSendError(err):
+		e.kind = paceUnsent
+		if !p.failing {
+			e.err = err
+		}
+		p.failing = true
+	default:
+		return false, err
+	}
+	p.batch = append(p.batch, e)
+	return err == nil, nil
 }
 
 // flush moves the batch into the registry and the flight recorder, in the
@@ -245,6 +301,12 @@ func (p *pacer) flush() {
 		case paceRefused:
 			o.rec.Record(blackbox.Event{At: e.at, Kind: blackbox.KindRefusal,
 				Stream: e.stream, A: e.bytes, Note: "ring full"})
+		case paceUnsent:
+			p.sendErrs.Inc()
+			if e.err != nil {
+				o.rec.Record(blackbox.Event{At: e.at, Kind: blackbox.KindFault,
+					Stream: e.stream, Seq: e.seq, A: e.bytes, Note: "send: " + e.err.Error()})
+			}
 		}
 		p.account(e)
 	}
@@ -312,10 +374,13 @@ func (p *pacer) loop(until sim.Time, draining bool) (sent int, err error) {
 				seq: dp.Seq, bytes: dp.Bytes, at: at})
 		}
 		if d.Packet != nil {
-			if err := p.emit(d.Packet); err != nil {
+			ok, err := p.emit(d.Packet)
+			if err != nil {
 				return sent, err
 			}
-			sent++
+			if ok {
+				sent++
+			}
 			// More frames may be eligible right now: take the lock only
 			// if nobody has it.
 			if len(p.batch) >= batchFlush || at >= p.tickDue {

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"errors"
 	"io"
+	"net"
+	"os"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -279,25 +283,110 @@ func TestPacerDoesNotWaitForObsLockInBurst(t *testing.T) {
 	}
 }
 
-// (e) The steady-state emit path — fragment, write, batch append —
-// allocates nothing.
-func TestPacerEmitDoesNotAllocate(t *testing.T) {
-	clk := &vclock{}
-	p, _, _, err := newSenderPacer(clk, io.Discard, nil, newObs("dwcsd", ""), 1, testPeriod)
+// countingSegWriter counts writeSegments calls and checks each is a whole
+// frame; fail, if set, decides what a call returns.
+type countingSegWriter struct {
+	t     *testing.T
+	calls int
+	fail  func(call int) error
+}
+
+func (w *countingSegWriter) writeSegments(b []byte, seg int) error {
+	w.calls++
+	h, _, err := proto.UnmarshalMedia(b[:min(seg, len(b))])
 	if err != nil {
-		t.Fatal(err)
+		w.t.Fatalf("call %d: %v", w.calls, err)
 	}
-	pkt := &dwcs.Packet{StreamID: 0, Seq: 7, Bytes: 5000, Offset: 100}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := p.emit(pkt); err != nil {
+	if frags := max(1, (int(h.FrameSize)+proto.MaxMediaPayload-1)/proto.MaxMediaPayload); seg != segmentLen ||
+		len(b) != int(h.FrameSize)+frags*proto.MediaHeaderLen {
+		w.t.Fatalf("call %d: %d bytes in segments of %d for a %d-byte frame", w.calls, len(b), seg, h.FrameSize)
+	}
+	if w.fail != nil {
+		return w.fail(w.calls)
+	}
+	return nil
+}
+
+// (e) The steady-state emit path — fragment, write, batch append — hands the
+// writer each frame whole in exactly one call and allocates nothing, on the
+// per-datagram writer too.
+func TestPacerEmitDoesNotAllocate(t *testing.T) {
+	for _, w := range []segmentWriter{&countingSegWriter{t: t}, datagramWriter{io.Discard}} {
+		p, _, _, err := newSenderPacer(&vclock{}, io.Discard, nil, newObs("dwcsd", ""), 1, testPeriod)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.batch) == cap(p.batch) {
-			p.batch = p.batch[:0] // what a flush leaves behind
+		p.w = w
+		pkt := &dwcs.Packet{StreamID: 0, Seq: 7, Bytes: 5000, Offset: 100}
+		frames := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if sent, err := p.emit(pkt); err != nil || !sent {
+				t.Fatal(sent, err)
+			}
+			frames++
+			if len(p.batch) == cap(p.batch) {
+				p.batch = p.batch[:0] // what a flush leaves behind
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%T: emit allocates %.0f times per frame, want 0", w, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("emit allocates %.0f times per frame, want 0", allocs)
+		if c, ok := w.(*countingSegWriter); ok && c.calls != frames {
+			t.Fatalf("%d writeSegments calls for %d frames", c.calls, frames)
+		}
+	}
+}
+
+// A transient send error costs the frame it hit and nothing else: the run
+// goes on pacing, send_errors_total counts each lost frame, the flight
+// recorder gets one event per run of failures. Any other error ends the run.
+func TestPacerSurvivesTransientSendErrors(t *testing.T) {
+	const streams, bursts = 4, 6
+	for _, errno := range []syscall.Errno{syscall.ECONNREFUSED, syscall.ENOBUFS, syscall.EAGAIN} {
+		r := newSenderRig(t, streams)
+		// Frames 3–5 fail (one episode), frame 9 fails (a second).
+		w := &countingSegWriter{t: t, fail: func(call int) error {
+			if call >= 3 && call <= 5 || call == 9 {
+				return &net.OpError{Op: "write", Net: "udp", Err: os.NewSyscallError("sendmsg", errno)}
+			}
+			return nil
+		}}
+		r.p.w = w
+		if err := r.p.run(bursts * testPeriod); err != nil {
+			t.Fatalf("%v ended the run: %v", errno, err)
+		}
+		if w.calls != streams*bursts {
+			t.Fatalf("%v: %d frames attempted, want %d", errno, w.calls, streams*bursts)
+		}
+		if got := r.sent.Value(); got != streams*bursts-4 {
+			t.Fatalf("%v: sent counter %d, want %d", errno, got, streams*bursts-4)
+		}
+		if got := r.p.sendErrs.Value(); got != 4 {
+			t.Fatalf("%v: send_errors_total = %d, want 4", errno, got)
+		}
+		faults := 0
+		for _, e := range r.o.rec.Events() {
+			if e.Kind == blackbox.KindFault {
+				faults++
+				if !strings.Contains(e.Note, errno.Error()) {
+					t.Fatalf("fault note %q does not name %v", e.Note, errno)
+				}
+			}
+		}
+		if faults != 2 {
+			t.Fatalf("%v: %d recorder events for 2 episodes", errno, faults)
+		}
+	}
+
+	r := newSenderRig(t, streams)
+	r.p.w = &countingSegWriter{t: t, fail: func(call int) error {
+		if call == 3 {
+			return &net.OpError{Op: "write", Net: "udp", Err: os.NewSyscallError("sendmsg", syscall.EPERM)}
+		}
+		return nil
+	}}
+	if err := r.p.run(bursts * testPeriod); !errors.Is(err, syscall.EPERM) {
+		t.Fatalf("run returned %v, want the EPERM", err)
 	}
 }
 

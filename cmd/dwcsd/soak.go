@@ -190,9 +190,7 @@ func soakRun(cfg soakConfig, lc *lifecycle, out io.Writer) (err error) {
 	if cfg.Throttle > 0 {
 		w = stallWriter{conn, cfg.Throttle}
 	}
-	// Heaps is the selector built for this scale: best-packet selection
-	// stays O(log n) across thousands of streams.
-	p := newPacer(o.clk, w, lc.stop, o, period, dwcs.Heaps)
+	p := newPacer(o.clk, w, lc.stop, o, period)
 	sched := p.sched
 
 	sessions, plan := soakPlan(cfg)

@@ -181,9 +181,11 @@ type stream struct {
 	seq   int64
 	stats StreamStats
 
-	heapIdx int   // position in the heap selector, -1 if absent
-	listIdx int   // position in the sorted-list selector, -1 if absent
-	calKey  int64 // calendar bucket key, noBucket if absent
+	heap    *streamHeap // heap of the Heaps selector holding the stream, nil if none
+	heapIdx int         // position in it
+	eligAt  sim.Time    // paced Heaps: when the head becomes eligible
+	listIdx int         // position in the sorted-list selector, -1 if absent
+	calKey  int64       // calendar bucket key, noBucket if absent
 
 	paused   bool
 	pausedAt sim.Time
@@ -258,7 +260,8 @@ type Scheduler struct {
 	free    []uint32
 
 	sel    selector
-	rrNext int // round-robin cursor for DequeueFCFS
+	index  *heapSelector // sel when it is the paced eligibility index (paced Heaps), else nil
+	rrNext int           // round-robin cursor for DequeueFCFS
 
 	// missWM is the deadline watermark for the lazy miss scan: a lower
 	// bound on the earliest deadline any unmissed, unpaused head-of-line
@@ -311,7 +314,11 @@ func New(cfg Config) *Scheduler {
 	}
 	switch cfg.Selector {
 	case Heaps:
-		s.sel = &heapSelector{}
+		hs := &heapSelector{pending: streamHeap{byEligibility: true}}
+		s.sel = hs
+		if !cfg.WorkConserving {
+			s.index = hs
+		}
 	case SortedList:
 		s.sel = &listSelector{}
 	case Calendar:
@@ -363,20 +370,6 @@ func (scanSelector) best(s *Scheduler) (*stream, *Packet) {
 	return bestSt, bestP
 }
 
-// heapSelector adapts streamHeap to the selector interface.
-type heapSelector struct {
-	h streamHeap
-}
-
-func (hs *heapSelector) add(s *Scheduler, st *stream) { hs.h.push(s, st) }
-func (hs *heapSelector) remove(s *Scheduler, st *stream) {
-	if st.heapIdx >= 0 {
-		hs.h.remove(s, st)
-	}
-}
-func (hs *heapSelector) fix(s *Scheduler, st *stream)         { hs.h.fix(s, st) }
-func (hs *heapSelector) best(s *Scheduler) (*stream, *Packet) { return hs.h.best(s) }
-
 // AddStream registers a stream. The zero-value Loss means 0/1: no losses
 // allowed.
 func (s *Scheduler) AddStream(spec StreamSpec) error {
@@ -398,7 +391,6 @@ func (s *Scheduler) AddStream(spec StreamSpec) error {
 		y:       y,
 		cx:      loss.Num,
 		cy:      y,
-		heapIdx: -1,
 		listIdx: -1,
 		calKey:  noBucket,
 	}
@@ -620,7 +612,11 @@ func (s *Scheduler) Enqueue(id int, p Packet) error {
 	st.seq++
 	st.stats.Enqueued++
 	s.queuedBytes += p.Bytes
-	s.sel.fix(s, st)
+	if wasEmpty || s.index == nil {
+		// The paced index files a stream by its head alone; a packet
+		// queued behind one changes nothing it keeps.
+		s.sel.fix(s, st)
+	}
 	return nil
 }
 
@@ -724,9 +720,10 @@ func (s *Scheduler) eligibleAt(p *Packet) sim.Time {
 
 // selectEligible returns the precedence winner among heads already eligible
 // at now. When no head is eligible it returns the earliest upcoming
-// eligibility instead (0 if nothing is queued). Paced selection always
-// walks the streams (the embedded NI implementation is a paced scan); the
-// structured selectors serve the work-conserving benchmarks.
+// eligibility instead (0 if nothing is queued). This is the paced walk of
+// the embedded NI implementation, which Scan keeps at its pinned charges
+// (as do SortedList and Calendar, whose structures serve the work-conserving
+// benchmarks); paced Heaps answers from its eligibility index instead.
 func (s *Scheduler) selectEligible(now sim.Time) (*stream, *Packet, sim.Time) {
 	var bestSt *stream
 	var bestP *Packet
@@ -1106,7 +1103,11 @@ func (s *Scheduler) Schedule() Decision {
 		// priority head's deadline expire unserved, so when nothing is
 		// eligible the wakeup is the earliest eligibility across streams.
 		var wait sim.Time
-		st, p, wait = s.selectEligible(now)
+		if s.index != nil {
+			st, p, wait = s.index.eligible(s, now)
+		} else {
+			st, p, wait = s.selectEligible(now)
+		}
 		if st == nil {
 			d.WaitUntil = wait
 			return d

@@ -1,10 +1,14 @@
 package dwcs
 
-// streamHeap is the Heaps selector: a binary min-heap of streams ordered by
-// the full precedence comparator applied to their head-of-line packets —
-// the Figure 4(a) structure (the paper splits it into a loss-tolerance heap
-// and a deadline heap; because the precedence rules form one lexicographic
-// total order, a single heap keyed on that order selects identically).
+import "repro/internal/sim"
+
+// streamHeap is a binary min-heap of streams, position-indexed through
+// stream.heapIdx so any member can be fixed or removed in O(log n). The
+// Heaps selector orders it by the full precedence comparator applied to
+// head-of-line packets — the Figure 4(a) structure (the paper splits it into
+// a loss-tolerance heap and a deadline heap; because the precedence rules
+// form one lexicographic total order, a single heap keyed on that order
+// selects identically).
 //
 // Streams with empty rings order after every stream with a queued packet,
 // so the heap top is the winner whenever any packet is queued. Whenever a
@@ -13,11 +17,18 @@ package dwcs
 // meter exactly as the linear scan's comparisons do.
 type streamHeap struct {
 	items []*stream
+	// byEligibility orders by stream.eligAt instead of precedence: the
+	// paced index's heap of heads still waiting for their instant.
+	byEligibility bool
 }
 
 // less orders item i before item j, charging the scheduler's meter.
 func (h *streamHeap) less(s *Scheduler, i, j int) bool {
 	s.meter.Branch(1)
+	if h.byEligibility {
+		s.meter.Int(1)
+		return h.items[i].eligAt < h.items[j].eligAt
+	}
 	s.meter.Frac(1) // encode the pair's priority values
 	pi := h.items[i].headPacket(s)
 	pj := h.items[j].headPacket(s)
@@ -68,7 +79,7 @@ func (h *streamHeap) down(s *Scheduler, i int) {
 
 // push inserts st.
 func (h *streamHeap) push(s *Scheduler, st *stream) {
-	st.heapIdx = len(h.items)
+	st.heap, st.heapIdx = h, len(h.items)
 	h.items = append(h.items, st)
 	h.up(s, st.heapIdx)
 }
@@ -76,7 +87,7 @@ func (h *streamHeap) push(s *Scheduler, st *stream) {
 // fix restores the invariant after st's key (head packet or window)
 // changed.
 func (h *streamHeap) fix(s *Scheduler, st *stream) {
-	if st.heapIdx < 0 {
+	if st.heap == nil {
 		h.push(s, st)
 		return
 	}
@@ -95,7 +106,7 @@ func (h *streamHeap) remove(s *Scheduler, st *stream) {
 		h.swap(i, last)
 	}
 	h.items = h.items[:last]
-	st.heapIdx = -1
+	st.heap = nil
 	if i < last {
 		moved := h.items[i]
 		h.down(s, i)
@@ -117,4 +128,75 @@ func (h *streamHeap) best(s *Scheduler) (*stream, *Packet) {
 		return nil, nil
 	}
 	return st, p
+}
+
+// heapSelector is the Heaps schedule representation. Work-conserving, it is
+// one precedence heap over every stream. Paced, it is an eligibility index
+// of two heaps: ready holds the streams whose head is eligible, in
+// precedence order; pending holds the streams whose head is not yet, by the
+// instant it will be. A stream with a head is in exactly one of the two, a
+// stream without one (empty or paused) in neither, so a decision costs the
+// promotions that have come due plus one precedence-heap update instead of
+// a walk over every stream. The index relies on Config.Now never going
+// backwards: a head, once eligible, stays eligible until it changes.
+type heapSelector struct {
+	ready   streamHeap
+	pending streamHeap
+	seen    sim.Time // latest decision time: every ready head has eligAt ≤ seen
+}
+
+func (hs *heapSelector) add(s *Scheduler, st *stream) { hs.fix(s, st) }
+
+func (hs *heapSelector) remove(s *Scheduler, st *stream) {
+	if st.heap != nil {
+		st.heap.remove(s, st)
+	}
+}
+
+// fix re-files st after its head or window changed.
+func (hs *heapSelector) fix(s *Scheduler, st *stream) {
+	dst := &hs.ready
+	if s.index != nil {
+		p := st.headPacket(s)
+		if p == nil {
+			hs.remove(s, st)
+			return
+		}
+		s.meter.Int(2)
+		s.meter.Branch(1)
+		if st.eligAt = s.eligibleAt(p); st.eligAt > hs.seen {
+			dst = &hs.pending
+		}
+		if st.heap != dst {
+			hs.remove(s, st)
+		}
+	}
+	dst.fix(s, st)
+}
+
+func (hs *heapSelector) best(s *Scheduler) (*stream, *Packet) { return hs.ready.best(s) }
+
+// eligible is the paced decision: promote every head whose instant has
+// come, then take the precedence winner among the ready. With nothing ready
+// it returns the earliest pending instant instead (0 if nothing is queued),
+// as selectEligible does.
+func (hs *heapSelector) eligible(s *Scheduler, now sim.Time) (*stream, *Packet, sim.Time) {
+	hs.seen = max(hs.seen, now)
+	for len(hs.pending.items) > 0 {
+		st := hs.pending.items[0]
+		s.meter.Int(1)
+		s.meter.Branch(1)
+		if st.eligAt > now {
+			break
+		}
+		hs.pending.remove(s, st)
+		hs.ready.push(s, st)
+	}
+	if st, p := hs.ready.best(s); st != nil {
+		return st, p, 0
+	}
+	if len(hs.pending.items) > 0 {
+		return nil, nil, hs.pending.items[0].eligAt
+	}
+	return nil, nil, 0
 }
