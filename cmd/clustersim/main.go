@@ -237,16 +237,9 @@ func main() {
 				m.Start(eng)
 				sloMons[p.Scheduler.Card.Name] = m
 			}
-			sched, id := p.Scheduler.Ext.Sched, p.StreamID
-			var lastA, lastL int64
-			m.Track(slo.FromSpec(dwcs.StreamSpec{
-				ID: id, Name: p.Req.Name, Loss: p.Req.Loss,
-			}, 2*p.Req.Period), func() (int64, int64) {
-				if st, err := sched.Stats(id); err == nil {
-					lastA, lastL = st.Attempts(), st.Losses()
-				}
-				return lastA, lastL
-			})
+			m.TrackStream(dwcs.StreamSpec{
+				ID: p.StreamID, Name: p.Req.Name, Loss: p.Req.Loss,
+			}, 2*p.Req.Period, p.Scheduler.Ext.Sched)
 		}
 	}
 

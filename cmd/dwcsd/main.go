@@ -59,6 +59,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -484,7 +485,8 @@ func receiver(listen string, dur time.Duration, metricsAddr, artifactsDir string
 	})
 
 	buf := make([]byte, 64<<10)
-	deadline := time.Now().Add(dur)
+	start := time.Now()
+	deadline := start.Add(dur)
 	// The short read deadline bounds shutdown latency: a stop is noticed
 	// within one poll even when the wire has gone quiet.
 	for time.Now().Before(deadline) && !lc.stopped() {
@@ -512,6 +514,7 @@ func receiver(listen string, dur time.Duration, metricsAddr, artifactsDir string
 		})
 		o.tick()
 	}
+	elapsed := time.Since(start) // an interrupted run reports rates over what it ran
 	if lc.stopped() {
 		o.trigger("interrupted")
 		fmt.Println("dwcsd: interrupted; reporting partial run")
@@ -524,18 +527,12 @@ func receiver(listen string, dur time.Duration, metricsAddr, artifactsDir string
 	for id := range streams {
 		ids = append(ids, id)
 	}
-	for i := range ids { // tiny map: selection sort beats pulling in sort for uint32
-		for j := i + 1; j < len(ids); j++ {
-			if ids[j] < ids[i] {
-				ids[i], ids[j] = ids[j], ids[i]
-			}
-		}
-	}
+	slices.Sort(ids)
 	for _, id := range ids {
 		r := streams[id]
 		fmt.Printf("stream %d: %d frames, %d bytes, %.1f kbps, mean inter-arrival %.1fms\n",
 			id, r.frames.Value(), r.bytes.Value(),
-			float64(r.bytes.Value()*8)/dur.Seconds()/1000, r.meanGapMs())
+			float64(r.bytes.Value()*8)/elapsed.Seconds()/1000, r.meanGapMs())
 	}
 	fmt.Printf("total reassembled frames: %d (discarded %d)\n", reasm.Completed, reasm.Discarded)
 	return nil

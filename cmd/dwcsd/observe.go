@@ -98,22 +98,13 @@ func (o *obs) trigger(reason string) {
 }
 
 // track registers a stream's SLO objective derived from its DWCS (x,y)
-// window. The stats closure caches the last reading so the objective keeps
-// its final numbers after the stream is torn down (soak churn removes
-// streams; the monitor's counters must stay monotone).
+// window.
 func (o *obs) track(spec dwcs.StreamSpec, sched *dwcs.Scheduler, latencyBound sim.Time) {
 	if o == nil {
 		return
 	}
-	id := spec.ID
-	var lastA, lastL int64
 	o.mu.Lock()
-	o.mon.Track(slo.FromSpec(spec, latencyBound), func() (int64, int64) {
-		if st, err := sched.Stats(id); err == nil {
-			lastA, lastL = st.Attempts(), st.Losses()
-		}
-		return lastA, lastL
-	})
+	o.mon.TrackStream(spec, latencyBound, sched)
 	o.mu.Unlock()
 }
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/fixed"
 	"repro/internal/proto"
 	"repro/internal/sim"
-	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
 
@@ -323,16 +322,7 @@ func soakRun(cfg soakConfig, lc *lifecycle, out io.Writer) (err error) {
 		o.rec.Record(blackbox.Event{At: at, Kind: blackbox.KindMigrate,
 			Stream: s.id, Note: "setup"})
 		// Track under the already-held lock (o.track would deadlock here).
-		// The closure caches its last reading so the objective keeps its
-		// final numbers after churn removes the stream.
-		id := s.id
-		var lastA, lastL int64
-		o.mon.Track(slo.FromSpec(spec, 4*period), func() (int64, int64) {
-			if st, err := sched.Stats(id); err == nil {
-				lastA, lastL = st.Attempts(), st.Losses()
-			}
-			return lastA, lastL
-		})
+		o.mon.TrackStream(spec, 4*period, sched)
 		return nil
 	}
 	teardown := func(s *soakSession, at sim.Time) {

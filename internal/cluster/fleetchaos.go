@@ -437,7 +437,7 @@ func (r *ctrlRep) placeImage(st *chaosStream, from int, img dwcs.StreamSnapshot,
 					f.cardSE[to][gid] = nextEpoch
 				}
 				if f.obs != nil {
-					importAt = f.obs.cardImport(to, st, nextEpoch, img.Seq)
+					importAt = f.obs.cardImport(to, st, nextEpoch)
 				}
 			}
 			r.fromCard(to, func() {
@@ -512,7 +512,7 @@ func (r *ctrlRep) readd(st *chaosStream, to int, done func()) {
 				f.cardSE[to][gid] = nextEpoch
 			}
 			if f.obs != nil {
-				importAt = f.obs.cardImport(to, st, nextEpoch, startSeq)
+				importAt = f.obs.cardImport(to, st, nextEpoch)
 			}
 		}
 		r.fromCard(to, func() {

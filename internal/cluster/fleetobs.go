@@ -30,7 +30,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // FleetObsResult carries one observed chaos run's artifacts. Everything but
@@ -96,7 +95,6 @@ type fleetObs struct {
 	ctel      []*telemetry.Registry // client-side spans (tx/wire/playout), epoch −1
 	mon       []*slo.Monitor
 	cardEpoch []map[int]int // card i's view: gid → serving epoch
-	migSrc    []string      // card i's trace source for handoff marks
 
 	// Static after build.
 	homed [][]*chaosStream // card → streams whose client is homed there
@@ -123,7 +121,6 @@ func newFleetObs(n int) *fleetObs {
 		ctel:      make([]*telemetry.Registry, n),
 		mon:       make([]*slo.Monitor, n),
 		cardEpoch: make([]map[int]int, n),
-		migSrc:    make([]string, n),
 		homed:     make([][]*chaosStream, n),
 		cursor:    make([]int64, n),
 		rung:      make([]int, n),
@@ -155,7 +152,7 @@ func shippable(k blackbox.Kind) bool {
 // attachCard instruments card i: two span registries (the serving side is
 // epoch-stamped from the card's placement view; the client side never knows
 // placements and stamps −1 for the stitcher to resolve), an SLO monitor
-// whose transitions land in the flight recorder, and a dispatch trace log.
+// whose transitions land in the flight recorder.
 func (o *fleetObs) attachCard(i int) {
 	fc := o.f.cards[i]
 	o.cardEpoch[i] = map[int]int{}
@@ -168,9 +165,6 @@ func (o *fleetObs) attachCard(i int) {
 	cli := telemetry.New()
 	cli.EpochOf = func(int) int { return -1 }
 	o.ctel[i] = cli
-
-	fc.ext.Trace = trace.New(fc.eng, 4096)
-	o.migSrc[i] = fc.sched.Name + "/migrate"
 
 	mon := slo.NewMonitor(fc.sched.Name, slo.Config{})
 	mon.OnChange = func(stream int, from, to slo.State) {
@@ -194,40 +188,23 @@ func (o *fleetObs) attachStream(st *chaosStream) {
 	o.epoch[st.gid] = 0
 }
 
-// trackOn registers the stream's loss objective with card's SLO monitor. The
-// stats closure freezes at the last sighting once the stream leaves the card
-// (Stats errors after removal) and guards against cold-restore counter
-// rewinds, so a monitor never reports negative deltas.
+// trackOn registers the stream's loss objective with card's SLO monitor, once:
+// a stream that returns to a card it lived on keeps its frozen row.
 func (o *fleetObs) trackOn(card int, st *chaosStream) {
-	m := o.mon[card]
-	if m.Tracked(st.gid) {
-		return
+	if m := o.mon[card]; !m.Tracked(st.gid) {
+		m.TrackStream(st.spec, 0, o.f.cards[card].ext.Sched)
 	}
-	sched := o.f.cards[card].ext.Sched
-	gid := st.gid
-	var lastA, lastL int64
-	m.Track(slo.FromSpec(st.spec, 0), func() (int64, int64) {
-		if sn, err := sched.Stats(gid); err == nil {
-			if a := sn.Attempts(); a >= lastA {
-				lastA, lastL = a, sn.Losses()
-			}
-		}
-		return lastA, lastL
-	})
 }
 
 // cardImport runs in the target card's partition when a migration (or readd)
-// lands: the card learns the stream's new epoch before any frame dispatches,
-// tracks its SLO, and drops a handoff mark in its trace. Returns the card's
-// import time — the instant the controller stamps on the span link, because
-// replayed frames dispatch before the commit hop reaches the controller.
-func (o *fleetObs) cardImport(to int, st *chaosStream, epoch int, seq int64) sim.Time {
-	dst := o.f.cards[to]
+// lands: the card learns the stream's new epoch before any frame dispatches
+// and tracks its SLO. Returns the card's import time — the instant the
+// controller stamps on the span link, because replayed frames dispatch before
+// the commit hop reaches the controller.
+func (o *fleetObs) cardImport(to int, st *chaosStream, epoch int) sim.Time {
 	o.cardEpoch[to][st.gid] = epoch
 	o.trackOn(to, st)
-	dst.ext.Trace.RecordArg(trace.KindHandoff, o.migSrc[to], st.gid, seq,
-		"import epoch=%d", trace.Int(int64(epoch)))
-	return dst.eng.Now()
+	return o.f.cards[to].eng.Now()
 }
 
 // --- the scrape protocol -----------------------------------------------------

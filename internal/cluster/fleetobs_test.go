@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blackbox"
+	"repro/internal/fleetobs"
 	"repro/internal/sim"
 )
 
@@ -114,6 +116,51 @@ func TestFleetObsStitchesLiveMigration(t *testing.T) {
 		if !strings.Contains(res.Stitched, want) {
 			t.Fatalf("stitched artifact missing %q:\n%s", want, clip(res.Stitched))
 		}
+	}
+}
+
+// Every committed live or cold migration went through ImportStream on the
+// target card, so that card's flight recorder — read from the ring, or from
+// the timeline the scrapes shipped it to before the ring wrapped — holds the
+// KindMigrate "import" event for the stream, at the instant the controller
+// stamped on the span link.
+func TestFleetObsImportsLandInTargetRecorder(t *testing.T) {
+	f := runFleetChaos(obsTestConfig(), true)
+	defer f.close()
+	if f.res.LiveMigrations == 0 {
+		t.Skipf("plan produced no live migrations (chaos draw)")
+	}
+	type imp struct {
+		card   string
+		stream int
+		at     sim.Time
+	}
+	held := map[imp]bool{}
+	for i, fc := range f.cards {
+		for _, e := range fc.rec.Events() {
+			if e.Kind == blackbox.KindMigrate && e.Note == "import" {
+				held[imp{niName(i), e.Stream, e.At}] = true
+			}
+		}
+	}
+	for _, e := range f.obs.tl.Events() {
+		if e.Kind == blackbox.KindMigrate.String() && e.Note == "import" {
+			held[imp{e.SrcName, e.Stream, e.At}] = true
+		}
+	}
+	checked := 0
+	for _, l := range f.obs.links {
+		if l.Kind != fleetobs.LinkLive && l.Kind != fleetobs.LinkCold {
+			continue
+		}
+		checked++
+		if !held[imp{l.ToWhere, l.Stream, l.At}] {
+			t.Errorf("%s migration of stream %d → %s at %v: no import event in the target's flight recorder",
+				l.Kind, l.Stream, l.ToWhere, l.At)
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("migrations committed but no live/cold links recorded")
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // perDecisionSyscalls models the gettimeofday/poll traffic around each
@@ -55,8 +54,6 @@ type Scheduler struct {
 
 	// QDelay tracks queuing delay per stream (Figure 8).
 	QDelay map[int]*stats.DelayTracker
-	// Trace, when set, records dispatch/drop events.
-	Trace *trace.Log
 	// Sent/Dropped count outcomes.
 	Sent    int64
 	Dropped int64
@@ -176,9 +173,6 @@ func (h *Scheduler) pump() {
 		h.Meter.Syscall(perDecisionSyscalls)
 		demand := h.lap.Take()
 		h.Dropped += int64(len(d.Dropped))
-		for _, p := range d.Dropped {
-			h.Trace.Record(trace.KindDrop, "host/dwcs", p.StreamID, p.Seq, "deadline missed")
-		}
 		switch {
 		case d.Packet != nil:
 			p := d.Packet
@@ -193,8 +187,6 @@ func (h *Scheduler) pump() {
 					h.telQDelay.Observe((h.eng.Now() - p.Enqueued).Milliseconds())
 				}
 				h.Sent++
-				h.Trace.RecordArg(trace.KindDispatch, "host/dwcs", p.StreamID, p.Seq,
-					"qdelay=%v", trace.Dur(h.eng.Now()-p.Enqueued))
 				if h.link != nil {
 					h.link.Send(&netsim.Packet{
 						Src:        "host",

@@ -12,8 +12,8 @@ import (
 // decisions and drops flow into the ring from the dispatch and run paths;
 // this call adds the card-level taps and triggers:
 //
-//   - overload ladder transitions are recorded (via Ladder.OnChange chaining,
-//     the same pattern AttachOverload uses for tracing);
+//   - overload ladder transitions are recorded (chained in front of any
+//     Ladder.OnChange the harness already set);
 //   - budget admission refusals are recorded AND trigger an incident — a
 //     refusal is the moment the card started turning work away;
 //   - budget breaches are recorded AND trigger — the invariant says zero;

@@ -31,7 +31,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Task priorities on the NI kernel (VxWorks style: lower = higher).
@@ -305,8 +304,6 @@ type SchedulerExt struct {
 	QDelay map[int]*stats.DelayTracker
 	// OnDispatch observes every dispatched packet (before the wire).
 	OnDispatch func(p *dwcs.Packet)
-	// Trace, when set, records enqueue/dispatch/drop events.
-	Trace *trace.Log
 
 	// Sent and Dropped count scheduler outcomes.
 	Sent    int64
@@ -328,9 +325,9 @@ type SchedulerExt struct {
 
 	telQDelay *telemetry.Histogram
 
-	// Trace sources and the queue span's site, built once (LoadScheduler) so
-	// no event or span concatenates a name.
-	srcDWCS, srcOverload string
+	// The scheduler task's name and the queue span's site, built once
+	// (LoadScheduler) so no span concatenates a name.
+	srcDWCS string
 
 	work *rtos.Semaphore
 	kick func() // wakes a paced sleep early; nil when not sleeping
@@ -394,10 +391,9 @@ func (c *Card) NewBenchScheduler(cfg SchedulerConfig) *dwcs.Scheduler {
 // the name "dwcs", and starts the scheduler task.
 func (c *Card) LoadScheduler(cfg SchedulerConfig) (*SchedulerExt, error) {
 	ext := &SchedulerExt{
-		Card:        c,
-		QDelay:      make(map[int]*stats.DelayTracker),
-		srcDWCS:     c.Name + "/dwcs",
-		srcOverload: c.Name + "/overload",
+		Card:    c,
+		QDelay:  make(map[int]*stats.DelayTracker),
+		srcDWCS: c.Name + "/dwcs",
 	}
 	ext.Sched = c.buildScheduler(cfg, &ext.regB)
 	ext.work = rtos.NewSemaphore(c.Kernel, c.Name+"/work", 0)
@@ -689,16 +685,6 @@ func (ext *SchedulerExt) AttachOverload(ctl *overload.Controller) {
 		Revoke:       ext.revokeLowestValue,
 		Reinstate:    ext.reinstateOne,
 	}
-	prev := ctl.Ladder.OnChange
-	ctl.Ladder.OnChange = func(from, to overload.Rung) {
-		if ext.Trace.On() {
-			ext.Trace.Record(trace.KindUser, ext.srcOverload, -1, -1,
-				fmt.Sprintf("ladder %s -> %s", from, to))
-		}
-		if prev != nil {
-			prev(from, to)
-		}
-	}
 	ctl.Start(ext.Card.Eng)
 }
 
@@ -717,8 +703,6 @@ func (ext *SchedulerExt) shedTolerant(max int) int {
 		}
 		releasePayload(pkt.Payload)
 		ext.Dropped++
-		ext.Trace.Record(trace.KindDrop, ext.srcOverload,
-			pkt.StreamID, pkt.Seq, "shed within tolerance")
 		ext.Blackbox.Record(blackbox.Event{At: ext.Card.Eng.Now(), Kind: blackbox.KindDrop,
 			Stream: pkt.StreamID, Seq: pkt.Seq, A: pkt.Bytes, Note: "shed"})
 		shed++
@@ -751,10 +735,6 @@ func (ext *SchedulerExt) revokeLowestValue() bool {
 		return false
 	}
 	ext.revoked = append(ext.revoked, bestSpec)
-	if ext.Trace.On() {
-		ext.Trace.Record(trace.KindUser, ext.srcOverload, best, -1,
-			fmt.Sprintf("revoked (loss %v)", bestSpec.Loss))
-	}
 	return true
 }
 
@@ -782,7 +762,6 @@ func (ext *SchedulerExt) reinstateOne() bool {
 		return false
 	}
 	ext.revoked = ext.revoked[1:]
-	ext.Trace.Record(trace.KindUser, ext.srcOverload, spec.ID, -1, "reinstated")
 	if ext.OnReinstate != nil {
 		ext.OnReinstate(spec)
 	}
@@ -797,7 +776,6 @@ func (ext *SchedulerExt) Enqueue(id int, p dwcs.Packet) error {
 	if err := ext.Sched.Enqueue(id, p); err != nil {
 		return err
 	}
-	ext.Trace.RecordArg(trace.KindEnqueue, ext.srcDWCS, id, -1, "%dB", trace.Int(p.Bytes))
 	if ext.kick != nil {
 		ext.kick()
 	} else {
@@ -815,7 +793,6 @@ func (ext *SchedulerExt) run(tc *rtos.TaskCtx) {
 		tc.Charge(lap) // decision CPU time at i960 speed
 		ext.Dropped += int64(len(d.Dropped))
 		for _, p := range d.Dropped {
-			ext.Trace.Record(trace.KindDrop, ext.srcDWCS, p.StreamID, p.Seq, "deadline missed")
 			ext.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDrop,
 				Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, Note: "deadline"})
 			releasePayload(p.Payload)
@@ -858,8 +835,6 @@ func (ext *SchedulerExt) dispatch(tc *rtos.TaskCtx, lap *cpu.Lap, p *dwcs.Packet
 		ext.telQDelay.Observe((tc.Now() - p.Enqueued).Milliseconds())
 	}
 	ext.Sent++
-	ext.Trace.RecordArg(trace.KindDispatch, ext.srcDWCS, p.StreamID, p.Seq,
-		"qdelay=%v", trace.Dur(tc.Now()-p.Enqueued))
 	ext.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDecision,
 		Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, B: int64(tc.Now() - p.Enqueued)})
 	if ext.OnDispatch != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/blackbox"
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rtos"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // rig is a one-card test bench: card on a PCI segment, Ethernet to a
@@ -257,22 +257,33 @@ func TestSendWithoutLinkStillCounts(t *testing.T) {
 	}
 }
 
+// The flight recorder and the scheduler's own counters are the card's record
+// of a frame's life: one KindDecision per dispatch, one attempt per frame.
 func TestSchedulerTraceRecordsLifecycle(t *testing.T) {
 	r := newRig(t, true)
 	ext, _ := r.card.LoadScheduler(SchedulerConfig{WorkConserving: true})
-	ext.Trace = trace.New(r.eng, 64)
+	rec, err := blackbox.New(blackbox.Config{Name: r.card.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext.AttachBlackbox(rec)
 	ext.AddStream(streamSpec(1, 10*sim.Millisecond))
 	for i := 0; i < 3; i++ {
 		ext.Enqueue(1, dwcs.Packet{Bytes: 700})
 	}
 	r.eng.RunUntil(time500ms)
-	enq := ext.Trace.ByKind(trace.KindEnqueue)
-	disp := ext.Trace.ByKind(trace.KindDispatch)
-	if len(enq) != 3 || len(disp) != 3 {
-		t.Fatalf("trace: %d enqueues, %d dispatches", len(enq), len(disp))
+	decisions := 0
+	for _, e := range rec.Events() {
+		if e.Kind == blackbox.KindDecision && e.Stream == 1 {
+			decisions++
+		}
 	}
-	if got := ext.Trace.ByStream(1); len(got) != 6 {
-		t.Fatalf("stream events = %d", len(got))
+	st, err := ext.Sched.Stats(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decisions != 3 || st.Attempts() != 3 {
+		t.Fatalf("recorder: %d decisions, scheduler: %d attempts, want 3 and 3", decisions, st.Attempts())
 	}
 }
 

@@ -98,7 +98,7 @@ func parallelBenchWorkload(eng *Engine, card int, fired *int64, send func()) {
 // workersN variants use the fixed ID-mod-N worker mapping; speedup over
 // the monolith scales with physical cores (the partition windows are
 // ~250µs of lookahead holding ~100 events of local work each). ns/event is
-// the metric pinned in BENCH_BASELINE.json alongside ns/op.
+// reported alongside ns/op.
 func BenchmarkParallelEngine(b *testing.B) {
 	const (
 		cards   = 64

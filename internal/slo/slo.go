@@ -197,6 +197,24 @@ func (m *Monitor) Track(obj Objective, stats func() (attempts, losses int64)) {
 	m.byID[obj.Stream] = s
 }
 
+// TrackStream tracks spec's loss objective (latency bounds the queue wait, 0
+// for none) against its live counters in sched. The reading freezes at the
+// last sighting while the stream is off the scheduler (Stats errors after
+// removal) and holds through a counter rewind (a re-added stream restarts at
+// zero) until attempts pass it again, so attempts never run backwards.
+func (m *Monitor) TrackStream(spec dwcs.StreamSpec, latency sim.Time, sched *dwcs.Scheduler) {
+	id := spec.ID
+	var lastA, lastL int64
+	m.Track(FromSpec(spec, latency), func() (int64, int64) {
+		if st, err := sched.Stats(id); err == nil {
+			if a := st.Attempts(); a >= lastA {
+				lastA, lastL = a, st.Losses()
+			}
+		}
+		return lastA, lastL
+	})
+}
+
 // ObserveSegment feeds a completed pipeline span. Only queue-stage segments
 // of tracked streams count against the latency objective; everything else is
 // ignored, so the monitor can be wired directly as a SpanLog fan-out.

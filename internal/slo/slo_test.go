@@ -185,3 +185,69 @@ func TestMonitorOnEngineAndInstrument(t *testing.T) {
 		t.Fatalf("instrumented values:\n%s", vals)
 	}
 }
+
+// TrackStream reads live scheduler counters, keeps the last reading while the
+// stream is off the scheduler, and ignores the rewind when it is re-added with
+// fresh counters — so no evaluation sees attempts run backwards.
+func TestTrackStreamFreezesOnRemovalAndIgnoresRewind(t *testing.T) {
+	var clock sim.Time
+	sched := dwcs.New(dwcs.Config{WorkConserving: true, Now: func() sim.Time { return clock }})
+	spec := dwcs.StreamSpec{ID: 1, Name: "s1", Period: 40 * sim.Millisecond,
+		Loss: fixed.New(1, 2), Lossy: true, BufCap: 16}
+	serve := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := sched.Enqueue(1, dwcs.Packet{Bytes: 100}); err != nil {
+				t.Fatal(err)
+			}
+			if d := sched.Schedule(); d.Packet == nil {
+				t.Fatalf("frame %d not dispatched: %+v", i, d)
+			}
+		}
+	}
+	if err := sched.AddStream(spec); err != nil {
+		t.Fatal(err)
+	}
+	m := NewMonitor("ni-0", Config{})
+	m.TrackStream(spec, 0, sched)
+	read := m.byID[1].stats
+
+	serve(3)
+	// One frame left past its deadline is dropped: a loss and an attempt.
+	if err := sched.Enqueue(1, dwcs.Packet{Bytes: 100}); err != nil {
+		t.Fatal(err)
+	}
+	clock += 10 * spec.Period
+	if d := sched.Schedule(); len(d.Dropped) != 1 {
+		t.Fatalf("late frame not dropped: %+v", d)
+	}
+	if a, l := read(); a != 4 || l != 1 {
+		t.Fatalf("live reading = (%d,%d), want (4,1)", a, l)
+	}
+	m.Eval()
+
+	if err := sched.RemoveStream(1); err != nil {
+		t.Fatal(err)
+	}
+	if a, l := read(); a != 4 || l != 1 {
+		t.Fatalf("reading after removal = (%d,%d), want frozen (4,1)", a, l)
+	}
+
+	// Re-added, the scheduler's counters restart at zero: the reading holds
+	// until they pass the frozen value.
+	if err := sched.AddStream(spec); err != nil {
+		t.Fatal(err)
+	}
+	serve(2)
+	if a, l := read(); a != 4 || l != 1 {
+		t.Fatalf("reading during rewind = (%d,%d), want held (4,1)", a, l)
+	}
+	m.Eval()
+	if b := m.byID[1].buckets[1]; b.attempts != 0 || b.losses != 0 {
+		t.Fatalf("rewind leaked into the window: %+v", b)
+	}
+	serve(3)
+	if a, _ := read(); a != 5 {
+		t.Fatalf("attempts past the rewind = %d, want live 5", a)
+	}
+}

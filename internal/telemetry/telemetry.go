@@ -18,8 +18,8 @@
 // clock, no goroutines, no map-order dependence in any export — so every
 // artifact is byte-identical across runs and worker counts. A nil *Registry
 // is valid everywhere and records nothing, so instrumented substrates call
-// it unconditionally (the same convention as a nil *cpu.Meter or a nil
-// *trace.Log); with telemetry off the cost is one nil check per event.
+// it unconditionally (the same convention as a nil *cpu.Meter); with
+// telemetry off the cost is one nil check per event.
 package telemetry
 
 import (

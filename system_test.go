@@ -10,6 +10,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/blackbox"
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -21,7 +22,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/webload"
 )
@@ -74,12 +74,16 @@ func TestWholeSystem(t *testing.T) {
 	lossyData.DropEvery = 6
 	relSender = transport.NewSender(eng, lossyData, 8, 30*sim.Millisecond)
 
-	// --- Scheduler extension, traced, driven over I2O from the host.
+	// --- Scheduler extension, flight-recorded, driven over I2O from the host.
 	ext, err := schedCard.LoadScheduler(nic.SchedulerConfig{EligibleEarly: 20 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext.Trace = trace.New(eng, 8192)
+	rec, err := blackbox.New(blackbox.Config{Name: schedCard.Name, Bytes: 8192 * blackbox.EventBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext.AttachBlackbox(rec)
 	iop := i2o.NewIOP(eng, i2o.Config{Name: "ni-sched-iop", PCI: pci})
 	if err := iop.AttachDevice(&i2o.VCMBridge{ID: 1, VCM: schedCard.VCM}); err != nil {
 		t.Fatal(err)
@@ -159,9 +163,15 @@ func TestWholeSystem(t *testing.T) {
 	if sys.TotalUtilization() < 0.25 {
 		t.Errorf("host utilization only %.0f%%", 100*sys.TotalUtilization())
 	}
-	// The trace recorded the lifecycle.
-	if got := ext.Trace.ByKind(trace.KindDispatch); len(got) < frames {
-		t.Errorf("trace recorded %d dispatches", len(got))
+	// The flight recorder holds the lifecycle.
+	decisions := 0
+	for _, e := range rec.Events() {
+		if e.Kind == blackbox.KindDecision {
+			decisions++
+		}
+	}
+	if decisions < frames {
+		t.Errorf("flight recorder holds %d decisions, want >= %d", decisions, frames)
 	}
 
 	// And the stats round-trip over I2O agrees with the extension.
