@@ -1,8 +1,7 @@
-// Benchmark harness: one bench per table and figure of the paper's
-// evaluation (§4), plus ablation benches for the design choices called out
-// in DESIGN.md §6. Each bench reports the reproduced headline metric via
-// b.ReportMetric so `go test -bench=.` output reads side by side with the
-// paper's numbers.
+// Benchmark harness: ablation benches for the design choices called out in
+// DESIGN.md §6, plus per-layer microbenchmarks. The paper's tables and
+// figures are asserted by internal/experiments' tests and timed by the
+// repro_eval workload of ./bench.
 package repro
 
 import (
@@ -22,142 +21,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
-
-// --- Table 1: scheduler microbenchmarks, data cache disabled ---
-
-func benchMicro(b *testing.B, arith cpu.Arithmetic, cacheOn bool, store nic.StoreKind) {
-	var m experiments.Microbench
-	for i := 0; i < b.N; i++ {
-		m = experiments.RunMicrobench(arith, cacheOn, store)
-	}
-	b.ReportMetric(m.AvgSched.Microseconds(), "µs/frame-sched")
-	b.ReportMetric(m.AvgNoSched.Microseconds(), "µs/frame-dispatch")
-	b.ReportMetric(m.Overhead().Microseconds(), "µs/sched-overhead")
-}
-
-func BenchmarkTable1_SoftFP_CacheOff(b *testing.B) {
-	benchMicro(b, cpu.SoftFP, false, nic.StoreDRAM) // paper: 129.67 / 34.6 µs
-}
-
-func BenchmarkTable1_Fixed_CacheOff(b *testing.B) {
-	benchMicro(b, cpu.FixedPoint, false, nic.StoreDRAM) // paper: 108.48 / 30.35 µs
-}
-
-// --- Table 2: data cache enabled ---
-
-func BenchmarkTable2_SoftFP_CacheOn(b *testing.B) {
-	benchMicro(b, cpu.SoftFP, true, nic.StoreDRAM) // paper: 115.20 / 31.40 µs
-}
-
-func BenchmarkTable2_Fixed_CacheOn(b *testing.B) {
-	benchMicro(b, cpu.FixedPoint, true, nic.StoreDRAM) // paper: 94.60 / 27.78 µs
-}
-
-// --- Table 3: hardware-queue register file ---
-
-func BenchmarkTable3_HardwareQueues(b *testing.B) {
-	benchMicro(b, cpu.FixedPoint, true, nic.StoreHardwareQueue) // paper: 96.48 / 27.80 µs
-}
-
-// --- Table 4: critical-path benchmarks ---
-
-func BenchmarkTable4_CriticalPaths(b *testing.B) {
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunTable4()
-	}
-	for _, r := range res.Rows {
-		b.ReportMetric(r.Measured, "ms/"+r.Name[:strIdx(r.Name)])
-	}
-}
-
-func strIdx(s string) int {
-	for i, c := range s {
-		if c == ':' {
-			return i
-		}
-	}
-	return len(s)
-}
-
-// --- Table 5: PCI card-to-card transfers ---
-
-func BenchmarkTable5_PCITransfers(b *testing.B) {
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunTable5()
-	}
-	b.ReportMetric(res.Rows[0].Measured, "µs/mpeg-dma")
-	b.ReportMetric(res.Rows[1].Measured, "MB/s")
-	b.ReportMetric(res.Rows[2].Measured, "µs/pio-read")
-	b.ReportMetric(res.Rows[3].Measured, "µs/pio-write")
-}
-
-// --- Headline: host 50 µs vs NI 65 µs ---
-
-func BenchmarkHeadlineOverhead(b *testing.B) {
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunHeadline()
-	}
-	b.ReportMetric(res.Rows[0].Measured, "µs/host-sched")
-	b.ReportMetric(res.Rows[1].Measured, "µs/ni-sched")
-}
-
-// --- Figures 6–8: host scheduler under web load ---
-
-const benchFigureDur = experiments.FigureDuration
-
-func BenchmarkFigure6_Utilization(b *testing.B) {
-	var h *experiments.HostFigures
-	for i := 0; i < b.N; i++ {
-		h = experiments.RunHostFigures(benchFigureDur)
-	}
-	b.ReportMetric(h.Runs[0].Util.Mean(), "%util-noload")
-	b.ReportMetric(h.Runs[45].Util.Mean(), "%util-45")
-	b.ReportMetric(h.Runs[60].Util.Mean(), "%util-60")
-}
-
-func BenchmarkFigure7_HostBandwidth(b *testing.B) {
-	var h *experiments.HostFigures
-	for i := 0; i < b.N; i++ {
-		h = experiments.RunHostFigures(benchFigureDur)
-	}
-	from, to := experiments.PeakWindow(benchFigureDur)
-	b.ReportMetric(h.Runs[0].SettleBW("s1", benchFigureDur), "bps-noload")
-	b.ReportMetric(h.Runs[45].SettleBWWindow("s1", from, to), "bps-45")
-	b.ReportMetric(h.Runs[60].SettleBWWindow("s1", from, to), "bps-60")
-}
-
-func BenchmarkFigure8_HostQueuingDelay(b *testing.B) {
-	var h *experiments.HostFigures
-	for i := 0; i < b.N; i++ {
-		h = experiments.RunHostFigures(benchFigureDur)
-	}
-	b.ReportMetric(h.Runs[0].QDelay["s1"].Max().Milliseconds(), "ms-noload")
-	b.ReportMetric(h.Runs[45].QDelay["s1"].Max().Milliseconds(), "ms-45")
-	b.ReportMetric(h.Runs[60].QDelay["s1"].Max().Milliseconds(), "ms-60")
-}
-
-// --- Figures 9–10: NI scheduler immunity ---
-
-func BenchmarkFigure9_NIBandwidth(b *testing.B) {
-	var f *experiments.NIFigures
-	for i := 0; i < b.N; i++ {
-		f = experiments.RunNIFigures(30 * sim.Second)
-	}
-	b.ReportMetric(f.NoLoad.SettleBW("s1", 30*sim.Second), "bps-noload")
-	b.ReportMetric(f.Loaded60.SettleBW("s1", 30*sim.Second), "bps-60")
-}
-
-func BenchmarkFigure10_NIQueuingDelay(b *testing.B) {
-	var f *experiments.NIFigures
-	for i := 0; i < b.N; i++ {
-		f = experiments.RunNIFigures(30 * sim.Second)
-	}
-	b.ReportMetric(f.NoLoad.QDelay["s1"].Max().Milliseconds(), "ms-noload")
-	b.ReportMetric(f.Loaded60.QDelay["s1"].Max().Milliseconds(), "ms-60")
-}
 
 // --- Ablations (DESIGN.md §6) ---
 

@@ -45,8 +45,9 @@
 //	                                           # takes over; same byte-identical
 //	                                           # contract
 //
-// The -fleet* and -ctrl-chaos scenarios are one per run: two of them, or
-// -fleet-out with -chaos-sweep, is a usage error (exit 2).
+// The -fleet* and -ctrl-chaos scenarios are one per run: two of them,
+// -fleet-out with -chaos-sweep, -chaos-sweep without -fleet-chaos, or
+// -fleet-out without a scenario is a usage error (exit 2).
 package main
 
 import (
@@ -119,15 +120,20 @@ func main() {
 			picked = append(picked, s)
 		}
 	}
-	// Combinations that used to run something other than what was asked:
-	// two scenarios (the first won), and an artifact directory for the
-	// sweep, which writes none.
+	// Combinations that would run something other than what was asked: two
+	// scenarios (the first would win), an artifact directory for the sweep,
+	// which writes none, and a sweep or an artifact directory with no
+	// scenario to apply to (the default mode would run and ignore it).
 	var misuse string
 	switch {
 	case len(picked) > 1:
 		misuse = fmt.Sprintf("-%s and -%s: pick one scenario", picked[0].Name, picked[1].Name)
 	case *chaosSweep && *fleetOut != "":
 		misuse = "-chaos-sweep prints one table and writes no artifacts; drop -fleet-out"
+	case *chaosSweep && (len(picked) == 0 || picked[0].Name != "fleet-chaos"):
+		misuse = "-chaos-sweep is the -fleet-chaos recovery table; add -fleet-chaos"
+	case *fleetOut != "" && len(picked) == 0:
+		misuse = "-fleet-out holds a scenario's artifacts; pick one of the -fleet* or -ctrl-chaos scenarios"
 	}
 	if misuse != "" {
 		fmt.Fprintln(os.Stderr, "clustersim:", misuse)
@@ -136,7 +142,7 @@ func main() {
 	}
 	if len(picked) == 1 {
 		s := picked[0]
-		if *chaosSweep && s.Name == "fleet-chaos" {
+		if *chaosSweep {
 			fmt.Print(experiments.FleetChaosSweep(*workers))
 			return
 		}

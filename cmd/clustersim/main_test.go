@@ -87,13 +87,17 @@ func TestScenarioFlagPrintsRowAndWritesItsFiles(t *testing.T) {
 	}
 }
 
-// Two scenario flags, or an artifact directory for the sweep that writes
-// none, are usage errors — not a silent run of something else.
+// Two scenario flags, an artifact directory for the sweep that writes none,
+// a sweep without its scenario, or an artifact directory without any
+// scenario are usage errors — not a silent run of something else.
 func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "out")
 	for _, args := range [][]string{
 		{"-fleet-obs", "-ctrl-chaos"},
 		{"-fleet-chaos", "-chaos-sweep", "-fleet-out", dir},
+		{"-chaos-sweep"},
+		{"-fleet", "-chaos-sweep"},
+		{"-fleet-out", dir},
 	} {
 		stdout, stderr, code := clustersim(t, args...)
 		if code != 2 {
@@ -107,7 +111,7 @@ func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 		}
 	}
 	if _, err := os.Stat(dir); err == nil {
-		t.Errorf("the rejected sweep still created %s", dir)
+		t.Errorf("a rejected run still created %s", dir)
 	}
 }
 

@@ -28,8 +28,7 @@ import (
 const snapEvery = 500 * time.Millisecond
 
 // obs is the daemon's observability bundle. Zero value is not usable;
-// construct with newObs. A nil *obs is valid and inert, so the sender and
-// receiver wire it unconditionally.
+// construct with newObs.
 type obs struct {
 	mu  sync.Mutex
 	reg *telemetry.Registry
@@ -81,17 +80,11 @@ func newObs(name, artifactsDir string) *obs {
 // now maps the wall clock onto sim.Time: nanoseconds since the bundle was
 // built, the same epoch the pacing loop uses.
 func (o *obs) now() sim.Time {
-	if o == nil {
-		return 0
-	}
 	return o.clk.Now()
 }
 
 // trigger captures an incident (ring contents + registry state).
 func (o *obs) trigger(reason string) {
-	if o == nil {
-		return
-	}
 	o.mu.Lock()
 	o.rec.Trigger(o.now(), reason)
 	o.mu.Unlock()
@@ -100,9 +93,6 @@ func (o *obs) trigger(reason string) {
 // track registers a stream's SLO objective derived from its DWCS (x,y)
 // window.
 func (o *obs) track(spec dwcs.StreamSpec, sched *dwcs.Scheduler, latencyBound sim.Time) {
-	if o == nil {
-		return
-	}
 	o.mu.Lock()
 	o.mon.TrackStream(spec, latencyBound, sched)
 	o.mu.Unlock()
@@ -112,9 +102,6 @@ func (o *obs) track(spec dwcs.StreamSpec, sched *dwcs.Scheduler, latencyBound si
 // rows) and SLO evaluations. The receive loop calls it once per datagram;
 // cheap when nothing is due.
 func (o *obs) tick() {
-	if o == nil {
-		return
-	}
 	at := o.now()
 	o.mu.Lock()
 	o.tickLocked(at)
@@ -138,9 +125,6 @@ func (o *obs) tickLocked(at sim.Time) (next sim.Time) {
 // render returns the Prometheus exposition under the lock — the -metrics
 // endpoint's scrape path.
 func (o *obs) render() string {
-	if o == nil {
-		return ""
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.reg.PrometheusText()
@@ -149,9 +133,6 @@ func (o *obs) render() string {
 // locked runs fn under the bundle's lock — for call sites that batch
 // several registry touches (per-frame counter + histogram updates).
 func (o *obs) locked(fn func()) {
-	if o == nil {
-		return
-	}
 	o.mu.Lock()
 	fn()
 	o.mu.Unlock()
@@ -163,7 +144,7 @@ func (o *obs) locked(fn func()) {
 // unchanged. A final snapshot and eval run first so short runs still
 // produce at least one metrics row and one SLO sample.
 func (o *obs) writeArtifacts() error {
-	if o == nil || o.dir == "" {
+	if o.dir == "" {
 		return nil
 	}
 	o.mu.Lock()

@@ -80,19 +80,10 @@ type SchedulerNI struct {
 	streams  int
 	specs    map[int]qos.Stream // admitted streams, for feasibility analysis
 	failed   bool
-	draining bool
 }
 
 // Failed reports whether the card has been failed out of service.
 func (s *SchedulerNI) Failed() bool { return s.failed }
-
-// Draining reports whether the card is under planned maintenance: it keeps
-// serving its current streams (and answering heartbeats) but accepts no new
-// placements. Drain is not death — the monitor must not fail it over.
-func (s *SchedulerNI) Draining() bool { return s.draining }
-
-// SetDraining marks the card in or out of planned maintenance.
-func (s *SchedulerNI) SetDraining(v bool) { s.draining = v }
 
 // Streams returns how many streams are placed on this card.
 func (s *SchedulerNI) Streams() int { return s.streams }
@@ -148,10 +139,6 @@ type Cluster struct {
 	Eng    *sim.Engine
 	Switch *netsim.Switch
 	Nodes  []*Node
-
-	// Domains is the failure-domain topology: every scheduler card is
-	// mapped to its node's host domain, hosts to the SAN switch domain.
-	Domains *Domains
 
 	nextID   int
 	Placed   int
@@ -229,8 +216,8 @@ func New(eng *sim.Engine, cfgs []NodeConfig) *Cluster {
 	c := &Cluster{
 		Eng:        eng,
 		Switch:     netsim.NewSwitch(eng, "san", 90*sim.Microsecond),
-		Domains:    NewDomains(),
 		placements: make(map[int]*Placement),
+		migrating:  make(map[int]bool),
 	}
 	for _, cfg := range cfgs {
 		c.Nodes = append(c.Nodes, c.buildNode(cfg))
@@ -273,10 +260,6 @@ func (c *Cluster) buildNode(cfg NodeConfig) *Node {
 		sni.Endpoint.Silent = card.Crashed
 		n.Schedulers = append(n.Schedulers, sni)
 		n.segOf[card] = seg
-		// One node = one host domain, all hosts behind the single SAN
-		// switch. Multi-switch fleets remap via c.Domains directly.
-		c.Domains.SetHost(card.Name, cfg.Name)
-		c.Domains.SetSwitch(cfg.Name, "san")
 	}
 	for i := 0; i < cfg.ProducerNIs; i++ {
 		seg := n.Segments[i%len(n.Segments)]
@@ -315,27 +298,17 @@ type commitment struct {
 // the least-loaded producer NI on the same segment. It returns ErrAdmission
 // when nothing fits.
 func (c *Cluster) Admit(req StreamRequest) (*Placement, error) {
-	return c.admit(req, nil, "")
+	return c.place(req, 0, "", nil, nil)
 }
 
-// admit is Admit plus failover knobs: exclude skips one scheduler NI (the
-// card the stream is being moved off), and client, when non-empty, keeps an
-// existing client address instead of minting a new one.
-func (c *Cluster) admit(req StreamRequest, exclude *SchedulerNI, client string) (*Placement, error) {
-	var avoid func(*SchedulerNI) bool
-	if exclude != nil {
-		avoid = func(s *SchedulerNI) bool { return s == exclude }
-	}
-	return c.place(req, 0, client, nil, avoid)
-}
-
-// place is the placement engine under Admit, Readmit, and Migrate. id, when
-// non-zero, preserves an existing stream ID (a migrating stream keeps its
-// identity) instead of minting one. img, when non-nil, is a migration image:
-// the target imports the stream mid-window via ImportStream rather than
-// registering it cold. avoid, when non-nil, vetoes candidate cards beyond
-// the standing failed/draining exclusions — the domain-aware failover filter.
-func (c *Cluster) place(req StreamRequest, id int, client string, img *dwcs.StreamSnapshot, avoid func(*SchedulerNI) bool) (*Placement, error) {
+// place is the placement engine under Admit, Readmit, and MigrateCold. id,
+// when non-zero, preserves an existing stream ID (a migrating stream keeps
+// its identity) instead of minting one. client, when non-empty, keeps an
+// existing client address instead of minting a new one. img, when non-nil,
+// is a migration image: the target imports the stream mid-window via
+// ImportStream rather than registering it cold. exclude, when non-nil, skips
+// one scheduler NI (the card the stream is being moved off).
+func (c *Cluster) place(req StreamRequest, id int, client string, img *dwcs.StreamSnapshot, exclude *SchedulerNI) (*Placement, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
@@ -349,10 +322,7 @@ func (c *Cluster) place(req StreamRequest, id int, client string, img *dwcs.Stre
 	var bestNode *Node
 	for _, n := range c.Nodes {
 		for _, s := range n.Schedulers {
-			if s.Card.Link == nil || s.failed || s.draining {
-				continue
-			}
-			if avoid != nil && avoid(s) {
+			if s.Card.Link == nil || s.failed || s == exclude {
 				continue
 			}
 			linkNeed := frameRate * s.Card.Link.WireTime(req.FrameBytes).Seconds()
@@ -572,18 +542,7 @@ func (c *Cluster) Readmit(old *Placement, req StreamRequest) (*Placement, error)
 	}
 	c.refund(old)
 	delete(c.placements, old.StreamID)
-	return c.admit(req, old.Scheduler, old.Client)
-}
-
-// TotalMem reports committed ring memory across all scheduler NIs.
-func (c *Cluster) TotalMem() int64 {
-	var tot int64
-	for _, n := range c.Nodes {
-		for _, s := range n.Schedulers {
-			tot += s.memLoad
-		}
-	}
-	return tot
+	return c.place(req, 0, old.Client, nil, old.Scheduler)
 }
 
 // Capacity reports how many streams of the given request shape the cluster

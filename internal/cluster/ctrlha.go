@@ -117,6 +117,33 @@ type cardView struct {
 	sepoch map[int]int // gid → stream epoch as stamped at import time
 }
 
+// epochFence is a card's admission gate against stale controllers: the
+// highest leader epoch the card has witnessed, and which replica stamped it.
+// Commands stamped with an older epoch are rejected outright — the same
+// jurisdictional semantics as sim.Msg.Cancel, where authority over an
+// in-flight operation belongs to whoever holds the newest claim, applied
+// here to the whole control plane. A newer stamp raises the fence as a side
+// effect, so a takeover's first command (or its explicit fence broadcast)
+// locks every reachable card against the deposed leader; there is no way to
+// lower a fence. Card-partition-local state (one per card when the control
+// plane is replicated).
+type epochFence struct {
+	epoch  int
+	leader int
+}
+
+// admit reports whether a command stamped (epoch, replica) may execute,
+// raising the fence when the stamp is newer than anything seen.
+func (f *epochFence) admit(epoch, replica int) bool {
+	if epoch < f.epoch {
+		return false
+	}
+	if epoch > f.epoch {
+		f.epoch, f.leader = epoch, replica
+	}
+	return true
+}
+
 // ctrlRep is one DVCM controller replica. Replica 0 ("ctl-a") boots as
 // leader; replica 1 ("ctl-b") boots as the synced standby. Every field below
 // the hop helpers is touched only in this replica's partition (or after the
@@ -621,7 +648,7 @@ func (r *ctrlRep) fenceAndReconcile(why string) {
 			r.fromCard(i, func() { r.view[i] = v })
 		})
 	}
-	wait := 2*r.f.cfg.NetLatency + sim.Millisecond
+	wait := 2*fleetNetLatency + sim.Millisecond
 	r.eng().After(wait, func() {
 		if r.deadNow() || !r.leader {
 			return

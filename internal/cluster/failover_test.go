@@ -140,3 +140,52 @@ func TestMonitorDetectsCrashFailsOverAndSeesRecovery(t *testing.T) {
 		t.Fatal("monitor sent no probes")
 	}
 }
+
+// TestSecondDeadCardStillFailsOver is the regression test for the failover
+// the domain filter refused: with one card already dead on another node, a
+// second card's death made "the switch" suspect, and since every card sits
+// behind the one SAN switch the filter vetoed the whole cluster — admission
+// denied with two healthy cards standing.
+func TestSecondDeadCardStillFailsOver(t *testing.T) {
+	eng := sim.NewEngine(11)
+	defer eng.Close()
+	c := New(eng, []NodeConfig{
+		{Name: "n0", Segments: 1, SchedulerNIs: 2, ProducerNIs: 1},
+		{Name: "n1", Segments: 1, SchedulerNIs: 2, ProducerNIs: 1},
+	})
+	for _, name := range []string{"a", "b", "c", "d"} {
+		if _, err := c.Admit(req(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead0, dead1 := c.Nodes[0].Schedulers[0], c.Nodes[1].Schedulers[0]
+	if c.Live()[2].Scheduler != dead1 {
+		t.Fatalf("stream 3 admitted on %s, want n1/sched0", c.Live()[2].Scheduler.Card.Name)
+	}
+
+	m := NewMonitor(c, "monitor")
+	m.Interval = 100 * sim.Millisecond
+	m.Timeout = 10 * sim.Millisecond
+	m.Auto = true
+	moved := map[int]*Placement{}
+	m.OnReadmit = func(old, now *Placement, err error) {
+		if err != nil {
+			t.Errorf("readmit %s off %s: %v", old.Req.Name, old.Scheduler.Card.Name, err)
+			return
+		}
+		moved[old.StreamID] = now
+	}
+	m.Start()
+	eng.At(sim.Second, dead0.Card.Crash)
+	eng.At(2*sim.Second, dead1.Card.Crash)
+	eng.RunUntil(3 * sim.Second)
+	m.Stop()
+
+	if m.Detected != 2 || m.Failovers != 2 {
+		t.Fatalf("detected=%d failovers=%d, want 2 and 2", m.Detected, m.Failovers)
+	}
+	now := moved[3]
+	if now == nil || now.Scheduler.Failed() {
+		t.Fatalf("stream 3 moved to %+v, want a healthy card", now)
+	}
+}

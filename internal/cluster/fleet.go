@@ -47,6 +47,16 @@ const (
 	fleetBufCap = 64
 	// fleetRingBytes sizes each card's flight-recorder ring.
 	fleetRingBytes = 16 << 10
+	// fleetNetLatency is the distribution-network hop latency (= the
+	// parallel engine's lookahead).
+	fleetNetLatency = 5 * sim.Millisecond
+	// fleetSettleMargin pads the outage window when classifying loss-window
+	// violations: violations inside [At, At+Duration+detectDelay+margin]
+	// count as "during" the outage.
+	fleetSettleMargin = 500 * sim.Millisecond
+	// fleetMaxScrapeRung caps the per-card scrape degradation rung (so the
+	// widest interval is 8× the base period).
+	fleetMaxScrapeRung = 3
 )
 
 // FleetConfig is the one configuration of every fleet run. RunFleet reads
@@ -59,7 +69,6 @@ type FleetConfig struct {
 	StreamsPerCard int      // media streams sourced by each card; 0 = 2
 	Dur            sim.Time // simulated run length; 0 = 2 s (RunFleet), 6 s (chaos), 8 s (CtrlHA)
 	Workers        int      // topology worker cap; 0 = GOMAXPROCS, 1 = sequential
-	NetLatency     sim.Time // distribution-network hop latency (= lookahead); 0 = 5 ms
 	PollEvery      sim.Time // controller poll/checkpoint period; 0 = 500 ms (RunFleet), 250 ms (chaos)
 	Seed           int64    // topology seed; 0 = 1960
 	// Monolithic builds the identical fleet on one shared Engine instead of
@@ -79,14 +88,6 @@ type FleetConfig struct {
 	RollingDrains int
 	FaultSeed     int64 // 0 = Seed+77
 
-	// DetectDelay is how long after a fault strikes (or clears) the
-	// controller reacts — the missed-heartbeat detection lag. 0 = 2 polls.
-	DetectDelay sim.Time
-	// SettleMargin pads the outage window when classifying loss-window
-	// violations: violations inside [At, At+Duration+DetectDelay+margin]
-	// count as "during" the outage. 0 = 500 ms.
-	SettleMargin sim.Time
-
 	// CtrlHA replicates the control plane: a standby controller replica
 	// ("ctl-b") receives the primary's placement journal and per-poll
 	// checkpoints and takes over with a bumped leader epoch when the primary
@@ -105,9 +106,6 @@ type FleetConfig struct {
 	ScrapeEvery sim.Time
 	// TopK bounds the top-streams-by-pressure artifact; 0 = 8.
 	TopK int
-	// MaxScrapeRung caps the per-card degradation rung; 0 = 3 (so the
-	// widest interval is 8× the base period).
-	MaxScrapeRung int
 	// StressPct, when positive, charges each card's budget up to this
 	// percent of its size at StressAt and releases it StressDur later —
 	// deterministic memory pressure that forces the scrape plane to shed
@@ -116,6 +114,10 @@ type FleetConfig struct {
 	StressAt  sim.Time // 0 = Dur/3
 	StressDur sim.Time // 0 = Dur/4
 }
+
+// detectDelay is how long after a fault strikes (or clears) the controller
+// reacts — the missed-heartbeat detection lag, two polls.
+func (cfg *FleetConfig) detectDelay() sim.Time { return 2 * cfg.PollEvery }
 
 func (cfg *FleetConfig) setDefaults() {
 	if cfg.Dur <= 0 {
@@ -134,9 +136,6 @@ func (cfg *FleetConfig) setDefaults() {
 	}
 	if cfg.StreamsPerCard <= 0 {
 		cfg.StreamsPerCard = 2
-	}
-	if cfg.NetLatency <= 0 {
-		cfg.NetLatency = 5 * sim.Millisecond
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1960
@@ -162,12 +161,6 @@ func (cfg *FleetConfig) setDefaults() {
 	if cfg.FaultSeed == 0 {
 		cfg.FaultSeed = cfg.Seed + 77
 	}
-	if cfg.DetectDelay <= 0 {
-		cfg.DetectDelay = 2 * cfg.PollEvery
-	}
-	if cfg.SettleMargin <= 0 {
-		cfg.SettleMargin = 500 * sim.Millisecond
-	}
 	if cfg.CtrlHA {
 		if cfg.CtrlCrashes == 0 {
 			cfg.CtrlCrashes = 1
@@ -187,9 +180,6 @@ func (cfg *FleetConfig) setDefaults() {
 	}
 	if cfg.TopK <= 0 {
 		cfg.TopK = 8
-	}
-	if cfg.MaxScrapeRung <= 0 {
-		cfg.MaxScrapeRung = 3
 	}
 	if cfg.StressPct > 0 {
 		if cfg.StressAt <= 0 {
@@ -274,7 +264,7 @@ func (f *fleet) close() {
 	}
 }
 
-// forward carries one media frame across the fleet network: NetLatency of
+// forward carries one media frame across the fleet network: fleetNetLatency of
 // distribution-network flight, then the home card's receive link to the
 // client. In partitioned mode this is the inter-partition channel whose
 // lookahead is exactly that latency.
@@ -289,7 +279,7 @@ func (f *fleet) forward(from int, p *netsim.Packet) {
 	dst := f.cards[home]
 	deliver := func() { dst.rx[p.Dst].Send(p, nil) }
 	if home == from {
-		dst.eng.After(f.cfg.NetLatency, deliver)
+		dst.eng.After(fleetNetLatency, deliver)
 		return
 	}
 	f.hop(f.cards[from].part, dst.part, deliver)
@@ -337,10 +327,10 @@ func (f *fleet) buildCard(i int, eng *sim.Engine, part *sim.Partition) *fleetCar
 // mode, otherwise as a message from partition src to partition dst.
 func (f *fleet) hop(src, dst *sim.Partition, fn func()) {
 	if f.topo == nil {
-		f.mono.After(f.cfg.NetLatency, fn)
+		f.mono.After(fleetNetLatency, fn)
 		return
 	}
-	src.Send(dst, f.cfg.NetLatency, fn)
+	src.Send(dst, fleetNetLatency, fn)
 }
 
 // pollCard is one controller poll of card i: one hop out, a stats read on
@@ -389,11 +379,11 @@ func newFleet(cfg FleetConfig, mesh bool) *fleet {
 		for j, q := range parts {
 			// Distinct endpoints only: a 1-card fleet keeps its media local.
 			if i != j && (mesh || j == (i+1)%cfg.Cards) {
-				mustConnect(f.topo, p, q, cfg.NetLatency)
+				mustConnect(f.topo, p, q, fleetNetLatency)
 			}
 		}
-		mustConnect(f.topo, f.ctrl, p, cfg.NetLatency)
-		mustConnect(f.topo, p, f.ctrl, cfg.NetLatency)
+		mustConnect(f.topo, f.ctrl, p, fleetNetLatency)
+		mustConnect(f.topo, p, f.ctrl, fleetNetLatency)
 	}
 	return f
 }

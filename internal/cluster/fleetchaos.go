@@ -272,7 +272,7 @@ func (f *fleetChaos) wipedSince(card int, placedAt, t sim.Time) bool {
 // --- the reconcile loop ------------------------------------------------------
 
 // reconcile runs in the leading replica at each fault boundary
-// (+DetectDelay): every stream whose current placement no longer matches its
+// (+detectDelay): every stream whose current placement no longer matches its
 // desired one is queued for migration, in gid order.
 func (r *ctrlRep) reconcile() {
 	for _, st := range r.f.cstream {
@@ -544,11 +544,11 @@ func (r *ctrlRep) readd(st *chaosStream, to int, done func()) {
 // --- polling, checkpoints, and violation accounting --------------------------
 
 // inOutage reports whether the card-side interval (a, b] overlaps any padded
-// outage window [At, At+Duration+DetectDelay+SettleMargin] — violations in
+// outage window [At, At+Duration+detectDelay+fleetSettleMargin] — violations in
 // such an interval are attributed to the injected fault.
 func (f *fleetChaos) inOutage(a, b sim.Time) bool {
 	for _, e := range f.plan.Events {
-		end := e.At + e.Duration + f.cfg.DetectDelay + f.cfg.SettleMargin
+		end := e.At + e.Duration + f.cfg.detectDelay() + fleetSettleMargin
 		if b >= e.At && a < end {
 			return true
 		}
@@ -774,11 +774,11 @@ func buildFleetChaos(cfg FleetConfig, obs *fleetObs) *fleetChaos {
 		if !cfg.Monolithic {
 			bPart = f.topo.AddPartition("dvcm-b")
 			for _, fc := range f.cards {
-				mustConnect(f.topo, bPart, fc.part, cfg.NetLatency)
-				mustConnect(f.topo, fc.part, bPart, cfg.NetLatency)
+				mustConnect(f.topo, bPart, fc.part, fleetNetLatency)
+				mustConnect(f.topo, fc.part, bPart, fleetNetLatency)
 			}
-			mustConnect(f.topo, f.ctrl, bPart, cfg.NetLatency)
-			mustConnect(f.topo, bPart, f.ctrl, cfg.NetLatency)
+			mustConnect(f.topo, f.ctrl, bPart, fleetNetLatency)
+			mustConnect(f.topo, bPart, f.ctrl, fleetNetLatency)
 		}
 		rb := newCtrlRep(f, 1, bPart)
 		f.reps[0].peer, rb.peer = rb, f.reps[0]
@@ -881,8 +881,8 @@ func buildFleetChaos(cfg FleetConfig, obs *fleetObs) *fleetChaos {
 		case faults.ControllerCrash, faults.ControllerPartition:
 			f.armCtrlFault(e)
 		}
-		boundary[e.At+cfg.DetectDelay] = true
-		boundary[e.At+e.Duration+cfg.DetectDelay] = true
+		boundary[e.At+cfg.detectDelay()] = true
+		boundary[e.At+e.Duration+cfg.detectDelay()] = true
 	}
 	var times []sim.Time
 	for t := range boundary {
@@ -930,7 +930,7 @@ func appendCtrlEvents(plan *faults.Plan, cfg FleetConfig) {
 			}
 		}
 	}
-	crashAt := anchor + cfg.DetectDelay + cfg.NetLatency + 2*sim.Millisecond
+	crashAt := anchor + cfg.detectDelay() + fleetNetLatency + 2*sim.Millisecond
 	crashDur := cfg.Dur / 4
 	spacing := crashDur + 4*cfg.PollEvery
 	for k := 0; k < cfg.CtrlCrashes; k++ {

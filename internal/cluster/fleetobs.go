@@ -264,7 +264,7 @@ func (o *fleetObs) reply(i int, cur int64) {
 	if !bud.CanAdmit(cost) {
 		if bud.CanAdmit(fleetobs.ShedReplyBytes) {
 			_ = bud.Charge(overload.ClassTelemetry, fleetobs.ShedReplyBytes)
-			fc.eng.After(o.f.cfg.NetLatency, release(fleetobs.ShedReplyBytes))
+			fc.eng.After(fleetNetLatency, release(fleetobs.ShedReplyBytes))
 		}
 		fc.rec.Record(blackbox.Event{At: at, Kind: blackbox.KindRefusal,
 			A: cost, Note: "scrape shed"})
@@ -272,7 +272,7 @@ func (o *fleetObs) reply(i int, cur int64) {
 		return
 	}
 	_ = bud.Charge(overload.ClassTelemetry, cost)
-	fc.eng.After(o.f.cfg.NetLatency, release(cost))
+	fc.eng.After(fleetNetLatency, release(cost))
 	s := &obsSample{
 		at: at, bytes: cost, samples: samples, events: events, lost: lost,
 		used: bud.Used(), low: bud.LowWater(), size: bud.Size(),
@@ -314,7 +314,7 @@ func (o *fleetObs) onShed(i int, cost int64) {
 		o.dark[i] = false
 		o.ctrlEvent("scrape-recover", 0, 0, niName(i)+" answering again")
 	}
-	if o.rung[i] < o.f.cfg.MaxScrapeRung {
+	if o.rung[i] < fleetMaxScrapeRung {
 		o.rung[i]++
 		if o.rung[i] > o.rungMax[i] {
 			o.rungMax[i] = o.rung[i]

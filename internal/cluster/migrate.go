@@ -1,13 +1,10 @@
-// Live stream migration: move an admitted stream between scheduler NIs
-// without tearing it down. The protocol is the redirect-not-rebuild shape
-// the control planes of production media servers use — the source exports
-// the stream's DWCS window position and frame cursor as a migration image,
-// the target re-admits it through the overload budget's front door (with
-// AwaitSpace enrollment and capped-backoff retry when candidates refuse),
-// the queued-but-undelivered frames replay onto the target, and the stream
-// keeps its ID and client address across the hop. When every card refuses,
-// the stream can fall back to the host-resident scheduler tier — degraded
-// service beats none.
+// Cold stream migration: re-place a stream torn off a dead scheduler NI from
+// its last heartbeat checkpoint, without minting a new stream. The target
+// re-admits it through the overload budget's front door (with AwaitSpace
+// enrollment and backoff retry when every candidate refuses), and the
+// stream keeps its ID, client address, DWCS window position and frame cursor
+// across the hop. Live migration, planned drains and host/switch failure
+// domains exist only on the fleet (fleetchaos.go).
 package cluster
 
 import (
@@ -15,11 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/blackbox"
-	"repro/internal/core"
-	"repro/internal/dvcmnet"
 	"repro/internal/dwcs"
-	"repro/internal/host"
-	"repro/internal/nic"
 	"repro/internal/sim"
 )
 
@@ -28,118 +21,21 @@ import (
 // double-migrate guard.
 var ErrMigrationInProgress = errors.New("cluster: migration already in progress")
 
-// epochFence is a card's admission gate against stale controllers: the
-// highest leader epoch the card has witnessed, and which replica stamped it.
-// Commands stamped with an older epoch are rejected outright — the same
-// jurisdictional semantics as sim.Msg.Cancel, where authority over an
-// in-flight operation belongs to whoever holds the newest claim, applied
-// here to the whole control plane. A newer stamp raises the fence as a side
-// effect, so a takeover's first command (or its explicit fence broadcast)
-// locks every reachable card against the deposed leader; there is no way to
-// lower a fence. Card-partition-local state (ctrlha.go allocates one per
-// card when the control plane is replicated).
-type epochFence struct {
-	epoch  int
-	leader int
-}
-
-// admit reports whether a command stamped (epoch, replica) may execute,
-// raising the fence when the stamp is newer than anything seen.
-func (f *epochFence) admit(epoch, replica int) bool {
-	if epoch < f.epoch {
-		return false
-	}
-	if epoch > f.epoch {
-		f.epoch, f.leader = epoch, replica
-	}
-	return true
-}
-
-// MigrateOptions tunes one migration.
-type MigrateOptions struct {
-	// Avoid vetoes candidate target cards beyond the standing exclusions
-	// (source card, failed, draining) — the domain-aware failover filter.
-	Avoid func(*SchedulerNI) bool
-	// MaxAttempts caps placement attempts before giving up or falling back
-	// to the host tier. 0 = 3.
-	MaxAttempts int
-	// Backoff is the initial retry delay after a refused attempt; it
-	// doubles per refusal up to MaxBackoff. 0 = 50 ms / 1 s.
-	Backoff    sim.Time
-	MaxBackoff sim.Time
-	// Fallback, when set, receives the stream after MaxAttempts refusals:
-	// injection fails over to the host-resident scheduler instead of the
-	// stream dying. The caller wires the target's Backup path beforehand.
-	Fallback *host.FailoverTarget
-	// Via, when set, carries the frame replay over the SAN through this
-	// management endpoint, so retransmitted replays are absorbed by the
-	// dvcmnet request-ID dedup. Nil replays card-locally.
-	Via *dvcmnet.Endpoint
-}
+// Retry shape of a refused cold migration: placement attempts before giving
+// up, and the delay after the first refusal, doubling per refusal.
+const (
+	migrateAttempts = 3
+	migrateBackoff  = 50 * sim.Millisecond
+)
 
 // Migration records one completed (or failed) stream move.
 type Migration struct {
-	StreamID          int
-	From, To          *SchedulerNI
-	Old, New          *Placement
-	Image             dwcs.StreamSnapshot
-	Cold              bool // restored from a heartbeat checkpoint, not a live export
-	Replayed          int  // in-flight frames replayed onto the target
-	Attempts          int  // placement attempts (≥1)
-	FellBack          bool // landed on the host tier, not a card
-	StartedAt, DoneAt sim.Time
-}
-
-// Migrate moves a live stream off its current scheduler NI. done fires when
-// the migration settles — inline when the first candidate admits, later when
-// the protocol had to wait on AwaitSpace or backoff timers. done may be nil.
-//
-// The source side is destructive-but-capturing: the stream's image and
-// queued frames are detached first, so from this call on the stream is
-// either on its new card, on the host fallback tier, or (every retry
-// exhausted, no fallback) reported lost through done's error.
-func (c *Cluster) Migrate(p *Placement, opts MigrateOptions, done func(*Migration, error)) {
-	if done == nil {
-		done = func(*Migration, error) {}
-	}
-	if c.migrating == nil {
-		c.migrating = make(map[int]bool)
-	}
-	if c.migrating[p.StreamID] {
-		done(nil, fmt.Errorf("%w: stream %d", ErrMigrationInProgress, p.StreamID))
-		return
-	}
-	if c.placements[p.StreamID] != p {
-		done(nil, fmt.Errorf("cluster: migrate: stream %d is not the live placement", p.StreamID))
-		return
-	}
-	c.migrating[p.StreamID] = true
-
-	m := &Migration{StreamID: p.StreamID, From: p.Scheduler, Old: p, StartedAt: c.Eng.Now()}
-	img, queued, err := p.Scheduler.Ext.DetachStream(p.StreamID)
-	if err != nil {
-		p.Scheduler.Ext.Blackbox.Record(blackbox.Event{
-			At: c.Eng.Now(), Kind: blackbox.KindMigrate, Stream: p.StreamID,
-			Note: "export failed: " + err.Error(),
-		})
-		delete(c.migrating, p.StreamID)
-		done(m, err)
-		return
-	}
-	m.Image = img
-	p.Scheduler.Ext.Blackbox.Record(blackbox.Event{
-		At: c.Eng.Now(), Kind: blackbox.KindMigrate, Stream: p.StreamID,
-		Seq: img.Seq, A: int64(img.WindowX), B: int64(img.WindowY),
-		Note: "export begin (live)",
-	})
-	c.refund(p)
-	delete(p.Scheduler.specs, p.StreamID)
-	delete(c.placements, p.StreamID)
-	p.Scheduler.streams--
-	p.Producer.streams--
-	c.Placed--
-
-	c.settle(m, p, img, queued, opts, done)
+	StreamID int
+	From, To *SchedulerNI
+	Old, New *Placement
+	Image    dwcs.StreamSnapshot
+	Attempts int // placement attempts (≥1)
+	DoneAt   sim.Time
 }
 
 // MigrateCold re-places a stream torn off a dead card from its last
@@ -148,70 +44,34 @@ func (c *Cluster) Migrate(p *Placement, opts MigrateOptions, done func(*Migratio
 // worst — so there are no frames to replay, but the window position and
 // frame cursor survive, which is what keeps the loss-window honest through
 // the outage. old must already have been torn down by FailScheduler.
-func (c *Cluster) MigrateCold(old *Placement, img dwcs.StreamSnapshot, opts MigrateOptions, done func(*Migration, error)) {
-	if done == nil {
-		done = func(*Migration, error) {}
-	}
-	if c.migrating == nil {
-		c.migrating = make(map[int]bool)
-	}
+//
+// Candidate placement retries with AwaitSpace enrollment and doubling
+// backoff; done fires when the migration settles — inline when the first
+// candidate admits, later when it had to wait.
+func (c *Cluster) MigrateCold(old *Placement, img dwcs.StreamSnapshot, done func(*Migration, error)) {
 	if c.migrating[old.StreamID] {
 		done(nil, fmt.Errorf("%w: stream %d", ErrMigrationInProgress, old.StreamID))
 		return
 	}
 	c.migrating[old.StreamID] = true
-	m := &Migration{StreamID: old.StreamID, From: old.Scheduler, Old: old,
-		Image: img, Cold: true, StartedAt: c.Eng.Now()}
-	c.settle(m, old, img, nil, opts, done)
-}
-
-// settle is the target half of both migration flavors: candidate placement
-// with AwaitSpace enrollment and capped-backoff retry, then frame replay,
-// then host-tier fallback as the last resort.
-func (c *Cluster) settle(m *Migration, p *Placement, img dwcs.StreamSnapshot,
-	queued []dwcs.Packet, opts MigrateOptions, done func(*Migration, error)) {
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 50 * sim.Millisecond
-	}
-	maxBackoff := opts.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = sim.Second
-	}
-	avoid := func(s *SchedulerNI) bool {
-		return s == p.Scheduler || (opts.Avoid != nil && opts.Avoid(s))
-	}
+	m := &Migration{StreamID: old.StreamID, From: old.Scheduler, Old: old, Image: img}
+	backoff := migrateBackoff
 	finish := func(err error) {
 		m.DoneAt = c.Eng.Now()
-		delete(c.migrating, p.StreamID)
+		delete(c.migrating, old.StreamID)
 		// Commit/abort lands in the flight-recorder ring so migrations are
 		// visible in incident dumps: commit on the card that now serves the
 		// stream, abort on the card that lost it.
-		switch {
-		case err != nil:
+		if err != nil {
 			m.From.Ext.Blackbox.Record(blackbox.Event{
 				At: m.DoneAt, Kind: blackbox.KindMigrate, Stream: m.StreamID,
 				Note: "migration aborted: " + err.Error(),
 			})
-		case m.FellBack:
-			m.From.Ext.Blackbox.Record(blackbox.Event{
-				At: m.DoneAt, Kind: blackbox.KindMigrate, Stream: m.StreamID,
-				Seq: img.Seq, Note: "fell back to host tier",
-			})
-		case m.To != nil:
-			kind := "live"
-			if m.Cold {
-				kind = "cold"
-			}
+		} else {
 			m.To.Ext.Blackbox.Record(blackbox.Event{
 				At: m.DoneAt, Kind: blackbox.KindMigrate, Stream: m.StreamID,
 				Seq: img.Seq, A: int64(img.WindowX), B: int64(img.WindowY),
-				Note: fmt.Sprintf("import commit (%s) from %s replay=%d",
-					kind, m.From.Card.Name, m.Replayed),
+				Note: "import commit (cold) from " + m.From.Card.Name,
 			})
 		}
 		done(m, err)
@@ -219,34 +79,18 @@ func (c *Cluster) settle(m *Migration, p *Placement, img dwcs.StreamSnapshot,
 	var try func()
 	try = func() {
 		m.Attempts++
-		np, err := c.place(p.Req, p.StreamID, p.Client, &img, avoid)
+		np, err := c.place(old.Req, old.StreamID, old.Client, &img, old.Scheduler)
 		if err == nil {
 			m.To, m.New = np.Scheduler, np
-			m.Replayed = c.replay(np, queued, opts)
 			finish(nil)
 			return
 		}
-		if !errors.Is(err, ErrAdmission) {
-			finish(err)
-			return
-		}
-		if m.Attempts >= maxAttempts {
-			if opts.Fallback != nil {
-				opts.Fallback.FailToBackup()
-				for _, pkt := range queued {
-					if opts.Fallback.Enqueue(p.StreamID, pkt) == nil {
-						m.Replayed++
-					}
-				}
-				m.FellBack = true
-				finish(nil)
-				return
-			}
+		if !errors.Is(err, ErrAdmission) || m.Attempts >= migrateAttempts {
 			finish(err)
 			return
 		}
 		// Refused everywhere: re-attempt when a pressured candidate's budget
-		// drains back under its low-water mark, or after the capped backoff
+		// drains back under its low-water mark, or after the backoff
 		// — whichever fires first (the other firing is absorbed).
 		fired := false
 		once := func() {
@@ -256,27 +100,23 @@ func (c *Cluster) settle(m *Migration, p *Placement, img dwcs.StreamSnapshot,
 			fired = true
 			try()
 		}
-		if cand := c.awaitCandidate(avoid); cand != nil {
+		if cand := c.awaitCandidate(old.Scheduler); cand != nil {
 			cand.Overload.Budget.AwaitSpace(once)
 		}
 		c.Eng.After(backoff, once)
-		if backoff < maxBackoff/2 {
-			backoff *= 2
-		} else {
-			backoff = maxBackoff
-		}
+		backoff *= 2
 	}
 	try()
 }
 
-// awaitCandidate picks the least-CPU-loaded overload-protected card not
-// vetoed by avoid — the budget whose drain most plausibly unblocks the
+// awaitCandidate picks the least-CPU-loaded overload-protected card other
+// than exclude — the budget whose drain most plausibly unblocks the
 // migration.
-func (c *Cluster) awaitCandidate(avoid func(*SchedulerNI) bool) *SchedulerNI {
+func (c *Cluster) awaitCandidate(exclude *SchedulerNI) *SchedulerNI {
 	var best *SchedulerNI
 	for _, n := range c.Nodes {
 		for _, s := range n.Schedulers {
-			if s.Card.Link == nil || s.failed || s.draining || s.Overload == nil || avoid(s) {
+			if s.Card.Link == nil || s.failed || s.Overload == nil || s == exclude {
 				continue
 			}
 			if best == nil || s.cpuLoad < best.cpuLoad {
@@ -285,126 +125,4 @@ func (c *Cluster) awaitCandidate(avoid func(*SchedulerNI) bool) *SchedulerNI {
 		}
 	}
 	return best
-}
-
-// replay re-enqueues the detached in-flight frames on the target card. Over
-// the SAN (opts.Via) each frame rides a dvcmnet request, so a retransmitted
-// replay is absorbed by the target's request-ID dedup instead of duplicating
-// the frame; card-locally it is a direct enqueue.
-func (c *Cluster) replay(np *Placement, queued []dwcs.Packet, opts MigrateOptions) int {
-	n := 0
-	for _, pkt := range queued {
-		pkt.Payload = nic.AddrPayload(np.Client)
-		if opts.Via != nil {
-			opts.Via.Invoke(np.Scheduler.Card.Name, core.Instr{
-				Ext: "dwcs", Op: "enqueue",
-				Arg: nic.EnqueueArgs{StreamID: np.StreamID, Packet: pkt},
-			}, nil)
-			n++
-			continue
-		}
-		if np.Scheduler.Ext.Enqueue(np.StreamID, pkt) == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// DrainScheduler starts planned maintenance on a card: it stops taking new
-// placements and every stream it serves is migrated off live. done fires
-// once all migrations settle, with the per-stream results in StreamID order.
-// The card keeps answering heartbeats throughout — drain is not death.
-func (c *Cluster) DrainScheduler(s *SchedulerNI, opts MigrateOptions, done func([]*Migration)) {
-	s.SetDraining(true)
-	var affected []*Placement
-	for _, p := range c.Live() {
-		if p.Scheduler == s {
-			affected = append(affected, p)
-		}
-	}
-	results := make([]*Migration, 0, len(affected))
-	pendingCount := len(affected)
-	if pendingCount == 0 {
-		if done != nil {
-			done(results)
-		}
-		return
-	}
-	for _, p := range affected {
-		c.Migrate(p, opts, func(m *Migration, err error) {
-			results = append(results, m)
-			pendingCount--
-			if pendingCount == 0 && done != nil {
-				done(results)
-			}
-		})
-	}
-}
-
-// Rebalance evens stream counts after a recovery or drain return: while the
-// spread between the most- and least-loaded live cards exceeds one stream,
-// the newest stream on the most-loaded card migrates (the placement engine
-// lands it on the least-loaded card). Sequential and deterministic: each
-// step starts when the previous migration settles. done receives the moves.
-func (c *Cluster) Rebalance(opts MigrateOptions, done func([]*Migration)) {
-	var moves []*Migration
-	var step func()
-	step = func() {
-		src, spread := c.widestSpread()
-		if src == nil || spread <= 1 {
-			if done != nil {
-				done(moves)
-			}
-			return
-		}
-		// Newest stream on the hot card: cheapest history to move.
-		var pick *Placement
-		for _, p := range c.Live() {
-			if p.Scheduler == src && (pick == nil || p.StreamID > pick.StreamID) {
-				pick = p
-			}
-		}
-		if pick == nil {
-			if done != nil {
-				done(moves)
-			}
-			return
-		}
-		c.Migrate(pick, opts, func(m *Migration, err error) {
-			if err != nil || m.To == src {
-				// No better home exists; stop rather than churn.
-				if done != nil {
-					done(moves)
-				}
-				return
-			}
-			moves = append(moves, m)
-			step()
-		})
-	}
-	step()
-}
-
-// widestSpread returns the most-loaded live card and the stream-count gap to
-// the least-loaded one.
-func (c *Cluster) widestSpread() (*SchedulerNI, int) {
-	var hot *SchedulerNI
-	minStreams := -1
-	for _, n := range c.Nodes {
-		for _, s := range n.Schedulers {
-			if s.Card.Link == nil || s.failed || s.draining {
-				continue
-			}
-			if hot == nil || s.streams > hot.streams {
-				hot = s
-			}
-			if minStreams < 0 || s.streams < minStreams {
-				minStreams = s.streams
-			}
-		}
-	}
-	if hot == nil {
-		return nil, 0
-	}
-	return hot, hot.streams - minStreams
 }

@@ -8,8 +8,6 @@ import (
 	"repro/internal/blackbox"
 	"repro/internal/dwcs"
 	"repro/internal/fixed"
-	"repro/internal/host"
-	"repro/internal/nic"
 	"repro/internal/overload"
 	"repro/internal/sim"
 )
@@ -24,89 +22,6 @@ func lossyReq(name string) StreamRequest {
 	return r
 }
 
-// enqueueFrames pushes n address-only frames onto a placement's scheduler.
-func enqueueFrames(t *testing.T, p *Placement, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		err := p.Scheduler.Ext.Enqueue(p.StreamID, dwcs.Packet{
-			Bytes: p.Req.FrameBytes, Payload: nic.AddrPayload(p.Client),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestMigratePreservesWindowCursorAndReplaysQueued: the live-migration happy
-// path. A stream partway through its loss window, with frames still queued,
-// moves to the other card: same stream ID, same client, window position and
-// frame cursor intact, queued frames replayed onto the target.
-func TestMigratePreservesWindowCursorAndReplaysQueued(t *testing.T) {
-	c := twoSchedCluster(t)
-	s0 := c.Nodes[0].Schedulers[0]
-	s1 := c.Nodes[0].Schedulers[1]
-	p, err := c.Admit(lossyReq("movie"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Scheduler != s0 {
-		t.Fatalf("admitted on %s, want sched0", p.Scheduler.Card.Name)
-	}
-	c.AttachClient(p)
-	enqueueFrames(t, p, 3)
-	// Run past the first frame's eligibility (deadline 160ms − 20ms early
-	// window): one frame serviced, (1,4) → (1,3); two frames stay queued.
-	c.Eng.RunUntil(200 * sim.Millisecond)
-	if st, err := s0.Ext.Sched.Stats(p.StreamID); err != nil || st.Serviced != 1 {
-		t.Fatalf("pre-migration stats = %+v err=%v, want serviced=1", st, err)
-	}
-
-	var m *Migration
-	c.Migrate(p, MigrateOptions{}, func(mig *Migration, err error) {
-		if err != nil {
-			t.Fatalf("migrate: %v", err)
-		}
-		m = mig
-	})
-	if m == nil {
-		t.Fatal("migration did not settle inline on an idle target")
-	}
-	if m.To != s1 || m.New == nil || m.New.Scheduler != s1 {
-		t.Fatalf("migrated to %v, want sched1", m.To)
-	}
-	if m.New.StreamID != p.StreamID {
-		t.Fatalf("stream ID changed %d → %d; migration must not tear down", p.StreamID, m.New.StreamID)
-	}
-	if m.New.Client != p.Client {
-		t.Fatalf("client changed %s → %s", p.Client, m.New.Client)
-	}
-	if m.Replayed != 2 {
-		t.Fatalf("replayed %d frames, want 2", m.Replayed)
-	}
-	if cx, cy, err := s1.Ext.Sched.Window(p.StreamID); err != nil || cx != 1 || cy != 3 {
-		t.Fatalf("target window = (%d,%d) err=%v, want (1,3)", cx, cy, err)
-	}
-	if got := s1.Ext.Sched.QueueLen(p.StreamID); got != 2 {
-		t.Fatalf("target queue = %d, want the 2 replayed frames", got)
-	}
-	st, err := s1.Ext.Sched.Stats(p.StreamID)
-	if err != nil || st.Serviced != 1 {
-		t.Fatalf("target stats = %+v err=%v, want serviced=1 carried over", st, err)
-	}
-	if _, _, err := s0.Ext.Sched.Window(p.StreamID); err == nil {
-		t.Fatal("source still owns the stream after migration")
-	}
-	if s0.Streams() != 0 || s1.Streams() != 1 {
-		t.Fatalf("stream counts: s0=%d s1=%d", s0.Streams(), s1.Streams())
-	}
-	if s0.CPULoad() != 0 {
-		t.Fatalf("source still holds cpu load %v", s0.CPULoad())
-	}
-	if live := c.Live(); len(live) != 1 || live[0] != m.New {
-		t.Fatalf("live = %v, want just the migrated placement", live)
-	}
-}
-
 // fill charges a card's budget up to its high-water mark so admission
 // refuses, returning the release function.
 func fill(s *SchedulerNI) func() {
@@ -117,25 +32,48 @@ func fill(s *SchedulerNI) func() {
 	return func() { s.Overload.Budget.Release(overload.ClassLeak, n) }
 }
 
+// crashWithCheckpoint admits one stream on sched0, takes the checkpoint a
+// heartbeat would have cached (cursor moved to 7 so a restore is
+// distinguishable from a fresh registration), and fails the card. It returns
+// the torn-down placement and the image.
+func crashWithCheckpoint(t *testing.T, c *Cluster) (*Placement, dwcs.StreamSnapshot) {
+	t.Helper()
+	s0 := c.Nodes[0].Schedulers[0]
+	p, err := c.Admit(lossyReq("movie"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Scheduler != s0 {
+		t.Fatalf("admitted on %s, want sched0", p.Scheduler.Card.Name)
+	}
+	img, err := s0.Ext.Sched.ExportStream(p.StreamID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Seq = 7
+	affected := c.FailScheduler(s0, c.Live())
+	if len(affected) != 1 || affected[0] != p {
+		t.Fatalf("affected = %v", affected)
+	}
+	return p, img
+}
+
 // TestMigrateDuringAwaitSpaceAndDoubleMigrateGuard: the target refuses at
-// its budget high-water mark, so the migration parks in AwaitSpace; a second
-// migrate of the same stream while the first is parked is refused by the
-// double-migrate guard; when the target's budget drains, the parked
+// its budget high-water mark, so the cold migration parks in AwaitSpace; a
+// second migrate of the same stream while the first is parked is refused by
+// the double-migrate guard; when the target's budget drains, the parked
 // migration completes.
 func TestMigrateDuringAwaitSpaceAndDoubleMigrateGuard(t *testing.T) {
 	c := twoSchedCluster(t)
 	c.EnableOverload(nil)
 	s1 := c.Nodes[0].Schedulers[1]
-	p, err := c.Admit(lossyReq("movie"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	release := fill(s1)
+	p, img := crashWithCheckpoint(t, c)
 
 	var m *Migration
 	var settleErr error
 	settled := false
-	c.Migrate(p, MigrateOptions{Backoff: 10 * sim.Second}, func(mig *Migration, err error) {
+	c.MigrateCold(p, img, func(mig *Migration, err error) {
 		m, settleErr, settled = mig, err, true
 	})
 	if settled {
@@ -148,13 +86,15 @@ func TestMigrateDuringAwaitSpaceAndDoubleMigrateGuard(t *testing.T) {
 		t.Fatal("stream still placed while migration is in flight")
 	}
 
-	c.Migrate(p, MigrateOptions{}, func(mig *Migration, err error) {
+	c.MigrateCold(p, img, func(mig *Migration, err error) {
 		if !errors.Is(err, ErrMigrationInProgress) {
 			t.Fatalf("double migrate err = %v, want ErrMigrationInProgress", err)
 		}
 	})
 
-	release() // budget drains to low-water; the parked migration fires
+	// The budget drains to low-water and the parked migration fires — no
+	// engine time has passed, so this is AwaitSpace, not the backoff timer.
+	release()
 	if !settled || settleErr != nil {
 		t.Fatalf("settled=%v err=%v after budget drain", settled, settleErr)
 	}
@@ -166,224 +106,36 @@ func TestMigrateDuringAwaitSpaceAndDoubleMigrateGuard(t *testing.T) {
 	}
 }
 
-// enqueueSink counts frames routed to the host tier.
-type enqueueSink struct{ got int }
-
-func (e *enqueueSink) Enqueue(id int, p dwcs.Packet) error { e.got++; return nil }
-
-// TestRefusalCascadeFallsBackToHost: every candidate card refuses for the
-// whole retry budget, so the stream falls back to the host-resident
-// scheduler tier, queued frames included — degraded service, not teardown.
-func TestRefusalCascadeFallsBackToHost(t *testing.T) {
-	c := twoSchedCluster(t)
-	c.EnableOverload(nil)
-	s1 := c.Nodes[0].Schedulers[1]
-	p, err := c.Admit(lossyReq("movie"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enqueueFrames(t, p, 2)
-	fill(s1) // never released: the refusal cascade runs dry
-
-	backup := &enqueueSink{}
-	ft := &host.FailoverTarget{Primary: &enqueueSink{}, Backup: backup}
-	var m *Migration
-	c.Migrate(p, MigrateOptions{
-		MaxAttempts: 2, Backoff: 10 * sim.Millisecond, Fallback: ft,
-	}, func(mig *Migration, err error) {
-		if err != nil {
-			t.Fatalf("fallback migrate: %v", err)
-		}
-		m = mig
-	})
-	// Drive the backoff retries to exhaustion (bounded: the overload
-	// controllers' periodic evaluation never lets a bare Run terminate).
-	c.Eng.RunUntil(sim.Second)
-	if m == nil {
-		t.Fatal("migration never settled")
-	}
-	if !m.FellBack || m.To != nil {
-		t.Fatalf("fellBack=%v to=%v, want host-tier fallback", m.FellBack, m.To)
-	}
-	if m.Attempts != 2 {
-		t.Fatalf("attempts = %d, want the configured 2", m.Attempts)
-	}
-	if !ft.OnBackup() {
-		t.Fatal("failover target never switched to backup")
-	}
-	if backup.got != 2 {
-		t.Fatalf("backup received %d frames, want the 2 queued", backup.got)
-	}
-}
-
-// TestBudgetLedgerConservationAcrossMigration: a migration must release on
-// the source exactly what admission charged, and charge the target through
-// the same front door — ledger symmetry on both cards.
-func TestBudgetLedgerConservationAcrossMigration(t *testing.T) {
-	c := twoSchedCluster(t)
-	c.EnableOverload(nil)
-	s0 := c.Nodes[0].Schedulers[0]
-	s1 := c.Nodes[0].Schedulers[1]
-	p, err := c.Admit(lossyReq("movie"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enqueueFrames(t, p, 3)
-	charged := s0.Overload.Budget.Used()
-	if charged == 0 {
-		t.Fatal("admission charged nothing")
-	}
-
-	c.Migrate(p, MigrateOptions{}, func(mig *Migration, err error) {
-		if err != nil {
-			t.Fatalf("migrate: %v", err)
-		}
-	})
-	if got := s0.Overload.Budget.Used(); got != 0 {
-		t.Fatalf("source budget used = %d after migration, want 0", got)
-	}
-	ch, rel := s0.Overload.Budget.Ledger()
-	if ch != rel {
-		t.Fatalf("source ledger charged=%d released=%d, want conservation", ch, rel)
-	}
-	if got := s1.Overload.Budget.Used(); got != charged {
-		t.Fatalf("target budget used = %d, want the stream's %d", got, charged)
-	}
-}
-
-// TestMonitorIgnoresDrainingCard is the regression test for the spurious
-// drain failover: a card under planned maintenance answers nothing, and the
-// old monitor counted that silence as missed heartbeats and failed it over.
-// Draining cards are skipped, their miss counters cleared, and the card
-// rejoins cleanly when maintenance ends.
-func TestMonitorIgnoresDrainingCard(t *testing.T) {
-	c := twoSchedCluster(t)
-	s0 := c.Nodes[0].Schedulers[0]
-	if _, err := c.Admit(lossyReq("movie")); err != nil {
-		t.Fatal(err)
-	}
-
-	m := NewMonitor(c, "monitor")
-	m.Interval = 100 * sim.Millisecond
-	m.Timeout = 10 * sim.Millisecond
-	m.Misses = 2
-	m.Auto = true
-	m.OnFail = func(s *SchedulerNI, _ []*Placement) {
-		t.Errorf("monitor failed over %s during its drain", s.Card.Name)
-	}
-	m.Start()
-
-	// Maintenance window: the card goes dark for 1.5s — 15 probe intervals,
-	// far past the 2-miss threshold — but is draining the whole time.
-	c.Eng.At(200*sim.Millisecond, func() {
-		s0.SetDraining(true)
-		s0.Card.Crash()
-	})
-	c.Eng.At(1700*sim.Millisecond, func() {
-		s0.Card.Reset()
-		s0.SetDraining(false)
-	})
-	c.Eng.RunUntil(3 * sim.Second)
-	m.Stop()
-
-	if m.Detected != 0 {
-		t.Fatalf("detected = %d failures during a declared drain", m.Detected)
-	}
-	if s0.Failed() {
-		t.Fatal("draining card ended up failed")
-	}
-	if s0.Draining() {
-		t.Fatal("card still draining after maintenance ended")
-	}
-}
-
-// TestDrainSchedulerMovesStreamsLiveAndRebalanceReturns: planned drain
-// migrates every stream off the card without teardown; after maintenance a
-// rebalance pass pulls load back onto it.
-func TestDrainSchedulerMovesStreamsLiveAndRebalanceReturns(t *testing.T) {
-	c := twoSchedCluster(t)
-	s0 := c.Nodes[0].Schedulers[0]
-	s1 := c.Nodes[0].Schedulers[1]
-	ids := map[int]bool{}
-	for _, name := range []string{"a", "b", "c", "d"} {
-		p, err := c.Admit(lossyReq(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[p.StreamID] = true
-	}
-	if s0.Streams() != 2 || s1.Streams() != 2 {
-		t.Fatalf("streams s0=%d s1=%d, want 2/2", s0.Streams(), s1.Streams())
-	}
-
-	var drained []*Migration
-	c.DrainScheduler(s0, MigrateOptions{}, func(ms []*Migration) { drained = ms })
-	if len(drained) != 2 {
-		t.Fatalf("drained %d migrations, want 2", len(drained))
-	}
-	for _, m := range drained {
-		if m.To != s1 || !ids[m.StreamID] {
-			t.Fatalf("drain moved %d to %v", m.StreamID, m.To)
-		}
-	}
-	if s0.Streams() != 0 || s1.Streams() != 4 {
-		t.Fatalf("post-drain streams s0=%d s1=%d, want 0/4", s0.Streams(), s1.Streams())
-	}
-	if _, err := c.Admit(lossyReq("e")); err != nil {
-		t.Fatal(err)
-	} else if s0.Streams() != 0 {
-		t.Fatal("draining card accepted a new placement")
-	}
-
-	s0.SetDraining(false)
-	var moves []*Migration
-	c.Rebalance(MigrateOptions{}, func(ms []*Migration) { moves = ms })
-	if len(moves) == 0 {
-		t.Fatal("rebalance moved nothing back")
-	}
-	if spread := s1.Streams() - s0.Streams(); spread < -1 || spread > 1 {
-		t.Fatalf("post-rebalance streams s0=%d s1=%d, want spread ≤ 1", s0.Streams(), s1.Streams())
-	}
-}
-
 // TestMigrateColdFromCheckpoint: a crashed card's stream resumes from the
 // monitor-style checkpoint image — window position and cursor survive even
 // though the card contributed nothing at failure time.
 func TestMigrateColdFromCheckpoint(t *testing.T) {
 	c := twoSchedCluster(t)
-	s0 := c.Nodes[0].Schedulers[0]
 	s1 := c.Nodes[0].Schedulers[1]
-	p, err := c.Admit(lossyReq("movie"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The checkpoint a heartbeat would have cached: mid-window, cursor at 7.
-	img, err := s0.Ext.Sched.ExportStream(p.StreamID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img.WindowX, img.WindowY = 1, 2
-	img.Seq = 7
+	p, img := crashWithCheckpoint(t, c)
+	img.WindowX, img.WindowY = 1, 2 // mid-window
 
-	affected := c.FailScheduler(s0, c.Live())
-	if len(affected) != 1 {
-		t.Fatalf("affected = %v", affected)
-	}
 	var m *Migration
-	c.MigrateCold(affected[0], img, MigrateOptions{}, func(mig *Migration, err error) {
+	c.MigrateCold(p, img, func(mig *Migration, err error) {
 		if err != nil {
 			t.Fatalf("cold migrate: %v", err)
 		}
 		m = mig
 	})
-	if m == nil || !m.Cold || m.To != s1 {
+	if m == nil || m.To != s1 {
 		t.Fatalf("cold migration = %+v", m)
 	}
 	if m.New.StreamID != p.StreamID {
 		t.Fatal("cold migration minted a new stream ID")
 	}
+	if m.New.Client != p.Client {
+		t.Fatalf("client changed %s → %s", p.Client, m.New.Client)
+	}
 	if cx, cy, err := s1.Ext.Sched.Window(p.StreamID); err != nil || cx != 1 || cy != 2 {
 		t.Fatalf("restored window = (%d,%d) err=%v, want checkpoint (1,2)", cx, cy, err)
+	}
+	if live := c.Live(); len(live) != 1 || live[0] != m.New {
+		t.Fatalf("live = %v, want just the migrated placement", live)
 	}
 }
 
@@ -398,77 +150,50 @@ func migRing(t *testing.T, s *SchedulerNI) *blackbox.Recorder {
 	return rec
 }
 
-// findNote returns the first event with the given note, or nil.
-func findNote(evs []blackbox.Event, note string) *blackbox.Event {
-	for i := range evs {
-		if evs[i].Note == note {
-			return &evs[i]
+// findNote returns the first migration event whose note starts with prefix,
+// or nil.
+func findNote(rec *blackbox.Recorder, prefix string) *blackbox.Event {
+	for _, e := range rec.Events() {
+		if e.Kind == blackbox.KindMigrate && strings.HasPrefix(e.Note, prefix) {
+			return &e
 		}
 	}
 	return nil
 }
 
-// migEvents filters a ring down to its migration events.
-func migEvents(rec *blackbox.Recorder) []blackbox.Event {
-	var out []blackbox.Event
-	for _, e := range rec.Events() {
-		if e.Kind == blackbox.KindMigrate {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// TestMigrateRecordsBlackboxEvents: migrations must be visible in incident
-// dumps — export begin on the source ring, import commit on the target ring,
-// and an abort on the source when every candidate refuses.
+// TestMigrateRecordsBlackboxEvents: a migration that dies must be visible in
+// incident dumps. The only candidate stays pinned at its high-water mark
+// through all three attempts (50 ms, then 100 ms of backoff), so the cold
+// migration aborts — on the dead card's ring, with the admission error.
 func TestMigrateRecordsBlackboxEvents(t *testing.T) {
 	c := twoSchedCluster(t)
+	c.EnableOverload(nil)
 	s0 := c.Nodes[0].Schedulers[0]
 	s1 := c.Nodes[0].Schedulers[1]
 	rec0, rec1 := migRing(t, s0), migRing(t, s1)
+	fill(s1) // never released: the refusal cascade runs dry
+	p, img := crashWithCheckpoint(t, c)
 
-	p, err := c.Admit(lossyReq("movie"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.AttachClient(p)
-	c.Migrate(p, MigrateOptions{}, func(m *Migration, err error) {
-		if err != nil {
-			t.Fatalf("migrate: %v", err)
-		}
-	})
-
-	// The nic layer records raw export/import hops; the cluster layer must
-	// add the migration lifecycle on top.
-	if e := findNote(migEvents(rec0), "export begin (live)"); e == nil || e.Stream != p.StreamID {
-		t.Fatalf("source ring missing export begin: %v", migEvents(rec0))
-	}
-	want := "import commit (live) from " + s0.Card.Name + " replay=0"
-	if e := findNote(migEvents(rec1), want); e == nil || e.Stream != p.StreamID {
-		t.Fatalf("target ring missing %q: %v", want, migEvents(rec1))
-	}
-
-	// Abort path: the only candidate is pinned at its high-water mark and
-	// retries are exhausted, so the migration aborts — on the record.
-	c.EnableOverload(nil)
-	release := fill(s0)
-	defer release()
+	var m *Migration
 	var aborted error
-	c.Migrate(c.Live()[0], MigrateOptions{MaxAttempts: 1}, func(m *Migration, err error) {
-		aborted = err
-	})
-	if aborted == nil {
-		t.Fatal("migration should abort with every candidate refusing")
+	c.MigrateCold(p, img, func(mig *Migration, err error) { m, aborted = mig, err })
+	// Bounded: the overload controllers' periodic evaluation never lets a
+	// bare Run terminate.
+	c.Eng.RunUntil(sim.Second)
+	if !errors.Is(aborted, ErrAdmission) {
+		t.Fatalf("err = %v, want ErrAdmission with every candidate refusing", aborted)
 	}
-	found := false
-	for _, e := range migEvents(rec1) {
-		if strings.HasPrefix(e.Note, "migration aborted:") {
-			found = true
-		}
+	if m.Attempts != 3 || m.DoneAt != 150*sim.Millisecond {
+		t.Fatalf("attempts=%d done at %v, want 3 attempts ending at 150ms", m.Attempts, m.DoneAt)
 	}
-	if !found {
-		t.Fatalf("abort not recorded on source ring: %v", migEvents(rec1))
+	if e := findNote(rec0, "migration aborted:"); e == nil || e.Stream != p.StreamID {
+		t.Fatalf("abort not recorded on the source ring: %v", rec0.Events())
+	}
+	if e := findNote(rec1, "import commit"); e != nil {
+		t.Fatalf("refusing target recorded a commit: %+v", e)
+	}
+	if len(c.Live()) != 0 {
+		t.Fatal("aborted migration left a live placement")
 	}
 }
 
@@ -477,26 +202,16 @@ func TestMigrateRecordsBlackboxEvents(t *testing.T) {
 func TestMigrateColdRecordsCommit(t *testing.T) {
 	c := twoSchedCluster(t)
 	s0 := c.Nodes[0].Schedulers[0]
-	s1 := c.Nodes[0].Schedulers[1]
-	rec1 := migRing(t, s1)
+	rec1 := migRing(t, c.Nodes[0].Schedulers[1])
+	p, img := crashWithCheckpoint(t, c)
 
-	p, err := c.Admit(lossyReq("movie"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := s0.Ext.Sched.ExportStream(p.StreamID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img.Seq = 7
-	affected := c.FailScheduler(s0, c.Live())
-	c.MigrateCold(affected[0], img, MigrateOptions{}, func(m *Migration, err error) {
+	c.MigrateCold(p, img, func(m *Migration, err error) {
 		if err != nil {
 			t.Fatalf("cold migrate: %v", err)
 		}
 	})
-	e := findNote(migEvents(rec1), "import commit (cold) from "+s0.Card.Name+" replay=0")
-	if e == nil || e.Seq != 7 {
-		t.Fatalf("cold commit not recorded: %v", migEvents(rec1))
+	e := findNote(rec1, "import commit (cold) from "+s0.Card.Name)
+	if e == nil || e.Seq != 7 || e.Stream != p.StreamID {
+		t.Fatalf("cold commit not recorded: %v", rec1.Events())
 	}
 }

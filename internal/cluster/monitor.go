@@ -29,16 +29,6 @@ type Monitor struct {
 	// reports via OnFail.
 	Auto bool
 
-	// RebalanceOnRecover, when set with Auto, runs a rebalance pass after a
-	// failed card rejoins service, pulling streams back onto it until the
-	// fleet's per-card spread is within one stream.
-	RebalanceOnRecover bool
-
-	// MigrateOpts shapes the cold migrations and rebalance moves the
-	// monitor performs in Auto mode (the domain-aware avoid filter is
-	// layered on top of MigrateOpts.Avoid, not replaced by it).
-	MigrateOpts MigrateOptions
-
 	// OnFail fires when a card is declared dead, with the placements torn
 	// off it. OnReadmit fires per affected stream in Auto mode (err is the
 	// admission error, if any; now is nil then). OnRecover fires when a
@@ -59,15 +49,13 @@ type Monitor struct {
 	// Failovers counts streams successfully re-admitted; Recovered counts
 	// cards readmitted to service. SLOFails counts probe rounds where a
 	// responsive card was struck by the Unhealthy hook. Checkpointed counts
-	// streams failed over warm (from a cached heartbeat snapshot);
-	// Rebalanced counts post-recovery rebalance moves.
+	// streams failed over warm (from a cached heartbeat snapshot).
 	Probes       int64
 	Detected     int64
 	Failovers    int64
 	Recovered    int64
 	SLOFails     int64
 	Checkpointed int64
-	Rebalanced   int64
 
 	miss map[*SchedulerNI]int
 	stop func()
@@ -115,14 +103,6 @@ func (m *Monitor) tick() {
 	for _, n := range m.Cluster.Nodes {
 		for _, s := range n.Schedulers {
 			s := s
-			if s.draining {
-				// Planned maintenance: the card may be rebooting or busy
-				// migrating its streams off. Silence here is expected, not
-				// death — probing it would strike misses and trigger a
-				// spurious failover on top of the drain.
-				m.miss[s] = 0
-				continue
-			}
 			m.Probes++
 			m.Endpoint.Invoke(s.Card.Name, core.Instr{Ext: "dwcs", Op: "snapshot"},
 				func(reply any, err error) {
@@ -155,44 +135,9 @@ func (m *Monitor) checkpoint(s *SchedulerNI, reply any) {
 	m.checkpoints[s] = byID
 }
 
-// avoidDomains is the domain-aware failover filter. A lone card crash is a
-// card problem — same-host siblings stay eligible. But when another card in
-// the same host domain has also failed, the host itself is suspect (a host
-// crash takes every card on its bus) and the whole host domain is vetoed;
-// likewise two dead cards behind one switch on different hosts make the
-// switch suspect and veto its domain.
-func (m *Monitor) avoidDomains(failed *SchedulerNI) func(*SchedulerNI) bool {
-	dom := m.Cluster.Domains
-	hostSuspect, switchSuspect := false, false
-	if dom != nil {
-		for _, n := range m.Cluster.Nodes {
-			for _, s := range n.Schedulers {
-				if s == failed || !s.failed {
-					continue
-				}
-				if dom.SameHost(failed.Card.Name, s.Card.Name) {
-					hostSuspect = true
-				} else if dom.SameSwitch(failed.Card.Name, s.Card.Name) {
-					switchSuspect = true
-				}
-			}
-		}
-	}
-	base := m.MigrateOpts.Avoid
-	return func(s *SchedulerNI) bool {
-		if base != nil && base(s) {
-			return true
-		}
-		if hostSuspect && dom.SameHost(failed.Card.Name, s.Card.Name) {
-			return true
-		}
-		return switchSuspect && dom.SameSwitch(failed.Card.Name, s.Card.Name)
-	}
-}
-
 func (m *Monitor) missed(s *SchedulerNI) {
-	if s.failed || s.draining {
-		return // already failed out or in maintenance; not a new detection
+	if s.failed {
+		return // already failed out; not a new detection
 	}
 	m.miss[s]++
 	if m.miss[s] < m.Misses {
@@ -206,15 +151,12 @@ func (m *Monitor) missed(s *SchedulerNI) {
 	if !m.Auto {
 		return
 	}
-	avoid := m.avoidDomains(s)
 	ckpts := m.checkpoints[s]
 	for _, old := range affected {
 		if img, ok := ckpts[old.StreamID]; ok {
 			// Warm failover: the stream resumes mid-window from its last
 			// heartbeat checkpoint, keeping its ID — no teardown.
-			opts := m.MigrateOpts
-			opts.Avoid = avoid
-			m.Cluster.MigrateCold(old, img, opts, func(mig *Migration, err error) {
+			m.Cluster.MigrateCold(old, img, func(mig *Migration, err error) {
 				if err == nil {
 					m.Failovers++
 					m.Checkpointed++
@@ -244,10 +186,5 @@ func (m *Monitor) alive(s *SchedulerNI) {
 	m.Cluster.Recover(s)
 	if m.OnRecover != nil {
 		m.OnRecover(s)
-	}
-	if m.Auto && m.RebalanceOnRecover {
-		m.Cluster.Rebalance(m.MigrateOpts, func(moves []*Migration) {
-			m.Rebalanced += int64(len(moves))
-		})
 	}
 }
