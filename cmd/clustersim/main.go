@@ -408,10 +408,9 @@ func armChaos(c *cluster.Cluster, clip *mpeg.Clip, req cluster.StreamRequest, se
 	fmt.Print(plan)
 
 	log := &faults.Log{}
-	// MemLeak erodes the target card's overload budget at Factor KB/s while
-	// the event is live. The leak draws through the card allocator, so it
-	// consumes free memory but never breaches the absolute budget; recovery
-	// stops the drip and reclaims every leaked byte.
+	// MemLeak drips Factor KB/s into the target card's budget while the
+	// event is live (overload.Budget.Drip: never past the free bytes);
+	// recovery stops the drip and reclaims every leaked byte.
 	const leakTick = 100 * sim.Millisecond
 	leakStops := make(map[string]func())
 	err = plan.Arm(c.Eng, faults.InjectorFuncs{
@@ -424,20 +423,9 @@ func armChaos(c *cluster.Cluster, clip *mpeg.Clip, req cluster.StreamRequest, se
 			case faults.DiskStall:
 				disks[e.Target].Degrade(e.Factor)
 			case faults.MemLeak:
-				ctl := ctls[e.Target]
-				if ctl == nil {
-					return
+				if ctl := ctls[e.Target]; ctl != nil {
+					leakStops[e.Target] = ctl.Budget.Drip(c.Eng, leakTick, e.Factor)
 				}
-				per := (e.Factor << 10) * int64(leakTick) / int64(sim.Second)
-				leakStops[e.Target] = c.Eng.Every(leakTick, func() {
-					n := per
-					if free := ctl.Budget.Size() - ctl.Budget.Used(); free < n {
-						n = free
-					}
-					if n > 0 {
-						ctl.Budget.Leak(n)
-					}
-				})
 			}
 		},
 		OnRecover: func(e faults.Event) {

@@ -1,51 +1,28 @@
 // Command dwcsd streams synthetic MPEG-1 frames over real UDP, paced by the
-// same DWCS scheduler core the simulated NI runs — a genuine end-to-end
-// demonstration of the library outside the simulator.
-//
-// Serve (sender) and recv (receiver) typically run in two terminals:
+// same DWCS scheduler core the simulated NI runs. It has three modes, each a
+// configuration of one run (run.go): serve is a send half, recv a receive
+// half, soak both in one process over loopback.
 //
 //	dwcsd -recv 127.0.0.1:9961 -dur 5s
 //	dwcsd -dest 127.0.0.1:9961 -streams 2 -period 50ms -dur 5s
-//
-// Frames are fragmented into MTU-sized datagrams with the internal/proto
-// media framing and reassembled at the receiver, which reports per-stream
-// goodput and inter-arrival jitter.
-//
-// Both sides carry the full observability stack the simulated NI carries:
-// per-frame causal spans in the sim stage vocabulary (queue/tx on the
-// sender, wire/playout on the receiver), a flight recorder whose incidents
-// dump on SLO violation or abnormal exit, and an SLO burn-rate monitor
-// derived from each stream's DWCS (x,y) loss window. With -artifacts DIR
-// the run writes the same artifact directory format sim runs produce
-// (stages.txt, metrics.csv, slo.txt, incidents.txt), so
-// `tracetool -diff -conformance <sim artifacts> <real artifacts>` closes
-// the sim-vs-real loop with no conversion step.
-//
-// Soak mode exercises the daemon at session scale in one process:
-//
 //	dwcsd -soak 2000 -dur 5s -flash -artifacts /tmp/soak
 //
-// spawns 2000 in-process UDP client sessions with setup/teardown churn
-// (and optionally flash-crowd arrivals), reporting per-session goodput and
-// jitter distributions.
+// Frames travel as MTU-sized datagrams in the internal/proto media framing;
+// recv reports per-stream goodput and inter-arrival jitter, soak per-session
+// goodput and jitter distributions over its set-up/teardown churn.
 //
-// Either side also serves a live Prometheus endpoint with -metrics: the
-// same registry and text format the simulator's telemetry artifacts use,
-// including per-stream series (component "dwcsd_s<id>"), so one scrape
-// config covers both the real daemon and simulated runs.
+// Every mode carries the observability stack the simulated NI carries:
+// causal spans in the sim stage vocabulary, a flight recorder that dumps on
+// SLO violation or abnormal exit, SLO burn rates from each stream's DWCS
+// (x,y) window, a live Prometheus endpoint under -metrics, and with
+// -artifacts DIR the sim's artifact directory format, so `tracetool -diff
+// -conformance` compares a real run with a simulated one directly.
+// -cpuprofile and -memprofile are complete on every way out.
 //
-//	dwcsd -dest 127.0.0.1:9961 -metrics 127.0.0.1:9900
-//	curl http://127.0.0.1:9900/metrics
-//
-// Every mode takes -cpuprofile FILE and -memprofile FILE; the profiles are
-// complete on every way out, including a signal drain and a fatal error.
-//
-// SIGINT or SIGTERM shuts any mode down gracefully: the sender stops
-// injecting new frames and drains what the scheduler already holds (bounded
-// by -drain), the receiver reports the partial run, soak sessions wind down
-// with an "interrupted" incident in the flight recorder, and the metrics
-// listener finishes in-flight scrapes before closing. A second signal
-// aborts.
+// SIGINT or SIGTERM shuts any mode down gracefully: the send half stops
+// injecting and drains what the scheduler holds (bounded by -drain), the run
+// dumps an "interrupted" incident and reports the partial run, the metrics
+// listener finishes in-flight scrapes. A second signal aborts.
 package main
 
 import (
@@ -59,18 +36,9 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"sync"
 	"syscall"
 	"time"
-
-	"repro/internal/blackbox"
-	"repro/internal/dwcs"
-	"repro/internal/fixed"
-	"repro/internal/mpeg"
-	"repro/internal/proto"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -90,6 +58,23 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
+	cfg := runConfig{period: *period, dur: *dur, drain: *drain, metrics: *metricsAddr, dir: *artifacts}
+	var err error
+	switch {
+	case *soak > 0:
+		cfg, err = cfg.soak(*soak, *flash, *churn, *throttle)
+	case *recv != "":
+		cfg = cfg.recv(*recv)
+	case *dest != "":
+		cfg = cfg.serve(*dest, *streams)
+	default:
+		fmt.Fprintln(os.Stderr, "dwcsd: need -dest (send), -recv (receive), or -soak N; see -h")
+		os.Exit(2)
+	}
+	if err != nil {
+		fatal(err)
+	}
+
 	lc := newLifecycle()
 	lc.watch(os.Interrupt, syscall.SIGTERM)
 
@@ -97,29 +82,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch {
-	case *soak > 0:
-		cfg := soakConfig{
-			Sessions: *soak,
-			Period:   *period,
-			Dur:      *dur,
-			Flash:    *flash,
-			Churn:    *churn,
-			Throttle: *throttle,
-			Metrics:  *metricsAddr,
-			Dir:      *artifacts,
-			Drain:    *drain,
-		}
-		err = soakRun(cfg, lc, os.Stdout)
-	case *recv != "":
-		err = receiver(*recv, *dur, *metricsAddr, *artifacts, lc)
-	case *dest != "":
-		err = sender(*dest, *streams, *period, *dur, *metricsAddr, *artifacts, *drain, lc)
-	default:
-		fmt.Fprintln(os.Stderr, "dwcsd: need -dest (send), -recv (receive), or -soak N; see -h")
-		os.Exit(2)
-	}
-	// Every way out of a mode — full run, signal drain, error — comes back
+	err = run(cfg, lc, os.Stdout)
+	// Every way out of the run — full run, signal drain, error — comes back
 	// here, so the profiles are complete before fatal's os.Exit.
 	if perr := stopProfiles(); err == nil {
 		err = perr
@@ -165,9 +129,9 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-// lifecycle coordinates signal-driven graceful shutdown: the send/receive
-// loops poll stopped() once per iteration and wind down early when a watched
-// signal (or a test) triggers it.
+// lifecycle coordinates signal-driven graceful shutdown: the run's loops
+// watch stop and wind down early when a watched signal (or a test)
+// triggers it.
 type lifecycle struct {
 	stop chan struct{}
 	once sync.Once
@@ -201,8 +165,8 @@ func (l *lifecycle) stopped() bool {
 }
 
 // metricsHandler serves a Prometheus text dump under /metrics. render is
-// called per scrape; the obs bundle's render locks against the send/receive
-// loop, so a scrape arriving mid-frame is race-free.
+// called per scrape; the obs bundle's render locks against the send and
+// receive halves, so a scrape arriving mid-frame is race-free.
 func metricsHandler(render func() string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -236,304 +200,4 @@ func serveMetrics(addr string, render func() string) (string, func(), error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dwcsd:", err)
 	os.Exit(1)
-}
-
-// senderStream is the per-stream export surface of the pacing side.
-type senderStream struct {
-	sent  *telemetry.Counter
-	bytes *telemetry.Counter
-	drops *telemetry.Counter
-}
-
-func newSenderStream(o *obs, id int) senderStream {
-	c := streamComponent(id)
-	return senderStream{
-		sent:  o.reg.Counter(c, "frames_sent_total", "frames paced onto the wire by DWCS"),
-		bytes: o.reg.Counter(c, "bytes_sent_total", "media bytes paced onto the wire"),
-		drops: o.reg.Counter(c, "drops_total", "frames dropped by the scheduler (deadline passed)"),
-	}
-}
-
-// sender paces clip frames to dest with DWCS over the wall clock. On
-// shutdown it stops injecting and drains the frames the scheduler already
-// holds, bounded by drainFor.
-func sender(dest string, nStreams int, period, dur time.Duration, metricsAddr, artifactsDir string, drainFor time.Duration, lc *lifecycle) (err error) {
-	conn, err := net.Dial("udp", dest)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-
-	o := newObs("dwcsd", artifactsDir)
-	defer func() {
-		if err != nil {
-			o.trigger("abnormal exit: " + err.Error())
-		}
-		if werr := o.writeArtifacts(); werr != nil && err == nil {
-			err = werr
-		}
-	}()
-	p, sentN, droppedN, err := newSenderPacer(o.clk, conn, lc.stop, o, nStreams, sim.Time(period))
-	if err != nil {
-		return err
-	}
-	if metricsAddr != "" {
-		bound, stop, err := serveMetrics(metricsAddr, o.render)
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Fprintf(os.Stderr, "dwcsd: metrics on http://%s/metrics\n", bound)
-	}
-
-	if err := p.run(sim.Time(dur)); err != nil {
-		return err
-	}
-	// Interrupted: no new injections, but frames already accepted by the
-	// scheduler still go out on their DWCS pacing — bounded by the drain
-	// deadline, after which whatever remains is abandoned.
-	if lc.stopped() {
-		o.trigger("interrupted")
-		drained, err := p.drain(drainFor)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("dwcsd: interrupted; drained %d queued frame(s)\n", drained)
-	}
-	// bench/ and bench_compare.sh parse this line.
-	fmt.Printf("dwcsd: sent %d frames (%d dropped) on %d streams over %v\n",
-		sentN.Value(), droppedN.Value(), nStreams, dur)
-	return nil
-}
-
-// newSenderPacer wires serve mode onto a pacer: nStreams streams of the
-// default clip, their SLO objectives, and the counters the summary line and
-// /metrics report.
-func newSenderPacer(clk clock, w io.Writer, stop <-chan struct{}, o *obs, nStreams int, period sim.Time) (p *pacer, sentN, droppedN *telemetry.Counter, err error) {
-	sentN = o.reg.Counter("dwcsd", "frames_sent_total", "frames paced onto the wire by DWCS")
-	droppedN = o.reg.Counter("dwcsd", "frames_dropped_total", "frames dropped by the scheduler (deadline passed)")
-	o.reg.GaugeFunc("dwcsd", "streams",
-		"concurrent streams being paced", func() float64 { return float64(nStreams) })
-	perStream := make([]senderStream, nStreams)
-	for i := range perStream {
-		perStream[i] = newSenderStream(o, i)
-	}
-
-	clip := mpeg.GenerateDefault()
-	p = newPacer(clk, w, stop, o, period)
-	p.payload = mpeg.Encode(clip, 1960)
-	p.frame = func(n int64) (bytes, offset int64) {
-		f := clip.Frames[n%int64(len(clip.Frames))]
-		return f.Size, f.Offset
-	}
-	p.account = func(e *paceEvent) {
-		switch e.kind {
-		case paceSent:
-			o.rec.Record(blackbox.Event{At: e.at, Kind: blackbox.KindDecision,
-				Stream: e.stream, Seq: e.seq, A: e.bytes})
-			sentN.Inc()
-			perStream[e.stream].sent.Inc()
-			perStream[e.stream].bytes.Add(e.bytes)
-		case paceDropped:
-			droppedN.Inc()
-			perStream[e.stream].drops.Inc()
-		}
-	}
-	for i := 0; i < nStreams; i++ {
-		spec := dwcs.StreamSpec{
-			ID:     i,
-			Name:   fmt.Sprintf("s%d", i),
-			Period: period,
-			Loss:   fixed.New(1, 2),
-			Lossy:  true,
-			BufCap: 16,
-		}
-		if err := p.sched.AddStream(spec); err != nil {
-			return nil, nil, nil, err
-		}
-		// The SLO's latency objective bounds queue wait at a small multiple
-		// of the frame period — the same derivation sim cards use.
-		o.track(spec, p.sched, 4*period)
-		// Producer side: each frame is handed to the scheduler a full
-		// period ahead of its slot.
-		p.addSource(i, 0)
-	}
-	return p, sentN, droppedN, nil
-}
-
-// recvStream is the per-stream export surface of the receive side: counters
-// plus the fixed-bucket inter-arrival jitter histogram that replaces the
-// old ad-hoc running mean.
-type recvStream struct {
-	frames *telemetry.Counter
-	bytes  *telemetry.Counter
-	jitter *telemetry.Histogram
-	last   sim.Time
-	seen   bool
-}
-
-func newRecvStream(o *obs, id uint32) *recvStream {
-	c := streamComponent(int(id))
-	return &recvStream{
-		frames: o.reg.Counter(c, "frames_received_total", "complete frames delivered by the reassembler"),
-		bytes:  o.reg.Counter(c, "bytes_received_total", "reassembled frame bytes"),
-		jitter: o.reg.HistogramMetric(c, "interarrival_ms", "frame inter-arrival gap", telemetry.JitterBucketsMs),
-	}
-}
-
-// observeArrival records one completed frame: inter-arrival jitter into the
-// fixed-bucket histogram, counters forward. Caller holds the obs lock.
-func (r *recvStream) observeArrival(at sim.Time, frameBytes int) {
-	if r.seen {
-		r.jitter.Observe(sim.Time(at - r.last).Milliseconds())
-	}
-	r.last, r.seen = at, true
-	r.frames.Inc()
-	r.bytes.Add(int64(frameBytes))
-}
-
-// meanGapMs returns the histogram-derived mean inter-arrival gap.
-func (r *recvStream) meanGapMs() float64 {
-	if r.jitter.Count() == 0 {
-		return 0
-	}
-	return r.jitter.Sum() / float64(r.jitter.Count())
-}
-
-// playoutStarts holds, per stream, when the first fragment of the frame in
-// flight landed — the start of its playout span. It is keyed by stream, as
-// the reassembler's own state is, so a frame that never completes leaves
-// nothing behind: the stream's next first fragment overwrites it.
-type playoutStarts map[uint32]playoutStart
-
-type playoutStart struct {
-	seq uint32
-	at  sim.Time
-}
-
-func (ps playoutStarts) begin(stream, seq uint32, at sim.Time) {
-	ps[stream] = playoutStart{seq, at}
-}
-
-// end returns when frame seq of stream began, if it is the one in flight.
-func (ps playoutStarts) end(stream, seq uint32) (sim.Time, bool) {
-	f, ok := ps[stream]
-	if !ok || f.seq != seq {
-		return 0, false
-	}
-	delete(ps, stream)
-	return f.at, true
-}
-
-// receiver reassembles frames until dur elapses (or shutdown triggers) and
-// prints a per-stream report. Large frames arrive as several datagrams;
-// proto.Reassembler rebuilds them exactly as a player-side segmenter would.
-// The playout span of each multi-fragment frame — first fragment arrival to
-// reassembly completion — lands in the span log, so a receiver-side
-// artifact dir carries real client-path stage latencies.
-func receiver(listen string, dur time.Duration, metricsAddr, artifactsDir string, lc *lifecycle) (err error) {
-	addr, err := net.ResolveUDPAddr("udp", listen)
-	if err != nil {
-		return err
-	}
-	conn, err := net.ListenUDP("udp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-
-	o := newObs("dwcsd-recv", artifactsDir)
-	defer func() {
-		if err != nil {
-			o.trigger("abnormal exit: " + err.Error())
-		}
-		if werr := o.writeArtifacts(); werr != nil && err == nil {
-			err = werr
-		}
-	}()
-	framesN := o.reg.Counter("dwcsd", "frames_reassembled_total", "complete frames delivered by the reassembler")
-	bytesN := o.reg.Counter("dwcsd", "bytes_received_total", "reassembled frame bytes")
-	discardedN := o.reg.Counter("dwcsd", "frames_discarded_total", "incomplete frames abandoned by the reassembler")
-	datagramsN := o.reg.Counter("dwcsd", "datagrams_total", "UDP datagrams ingested")
-	malformedN := o.reg.Counter("dwcsd", "datagrams_malformed_total", "datagrams the reassembler rejected")
-	if metricsAddr != "" {
-		bound, stop, err := serveMetrics(metricsAddr, o.render)
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Fprintf(os.Stderr, "dwcsd: metrics on http://%s/metrics\n", bound)
-	}
-
-	streams := make(map[uint32]*recvStream)
-	firstFrag := make(playoutStarts)
-	var lastDiscarded int64
-	reasm := proto.NewReassembler(func(streamID, seq uint32, frame []byte) {
-		// Runs inside Ingest below, which the loop calls under o.locked.
-		at := o.now()
-		r := streams[streamID]
-		if r == nil {
-			r = newRecvStream(o, streamID)
-			streams[streamID] = r
-		}
-		r.observeArrival(at, len(frame))
-		framesN.Inc()
-		bytesN.Add(int64(len(frame)))
-		if t0, ok := firstFrag.end(streamID, seq); ok {
-			o.reg.Span(int(streamID), int64(seq), telemetry.StagePlayout, o.where, t0, at)
-		}
-	})
-
-	buf := make([]byte, 64<<10)
-	start := time.Now()
-	deadline := start.Add(dur)
-	// The short read deadline bounds shutdown latency: a stop is noticed
-	// within one poll even when the wire has gone quiet.
-	for time.Now().Before(deadline) && !lc.stopped() {
-		conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		n, err := conn.Read(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				o.tick()
-				continue
-			}
-			return err
-		}
-		o.locked(func() {
-			if h, _, err := proto.UnmarshalMedia(buf[:n]); err == nil && h.FragOff == 0 {
-				firstFrag.begin(h.StreamID, h.Seq, o.now())
-			}
-			if reasm.Ingest(buf[:n]) != nil { // malformed datagrams are counted and skipped
-				malformedN.Inc()
-			}
-			datagramsN.Inc()
-			if d := int64(reasm.Discarded); d != lastDiscarded {
-				discardedN.Add(d - lastDiscarded)
-				lastDiscarded = d
-			}
-		})
-		o.tick()
-	}
-	elapsed := time.Since(start) // an interrupted run reports rates over what it ran
-	if lc.stopped() {
-		o.trigger("interrupted")
-		fmt.Println("dwcsd: interrupted; reporting partial run")
-	}
-	if len(streams) == 0 {
-		fmt.Println("dwcsd: no frames received")
-		return nil
-	}
-	ids := make([]uint32, 0, len(streams))
-	for id := range streams {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		r := streams[id]
-		fmt.Printf("stream %d: %d frames, %d bytes, %.1f kbps, mean inter-arrival %.1fms\n",
-			id, r.frames.Value(), r.bytes.Value(),
-			float64(r.bytes.Value()*8)/elapsed.Seconds()/1000, r.meanGapMs())
-	}
-	fmt.Printf("total reassembled frames: %d (discarded %d)\n", reasm.Completed, reasm.Discarded)
-	return nil
 }

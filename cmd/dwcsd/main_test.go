@@ -134,7 +134,7 @@ func TestServeMetricsStopClosesListener(t *testing.T) {
 	}
 }
 
-// TestSenderDrainsOnShutdown interrupts a long sender run and verifies it
+// TestSenderDrainsOnShutdown interrupts a long serve run and verifies it
 // winds down within the drain deadline instead of running out the full -dur.
 func TestSenderDrainsOnShutdown(t *testing.T) {
 	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -154,8 +154,8 @@ func TestSenderDrainsOnShutdown(t *testing.T) {
 	lc := newLifecycle()
 	time.AfterFunc(150*time.Millisecond, lc.trigger)
 	start := time.Now()
-	if err := sender(sink.LocalAddr().String(), 2, 20*time.Millisecond,
-		30*time.Second, "", "", time.Second, lc); err != nil {
+	cfg := runConfig{period: 20 * time.Millisecond, dur: 30 * time.Second, drain: time.Second}
+	if err := run(cfg.serve(sink.LocalAddr().String(), 2), lc, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if el := time.Since(start); el > 10*time.Second {
@@ -164,16 +164,22 @@ func TestSenderDrainsOnShutdown(t *testing.T) {
 }
 
 // TestReceiverStopsOnShutdown interrupts a receiver blocked on a quiet wire;
-// the 200ms read-deadline poll must notice the stop within one cycle.
+// the receive half's 50ms read-deadline poll must notice the stop within
+// one cycle.
 func TestReceiverStopsOnShutdown(t *testing.T) {
 	lc := newLifecycle()
 	time.AfterFunc(100*time.Millisecond, lc.trigger)
 	start := time.Now()
-	if err := receiver("127.0.0.1:0", 30*time.Second, "", "", lc); err != nil {
+	var out strings.Builder
+	if err := run(runConfig{dur: 30 * time.Second}.recv("127.0.0.1:0"), lc, &out); err != nil {
 		t.Fatal(err)
 	}
-	if el := time.Since(start); el > 10*time.Second {
+	// 100ms to the stop, one 50ms poll, and slack for a loaded machine.
+	if el := time.Since(start); el > 100*time.Millisecond+recvPoll+time.Second {
 		t.Fatalf("receiver ignored shutdown; ran %v of a 30s duration", el)
+	}
+	if !strings.Contains(out.String(), "dwcsd: interrupted; reporting partial run") {
+		t.Fatalf("no interruption report:\n%s", out.String())
 	}
 }
 
@@ -196,7 +202,7 @@ func TestServeMetricsBindsEphemeralPort(t *testing.T) {
 }
 
 // TestPerStreamPrometheusRoundTrip is the per-stream-labels satellite: the
-// sender and receiver register per-stream series under component
+// send and receive halves register per-stream series under component
 // "dwcsd_s<id>", and the rendered exposition round-trips through the same
 // CheckPrometheus validator the simulator's artifacts use.
 func TestPerStreamPrometheusRoundTrip(t *testing.T) {
@@ -207,9 +213,9 @@ func TestPerStreamPrometheusRoundTrip(t *testing.T) {
 	s0.bytes.Add(5000)
 	s1.sent.Add(7)
 	s1.drops.Add(2)
-	r3 := newRecvStream(o, 3)
-	r3.observeArrival(10*sim.Millisecond, 900)
-	r3.observeArrival(60*sim.Millisecond, 900) // 50ms gap into the histogram
+	r3 := &session{id: 3, rx: newRecvStream(o, 3)}
+	r3.arrive(10*sim.Millisecond, 900)
+	r3.arrive(60*sim.Millisecond, 900) // 50ms gap into the histogram
 
 	text := o.render()
 	families, samples, err := telemetry.CheckPrometheus(text)
@@ -232,7 +238,7 @@ func TestPerStreamPrometheusRoundTrip(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
 	}
-	if got := r3.meanGapMs(); got != 50 {
+	if got := r3.rx.meanGapMs(); got != 50 {
 		t.Fatalf("histogram-derived mean gap = %v, want 50", got)
 	}
 }

@@ -2,11 +2,11 @@
 // flight recorder + SLO monitor the simulated NI carries, driven off the
 // wall clock instead of the deterministic engine. The simulator mutates all
 // of these from a single engine goroutine; the daemon has concurrent actors
-// (the pacing loop, the reassembly path, Prometheus scrapes, the signal
-// handler), so every touch goes through one mutex. The pieces themselves
-// are unchanged — that is the point: a real run writes the exact artifact
-// directory format sim runs produce, and internal/rundiff consumes it
-// unmodified.
+// (the send half's pacing loop, the receive half, Prometheus scrapes, the
+// signal handler), so every touch goes through one mutex. The pieces
+// themselves are unchanged — that is the point: a real run writes the exact
+// artifact directory format sim runs produce, and internal/rundiff consumes
+// it unmodified.
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/blackbox"
-	"repro/internal/dwcs"
 	"repro/internal/sim"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
@@ -27,8 +26,7 @@ import (
 // is one row per series in metrics.csv.
 const snapEvery = 500 * time.Millisecond
 
-// obs is the daemon's observability bundle. Zero value is not usable;
-// construct with newObs.
+// obs is the daemon's observability bundle, built by newObs.
 type obs struct {
 	mu  sync.Mutex
 	reg *telemetry.Registry
@@ -42,8 +40,8 @@ type obs struct {
 	lastEval sim.Time
 }
 
-// newObs builds the bundle. name labels the card-equivalent (the process
-// role: "dwcsd" sender, "dwcsd-recv", "dwcsd-soak"); artifactsDir enables
+// newObs builds the bundle. name labels the card-equivalent (the run's
+// role: "dwcsd" serve, "dwcsd-recv", "dwcsd-soak"); artifactsDir enables
 // the -artifacts mode when non-empty.
 func newObs(name, artifactsDir string) *obs {
 	o := &obs{
@@ -90,16 +88,8 @@ func (o *obs) trigger(reason string) {
 	o.mu.Unlock()
 }
 
-// track registers a stream's SLO objective derived from its DWCS (x,y)
-// window.
-func (o *obs) track(spec dwcs.StreamSpec, sched *dwcs.Scheduler, latencyBound sim.Time) {
-	o.mu.Lock()
-	o.mon.TrackStream(spec, latencyBound, sched)
-	o.mu.Unlock()
-}
-
 // tick advances the periodic machinery: registry snapshots (metrics.csv
-// rows) and SLO evaluations. The receive loop calls it once per datagram;
+// rows) and SLO evaluations. The receive half calls it once per poll;
 // cheap when nothing is due.
 func (o *obs) tick() {
 	at := o.now()
@@ -128,14 +118,6 @@ func (o *obs) render() string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.reg.PrometheusText()
-}
-
-// locked runs fn under the bundle's lock — for call sites that batch
-// several registry touches (per-frame counter + histogram updates).
-func (o *obs) locked(fn func()) {
-	o.mu.Lock()
-	fn()
-	o.mu.Unlock()
 }
 
 // writeArtifacts renders the run into the same artifact directory format

@@ -1,11 +1,11 @@
-// The pacer: the one loop that turns DWCS decisions into datagrams, shared
-// by serve mode, soak mode and both shutdown drains. It is event-driven —
-// it reads the clock once per iteration, touches its frame sources only
-// when one is due, sleeps on one timer until the earliest thing it can name
-// (next eligibility, next hand-over, next snapshot/SLO evaluation, end of
-// run) and never waits for the observability mutex while frames are going
-// out: what it observes about each frame goes into a batch it flushes when
-// the lock is free.
+// The pacer: every run's send half, the one loop that turns DWCS decisions
+// into datagrams, and its shutdown drain. It is event-driven — it reads the
+// clock once per iteration, touches its frame sources only when one is due,
+// sleeps on one timer until the earliest thing it can name (next
+// eligibility, next hand-over or session change, next snapshot/SLO
+// evaluation, end of run) and never waits for the observability mutex while
+// frames are going out: what it observes about each frame goes into a batch
+// it flushes when the lock is free.
 package main
 
 import (
@@ -169,13 +169,14 @@ type pacer struct {
 	// frame sizes a source's n-th frame: its length and offset in payload.
 	frame func(n int64) (bytes, offset int64)
 	// account, called under obs.mu for every flushed event, keeps the
-	// mode's own counters and recorder events. The pacer has already
-	// recorded the frame's spans and the drop/refusal events.
+	// run's counters and recorder events. The pacer has already recorded
+	// the frame's spans and the drop/refusal events.
 	account func(e *paceEvent)
-	// control, if set, runs session set-up and teardown due at `at` under
-	// obs.mu and returns when it next wants to run.
+	// control runs the session set-ups and teardowns due at `at` under
+	// obs.mu and returns when it next wants to run: the one place a
+	// stream joins or leaves the scheduler.
 	control    func(at sim.Time) (next sim.Time, err error)
-	controlDue sim.Time // never, when control is nil
+	controlDue sim.Time
 
 	sources sourceHeap
 	batch   []paceEvent
@@ -193,10 +194,9 @@ func newPacer(clk clock, w io.Writer, stop <-chan struct{}, o *obs, period sim.T
 	early := period / 4
 	return &pacer{
 		clk: clk, w: newSegmentWriter(w), stop: stop, obs: o, period: period, early: early,
-		sched:      dwcs.New(dwcs.Config{Now: clk.Now, Selector: dwcs.Heaps, EligibleEarly: early}),
-		controlDue: never,
-		batch:      make([]paceEvent, 0, 4*batchFlush),
-		wire:       make([]byte, 0, 4*segmentLen),
+		sched: dwcs.New(dwcs.Config{Now: clk.Now, Selector: dwcs.Heaps, EligibleEarly: early}),
+		batch: make([]paceEvent, 0, 4*batchFlush),
+		wire:  make([]byte, 0, 4*segmentLen),
 		sendErrs: o.reg.Counter("dwcsd", "send_errors_total",
 			"frames lost to a transient send error (ECONNREFUSED, ENOBUFS, EAGAIN)"),
 	}
@@ -225,7 +225,7 @@ func (p *pacer) sourceDue() sim.Time {
 	return p.sources[0].due
 }
 
-// runControl runs the mode's session set-up and teardown due at `at`.
+// runControl runs the session set-ups and teardowns due at `at`.
 // Sessions come and go under the lock the receive path reads them under;
 // this is the one place the pacer waits for it mid-run.
 func (p *pacer) runControl(at sim.Time) (err error) {

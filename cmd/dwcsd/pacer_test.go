@@ -90,8 +90,15 @@ func newSenderRig(t *testing.T, streams int) *senderRig {
 	t.Helper()
 	r := &senderRig{clk: &vclock{}, o: newObs("dwcsd", ""), stop: make(chan struct{})}
 	r.w = &recWriter{clk: r.clk, cost: 2 * sim.Microsecond}
-	var err error
-	r.p, r.sent, r.dropped, err = newSenderPacer(r.clk, r.w, r.stop, r.o, streams, testPeriod)
+	run := serveSendHalf(t, r.clk, r.w, r.stop, r.o, streams)
+	r.p, r.sent, r.dropped = run.p, run.sent, run.dropped
+	return r
+}
+
+// serveSendHalf builds serve mode's send half on clk and w, as run does.
+func serveSendHalf(t *testing.T, clk clock, w io.Writer, stop <-chan struct{}, o *obs, streams int) *runState {
+	t.Helper()
+	r, err := newRun(runConfig{period: time.Duration(testPeriod)}.serve("", streams), o, clk, w, stop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +319,7 @@ func (w *countingSegWriter) writeSegments(b []byte, seg int) error {
 // per-datagram writer too.
 func TestPacerEmitDoesNotAllocate(t *testing.T) {
 	for _, w := range []segmentWriter{&countingSegWriter{t: t}, datagramWriter{io.Discard}} {
-		p, _, _, err := newSenderPacer(&vclock{}, io.Discard, nil, newObs("dwcsd", ""), 1, testPeriod)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := serveSendHalf(t, &vclock{}, io.Discard, nil, newObs("dwcsd", ""), 1).p
 		p.w = w
 		pkt := &dwcs.Packet{StreamID: 0, Seq: 7, Bytes: 5000, Offset: 100}
 		frames := 0

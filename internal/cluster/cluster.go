@@ -475,21 +475,6 @@ func (c *Cluster) Start(p *Placement, clip *mpeg.Clip, injectEvery sim.Time, loo
 	return p.Scheduler.Ext.SpawnPeerProducer(p.Producer.Card, clip, p.StreamID, p.Client, injectEvery, loops)
 }
 
-// Release tears down an admitted stream: the scheduler forgets it and its
-// committed CPU, link, and memory return to the admission budget.
-func (c *Cluster) Release(p *Placement) error {
-	if err := p.Scheduler.Ext.RemoveStream(p.StreamID); err != nil {
-		return err
-	}
-	c.refund(p)
-	delete(p.Scheduler.specs, p.StreamID)
-	delete(c.placements, p.StreamID)
-	p.Scheduler.streams--
-	p.Producer.streams--
-	c.Placed--
-	return nil
-}
-
 // AttachClient creates a measuring client for a placement and wires it to
 // the SAN switch.
 func (c *Cluster) AttachClient(p *Placement) *netsim.Client {

@@ -157,61 +157,6 @@ func TestCapacityLimitedByMemoryForHugeBuffers(t *testing.T) {
 	}
 }
 
-func TestReleaseRefundsCapacity(t *testing.T) {
-	eng := sim.NewEngine(1)
-	c := New(eng, []NodeConfig{{Name: "n0", SchedulerNIs: 1, ProducerNIs: 1}})
-	// Fill the link with fat streams.
-	var placements []*Placement
-	for {
-		p, err := c.Admit(StreamRequest{
-			Name: "fat", Period: 5 * sim.Millisecond, FrameBytes: 12000,
-			Loss: fixed.New(1, 2), Lossy: true,
-		})
-		if err != nil {
-			break
-		}
-		placements = append(placements, p)
-	}
-	if len(placements) == 0 {
-		t.Fatal("nothing admitted")
-	}
-	// Saturated: one more is rejected.
-	if _, err := c.Admit(request("extra", 5*sim.Millisecond)); err == nil {
-		// a small stream may still fit; force with another fat one
-		if _, err := c.Admit(StreamRequest{Name: "fat2", Period: 5 * sim.Millisecond,
-			FrameBytes: 12000, Loss: fixed.New(1, 2), Lossy: true}); err == nil {
-			t.Fatal("expected saturation")
-		}
-	}
-	// Release one; the same shape must fit again.
-	if err := c.Release(placements[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(StreamRequest{Name: "fat3", Period: 5 * sim.Millisecond,
-		FrameBytes: 12000, Loss: fixed.New(1, 2), Lossy: true}); err != nil {
-		t.Fatalf("re-admission after release failed: %v", err)
-	}
-	s := placements[0].Scheduler
-	if s.CPULoad() < 0 || s.LinkLoad() < 0 {
-		t.Fatalf("negative load after release: cpu=%v link=%v", s.CPULoad(), s.LinkLoad())
-	}
-}
-
-func TestReleaseUnknownStream(t *testing.T) {
-	eng := sim.NewEngine(1)
-	c := New(eng, oneNode())
-	p, err := c.Admit(request("s", 160*sim.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(p); err == nil {
-		t.Fatal("double release should fail")
-	}
-}
-
 func TestFeasibilityReportMatchesAdmission(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := New(eng, oneNode())

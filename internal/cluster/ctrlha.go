@@ -45,8 +45,10 @@ import (
 
 // logRow is one per-replica artifact line, timestamped for the post-run
 // merge (the text already embeds the time in the legacy column format).
+// card is the card a pulse row reports on, -1 on migration rows.
 type logRow struct {
 	at   sim.Time
+	card int
 	text string
 }
 
@@ -396,11 +398,11 @@ func (r *ctrlRep) pump() {
 }
 
 func (r *ctrlRep) logf(at sim.Time, format string, args ...any) {
-	r.migLog = append(r.migLog, logRow{at, fmt.Sprintf(format, args...)})
+	r.migLog = append(r.migLog, logRow{at, -1, fmt.Sprintf(format, args...)})
 }
 
-func (r *ctrlRep) pulse(at sim.Time, format string, args ...any) {
-	r.pulses = append(r.pulses, logRow{at, fmt.Sprintf(format, args...)})
+func (r *ctrlRep) pulse(at sim.Time, card int, format string, args ...any) {
+	r.pulses = append(r.pulses, logRow{at, card, fmt.Sprintf(format, args...)})
 }
 
 // halog drops one row on this replica's incident-timeline fragment.
@@ -758,18 +760,21 @@ func (r *ctrlRep) findInView(gid int) (card, sepoch int, found bool) {
 // --- row merging (after the run) ------------------------------------------------
 
 // mergeRows flattens per-replica log fragments into one deterministic
-// sequence ordered by (time, replica, per-replica arrival). A single-replica
-// run reduces to that replica's original order.
+// sequence ordered by (time, replica, card, per-replica arrival). The card
+// tie-break keeps same-instant pulse rows in card order however their
+// replies arrived: on the partitioned engine a card that ran a window ahead
+// lands its reply first. A single-replica migration log reduces to that
+// replica's original order.
 func mergeRows(reps []*ctrlRep, pick func(*ctrlRep) []logRow) []string {
 	type tagged struct {
-		at       sim.Time
-		rep, seq int
-		text     string
+		at             sim.Time
+		rep, card, seq int
+		text           string
 	}
 	var all []tagged
 	for _, r := range reps {
 		for i, row := range pick(r) {
-			all = append(all, tagged{row.at, r.id, i, row.text})
+			all = append(all, tagged{row.at, r.id, row.card, i, row.text})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -779,6 +784,9 @@ func mergeRows(reps []*ctrlRep, pick func(*ctrlRep) []logRow) []string {
 		}
 		if a.rep != b.rep {
 			return a.rep < b.rep
+		}
+		if a.card != b.card {
+			return a.card < b.card
 		}
 		return a.seq < b.seq
 	})

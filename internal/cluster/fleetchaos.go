@@ -601,7 +601,7 @@ func (r *ctrlRep) poll() {
 			at := fc.eng.Now()
 			if fc.sched.Crashed() {
 				r.fromCard(i, func() {
-					r.pulse(at, "t=%-10v ni%02d DOWN", at, i)
+					r.pulse(at, i, "t=%-10v ni%02d DOWN", at, i)
 				})
 				return
 			}
@@ -615,7 +615,7 @@ func (r *ctrlRep) poll() {
 					r.ckpt[sn.Spec.ID] = sn
 					r.account(sn, at)
 				}
-				r.pulse(at,
+				r.pulse(at, i,
 					"t=%-10v ni%02d streams=%d sent=%-6d dropped=%-4d viol=%-3d mem=%d/%d",
 					at, i, len(snaps), sent, dropped, viol, used, size)
 			})

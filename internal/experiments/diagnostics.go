@@ -238,16 +238,7 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 			case faults.TaskHang:
 				schedCard.HangHog(e.Duration)
 			case faults.MemLeak:
-				per := (e.Factor << 10) * int64(overloadSampleEvery) / int64(sim.Second)
-				stopLeak = eng.Every(overloadSampleEvery, func() {
-					n := per
-					if free := ctl.Budget.Size() - ctl.Budget.Used(); free < n {
-						n = free
-					}
-					if n > 0 {
-						ctl.Budget.Leak(n)
-					}
-				})
+				stopLeak = ctl.Budget.Drip(eng, overloadSampleEvery, e.Factor)
 			}
 		},
 		OnRecover: func(e faults.Event) {

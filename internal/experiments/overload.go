@@ -318,16 +318,7 @@ func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
 		var stopLeak func()
 		inj := faults.InjectorFuncs{
 			OnInject: func(e faults.Event) {
-				per := (e.Factor << 10) * int64(overloadSampleEvery) / int64(sim.Second)
-				stopLeak = eng.Every(overloadSampleEvery, func() {
-					n := per
-					if free := ctl.Budget.Size() - ctl.Budget.Used(); free < n {
-						n = free
-					}
-					if n > 0 {
-						ctl.Budget.Leak(n)
-					}
-				})
+				stopLeak = ctl.Budget.Drip(eng, overloadSampleEvery, e.Factor)
 			},
 			OnRecover: func(e faults.Event) {
 				stopLeak()

@@ -110,18 +110,9 @@ var Scenarios = []Scenario{
 		},
 	},
 	{
-		// No monolithic variant at this shape. At 64 cards pulse.txt differs
-		// from the single-engine run by one row: sim.Topology.deliver orders
-		// same-instant messages by (time, source, sequence) within a round,
-		// not across rounds, so a poll reply sent a window early reaches the
-		// controller's log first. Workers=1 and Workers=4 agree (the windows
-		// do not depend on the pool) and the parent commit does the same;
-		// the fix moves partitioned bytes, which is a change of its own. The
-		// monolithic check of this run is cluster.TestFleetObsDeterminism,
-		// at 8 cards.
 		Name: "fleet-obs", Cmd: "clustersim", OutFlag: "fleet-out",
-		Help:     "scrape the chaos fleet in-band: rollups, incident timeline, stitched traces",
-		Pinned:   cluster.FleetConfig{Cards: 64, Dur: 6 * sim.Second},
+		Help:   "scrape the chaos fleet in-band: rollups, incident timeline, stitched traces",
+		Pinned: cluster.FleetConfig{Cards: 64, Dur: 6 * sim.Second}, Mono: true,
 		Baseline: "FLEETOBS_BASELINE.txt", Pins: "stdout",
 		Run: func(cfg cluster.FleetConfig) Output {
 			a := cluster.RunFleetObs(cfg)

@@ -22,6 +22,8 @@ package overload
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/sim"
 )
 
 // Accounting classes. Frame buffers are mirrored live from the card's
@@ -284,6 +286,19 @@ func (b *Budget) Leak(n int64) {
 		}
 	}
 	b.apply(ClassLeak, n)
+}
+
+// Drip is the faults.MemLeak injector: every `every` on eng it leaks kbps
+// KB/s worth of bytes, each drip clamped to the free bytes so the leak
+// squeezes the card's other tenants out but never breaches the budget. It
+// runs until the returned stop is called; ReclaimLeak then returns it all.
+func (b *Budget) Drip(eng *sim.Engine, every sim.Time, kbps int64) (stop func()) {
+	per := (kbps << 10) * int64(every) / int64(sim.Second)
+	return eng.Every(every, func() {
+		if n := min(per, b.size-b.total); n > 0 {
+			b.Leak(n)
+		}
+	})
 }
 
 // ReclaimLeak returns all leaked bytes (fault recovery) and reports how many.

@@ -3,6 +3,8 @@ package overload
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func testBudget() *Budget {
@@ -295,5 +297,37 @@ func TestAllowSourceGatesOnBudgetAndBackpressure(t *testing.T) {
 	}
 	if c.SourceStalls != 2 {
 		t.Fatalf("source stalls = %d, want 2", c.SourceStalls)
+	}
+}
+
+// The mem-leak drip never breaches: each drip is clamped to the free bytes,
+// stop halts it even once space opens up, and ReclaimLeak returns every
+// byte it dripped.
+func TestDripClampsStopsAndReclaims(t *testing.T) {
+	eng := sim.NewEngine(1)
+	b := testBudget() // 1000 bytes
+	if err := b.Charge(ClassFrameBuf, 300); err != nil {
+		t.Fatal(err)
+	}
+	// 1 KB/s in 100 ms drips is 102 bytes a drip: six fit the 700 free
+	// bytes whole, the seventh is clamped to the 88 left.
+	stop := b.Drip(eng, 100*sim.Millisecond, 1)
+	eng.RunUntil(650 * sim.Millisecond)
+	if got := b.UsedClass(ClassLeak); got != 6*102 {
+		t.Fatalf("leaked %d after six drips, want %d", got, 6*102)
+	}
+	eng.RunUntil(sim.Second)
+	if b.UsedClass(ClassLeak) != 700 || b.Used() != b.Size() || b.Breaches != 0 {
+		t.Fatalf("leak %d, used %d of %d, %d breaches: want the free 700 bytes and no breach",
+			b.UsedClass(ClassLeak), b.Used(), b.Size(), b.Breaches)
+	}
+	stop()
+	b.Release(ClassFrameBuf, 300)
+	eng.RunUntil(2 * sim.Second)
+	if got := b.UsedClass(ClassLeak); got != 700 {
+		t.Fatalf("leak grew to %d after stop", got)
+	}
+	if n := b.ReclaimLeak(); n != 700 || b.Used() != 0 {
+		t.Fatalf("reclaimed %d, %d left; want 700 and 0", n, b.Used())
 	}
 }
