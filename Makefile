@@ -37,7 +37,7 @@ fuzz:
 # Kernel, task hand-off, scheduler fast-path and observability record/read
 # micro-benchmarks, for convenience; `go run ./bench` is the judged benchmark.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkHandoff|BenchmarkSpanRecord|BenchmarkStitchCollect' \
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkHandoff|BenchmarkLinkSend|BenchmarkSpanRecord|BenchmarkStitchCollect' \
 		-benchmem -benchtime 0.5s ./...
 
 # Regenerate every table and figure of the paper's evaluation section.

@@ -47,7 +47,8 @@
 //
 // The -fleet* and -ctrl-chaos scenarios are one per run: two of them,
 // -fleet-out with -chaos-sweep, -chaos-sweep without -fleet-chaos, or
-// -fleet-out without a scenario is a usage error (exit 2).
+// -fleet-out without a scenario is a usage error (exit 2). -cpuprofile and
+// -memprofile are complete on every way out.
 package main
 
 import (
@@ -67,6 +68,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/overload"
+	"repro/internal/profiling"
 	"repro/internal/sim"
 	"repro/internal/slo"
 	"repro/internal/stats"
@@ -111,7 +113,19 @@ func main() {
 			selected[s.Name] = flag.Bool(s.Name, false, s.Help)
 		}
 	}
+	cpuProfile, memProfile := profiling.Flags()
 	flag.Parse()
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clustersim:", err)
+		os.Exit(1)
+	}
+	// Every way out goes through exit, so the profiles are complete.
+	exit := profiling.Exit("clustersim", stopProfiles)
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "clustersim:", err)
+		exit(1)
+	}
 	experiments.DefaultWorkers = *workers
 
 	var picked []experiments.Scenario
@@ -138,13 +152,13 @@ func main() {
 	if misuse != "" {
 		fmt.Fprintln(os.Stderr, "clustersim:", misuse)
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
 	if len(picked) == 1 {
 		s := picked[0]
 		if *chaosSweep {
 			fmt.Print(experiments.FleetChaosSweep(*workers))
-			return
+			exit(0)
 		}
 		// Everything on stdout and under -fleet-out is byte-identical at
 		// any -workers count; engine diagnostics go to stderr.
@@ -158,10 +172,9 @@ func main() {
 			StressPct: *stressPct,
 		}, *fleetOut, os.Stdout, os.Stderr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim:", err)
-			os.Exit(1)
+			fail(err)
 		}
-		return
+		exit(0)
 	}
 
 	cfgs := make([]cluster.NodeConfig, *nodes)
@@ -183,7 +196,7 @@ func main() {
 
 	if *sweep {
 		runSweep(cfgs, req)
-		return
+		exit(0)
 	}
 
 	eng := sim.NewEngine(7)
@@ -202,8 +215,7 @@ func main() {
 		MeanFrame: *frame, Seed: 1960,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	type placed struct {
@@ -252,7 +264,9 @@ func main() {
 	var mon *cluster.Monitor
 	var chaosLog *faults.Log
 	if *chaos {
-		mon, chaosLog = armChaos(c, clip, req, *chaosSeed, dur, *overloadOn)
+		if mon, chaosLog, err = armChaos(c, clip, req, *chaosSeed, dur, *overloadOn); err != nil {
+			fail(err)
+		}
 		if *sloOn {
 			// Early failover: a card whose SLO monitor reports it burning is
 			// treated as a missed heartbeat even while it still answers. The
@@ -352,13 +366,13 @@ func main() {
 
 	if reg != nil {
 		if err := (experiments.Output{Files: experiments.RegistryFiles(reg)}).WriteDir(*telemetryOut); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Print(reg.Spans.StageTable())
 		fmt.Printf("telemetry artifacts written to %s (%d components, %d spans, %d snapshots)\n",
 			*telemetryOut, len(reg.Components()), reg.Spans.Len(), reg.Snapshots())
 	}
+	exit(0)
 }
 
 // armChaos generates a seeded fault plan over the cluster's scheduler cards
@@ -368,7 +382,7 @@ func main() {
 // itself). With overload protection armed the plan also draws a mem-leak
 // event — MemLeak is appended after the pre-existing kinds in the generator,
 // so the crash/stall prefix of the plan is byte-identical either way.
-func armChaos(c *cluster.Cluster, clip *mpeg.Clip, req cluster.StreamRequest, seed int64, dur sim.Time, overloadOn bool) (*cluster.Monitor, *faults.Log) {
+func armChaos(c *cluster.Cluster, clip *mpeg.Clip, req cluster.StreamRequest, seed int64, dur sim.Time, overloadOn bool) (*cluster.Monitor, *faults.Log, error) {
 	cards := make(map[string]*nic.Card)
 	disks := make(map[string]*disk.Disk)
 	ctls := make(map[string]*overload.Controller)
@@ -402,8 +416,7 @@ func armChaos(c *cluster.Cluster, clip *mpeg.Clip, req cluster.StreamRequest, se
 		MinFactor: 4, MaxFactor: 8,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		os.Exit(1)
+		return nil, nil, err
 	}
 	fmt.Print(plan)
 
@@ -447,8 +460,7 @@ func armChaos(c *cluster.Cluster, clip *mpeg.Clip, req cluster.StreamRequest, se
 		},
 	}, log)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		os.Exit(1)
+		return nil, nil, err
 	}
 
 	mon := cluster.NewMonitor(c, "monitor")
@@ -470,7 +482,7 @@ func armChaos(c *cluster.Cluster, clip *mpeg.Clip, req cluster.StreamRequest, se
 		fmt.Printf("%v: %s back in service\n", c.Eng.Now(), s.Card.Name)
 	}
 	mon.Start()
-	return mon, log
+	return mon, log, nil
 }
 
 func runSweep(cfgs []cluster.NodeConfig, req cluster.StreamRequest) {

@@ -115,6 +115,29 @@ func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// -cpuprofile and -memprofile each leave a non-empty profile, after a full
+// run and after a usage error alike.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	for _, flagName := range []string{"-cpuprofile", "-memprofile"} {
+		for _, run := range []struct {
+			args []string
+			code int
+		}{
+			{[]string{"-streams", "2", "-dur", "1"}, 0},
+			{[]string{"-chaos-sweep"}, 2},
+		} {
+			path := filepath.Join(t.TempDir(), "run.prof")
+			args := append(run.args, flagName, path)
+			if _, stderr, code := clustersim(t, args...); code != run.code {
+				t.Errorf("%v: exit %d, want %d; stderr:\n%s", args, code, run.code, stderr)
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("%v: no profile written (%v)", args, err)
+			}
+		}
+	}
+}
+
 func TestDefaultModeAdmitsAndStreams(t *testing.T) {
 	stdout, stderr, code := clustersim(t, "-streams", "4", "-dur", "2")
 	if code != 0 || !strings.Contains(stdout, "admitted 4/4 streams across 1 node(s)") {

@@ -34,11 +34,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"sync"
 	"syscall"
 	"time"
+
+	"repro/internal/profiling"
 )
 
 func main() {
@@ -54,8 +54,7 @@ func main() {
 	flash := flag.Bool("flash", false, "soak mode: flash-crowd arrivals (every session sets up inside the first 100ms)")
 	churn := flag.Float64("churn", 0.25, "soak mode: fraction of sessions torn down and replaced mid-run")
 	throttle := flag.Duration("throttle", 0, "soak mode: stall injected before every dispatch (validates the regression gate)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	cpuProfile, memProfile := profiling.Flags()
 	flag.Parse()
 
 	cfg := runConfig{period: *period, dur: *dur, drain: *drain, metrics: *metricsAddr, dir: *artifacts}
@@ -78,7 +77,7 @@ func main() {
 	lc := newLifecycle()
 	lc.watch(os.Interrupt, syscall.SIGTERM)
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -91,42 +90,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-}
-
-// startProfiles starts the CPU profile and returns the function that stops
-// it and writes the heap profile; either path may be empty.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		if cpuFile, err = os.Create(cpuPath); err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return err
-			}
-		}
-		if memPath == "" {
-			return nil
-		}
-		f, err := os.Create(memPath)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // so the profile shows what is live, not what is garbage
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}, nil
 }
 
 // lifecycle coordinates signal-driven graceful shutdown: the run's loops

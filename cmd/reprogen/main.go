@@ -13,6 +13,8 @@
 //	reprogen -slo            # chaos-diagnostics run: flight recorder + SLO (opt-in)
 //	reprogen -csv out/       # also dump the figure curves as CSV files
 //	reprogen -dur 60         # figure observation length in seconds
+//
+// -cpuprofile and -memprofile are complete on every way out.
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
+	"repro/internal/profiling"
 	"repro/internal/sim"
 )
 
@@ -45,11 +48,19 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write figure curves as CSV")
 	durSec := flag.Int("dur", 100, "figure observation length (seconds)")
 	workers := flag.Int("workers", 0, "worker pool for every experiment fan-out (0 = GOMAXPROCS, 1 = sequential); never changes output bytes")
+	cpuProfile, memProfile := profiling.Flags()
 	flag.Parse()
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "reprogen:", err)
+		os.Exit(1)
+	}
+	// Every way out goes through exit, so the profiles are complete.
+	exit := profiling.Exit("reprogen", stopProfiles)
 	if err := checkSelection(*table, *figure); err != nil {
 		fmt.Fprintln(os.Stderr, "reprogen:", err)
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
 	experiments.DefaultWorkers = *workers
 
@@ -106,7 +117,7 @@ func main() {
 			cfg := cluster.FleetConfig{Dur: dur, Workers: *workers}
 			if err := s.RunTo(cfg, dir, os.Stdout, os.Stderr); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", s.Name, err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 	}
@@ -145,10 +156,11 @@ func main() {
 	if *csvDir != "" {
 		if err := dumpCSV(*csvDir, hostFigs, niFigs); err != nil {
 			fmt.Fprintln(os.Stderr, "csv:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("curves written to %s\n", *csvDir)
 	}
+	exit(0)
 }
 
 // checkSelection rejects a -table or -figure the paper does not have; 0 is

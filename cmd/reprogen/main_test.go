@@ -91,6 +91,29 @@ func TestTelemetryWritesThePinnedStageTable(t *testing.T) {
 	}
 }
 
+// -cpuprofile and -memprofile each leave a non-empty profile, after a full
+// run and after a usage error alike.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	for _, flagName := range []string{"-cpuprofile", "-memprofile"} {
+		for _, run := range []struct {
+			args []string
+			code int
+		}{
+			{[]string{"-table", "1"}, 0},
+			{[]string{"-table", "99"}, 2},
+		} {
+			path := filepath.Join(t.TempDir(), "run.prof")
+			args := append(run.args, flagName, path)
+			if _, stderr, code := reprogen(t, args...); code != run.code {
+				t.Errorf("%v: exit %d, want %d; stderr:\n%s", args, code, run.code, stderr)
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("%v: no profile written (%v)", args, err)
+			}
+		}
+	}
+}
+
 // -workers governs every fan-out, the overload sweep's included; the
 // sweep-specific spelling is gone.
 func TestOverloadWorkersFlagIsGone(t *testing.T) {

@@ -111,14 +111,30 @@ func (ATMFraming) Name() string { return "atm-aal5" }
 // Link is one half-duplex transmit path at a fixed bit rate. Transmissions
 // serialize FIFO; each completes after wire time plus propagation and is
 // then delivered to the attached port.
+//
+// A transmission allocates nothing: the link keeps two FIFOs and two engine
+// callbacks built once. waiting holds the transmissions queued behind the
+// one on the wire, each with its onWire callback; inFlight holds the
+// serialized packets not yet delivered. Deliveries come out in send order —
+// a transmission starts no earlier than the previous one ends and
+// propagation is the same for every packet — so the deliver callback always
+// takes the head of inFlight.
 type Link struct {
 	eng     *sim.Engine
 	name    string
 	bps     int64
 	prop    sim.Time
 	dst     Port
-	res     *sim.Resource
 	framing Framing
+
+	busy      bool               // a transmission is on the wire
+	onWire    func()             // its onWire callback
+	waiting   sim.FIFO[transmit] // queued behind it, in send order
+	inFlight  sim.FIFO[*Packet]  // serialized, awaiting delivery, in send order
+	freeFn    func()             // l.free, built once
+	deliverFn func()             // l.deliver, built once
+	busyTime  sim.Time           // wire time of finished transmissions
+	lastStart sim.Time           // when the transmission on the wire started
 
 	// DropEvery, when positive, drops every k-th packet after serialization
 	// (deterministic loss injection for robustness tests).
@@ -140,8 +156,16 @@ func NewLink(eng *sim.Engine, name string, bps int64, prop sim.Time, dst Port) *
 	if bps <= 0 {
 		panic("netsim: link rate must be positive")
 	}
-	return &Link{eng: eng, name: name, bps: bps, prop: prop, dst: dst,
-		res: sim.NewResource(eng, name), framing: EthernetFraming{}}
+	l := &Link{eng: eng, name: name, bps: bps, prop: prop, dst: dst, framing: EthernetFraming{}}
+	l.freeFn = l.free
+	l.deliverFn = l.deliver
+	return l
+}
+
+// transmit is one Send waiting for the transmitter.
+type transmit struct {
+	p      *Packet
+	onWire func()
 }
 
 // NewATM returns an OC-3 (155.52 Mbps) ATM link with AAL5 framing and 2 µs
@@ -174,30 +198,56 @@ func (l *Link) WireTime(n int64) sim.Time {
 // Send transmits p. onWire (may be nil) runs when the sender's transmitter
 // is free again; delivery to the destination port happens after propagation.
 func (l *Link) Send(p *Packet, onWire func()) {
-	l.res.Acquire(func() {
-		p.Sent = l.eng.Now()
-		if p.FirstSent == 0 {
-			p.FirstSent = p.Sent
-		}
-		t := l.WireTime(p.Bytes)
-		l.Packets++
-		l.Bytes += p.Bytes
-		l.eng.After(t, func() {
-			l.res.Release()
-			if onWire != nil {
-				onWire()
-			}
-		})
-		if l.down || (l.DropEvery > 0 && l.Packets%l.DropEvery == 0) {
-			l.Dropped++
-			return
-		}
-		l.eng.After(t+l.prop, func() {
-			if l.dst != nil {
-				l.dst.Deliver(p)
-			}
-		})
-	})
+	if l.busy {
+		l.waiting.Push(transmit{p, onWire})
+		return
+	}
+	l.start(p, onWire)
+}
+
+// start puts p on the wire now. A lost packet still burns its wire time.
+func (l *Link) start(p *Packet, onWire func()) {
+	l.busy = true
+	l.onWire = onWire
+	l.lastStart = l.eng.Now()
+	p.Sent = l.eng.Now()
+	if p.FirstSent == 0 {
+		p.FirstSent = p.Sent
+	}
+	t := l.WireTime(p.Bytes)
+	l.Packets++
+	l.Bytes += p.Bytes
+	l.eng.After(t, l.freeFn)
+	if l.down || (l.DropEvery > 0 && l.Packets%l.DropEvery == 0) {
+		l.Dropped++
+		return
+	}
+	l.inFlight.Push(p)
+	l.eng.After(t+l.prop, l.deliverFn)
+}
+
+// free ends the transmission on the wire: the next waiting one starts, then
+// the finished one's onWire runs.
+func (l *Link) free() {
+	done := l.onWire
+	l.busyTime += l.eng.Now() - l.lastStart
+	if l.waiting.Len() == 0 {
+		l.busy, l.onWire = false, nil
+	} else {
+		next := l.waiting.Pop()
+		l.start(next.p, next.onWire)
+	}
+	if done != nil {
+		done()
+	}
+}
+
+// deliver hands the oldest packet in flight to the port.
+func (l *Link) deliver() {
+	p := l.inFlight.Pop()
+	if l.dst != nil {
+		l.dst.Deliver(p)
+	}
 }
 
 // SetDown fails or restores the link. While down, every transmission is
@@ -210,8 +260,18 @@ func (l *Link) Down() bool { return l.down }
 // Name returns the link name.
 func (l *Link) Name() string { return l.name }
 
-// Utilization reports the transmit utilization of the link.
-func (l *Link) Utilization() float64 { return l.res.Utilization() }
+// Utilization reports the fraction of [0, now] the transmitter was busy.
+func (l *Link) Utilization() float64 {
+	now := l.eng.Now()
+	if now == 0 {
+		return 0
+	}
+	busy := l.busyTime
+	if l.busy {
+		busy += now - l.lastStart
+	}
+	return float64(busy) / float64(now)
+}
 
 // Switch is a store-and-forward Ethernet switch: it receives a packet on
 // any input, waits one forwarding latency plus the output serialization of

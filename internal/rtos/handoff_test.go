@@ -18,6 +18,17 @@ import (
 // marks and of every change in the task-state vector, sampled each
 // simulated microsecond.
 func scriptedScenario() string {
+	log, _ := runScript(sim.Microsecond, false)
+	return log
+}
+
+// runScript is scriptedScenario with the task-state vector sampled every
+// sampleEvery (the Halts are triggered from the sampler, so they land
+// where its ticks do). With parkAll, a no-op 1 µs ticker also runs on the
+// engine: every burst and context switch then has an event due before it
+// ends, so none completes in place. parked counts the bursts and switches
+// that ended through their engine event.
+func runScript(sampleEvery sim.Time, parkAll bool) (_ string, parked int) {
 	eng := sim.NewEngine(1)
 	defer eng.Close()
 	k := NewKernel(eng, "cpu", 2*sim.Microsecond)
@@ -29,7 +40,9 @@ func scriptedScenario() string {
 		fmt.Fprintf(&log, "%6d %-5s %s\n", tc.Now(), k.Running().Name(), what)
 	}
 	spawn := func(name string, prio int, body func(tc *TaskCtx)) {
-		tasks = append(tasks, k.Spawn(name, prio, body))
+		task := k.Spawn(name, prio, body)
+		countParks(task, &parked)
+		tasks = append(tasks, task)
 	}
 
 	early := NewSemaphore(k, "early", 0) // given before it is taken
@@ -91,7 +104,7 @@ func scriptedScenario() string {
 	}
 	stateNames := [...]string{Ready: "rdy", Running: "RUN", Blocked: "blk", Exited: "xit"}
 	prev := ""
-	eng.Every(sim.Microsecond, func() {
+	eng.Every(sampleEvery, func() {
 		r := k.Running()
 		if !midBurst && r != nil && r.Name() == "hi" && r.State() == Running &&
 			strings.Contains(log.String(), "await done") {
@@ -111,13 +124,45 @@ func scriptedScenario() string {
 			fmt.Fprintf(&log, "%6d states%s\n", eng.Now(), prev)
 		}
 	})
+	if parkAll {
+		eng.Every(sim.Microsecond, func() {})
+	}
 	eng.RunUntil(400 * sim.Microsecond)
 	fmt.Fprintf(&log, "switches=%d busy=%d", k.Switches, k.BusyTime)
 	for _, t := range tasks {
 		fmt.Fprintf(&log, " %s=%d", t.Name(), t.CPUTime)
 	}
 	log.WriteString("\n")
-	return log.String()
+	return log.String(), parked
+}
+
+// countParks makes task's burst-done and switch-done callbacks count into
+// *n: a burst or switch that completes in place never runs them. Call it
+// before the task is first dispatched.
+func countParks(task *Task, n *int) {
+	burstDone, switchDone := task.burstDoneFn, task.switchDoneFn
+	task.burstDoneFn = func() { *n++; burstDone() }
+	task.switchDoneFn = func() { *n++; switchDone() }
+}
+
+// The in-place completion is invisible: the script logs the same bytes
+// whether bursts and switches complete in place or all park behind a no-op
+// ticker — and with the golden 1 µs sampler, whose ticks already refuse
+// every in-place completion, those bytes are the channel kernel's log.
+func TestInPlaceCompletionMatchesParkedPath(t *testing.T) {
+	if got, _ := runScript(sim.Microsecond, true); got != scriptedScenarioGolden {
+		t.Errorf("with every burst parked, the log left the golden one.\n--- got\n%s--- want\n%s", got, scriptedScenarioGolden)
+	}
+	for _, every := range []sim.Time{sim.Microsecond, 3 * sim.Microsecond, 7 * sim.Microsecond, 50 * sim.Microsecond, sim.Millisecond} {
+		log, parked := runScript(every, false)
+		parkedLog, total := runScript(every, true)
+		if log != parkedLog {
+			t.Errorf("sampled every %v: the log changed when every burst parked.\n--- as run\n%s--- all parked\n%s", every, log, parkedLog)
+		}
+		if every > sim.Microsecond && parked >= total {
+			t.Errorf("sampled every %v: %d of %d bursts and switches parked; none completed in place", every, parked, total)
+		}
+	}
 }
 
 // TestScriptedScenarioMatchesChannelKernel pins the scheduling order to the
@@ -150,7 +195,18 @@ var handoffBodies = []struct {
 	name string
 	body func(eng *sim.Engine, tc *TaskCtx)
 }{
-	{"Run", func(_ *sim.Engine, tc *TaskCtx) {
+	{"Run", func(eng *sim.Engine, tc *TaskCtx) {
+		// An event due as the burst ends refuses the in-place completion,
+		// so every burst parks and is resumed by its burst-done event.
+		competitor := func() {}
+		for {
+			eng.After(10*sim.Microsecond, competitor)
+			tc.Run(10 * sim.Microsecond)
+		}
+	}},
+	{"RunInPlace", func(_ *sim.Engine, tc *TaskCtx) {
+		// A lone task: every burst completes in place until the bound of
+		// the executing RunUntil.
 		for {
 			tc.Run(10 * sim.Microsecond)
 		}
@@ -184,14 +240,20 @@ func TestHandoffDoesNotAllocate(t *testing.T) {
 }
 
 // TestContextSwitchDoesNotAllocate covers the switch-cost path between two
-// tasks that alternate on the CPU.
+// tasks that alternate on the CPU: completed in place, and parked behind a
+// no-op 1 µs ticker.
 func TestContextSwitchDoesNotAllocate(t *testing.T) {
-	eng := pingPongKernel(t)
-	allocs := testing.AllocsPerRun(200, func() {
-		eng.RunUntil(eng.Now() + 10*sim.Microsecond)
-	})
-	if allocs != 0 {
-		t.Errorf("context switch: %v allocs, want 0", allocs)
+	for _, parked := range []bool{false, true} {
+		eng := pingPongKernel(t)
+		if parked {
+			eng.Every(sim.Microsecond, func() {})
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			eng.RunUntil(eng.Now() + 10*sim.Microsecond)
+		})
+		if allocs != 0 {
+			t.Errorf("context switch (parked=%v): %v allocs, want 0", parked, allocs)
+		}
 	}
 }
 
@@ -218,8 +280,10 @@ func pingPongKernel(tb testing.TB) *sim.Engine {
 }
 
 // BenchmarkHandoff is the rtos layer's own number: host time and
-// allocations per simulated task operation (one Run burst, one Sleep and
-// wake, one Await round trip, one context switch between two tasks).
+// allocations per simulated task operation (one parked Run burst, one Run
+// burst completed in place, one Sleep and wake, one Await round trip, one
+// context switch between two tasks — with nothing else pending, that switch
+// and the burst after it complete in place).
 func BenchmarkHandoff(b *testing.B) {
 	for _, c := range handoffBodies {
 		b.Run(c.name, func(b *testing.B) {

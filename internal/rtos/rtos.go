@@ -12,7 +12,11 @@
 // with Sleep/Await/Take, and the kernel always runs the highest-priority
 // ready task, paying a context-switch cost on every switch. A CPU burst is
 // not preempted mid-flight (bursts in this system are microseconds long);
-// preemption happens at burst and blocking boundaries.
+// preemption happens at burst and blocking boundaries. A burst or context
+// switch that nothing can interrupt — no ready task that would take the CPU
+// at its end, no halt, no engine event due before it ends — completes in
+// place (sim.Engine.TryAdvance) with no hand-off at all; the same callbacks
+// then run at the same simulated instants in the same order.
 //
 // A task body runs on the goroutine that steps the engine, so a panic in a
 // body surfaces there. Because a hand-off sits under every simulated frame,
@@ -67,7 +71,6 @@ type Task struct {
 	state       TaskState
 	wakePending bool
 	sliceUsed   sim.Time // CPU consumed since last dispatch (time slicing)
-	burst       sim.Time // length of the CPU burst in flight
 
 	// The coroutine: next runs the body up to its next yield (ok == false
 	// once the body has returned), stop unwinds a parked body.
@@ -244,6 +247,12 @@ func (k *Kernel) dispatch() {
 		// Pay the switch cost, then run.
 		k.Switches++
 		k.running = t // reserve the CPU during the switch
+		if k.eng.TryAdvance(k.eng.Now() + k.ctxCost) {
+			// Nothing can land mid-switch (switchDone's Halt test included):
+			// finish it in place.
+			k.resumeTask(t)
+			return
+		}
 		k.eng.After(k.ctxCost, t.switchDoneFn)
 		return
 	}
@@ -300,7 +309,6 @@ func (k *Kernel) handoff(t *Task) {
 
 // burstDone ends t's CPU burst: a preemption point.
 func (k *Kernel) burstDone(t *Task) {
-	t.sliceUsed += t.burst
 	if k.halted {
 		// The processor froze during this burst: park the task; Resume
 		// re-dispatches it from the ready queue.
@@ -308,20 +316,24 @@ func (k *Kernel) burstDone(t *Task) {
 		k.enqueueReady(t)
 		return
 	}
-	// A higher-priority ready task always takes the CPU; with time slicing
-	// enabled, an equal-priority ready task does too once this task's slice
-	// is spent.
-	preempt := len(k.ready) > 0 && k.ready[0].prio < t.prio
-	if !preempt && k.TimeSlice > 0 && t.sliceUsed >= k.TimeSlice {
-		preempt = len(k.ready) > 0 && k.ready[0].prio == t.prio
-	}
-	if preempt {
+	if k.preempts(t) {
 		k.running = nil
 		k.enqueueReady(t)
 		k.kick()
 		return
 	}
 	k.handoff(t)
+}
+
+// preempts reports whether a ready task takes the CPU from t at a burst
+// boundary. A higher-priority ready task always does; with time slicing
+// enabled, an equal-priority ready task does too once t's slice is spent.
+func (k *Kernel) preempts(t *Task) bool {
+	if len(k.ready) == 0 {
+		return false
+	}
+	head := k.ready[0].prio
+	return head < t.prio || (head == t.prio && k.TimeSlice > 0 && t.sliceUsed >= k.TimeSlice)
 }
 
 // Shutdown ends every task that has not exited: a parked task's body is
@@ -371,6 +383,11 @@ func (tc *TaskCtx) block() {
 }
 
 // Run consumes d of simulated CPU, holding the processor.
+//
+// When nothing can interrupt the burst — the kernel is not halted, no ready
+// task would take the CPU at its end, and the engine has nothing due before
+// it ends — the burst completes in place: the clock moves on and the body
+// continues without a hand-off. Otherwise the task parks until burstDone.
 func (tc *TaskCtx) Run(d sim.Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("rtos %s: negative run %v", tc.t.name, d))
@@ -378,11 +395,14 @@ func (tc *TaskCtx) Run(d sim.Time) {
 	if d == 0 {
 		return
 	}
-	t := tc.t
+	t, k := tc.t, tc.k
 	t.CPUTime += d
-	tc.k.BusyTime += d
-	t.burst = d
-	tc.k.eng.After(d, t.burstDoneFn)
+	k.BusyTime += d
+	t.sliceUsed += d
+	if !k.halted && !k.preempts(t) && k.eng.TryAdvance(k.eng.Now()+d) {
+		return
+	}
+	k.eng.After(d, t.burstDoneFn)
 	t.state = Running
 	tc.park(yBurst)
 }

@@ -62,7 +62,10 @@ type Topology struct {
 	seed  int64
 	parts []*Partition
 	in    [][]edge // inbound channels per partition
-	out   [][]edge // outbound channels per partition
+	// la[src][dst] is the lookahead of the channel src→dst, 0 when there is
+	// none (a declared lookahead is positive). A row grows in Connect to
+	// cover its highest destination ID, so Send finds a channel by index.
+	la [][]Time
 
 	// Rounds counts synchronization windows executed, for
 	// efficiency-diagnostic reporting (events per round is the
@@ -92,7 +95,7 @@ func (t *Topology) AddPartition(name string) *Partition {
 	}
 	t.parts = append(t.parts, p)
 	t.in = append(t.in, nil)
-	t.out = append(t.out, nil)
+	t.la = append(t.la, nil)
 	return p
 }
 
@@ -114,12 +117,15 @@ func (t *Topology) Connect(src, dst *Partition, lookahead Time) error {
 	if lookahead <= 0 {
 		return fmt.Errorf("sim: Connect %s→%s: lookahead %v is not positive; a conservative engine cannot make safe progress across a zero-lookahead channel", src.name, dst.name, lookahead)
 	}
-	for _, e := range t.out[src.id] {
-		if e.peer == dst.id {
-			return fmt.Errorf("sim: Connect %s→%s: channel already declared", src.name, dst.name)
-		}
+	if _, ok := t.Lookahead(src, dst); ok {
+		return fmt.Errorf("sim: Connect %s→%s: channel already declared", src.name, dst.name)
 	}
-	t.out[src.id] = append(t.out[src.id], edge{peer: dst.id, lookahead: lookahead})
+	row := t.la[src.id]
+	if n := int(dst.id) + 1; len(row) < n {
+		row = append(row, make([]Time, n-len(row))...)
+		t.la[src.id] = row
+	}
+	row[dst.id] = lookahead
 	t.in[dst.id] = append(t.in[dst.id], edge{peer: src.id, lookahead: lookahead})
 	return nil
 }
@@ -127,10 +133,8 @@ func (t *Topology) Connect(src, dst *Partition, lookahead Time) error {
 // Lookahead reports the declared minimum latency of the src→dst channel
 // (0, false when no channel exists).
 func (t *Topology) Lookahead(src, dst *Partition) (Time, bool) {
-	for _, e := range t.out[src.id] {
-		if e.peer == dst.id {
-			return e.lookahead, true
-		}
+	if row := t.la[src.id]; int(dst.id) < len(row) && row[dst.id] > 0 {
+		return row[dst.id], true
 	}
 	return 0, false
 }
@@ -216,14 +220,7 @@ func (p *Partition) Send(dst *Partition, delay Time, fn func()) Msg {
 	if dst == nil || dst.topo != p.topo {
 		panic(fmt.Sprintf("sim: partition %s: Send to a partition outside this topology", p.name))
 	}
-	var la Time
-	found := false
-	for _, e := range p.topo.out[p.id] {
-		if e.peer == dst.id {
-			la, found = e.lookahead, true
-			break
-		}
-	}
+	la, found := p.topo.Lookahead(p, dst)
 	if !found {
 		panic(fmt.Sprintf("sim: partition %s: Send to %s without a declared channel (Connect first)", p.name, dst.name))
 	}

@@ -304,6 +304,49 @@ func TestTopologyLookahead(t *testing.T) {
 	if _, ok := topo2.Lookahead(c, d); ok {
 		t.Fatal("Lookahead on unconnected pair must report false")
 	}
+	// A channel is directed, and a partition added after the last Connect
+	// is found (or not) like any other.
+	if err := topo2.Connect(c, d, Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	e := topo2.AddPartition("e")
+	for _, pair := range [][2]*Partition{{d, c}, {c, e}, {e, c}} {
+		if _, ok := topo2.Lookahead(pair[0], pair[1]); ok {
+			t.Fatalf("Lookahead(%s,%s) reports a channel that was never declared", pair[0].Name(), pair[1].Name())
+		}
+	}
+	if err := topo2.Connect(c, e, 3*Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	if la, ok := topo2.Lookahead(c, e); !ok || la != 3*Microsecond {
+		t.Fatalf("Lookahead(c,e) = %v, %v", la, ok)
+	}
+	if la, ok := topo2.Lookahead(c, d); !ok || la != Microsecond {
+		t.Fatalf("Lookahead(c,d) = %v, %v after a later Connect", la, ok)
+	}
+}
+
+// A partition's window is a RunUntil to its horizon − 1, so TryAdvance
+// grants up to that instant and refuses beyond it: a message could land at
+// the horizon.
+func TestTryAdvanceStopsAtPartitionHorizon(t *testing.T) {
+	topo := NewTopology(1)
+	topo.Workers = 1
+	a := topo.AddPartition("a")
+	b := topo.AddPartition("b")
+	if err := topo.Connect(a, b, 100); err != nil {
+		t.Fatal(err)
+	}
+	a.Eng().At(0, func() {})
+	var beyond, within bool
+	b.Eng().At(10, func() {
+		beyond = b.Eng().TryAdvance(100) // a's event at 0 bounds b at 99
+		within = b.Eng().TryAdvance(99)
+	})
+	topo.RunUntil(1000)
+	if beyond || !within {
+		t.Fatalf("TryAdvance past the horizon = %v, to horizon−1 = %v; want false, true", beyond, within)
+	}
 }
 
 func TestCancelledEventNearHorizonKeepsCausality(t *testing.T) {

@@ -14,10 +14,30 @@
 // paper makes the same argument for its i960 fast paths). Event handles
 // carry a generation counter, so cancelling an event that already fired —
 // or whose arena slot has since been reused — is a safe no-op.
+//
+// A callback that is about to schedule its own continuation d from now can
+// instead ask TryAdvance to move the clock there and carry on in place. The
+// engine grants that only when nothing else could have run first: no pending
+// event — cancelled ones included — is due at or before the target, and the
+// target lies within the bound of the Run or RunUntil executing (the
+// partition's safe horizon under a Topology, where no message can land
+// before it). A tie refuses, because the event already queued holds the
+// lower sequence number and fires first. Granted, the continuation runs at
+// the same instant, before the same events, as the scheduled one would have:
+// (time, sequence) order is preserved and only the hand-off is skipped.
+//
+// Under a Topology, a message takes its destination's next sequence number
+// when it crosses a round barrier, not when it is sent. Messages merged in
+// the same round and due at the same instant fire in (source partition,
+// source sequence) order. The relative order of same-instant messages merged
+// in different rounds — and of a message and a same-instant local event — is
+// unspecified: it is the same at any worker count, but it is not the order a
+// monolithic engine would give, so no artifact may depend on it.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -110,6 +130,11 @@ type Engine struct {
 	slots []eventSlot // event arena
 	free  []int32     // recycled arena slots
 	heap  []int32     // 4-ary min-heap of arena indices, keyed by (at, seq)
+
+	// bound is the inclusive time limit of the Run or RunUntil executing on
+	// this engine; running is false outside one.
+	bound   Time
+	running bool
 
 	closers []func() // OnClose registrations, run by Close
 }
@@ -261,8 +286,31 @@ func (e *Engine) Step() bool {
 
 // Run fires events until none remain.
 func (e *Engine) Run() {
+	bound, running := e.bound, e.running
+	e.bound, e.running = math.MaxInt64, true
+	defer func() { e.bound, e.running = bound, running }()
 	for e.Step() {
 	}
+}
+
+// TryAdvance moves the clock to t and reports true when nothing can happen
+// before t: a Run or RunUntil is executing, t is within its bound, and no
+// pending event — cancelled ones included — is due at or before t. Otherwise
+// it leaves the clock alone and reports false; the caller then schedules its
+// continuation at t as usual. Outside a run (under a bare Step, say) it
+// always refuses. t before now panics, like scheduling in the past.
+func (e *Engine) TryAdvance(t Time) bool {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: advancing to %v before now %v", t, e.now))
+	}
+	if !e.running || t > e.bound {
+		return false
+	}
+	if len(e.heap) > 0 && e.slots[e.heap[0]].at <= t {
+		return false
+	}
+	e.now = t
+	return true
 }
 
 // RunUntil fires events with time ≤ t, then sets the clock to t. Events
@@ -273,8 +321,12 @@ func (e *Engine) Run() {
 // lies beyond t, silently running past the bound. Under the partitioned
 // topology that bound is the conservative safe horizon, so overshooting
 // it is a causality violation (a partition executing state another
-// partition may still send messages into).
+// partition may still send messages into). t is also the bound TryAdvance
+// grants within while RunUntil executes.
 func (e *Engine) RunUntil(t Time) {
+	bound, running := e.bound, e.running
+	e.bound, e.running = t, true
+	defer func() { e.bound, e.running = bound, running }()
 	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= t {
 		fn, at := e.popHead()
 		if fn == nil {
@@ -346,7 +398,7 @@ type Resource struct {
 	eng   *Engine
 	name  string
 	busy  bool
-	queue []func()
+	queue FIFO[func()]
 
 	// BusyTime accumulates total held time, for utilization reporting.
 	BusyTime  Time
@@ -365,7 +417,7 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen reports how many acquirers are waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queue.Len() }
 
 // Acquire requests the resource; granted runs (possibly immediately, within
 // this call) once the resource is free and it is this requester's turn. The
@@ -377,7 +429,7 @@ func (r *Resource) Acquire(granted func()) {
 		granted()
 		return
 	}
-	r.queue = append(r.queue, granted)
+	r.queue.Push(granted)
 }
 
 // Release frees the resource and hands it to the next waiter, if any. The
@@ -387,12 +439,11 @@ func (r *Resource) Release() {
 		panic("sim: Release of idle resource " + r.name)
 	}
 	r.BusyTime += r.eng.Now() - r.lastStart
-	if len(r.queue) == 0 {
+	if r.queue.Len() == 0 {
 		r.busy = false
 		return
 	}
-	next := r.queue[0]
-	r.queue = r.queue[1:]
+	next := r.queue.Pop()
 	r.lastStart = r.eng.Now()
 	next()
 }

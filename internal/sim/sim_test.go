@@ -212,6 +212,29 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
+// Under sustained contention — a waiter joins for every one granted — the
+// wait queue keeps its backing array instead of reallocating it.
+func TestResourceReleaseDoesNotAllocateUnderContention(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, "bus")
+	granted := func() {}
+	for i := 0; i < 5; i++ {
+		r.Acquire(granted) // one holder, four waiters
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			r.Release()
+			r.Acquire(granted)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per 64 release/acquire pairs, want 0", allocs)
+	}
+	if r.QueueLen() != 4 {
+		t.Errorf("queue length %d, want 4", r.QueueLen())
+	}
+}
+
 func TestTimeString(t *testing.T) {
 	cases := map[Time]string{
 		5:               "5ns",
@@ -451,6 +474,79 @@ func TestDrainBetweenScenarios(t *testing.T) {
 	}
 	if hw := e.ArenaCap(); hw != 0 {
 		t.Fatalf("capacity %d retained after final Drain", hw)
+	}
+}
+
+// TryAdvance grants only when nothing can happen before the target: inside
+// a run, within its bound, with no pending event — live or cancelled — at or
+// before the target.
+func TestTryAdvance(t *testing.T) {
+	cases := []struct {
+		name   string
+		at     Time // the callback that asks runs here
+		to     Time
+		bound  Time // RunUntil bound; 0 drives the engine with one bare Step
+		queued Time // a live event queued here when non-zero
+		cancel Time // a cancelled event queued here when non-zero
+		want   bool
+	}{
+		{name: "nothing pending", at: 10, to: 50, bound: 100, want: true},
+		{name: "up to the inclusive bound", at: 10, to: 100, bound: 100, want: true},
+		{name: "beyond the bound", at: 10, to: 101, bound: 100},
+		{name: "event exactly at the target", at: 10, to: 50, bound: 100, queued: 50},
+		{name: "event before the target", at: 10, to: 50, bound: 100, queued: 30},
+		{name: "event just after the target", at: 10, to: 50, bound: 100, queued: 51, want: true},
+		{name: "cancelled event at the target", at: 10, to: 50, bound: 100, cancel: 50},
+		{name: "cancelled event before the target", at: 10, to: 50, bound: 100, cancel: 20},
+		{name: "outside any run", at: 10, to: 50},
+	}
+	for _, c := range cases {
+		e := NewEngine(1)
+		var granted bool
+		var after Time
+		e.At(c.at, func() {
+			if c.queued != 0 {
+				e.At(c.queued, func() {})
+			}
+			if c.cancel != 0 {
+				e.At(c.cancel, func() {}).Cancel()
+			}
+			granted = e.TryAdvance(c.to)
+			after = e.Now()
+		})
+		if c.bound == 0 {
+			e.Step()
+		} else {
+			e.RunUntil(c.bound)
+		}
+		want := c.at
+		if c.want {
+			want = c.to
+		}
+		if granted != c.want || after != want {
+			t.Errorf("%s: TryAdvance(%v) = %v leaving now %v, want %v and %v", c.name, c.to, granted, after, c.want, want)
+		}
+	}
+
+	e := NewEngine(1)
+	if e.TryAdvance(10) || e.Now() != 0 {
+		t.Error("TryAdvance granted on an engine that is not running")
+	}
+	// Run has no bound; the events after an advance still fire in order.
+	var got []Time
+	e.At(5, func() {
+		if !e.TryAdvance(1000) {
+			t.Error("Run refused an advance with nothing pending")
+		}
+		e.After(1, func() { got = append(got, e.Now()) })
+	})
+	e.At(2000, func() { got = append(got, e.Now()) })
+	e.Run()
+	if len(got) != 2 || got[0] != 1001 || got[1] != 2000 {
+		t.Errorf("events after an advance fired at %v, want [1001 2000]", got)
+	}
+	if e.TryAdvance(3000) {
+		t.Error("TryAdvance granted after Run returned")
 	}
 }
 
