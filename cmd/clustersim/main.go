@@ -7,18 +7,11 @@
 //	clustersim -streams 40                     # admit, stream, report
 //	clustersim -nodes 4 -schedulers 3 -streams 200
 //	clustersim -sweep                          # capacity/goodput vs demand
-//	clustersim -chaos                          # generated fault schedule +
-//	                                           # heartbeat failover
-//	clustersim -overload                       # arm per-card overload control;
-//	                                           # with -chaos, adds a mem-leak
-//	                                           # fault to the schedule
+//	clustersim -overload                       # arm per-card overload control
 //	clustersim -telemetry                      # instrument the run; write
 //	                                           # trace/metrics artifacts
 //	clustersim -slo                            # per-card SLO monitors and a
-//	                                           # health table; with -chaos, a
-//	                                           # burning card is failed over
-//	                                           # early even while its heartbeat
-//	                                           # still answers
+//	                                           # health table
 //	clustersim -fleet -cards 64 -workers 8     # partitioned multi-card fleet
 //	                                           # on the parallel engine;
 //	                                           # artifacts are byte-identical
@@ -56,22 +49,16 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/disk"
 	"repro/internal/dwcs"
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/fixed"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
-	"repro/internal/nic"
-	"repro/internal/overload"
 	"repro/internal/profiling"
 	"repro/internal/sim"
 	"repro/internal/slo"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -85,12 +72,10 @@ func main() {
 	frame := flag.Int64("frame", 5000, "nominal frame bytes")
 	durSec := flag.Int("dur", 30, "streaming duration (seconds)")
 	sweep := flag.Bool("sweep", false, "sweep requested stream count and report capacity")
-	chaos := flag.Bool("chaos", false, "arm a generated chaos schedule with heartbeat failover")
-	chaosSeed := flag.Int64("chaos-seed", 7, "chaos plan seed (with -chaos)")
 	overloadOn := flag.Bool("overload", false, "arm overload protection on every scheduler NI")
 	telemetryOn := flag.Bool("telemetry", false, "instrument the run and write observability artifacts")
 	telemetryOut := flag.String("telemetry-out", "telemetry-out", "directory for -telemetry artifacts")
-	sloOn := flag.Bool("slo", false, "run an SLO monitor per scheduler NI; with -chaos, burning cards fail over early")
+	sloOn := flag.Bool("slo", false, "run an SLO monitor per scheduler NI")
 	cards := flag.Int("cards", 8, "card complexes in the fleet (with -fleet)")
 	fleetStreams := flag.Int("fleet-streams", 2, "streams sourced per card (with -fleet)")
 	workers := flag.Int("workers", 0, "parallel-engine worker pool; 0 = GOMAXPROCS, 1 = sequential")
@@ -202,7 +187,7 @@ func main() {
 	eng := sim.NewEngine(7)
 	c := cluster.New(eng, cfgs)
 	if *overloadOn {
-		c.EnableOverload(nil)
+		c.EnableOverload()
 	}
 	var reg *telemetry.Registry
 	if *telemetryOn {
@@ -233,17 +218,14 @@ func main() {
 			break
 		}
 		cl := c.AttachClient(p)
-		if *chaos {
-			cl.BW = stats.NewBandwidthMeter(r.Name, 2*sim.Second)
-		}
 		c.Start(p, clip, req.Period/2, 1<<30)
 		admitted = append(admitted, placed{p, cl})
 	}
 
 	// Per-card SLO monitors: each card's monitor reads burn rates off the
 	// DWCS loss windows of the streams placed on it. Stats freeze at the last
-	// observed value when a stream leaves the card (failover, revocation), so
-	// the windows stay monotone.
+	// observed value when a stream leaves the card (revocation), so the
+	// windows stay monotone.
 	var sloMons map[string]*slo.Monitor
 	if *sloOn {
 		sloMons = make(map[string]*slo.Monitor)
@@ -261,27 +243,7 @@ func main() {
 		}
 	}
 
-	var mon *cluster.Monitor
-	var chaosLog *faults.Log
-	if *chaos {
-		if mon, chaosLog, err = armChaos(c, clip, req, *chaosSeed, dur, *overloadOn); err != nil {
-			fail(err)
-		}
-		if *sloOn {
-			// Early failover: a card whose SLO monitor reports it burning is
-			// treated as a missed heartbeat even while it still answers. The
-			// Misses hysteresis still applies, so one hot eval window cannot
-			// bounce a card.
-			mon.Unhealthy = func(s *cluster.SchedulerNI) bool {
-				m := sloMons[s.Card.Name]
-				return m != nil && m.Health() >= slo.StateBurning
-			}
-		}
-	}
 	eng.RunUntil(dur)
-	if mon != nil {
-		mon.Stop()
-	}
 	for _, m := range sloMons {
 		m.Stop()
 	}
@@ -305,30 +267,6 @@ func main() {
 			}
 			fmt.Printf("  %-16s streams=%d cpu=%.0f%% link=%.0f%% sent=%d dropped=%d  [%s]\n",
 				s.Card.Name, s.Streams(), s.CPULoad()*100, s.LinkLoad()*100, st.Sent, st.Dropped, verdict)
-		}
-	}
-
-	if *chaos {
-		fmt.Printf("monitor: probes=%d detected=%d failovers=%d recovered=%d\n",
-			mon.Probes, mon.Detected, mon.Failovers, mon.Recovered)
-		fmt.Print("chaos timeline:\n", chaosLog.String())
-		fmt.Println("per-stream bandwidth through fail→recover (kbps, 2s samples):")
-		for _, a := range admitted {
-			a.cl.BW.FlushUntil(dur)
-			var b strings.Builder
-			for _, pt := range a.cl.BW.Series.Points {
-				fmt.Fprintf(&b, " %4.0f", pt.Value/1000)
-			}
-			fmt.Printf("  %-4s│%s\n", a.p.Req.Name, b.String())
-		}
-		fmt.Println("DWCS violations per live stream:")
-		for _, p := range c.Live() {
-			st, err := p.Scheduler.Ext.Sched.Stats(p.StreamID)
-			if err != nil {
-				continue
-			}
-			fmt.Printf("  %-4s on %-16s violations=%d\n",
-				p.Req.Name, p.Scheduler.Card.Name, st.Violations)
 		}
 	}
 
@@ -359,9 +297,6 @@ func main() {
 		for _, name := range names {
 			fmt.Print(sloMons[name].Table())
 		}
-		if mon != nil {
-			fmt.Printf("monitor: slo_fails=%d (burning cards treated as missed heartbeats)\n", mon.SLOFails)
-		}
 	}
 
 	if reg != nil {
@@ -373,116 +308,6 @@ func main() {
 			*telemetryOut, len(reg.Components()), reg.Spans.Len(), reg.Snapshots())
 	}
 	exit(0)
-}
-
-// armChaos generates a seeded fault plan over the cluster's scheduler cards
-// and producer disks, arms it on the engine, and starts the heartbeat
-// monitor in auto-failover mode. Streams moved by a failover are restarted
-// on their new placement (the orphaned producer on the dead card stops by
-// itself). With overload protection armed the plan also draws a mem-leak
-// event — MemLeak is appended after the pre-existing kinds in the generator,
-// so the crash/stall prefix of the plan is byte-identical either way.
-func armChaos(c *cluster.Cluster, clip *mpeg.Clip, req cluster.StreamRequest, seed int64, dur sim.Time, overloadOn bool) (*cluster.Monitor, *faults.Log, error) {
-	cards := make(map[string]*nic.Card)
-	disks := make(map[string]*disk.Disk)
-	ctls := make(map[string]*overload.Controller)
-	var cardNames, diskNames []string
-	for _, n := range c.Nodes {
-		for _, s := range n.Schedulers {
-			cards[s.Card.Name] = s.Card
-			cardNames = append(cardNames, s.Card.Name)
-			if s.Overload != nil {
-				ctls[s.Card.Name] = s.Overload
-			}
-		}
-		for _, p := range n.Producers {
-			cards[p.Card.Name] = p.Card
-			disks[p.Card.Name] = p.Disk
-			diskNames = append(diskNames, p.Card.Name)
-		}
-	}
-	counts := map[faults.Kind]int{
-		faults.CardCrash: 1,
-		faults.DiskStall: 1,
-	}
-	if overloadOn {
-		counts[faults.MemLeak] = 1
-	}
-	plan, err := faults.Generate(seed, faults.Spec{
-		Start: dur / 4, Span: dur / 2,
-		Cards: cardNames, Disks: diskNames,
-		Counts:      counts,
-		MinDuration: 2 * sim.Second, MaxDuration: 5 * sim.Second,
-		MinFactor: 4, MaxFactor: 8,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	fmt.Print(plan)
-
-	log := &faults.Log{}
-	// MemLeak drips Factor KB/s into the target card's budget while the
-	// event is live (overload.Budget.Drip: never past the free bytes);
-	// recovery stops the drip and reclaims every leaked byte.
-	const leakTick = 100 * sim.Millisecond
-	leakStops := make(map[string]func())
-	err = plan.Arm(c.Eng, faults.InjectorFuncs{
-		OnInject: func(e faults.Event) {
-			switch e.Kind {
-			case faults.CardCrash:
-				cards[e.Target].Crash()
-			case faults.TaskHang:
-				cards[e.Target].HangHog(e.Duration)
-			case faults.DiskStall:
-				disks[e.Target].Degrade(e.Factor)
-			case faults.MemLeak:
-				if ctl := ctls[e.Target]; ctl != nil {
-					leakStops[e.Target] = ctl.Budget.Drip(c.Eng, leakTick, e.Factor)
-				}
-			}
-		},
-		OnRecover: func(e faults.Event) {
-			switch e.Kind {
-			case faults.CardCrash:
-				cards[e.Target].Reset()
-			case faults.DiskStall:
-				disks[e.Target].Degrade(1)
-			case faults.MemLeak:
-				if stop := leakStops[e.Target]; stop != nil {
-					stop()
-					delete(leakStops, e.Target)
-				}
-				if ctl := ctls[e.Target]; ctl != nil {
-					fmt.Printf("%v: %s reclaimed %d leaked bytes\n",
-						c.Eng.Now(), e.Target, ctl.Budget.ReclaimLeak())
-				}
-			}
-		},
-	}, log)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	mon := cluster.NewMonitor(c, "monitor")
-	mon.Auto = true
-	mon.OnFail = func(s *cluster.SchedulerNI, affected []*cluster.Placement) {
-		fmt.Printf("%v: %s declared dead, %d stream(s) affected\n",
-			c.Eng.Now(), s.Card.Name, len(affected))
-	}
-	mon.OnReadmit = func(old, now *cluster.Placement, err error) {
-		if err != nil {
-			fmt.Printf("%v: %s failover failed: %v\n", c.Eng.Now(), old.Req.Name, err)
-			return
-		}
-		c.Start(now, clip, req.Period/2, 1<<30)
-		fmt.Printf("%v: %s moved %s → %s\n", c.Eng.Now(), old.Req.Name,
-			old.Scheduler.Card.Name, now.Scheduler.Card.Name)
-	}
-	mon.OnRecover = func(s *cluster.SchedulerNI) {
-		fmt.Printf("%v: %s back in service\n", c.Eng.Now(), s.Card.Name)
-	}
-	mon.Start()
-	return mon, log, nil
 }
 
 func runSweep(cfgs []cluster.NodeConfig, req cluster.StreamRequest) {

@@ -138,6 +138,26 @@ func TestProfileFlagsWriteProfiles(t *testing.T) {
 	}
 }
 
+// -sweep prints a header and one row per cell of the 4 periods × 3 frame
+// sizes grid, and the worker pool that fans the cells out changes no byte.
+func TestSweepIsIndependentOfWorkers(t *testing.T) {
+	var outs []string
+	for _, workers := range []string{"1", "4"} {
+		stdout, stderr, code := clustersim(t, "-sweep", "-workers", workers)
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d, stderr:\n%s", workers, code, stderr)
+		}
+		outs = append(outs, stdout)
+	}
+	lines := strings.Split(strings.TrimSuffix(outs[0], "\n"), "\n")
+	if len(lines) != 13 || !strings.HasPrefix(lines[0], "period_ms") {
+		t.Errorf("want a header and 12 rows, got %d lines:\n%s", len(lines), outs[0])
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("-workers 4 differs from -workers 1:\n%s\nvs\n%s", outs[1], outs[0])
+	}
+}
+
 func TestDefaultModeAdmitsAndStreams(t *testing.T) {
 	stdout, stderr, code := clustersim(t, "-streams", "4", "-dur", "2")
 	if code != 0 || !strings.Contains(stdout, "admitted 4/4 streams across 1 node(s)") {

@@ -17,8 +17,6 @@ import (
 	"errors"
 	"fmt"
 
-	"sort"
-
 	"repro/internal/bus"
 	"repro/internal/disk"
 	"repro/internal/dvcmnet"
@@ -79,11 +77,7 @@ type SchedulerNI struct {
 	memLoad  int64   // bytes of card memory committed to rings
 	streams  int
 	specs    map[int]qos.Stream // admitted streams, for feasibility analysis
-	failed   bool
 }
-
-// Failed reports whether the card has been failed out of service.
-func (s *SchedulerNI) Failed() bool { return s.failed }
 
 // Streams returns how many streams are placed on this card.
 func (s *SchedulerNI) Streams() int { return s.streams }
@@ -141,17 +135,13 @@ type Cluster struct {
 	Nodes  []*Node
 
 	nextID   int
-	Placed   int
 	Rejected int
-	// Admitted counts every successful admission (Placed decrements on
-	// Release; this never does).
+	// Admitted counts successful admissions. Nothing un-places a stream, so
+	// it is also the number of live placements.
 	Admitted int64
 
 	// Tel is the attached telemetry registry; nil disables telemetry.
 	Tel *telemetry.Registry
-
-	placements map[int]*Placement // live admitted streams by ID
-	migrating  map[int]bool       // streams mid-migration (double-migrate guard)
 }
 
 // Instrument attaches a telemetry registry to the whole cluster: admission
@@ -168,7 +158,7 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("cluster", "streams_rejected_total",
 		"stream requests denied admission", func() int64 { return int64(c.Rejected) })
 	reg.GaugeFunc("cluster", "live_streams",
-		"currently placed streams", func() float64 { return float64(c.Placed) })
+		"currently placed streams", func() float64 { return float64(c.Admitted) })
 	for _, n := range c.Nodes {
 		for _, b := range n.Segments {
 			b.Instrument(reg)
@@ -190,18 +180,15 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 // EnableOverload arms overload protection on every scheduler NI: each card
 // gets its own controller (budget sized to the card's installed memory) and
 // the placement loop starts redirecting setups away from cards past their
-// high-water mark. configure, if non-nil, tunes each controller before it
-// starts. Already-instrumented clusters instrument the new controllers too.
-func (c *Cluster) EnableOverload(configure func(*overload.Controller)) {
+// high-water mark. Already-instrumented clusters instrument the new
+// controllers too.
+func (c *Cluster) EnableOverload() {
 	for _, n := range c.Nodes {
 		for _, s := range n.Schedulers {
 			if s.Overload != nil {
 				continue
 			}
 			ctl := overload.NewController(s.Card.Name, s.Card.Mem.Size())
-			if configure != nil {
-				configure(ctl)
-			}
 			s.Ext.AttachOverload(ctl)
 			s.Overload = ctl
 			if c.Tel != nil {
@@ -214,10 +201,8 @@ func (c *Cluster) EnableOverload(configure func(*overload.Controller)) {
 // New builds a cluster of nodes per cfg, all attached to one SAN switch.
 func New(eng *sim.Engine, cfgs []NodeConfig) *Cluster {
 	c := &Cluster{
-		Eng:        eng,
-		Switch:     netsim.NewSwitch(eng, "san", 90*sim.Microsecond),
-		placements: make(map[int]*Placement),
-		migrating:  make(map[int]bool),
+		Eng:    eng,
+		Switch: netsim.NewSwitch(eng, "san", 90*sim.Microsecond),
 	}
 	for _, cfg := range cfgs {
 		c.Nodes = append(c.Nodes, c.buildNode(cfg))
@@ -250,15 +235,11 @@ func (c *Cluster) buildNode(cfg NodeConfig) *Node {
 		if err != nil {
 			panic(err)
 		}
-		sni := &SchedulerNI{
+		n.Schedulers = append(n.Schedulers, &SchedulerNI{
 			Card: card, Ext: ext,
 			Endpoint: dvcmnet.Attach(c.Eng, c.Switch, card.Name, card.VCM),
 			specs:    make(map[int]qos.Stream),
-		}
-		// A crashed card answers nothing on the SAN — that silence is what
-		// heartbeat monitoring detects.
-		sni.Endpoint.Silent = card.Crashed
-		n.Schedulers = append(n.Schedulers, sni)
+		})
 		n.segOf[card] = seg
 	}
 	for i := 0; i < cfg.ProducerNIs; i++ {
@@ -282,15 +263,7 @@ type Placement struct {
 	Scheduler *SchedulerNI
 	Producer  *ProducerNI
 	Client    string        // client address the stream is delivered to
-	Req       StreamRequest // original request, for re-admission after a fault
-
-	commit *commitment
-}
-
-// commitment remembers what Admit charged so Release can refund it.
-type commitment struct {
-	cpu, link float64
-	mem       int64
+	Req       StreamRequest // the request as admitted
 }
 
 // Admit places a stream, preferring the least-CPU-loaded scheduler NI whose
@@ -298,17 +271,6 @@ type commitment struct {
 // the least-loaded producer NI on the same segment. It returns ErrAdmission
 // when nothing fits.
 func (c *Cluster) Admit(req StreamRequest) (*Placement, error) {
-	return c.place(req, 0, "", nil, nil)
-}
-
-// place is the placement engine under Admit, Readmit, and MigrateCold. id,
-// when non-zero, preserves an existing stream ID (a migrating stream keeps
-// its identity) instead of minting one. client, when non-empty, keeps an
-// existing client address instead of minting a new one. img, when non-nil,
-// is a migration image: the target imports the stream mid-window via
-// ImportStream rather than registering it cold. exclude, when non-nil, skips
-// one scheduler NI (the card the stream is being moved off).
-func (c *Cluster) place(req StreamRequest, id int, client string, img *dwcs.StreamSnapshot, exclude *SchedulerNI) (*Placement, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
@@ -318,15 +280,15 @@ func (c *Cluster) place(req StreamRequest, id int, client string, img *dwcs.Stre
 	}
 	frameRate := float64(sim.Second) / float64(req.Period)
 	cpuNeed := frameRate * cpuPerFrame.Seconds()
+	memNeed := int64(bufCap) * req.FrameBytes
 	var best *SchedulerNI
 	var bestNode *Node
 	for _, n := range c.Nodes {
 		for _, s := range n.Schedulers {
-			if s.Card.Link == nil || s.failed || s == exclude {
+			if s.Card.Link == nil {
 				continue
 			}
 			linkNeed := frameRate * s.Card.Link.WireTime(req.FrameBytes).Seconds()
-			memNeed := int64(bufCap) * req.FrameBytes
 			if s.cpuLoad+cpuNeed > maxUtil || s.linkLoad+linkNeed > maxUtil {
 				continue
 			}
@@ -375,11 +337,9 @@ func (c *Cluster) place(req StreamRequest, id int, client string, img *dwcs.Stre
 		return nil, fmt.Errorf("%w: %s: no producer NI available", ErrAdmission, req.Name)
 	}
 
-	if id == 0 {
-		c.nextID++
-		id = c.nextID
-	}
-	spec := dwcs.StreamSpec{
+	c.nextID++
+	id := c.nextID
+	if err := best.Ext.AddStream(dwcs.StreamSpec{
 		ID:           id,
 		Name:         req.Name,
 		Period:       req.Period,
@@ -387,85 +347,27 @@ func (c *Cluster) place(req StreamRequest, id int, client string, img *dwcs.Stre
 		Lossy:        req.Lossy,
 		BufCap:       bufCap,
 		NominalBytes: req.FrameBytes,
-	}
-	if img != nil {
-		// Migration: restore the stream's window position and frame cursor
-		// on the target instead of registering it cold. The image's spec is
-		// re-stamped so the preserved ID and request shape win over whatever
-		// the (possibly stale) checkpoint carried.
-		restored := *img
-		restored.Spec = spec
-		if err := best.Ext.ImportStream(restored); err != nil {
-			return nil, err
-		}
-	} else if err := best.Ext.AddStream(spec); err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	linkNeed := frameRate * best.Card.Link.WireTime(req.FrameBytes).Seconds()
-	memNeed := int64(bufCap) * req.FrameBytes
 	best.cpuLoad += cpuNeed
-	best.linkLoad += linkNeed
+	best.linkLoad += frameRate * best.Card.Link.WireTime(req.FrameBytes).Seconds()
 	best.memLoad += memNeed
 	best.streams++
 	best.specs[id] = qos.Stream{
 		Name: req.Name, Period: req.Period, FrameBytes: req.FrameBytes, Loss: req.Loss,
 	}
 	prod.streams++
-	c.Placed++
 	c.Admitted++
 
-	if client == "" {
-		client = fmt.Sprintf("client-%d", id)
-	}
-	p := &Placement{
+	return &Placement{
 		StreamID:  id,
 		Node:      bestNode,
 		Scheduler: best,
 		Producer:  prod,
-		Client:    client,
+		Client:    fmt.Sprintf("client-%d", id),
 		Req:       req,
-		commit:    &commitment{cpu: cpuNeed, link: linkNeed, mem: memNeed},
-	}
-	c.placements[id] = p
-	return p, nil
-}
-
-// refund returns a placement's committed CPU, link, and memory to its
-// scheduler's admission budget, exactly once.
-func (c *Cluster) refund(p *Placement) {
-	ct := p.commit
-	if ct == nil {
-		return
-	}
-	p.commit = nil
-	p.Scheduler.cpuLoad -= ct.cpu
-	p.Scheduler.linkLoad -= ct.link
-	p.Scheduler.memLoad -= ct.mem
-	// Refunds are float subtractions of earlier additions; clamp the dust so
-	// an emptied card reports exactly zero load.
-	if p.Scheduler.cpuLoad < 0 {
-		p.Scheduler.cpuLoad = 0
-	}
-	if p.Scheduler.linkLoad < 0 {
-		p.Scheduler.linkLoad = 0
-	}
-	if p.Scheduler.memLoad < 0 {
-		p.Scheduler.memLoad = 0
-	}
-}
-
-// Live returns the currently admitted placements in StreamID order.
-func (c *Cluster) Live() []*Placement {
-	ids := make([]int, 0, len(c.placements))
-	for id := range c.placements {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]*Placement, len(ids))
-	for i, id := range ids {
-		out[i] = c.placements[id]
-	}
-	return out
+	}, nil
 }
 
 // Start begins streaming an admitted placement: a producer task on the
@@ -484,50 +386,6 @@ func (c *Cluster) AttachClient(p *Placement) *netsim.Client {
 	}
 	c.Switch.Attach(p.Client, netsim.Fast100(c.Eng, "san-"+p.Client, cl))
 	return cl
-}
-
-// FailScheduler takes a scheduler NI out of service (card fault, §6's
-// "careful construction" concern): its placements are returned so the
-// caller can re-admit the affected streams on surviving cards. The failed
-// card's scheduler stops accepting streams; in-flight frames on its wire
-// are lost with the card.
-func (c *Cluster) FailScheduler(s *SchedulerNI, placements []*Placement) []*Placement {
-	s.failed = true
-	var affected []*Placement
-	for _, p := range placements {
-		if p.Scheduler != s {
-			continue
-		}
-		// Tear down bookkeeping; the dead card's DWCS state is gone, and
-		// the commitment is refunded so the card's admission budget is
-		// clean if it later recovers.
-		_ = p.Scheduler.Ext.RemoveStream(p.StreamID)
-		c.refund(p)
-		delete(s.specs, p.StreamID)
-		delete(c.placements, p.StreamID)
-		s.streams--
-		p.Producer.streams--
-		c.Placed--
-		affected = append(affected, p)
-	}
-	return affected
-}
-
-// Recover returns a previously failed scheduler NI to admission service
-// (its card has been reset). Streams moved off it stay where they are.
-func (c *Cluster) Recover(s *SchedulerNI) { s.failed = false }
-
-// Readmit re-places a stream that was on a failed card: the old commitment
-// is refunded (if FailScheduler hasn't already), the failed card is
-// excluded from candidacy, and the stream keeps its client address so
-// delivery resumes where the viewer is, under a fresh stream ID.
-func (c *Cluster) Readmit(old *Placement, req StreamRequest) (*Placement, error) {
-	if old == nil {
-		return c.Admit(req)
-	}
-	c.refund(old)
-	delete(c.placements, old.StreamID)
-	return c.place(req, 0, old.Client, nil, old.Scheduler)
 }
 
 // Capacity reports how many streams of the given request shape the cluster

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fixed"
 	"repro/internal/mpeg"
 	"repro/internal/nic"
+	"repro/internal/overload"
 	"repro/internal/sim"
 )
 
@@ -36,8 +37,45 @@ func TestAdmitPlacesStream(t *testing.T) {
 	if p.Scheduler.Streams() != 1 {
 		t.Fatalf("scheduler streams = %d", p.Scheduler.Streams())
 	}
-	if c.Placed != 1 {
-		t.Fatalf("placed = %d", c.Placed)
+	if c.Admitted != 1 {
+		t.Fatalf("admitted = %d", c.Admitted)
+	}
+}
+
+// TestAdmitSkipsCardsPastHighWater: with overload protection armed, a card
+// whose budget is past its high-water mark is passed over even when it is
+// the least CPU-loaded, and with every card past the mark the request is
+// refused outright.
+func TestAdmitSkipsCardsPastHighWater(t *testing.T) {
+	eng := sim.NewEngine(1)
+	defer eng.Close()
+	c := New(eng, []NodeConfig{{Name: "n0", Segments: 1, SchedulerNIs: 2, ProducerNIs: 1}})
+	c.EnableOverload()
+	s0, s1 := c.Nodes[0].Schedulers[0], c.Nodes[0].Schedulers[1]
+	pastHighWater := func(s *SchedulerNI) {
+		b := s.Overload.Budget
+		if err := b.Charge(overload.ClassLeak, b.HighWater()-b.Used()+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Both cards are idle, so the tie would go to sched0.
+	pastHighWater(s0)
+	p, err := c.Admit(request("a", 160*sim.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Scheduler != s1 {
+		t.Fatalf("admitted on %s, want sched1: sched0 is past high water", p.Scheduler.Card.Name)
+	}
+
+	pastHighWater(s1)
+	if _, err := c.Admit(request("b", 160*sim.Millisecond)); !errors.Is(err, ErrAdmission) {
+		t.Fatalf("err = %v, want ErrAdmission with both cards past high water", err)
+	}
+	if c.Rejected != 1 || c.Admitted != 1 || s0.Streams() != 0 || s1.Streams() != 1 {
+		t.Fatalf("rejected=%d admitted=%d streams=%d/%d, want 1, 1, 0/1",
+			c.Rejected, c.Admitted, s0.Streams(), s1.Streams())
 	}
 }
 
@@ -203,63 +241,5 @@ func TestRemoteInstructionToPlacedStream(t *testing.T) {
 	}
 	if x, y, _ := p.Scheduler.Ext.Sched.Window(p.StreamID); x != 0 || y != 1 {
 		t.Fatalf("window = %d/%d after remote reconfigure", x, y)
-	}
-}
-
-func TestSchedulerFailover(t *testing.T) {
-	eng := sim.NewEngine(2)
-	c := New(eng, oneNode())
-	clip, _ := mpeg.Generate(mpeg.GenConfig{Frames: 200, FPS: 30, GOPPattern: "IBB", MeanFrame: 1500, Seed: 9})
-	var placements []*Placement
-	reqs := map[int]StreamRequest{}
-	for i := 0; i < 6; i++ {
-		r := request("s", 100*sim.Millisecond)
-		p, err := c.Admit(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.AttachClient(p)
-		c.Start(p, clip, 100*sim.Millisecond, 1<<30)
-		placements = append(placements, p)
-		reqs[p.StreamID] = r
-	}
-	eng.RunUntil(3 * sim.Second)
-
-	victim := c.Nodes[0].Schedulers[0]
-	survivor := c.Nodes[0].Schedulers[1]
-	affected := c.FailScheduler(victim, placements)
-	if len(affected) != 3 {
-		t.Fatalf("affected = %d, want 3 (balanced placement)", len(affected))
-	}
-	if !victim.Failed() || survivor.Failed() {
-		t.Fatal("failure flags wrong")
-	}
-	// Re-admit the victims: they must land on the survivor.
-	for _, old := range affected {
-		np, err := c.Readmit(old, reqs[old.StreamID])
-		if err != nil {
-			t.Fatalf("re-admission failed: %v", err)
-		}
-		if np.Scheduler != survivor {
-			t.Fatal("re-admitted stream placed on a failed card")
-		}
-		c.AttachClient(np)
-		c.Start(np, clip, 100*sim.Millisecond, 1<<30)
-	}
-	sentBefore := survivor.Ext.Sent
-	eng.RunUntil(6 * sim.Second)
-	if survivor.Ext.Sent <= sentBefore {
-		t.Fatal("survivor is not carrying the failed-over streams")
-	}
-	if survivor.Streams() != 6 {
-		t.Fatalf("survivor streams = %d, want all 6", survivor.Streams())
-	}
-	// New admissions avoid the failed card too.
-	p, err := c.Admit(request("late", 160*sim.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Scheduler == victim {
-		t.Fatal("admission placed a stream on a failed card")
 	}
 }

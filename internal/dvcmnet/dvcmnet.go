@@ -100,10 +100,6 @@ type Endpoint struct {
 	// Budget bounds the total elapsed time an Invoke may spend across all
 	// attempts; 0 leaves only MaxAttempts as the limit.
 	Budget sim.Time
-	// Silent, when set and true, models a dark card: the endpoint drops
-	// everything it would send or receive (crashed NI firmware does not
-	// answer the SAN).
-	Silent func() bool
 
 	nextID  uint32
 	pending map[uint32]*call
@@ -223,9 +219,6 @@ func (e *Endpoint) Invoke(remote string, in core.Instr, done func(any, error)) {
 }
 
 func (e *Endpoint) sendRequest(remote string, id uint32, in core.Instr) {
-	if e.Silent != nil && e.Silent() {
-		return // dark card: the request never reaches the wire
-	}
 	e.out.Send(&netsim.Packet{
 		Src:   e.addr,
 		Dst:   remote,
@@ -239,9 +232,6 @@ func (e *Endpoint) Deliver(p *netsim.Packet) {
 	m, ok := p.Data.(*message)
 	if !ok {
 		return // not control-plane traffic for us
-	}
-	if e.Silent != nil && e.Silent() {
-		return // dark card: inbound control traffic is lost
 	}
 	switch m.kind {
 	case kindRequest:
@@ -301,9 +291,6 @@ func (e *Endpoint) serve(m *message) {
 		}
 	}
 	e.eng.After(e.ProcessCost, func() {
-		if e.Silent != nil && e.Silent() {
-			return // the card went dark mid-execution: no reply
-		}
 		e.Served++
 		reply := &message{kind: kindReply, id: m.id, from: e.addr}
 		if e.vcm == nil {

@@ -94,13 +94,15 @@ func TestDuplicateReplyIsNoOp(t *testing.T) {
 	}
 }
 
-// TestRetryRidesOutOutage: the remote card is dark for 3 ms; exponential
-// backoff keeps retransmitting with the same ID until it answers.
+// TestRetryRidesOutOutage: the remote's link toward the switch is down for
+// 3 ms, so its replies are lost; exponential backoff keeps retransmitting
+// with the same ID, the dedup cache answers each retransmit without running
+// the instruction again, and the first reply sent after the link returns
+// completes the call.
 func TestRetryRidesOutOutage(t *testing.T) {
 	eng, a, b, ext := countingNodes(t)
-	down := true
-	b.Silent = func() bool { return down }
-	eng.At(3*sim.Millisecond, func() { down = false })
+	b.out.SetDown(true)
+	eng.At(3*sim.Millisecond, func() { b.out.SetDown(false) })
 	a.Timeout = sim.Millisecond
 	a.MaxAttempts = 8
 	a.Backoff = sim.Millisecond
@@ -116,8 +118,9 @@ func TestRetryRidesOutOutage(t *testing.T) {
 	if got != 1 || ext.calls != 1 {
 		t.Fatalf("reply=%v calls=%d, want exactly one execution", got, ext.calls)
 	}
-	if a.Retried == 0 {
-		t.Fatal("no retransmits across the outage")
+	if a.Retried == 0 || b.Deduped == 0 {
+		t.Fatalf("retried=%d deduped=%d, want the retransmits answered from the reply cache",
+			a.Retried, b.Deduped)
 	}
 }
 
