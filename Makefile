@@ -34,10 +34,12 @@ fuzz:
 	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzParseLadder$$' -fuzztime 10s
 	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzParseStages$$' -fuzztime 10s
 
-# Kernel, task hand-off, scheduler fast-path and observability record/read
-# micro-benchmarks, for convenience; `go run ./bench` is the judged benchmark.
+# Kernel, task hand-off, per-operation substrate (link, disk, client, host
+# CPU), scheduler fast-path and observability record/read micro-benchmarks,
+# each reporting allocations, for convenience; `go run ./bench` is the
+# judged benchmark.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkHandoff|BenchmarkLinkSend|BenchmarkSpanRecord|BenchmarkStitchCollect' \
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkHandoff|BenchmarkLinkSend|BenchmarkDiskRead|BenchmarkClientDeliver|BenchmarkCPUSubmit|BenchmarkSpanRecord|BenchmarkStitchCollect' \
 		-benchmem -benchtime 0.5s ./...
 
 # Regenerate every table and figure of the paper's evaluation section.

@@ -192,3 +192,24 @@ func TestDMATimeMonotoneSubadditive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A DMA allocates nothing, alone or queued behind other masters: the
+// segment's wait line holds requests by value and its completion callback
+// is built once.
+func TestDMADoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	b := New(eng, PCI("pci0"))
+	done := func() {}
+	for _, masters := range []int{1, 4} {
+		round := func() {
+			for i := 0; i < masters; i++ {
+				b.DMA(1000, done)
+			}
+			eng.Run()
+		}
+		round() // grow the wait line and the event arena
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("%d masters: %v allocs per round of DMAs, want 0", masters, allocs)
+		}
+	}
+}

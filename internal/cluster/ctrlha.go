@@ -10,10 +10,11 @@
 // its journal — adopting migrations the journal proves complete, re-issuing
 // only the ones it proves incomplete — and resumes polling.
 //
-// Fencing is jurisdictional, like sim.Msg.Cancel: every controller→card
-// command (poll, scrape, detach, import, readd) is stamped with the sender's
-// leader epoch, and the card rejects any stamp older than the highest epoch
-// it has witnessed — so a partitioned ex-primary can never double-migrate a
+// Fencing is jurisdictional: the card a command lands on decides whether it
+// runs, never the sender after the fact. Every controller→card command
+// (poll, scrape, detach, import, readd) is stamped with the sender's leader
+// epoch, and the card rejects any stamp older than the highest epoch it has
+// witnessed — so a partitioned ex-primary can never double-migrate a
 // stream. The ex-primary demotes itself on the first fenced rejection (or on
 // receiving a higher-epoch checkpoint once the partition heals) and becomes
 // the new standby; there is no automatic failback.
@@ -121,10 +122,9 @@ type cardView struct {
 
 // epochFence is a card's admission gate against stale controllers: the
 // highest leader epoch the card has witnessed, and which replica stamped it.
-// Commands stamped with an older epoch are rejected outright — the same
-// jurisdictional semantics as sim.Msg.Cancel, where authority over an
-// in-flight operation belongs to whoever holds the newest claim, applied
-// here to the whole control plane. A newer stamp raises the fence as a side
+// Commands stamped with an older epoch are rejected outright: authority over
+// an in-flight command belongs to the card it reaches and to whoever holds
+// the newest claim, not to the replica that sent it. A newer stamp raises the fence as a side
 // effect, so a takeover's first command (or its explicit fence broadcast)
 // locks every reachable card against the deposed leader; there is no way to
 // lower a fence. Card-partition-local state (one per card when the control

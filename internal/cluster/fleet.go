@@ -201,6 +201,18 @@ type fleetCard struct {
 	ctl   *overload.Controller
 	rec   *blackbox.Recorder
 	rx    map[string]*netsim.Link // client addr → receive link (this partition)
+
+	// deliverFn hands a frame that crossed the fleet network, its argument,
+	// to its client's receive link. Built with the card, so the partitions
+	// that send to this one only read it.
+	deliverFn func(any)
+}
+
+// deliver puts a frame that arrived over the fleet network on its client's
+// receive link.
+func (fc *fleetCard) deliver(arg any) {
+	p := arg.(*netsim.Packet)
+	fc.rx[p.Dst].Send(p, nil)
 }
 
 // fleetStream is one media stream: sourced on cards[card], received by a
@@ -277,12 +289,14 @@ func (f *fleet) forward(from int, p *netsim.Packet) {
 		return // severed by an active network partition
 	}
 	dst := f.cards[home]
-	deliver := func() { dst.rx[p.Dst].Send(p, nil) }
-	if home == from {
-		dst.eng.After(fleetNetLatency, deliver)
-		return
+	switch {
+	case home == from:
+		dst.eng.AfterArg(fleetNetLatency, dst.deliverFn, p)
+	case f.topo == nil:
+		f.mono.AfterArg(fleetNetLatency, dst.deliverFn, p)
+	default:
+		f.cards[from].part.SendArg(dst.part, fleetNetLatency, dst.deliverFn, p)
 	}
-	f.hop(f.cards[from].part, dst.part, deliver)
 }
 
 // buildCard assembles card complex i on eng: PCI segment, disk NI,
@@ -315,12 +329,14 @@ func (f *fleet) buildCard(i int, eng *sim.Engine, part *sim.Partition) *fleetCar
 	schedCard.ConnectEthernet(netsim.Fast100(eng, name+"-eth",
 		netsim.PortFunc(func(p *netsim.Packet) { f.forward(from, p) })))
 
-	return &fleetCard{
+	fc := &fleetCard{
 		part: part, eng: eng,
 		disk: diskCard, sched: schedCard,
 		ext: ext, ctl: ctl, rec: rec,
 		rx: map[string]*netsim.Link{},
 	}
+	fc.deliverFn = fc.deliver
+	return fc
 }
 
 // hop runs fn one network hop from now: on the shared engine in monolithic
@@ -431,6 +447,7 @@ func RunFleet(cfg FleetConfig) *FleetResult {
 			addr := fmt.Sprintf("c%02ds%d", i, s)
 			f.route[addr] = (i + 1) % cfg.Cards
 			cl := netsim.NewClient(home.eng, addr)
+			cl.OnFrame = home.sched.Recycle // played out: the packet is spent
 			home.rx[addr] = netsim.Fast100(home.eng, "rx-"+addr, cl)
 			spec := dwcs.StreamSpec{
 				ID: s, Name: addr, Period: fleetStreamPeriod,

@@ -115,3 +115,30 @@ func TestFleetRunsLeaveNoGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// A received frame costs a fraction of a heap object: every per-frame step —
+// disk read, PCI DMA, scheduling decision, wire release, fleet hop, client
+// playout — runs on callbacks built once, and the frame's packet and payload
+// are recycled. What is left is the controller's polls and the growth of the
+// per-stream records. The count is the Mallocs delta of a 2 sim-s run beyond
+// that of the same fleet run for 1 sim-s, per extra frame received, so the
+// fleet's construction, which both runs pay, cancels out.
+func TestFleetMallocsPerFrame(t *testing.T) {
+	run := func(dur sim.Time) (mallocs uint64, frames int64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := RunFleet(FleetConfig{Cards: 8, StreamsPerCard: 2, Dur: dur, Workers: 1})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, r.TotalRecv
+	}
+	m1, n1 := run(sim.Second)
+	m2, n2 := run(2 * sim.Second)
+	if n2 <= n1 {
+		t.Fatalf("frames received: %d in 1 s, %d in 2 s", n1, n2)
+	}
+	perFrame := float64(m2-m1) / float64(n2-n1)
+	t.Logf("%d more frames received, %.2f mallocs each", n2-n1, perFrame)
+	if perFrame > 1 {
+		t.Errorf("%.2f mallocs per received frame, want ≤ 1", perFrame)
+	}
+}

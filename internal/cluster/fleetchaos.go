@@ -837,6 +837,7 @@ func buildFleetChaos(cfg FleetConfig, obs *fleetObs) *fleetChaos {
 				Loss: fixed.New(1, 4), Lossy: true,
 				BufCap: fleetBufCap, NominalBytes: nominal,
 			}
+			st.cl.OnFrame = hc.sched.Recycle // played out: the packet is spent
 			homeEng := hc.eng
 			hc.rx[addr] = netsim.Fast100(homeEng, "rx-"+addr, netsim.PortFunc(func(p *netsim.Packet) {
 				now := homeEng.Now()

@@ -66,6 +66,11 @@ type Stats struct {
 // Disk is one spindle: a FIFO resource plus a head-position model. Requests
 // are synchronous at the modelled driver level — exactly one outstanding
 // operation, like the paper's polled VxWorks driver.
+//
+// A read allocates nothing: the requests wait in a FIFO by value, in the
+// order the spindle resource grants them, and the grant and completion
+// callbacks are built once. The access time is computed at grant, from the
+// head position the previous read left.
 type Disk struct {
 	eng     *sim.Engine
 	p       Params
@@ -73,13 +78,26 @@ type Disk struct {
 	head    int64 // byte offset just past the last access
 	degrade int64 // access-time multiplier set by Degrade (0/1 = healthy)
 
+	reqs     sim.FIFO[readReq] // reads not yet granted, in arrival order
+	done     func()            // the read in service's done
+	grantFn  func()            // d.grant, built once
+	finishFn func()            // d.finish, built once
+
 	// Stats accumulates access counters.
 	Stats Stats
 }
 
+// readReq is one Read waiting for the spindle.
+type readReq struct {
+	off, n int64
+	done   func()
+}
+
 // New returns a disk with its head at offset 0.
 func New(eng *sim.Engine, p Params) *Disk {
-	return &Disk{eng: eng, p: p, res: sim.NewResource(eng, p.Name)}
+	d := &Disk{eng: eng, p: p, res: sim.NewResource(eng, p.Name)}
+	d.grantFn, d.finishFn = d.grant, d.finish
+	return d
 }
 
 // Params returns the mechanism parameters.
@@ -126,29 +144,42 @@ func (d *Disk) AccessTime(off, n int64) sim.Time {
 // Read performs a read of n bytes at offset off and invokes done when the
 // data is in the requester's buffer. Requests queue FIFO at the spindle.
 func (d *Disk) Read(off, n int64, done func()) {
-	d.res.Acquire(func() {
-		t := d.degradeTime(d.AccessTime(off, n))
-		delta := off - d.head
-		if delta < 0 {
-			delta = -delta
+	d.reqs.Push(readReq{off: off, n: n, done: done})
+	d.res.Acquire(d.grantFn)
+}
+
+// grant starts the oldest waiting read: the spindle grants in arrival
+// order, so it is the head of reqs.
+func (d *Disk) grant() {
+	q := d.reqs.Pop()
+	t := d.degradeTime(d.AccessTime(q.off, q.n))
+	delta := q.off - d.head
+	if delta < 0 {
+		delta = -delta
+	}
+	if delta > d.p.SameCyl {
+		if delta <= d.p.NearBytes {
+			d.Stats.SeekTime += d.p.TrackSeek
+		} else {
+			d.Stats.SeekTime += d.p.AvgSeek
 		}
-		if delta > d.p.SameCyl {
-			if delta <= d.p.NearBytes {
-				d.Stats.SeekTime += d.p.TrackSeek
-			} else {
-				d.Stats.SeekTime += d.p.AvgSeek
-			}
-		}
-		d.head = off + n
-		d.Stats.Reads++
-		d.Stats.BytesRead += n
-		d.eng.After(t, func() {
-			d.res.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	}
+	d.head = q.off + q.n
+	d.Stats.Reads++
+	d.Stats.BytesRead += q.n
+	d.done = q.done
+	d.eng.After(t, d.finishFn)
+}
+
+// finish completes the read in service: the spindle goes to the next
+// waiting read first, then the finished read's done runs.
+func (d *Disk) finish() {
+	done := d.done
+	d.done = nil
+	d.res.Release()
+	if done != nil {
+		done()
+	}
 }
 
 // Utilization reports the fraction of time the spindle was busy.

@@ -253,3 +253,69 @@ func TestDOSFSCompletionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Queued reads are served in arrival order, each timed from the head
+// position the previous read left, and each done runs at its completion.
+func TestQueuedReadsServeInOrderFromHead(t *testing.T) {
+	eng := sim.NewEngine(1)
+	d := New(eng, DefaultSCSI("d"))
+	ref := New(sim.NewEngine(1), DefaultSCSI("ref"))
+	offs := []int64{0, 4 << 20, 4<<20 + 1000, 4<<20 + 500<<10} // none, long, none, near
+	var want []sim.Time
+	var at sim.Time
+	for _, off := range offs {
+		at += ref.AccessTime(off, 1000)
+		ref.head = off + 1000
+		want = append(want, at)
+	}
+	var got []sim.Time
+	for _, off := range offs {
+		d.Read(off, 1000, func() { got = append(got, eng.Now()) })
+	}
+	if d.QueueLen() != len(offs)-1 {
+		t.Fatalf("queue length %d, want %d", d.QueueLen(), len(offs)-1)
+	}
+	eng.Run()
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			t.Fatalf("completions %v, want %v", got, want)
+		}
+	}
+	if d.Stats.Reads != int64(len(offs)) || d.Stats.SeekTime != d.p.AvgSeek+d.p.TrackSeek {
+		t.Fatalf("stats %+v", d.Stats)
+	}
+}
+
+// A steady-state read, queued behind others, allocates nothing: requests
+// wait by value and the grant and completion callbacks are built once.
+func TestDiskReadDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	d := New(eng, DefaultSCSI("d"))
+	done := func() {}
+	round := func() {
+		for i := int64(0); i < 4; i++ {
+			d.Read(i*1000, 1000, done)
+		}
+		eng.Run()
+	}
+	round() // grow the wait lines and the event arena
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%v allocs per four reads, want 0", allocs)
+	}
+}
+
+// BenchmarkDiskRead is the spindle's own number: host time and allocations
+// per frame read (grant, access-time model, completion).
+func BenchmarkDiskRead(b *testing.B) {
+	eng := sim.NewEngine(1)
+	d := New(eng, DefaultSCSI("d"))
+	done := func() {}
+	d.Read(0, 1000, done)
+	eng.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Read(int64(i%1024)*1000, 1000, done)
+		eng.Run()
+	}
+}

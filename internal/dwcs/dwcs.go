@@ -97,12 +97,17 @@ func (k SelectorKind) String() string {
 	}
 }
 
-// Errors returned by scheduler operations.
+// Errors returned by scheduler operations. The per-frame paths — an
+// enqueue bounced off a full ring or an exhausted descriptor table, any
+// call naming an unknown stream — return values built once, so a rejected
+// frame allocates nothing; match them with errors.Is.
 var (
 	ErrUnknownStream = errors.New("dwcs: unknown stream")
 	ErrDuplicateID   = errors.New("dwcs: duplicate stream id")
 	ErrBufferFull    = errors.New("dwcs: stream buffer full")
 	ErrBadSpec       = errors.New("dwcs: invalid stream spec")
+
+	errTableFull = fmt.Errorf("%w: descriptor table exhausted", ErrBufferFull)
 )
 
 // StreamSpec declares one media stream.
@@ -172,14 +177,15 @@ func (st StreamStats) Losses() int64 { return st.Dropped + st.Late + st.Shed }
 func (st StreamStats) Attempts() int64 { return st.Serviced + st.Losses() }
 
 type stream struct {
-	spec  StreamSpec
-	ring  *Ring
-	x, y  int64 // original window (losses allowed / window size)
-	cx    int64 // losses still allowed in the current window
-	cy    int64 // packets remaining in the current window
-	last  sim.Time
-	seq   int64
-	stats StreamStats
+	spec    StreamSpec
+	ring    *Ring
+	errFull error // the ring-full rejection, built on the first one
+	x, y    int64 // original window (losses allowed / window size)
+	cx      int64 // losses still allowed in the current window
+	cy      int64 // packets remaining in the current window
+	last    sim.Time
+	seq     int64
+	stats   StreamStats
 
 	heap    *streamHeap // heap of the Heaps selector holding the stream, nil if none
 	heapIdx int         // position in it
@@ -237,7 +243,10 @@ type Config struct {
 
 // Decision reports the outcome of one Schedule call.
 type Decision struct {
-	Packet    *Packet   // dispatched packet, nil if none
+	// Packet is the dispatched packet, nil if none. It points at a copy the
+	// scheduler owns, valid until the next Schedule or DequeueFCFS call on
+	// the same scheduler: a caller that keeps it longer copies *Packet.
+	Packet    *Packet
 	Late      bool      // dispatched after its deadline
 	Dropped   []*Packet // lossy-stream packets dropped for missing deadlines
 	WaitUntil sim.Time  // paced mode: when the best packet becomes eligible (0 if none queued)
@@ -282,6 +291,11 @@ type Scheduler struct {
 	// queuedBytes tracks the payload bytes resident across all rings in
 	// O(1), the overload controller's memory-pressure input.
 	queuedBytes int64
+
+	// out is the last dispatched packet, copied out of its recycled
+	// descriptor slot; Decision.Packet and DequeueFCFS return it, so a
+	// decision allocates nothing.
+	out Packet
 
 	// TotalDecisions counts Schedule calls that examined streams.
 	TotalDecisions int64
@@ -404,7 +418,7 @@ func (s *Scheduler) AddStream(spec StreamSpec) error {
 func (s *Scheduler) RemoveStream(id int) error {
 	st, ok := s.streams[id]
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownStream, id)
+		return ErrUnknownStream
 	}
 	for {
 		slot, ok := st.ring.Pop()
@@ -438,7 +452,7 @@ func (s *Scheduler) StreamIDs() []int {
 func (s *Scheduler) Stats(id int) (StreamStats, error) {
 	st, ok := s.streams[id]
 	if !ok {
-		return StreamStats{}, fmt.Errorf("%w: %d", ErrUnknownStream, id)
+		return StreamStats{}, ErrUnknownStream
 	}
 	return st.stats, nil
 }
@@ -448,7 +462,7 @@ func (s *Scheduler) Stats(id int) (StreamStats, error) {
 func (s *Scheduler) Window(id int) (x, y int64, err error) {
 	st, ok := s.streams[id]
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: %d", ErrUnknownStream, id)
+		return 0, 0, ErrUnknownStream
 	}
 	return st.cx, st.cy, nil
 }
@@ -478,7 +492,7 @@ func (s *Scheduler) QueuedBytes() int64 { return s.queuedBytes }
 func (s *Scheduler) Spec(id int) (StreamSpec, error) {
 	st, ok := s.streams[id]
 	if !ok {
-		return StreamSpec{}, fmt.Errorf("%w: %d", ErrUnknownStream, id)
+		return StreamSpec{}, ErrUnknownStream
 	}
 	return st.spec, nil
 }
@@ -527,7 +541,7 @@ func (s *Scheduler) ShedTolerant(id int) (Packet, bool) {
 func (s *Scheduler) FlushStream(id int) ([]Packet, error) {
 	st, ok := s.streams[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownStream, id)
+		return nil, ErrUnknownStream
 	}
 	var out []Packet
 	for {
@@ -575,12 +589,12 @@ func (s *Scheduler) Enqueue(id int, p Packet) error {
 	st, ok := s.streams[id]
 	s.meter.MemRead(1)
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownStream, id)
+		return ErrUnknownStream
 	}
 	slot, ok := s.allocSlot()
 	if !ok {
 		st.stats.RejectedFull++
-		return fmt.Errorf("%w: descriptor table exhausted", ErrBufferFull)
+		return errTableFull
 	}
 	now := s.now()
 	base := st.last
@@ -600,7 +614,10 @@ func (s *Scheduler) Enqueue(id int, p Packet) error {
 	if !st.ring.Push(slot) {
 		s.freeSlot(slot)
 		st.stats.RejectedFull++
-		return fmt.Errorf("%w: stream %d ring (cap %d)", ErrBufferFull, id, st.ring.Cap())
+		if st.errFull == nil {
+			st.errFull = fmt.Errorf("%w: stream %d ring (cap %d)", ErrBufferFull, id, st.ring.Cap())
+		}
+		return st.errFull
 	}
 	if wasEmpty && s.missWMValid && p.Deadline < s.missWM {
 		// The stream gained a head with an earlier deadline than any seen
@@ -867,7 +884,7 @@ func (s *Scheduler) processMisses(now sim.Time, d *Decision) {
 func (s *Scheduler) Reconfigure(id int, period sim.Time, loss fixed.Frac) error {
 	st, ok := s.streams[id]
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownStream, id)
+		return ErrUnknownStream
 	}
 	probe := st.spec
 	probe.Period = period
@@ -894,7 +911,7 @@ func (s *Scheduler) Reconfigure(id int, period sim.Time, loss fixed.Frac) error 
 func (s *Scheduler) Pause(id int) error {
 	st, ok := s.streams[id]
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownStream, id)
+		return ErrUnknownStream
 	}
 	if st.paused {
 		return nil
@@ -911,7 +928,7 @@ func (s *Scheduler) Pause(id int) error {
 func (s *Scheduler) Resume(id int) error {
 	st, ok := s.streams[id]
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownStream, id)
+		return ErrUnknownStream
 	}
 	if !st.paused {
 		return nil
@@ -986,7 +1003,7 @@ func (s *Scheduler) Snapshot() []StreamSnapshot {
 func (s *Scheduler) ExportStream(id int) (StreamSnapshot, error) {
 	st, ok := s.streams[id]
 	if !ok {
-		return StreamSnapshot{}, fmt.Errorf("%w: %d", ErrUnknownStream, id)
+		return StreamSnapshot{}, ErrUnknownStream
 	}
 	return StreamSnapshot{
 		Spec:    st.spec,
@@ -1040,7 +1057,9 @@ func (s *Scheduler) ImportStream(snap StreamSnapshot) error {
 // without evaluating any precedence rules or window adjustments — the
 // microbenchmarks' "time w/o Scheduler" path, where "the address of the
 // frame to be dispatched is readily available and does not need scheduler
-// rules" (§4.2). Only the ring and descriptor accesses are charged.
+// rules" (§4.2). Only the ring and descriptor accesses are charged. The
+// packet is valid until the next DequeueFCFS or Schedule call, as a
+// Decision's.
 func (s *Scheduler) DequeueFCFS() *Packet {
 	prevC, prevO := s.meter.SetContext("dwcs", "dequeue")
 	defer s.meter.SetContext(prevC, prevO)
@@ -1053,7 +1072,8 @@ func (s *Scheduler) DequeueFCFS() *Packet {
 			continue
 		}
 		s.meter.MemRead(2) // frame address + length from the descriptor
-		pkt := s.table[slot]
+		s.out = s.table[slot]
+		pkt := &s.out
 		s.queuedBytes -= pkt.Bytes
 		s.freeSlot(slot)
 		if pkt.missed {
@@ -1062,7 +1082,7 @@ func (s *Scheduler) DequeueFCFS() *Packet {
 		st.stats.Serviced++
 		st.stats.BytesServiced += pkt.Bytes
 		s.sel.fix(s, st)
-		return &pkt
+		return pkt
 	}
 	return nil
 }
@@ -1114,7 +1134,8 @@ func (s *Scheduler) Schedule() Decision {
 		}
 	}
 	st.ring.Pop()
-	pkt := *p // copy out before the descriptor slot is recycled
+	s.out = *p // copy out before the descriptor slot is recycled
+	pkt := &s.out
 	s.queuedBytes -= pkt.Bytes
 	s.freeSlot(p.slot)
 	if pkt.missed {
@@ -1131,7 +1152,7 @@ func (s *Scheduler) Schedule() Decision {
 	}
 	s.meter.MemWrite(3) // stats updates
 	s.sel.fix(s, st)
-	d.Packet = &pkt
+	d.Packet = pkt
 	d.Late = late
 	return d
 }

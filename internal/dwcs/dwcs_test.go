@@ -552,3 +552,66 @@ func TestReconfigureValidation(t *testing.T) {
 		t.Fatalf("window mutated by failed reconfigure: %d/%d", x, y)
 	}
 }
+
+// Every way an enqueue can be refused returns an error built in advance:
+// a rejected frame allocates nothing, and errors.Is still classifies it.
+func TestRejectedEnqueueDoesNotAllocate(t *testing.T) {
+	ring := newScheduler(&testClock{})
+	full := spec(1, sim.Millisecond, fixed.New(1, 2))
+	full.BufCap = 2
+	mustAdd(t, ring, full)
+	mustEnqueue(t, ring, 1, Packet{})
+	mustEnqueue(t, ring, 1, Packet{})
+	table := newScheduler(&testClock{}, func(c *Config) { c.MaxDescriptors = 1 })
+	mustAdd(t, table, spec(1, sim.Millisecond, fixed.New(1, 2)))
+	mustEnqueue(t, table, 1, Packet{})
+	cases := []struct {
+		name string
+		s    *Scheduler
+		id   int
+		want error
+		msg  string
+	}{
+		{"ring full", ring, 1, ErrBufferFull, "dwcs: stream buffer full: stream 1 ring (cap 2)"},
+		{"descriptor table exhausted", table, 1, ErrBufferFull, "dwcs: stream buffer full: descriptor table exhausted"},
+		{"unknown stream", ring, 42, ErrUnknownStream, "dwcs: unknown stream"},
+	}
+	for _, c := range cases {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { err = c.s.Enqueue(c.id, Packet{Bytes: 1000}) })
+		if !errors.Is(err, c.want) || err.Error() != c.msg {
+			t.Errorf("%s: err = %q, want %q (%v)", c.name, err, c.msg, c.want)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per rejected enqueue, want 0", c.name, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ring.Pause(42); ring.Stats(42) }); allocs != 0 {
+		t.Errorf("%v allocs per unknown-stream Pause and Stats, want 0", allocs)
+	}
+}
+
+// A steady-state decision allocates nothing: the dispatched packet is the
+// scheduler's own copy, valid until the next decision.
+func TestScheduleDoesNotAllocate(t *testing.T) {
+	clk := &testClock{}
+	s := newScheduler(clk)
+	for id := 1; id <= 4; id++ {
+		mustAdd(t, s, spec(id, sim.Millisecond, fixed.New(1, 2)))
+	}
+	round := func() {
+		for id := 1; id <= 4; id++ {
+			s.Enqueue(id, Packet{Bytes: 1000})
+		}
+		for s.Schedule().Packet != nil {
+		}
+		clk.now += sim.Millisecond
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%v allocs per four enqueues and decisions, want 0", allocs)
+	}
+	if st, _ := s.Stats(1); st.Serviced != 102 {
+		t.Errorf("stream 1 serviced %d, want 102", st.Serviced)
+	}
+}

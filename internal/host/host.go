@@ -69,6 +69,14 @@ type Scheduler struct {
 	waitEv  sim.Event // pending paced wakeup
 	dst     map[int]string
 
+	// The decision state machine's steps are built once (NewScheduler), and
+	// the decided packet waits in tx while its protocol work is queued: the
+	// process makes its next decision only after sending it.
+	tx       dwcs.Packet
+	decideFn func()
+	sendFn   func()
+	pumpFn   func()
+
 	tel       *telemetry.Registry
 	telQDelay *telemetry.Histogram
 }
@@ -124,6 +132,7 @@ func NewScheduler(eng *sim.Engine, sys *hostos.System, link *netsim.Link, cfg Sc
 		MaxDropsPerDecision: 1, // one head packet per scheduling pass
 	})
 	h.lap = cpu.StartLap(meter)
+	h.decideFn, h.sendFn, h.pumpFn = h.decide, h.send, h.pump
 	return h
 }
 
@@ -168,56 +177,62 @@ func (h *Scheduler) pump() {
 	}
 	h.waitEv.Cancel()
 	h.running = true
-	h.sys.Submit(h.cfg.CPU, wakeupSlice, func() {
-		d := h.Sched.Schedule()
-		h.Meter.Syscall(perDecisionSyscalls)
-		demand := h.lap.Take()
-		h.Dropped += int64(len(d.Dropped))
-		switch {
-		case d.Packet != nil:
-			p := d.Packet
-			// Per-frame protocol work also competes for the bound CPU.
-			h.sys.Submit(h.cfg.CPU, demand+h.stack.Tx, func() {
-				h.running = false
-				if t := h.QDelay[p.StreamID]; t != nil {
-					t.Record(h.eng.Now() - p.Enqueued)
-				}
-				if h.tel != nil {
-					h.tel.Span(p.StreamID, p.Seq, telemetry.StageQueue, "host/dwcs", p.Enqueued, h.eng.Now())
-					h.telQDelay.Observe((h.eng.Now() - p.Enqueued).Milliseconds())
-				}
-				h.Sent++
-				if h.link != nil {
-					h.link.Send(&netsim.Packet{
-						Src:        "host",
-						Dst:        h.dst[p.StreamID],
-						StreamID:   p.StreamID,
-						Seq:        p.Seq,
-						Bytes:      p.Bytes,
-						Enqueued:   p.Enqueued,
-						Deadline:   p.Deadline,
-						Dispatched: h.eng.Now(),
-					}, nil)
-				}
-				h.pump()
-			})
-		case d.WaitUntil > 0:
-			h.running = false
-			if h.eng.Now() >= d.WaitUntil {
-				h.pump()
-				return
-			}
-			h.waitEv = h.eng.At(d.WaitUntil, func() {
-				h.pump()
-			})
-		case len(d.Dropped) > 0:
-			h.running = false
+	h.sys.Submit(h.cfg.CPU, wakeupSlice, h.decideFn)
+}
+
+// decide makes one scheduling decision once the process holds the CPU.
+func (h *Scheduler) decide() {
+	d := h.Sched.Schedule()
+	h.Meter.Syscall(perDecisionSyscalls)
+	demand := h.lap.Take()
+	h.Dropped += int64(len(d.Dropped))
+	switch {
+	case d.Packet != nil:
+		// Per-frame protocol work also competes for the bound CPU.
+		h.tx = *d.Packet
+		h.sys.Submit(h.cfg.CPU, demand+h.stack.Tx, h.sendFn)
+	case d.WaitUntil > 0:
+		h.running = false
+		if h.eng.Now() >= d.WaitUntil {
 			h.pump()
-		default:
-			h.running = false
-			// Idle: the next Enqueue pumps again.
+			return
 		}
-	})
+		h.waitEv = h.eng.At(d.WaitUntil, h.pumpFn)
+	case len(d.Dropped) > 0:
+		h.running = false
+		h.pump()
+	default:
+		h.running = false
+		// Idle: the next Enqueue pumps again.
+	}
+}
+
+// send transmits the decided packet once its protocol work has run, then
+// pumps the next decision.
+func (h *Scheduler) send() {
+	h.running = false
+	p := &h.tx
+	if t := h.QDelay[p.StreamID]; t != nil {
+		t.Record(h.eng.Now() - p.Enqueued)
+	}
+	if h.tel != nil {
+		h.tel.Span(p.StreamID, p.Seq, telemetry.StageQueue, "host/dwcs", p.Enqueued, h.eng.Now())
+		h.telQDelay.Observe((h.eng.Now() - p.Enqueued).Milliseconds())
+	}
+	h.Sent++
+	if h.link != nil {
+		h.link.Send(&netsim.Packet{
+			Src:        "host",
+			Dst:        h.dst[p.StreamID],
+			StreamID:   p.StreamID,
+			Seq:        p.Seq,
+			Bytes:      p.Bytes,
+			Enqueued:   p.Enqueued,
+			Deadline:   p.Deadline,
+			Dispatched: h.eng.Now(),
+		}, nil)
+	}
+	h.pump()
 }
 
 // Producer injects segmented MPEG frames into a host or NI scheduler at a
@@ -253,6 +268,16 @@ func StartProducer(eng *sim.Engine, sys *hostos.System, target EnqueueTarget, cf
 		panic("host: producer period must be positive")
 	}
 	p := &Producer{}
+	// enqueue injects one frame, passed as its argument, once its CPU work
+	// has run; built once, so a frame costs no closure.
+	enqueue := func(arg any) {
+		f := arg.(*mpeg.Frame)
+		if err := target.Enqueue(cfg.StreamID, dwcs.Packet{Bytes: f.Size, Offset: f.Offset}); err != nil {
+			p.Stalled++ // ring full: frame dropped at the producer
+			return
+		}
+		p.Injected++
+	}
 	i := 0
 	p.stop = eng.Every(cfg.Every, func() {
 		if i >= len(cfg.Clip.Frames) {
@@ -262,15 +287,7 @@ func StartProducer(eng *sim.Engine, sys *hostos.System, target EnqueueTarget, cf
 			}
 			i = 0
 		}
-		f := cfg.Clip.Frames[i]
-		work := func() {
-			err := target.Enqueue(cfg.StreamID, dwcs.Packet{Bytes: f.Size, Offset: f.Offset})
-			if err != nil {
-				p.Stalled++ // ring full: frame dropped at the producer
-				return
-			}
-			p.Injected++
-		}
+		f := &cfg.Clip.Frames[i]
 		if cfg.PerFrameCPU > 0 && sys != nil {
 			// Segmentation + copy cost scales with frame size (I frames
 			// cost several times what B frames do).
@@ -279,9 +296,9 @@ func StartProducer(eng *sim.Engine, sys *hostos.System, target EnqueueTarget, cf
 			if mean > 0 {
 				d = sim.Time(int64(d) * f.Size / mean)
 			}
-			sys.Submit(cfg.CPU, d, work)
+			sys.SubmitArg(cfg.CPU, d, enqueue, f)
 		} else {
-			work()
+			enqueue(f)
 		}
 		i++
 	})

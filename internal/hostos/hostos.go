@@ -11,6 +11,13 @@
 // web-request service bursts — that queueing is what degrades the
 // host-based scheduler in Figures 7 and 8 while the NI-based scheduler of
 // Figure 9/10 never sees it.
+//
+// A CPU's run queue holds jobs by value in a sim.FIFO, and each CPU ends its
+// quantum slices through one callback built once, keeping the running job
+// and its slice in fields: submitting and slicing work allocates nothing
+// once the queue has grown to its working depth. A job's completion is a
+// func(), or a func(any) with its one argument (SubmitArg), so a caller can
+// build its completion once and pass per-job state as the argument.
 package hostos
 
 import (
@@ -23,10 +30,23 @@ import (
 // AnyCPU submits work to the currently least-loaded CPU.
 const AnyCPU = -1
 
-// Job is one schedulable CPU demand.
+// job is one schedulable CPU demand; its completion is done, or doneArg
+// called with arg.
 type job struct {
 	remaining sim.Time
 	done      func()
+	doneArg   func(any)
+	arg       any
+}
+
+// complete runs the job's completion, if it has one.
+func (j *job) complete() {
+	switch {
+	case j.done != nil:
+		j.done()
+	case j.doneArg != nil:
+		j.doneArg(j.arg)
+	}
 }
 
 // CPU is one processor's run queue.
@@ -34,51 +54,62 @@ type CPU struct {
 	eng     *sim.Engine
 	id      int
 	quantum sim.Time
-	queue   []*job
-	running *job
+	queue   sim.FIFO[job]
+	queued  sim.Time // demand remaining across queue
+
+	busy       bool     // running holds a job in its slice
+	running    job      // the job in its slice
+	slice      sim.Time // the slice's length
+	sliceEndFn func()   // c.sliceEnd, built once
 
 	// BusyTime accumulates executed demand.
 	BusyTime sim.Time
 }
 
 func (c *CPU) load() sim.Time {
-	var l sim.Time
-	if c.running != nil {
+	l := c.queued
+	if c.busy {
 		l += c.running.remaining
-	}
-	for _, j := range c.queue {
-		l += j.remaining
 	}
 	return l
 }
 
-func (c *CPU) submit(j *job) {
-	c.queue = append(c.queue, j)
+func (c *CPU) submit(j job) {
+	c.push(j)
 	c.kick()
 }
 
+func (c *CPU) push(j job) {
+	c.queue.Push(j)
+	c.queued += j.remaining
+}
+
+// kick starts the next queued job's slice if the CPU is idle.
 func (c *CPU) kick() {
-	if c.running != nil || len(c.queue) == 0 {
+	if c.busy || c.queue.Len() == 0 {
 		return
 	}
-	j := c.queue[0]
-	c.queue = c.queue[1:]
-	c.running = j
-	slice := j.remaining
-	if slice > c.quantum {
-		slice = c.quantum
+	j := c.queue.Pop()
+	c.queued -= j.remaining
+	c.busy, c.running = true, j
+	c.slice = min(j.remaining, c.quantum)
+	c.eng.After(c.slice, c.sliceEndFn)
+}
+
+// sliceEnd charges the finished slice: an unfinished job goes to the back
+// of the queue (round-robin), a finished one completes. Then the next
+// slice starts.
+func (c *CPU) sliceEnd() {
+	c.BusyTime += c.slice
+	j := c.running
+	j.remaining -= c.slice
+	c.busy, c.running = false, job{}
+	if j.remaining > 0 {
+		c.push(j)
+	} else {
+		j.complete()
 	}
-	c.eng.After(slice, func() {
-		c.BusyTime += slice
-		j.remaining -= slice
-		c.running = nil
-		if j.remaining > 0 {
-			c.queue = append(c.queue, j) // round-robin: back of the queue
-		} else if j.done != nil {
-			j.done()
-		}
-		c.kick()
-	})
+	c.kick()
 }
 
 // Utilization returns the fraction of elapsed time this CPU was busy.
@@ -105,7 +136,9 @@ func New(eng *sim.Engine, n int, quantum sim.Time) *System {
 	}
 	s := &System{eng: eng}
 	for i := 0; i < n; i++ {
-		s.cpus = append(s.cpus, &CPU{eng: eng, id: i, quantum: quantum})
+		c := &CPU{eng: eng, id: i, quantum: quantum}
+		c.sliceEndFn = c.sliceEnd
+		s.cpus = append(s.cpus, c)
 	}
 	return s
 }
@@ -119,13 +152,21 @@ func (s *System) CPU(i int) *CPU { return s.cpus[i] }
 // Submit queues d of CPU demand on processor cpu (AnyCPU picks the least
 // loaded), invoking done when it has fully executed.
 func (s *System) Submit(cpu int, d sim.Time, done func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("hostos: negative demand %v", d))
+	s.submit(cpu, job{remaining: d, done: done})
+}
+
+// SubmitArg is Submit with a completion that takes one argument: fn(arg)
+// runs when the demand has fully executed.
+func (s *System) SubmitArg(cpu int, d sim.Time, fn func(any), arg any) {
+	s.submit(cpu, job{remaining: d, doneArg: fn, arg: arg})
+}
+
+func (s *System) submit(cpu int, j job) {
+	if j.remaining < 0 {
+		panic(fmt.Sprintf("hostos: negative demand %v", j.remaining))
 	}
-	if d == 0 {
-		if done != nil {
-			done()
-		}
+	if j.remaining == 0 {
+		j.complete()
 		return
 	}
 	target := cpu
@@ -141,11 +182,11 @@ func (s *System) Submit(cpu int, d sim.Time, done func()) {
 	} else if cpu < 0 || cpu >= len(s.cpus) {
 		panic(fmt.Sprintf("hostos: no CPU %d", cpu))
 	}
-	s.cpus[target].submit(&job{remaining: d, done: done})
+	s.cpus[target].submit(j)
 }
 
 // QueueLen returns how many jobs are waiting (not running) on cpu i.
-func (s *System) QueueLen(i int) int { return len(s.cpus[i].queue) }
+func (s *System) QueueLen(i int) int { return s.cpus[i].queue.Len() }
 
 // TotalUtilization returns the average utilization across CPUs since t=0.
 func (s *System) TotalUtilization() float64 {

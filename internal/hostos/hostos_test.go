@@ -153,3 +153,61 @@ func TestWorkConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SubmitArg passes its argument to the completion, after the demand has
+// run, in the same round-robin as Submit.
+func TestSubmitArgPassesArgument(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sys := New(eng, 1, sim.Millisecond)
+	var got []string
+	note := func(arg any) { got = append(got, arg.(string)+"@"+eng.Now().String()) }
+	sys.SubmitArg(0, 3*sim.Millisecond, note, "long")
+	sys.Submit(0, sim.Millisecond, func() { got = append(got, "short@"+eng.Now().String()) })
+	sys.SubmitArg(0, 0, note, "zero")
+	eng.Run()
+	want := []string{"zero@0ns", "short@2.000ms", "long@4.000ms"}
+	if len(got) != len(want) {
+		t.Fatalf("completions %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("completions %v, want %v", got, want)
+		}
+	}
+}
+
+// Jobs sliced into quanta and round-robined allocate nothing once the run
+// queue has grown: jobs wait by value and each CPU ends its slices through
+// one callback built once.
+func TestQuantumSlicedSubmitDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sys := New(eng, 2, sim.Millisecond)
+	done := func() {}
+	round := func() {
+		for i := 0; i < 4; i++ {
+			sys.Submit(AnyCPU, 3*sim.Millisecond+sim.Time(i)*sim.Microsecond, done)
+		}
+		eng.Run()
+	}
+	round() // grow the run queues and the event arena
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%v allocs per four sliced jobs, want 0", allocs)
+	}
+}
+
+// BenchmarkCPUSubmit is the run queue's own number: host time and
+// allocations per job of three quanta sharing a CPU with another.
+func BenchmarkCPUSubmit(b *testing.B) {
+	eng := sim.NewEngine(1)
+	sys := New(eng, 1, sim.Millisecond)
+	done := func() {}
+	sys.Submit(0, 3*sim.Millisecond, done)
+	eng.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Submit(0, 3*sim.Millisecond, done)
+		sys.Submit(0, 3*sim.Millisecond, done)
+		eng.Run()
+	}
+}

@@ -133,6 +133,7 @@ type Link struct {
 	inFlight  sim.FIFO[*Packet]  // serialized, awaiting delivery, in send order
 	freeFn    func()             // l.free, built once
 	deliverFn func()             // l.deliver, built once
+	sendFn    func(any)          // sends its argument, a *Packet; built once
 	busyTime  sim.Time           // wire time of finished transmissions
 	lastStart sim.Time           // when the transmission on the wire started
 
@@ -159,6 +160,7 @@ func NewLink(eng *sim.Engine, name string, bps int64, prop sim.Time, dst Port) *
 	l := &Link{eng: eng, name: name, bps: bps, prop: prop, dst: dst, framing: EthernetFraming{}}
 	l.freeFn = l.free
 	l.deliverFn = l.deliver
+	l.sendFn = func(p any) { l.Send(p.(*Packet), nil) }
 	return l
 }
 
@@ -345,14 +347,16 @@ func (s *Switch) Deliver(p *Packet) {
 		return
 	}
 	s.Forwarded++
-	s.eng.After(s.latency, func() { out.Send(p, nil) })
+	s.eng.AfterArg(s.latency, out.sendFn, p)
 }
 
 // Client models a remote MPEG player: a receive stack delay, delivery
 // statistics, and optional per-stream bandwidth metering.
 type Client struct {
-	eng     *sim.Engine
-	Name    string
+	eng  *sim.Engine
+	Name string
+	// RxStack is the receive-stack delay between arrival and playout. Set
+	// it before frames flow: a playout's span starts RxStack before it ends.
 	RxStack sim.Time
 
 	// OnFrame, if set, observes every delivered packet after the receive
@@ -379,8 +383,9 @@ type Client struct {
 
 	lastArrival sim.Time
 	gotFirst    bool
-	pending     int  // frames inside the receive stack
-	paused      bool // draining: the player stopped reading
+	pending     int       // frames inside the receive stack
+	paused      bool      // draining: the player stopped reading
+	playoutFn   func(any) // c.playout, built once
 
 	tel       *telemetry.Registry
 	telFrames *telemetry.Counter
@@ -397,7 +402,9 @@ func (c *Client) Instrument(reg *telemetry.Registry) {
 
 // NewClient returns a client with a 200 µs receive stack.
 func NewClient(eng *sim.Engine, name string) *Client {
-	return &Client{eng: eng, Name: name, RxStack: 200 * sim.Microsecond}
+	c := &Client{eng: eng, Name: name, RxStack: 200 * sim.Microsecond}
+	c.playoutFn = c.playout
+	return c
 }
 
 // SetDraining marks the client as stalled (true): the player has stopped
@@ -424,30 +431,35 @@ func (c *Client) Deliver(p *Packet) {
 		}
 	}
 	c.pending++
-	c.eng.After(c.RxStack, func() {
-		c.pending--
-		if c.tel != nil && p.StreamID > 0 {
-			c.tel.Span(p.StreamID, p.Seq, telemetry.StagePlayout, c.Name, arrival, c.eng.Now())
-		}
-		c.telFrames.Inc()
-		c.Received++
-		c.RecvBytes += p.Bytes
-		c.Latencies = append(c.Latencies, c.eng.Now()-p.Sent)
-		if c.gotFirst {
-			c.Gaps = append(c.Gaps, c.eng.Now()-c.lastArrival)
-		}
-		c.gotFirst = true
-		c.lastArrival = c.eng.Now()
-		if p.Deadline != 0 && c.eng.Now() > p.Deadline {
-			c.Late++
-		}
-		if c.BW != nil {
-			c.BW.Deliver(c.eng.Now(), int(p.Bytes))
-		}
-		if c.OnFrame != nil {
-			c.OnFrame(p)
-		}
-	})
+	c.eng.AfterArg(c.RxStack, c.playoutFn, p)
+}
+
+// playout completes one delivery once the receive stack has run: arg is
+// the packet, and it arrived RxStack ago.
+func (c *Client) playout(arg any) {
+	p := arg.(*Packet)
+	c.pending--
+	if c.tel != nil && p.StreamID > 0 {
+		c.tel.Span(p.StreamID, p.Seq, telemetry.StagePlayout, c.Name, c.eng.Now()-c.RxStack, c.eng.Now())
+	}
+	c.telFrames.Inc()
+	c.Received++
+	c.RecvBytes += p.Bytes
+	c.Latencies = append(c.Latencies, c.eng.Now()-p.Sent)
+	if c.gotFirst {
+		c.Gaps = append(c.Gaps, c.eng.Now()-c.lastArrival)
+	}
+	c.gotFirst = true
+	c.lastArrival = c.eng.Now()
+	if p.Deadline != 0 && c.eng.Now() > p.Deadline {
+		c.Late++
+	}
+	if c.BW != nil {
+		c.BW.Deliver(c.eng.Now(), int(p.Bytes))
+	}
+	if c.OnFrame != nil {
+		c.OnFrame(p)
+	}
 }
 
 // MeanLatency returns the mean send-to-delivered latency.

@@ -202,3 +202,66 @@ func TestSwitchDeliveryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A playout allocates nothing beyond the client's delivery records: the
+// receive-stack step is a callback built once, and the packet rides as the
+// event's argument.
+func TestClientDeliverDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	c := NewClient(eng, "player")
+	c.Latencies = make([]sim.Time, 0, 1024)
+	c.Gaps = make([]sim.Time, 0, 1024)
+	p := &Packet{Bytes: 1000, StreamID: 1}
+	round := func() {
+		for i := 0; i < 4; i++ {
+			c.Deliver(p)
+		}
+		eng.Run()
+	}
+	round() // grow the event arena
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%v allocs per four deliveries, want 0", allocs)
+	}
+	if c.Received != 4*102 || c.Pending() != 0 {
+		t.Errorf("received %d, pending %d", c.Received, c.Pending())
+	}
+}
+
+// Switch forwarding hands the packet to the output link through a callback
+// the link built once.
+func TestSwitchForwardDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sw := NewSwitch(eng, "sw", 90*sim.Microsecond)
+	delivered := 0
+	sw.Attach("c", Fast100(eng, "sw→c", PortFunc(func(*Packet) { delivered++ })))
+	p := &Packet{Dst: "c", Bytes: 1000}
+	round := func() {
+		for i := 0; i < 4; i++ {
+			sw.Deliver(p)
+		}
+		eng.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%v allocs per four forwards, want 0", allocs)
+	}
+	if delivered != 4*102 {
+		t.Errorf("delivered %d", delivered)
+	}
+}
+
+// BenchmarkClientDeliver is the client's own number: host time and
+// allocations per frame through the receive stack to playout.
+func BenchmarkClientDeliver(b *testing.B) {
+	eng := sim.NewEngine(1)
+	c := NewClient(eng, "player")
+	p := &Packet{Bytes: 1000, StreamID: 1}
+	c.Deliver(p)
+	eng.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Deliver(p)
+		eng.Run()
+	}
+}

@@ -94,6 +94,15 @@ type Card struct {
 	Resets  int64
 
 	crashed bool
+
+	// Frames on the wire whose card memory is released when the link's
+	// transmitter is done with them, in send order: the link completes
+	// transmissions in the order they were sent, so each wireDoneFn call
+	// releases the oldest.
+	onWire     sim.FIFO[releaser]
+	wireDoneFn func() // c.wireDone, built once
+
+	spare []*netsim.Packet // given back by Recycle, for the next dispatches
 }
 
 // Crash wedges the card (firmware fault, injected by internal/faults): the
@@ -170,6 +179,7 @@ func New(eng *sim.Engine, cfg Config) *Card {
 		VCM:    core.NewVCM(cfg.Name),
 		TSC:    rtos.NewTimestamp(eng, model.ClockHz, 32),
 	}
+	c.wireDoneFn = c.wireDone
 	if cfg.PCI != nil {
 		c.VCM.Crossing = core.CrossingFunc(func(words int64, deliver func()) {
 			cfg.PCI.PIOWrite(words, deliver)
@@ -178,7 +188,8 @@ func New(eng *sim.Engine, cfg Config) *Card {
 	return c
 }
 
-// ConnectEthernet attaches the card's Ethernet port 0 to a link.
+// ConnectEthernet attaches the card's Ethernet port 0 to a link, before
+// frames flow.
 func (c *Card) ConnectEthernet(l *netsim.Link) { c.Link = l }
 
 // AttachDisk attaches a disk and its filesystem to a SCSI port. Attaching a
@@ -237,15 +248,43 @@ func releasePayload(p any) {
 func (c *Card) Send(tc *rtos.TaskCtx, pkt *netsim.Packet) { c.send(tc, pkt, nil) }
 
 // send pays protocol encapsulation on the card CPU and puts the frame on
-// the wire. It must be called from a kernel task.
+// the wire. It must be called from a kernel task. A payload owning card
+// memory is released once the frame is on the wire.
 func (c *Card) send(tc *rtos.TaskCtx, pkt *netsim.Packet, payload any) {
 	tc.Run(c.Stack.Tx)
 	c.FramesSent++
-	if c.Link == nil {
-		releasePayload(payload)
-		return
+	buf, owned := payload.(releaser)
+	switch {
+	case c.Link == nil:
+		if owned {
+			buf.Release()
+		}
+	case owned:
+		c.onWire.Push(buf)
+		c.Link.Send(pkt, c.wireDoneFn)
+	default:
+		c.Link.Send(pkt, nil)
 	}
-	c.Link.Send(pkt, func() { releasePayload(payload) })
+}
+
+// wireDone releases the card memory of the oldest frame on the wire.
+func (c *Card) wireDone() { c.onWire.Pop().Release() }
+
+// Recycle gives the card a packet that nothing references any more — its
+// client has played it out — so a later dispatch reuses it instead of
+// allocating one. The packet may have been dispatched by any card, but the
+// call must run on this card's engine.
+func (c *Card) Recycle(p *netsim.Packet) { c.spare = append(c.spare, p) }
+
+// packet returns a packet for a dispatch: a recycled one if there is one.
+func (c *Card) packet() *netsim.Packet {
+	n := len(c.spare)
+	if n == 0 {
+		return new(netsim.Packet)
+	}
+	p := c.spare[n-1]
+	c.spare = c.spare[:n-1]
+	return p
 }
 
 // StoreKind selects where the scheduler's descriptor rings live.
@@ -302,7 +341,8 @@ type SchedulerExt struct {
 
 	// QDelay tracks queuing delay per stream (Figures 8 and 10).
 	QDelay map[int]*stats.DelayTracker
-	// OnDispatch observes every dispatched packet (before the wire).
+	// OnDispatch observes every dispatched packet (before the wire). p is
+	// valid only during the call; copy *p to keep it.
 	OnDispatch func(p *dwcs.Packet)
 
 	// Sent and Dropped count scheduler outcomes.
@@ -342,10 +382,12 @@ type SchedulerExt struct {
 	startSleepFn func(wake func())
 	endSleepFn   func()
 
-	// decoupled-dispatch state (nil/unused when coupled)
-	dispatchQ   []*dwcs.Packet
+	// decoupled-dispatch state (nil/unused when coupled): decisions by
+	// value, since a decision's packet is only valid until the next one
+	dispatchQ   sim.FIFO[dwcs.Packet]
 	dispatchSem *rtos.Semaphore
 	dispatchCap int
+	dispatching dwcs.Packet // the packet the dispatcher task is sending
 }
 
 // buildScheduler constructs the DWCS instance for cfg, allocating ring
@@ -680,7 +722,7 @@ func (ext *SchedulerExt) AttachOverload(ctl *overload.Controller) {
 	ext.ovCost = make(map[int]overload.StreamCost)
 	ext.Card.Mem.Observe(ctl.Budget)
 	ctl.Hooks = overload.Hooks{
-		QueueDepth:   func() int { return ext.Sched.Len() + len(ext.dispatchQ) },
+		QueueDepth:   func() int { return ext.Sched.Len() + ext.dispatchQ.Len() },
 		ShedTolerant: ext.shedTolerant,
 		Revoke:       ext.revokeLowestValue,
 		Reinstate:    ext.reinstateOne,
@@ -803,10 +845,10 @@ func (ext *SchedulerExt) run(tc *rtos.TaskCtx) {
 			if ext.dispatchSem != nil {
 				// Decoupled mode: hand the decision to the dispatcher. A
 				// full dispatch queue back-pressures the scheduler task.
-				for len(ext.dispatchQ) >= ext.dispatchCap {
+				for ext.dispatchQ.Len() >= ext.dispatchCap {
 					tc.Sleep(sim.Millisecond)
 				}
-				ext.dispatchQ = append(ext.dispatchQ, p)
+				ext.dispatchQ.Push(*p)
 				ext.dispatchSem.Give()
 				continue
 			}
@@ -822,7 +864,8 @@ func (ext *SchedulerExt) run(tc *rtos.TaskCtx) {
 }
 
 // dispatch charges the dispatch path and transmits p. It must run on the
-// card.
+// card. p need only stay valid until dispatch returns: the scheduler's
+// decision in coupled mode, the dispatcher's copy in decoupled mode.
 func (ext *SchedulerExt) dispatch(tc *rtos.TaskCtx, lap *cpu.Lap, p *dwcs.Packet) {
 	c := ext.Card
 	c.ChargeDispatch()
@@ -840,7 +883,8 @@ func (ext *SchedulerExt) dispatch(tc *rtos.TaskCtx, lap *cpu.Lap, p *dwcs.Packet
 	if ext.OnDispatch != nil {
 		ext.OnDispatch(p)
 	}
-	c.send(tc, &netsim.Packet{
+	pkt := c.packet()
+	*pkt = netsim.Packet{
 		Src:        c.Name,
 		Dst:        streamDst(p),
 		StreamID:   p.StreamID,
@@ -849,7 +893,8 @@ func (ext *SchedulerExt) dispatch(tc *rtos.TaskCtx, lap *cpu.Lap, p *dwcs.Packet
 		Enqueued:   p.Enqueued,
 		Deadline:   p.Deadline,
 		Dispatched: tc.Now(),
-	}, p.Payload)
+	}
+	c.send(tc, pkt, p.Payload)
 }
 
 // runDispatcher is the decoupled-dispatch task: it drains the dispatch
@@ -859,9 +904,8 @@ func (ext *SchedulerExt) runDispatcher(tc *rtos.TaskCtx) {
 	lap := cpu.StartLap(ext.Card.Meter)
 	for {
 		ext.dispatchSem.Take(tc)
-		p := ext.dispatchQ[0]
-		ext.dispatchQ = ext.dispatchQ[1:]
-		ext.dispatch(tc, lap, p)
+		ext.dispatching = ext.dispatchQ.Pop()
+		ext.dispatch(tc, lap, &ext.dispatching)
 	}
 }
 
@@ -962,6 +1006,8 @@ func (ext *SchedulerExt) SpawnLocalProducer(clip *mpeg.Clip, streamID int, dst s
 		loops = 1
 	}
 	p := &Producer{}
+	xfer := newFrameIO(c.FS, nil)
+	bufs := &addressedBufs{dst: dst}
 	c.Kernel.Spawn(fmt.Sprintf("%s/prod%d", c.Name, streamID), PrioProducer, func(tc *rtos.TaskCtx) {
 		next := tc.Now()
 		var seq int64 // tracks the dwcs-assigned in-order sequence numbers
@@ -972,11 +1018,10 @@ func (ext *SchedulerExt) SpawnLocalProducer(clip *mpeg.Clip, streamID int, dst s
 				}
 				gateSource(tc, ext, f.Size, p)
 				readStart := tc.Now()
-				tc.Await(func(done func()) { c.FS.Read(f.Offset, f.Size, done) })
+				xfer.read(tc, f.Offset, f.Size)
 				readEnd := tc.Now()
 				addr := allocWithBackoff(tc, ext, f.Size, p)
-				pkt := dwcs.Packet{Bytes: f.Size, Offset: f.Offset,
-					Payload: addressedBuf{FrameBuf{c.Mem, addr}, dst}}
+				pkt := dwcs.Packet{Bytes: f.Size, Offset: f.Offset, Payload: bufs.get(c.Mem, addr)}
 				if !enqueueWithBackoff(tc, ext, streamID, pkt, p, injectEvery) {
 					return // stream is gone (failed over); stop sourcing
 				}
@@ -1042,13 +1087,73 @@ func injectOrDefault(d sim.Time) sim.Time {
 	return 5 * sim.Millisecond
 }
 
-// addressedBuf is a FrameBuf plus a client address.
-type addressedBuf struct {
-	FrameBuf
-	dst string
+// frameIO is one task's per-frame disk read and bus DMA. The Await
+// starters are built once, and each operation's arguments wait in fields:
+// a starter runs within Await, before the task can start another.
+type frameIO struct {
+	fs     disk.FS
+	pci    *bus.Bus
+	off, n int64
+	readFn func(done func())
+	dmaFn  func(done func())
 }
 
-func (a addressedBuf) ClientAddr() string { return a.dst }
+func newFrameIO(fs disk.FS, pci *bus.Bus) *frameIO {
+	x := &frameIO{fs: fs, pci: pci}
+	x.readFn = func(done func()) { x.fs.Read(x.off, x.n, done) }
+	x.dmaFn = func(done func()) { x.pci.DMA(x.n, done) }
+	return x
+}
+
+// read blocks tc until n bytes at off are read from the filesystem.
+func (x *frameIO) read(tc *rtos.TaskCtx, off, n int64) {
+	x.off, x.n = off, n
+	tc.Await(x.readFn)
+}
+
+// dma blocks tc until n bytes have crossed the PCI segment.
+func (x *frameIO) dma(tc *rtos.TaskCtx, n int64) {
+	x.n = n
+	tc.Await(x.dmaFn)
+}
+
+// addressedBuf is a FrameBuf plus its client's address. Each producer
+// keeps a free list of them: releasing a frame's card memory puts its
+// buffer back on the list, so a steady stream boxes no payload per frame.
+// A producer and the scheduler card it feeds share an engine, so the list
+// needs no lock.
+type addressedBuf struct {
+	FrameBuf
+	bufs *addressedBufs
+}
+
+// addressedBufs is one producer's free list; dst is its client's address.
+type addressedBufs struct {
+	dst  string
+	free []*addressedBuf
+}
+
+// get returns a buffer for the frame at addr in m.
+func (bs *addressedBufs) get(m *mem.Memory, addr mem.Addr) *addressedBuf {
+	var b *addressedBuf
+	if n := len(bs.free); n > 0 {
+		b, bs.free = bs.free[n-1], bs.free[:n-1]
+	} else {
+		b = &addressedBuf{bufs: bs}
+	}
+	b.FrameBuf = FrameBuf{m, addr}
+	return b
+}
+
+// ClientAddr implements Addressed.
+func (b *addressedBuf) ClientAddr() string { return b.bufs.dst }
+
+// Release frees the frame's card memory and returns the buffer to its
+// producer's list.
+func (b *addressedBuf) Release() {
+	b.FrameBuf.Release()
+	b.bufs.free = append(b.bufs.free, b)
+}
 
 // SpawnPeerProducer streams clip from src's attached disk, DMAs each frame
 // across the PCI bus into this scheduler card, and enqueues it — path B of
@@ -1078,6 +1183,8 @@ func (ext *SchedulerExt) SpawnPeerProducerFrom(src *Card, clip *mpeg.Clip, strea
 	}
 	sched := ext.Card
 	p := &Producer{}
+	xfer := newFrameIO(src.FS, src.PCI)
+	bufs := &addressedBufs{dst: dst}
 	src.Kernel.Spawn(fmt.Sprintf("%s/peer%d", src.Name, streamID), PrioProducer, func(tc *rtos.TaskCtx) {
 		next := tc.Now()
 		var seq int64 // tracks the dwcs-assigned in-order sequence numbers
@@ -1092,15 +1199,14 @@ func (ext *SchedulerExt) SpawnPeerProducerFrom(src *Card, clip *mpeg.Clip, strea
 				}
 				gateSource(tc, ext, f.Size, p)
 				readStart := tc.Now()
-				tc.Await(func(done func()) { src.FS.Read(f.Offset, f.Size, done) })
+				xfer.read(tc, f.Offset, f.Size)
 				readEnd := tc.Now()
 				addr := allocWithBackoff(tc, ext, f.Size, p)
 				// Card-to-card peer DMA of the frame body.
 				busStart := tc.Now()
-				tc.Await(func(done func()) { src.PCI.DMA(f.Size, done) })
+				xfer.dma(tc, f.Size)
 				busEnd := tc.Now()
-				pkt := dwcs.Packet{Bytes: f.Size, Offset: f.Offset,
-					Payload: addressedBuf{FrameBuf{sched.Mem, addr}, dst}}
+				pkt := dwcs.Packet{Bytes: f.Size, Offset: f.Offset, Payload: bufs.get(sched.Mem, addr)}
 				if !enqueueWithBackoff(tc, ext, streamID, pkt, p, injectEvery) {
 					return // stream is gone (failed over); stop sourcing
 				}
@@ -1129,6 +1235,7 @@ func (c *Card) SpawnRelay(clip *mpeg.Clip, dst string, frameBytes int64, frames 
 	if c.FS == nil {
 		panic("nic: SpawnRelay needs an attached disk")
 	}
+	xfer := newFrameIO(c.FS, nil)
 	return c.Kernel.Spawn(c.Name+"/relay", PrioRelay, func(tc *rtos.TaskCtx) {
 		for i := 0; i < frames; i++ {
 			f := clip.Frames[i%len(clip.Frames)]
@@ -1136,7 +1243,7 @@ func (c *Card) SpawnRelay(clip *mpeg.Clip, dst string, frameBytes int64, frames 
 			if sz == 0 {
 				sz = f.Size
 			}
-			tc.Await(func(cb func()) { c.FS.Read(f.Offset, sz, cb) })
+			xfer.read(tc, f.Offset, sz)
 			c.send(tc, &netsim.Packet{Src: c.Name, Dst: dst, Bytes: sz, Seq: int64(i)}, nil)
 		}
 		if done != nil {
@@ -1152,25 +1259,24 @@ func (c *Card) SpawnPeerRelay(src *Card, clip *mpeg.Clip, dst string, frameBytes
 	if src.FS == nil {
 		panic("nic: SpawnPeerRelay needs a disk on the source card")
 	}
-	type handoff struct{ seq int64 }
-	queue := make([]handoff, 0, 8)
+	var queue sim.FIFO[int64] // sequence numbers of frames DMAed to this card
 	ready := rtos.NewSemaphore(c.Kernel, c.Name+"/relayq", 0)
 	c.Kernel.Spawn(c.Name+"/peer-relay", PrioRelay, func(tc *rtos.TaskCtx) {
 		for sent := 0; sent < frames; sent++ {
 			ready.Take(tc)
-			h := queue[0]
-			queue = queue[1:]
-			f := clip.Frames[int(h.seq)%len(clip.Frames)]
+			seq := queue.Pop()
+			f := clip.Frames[int(seq)%len(clip.Frames)]
 			sz := frameBytes
 			if sz == 0 {
 				sz = f.Size
 			}
-			c.send(tc, &netsim.Packet{Src: c.Name, Dst: dst, Bytes: sz, Seq: h.seq}, nil)
+			c.send(tc, &netsim.Packet{Src: c.Name, Dst: dst, Bytes: sz, Seq: seq}, nil)
 		}
 		if done != nil {
 			done()
 		}
 	})
+	xfer := newFrameIO(src.FS, src.PCI)
 	src.Kernel.Spawn(src.Name+"/peer-reader", PrioProducer, func(tc *rtos.TaskCtx) {
 		for i := 0; i < frames; i++ {
 			f := clip.Frames[i%len(clip.Frames)]
@@ -1178,9 +1284,9 @@ func (c *Card) SpawnPeerRelay(src *Card, clip *mpeg.Clip, dst string, frameBytes
 			if sz == 0 {
 				sz = f.Size
 			}
-			tc.Await(func(cb func()) { src.FS.Read(f.Offset, sz, cb) })
-			tc.Await(func(cb func()) { src.PCI.DMA(sz, cb) })
-			queue = append(queue, handoff{seq: int64(i)})
+			xfer.read(tc, f.Offset, sz)
+			xfer.dma(tc, sz)
+			queue.Push(int64(i))
 			ready.Give()
 		}
 	})

@@ -34,10 +34,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -167,56 +168,36 @@ func (p *Partition) Name() string { return p.name }
 // they would be on a standalone engine.
 func (p *Partition) Eng() *Engine { return p.eng }
 
-// xmsg is one timestamped inter-partition message in an outbox.
+// xmsg is one timestamped inter-partition message in an outbox. Its
+// callback is fn, or fa called with arg, as in an event slot.
 type xmsg struct {
 	at       Time
 	src, dst int32
 	seq      uint64
 	fn       func()
-	st       *msgState
+	fa       func(any)
+	arg      any
 }
-
-// msgState backs a Msg handle. It is written by the owning partition's
-// worker (cancelled) and by the single-threaded barrier merge (delivered,
-// ev); the round barrier provides the happens-before edges between the two.
-type msgState struct {
-	cancelled bool
-	delivered bool
-	ev        Event
-}
-
-// Msg is a handle to an inter-partition message, analogous to Event for
-// local schedules. The zero value is inert. A Msg may only be used by the
-// partition that sent it.
-type Msg struct{ st *msgState }
-
-// Cancel suppresses the message if it has not yet crossed the window
-// barrier. Once delivered into the destination partition the message is out
-// of the sender's jurisdiction — like a frame already handed to the wire —
-// and Cancel becomes a safe no-op: it never reaches across partitions, so
-// it can never race with the destination's worker or cancel an unrelated
-// event whose arena slot was reused. Safe on the zero value and after the
-// callback has fired.
-func (m Msg) Cancel() {
-	if m.st == nil || m.st.delivered {
-		return
-	}
-	m.st.cancelled = true
-}
-
-// Delivered reports whether the message has crossed the barrier into its
-// destination partition's heap.
-func (m Msg) Delivered() bool { return m.st != nil && m.st.delivered }
-
-// Cancelled reports whether Cancel suppressed the message before delivery.
-func (m Msg) Cancelled() bool { return m.st != nil && m.st.cancelled }
 
 // Send schedules fn in partition dst at the sender's now+delay. The
 // channel src→dst must have been declared with Connect, and delay must be
 // at least its lookahead — sending faster than the channel's modeled
 // latency would break the conservative horizon, so it panics as a modeling
-// bug (exactly like scheduling in the past on an Engine).
-func (p *Partition) Send(dst *Partition, delay Time, fn func()) Msg {
+// bug (exactly like scheduling in the past on an Engine). A sent message
+// cannot be recalled: once sent it belongs to the destination.
+func (p *Partition) Send(dst *Partition, delay Time, fn func()) {
+	p.post(dst, delay, xmsg{fn: fn})
+}
+
+// SendArg schedules fn(arg) in partition dst at the sender's now+delay,
+// under Send's rules. fn is read by the sender's worker during a window,
+// so it must be built before the run, not by the destination.
+func (p *Partition) SendArg(dst *Partition, delay Time, fn func(any), arg any) {
+	p.post(dst, delay, xmsg{fa: fn, arg: arg})
+}
+
+// post checks the channel to dst, stamps m, and queues it in the outbox.
+func (p *Partition) post(dst *Partition, delay Time, m xmsg) {
 	if dst == nil || dst.topo != p.topo {
 		panic(fmt.Sprintf("sim: partition %s: Send to a partition outside this topology", p.name))
 	}
@@ -228,16 +209,10 @@ func (p *Partition) Send(dst *Partition, delay Time, fn func()) Msg {
 		panic(fmt.Sprintf("sim: partition %s: Send to %s with delay %v below the channel lookahead %v", p.name, dst.name, delay, la))
 	}
 	p.msgSeq++
-	st := &msgState{}
-	p.outbox = append(p.outbox, xmsg{
-		at:  p.eng.Now() + delay,
-		src: p.id,
-		dst: dst.id,
-		seq: p.msgSeq,
-		fn:  fn,
-		st:  st,
-	})
-	return Msg{st: st}
+	m.at = p.eng.Now() + delay
+	m.src, m.dst = p.id, dst.id
+	m.seq = p.msgSeq
+	p.outbox = append(p.outbox, m)
 }
 
 // deliver merges every outbox into the destination heaps. It runs
@@ -257,25 +232,28 @@ func (t *Topology) deliver() {
 	msgs := t.scratch[:0]
 	for _, p := range t.parts {
 		msgs = append(msgs, p.outbox...)
+		clear(p.outbox) // the copies in msgs are the live ones
 		p.outbox = p.outbox[:0]
 	}
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].at != msgs[j].at {
-			return msgs[i].at < msgs[j].at
+	slices.SortFunc(msgs, func(a, b xmsg) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if msgs[i].src != msgs[j].src {
-			return msgs[i].src < msgs[j].src
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
 		}
-		return msgs[i].seq < msgs[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := range msgs {
 		m := &msgs[i]
-		if m.st.cancelled {
-			continue
+		eng := t.parts[m.dst].eng
+		if m.fa != nil {
+			eng.AtArg(m.at, m.fa, m.arg)
+		} else {
+			eng.At(m.at, m.fn)
 		}
-		m.st.ev = t.parts[m.dst].eng.At(m.at, m.fn)
-		m.st.delivered = true
 	}
+	clear(msgs) // the engines hold the callbacks now
 	t.scratch = msgs[:0]
 }
 

@@ -115,51 +115,46 @@ func TestCrossPartitionTieBreak(t *testing.T) {
 	}
 }
 
-// Cancel before the barrier suppresses the message; Cancel after delivery
-// is a safe no-op that neither fires twice nor reaches into the far
-// partition's arena.
-func TestMsgCancel(t *testing.T) {
+// SendArg delivers fn(arg) at the same instant, in the same merge order,
+// as Send delivers a closure.
+func TestSendArgMergesWithSend(t *testing.T) {
 	topo, a, b := buildPair(t, 10*Microsecond)
-	fired := 0
-	var zero Msg
-	zero.Cancel() // zero value: inert
-	if zero.Delivered() || zero.Cancelled() {
-		t.Fatal("zero Msg must report nothing")
-	}
-
-	// Suppressed before the first window barrier.
-	m1 := a.Send(b, 10*Microsecond, func() { fired++ })
-	m1.Cancel()
-	if !m1.Cancelled() {
-		t.Fatal("m1 should report cancelled")
-	}
-
-	// Delivered, then cancelled from the sending side: the message has left
-	// the sender's jurisdiction, so the callback still fires and the late
-	// Cancel is a no-op (it must NOT cancel an unrelated event that reused
-	// the same arena slot either — generation counters cover that).
-	var m2 Msg
-	m2 = a.Send(b, 10*Microsecond, func() { fired++ })
-	a.Eng().At(0, func() {}) // give partition a some local work too
+	var order []string
+	note := func(arg any) { order = append(order, fmt.Sprintf("%s@%v", arg.(string), b.Eng().Now())) }
+	a.SendArg(b, 10*Microsecond, note, "arg#1")
+	a.Send(b, 10*Microsecond, func() { order = append(order, fmt.Sprintf("fn#2@%v", b.Eng().Now())) })
+	a.SendArg(b, 20*Microsecond, note, "arg#3")
 	topo.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (m1 cancelled, m2 delivered)", fired)
+	want := "arg#1@10.000µs fn#2@10.000µs arg#3@20.000µs"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("delivery = %q, want %q", got, want)
 	}
-	if !m2.Delivered() {
-		t.Fatal("m2 should report delivered")
-	}
-	m2.Cancel() // after delivery and firing: safe no-op
-	if m2.Cancelled() {
-		t.Fatal("late Cancel must not mark a delivered message cancelled")
-	}
+}
 
-	// Cancel between delivery and firing: also a no-op — conservative
-	// semantics hand the message to the destination at the barrier.
-	m3 := a.Send(b, 10*Microsecond, func() { fired++ })
-	b.Eng().After(0, func() { m3.Cancel() }) // fires after delivery, before the message fires
-	topo.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 (delivered message is beyond recall)", fired)
+// A cross-partition hop that passes its state as the message argument
+// allocates nothing once the outboxes, the merge buffer and the arenas have
+// grown: no closure, no message handle, no sort swapper.
+func TestSendArgDoesNotAllocate(t *testing.T) {
+	topo, a, b := buildPair(t, 10*Microsecond)
+	topo.Workers = 1
+	type frame struct{ n int }
+	f := &frame{}
+	recv := func(arg any) { arg.(*frame).n++ }
+	end := Time(0)
+	round := func() {
+		for i := 0; i < 4; i++ {
+			a.SendArg(b, 10*Microsecond, recv, f)
+			b.SendArg(a, 10*Microsecond, recv, f)
+		}
+		end += 20 * Microsecond
+		topo.RunUntil(end)
+	}
+	round() // grow the buffers to their steady state
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%v allocs per eight cross-partition sends, want 0", allocs)
+	}
+	if want := 8 * 102; f.n != want { // AllocsPerRun adds a warm-up run
+		t.Errorf("delivered %d messages, want %d", f.n, want)
 	}
 }
 

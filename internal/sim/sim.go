@@ -15,6 +15,16 @@
 // carry a generation counter, so cancelling an event that already fired —
 // or whose arena slot has since been reused — is a safe no-op.
 //
+// An event carries at most one argument: At and After schedule a func(),
+// AtArg and AfterArg a func(any) with the value to pass it. A component
+// builds its callbacks once and passes per-operation state (the packet in
+// flight, say) as the argument, so scheduling an operation allocates no
+// closure. A pointer, or any pointer-shaped value, passes without boxing.
+// Cross-partition messages follow the same rule (Partition.Send and
+// SendArg) and return no handle: a sent message cannot be recalled.
+// Resource follows it too: its one wait line holds requests by value, and
+// its completion callback is built once.
+//
 // A callback that is about to schedule its own continuation d from now can
 // instead ask TryAdvance to move the clock there and carry on in place. The
 // engine grants that only when nothing else could have run first: no pending
@@ -78,13 +88,19 @@ func (t Time) String() string {
 
 // eventSlot is one arena entry. Slots are recycled through the engine's
 // free-list; gen increments on every recycle so stale Event handles cannot
-// touch a reused slot.
+// touch a reused slot. The callback is fn, or fa called with arg; a slot
+// with neither is cancelled.
 type eventSlot struct {
 	at  Time
 	seq uint64
 	fn  func()
+	fa  func(any)
+	arg any
 	gen uint32
 }
+
+// live reports whether the slot still has a callback to run.
+func (s *eventSlot) live() bool { return s.fn != nil || s.fa != nil }
 
 // Event is a handle to a scheduled callback. The zero value is inert: Cancel
 // and Scheduled on it are safe no-ops, so callers can keep one Event field
@@ -108,7 +124,7 @@ func (ev Event) Cancel() {
 	if s.gen != ev.gen {
 		return // already fired (or cancelled and reaped): slot reused
 	}
-	s.fn = nil // reaped lazily by Step without advancing the clock
+	s.fn, s.fa, s.arg = nil, nil, nil // reaped lazily by Step without advancing the clock
 }
 
 // Scheduled reports whether the event is still pending (not yet fired and
@@ -118,7 +134,7 @@ func (ev Event) Scheduled() bool {
 		return false
 	}
 	s := &ev.eng.slots[ev.idx]
-	return s.gen == ev.gen && s.fn != nil
+	return s.gen == ev.gen && s.live()
 }
 
 // Engine owns the virtual clock and the pending-event queue.
@@ -155,6 +171,29 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // At schedules fn at absolute time t. Scheduling in the past panics: it
 // always indicates a modelling bug.
 func (e *Engine) At(t Time, fn func()) Event {
+	ev, s := e.schedule(t)
+	s.fn = fn
+	return ev
+}
+
+// After schedules fn d nanoseconds from now. Negative d panics.
+func (e *Engine) After(d Time, fn func()) Event { return e.At(e.now+d, fn) }
+
+// AtArg schedules fn(arg) at absolute time t, under At's rules.
+func (e *Engine) AtArg(t Time, fn func(any), arg any) Event {
+	ev, s := e.schedule(t)
+	s.fa, s.arg = fn, arg
+	return ev
+}
+
+// AfterArg schedules fn(arg) d nanoseconds from now. Negative d panics.
+func (e *Engine) AfterArg(d Time, fn func(any), arg any) Event {
+	return e.AtArg(e.now+d, fn, arg)
+}
+
+// schedule takes an arena slot for an event at t, queues it, and returns
+// its handle and the slot for the caller to store the callback in.
+func (e *Engine) schedule(t Time) (Event, *eventSlot) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
@@ -170,14 +209,10 @@ func (e *Engine) At(t Time, fn func()) Event {
 	s := &e.slots[idx]
 	s.at = t
 	s.seq = e.seq
-	s.fn = fn
 	e.heap = append(e.heap, idx)
 	e.siftUp(len(e.heap) - 1)
-	return Event{eng: e, idx: idx, gen: s.gen, epoch: e.epoch}
+	return Event{eng: e, idx: idx, gen: s.gen, epoch: e.epoch}, s
 }
-
-// After schedules fn d nanoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) Event { return e.At(e.now+d, fn) }
 
 // less orders heap entries by (time, insertion sequence).
 func (e *Engine) less(a, b int32) bool {
@@ -250,9 +285,10 @@ func (e *Engine) Every(period Time, fn func()) (stop func()) {
 	return func() { stopped = true }
 }
 
-// popHead removes the earliest slot from the heap and recycles it,
-// returning its callback (nil when the event was cancelled) and time.
-func (e *Engine) popHead() (fn func(), at Time) {
+// popHead removes the earliest slot from the heap and recycles it. A live
+// event moves the clock to its time and runs; a cancelled one is reaped
+// without advancing the clock. It reports whether an event ran.
+func (e *Engine) popHead() bool {
 	idx := e.heap[0]
 	last := len(e.heap) - 1
 	e.heap[0] = e.heap[last]
@@ -261,25 +297,30 @@ func (e *Engine) popHead() (fn func(), at Time) {
 		e.siftDown(0)
 	}
 	s := &e.slots[idx]
-	fn = s.fn
-	at = s.at
-	s.fn = nil
+	fn, fa, arg, at := s.fn, s.fa, s.arg, s.at
+	s.fn, s.fa, s.arg = nil, nil, nil
 	s.gen++ // stale handles to this slot become inert
 	e.free = append(e.free, idx)
-	return fn, at
+	switch {
+	case fn != nil:
+		e.now = at
+		fn()
+	case fa != nil:
+		e.now = at
+		fa(arg)
+	default:
+		return false
+	}
+	return true
 }
 
 // Step fires the earliest pending event. It returns false when no events
 // remain. Cancelled events are skipped without advancing the clock.
 func (e *Engine) Step() bool {
 	for len(e.heap) > 0 {
-		fn, at := e.popHead()
-		if fn == nil {
-			continue // cancelled: reap without advancing the clock
+		if e.popHead() {
+			return true
 		}
-		e.now = at
-		fn()
-		return true
 	}
 	return false
 }
@@ -328,12 +369,7 @@ func (e *Engine) RunUntil(t Time) {
 	e.bound, e.running = t, true
 	defer func() { e.bound, e.running = bound, running }()
 	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= t {
-		fn, at := e.popHead()
-		if fn == nil {
-			continue // cancelled: reap without advancing the clock
-		}
-		e.now = at
-		fn()
+		e.popHead()
 	}
 	if e.now < t {
 		e.now = t
@@ -394,20 +430,39 @@ func (e *Engine) ArenaCap() int { return cap(e.slots) }
 // bus arbitration, disk heads, and CPU cores. A holder acquires it, keeps it
 // for some simulated time, and releases it; waiters are granted in arrival
 // order.
+//
+// Requests wait in one line, by value: a Use holds the resource for a
+// duration and then calls its done; an Acquire's granted callback holds it
+// until the holder calls Release, so the hold can be decided at grant time.
+// A Use completes through a callback built once, so a request allocates
+// nothing once the line has grown to its working depth.
 type Resource struct {
 	eng   *Engine
 	name  string
 	busy  bool
-	queue FIFO[func()]
+	queue FIFO[request]
+
+	done     func() // the Use in service's done; nil for an Acquire
+	finishFn func() // r.finish, built once
 
 	// BusyTime accumulates total held time, for utilization reporting.
 	BusyTime  Time
 	lastStart Time
 }
 
+// request is one entry of a Resource's wait line: an Acquire (granted set)
+// or a Use (hold d, then done).
+type request struct {
+	d       Time
+	done    func()
+	granted func()
+}
+
 // NewResource returns an idle resource attached to eng.
 func NewResource(eng *Engine, name string) *Resource {
-	return &Resource{eng: eng, name: name}
+	r := &Resource{eng: eng, name: name}
+	r.finishFn = r.finish
+	return r
 }
 
 // Name returns the resource's diagnostic name.
@@ -422,14 +477,31 @@ func (r *Resource) QueueLen() int { return r.queue.Len() }
 // Acquire requests the resource; granted runs (possibly immediately, within
 // this call) once the resource is free and it is this requester's turn. The
 // holder must call Release exactly once.
-func (r *Resource) Acquire(granted func()) {
-	if !r.busy {
-		r.busy = true
-		r.lastStart = r.eng.Now()
-		granted()
+func (r *Resource) Acquire(granted func()) { r.request(request{granted: granted}) }
+
+// Use acquires the resource, holds it for d, then releases it and calls
+// done (done may be nil). It models a simple service demand.
+func (r *Resource) Use(d Time, done func()) { r.request(request{d: d, done: done}) }
+
+// request grants q now if the resource is free, else queues it.
+func (r *Resource) request(q request) {
+	if r.busy {
+		r.queue.Push(q)
 		return
 	}
-	r.queue.Push(granted)
+	r.busy = true
+	r.grant(q)
+}
+
+// grant starts q's hold at the current time.
+func (r *Resource) grant(q request) {
+	r.lastStart = r.eng.Now()
+	if q.granted != nil {
+		q.granted()
+		return
+	}
+	r.done = q.done
+	r.eng.After(q.d, r.finishFn)
 }
 
 // Release frees the resource and hands it to the next waiter, if any. The
@@ -443,22 +515,18 @@ func (r *Resource) Release() {
 		r.busy = false
 		return
 	}
-	next := r.queue.Pop()
-	r.lastStart = r.eng.Now()
-	next()
+	r.grant(r.queue.Pop())
 }
 
-// Use acquires the resource, holds it for d, then releases it and calls
-// done (done may be nil). It models a simple service demand.
-func (r *Resource) Use(d Time, done func()) {
-	r.Acquire(func() {
-		r.eng.After(d, func() {
-			r.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+// finish ends the Use in service: the next waiter is granted first, then
+// the finished request's done runs.
+func (r *Resource) finish() {
+	done := r.done
+	r.done = nil
+	r.Release()
+	if done != nil {
+		done()
+	}
 }
 
 // Utilization returns the fraction of [0, now] the resource was held.

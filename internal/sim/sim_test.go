@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -232,6 +234,71 @@ func TestResourceReleaseDoesNotAllocateUnderContention(t *testing.T) {
 	}
 	if r.QueueLen() != 4 {
 		t.Errorf("queue length %d, want 4", r.QueueLen())
+	}
+}
+
+// A finished Use grants the next waiter before its own done runs: the
+// waiter's completion is scheduled first, so it takes the lower sequence
+// number and fires before anything done schedules for the same instant.
+func TestResourceGrantsNextBeforeDone(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, "bus")
+	var order []string
+	r.Use(10, func() {
+		if !r.Busy() || r.QueueLen() != 1 {
+			t.Errorf("first done: busy=%v queue=%d, want the second Use granted", r.Busy(), r.QueueLen())
+		}
+		order = append(order, "first done")
+		e.After(10, func() { order = append(order, "scheduled by first done") })
+	})
+	r.Use(10, func() { order = append(order, "second done") })
+	granted := false
+	r.Acquire(func() { granted = true; order = append(order, "third granted"); r.Release() })
+	e.Run()
+	want := "first done, third granted, second done, scheduled by first done"
+	if got := strings.Join(order, ", "); got != want || !granted {
+		t.Fatalf("order = %q, want %q", got, want)
+	}
+}
+
+// Use under sustained contention allocates nothing: the wait line holds
+// requests by value and the completion callback is built once.
+func TestResourceUseDoesNotAllocateUnderContention(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, "bus")
+	done := func() {}
+	round := func() {
+		for i := 0; i < 5; i++ {
+			r.Use(100, done) // one holder, four waiters
+		}
+		e.Run()
+	}
+	round() // grow the wait line and the event arena
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%v allocs per five contended Uses, want 0", allocs)
+	}
+}
+
+// AtArg and AfterArg fire in (time, sequence) order with At, pass their
+// argument, and cancel like any event.
+func TestAtArg(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	note := func(arg any) { got = append(got, fmt.Sprintf("%v@%d", arg, e.Now())) }
+	e.AtArg(5, note, "b")
+	e.At(5, func() { got = append(got, fmt.Sprintf("fn@%d", e.Now())) })
+	e.AfterArg(1, note, "a")
+	ev := e.AtArg(7, note, "cancelled")
+	if !ev.Scheduled() {
+		t.Fatal("AtArg event not scheduled")
+	}
+	ev.Cancel()
+	e.Run()
+	if want := "a@1 b@5 fn@5"; strings.Join(got, " ") != want {
+		t.Fatalf("fired %q, want %q", strings.Join(got, " "), want)
+	}
+	if ev.Scheduled() {
+		t.Fatal("cancelled AtArg event still scheduled")
 	}
 }
 

@@ -72,12 +72,15 @@ type Generator struct {
 	Requests  int64
 	Completed int64
 
-	stop func()
+	stop       func()
+	completeFn func() // counts one served request, built once
 }
 
 // NewGenerator returns an idle generator.
 func NewGenerator(eng *sim.Engine, sys *hostos.System, prof Profile) *Generator {
-	return &Generator{eng: eng, sys: sys, prof: prof}
+	g := &Generator{eng: eng, sys: sys, prof: prof}
+	g.completeFn = func() { g.Completed++ }
+	return g
 }
 
 // Start begins emitting bursts until Stop (idempotent for NoLoad).
@@ -100,7 +103,7 @@ func (g *Generator) Start() {
 			if g.prof.Spread {
 				cpu = int(g.Requests) % g.sys.NumCPU()
 			}
-			g.sys.Submit(cpu, g.prof.PerRequestCPU, func() { g.Completed++ })
+			g.sys.Submit(cpu, g.prof.PerRequestCPU, g.completeFn)
 		}
 	})
 }
