@@ -24,15 +24,14 @@ cross:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./cmd/dwcsd
 
 # Ten seconds of each native fuzz target (go test -fuzz takes one per run):
-# the wire framing a hostile sender can reach and the artifact parsers behind
-# `tracetool -diff`. The seed corpus — including the two datagram sequences
-# that used to crash dwcsd -recv — runs as ordinary tests in `make test`.
+# the wire framing a hostile sender can reach and every artifact reader
+# behind `tracetool -diff` (one target feeds each input to all seven). The
+# seed corpus — including the two datagram sequences that used to crash
+# dwcsd -recv — runs as ordinary tests in `make test`.
 fuzz:
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzReassemblerIngest$$' -fuzztime 10s
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzUnmarshalMedia$$' -fuzztime 10s
-	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzParseMetricsCSV$$' -fuzztime 10s
-	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzParseLadder$$' -fuzztime 10s
-	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzParseStages$$' -fuzztime 10s
+	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzReaders$$' -fuzztime 10s
 
 # Kernel, task hand-off, per-operation substrate (link, disk, client, host
 # CPU), scheduler fast-path and observability record/read micro-benchmarks,

@@ -29,11 +29,13 @@
 //
 // Trace output always goes through the same canonical writer the exporters
 // use, so a filter-free pass re-emits its input byte-identically — the
-// property CI relies on. The -diff mode is the CI perf gate: it compares
-// stages.txt, metrics.csv, ladder.txt, cycles.txt, and the fleet-obs
-// rollup.txt/timeline.txt between two artifact directories against a
-// relative threshold and exits 3 on regression — rollup findings name the
-// failing switch domain.
+// property CI relies on. The -diff mode is the CI perf gate: it compares the
+// seven artifact files internal/rundiff reads — stages.txt, metrics.csv,
+// slo.txt, ladder.txt, cycles.txt, and the fleet-obs rollup.txt and
+// timeline.txt — between two artifact directories against a relative
+// threshold and exits 3 on regression; rollup findings name the failing
+// switch domain. -pressure and -timeline read metrics.csv and timeline.txt
+// through the same rundiff readers, so each format has one parser.
 package main
 
 import (
@@ -43,7 +45,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/overload"
@@ -277,36 +278,30 @@ func printSummary(w io.Writer, events []telemetry.ChromeEvent) {
 // src is an exact match on the source column (a card like "ni03", or a
 // controller replica like "ctl-b" on the control-plane timeline).
 func printTimeline(w io.Writer, content string, stream int, kind, src string) error {
-	lines := strings.Split(strings.TrimRight(content, "\n"), "\n")
-	if len(lines) < 2 || !strings.HasPrefix(lines[0], "incident timeline:") {
-		return fmt.Errorf("not an incident timeline artifact (header %q)", lines[0])
+	columns, rows, err := rundiff.ReadTimeline(content)
+	if err != nil {
+		return err
 	}
 	streamTag := fmt.Sprintf("stream=%d ", stream)
 	byKind := make(map[string]int)
 	bySrc := make(map[string]int)
 	var kept []string
-	for _, line := range lines[2:] {
-		f := strings.Fields(line)
-		if len(f) < 5 {
-			return fmt.Errorf("malformed timeline line %q", line)
-		}
-		s, k := f[1], f[4]
-		detail := strings.Join(f[5:], " ")
-		if kind != "" && !strings.Contains(k, kind) {
+	for _, r := range rows {
+		if kind != "" && !strings.Contains(r.Kind, kind) {
 			continue
 		}
-		if src != "" && s != src {
+		if src != "" && r.Src != src {
 			continue
 		}
-		if stream != 0 && !strings.HasPrefix(detail, streamTag) && detail != strings.TrimSpace(streamTag) {
+		if stream != 0 && !strings.HasPrefix(r.Detail, streamTag) && r.Detail != strings.TrimSpace(streamTag) {
 			continue
 		}
-		kept = append(kept, line)
-		byKind[k]++
-		bySrc[s]++
+		kept = append(kept, r.Line)
+		byKind[r.Kind]++
+		bySrc[r.Src]++
 	}
-	fmt.Fprintf(w, "%d of %d event(s) match\n", len(kept), len(lines)-2)
-	fmt.Fprintln(w, lines[1])
+	fmt.Fprintf(w, "%d of %d event(s) match\n", len(kept), len(rows))
+	fmt.Fprintln(w, columns)
 	for _, line := range kept {
 		fmt.Fprintln(w, line)
 	}
@@ -333,26 +328,17 @@ func printTimeline(w io.Writer, content string, stream int, kind, src string) er
 // degradation ladder's position and per-rung shed counts, admission verdicts,
 // and backpressure activity — each series at its last snapshot.
 func printPressure(w io.Writer, csv string) error {
-	last := make(map[string]map[string]float64) // component → metric → value
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) == 0 || !strings.HasPrefix(lines[0], "time_ms,component,metric,value") {
-		return fmt.Errorf("not a metrics.csv dump (header %q)", lines[0])
+	series, err := rundiff.ReadMetrics(csv)
+	if err != nil {
+		return err
 	}
-	for i, line := range lines[1:] {
-		parts := strings.Split(line, ",")
-		if len(parts) != 4 {
-			return fmt.Errorf("line %d: %d fields", i+2, len(parts))
+	last := make(map[string]map[string]float64) // component → metric → value
+	for name, v := range series {
+		c, metric, _ := strings.Cut(name, ".")
+		if last[c] == nil {
+			last[c] = make(map[string]float64)
 		}
-		v, err := strconv.ParseFloat(parts[3], 64)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", i+2, err)
-		}
-		m := last[parts[1]]
-		if m == nil {
-			m = make(map[string]float64)
-			last[parts[1]] = m
-		}
-		m[parts[2]] = v // rows are time-ordered; keep the latest sample
+		last[c][metric] = v
 	}
 	ov := last["overload"]
 	if len(ov) == 0 {

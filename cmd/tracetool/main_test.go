@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/fleetobs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -127,6 +128,52 @@ func TestTimelineMode(t *testing.T) {
 	}
 	if code := run([]string{"-timeline", bad}, &out, &errOut); code != exitParse {
 		t.Fatalf("garbage timeline: exit %d, want %d", code, exitParse)
+	}
+}
+
+// TestPressureMode pins the -pressure view of the diagnostics run's
+// metrics.csv (the reprogen -slo shape) byte for byte, and holds malformed
+// or overload-free dumps to the parse-error exit.
+func TestPressureMode(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "metrics.csv")
+	csv := experiments.RunDiagnostics(experiments.DiagnosticsConfig{Dur: 8 * sim.Second}).MetricsCSV
+	if err := os.WriteFile(file, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{"-pressure", file}, &out, &errOut); code != exitOK {
+		t.Fatalf("exit %d\n%s", code, errOut.String())
+	}
+	const want = `overload pressure (last snapshot per series)
+  budget: used 1121930 B of 1572864 B (71.3%), peak 1572864 B (100.0%)
+  ladder: rung none, 12 transition(s)
+  shed by rung: tolerant 61, B frames 274, P frames 76, revoked 5 (reinstated 5)
+  admission: rejects 3, breaches 0
+  backpressure: engages 1, releases 1, source stalls 1527
+  dwcs: frames_dropped_total=65 queue_delay_ms_count=119 queue_delay_ms_sum=183303
+`
+	if out.String() != want {
+		t.Fatalf("pressure view:\n%s\nwant:\n%s", out.String(), want)
+	}
+
+	for name, body := range map[string]string{
+		"bad header":  "time,component\n1000,overload,ladder_rung,0\n",
+		"short row":   "time_ms,component,metric,value\n1000,overload,ladder_rung\n",
+		"bad value":   "time_ms,component,metric,value\n1000,overload,ladder_rung,x\n",
+		"NaN value":   "time_ms,component,metric,value\n1000,overload,ladder_rung,NaN\n",
+		"no overload": "time_ms,component,metric,value\n1000,nic,tx_frames_total,1\n",
+	} {
+		bad := filepath.Join(dir, "bad.csv")
+		if err := os.WriteFile(bad, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code := run([]string{"-pressure", bad}, &out, &errOut); code != exitParse {
+			t.Errorf("%s: exit %d, want %d", name, code, exitParse)
+		}
+	}
+	if code := run([]string{"-pressure", filepath.Join(dir, "absent.csv")}, &out, &errOut); code != exitParse {
+		t.Fatalf("missing file: exit %d, want %d", code, exitParse)
 	}
 }
 

@@ -154,9 +154,11 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 	// SLO monitor: loss budgets read off the DWCS windows, latency bounds a
 	// small multiple of the period. The reading freezes while a stream is
 	// revoked; a reinstated stream's counters restart at zero and are read as
-	// they are. (slo.Monitor.TrackStream would hold the pre-revocation total
-	// until the new counters pass it — in a run this short, never — and the
-	// burn columns would end at 0.00, so this site keeps its own source.)
+	// they are, which Eval takes as a counter restart: the first bucket after
+	// it is the new reading, never a negative delta. (slo.Monitor.TrackStream
+	// would hold the pre-revocation total until the new counters pass it — in
+	// a run this short, never — and the burn columns would end at 0.00, so
+	// this site keeps its own source.)
 	mon := slo.NewMonitor(schedCard.Name, slo.Config{})
 	for _, spec := range base {
 		spec := spec

@@ -58,6 +58,3 @@ func (f *FailoverTarget) RestorePrimary() {
 		f.OnSwitch(false)
 	}
 }
-
-// OnBackup reports whether injection currently flows to the backup.
-func (f *FailoverTarget) OnBackup() bool { return f.onBackup }

@@ -36,12 +36,11 @@ import (
 // Function codes (a representative subset of the I2O spec's executive and
 // device classes, plus the private code DVCM instructions use).
 const (
-	FnExecStatusGet    = 0xA0 // executive: status
-	FnExecOutboundInit = 0xA1 // executive: initialize outbound queue
-	FnUtilNop          = 0x10 // utility: no-op
-	FnUtilEventReg     = 0x13 // utility: event notification (IOP → host)
-	FnUtilEventAck     = 0x14 // utility: event acknowledge
-	FnPrivate          = 0xFF // private/vendor: carries DVCM instructions
+	FnExecStatusGet = 0xA0 // executive: status
+	FnUtilNop       = 0x10 // utility: no-op
+	FnUtilEventReg  = 0x13 // utility: event notification (IOP → host)
+	FnUtilEventAck  = 0x14 // utility: event acknowledge
+	FnPrivate       = 0xFF // private/vendor: carries DVCM instructions
 )
 
 // Reply status codes.
@@ -73,12 +72,8 @@ type Frame struct {
 // across the PCI bus (the spec's default frame is 64 bytes = 16 words).
 const frameWords = 16
 
-// Errors.
-var (
-	ErrNoFrames  = errors.New("i2o: inbound free list empty")
-	ErrBadTarget = errors.New("i2o: no such target device")
-	ErrQueueFull = errors.New("i2o: queue full")
-)
+// ErrNoFrames is returned when the inbound free list is empty.
+var ErrNoFrames = errors.New("i2o: inbound free list empty")
 
 // Device is a target on the IOP that consumes messages. The handler runs in
 // IOP context and returns the reply payload and status.

@@ -256,9 +256,6 @@ func (l *Link) deliver() {
 // lost after serialization (counted in Dropped).
 func (l *Link) SetDown(down bool) { l.down = down }
 
-// Down reports whether the link is currently failed.
-func (l *Link) Down() bool { return l.down }
-
 // Name returns the link name.
 func (l *Link) Name() string { return l.name }
 

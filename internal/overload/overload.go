@@ -145,15 +145,6 @@ func NewBudget(name string, size int64) *Budget {
 	}
 }
 
-// SetWatermarks overrides the high/low marks, given as percentages of size.
-func (b *Budget) SetWatermarks(highPct, lowPct int) {
-	if highPct <= 0 || lowPct <= 0 || lowPct > highPct || highPct > 100 {
-		panic(fmt.Sprintf("overload: bad watermarks %d/%d", highPct, lowPct))
-	}
-	b.high = b.size * int64(highPct) / 100
-	b.low = b.size * int64(lowPct) / 100
-}
-
 // Name returns the budget's owner label.
 func (b *Budget) Name() string { return b.name }
 

@@ -90,9 +90,6 @@ type Task struct {
 // Name returns the task name.
 func (t *Task) Name() string { return t.name }
 
-// Priority returns the task priority.
-func (t *Task) Priority() int { return t.prio }
-
 // State returns the task state.
 func (t *Task) State() TaskState { return t.state }
 
@@ -215,9 +212,6 @@ func (k *Kernel) enqueueReady(t *Task) {
 // task is parked at its next burst boundary, ready tasks stop being
 // dispatched, and timer wakeups only mark tasks ready. Resume undoes it.
 func (k *Kernel) Halt() { k.halted = true }
-
-// Halted reports whether the kernel is frozen.
-func (k *Kernel) Halted() bool { return k.halted }
 
 // Resume restarts a halted kernel; ready tasks dispatch again.
 func (k *Kernel) Resume() {

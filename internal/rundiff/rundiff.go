@@ -1,24 +1,24 @@
 // Package rundiff is the regression engine behind `tracetool -diff`: it
-// compares two artifact directories produced by reprogen (a pinned baseline
-// and a fresh run) and renders a verdict. The reproduction's whole value is
-// that every number it prints is deterministic, so "did this change make the
-// system worse" reduces to structured comparison of text artifacts — stage
-// latency tables, metric series, overload ladder summaries, cycle profiles —
-// with a relative threshold separating noise-free-but-intentional drift from
-// regressions.
-//
-// Every parser here is total: malformed input returns an error wrapping
-// ErrParse, never a panic, because CI feeds this whatever a broken run left
-// behind. Findings are ordered by (file, series), so reports are themselves
-// byte-stable artifacts.
+// compares two artifact directories written by reprogen, clustersim or
+// dwcsd (a pinned baseline and a fresh run) against a relative threshold and
+// renders a verdict. The reader table (artifacts) turns each artifact file
+// into named series, rank columns read as their rank; the rule set (rule)
+// gives every series its direction, whether any change to it is significant
+// regardless of the threshold, and its note; compareMaps is the only
+// comparison. Every reader is total: malformed input, non-finite numbers
+// included, returns an error wrapping ErrParse, never a panic, because CI
+// feeds this whatever a broken run left behind. Findings are ordered by
+// (file, series), so reports are themselves byte-stable artifacts.
 package rundiff
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,63 +30,37 @@ var ErrParse = errors.New("rundiff: malformed artifact")
 // Severity classifies one compared series.
 type Severity int
 
-// Finding severities.
+// Finding severities. A series regresses or improves when it moves in its
+// worse or better direction past the threshold, or at all where any change
+// is significant (a ladder rung); an informational series is only info.
 const (
-	// SevInfo is a change that is neither clearly better nor worse (counts,
-	// unclassified series).
 	SevInfo Severity = iota
-	// SevImprovement is a badness metric that went down past the threshold.
 	SevImprovement
-	// SevRegression is a badness metric that went up past the threshold (or
-	// a ladder rung that escalated).
 	SevRegression
 )
 
 // String names the severity.
 func (s Severity) String() string {
-	switch s {
-	case SevInfo:
-		return "info"
-	case SevImprovement:
-		return "improvement"
-	case SevRegression:
-		return "REGRESSION"
-	}
-	return fmt.Sprintf("severity(%d)", int(s))
+	return [...]string{"info", "improvement", "REGRESSION"}[s]
 }
 
 // Options tunes the comparison.
 type Options struct {
 	// Threshold is the relative change that counts as significant (default
-	// 0.10 = 10%; 0.50 in WallClock mode). Below it, differing values are
-	// reported as info only when ReportUnchanged is set, else elided.
+	// 0.10 = 10%; 0.50 in WallClock mode). Smaller changes are elided.
 	Threshold float64
-	// ReportUnchanged includes sub-threshold and equal series in the report.
-	ReportUnchanged bool
-	// WallClock selects sim-vs-real conformance mode: one side (or both) of
-	// the diff was measured on a wall clock instead of the deterministic
-	// engine, so tolerances widen (default threshold 0.50), per-stage max
-	// latency is demoted to info (a single preempted goroutine produces an
-	// arbitrary max), and count drift stays informational. Direction-aware
-	// badness is unchanged: drops, burns, and latency percentiles that grow
-	// past the threshold still regress.
+	// WallClock selects sim-vs-real conformance mode: a side was measured on
+	// a wall clock, so the default threshold widens to 0.50 and per-stage
+	// max latency and stages instrumented on one side only are
+	// informational. Drops, burns and latency percentiles still regress.
 	WallClock bool
-}
-
-func (o *Options) defaults() {
-	if o.Threshold <= 0 {
-		o.Threshold = 0.10
-		if o.WallClock {
-			o.Threshold = 0.50
-		}
-	}
 }
 
 // Finding is one compared series.
 type Finding struct {
 	File     string
 	Series   string
-	A, B     float64
+	A, B     float64 // the series in run A and run B
 	Delta    float64 // relative change (B-A)/A; ±Inf collapsed to ±1e9
 	Severity Severity
 	Note     string
@@ -104,28 +78,13 @@ type Report struct {
 }
 
 // Regression reports whether any finding regressed.
-func (r *Report) Regression() bool {
-	for _, f := range r.Findings {
-		if f.Severity == SevRegression {
-			return true
-		}
-	}
-	return false
-}
+func (r *Report) Regression() bool { return r.counts()[SevRegression] > 0 }
 
-// Counts returns totals by severity.
-func (r *Report) Counts() (info, improved, regressed int) {
+func (r *Report) counts() (n [3]int) {
 	for _, f := range r.Findings {
-		switch f.Severity {
-		case SevInfo:
-			info++
-		case SevImprovement:
-			improved++
-		case SevRegression:
-			regressed++
-		}
+		n[f.Severity]++
 	}
-	return
+	return n
 }
 
 // Table renders the human report.
@@ -159,9 +118,9 @@ func (r *Report) Table() string {
 				f.File, f.Severity, f.Series, f.A, f.B, 100*f.Delta, note)
 		}
 	}
-	info, improved, regressed := r.Counts()
+	n := r.counts()
 	fmt.Fprintf(&b, "verdict: %d regression(s), %d improvement(s), %d info\n",
-		regressed, improved, info)
+		n[SevRegression], n[SevImprovement], n[SevInfo])
 	return b.String()
 }
 
@@ -169,15 +128,15 @@ func (r *Report) Table() string {
 // fixed and output is byte-stable.
 func (r *Report) JSON() string {
 	var b strings.Builder
-	info, improved, regressed := r.Counts()
+	n := r.counts()
 	b.WriteString("{\n")
 	fmt.Fprintf(&b, "  \"dir_a\": %q,\n  \"dir_b\": %q,\n", r.DirA, r.DirB)
 	if r.Mode != "" {
 		fmt.Fprintf(&b, "  \"mode\": %q,\n", r.Mode)
 	}
-	fmt.Fprintf(&b, "  \"regression\": %v,\n", r.Regression())
+	fmt.Fprintf(&b, "  \"regression\": %v,\n", n[SevRegression] > 0)
 	fmt.Fprintf(&b, "  \"regressions\": %d,\n  \"improvements\": %d,\n  \"info\": %d,\n",
-		regressed, improved, info)
+		n[SevRegression], n[SevImprovement], n[SevInfo])
 	b.WriteString("  \"findings\": [\n")
 	for i, f := range r.Findings {
 		sep := ","
@@ -193,151 +152,99 @@ func (r *Report) JSON() string {
 
 func trimFloat(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
 
-// badness reports whether a series name measures something that should not
-// grow: drops, rejects, breaches, violations, stalls, misses, latency.
-func badness(name string) bool {
-	for _, pat := range []string{
-		"drop", "reject", "breach", "stall", "violation", "shed", "late",
-		"miss", "overwritten", "suppressed", "leak", "fail", "detected",
-		"retries", "engage",
-	} {
-		if strings.Contains(name, pat) {
-			return true
-		}
-	}
-	return false
-}
-
 // relDelta computes (b-a)/a with a==0 handled: 0→0 is 0, 0→x is ±1e9
 // (a finite stand-in for Inf that still prints).
 func relDelta(a, b float64) float64 {
-	if a == b {
+	switch {
+	case a == b:
 		return 0
-	}
-	if a == 0 {
-		if b > 0 {
-			return 1e9
-		}
-		return -1e9
+	case a == 0:
+		return math.Copysign(1e9, b)
 	}
 	return (b - a) / a
 }
 
-// classify turns a numeric change in a badness-directional series into a
-// severity under the threshold.
-func classify(a, b, threshold float64, worseWhenUp bool) (Severity, bool) {
-	d := relDelta(a, b)
-	if d == 0 {
-		return SevInfo, false
-	}
-	mag := d
-	if mag < 0 {
-		mag = -mag
-	}
-	if mag < threshold {
-		return SevInfo, false
-	}
-	up := d > 0
-	if up == worseWhenUp {
-		return SevRegression, true
-	}
-	return SevImprovement, true
-}
-
-// DiffDirs compares the known artifacts present in both directories.
-// Artifact availability differs by run kind — only simulator runs emit
-// cycles.txt (there is no cycle meter on a host CPU), only overload sweeps
-// emit ladder.txt, only fleet runs emit rollup.txt/timeline.txt — so those
-// are optional: present on one side only, they are noted and skipped
-// instead of failing the comparison. stages.txt and metrics.csv are the
-// required core every instrumented run (simulated or real) writes.
+// DiffDirs walks the reader table over two artifact directories. A file
+// absent from both is not compared; a required file present on one side
+// only is listed as missing, an optional one is noted and skipped.
 func DiffDirs(dirA, dirB string, opt Options) (*Report, error) {
-	opt.defaults()
-	r := &Report{DirA: dirA, DirB: dirB}
+	r, threshold := &Report{DirA: dirA, DirB: dirB}, 0.10
 	if opt.WallClock {
-		r.Mode = "conformance"
+		r.Mode, threshold = "conformance", 0.50
 	}
-	type handler func(a, b string, opt Options) ([]Finding, error)
-	known := []struct {
-		name     string
-		fn       handler
-		optional bool
-	}{
-		{"stages.txt", diffStages, false},
-		{"metrics.csv", diffMetrics, false},
-		{"slo.txt", diffSLO, true},
-		{"ladder.txt", diffLadder, true},
-		{"cycles.txt", diffCycles, true},
-		{"rollup.txt", diffRollup, true},
-		{"timeline.txt", diffTimeline, true},
+	if opt.Threshold <= 0 {
+		opt.Threshold = threshold
 	}
-	for _, k := range known {
-		pa, pb := filepath.Join(dirA, k.name), filepath.Join(dirB, k.name)
+	for _, art := range artifacts {
+		pa, pb := filepath.Join(dirA, art.name), filepath.Join(dirB, art.name)
 		da, errA := os.ReadFile(pa)
 		db, errB := os.ReadFile(pb)
-		switch {
-		case errA != nil && errB != nil:
-			continue // artifact absent from both runs: nothing to compare
-		case errA != nil:
-			if k.optional {
-				r.Skipped = append(r.Skipped,
-					fmt.Sprintf("%s (optional, only in %s)", k.name, dirB))
-				continue
+		if errA != nil || errB != nil {
+			only, missing := dirA, &r.MissingB
+			if errA != nil {
+				only, missing = dirB, &r.MissingA
 			}
-			r.MissingA = append(r.MissingA, k.name)
-			continue
-		case errB != nil:
-			if k.optional {
-				r.Skipped = append(r.Skipped,
-					fmt.Sprintf("%s (optional, only in %s)", k.name, dirA))
-				continue
+			switch {
+			case errA != nil && errB != nil: // absent from both runs
+			case art.optional:
+				r.Skipped = append(r.Skipped, fmt.Sprintf("%s (optional, only in %s)", art.name, only))
+			default:
+				*missing = append(*missing, art.name)
 			}
-			r.MissingB = append(r.MissingB, k.name)
 			continue
 		}
-		fs, err := k.fn(string(da), string(db), opt)
+		sa, err := art.read(string(da))
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", k.name, err)
+			return nil, fmt.Errorf("%s: %w", pa, err)
 		}
-		r.Compared = append(r.Compared, k.name)
-		r.Findings = append(r.Findings, fs...)
+		sb, err := art.read(string(db))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pb, err)
+		}
+		r.Compared = append(r.Compared, art.name)
+		r.Findings = append(r.Findings, compareMaps(art, sa, sb, opt)...)
 	}
 	if len(r.Compared) == 0 {
-		return nil, fmt.Errorf("%w: no comparable artifacts in %s and %s",
-			ErrParse, dirA, dirB)
+		return nil, fmt.Errorf("%w: no comparable artifacts in %s and %s", ErrParse, dirA, dirB)
 	}
-	sort.SliceStable(r.Findings, func(i, j int) bool {
-		if r.Findings[i].File != r.Findings[j].File {
-			return r.Findings[i].File < r.Findings[j].File
-		}
-		return r.Findings[i].Series < r.Findings[j].Series
+	slices.SortFunc(r.Findings, func(x, y Finding) int {
+		return cmp.Or(strings.Compare(x.File, y.File), strings.Compare(x.Series, y.Series))
 	})
 	return r, nil
 }
 
-// compareMaps diffs two keyed series sets with a fixed direction rule.
-func compareMaps(file string, a, b map[string]float64, opt Options,
-	worseWhenUp func(series string) bool, note func(series string) string) []Finding {
-	keys := make([]string, 0, len(a))
+// compareMaps is the comparison: every series both sides carry (every
+// series either side carries, zero-filled, for a sparse artifact) is
+// classified under its rule, and the significant changes become findings.
+func compareMaps(art artifact, a, b map[string]float64, opt Options) []Finding {
+	var keys []string
 	for k := range a {
-		if _, ok := b[k]; ok {
+		if _, ok := b[k]; ok || art.sparse {
 			keys = append(keys, k)
 		}
 	}
-	sort.Strings(keys)
+	for k := range b {
+		if _, ok := a[k]; !ok && art.sparse {
+			keys = append(keys, k)
+		}
+	}
 	var out []Finding
 	for _, k := range keys {
 		av, bv := a[k], b[k]
-		sev, significant := classify(av, bv, opt.Threshold, worseWhenUp(k))
-		if !significant && !(opt.ReportUnchanged && av != bv) {
+		d := relDelta(av, bv)
+		dir, always, note := rule(art, k, a, b, opt)
+		if d == 0 || (!always && math.Abs(d) < opt.Threshold) {
 			continue
 		}
-		f := Finding{File: file, Series: k, A: av, B: bv,
-			Delta: relDelta(av, bv), Severity: sev}
-		if note != nil {
-			f.Note = note(k)
+		sev := SevInfo
+		if dir != neutral {
+			sev = SevImprovement
+			if (d > 0) == (dir == worseUp) {
+				sev = SevRegression
+			}
 		}
-		out = append(out, f)
+		out = append(out, Finding{File: art.name, Series: k, A: av, B: bv,
+			Delta: d, Severity: sev, Note: note})
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package rundiff
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -299,7 +300,7 @@ func TestSLOParseErrors(t *testing.T) {
 		"bad burn":   "slo c: health=ok, 1 eval(s), 0 transition(s), 0 violation(s)\n0 s0 ok x 0 0.5 0\n",
 	}
 	for name, text := range cases {
-		if _, err := ParseSLO(text); !errors.Is(err, ErrParse) {
+		if _, err := readSLO(text); !errors.Is(err, ErrParse) {
 			t.Errorf("%s: err = %v, want ErrParse", name, err)
 		}
 	}
@@ -391,5 +392,134 @@ func TestWallClockConformanceMode(t *testing.T) {
 	}
 	if !r3.Regression() {
 		t.Fatalf("explicit 10%% threshold ignored in conformance mode:\n%s", r3.Table())
+	}
+}
+
+// TestReportsAreValidJSON builds the report of every fixture pair the tests
+// in this package compare, in both directions and in both modes, and holds
+// each JSON rendering to encoding/json's grammar.
+func TestReportsAreValidJSON(t *testing.T) {
+	sides := [][2]map[string]string{
+		{{"stages.txt": stagesTable(1, 1)}, {"stages.txt": stagesTable(6, 5)}},
+		{{"stages.txt": stagesTable(1, 1)}, {"stages.txt": stagesTable(2, 1)}},
+		{{"metrics.csv": metricsA}, {"metrics.csv": strings.Replace(metricsA, ",2\n", ",10\n", 1)}},
+		{{"ladder.txt": ladderA}, {"ladder.txt": strings.Replace(ladderA, "4     drop-B", "4     revoke", 1)}},
+		{{"cycles.txt": cyclesA}, {"cycles.txt": strings.Replace(cyclesA, "5000000", "7000000", 1)}},
+		{{"slo.txt": sloA}, {"slo.txt": strings.Replace(sloA, "health=ok", "health=violated", 1)}},
+		{{"rollup.txt": rollupFixture(4.0, false)}, {"rollup.txt": rollupFixture(2.0, true)}},
+		{{"timeline.txt": timelineFixture(0)}, {"timeline.txt": timelineFixture(3)}},
+		{{"stages.txt": stagesTable(1, 1), "metrics.csv": metricsA, "cycles.txt": cyclesA},
+			{"stages.txt": stagesTable(1, 1), "slo.txt": sloA}},
+	}
+	for i, s := range sides {
+		a, b := writeDir(t, s[0]), writeDir(t, s[1])
+		for _, opt := range []Options{{}, {WallClock: true}} {
+			for _, dirs := range [][2]string{{a, b}, {b, a}} {
+				r, err := DiffDirs(dirs[0], dirs[1], opt)
+				if err != nil {
+					t.Fatalf("pair %d: %v", i, err)
+				}
+				if !json.Valid([]byte(r.JSON())) {
+					t.Fatalf("pair %d, %+v: invalid JSON:\n%s", i, opt, r.JSON())
+				}
+			}
+		}
+	}
+}
+
+// TestNonFiniteNumbersRejected: NaN or ±Inf where any reader expects a
+// number is malformed, not a change in some direction.
+func TestNonFiniteNumbersRejected(t *testing.T) {
+	for name, text := range map[string]string{
+		"stages.txt":  "stage count total_ms mean_us p50_us p95_us max_us\ndisk 1 2 NaN 4 5 6\n",
+		"metrics.csv": "time_ms,component,metric,value\n1000,nic,tx_frames_total,NaN\n",
+		"slo.txt":     strings.Replace(sloA, "0.40", "+Inf", 1),
+		"ladder.txt":  strings.Replace(ladderA, "76", "Inf", 1),
+		"cycles.txt":  strings.Replace(cyclesA, "5000000", "-Inf", 1),
+		"rollup.txt":  strings.Replace(rollupFixture(4.0, false), "4.00", "NaN", 1),
+	} {
+		dir := writeDir(t, map[string]string{name: text})
+		if _, err := DiffDirs(dir, dir, Options{}); !errors.Is(err, ErrParse) {
+			t.Errorf("%s: err = %v, want ErrParse", name, err)
+		}
+	}
+	if _, err := ReadMetrics("time_ms,component,metric,value\nInf,nic,x,1\n"); !errors.Is(err, ErrParse) {
+		t.Errorf("non-finite time: err = %v, want ErrParse", err)
+	}
+}
+
+// TestDiscreteSeriesIgnoreThreshold pins the verdicts that differ from the
+// per-file comparators this rule set replaced, each where the old code broke
+// its own stated rule. Breach growth and stream-state escalation regress
+// below the threshold (the old comments said "always" and "even when the
+// relative delta is small", but the code only saw findings past the
+// threshold); their de-escalation reads as an improvement at any size, as a
+// rung's and a card's health always did.
+func TestDiscreteSeriesIgnoreThreshold(t *testing.T) {
+	find := func(r *Report, series string) *Finding {
+		for i := range r.Findings {
+			if r.Findings[i].Series == series {
+				return &r.Findings[i]
+			}
+		}
+		return nil
+	}
+	// Breaches 20 → 21 is +5%, under the 10% threshold.
+	ladder := strings.Replace(ladderA, "0         3\n", "20        3\n", 1)
+	a := writeDir(t, map[string]string{"ladder.txt": ladder})
+	b := writeDir(t, map[string]string{"ladder.txt": strings.Replace(ladder, "20        3\n", "21        3\n", 1)})
+	for _, dirs := range [][2]string{{a, b}, {b, a}} {
+		r, err := DiffDirs(dirs[0], dirs[1], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := find(r, "45% web ×8.breaches")
+		want := SevRegression
+		if dirs[0] == b {
+			want = SevImprovement
+		}
+		if f == nil || f.Severity != want {
+			t.Fatalf("breaches %s: %+v, want %v\n%s", dirs, f, want, r.Table())
+		}
+	}
+	// burning → violated is +50%, under a 0.6 threshold.
+	burning := strings.Replace(sloA, "0    s0             ok     ", "0    s0             burning", 1)
+	violated := strings.Replace(sloA, "0    s0             ok     ", "0    s0             violated", 1)
+	a = writeDir(t, map[string]string{"slo.txt": burning})
+	b = writeDir(t, map[string]string{"slo.txt": violated})
+	for _, dirs := range [][2]string{{a, b}, {b, a}} {
+		r, err := DiffDirs(dirs[0], dirs[1], Options{Threshold: 0.6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := SevRegression
+		if dirs[0] == b {
+			want = SevImprovement
+		}
+		if f := find(r, "s0.state_rank"); f == nil || f.Severity != want {
+			t.Fatalf("state_rank %s: %+v, want %v\n%s", dirs, f, want, r.Table())
+		}
+	}
+}
+
+// TestRollupScopeKeyedBySideOwnSwitch: each side's rollup series carry that
+// side's own switch domain. A card re-homed to another switch is a different
+// series on each side, not one side's value filed under the other side's
+// domain.
+func TestRollupScopeKeyedBySideOwnSwitch(t *testing.T) {
+	a := writeDir(t, map[string]string{"rollup.txt": rollupFixture(4.0, false)})
+	b := writeDir(t, map[string]string{"rollup.txt": strings.Replace(
+		rollupFixture(2.0, false), "ni04   h02   sw1", "ni04   h02   sw2", 1)})
+	r, err := DiffDirs(a, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range r.Findings {
+		if strings.HasPrefix(f.Series, "ni04") {
+			t.Fatalf("re-homed card compared across switch domains: %+v\n%s", f, r.Table())
+		}
+	}
+	if !r.Regression() { // sw1 and the fleet still lost the goodput
+		t.Fatalf("aggregate goodput drop not caught:\n%s", r.Table())
 	}
 }

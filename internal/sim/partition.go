@@ -100,9 +100,6 @@ func (t *Topology) AddPartition(name string) *Partition {
 	return p
 }
 
-// Partitions returns the partitions in ID order.
-func (t *Topology) Partitions() []*Partition { return t.parts }
-
 // Connect declares a directed channel src→dst whose messages take at least
 // lookahead to arrive. The lookahead must be strictly positive: it is the
 // conservative safe horizon, and a zero-lookahead channel would force the

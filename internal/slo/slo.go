@@ -140,7 +140,7 @@ type bucket struct {
 // stream is the monitor's per-stream ledger.
 type stream struct {
 	obj   Objective
-	stats func() (attempts, losses int64) // cumulative, monotone
+	stats func() (attempts, losses int64) // cumulative; a drop is a restart
 
 	prevAttempts int64
 	prevLosses   int64
@@ -183,10 +183,11 @@ func NewMonitor(name string, cfg Config) *Monitor {
 	return &Monitor{Name: name, Cfg: cfg, byID: make(map[int]*stream)}
 }
 
-// Track registers a stream objective with its cumulative counter source.
-// stats must be monotone: total service attempts and total losses so far
-// (dwcs.StreamStats.Attempts/Losses). Tracking order fixes table order for
-// equal IDs; streams render sorted by ID.
+// Track registers a stream objective with its cumulative counter source:
+// total service attempts and total losses so far
+// (dwcs.StreamStats.Attempts/Losses). A reading below the previous one is
+// taken as a counter restart. Tracking order fixes table order for equal
+// IDs; streams render sorted by ID.
 func (m *Monitor) Track(obj Objective, stats func() (attempts, losses int64)) {
 	n := int(m.Cfg.LongWindow / m.Cfg.EvalEvery)
 	if n < 1 {
@@ -275,6 +276,12 @@ func (m *Monitor) Eval() {
 			attempts: attempts - s.prevAttempts,
 			losses:   losses - s.prevLosses,
 			latMax:   s.latMax,
+		}
+		// A reading below the previous one is a counter restart (a stream
+		// re-added with fresh counters): everything counted since the restart
+		// is the reading itself — Prometheus's counter-reset rule.
+		if attempts < s.prevAttempts || losses < s.prevLosses {
+			b.attempts, b.losses = attempts, losses
 		}
 		s.prevAttempts, s.prevLosses = attempts, losses
 		s.latMax = 0

@@ -251,3 +251,24 @@ func TestTrackStreamFreezesOnRemovalAndIgnoresRewind(t *testing.T) {
 		t.Fatalf("attempts past the rewind = %d, want live 5", a)
 	}
 }
+
+// A Track source that rewinds (a stream revoked and reinstated with fresh
+// counters) is a counter restart: the bucket after it is the new reading,
+// and no bucket ever goes negative.
+func TestTrackRewindIsCounterRestart(t *testing.T) {
+	m := NewMonitor("ni-0", Config{})
+	c := &counters{}
+	m.Track(Objective{Stream: 1, Name: "s1", LossTarget: 0.5}, c.get)
+	s := m.byID[1]
+	for i, r := range []counters{{100, 10}, {200, 30}, {20, 5}, {20, 5}, {50, 0}, {80, 9}} {
+		*c = r
+		m.Eval()
+		b := s.buckets[(s.next-1+len(s.buckets))%len(s.buckets)]
+		if b.attempts < 0 || b.losses < 0 {
+			t.Fatalf("eval %d after reading %+v: negative bucket %+v", i, r, b)
+		}
+		if i == 2 && (b.attempts != 20 || b.losses != 5) {
+			t.Fatalf("bucket after the rewind = %+v, want the new reading (20,5)", b)
+		}
+	}
+}

@@ -235,17 +235,10 @@ func (l *SpanLog) sorted() []Segment {
 // stageAgg is the critical-path analyzer's accumulator for one stage. durs
 // is sorted ascending once aggregate returns.
 type stageAgg struct {
-	count     int64
-	total     sim.Time
-	max       sim.Time
-	durs      []sim.Time
-	histogram [len(stageBucketsUs) + 1]int64
-}
-
-// stageBucketsUs are the fixed per-stage latency histogram bounds (µs).
-var stageBucketsUs = [...]int64{
-	10, 50, 100, 500, 1000, 5000, 10_000, 50_000, 100_000, 500_000,
-	1_000_000, 5_000_000, 10_000_000,
+	count int64
+	total sim.Time
+	max   sim.Time
+	durs  []sim.Time
 }
 
 func (l *SpanLog) aggregate() [numStages]stageAgg {
@@ -262,18 +255,6 @@ func (l *SpanLog) aggregate() [numStages]stageAgg {
 			a.max = d
 		}
 		a.durs = append(a.durs, d)
-		us := int64(d / sim.Microsecond)
-		placed := false
-		for i, b := range stageBucketsUs {
-			if us <= b {
-				a.histogram[i]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			a.histogram[len(stageBucketsUs)]++
-		}
 	}
 	for i := range agg {
 		slices.Sort(agg[i].durs)
@@ -328,28 +309,6 @@ func (l *SpanLog) StageTable() string {
 		fmt.Fprintf(&b, "%-8s %9d %13.3f %11.1f %11.1f %11.1f %11.1f\n",
 			st, a.count, a.total.Milliseconds(), mean.Microseconds(),
 			p50.Microseconds(), p95.Microseconds(), a.max.Microseconds())
-	}
-	return b.String()
-}
-
-// StageHistograms renders the fixed-bucket latency distribution of each
-// non-empty stage (cumulative counts, Prometheus-style le bounds in µs).
-func (l *SpanLog) StageHistograms() string {
-	agg := l.aggregate()
-	var b strings.Builder
-	for st := Stage(0); st < numStages; st++ {
-		a := agg[st]
-		if a.count == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "stage %s latency histogram (n=%d)\n", st, a.count)
-		var cum int64
-		for i, bound := range stageBucketsUs {
-			cum += a.histogram[i]
-			fmt.Fprintf(&b, "  le %10dus %9d\n", bound, cum)
-		}
-		cum += a.histogram[len(stageBucketsUs)]
-		fmt.Fprintf(&b, "  le       +Infus %9d\n", cum)
 	}
 	return b.String()
 }
