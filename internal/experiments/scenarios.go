@@ -82,6 +82,7 @@ var Scenarios = []Scenario{
 		Name: "fleet", Cmd: "clustersim", OutFlag: "fleet-out",
 		Help:   "run the partitioned multi-card fleet on the parallel engine",
 		Pinned: cluster.FleetConfig{Cards: 64, Dur: 2 * sim.Second}, Mono: true,
+		Baseline: "FLEET_BASELINE.txt", Pins: "streams.csv",
 		Run: func(cfg cluster.FleetConfig) Output {
 			r := cluster.RunFleet(cfg)
 			return Output{
