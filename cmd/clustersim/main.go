@@ -87,8 +87,6 @@ func main() {
 	chaosSweep := flag.Bool("chaos-sweep", false, "render the severity × fleet-size recovery table (with -fleet-chaos)")
 	ctrlCrashes := flag.Int("ctrl-crashes", 0, "controller-crash faults to draw (with -ctrl-chaos); 0 = default, negative = none")
 	ctrlPartitions := flag.Int("ctrl-partitions", 0, "replica-pair partition faults to draw (with -ctrl-chaos); 0 = default, negative = none")
-	scrapeEvery := flag.Int("scrape-every", 0, "controller scrape interval in ms (with -fleet-obs); 0 = default 200")
-	topK := flag.Int("topk", 0, "top-k streams by loss-window pressure (with -fleet-obs); 0 = default 8")
 	stressPct := flag.Int("stress-pct", 0, "fill every card's budget to this %% mid-run to exercise scrape shedding (with -fleet-obs); 0 = off")
 	// The fleet scenarios are rows of the experiments table, each selected
 	// by the flag the row names.
@@ -153,7 +151,6 @@ func main() {
 			HostCrashes: *hostCrashes, NetPartitions: *netPartitions,
 			RollingDrains: *rollingDrains, FaultSeed: *faultSeed,
 			CtrlCrashes: *ctrlCrashes, CtrlPartitions: *ctrlPartitions,
-			ScrapeEvery: sim.Time(*scrapeEvery) * sim.Millisecond, TopK: *topK,
 			StressPct: *stressPct,
 		}, *fleetOut, os.Stdout, os.Stderr)
 		if err != nil {

@@ -92,13 +92,20 @@ func TestScenarioFlagPrintsRowAndWritesItsFiles(t *testing.T) {
 // scenario are usage errors — not a silent run of something else.
 func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "out")
-	for _, args := range [][]string{
-		{"-fleet-obs", "-ctrl-chaos"},
-		{"-fleet-chaos", "-chaos-sweep", "-fleet-out", dir},
-		{"-chaos-sweep"},
-		{"-fleet", "-chaos-sweep"},
-		{"-fleet-out", dir},
+	for _, c := range []struct {
+		args   []string
+		reason string
+	}{
+		{[]string{"-fleet-obs", "-ctrl-chaos"}, "clustersim: "},
+		{[]string{"-fleet-chaos", "-chaos-sweep", "-fleet-out", dir}, "clustersim: "},
+		{[]string{"-chaos-sweep"}, "clustersim: "},
+		{[]string{"-fleet", "-chaos-sweep"}, "clustersim: "},
+		{[]string{"-fleet-out", dir}, "clustersim: "},
+		// The scrape period and the top-k bound are constants of the fleet.
+		{[]string{"-fleet-obs", "-scrape-every", "100"}, "flag provided but not defined: -scrape-every"},
+		{[]string{"-fleet-obs", "-topk", "3"}, "flag provided but not defined: -topk"},
 	} {
+		args := c.args
 		stdout, stderr, code := clustersim(t, args...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
@@ -106,7 +113,7 @@ func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 		if stdout != "" {
 			t.Errorf("%v: printed %q on stdout", args, stdout)
 		}
-		if !strings.Contains(stderr, "clustersim: ") || !strings.Contains(stderr, "-fleet-streams") {
+		if !strings.Contains(stderr, c.reason) || !strings.Contains(stderr, "-fleet-streams") {
 			t.Errorf("%v: stderr lacks the reason or the usage block:\n%s", args, stderr)
 		}
 	}

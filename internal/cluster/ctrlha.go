@@ -53,17 +53,6 @@ type logRow struct {
 	text string
 }
 
-// haEvent is one incident-timeline row from a replica or a card.
-type haEvent struct {
-	at     sim.Time
-	src    int // fleetobs.SrcControllerB, fleetobs.SrcController, or card index
-	name   string
-	kind   string
-	stream int
-	seq    int64
-	note   string
-}
-
 // Journal record opcodes. Intent is write-ahead: it ships before the detach
 // hop leaves the leader, so a crash mid-protocol always leaves the standby
 // knowing which stream was in flight.
@@ -127,8 +116,8 @@ type cardView struct {
 // the newest claim, not to the replica that sent it. A newer stamp raises the fence as a side
 // effect, so a takeover's first command (or its explicit fence broadcast)
 // locks every reachable card against the deposed leader; there is no way to
-// lower a fence. Card-partition-local state (one per card when the control
-// plane is replicated).
+// lower a fence. Card-partition-local state; with an unreplicated control
+// plane there is one epoch and the fence admits every command.
 type epochFence struct {
 	epoch  int
 	leader int
@@ -151,7 +140,7 @@ func (f *epochFence) admit(epoch, replica int) bool {
 // the hop helpers is touched only in this replica's partition (or after the
 // run has fully settled).
 type ctrlRep struct {
-	f    *fleetChaos
+	f    *fleet
 	id   int
 	name string
 	part *sim.Partition // nil in monolithic mode
@@ -179,7 +168,7 @@ type ctrlRep struct {
 	// Artifact fragments, merged at collect time.
 	migLog []logRow
 	pulses []logRow
-	haEv   []haEvent
+	haEv   []fleetobs.TimelineEvent
 
 	// Violation ledger (continued across failover via checkpoints).
 	violByGid   map[int]*[2]int64
@@ -200,7 +189,7 @@ type ctrlRep struct {
 	view map[int]*cardView
 }
 
-func newCtrlRep(f *fleetChaos, id int, part *sim.Partition) *ctrlRep {
+func newCtrlRep(f *fleet, id int, part *sim.Partition) *ctrlRep {
 	return &ctrlRep{
 		f: f, id: id, name: ctrlReplicaName(id), part: part,
 		leader: id == 0, epoch: 1, synced: true,
@@ -236,12 +225,10 @@ func (r *ctrlRep) timelineSrc() int {
 
 // --- plan-derived replica liveness -------------------------------------------
 
-func (f *fleetChaos) ha() bool { return len(f.reps) > 1 }
-
 // ctrlFaultAt reports whether a controller fault of the given kind covers
 // replica k at t. A pure function of the static plan, so every partition
 // evaluates the identical answer.
-func (f *fleetChaos) ctrlFaultAt(kind faults.Kind, k int, t sim.Time) bool {
+func (f *fleet) ctrlFaultAt(kind faults.Kind, k int, t sim.Time) bool {
 	for _, e := range f.plan.Events {
 		if e.Kind == kind && eventActive(e, t) && e.Target == ctrlReplicaName(k) {
 			return true
@@ -250,20 +237,20 @@ func (f *fleetChaos) ctrlFaultAt(kind faults.Kind, k int, t sim.Time) bool {
 	return false
 }
 
-func (f *fleetChaos) ctrlDeadAt(k int, t sim.Time) bool {
+func (f *fleet) ctrlDeadAt(k int, t sim.Time) bool {
 	return f.ctrlFaultAt(faults.ControllerCrash, k, t)
 }
 
 // ctrlSeveredAt reports whether the replica pair link is cut at t: with two
 // replicas, isolating either one severs the pair.
-func (f *fleetChaos) ctrlSeveredAt(t sim.Time) bool {
+func (f *fleet) ctrlSeveredAt(t sim.Time) bool {
 	return f.ctrlFaultAt(faults.ControllerPartition, 0, t) ||
 		f.ctrlFaultAt(faults.ControllerPartition, 1, t)
 }
 
 // lead returns the replica whose books render the run's placement and
 // violation artifacts: the surviving leader, by highest epoch.
-func (f *fleetChaos) lead() *ctrlRep {
+func (f *fleet) lead() *ctrlRep {
 	best := f.reps[0]
 	for _, r := range f.reps[1:] {
 		if r.leader && (!best.leader || r.epoch > best.epoch) {
@@ -272,10 +259,6 @@ func (f *fleetChaos) lead() *ctrlRep {
 	}
 	return best
 }
-
-// streamBy resolves a gid to its stream record (gids are 1-based and dense
-// in cstream order — see the stream build loop in buildFleetChaos).
-func (f *fleetChaos) streamBy(gid int) *chaosStream { return f.cstream[gid-1] }
 
 // --- hops ---------------------------------------------------------------------
 
@@ -338,28 +321,19 @@ func (r *ctrlRep) toPeer(bytes int64, fn func()) {
 // a newer stamp and rejecting (with a reply that demotes the sender) on a
 // stale one. fenced, when non-nil, runs on the sender after a rejection so
 // multi-step protocols (the migration queue's done callbacks) still settle.
-// With an unreplicated control plane this is a plain single-hop send.
 func (r *ctrlRep) cmd(i int, what string, gid int, fn func(), fenced func()) {
-	if !r.f.ha() {
-		r.toCard(i, fn)
-		return
-	}
 	ep, rep := r.epoch, r.id
 	r.toCard(i, func() {
-		f := r.f
-		if !f.fence[i].admit(ep, rep) {
-			cur := f.fence[i].epoch
-			fc := f.cards[i]
-			f.cardHA[i] = append(f.cardHA[i], haEvent{
-				at: fc.eng.Now(), src: i, name: niName(i), kind: "fenced",
-				stream: gid,
-				note: fmt.Sprintf("%s from %s stamped epoch %d < fence %d; rejected",
-					what, ctrlReplicaName(rep), ep, cur),
-			})
+		fc := r.f.cards[i]
+		if !fc.fence.admit(ep, rep) {
+			cur := fc.fence.epoch
+			r.f.cardEvent(i, "fenced", gid, fmt.Sprintf(
+				"%s from %s stamped epoch %d < fence %d; rejected",
+				what, ctrlReplicaName(rep), ep, cur))
 			fc.rec.Record(blackbox.Event{At: fc.eng.Now(), Kind: blackbox.KindRefusal,
 				Stream: gid, A: int64(ep), B: int64(cur),
 				Note: "fenced: stale leader epoch (" + what + ")"})
-			f.fencedByCard[i]++
+			fc.fenced++
 			r.fromCard(i, func() {
 				r.onFenced(what, cur)
 				if fenced != nil {
@@ -407,9 +381,20 @@ func (r *ctrlRep) pulse(at sim.Time, card int, format string, args ...any) {
 
 // halog drops one row on this replica's incident-timeline fragment.
 func (r *ctrlRep) halog(kind string, stream int, format string, args ...any) {
-	r.haEv = append(r.haEv, haEvent{
-		at: r.eng().Now(), src: r.timelineSrc(), name: r.name,
-		kind: kind, stream: stream, note: fmt.Sprintf(format, args...),
+	r.haEv = append(r.haEv, fleetobs.TimelineEvent{
+		At: r.eng().Now(), Src: r.timelineSrc(), SrcName: r.name,
+		Kind: kind, Stream: stream, Note: fmt.Sprintf(format, args...),
+	})
+}
+
+// cardEvent drops one row on card i's incident-timeline fragment; it runs
+// in the card's partition.
+func (f *fleet) cardEvent(i int, kind string, stream int, note string) {
+	fc := f.cards[i]
+	host, sw := f.domain(i)
+	fc.fenceEv = append(fc.fenceEv, fleetobs.TimelineEvent{
+		At: fc.eng.Now(), Src: i, SrcName: niName(i), Host: host, Switch: sw,
+		Kind: kind, Stream: stream, Note: note,
 	})
 }
 
@@ -629,23 +614,19 @@ func (r *ctrlRep) fenceAndReconcile(why string) {
 	for i := range r.f.cards {
 		i := i
 		r.toCard(i, func() {
-			f := r.f
-			fc := f.cards[i]
-			if f.fence[i].epoch < ep {
-				f.cardHA[i] = append(f.cardHA[i], haEvent{
-					at: fc.eng.Now(), src: i, name: niName(i), kind: "fence",
-					note: fmt.Sprintf("fence raised to epoch %d by %s (%s)",
-						ep, ctrlReplicaName(rep), why),
-				})
+			fc := r.f.cards[i]
+			if fc.fence.epoch < ep {
+				r.f.cardEvent(i, "fence", 0, fmt.Sprintf(
+					"fence raised to epoch %d by %s (%s)", ep, ctrlReplicaName(rep), why))
 			}
-			f.fence[i].admit(ep, rep)
+			fc.fence.admit(ep, rep)
 			if fc.sched.Crashed() {
 				return // a dead card answers nothing; the plan predicates cover it
 			}
 			v := &cardView{sepoch: map[int]int{}}
 			v.snaps = fc.ext.Sched.Snapshot()
 			for _, sn := range v.snaps {
-				v.sepoch[sn.Spec.ID] = f.cardSE[i][sn.Spec.ID]
+				v.sepoch[sn.Spec.ID] = fc.epoch[sn.Spec.ID]
 			}
 			r.fromCard(i, func() { r.view[i] = v })
 		})
@@ -675,7 +656,7 @@ func (r *ctrlRep) fenceAndReconcile(why string) {
 // the detection gap are also caught.
 func (r *ctrlRep) reconcileJournal(why string) {
 	t := r.eng().Now()
-	for _, st := range r.f.cstream {
+	for _, st := range r.f.streams {
 		gid := st.gid
 		if p, ok := r.pend[gid]; ok {
 			if card, se, found := r.findInView(gid); found {
@@ -831,7 +812,7 @@ func RunCtrlChaos(cfg FleetConfig) *CtrlChaosResult {
 }
 
 // collectHA renders the control-plane artifacts from the settled fleet.
-func (f *fleetChaos) collectHA() *CtrlChaosResult {
+func (f *fleet) collectHA() *CtrlChaosResult {
 	res := &CtrlChaosResult{Chaos: f.res}
 	lead := f.lead()
 	res.LeaderName, res.LeaderEpoch = lead.name, lead.epoch
@@ -851,42 +832,20 @@ func (f *fleetChaos) collectHA() *CtrlChaosResult {
 	}
 	res.CtrlPlane = fleetobs.RenderCtrlPlane(stats)
 
-	// The incident timeline: replica fragments plus card-side fence
-	// rejections, merged by (time, source, per-source arrival) and rendered
-	// through the standard timeline artifact (tracetool -timeline parses it).
-	var evs []haEvent
-	for _, r := range f.reps {
-		evs = append(evs, r.haEv...)
-	}
-	for i := range f.cards {
-		evs = append(evs, f.cardHA[i]...)
-		res.FencedRejects += f.fencedByCard[i]
-	}
-	ords := map[int]int{}
-	for i := range evs {
-		ords[evs[i].src]++
-		evs[i].seq = int64(ords[evs[i].src])
-	}
-	sort.SliceStable(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	// The incident timeline: replica fragments plus card-side fence rows,
+	// merged by the standard timeline artifact (tracetool -timeline parses
+	// it) in (time, source, per-source arrival) order.
 	tl := fleetobs.NewTimeline()
-	for _, e := range evs {
-		host, sw := "", ""
-		if e.src >= 0 {
-			host, sw = f.hostName(f.hostOf(e.src)), f.switchName(f.switchOf(e.src))
+	for _, r := range f.reps {
+		for _, e := range r.haEv {
+			tl.Add(e)
 		}
-		tl.Add(fleetobs.TimelineEvent{
-			At: e.at, Src: e.src, SrcName: e.name, Host: host, Switch: sw,
-			Kind: e.kind, Stream: e.stream, Note: e.note,
-		})
+	}
+	for _, fc := range f.cards {
+		for _, e := range fc.fenceEv {
+			tl.Add(e)
+		}
+		res.FencedRejects += fc.fenced
 	}
 	res.HATimeline = tl.Render()
 
@@ -911,7 +870,7 @@ func (f *fleetChaos) collectHA() *CtrlChaosResult {
 	sort.Ints(gids)
 	res.DoublePlaced = len(gids)
 
-	for _, st := range f.cstream {
+	for _, st := range f.streams {
 		res.MediaBytes += st.cl.RecvBytes
 	}
 	overhead := 0.0

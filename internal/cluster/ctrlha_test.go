@@ -51,9 +51,9 @@ func TestStaleEpochMigrationFenced(t *testing.T) {
 		CtrlCrashes: -1, CtrlPartitions: -1,
 	}
 	cfg.setDefaults()
-	f := buildFleetChaos(cfg, nil)
+	f := buildFleetChaos(cfg, false)
 	ra, rb := f.reps[0], f.reps[1]
-	st := f.cstream[0] // gid 1, sourced on card 0
+	st := f.streams[0] // gid 1, sourced on card 0
 
 	// t=1.093s: the primary decides to move gid 1 from card 0 to card 1.
 	// The detach lands before the standby's fence broadcast; the import
@@ -82,8 +82,8 @@ func TestStaleEpochMigrationFenced(t *testing.T) {
 			res.LeaderName, res.LeaderEpoch, res.CtrlPlane)
 	}
 	fenced := 0
-	for _, n := range f.fencedByCard {
-		fenced += n
+	for _, fc := range f.cards {
+		fenced += fc.fenced
 	}
 	if fenced < 1 {
 		t.Fatalf("the stale import was not fenced\n%s", res.HATimeline)

@@ -25,9 +25,6 @@ import (
 	"repro/internal/blackbox"
 	"repro/internal/dwcs"
 	"repro/internal/faults"
-	"repro/internal/fixed"
-	"repro/internal/mpeg"
-	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/sim"
 )
@@ -70,69 +67,26 @@ type FleetChaosResult struct {
 	Rounds     int64
 }
 
-// chaosStream is one media stream plus its chaos bookkeeping.
-type chaosStream struct {
-	gid   int // globally unique stream ID
-	orig  int // card the stream is sourced on at t=0
-	home  int // card index the client is homed with
-	addr  string
-	spec  dwcs.StreamSpec
-	cl    *netsim.Client
-	prods []*nic.Producer // initial producer plus one per migration respawn
-
-	// watchAt[k] is plan event k's strike time; watchGot[k] is the first
-	// client arrival at or after it (0 = none before the run ended).
-	// Written only in the home card's partition, read after the run.
-	watchAt  []sim.Time
-	watchGot []sim.Time
-}
-
-// fleetChaos layers failure domains and the migration control plane on the
-// baseline fleet wiring. All controller-side placement state lives on the
-// replicas (ctrlha.go); an unreplicated run has exactly one.
-type fleetChaos struct {
-	*fleet
-	plan    *faults.Plan
-	clip    *mpeg.Clip
-	cstream []*chaosStream
-	severed []int64 // per-source-card severed-hop drops (partition-local)
-
-	// reps are the controller replicas: reps[0] ("ctl-a") boots as leader;
-	// reps[1] ("ctl-b"), present only with CtrlHA, is the journaled standby.
-	reps []*ctrlRep
-
-	// Card-side fence state, allocated only with CtrlHA and touched only in
-	// each card's own partition: the highest leader epoch the card has
-	// witnessed, its per-stream epoch stamps (set at import time), its
-	// fence-rejection timeline fragment, and a rejection counter.
-	fence        []epochFence
-	cardSE       []map[int]int
-	cardHA       [][]haEvent
-	fencedByCard []int
-
-	res *FleetChaosResult
-
-	// obs, when set, is the in-band observability plane (fleetobs.go). Every
-	// hook below is nil-guarded, so a plain chaos run is byte-identical with
-	// or without the scrape plane compiled in.
-	obs *fleetObs
-}
-
 // --- failure-domain geometry ------------------------------------------------
 
-func (f *fleetChaos) hostOf(card int) int   { return card / f.cfg.CardsPerHost }
-func (f *fleetChaos) switchOf(card int) int { return f.hostOf(card) / f.cfg.HostsPerSwitch }
+func (f *fleet) hostOf(card int) int   { return card / f.cfg.CardsPerHost }
+func (f *fleet) switchOf(card int) int { return f.hostOf(card) / f.cfg.HostsPerSwitch }
 
-func (f *fleetChaos) hostName(h int) string   { return fmt.Sprintf("h%02d", h) }
-func (f *fleetChaos) switchName(s int) string { return fmt.Sprintf("sw%d", s) }
+func hostName(h int) string   { return fmt.Sprintf("h%02d", h) }
+func switchName(s int) string { return fmt.Sprintf("sw%d", s) }
 
-func (f *fleetChaos) hostIndex(target string) int {
+// domain names card's host and switch domain.
+func (f *fleet) domain(card int) (host, sw string) {
+	return hostName(f.hostOf(card)), switchName(f.switchOf(card))
+}
+
+func hostIndex(target string) int {
 	var h int
 	fmt.Sscanf(target, "h%d", &h)
 	return h
 }
 
-func (f *fleetChaos) switchIndex(target string) int {
+func switchIndex(target string) int {
 	var s int
 	fmt.Sscanf(target, "sw%d", &s)
 	return s
@@ -143,38 +97,30 @@ func eventActive(e faults.Event, t sim.Time) bool {
 	return e.At <= t && t < e.At+e.Duration
 }
 
-// deadAt reports whether card i is inside a HostCrash window at t.
-func (f *fleetChaos) deadAt(card int, t sim.Time) bool {
+// hostFaultAt reports whether card's host is inside a fault window of the
+// given kind at t.
+func (f *fleet) hostFaultAt(kind faults.Kind, card int, t sim.Time) bool {
 	for _, e := range f.plan.Events {
-		if e.Kind == faults.HostCrash && eventActive(e, t) &&
-			f.hostOf(card) == f.hostIndex(e.Target) {
+		if e.Kind == kind && eventActive(e, t) && f.hostOf(card) == hostIndex(e.Target) {
 			return true
 		}
 	}
 	return false
 }
 
-// drainingAt reports whether card i is inside a RollingDrain window at t.
-func (f *fleetChaos) drainingAt(card int, t sim.Time) bool {
-	for _, e := range f.plan.Events {
-		if e.Kind == faults.RollingDrain && eventActive(e, t) &&
-			f.hostOf(card) == f.hostIndex(e.Target) {
-			return true
-		}
-	}
-	return false
-}
+// deadAt reports whether card i is inside a HostCrash window at t.
+func (f *fleet) deadAt(card int, t sim.Time) bool { return f.hostFaultAt(faults.HostCrash, card, t) }
 
 // severedAt reports whether the fleet-network path between cards a and b is
 // cut by an active NetPartition at t: a switch failure isolates its card
 // group, so the hop dies exactly when one endpoint is inside the failed
 // domain and the other is not.
-func (f *fleetChaos) severedAt(a, b int, t sim.Time) bool {
+func (f *fleet) severedAt(a, b int, t sim.Time) bool {
 	for _, e := range f.plan.Events {
 		if e.Kind != faults.NetPartition || !eventActive(e, t) {
 			continue
 		}
-		s := f.switchIndex(e.Target)
+		s := switchIndex(e.Target)
 		if (f.switchOf(a) == s) != (f.switchOf(b) == s) {
 			return true
 		}
@@ -184,8 +130,8 @@ func (f *fleetChaos) severedAt(a, b int, t sim.Time) bool {
 
 // usable reports whether card i can serve streams at t (alive, not in
 // maintenance).
-func (f *fleetChaos) usable(card int, t sim.Time) bool {
-	return !f.deadAt(card, t) && !f.drainingAt(card, t)
+func (f *fleet) usable(card int, t sim.Time) bool {
+	return !f.deadAt(card, t) && !f.hostFaultAt(faults.RollingDrain, card, t)
 }
 
 // desired returns where stream st should live at time t: its original card
@@ -194,7 +140,7 @@ func (f *fleetChaos) usable(card int, t sim.Time) bool {
 // when no card currently qualifies — the caller decides whether staying put
 // or a degraded placement beats not moving. Deterministic and a pure
 // function of the static plan.
-func (f *fleetChaos) desired(st *chaosStream, t sim.Time) int {
+func (f *fleet) desired(st *stream, t sim.Time) int {
 	ok := func(i int) bool {
 		return f.usable(i, t) && !f.severedAt(i, st.home, t)
 	}
@@ -216,7 +162,7 @@ func (f *fleetChaos) desired(st *chaosStream, t sim.Time) int {
 // open up in turn: draining-but-reachable cards (maintenance hosts still
 // serve), then alive-but-severed cards (the window state survives; frames
 // drop until the partition heals).
-func (f *fleetChaos) candidates(st *chaosStream, t sim.Time, want int, relax bool) []int {
+func (f *fleet) candidates(st *stream, t sim.Time, want int, relax bool) []int {
 	tier := func(ok func(i int) bool) []int {
 		var out []int
 		add := func(i int) {
@@ -257,9 +203,9 @@ func (f *fleetChaos) candidates(st *chaosStream, t sim.Time, want int, relax boo
 // crash recovery wipe) after the stream was last placed on it — the
 // controller's view of that placement is stale and the stream needs a
 // teardown restart.
-func (f *fleetChaos) wipedSince(card int, placedAt, t sim.Time) bool {
+func (f *fleet) wipedSince(card int, placedAt, t sim.Time) bool {
 	for _, e := range f.plan.Events {
-		if e.Kind != faults.HostCrash || f.hostOf(card) != f.hostIndex(e.Target) {
+		if e.Kind != faults.HostCrash || f.hostOf(card) != hostIndex(e.Target) {
 			continue
 		}
 		if w := e.At + e.Duration; w <= t && w > placedAt {
@@ -275,7 +221,7 @@ func (f *fleetChaos) wipedSince(card int, placedAt, t sim.Time) bool {
 // (+detectDelay): every stream whose current placement no longer matches its
 // desired one is queued for migration, in gid order.
 func (r *ctrlRep) reconcile() {
-	for _, st := range r.f.cstream {
+	for _, st := range r.f.streams {
 		st := st
 		r.enqueueJob(func(done func()) { r.step(st, done) })
 	}
@@ -289,7 +235,7 @@ func (r *ctrlRep) markLost(gid int) {
 }
 
 // step decides and executes one stream's move, if any.
-func (r *ctrlRep) step(st *chaosStream, done func()) {
+func (r *ctrlRep) step(st *stream, done func()) {
 	f := r.f
 	t := r.eng().Now()
 	gid := st.gid
@@ -315,10 +261,8 @@ func (r *ctrlRep) step(st *chaosStream, done func()) {
 		if !ok {
 			r.markLost(gid)
 			r.logf(t, "t=%-12v cold gid=%02d ni%02d→?     no checkpoint; stream lost until readd", t, gid, cur)
-			if f.obs != nil {
-				f.obs.ctrlEvent("stream-lost", gid, 0,
-					fmt.Sprintf("ni%02d dark and no checkpoint; awaiting readd", cur))
-			}
+			f.obs.ctrlEvent("stream-lost", gid, 0,
+				fmt.Sprintf("ni%02d dark and no checkpoint; awaiting readd", cur))
 			done()
 			return
 		}
@@ -333,10 +277,8 @@ func (r *ctrlRep) step(st *chaosStream, done func()) {
 		// placement record is a ghost. Teardown restart.
 		r.markLost(gid)
 		r.logf(t, "t=%-12v wipe gid=%02d ni%02d state erased by crash recovery; readd pending", t, gid, cur)
-		if f.obs != nil {
-			f.obs.ctrlEvent("state-wiped", gid, 0,
-				fmt.Sprintf("ni%02d crash recovery erased placement; readd pending", cur))
-		}
+		f.obs.ctrlEvent("state-wiped", gid, 0,
+			fmt.Sprintf("ni%02d crash recovery erased placement; readd pending", cur))
 		r.step(st, done)
 		return
 	}
@@ -355,7 +297,7 @@ func (r *ctrlRep) step(st *chaosStream, done func()) {
 // target with frame replay and a producer respawned at the stream's cursor.
 // The intent is journaled before the detach leaves — if this replica dies
 // mid-protocol, its successor knows exactly which stream is homeless.
-func (r *ctrlRep) migrateLive(st *chaosStream, from, want int, done func()) {
+func (r *ctrlRep) migrateLive(st *stream, from, want int, done func()) {
 	f := r.f
 	gid := st.gid
 	r.journal(jrec{op: jIntent, gid: gid, from: from, to: want})
@@ -370,9 +312,7 @@ func (r *ctrlRep) migrateLive(st *chaosStream, from, want int, done func()) {
 				r.markLost(gid)
 				r.logf(r.eng().Now(), "t=%-12v live gid=%02d ni%02d→ni%02d detach failed: %v",
 					r.eng().Now(), gid, from, want, err)
-				if f.obs != nil {
-					f.obs.abortMove(st, from, want, 0, "detach failed")
-				}
+				f.obs.abortMove(st, from, want, r.sepoch[gid], 0, "detach failed")
 				done()
 				return
 			}
@@ -390,7 +330,7 @@ func (r *ctrlRep) migrateLive(st *chaosStream, from, want int, done func()) {
 // respawn the producer at the stream's frame cursor. A refusal (budget past
 // high water, card crashed in flight) falls through to the next candidate;
 // exhausting the list parks the stream for a later readd.
-func (r *ctrlRep) placeImage(st *chaosStream, from int, img dwcs.StreamSnapshot,
+func (r *ctrlRep) placeImage(st *stream, from int, img dwcs.StreamSnapshot,
 	queued []dwcs.Packet, cold bool, cands []int, done func()) {
 	f := r.f
 	gid := st.gid
@@ -406,9 +346,7 @@ func (r *ctrlRep) placeImage(st *chaosStream, from int, img dwcs.StreamSnapshot,
 		r.parked++
 		r.logf(r.eng().Now(), "t=%-12v %s gid=%02d ni%02d→?     no live candidate; stream parked",
 			r.eng().Now(), kind, gid, from)
-		if f.obs != nil {
-			f.obs.abortMove(st, from, -1, img.Seq, "no candidate; parked")
-		}
+		f.obs.abortMove(st, from, -1, r.sepoch[gid], img.Seq, "no candidate; parked")
 		done()
 		return
 	}
@@ -433,12 +371,7 @@ func (r *ctrlRep) placeImage(st *chaosStream, from int, img dwcs.StreamSnapshot,
 				p := dst.ext.SpawnPeerProducerFrom(dst.disk, f.clip, gid, st.addr,
 					fleetStreamPeriod, 1<<30, start)
 				st.prods = append(st.prods, p)
-				if f.ha() {
-					f.cardSE[to][gid] = nextEpoch
-				}
-				if f.obs != nil {
-					importAt = f.obs.cardImport(to, st, nextEpoch)
-				}
+				importAt = f.cardImport(to, st, nextEpoch)
 			}
 			r.fromCard(to, func() {
 				if err == nil {
@@ -457,9 +390,7 @@ func (r *ctrlRep) placeImage(st *chaosStream, from int, img dwcs.StreamSnapshot,
 						img.Seq, img.WindowX, img.WindowY, replayed)
 					r.journal(jrec{op: jCommit, gid: gid, from: from, to: to,
 						img: img, hasImg: true, sepoch: nextEpoch})
-					if f.obs != nil {
-						f.obs.commitMove(st, from, to, nextEpoch, img.Seq, importAt, kind)
-					}
+					f.obs.commitMove(st, from, to, nextEpoch, img.Seq, importAt, kind)
 					done()
 					return
 				}
@@ -473,9 +404,7 @@ func (r *ctrlRep) placeImage(st *chaosStream, from int, img dwcs.StreamSnapshot,
 				r.parked++
 				r.logf(r.eng().Now(), "t=%-12v %s gid=%02d ni%02d→?     every candidate refused; stream parked",
 					r.eng().Now(), kind, gid, from)
-				if f.obs != nil {
-					f.obs.abortMove(st, from, to, img.Seq, "every candidate refused; parked")
-				}
+				f.obs.abortMove(st, from, to, r.sepoch[gid], img.Seq, "every candidate refused; parked")
 				done()
 			})
 		}, done)
@@ -483,12 +412,24 @@ func (r *ctrlRep) placeImage(st *chaosStream, from int, img dwcs.StreamSnapshot,
 	try(0)
 }
 
+// cardImport runs in card to's partition when a migration (or readd) lands:
+// the card stamps the stream's new epoch before any frame dispatches, and
+// the scrape plane tracks its SLO there. Returns the card's import time — the
+// instant the controller stamps on the span link, because replayed frames
+// dispatch before the commit hop reaches the controller.
+func (f *fleet) cardImport(to int, st *stream, epoch int) sim.Time {
+	dst := f.cards[to]
+	dst.epoch[st.gid] = epoch
+	f.obs.trackOn(to, st, dst.ext.Sched)
+	return dst.eng.Now()
+}
+
 // readd is the teardown path: the stream's state is gone (no checkpoint, or
 // nowhere to place it while its domain was down), so it restarts with a
 // fresh window on card `to`. The ID is preserved but the window history is
 // not — this is exactly what migration exists to avoid, so it is counted
 // separately and weighed against the resume rate.
-func (r *ctrlRep) readd(st *chaosStream, to int, done func()) {
+func (r *ctrlRep) readd(st *stream, to int, done func()) {
 	f := r.f
 	gid := st.gid
 	nextEpoch := r.sepoch[gid] + 1
@@ -508,12 +449,7 @@ func (r *ctrlRep) readd(st *chaosStream, to int, done func()) {
 				fleetStreamPeriod, 1<<30, start)
 			st.prods = append(st.prods, p)
 			startSeq = int64(start)
-			if f.ha() {
-				f.cardSE[to][gid] = nextEpoch
-			}
-			if f.obs != nil {
-				importAt = f.obs.cardImport(to, st, nextEpoch)
-			}
+			importAt = f.cardImport(to, st, nextEpoch)
 		}
 		r.fromCard(to, func() {
 			if err == nil {
@@ -525,16 +461,11 @@ func (r *ctrlRep) readd(st *chaosStream, to int, done func()) {
 				r.logf(r.eng().Now(), "t=%-12v readd gid=%02d →ni%02d fresh window (teardown restart)",
 					r.eng().Now(), gid, to)
 				r.journal(jrec{op: jCommit, gid: gid, to: to, sepoch: nextEpoch})
-				if f.obs != nil {
-					f.obs.commitReadd(st, to, nextEpoch, startSeq, importAt)
-				}
+				f.obs.commitReadd(st, to, nextEpoch, startSeq, importAt)
 			} else {
 				r.logf(r.eng().Now(), "t=%-12v readd gid=%02d →ni%02d refused: %v",
 					r.eng().Now(), gid, to, err)
-				if f.obs != nil {
-					f.obs.ctrlEvent("readd-refused", gid, 0,
-						fmt.Sprintf("→ni%02d: %v", to, err))
-				}
+				f.obs.ctrlEvent("readd-refused", gid, 0, fmt.Sprintf("→ni%02d: %v", to, err))
 			}
 			done()
 		})
@@ -546,7 +477,7 @@ func (r *ctrlRep) readd(st *chaosStream, to int, done func()) {
 // inOutage reports whether the card-side interval (a, b] overlaps any padded
 // outage window [At, At+Duration+detectDelay+fleetSettleMargin] — violations in
 // such an interval are attributed to the injected fault.
-func (f *fleetChaos) inOutage(a, b sim.Time) bool {
+func (f *fleet) inOutage(a, b sim.Time) bool {
 	for _, e := range f.plan.Events {
 		end := e.At + e.Duration + f.cfg.detectDelay() + fleetSettleMargin
 		if b >= e.At && a < end {
@@ -631,8 +562,8 @@ func (r *ctrlRep) poll() {
 // here is stale) or unrecoverable (its frames died with the card) — either
 // way the controller owns re-placement, and the wipe guarantees a resumed
 // producer cannot double-feed a migrated stream.
-func (f *fleetChaos) armHostCrash(e faults.Event) {
-	h := f.hostIndex(e.Target)
+func (f *fleet) armHostCrash(e faults.Event) {
+	h := hostIndex(e.Target)
 	for i := 0; i < f.cfg.Cards; i++ {
 		if f.hostOf(i) != h {
 			continue
@@ -659,7 +590,7 @@ func (f *fleetChaos) armHostCrash(e faults.Event) {
 // armDomainMark drops a domain-fault marker in each member card's flight
 // recorder at strike and clear time (NetPartition and RollingDrain leave the
 // card itself running, so this is the only card-side trace).
-func (f *fleetChaos) armDomainMark(e faults.Event, member func(card int) bool) {
+func (f *fleet) armDomainMark(e faults.Event, member func(card int) bool) {
 	for i := 0; i < f.cfg.Cards; i++ {
 		if !member(i) {
 			continue
@@ -679,12 +610,12 @@ func (f *fleetChaos) armDomainMark(e faults.Event, member func(card int) bool) {
 // affects reports whether plan event e bears on stream st, attributed by the
 // stream's original placement (crash/drain: sourced on the failed host;
 // partition: its source→client path straddles the failed switch domain).
-func (f *fleetChaos) affects(e faults.Event, st *chaosStream) bool {
+func (f *fleet) affects(e faults.Event, st *stream) bool {
 	switch e.Kind {
 	case faults.HostCrash, faults.RollingDrain:
-		return f.hostOf(st.orig) == f.hostIndex(e.Target)
+		return f.hostOf(st.orig) == hostIndex(e.Target)
 	case faults.NetPartition:
-		s := f.switchIndex(e.Target)
+		s := switchIndex(e.Target)
 		return (f.switchOf(st.orig) == s) != (f.switchOf(st.home) == s)
 	}
 	return false
@@ -703,36 +634,25 @@ func RunFleetChaos(cfg FleetConfig) *FleetChaosResult {
 // runFleetChaos is the one build-run-collect path of every chaos-fleet
 // scenario: the fleet as cfg shapes it — replicated controller with CtrlHA,
 // scrape plane with observe — run to Dur and settled, its chaos artifacts
-// rendered. The caller renders what its layer adds and closes the fleet.
-func runFleetChaos(cfg FleetConfig, observe bool) *fleetChaos {
+// rendered. The caller renders what its part adds and closes the fleet.
+func runFleetChaos(cfg FleetConfig, observe bool) *fleet {
 	cfg.setDefaults()
-	var obs *fleetObs
-	if observe {
-		obs = newFleetObs(cfg.Cards)
-	}
-	f := buildFleetChaos(cfg, obs)
+	f := buildFleetChaos(cfg, observe)
 	f.res.Rounds = f.run()
 	f.collectChaos()
 	return f
 }
 
 // buildFleetChaos assembles the chaos fleet ready to run: topology, cards,
-// streams, armed chaos plan, and the controller's poll (and, with obs, scrape)
-// loop. obs, when non-nil, is wired in during the build so its card-side
-// instrumentation exists before the first event fires. cfg must have its
-// defaults set.
-func buildFleetChaos(cfg FleetConfig, obs *fleetObs) *fleetChaos {
-	f := &fleetChaos{
-		fleet:   newFleet(cfg, true),
-		severed: make([]int64, cfg.Cards),
-		res: &FleetChaosResult{
-			Cards: cfg.Cards, Hosts: cfg.hosts(), Switches: cfg.switches(),
-			Streams: cfg.Cards * cfg.StreamsPerCard, Dur: cfg.Dur,
-		},
-	}
-	if obs != nil {
-		f.obs = obs
-		obs.f = f
+// streams, armed chaos plan, and the controller's poll (and, with observe,
+// scrape) loop. The scrape plane is attached to the cards before the streams
+// exist, so its card-side instrumentation is in place before the first event
+// fires. cfg must have its defaults set.
+func buildFleetChaos(cfg FleetConfig, observe bool) *fleet {
+	f := newFleet(cfg, true)
+	f.res = &FleetChaosResult{
+		Cards: cfg.Cards, Hosts: cfg.hosts(), Switches: cfg.switches(),
+		Streams: cfg.Cards * cfg.StreamsPerCard, Dur: cfg.Dur,
 	}
 
 	// The chaos plan: correlated faults over the host and switch domains,
@@ -740,10 +660,10 @@ func buildFleetChaos(cfg FleetConfig, obs *fleetObs) *fleetChaos {
 	// proves zero violations outside the outage) fits before Dur.
 	var hostNames, switchNames []string
 	for h := 0; h < cfg.hosts(); h++ {
-		hostNames = append(hostNames, f.hostName(h))
+		hostNames = append(hostNames, hostName(h))
 	}
 	for s := 0; s < cfg.switches(); s++ {
-		switchNames = append(switchNames, f.switchName(s))
+		switchNames = append(switchNames, switchName(s))
 	}
 	plan, err := faults.Generate(cfg.FaultSeed, faults.Spec{
 		Start: cfg.Dur / 6, Span: cfg.Dur / 4,
@@ -783,85 +703,11 @@ func buildFleetChaos(cfg FleetConfig, obs *fleetObs) *fleetChaos {
 		rb := newCtrlRep(f, 1, bPart)
 		f.reps[0].peer, rb.peer = rb, f.reps[0]
 		f.reps = append(f.reps, rb)
-		f.fence = make([]epochFence, cfg.Cards)
-		f.cardSE = make([]map[int]int, cfg.Cards)
-		for i := range f.cardSE {
-			f.cardSE[i] = map[int]int{}
-		}
-		f.cardHA = make([][]haEvent, cfg.Cards)
-		f.fencedByCard = make([]int, cfg.Cards)
 	}
-	if f.obs != nil {
-		for i := range f.cards {
-			f.obs.attachCard(i)
-		}
+	if observe {
+		f.obs = newFleetObs(f.cards, f.ctrlEng())
 	}
-
-	// Severance: the drop hook runs in the source card's partition at
-	// transmit time against the static plan, so every worker count sees the
-	// identical cut.
-	f.fleet.drop = func(from, home int) bool {
-		if f.severedAt(from, home, f.cards[from].eng.Now()) {
-			f.severed[from]++
-			return true
-		}
-		return false
-	}
-
-	// Streams: globally unique IDs (gid), so a stream keeps its identity no
-	// matter which card it lands on. Clients are homed with the next card;
-	// client endpoints model external viewers, so a host crash kills the
-	// cards, not the viewers.
-	f.clip = mpeg.GenerateDefault()
-	nominal := f.clip.MeanFrameSize()
-	watchAt := make([]sim.Time, len(plan.Events))
-	for k, e := range plan.Events {
-		watchAt[k] = e.At
-	}
-	for i := 0; i < cfg.Cards; i++ {
-		fc := f.cards[i]
-		home := (i + 1) % cfg.Cards
-		hc := f.cards[home]
-		for s := 1; s <= cfg.StreamsPerCard; s++ {
-			gid := i*cfg.StreamsPerCard + s
-			addr := fmt.Sprintf("c%02ds%d", i, s)
-			f.route[addr] = home
-			st := &chaosStream{
-				gid: gid, orig: i, home: home, addr: addr,
-				cl:       netsim.NewClient(hc.eng, addr),
-				watchAt:  watchAt,
-				watchGot: make([]sim.Time, len(watchAt)),
-			}
-			st.spec = dwcs.StreamSpec{
-				ID: gid, Name: addr, Period: fleetStreamPeriod,
-				Loss: fixed.New(1, 4), Lossy: true,
-				BufCap: fleetBufCap, NominalBytes: nominal,
-			}
-			st.cl.OnFrame = hc.sched.Recycle // played out: the packet is spent
-			homeEng := hc.eng
-			hc.rx[addr] = netsim.Fast100(homeEng, "rx-"+addr, netsim.PortFunc(func(p *netsim.Packet) {
-				now := homeEng.Now()
-				for k := range st.watchAt {
-					if st.watchGot[k] == 0 && now >= st.watchAt[k] {
-						st.watchGot[k] = now
-					}
-				}
-				st.cl.Deliver(p)
-			}))
-			if err := fc.ext.AddStream(st.spec); err != nil {
-				panic(err)
-			}
-			st.prods = append(st.prods,
-				fc.ext.SpawnPeerProducer(fc.disk, f.clip, gid, addr, fleetStreamPeriod, 1<<30))
-			f.cstream = append(f.cstream, st)
-			for _, r := range f.reps {
-				r.loc[gid] = i
-			}
-			if f.obs != nil {
-				f.obs.attachStream(st)
-			}
-		}
-	}
+	f.addStreams()
 
 	// Arm the plan: card-side crash/reset and flight-recorder marks at build
 	// time, controller-side reconciles one detection delay after each fault
@@ -874,10 +720,10 @@ func buildFleetChaos(cfg FleetConfig, obs *fleetObs) *fleetChaos {
 		case faults.HostCrash:
 			f.armHostCrash(e)
 		case faults.NetPartition:
-			s := f.switchIndex(e.Target)
+			s := switchIndex(e.Target)
 			f.armDomainMark(e, func(card int) bool { return f.switchOf(card) == s })
 		case faults.RollingDrain:
-			h := f.hostIndex(e.Target)
+			h := hostIndex(e.Target)
 			f.armDomainMark(e, func(card int) bool { return f.hostOf(card) == h })
 		case faults.ControllerCrash, faults.ControllerPartition:
 			f.armCtrlFault(e)
@@ -904,9 +750,9 @@ func buildFleetChaos(cfg FleetConfig, obs *fleetObs) *fleetChaos {
 	for _, r := range f.reps {
 		r.eng().Every(cfg.PollEvery, r.tick)
 	}
-	if obs != nil {
-		f.reps[0].eng().Every(cfg.ScrapeEvery, obs.scrape)
-		obs.armStress()
+	if f.obs != nil {
+		f.ctrlEng().Every(fleetScrapeEvery, f.scrape)
+		f.armStress()
 	}
 	return f
 }
@@ -958,7 +804,7 @@ func appendCtrlEvents(plan *faults.Plan, cfg FleetConfig) {
 // and pair-link severance are plan-derived pure predicates; these hooks only
 // handle the dynamic fallout (wiping a crashed replica's job queue, timeline
 // rows, the recovering leader's journal reconcile).
-func (f *fleetChaos) armCtrlFault(e faults.Event) {
+func (f *fleet) armCtrlFault(e faults.Event) {
 	for _, r := range f.reps {
 		r := r
 		e := e
@@ -982,7 +828,7 @@ func (f *fleetChaos) armCtrlFault(e faults.Event) {
 
 // collectChaos renders the artifacts from the settled fleet. Runs after the
 // topology has fully stopped, so cross-partition reads are safe.
-func (f *fleetChaos) collectChaos() {
+func (f *fleet) collectChaos() {
 	res := f.res
 	cfg := f.cfg
 	lead := f.lead()
@@ -1017,24 +863,15 @@ func (f *fleetChaos) collectChaos() {
 	var table strings.Builder
 	fmt.Fprintf(&table, "%-6s %-5s %8s %8s %8s %8s %8s %8s %10s\n",
 		"card", "host", "injected", "sent", "dropped", "recv", "late", "severed", "recvMB")
-	perCard := make([]struct{ injected, recv, late, bytes int64 }, len(f.cards))
-	for _, st := range f.cstream {
-		c := &perCard[st.orig]
-		for _, p := range st.prods {
-			c.injected += p.Injected
-		}
-		c.recv += st.cl.Received
-		c.late += st.cl.Late
-		c.bytes += st.cl.RecvBytes
-	}
+	perCard := f.cardTotals()
 	for i, fc := range f.cards {
 		c := perCard[i]
 		fmt.Fprintf(&table, "ni%02d   %-5s %8d %8d %8d %8d %8d %8d %10.2f\n",
-			i, f.hostName(f.hostOf(i)), c.injected, fc.ext.Sent, fc.ext.Dropped,
-			c.recv, c.late, f.severed[i], float64(c.bytes)/(1<<20))
+			i, hostName(f.hostOf(i)), c.injected, fc.ext.Sent, fc.ext.Dropped,
+			c.recv, c.late, fc.severed, float64(c.bytes)/(1<<20))
 		res.Recv += c.recv
 		res.Late += c.late
-		res.SeveredDrops += f.severed[i]
+		res.SeveredDrops += fc.severed
 	}
 	res.Table = table.String()
 
@@ -1046,7 +883,7 @@ func (f *fleetChaos) collectChaos() {
 	var rec strings.Builder
 	for k, e := range f.plan.Events {
 		fmt.Fprintf(&rec, "%v %s %s (for %v):\n", e.At, e.Kind, e.Target, e.Duration)
-		for _, st := range f.cstream {
+		for _, st := range f.streams {
 			if !f.affects(e, st) {
 				continue
 			}
@@ -1063,7 +900,7 @@ func (f *fleetChaos) collectChaos() {
 	// Violation table, per stream.
 	var vio strings.Builder
 	fmt.Fprintf(&vio, "%-6s %10s %10s\n", "stream", "during", "outside")
-	for _, st := range f.cstream {
+	for _, st := range f.streams {
 		d, o := int64(0), int64(0)
 		if t := lead.violByGid[st.gid]; t != nil {
 			d, o = t[0], t[1]
@@ -1076,17 +913,13 @@ func (f *fleetChaos) collectChaos() {
 	// Per-stream CSV.
 	var csv strings.Builder
 	csv.WriteString("orig_card,gid,addr,end_card,injected,recv,bytes,late,viol_during,viol_outside\n")
-	for _, st := range f.cstream {
-		var injected int64
-		for _, p := range st.prods {
-			injected += p.Injected
-		}
+	for _, st := range f.streams {
 		d, o := int64(0), int64(0)
 		if t := lead.violByGid[st.gid]; t != nil {
 			d, o = t[0], t[1]
 		}
 		fmt.Fprintf(&csv, "%02d,%d,%s,%02d,%d,%d,%d,%d,%d,%d\n",
-			st.orig, st.gid, st.addr, lead.loc[st.gid], injected,
+			st.orig, st.gid, st.addr, lead.loc[st.gid], st.total().injected,
 			st.cl.Received, st.cl.RecvBytes, st.cl.Late, d, o)
 	}
 	res.CSV = csv.String()

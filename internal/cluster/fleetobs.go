@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/blackbox"
+	"repro/internal/dwcs"
 	"repro/internal/fleetobs"
 	"repro/internal/overload"
 	"repro/internal/sim"
@@ -83,21 +84,20 @@ type scrapeStat struct {
 	bytes                             int64
 }
 
-// fleetObs is the scrape plane's state, split by partition: tel/ctel/mon/
-// cardEpoch index i is touched only in card i's partition once the run
-// starts; everything else lives in the controller partition — replica 0's,
-// which without CtrlHA is the whole control plane.
+// fleetObs is the scrape plane's state, split by partition: tel/ctel/mon
+// index i is touched only in card i's partition once the run starts;
+// everything else lives in the controller partition — replica 0's, which
+// without CtrlHA is the whole control plane. A nil *fleetObs is the plane
+// switched off: the migration protocol's callbacks below return at once.
 type fleetObs struct {
-	f *fleetChaos // its cfg carries the scrape plane's knobs
-
 	// Card-partition state.
-	tel       []*telemetry.Registry // serving-side spans (disk/bus/queue), epoch-stamped
-	ctel      []*telemetry.Registry // client-side spans (tx/wire/playout), epoch −1
-	mon       []*slo.Monitor
-	cardEpoch []map[int]int // card i's view: gid → serving epoch
+	tel  []*telemetry.Registry // serving-side spans (disk/bus/queue), epoch-stamped
+	ctel []*telemetry.Registry // client-side spans (tx/wire/playout), epoch −1
+	mon  []*slo.Monitor
 
 	// Static after build.
-	homed [][]*chaosStream // card → streams whose client is homed there
+	homed [][]*stream // card → streams whose client is homed there
+	ctl   *sim.Engine // the controller partition's engine
 
 	// Controller-partition state.
 	tick     int64
@@ -107,7 +107,6 @@ type fleetObs struct {
 	dark     []bool
 	last     []*obsSample
 	stat     []scrapeStat
-	epoch    map[int]int // gid → committed epoch
 	links    []telemetry.SpanLink
 	tl       *fleetobs.Timeline
 	obsBytes int64
@@ -115,22 +114,48 @@ type fleetObs struct {
 	restores int64
 }
 
-func newFleetObs(n int) *fleetObs {
-	return &fleetObs{
-		tel:       make([]*telemetry.Registry, n),
-		ctel:      make([]*telemetry.Registry, n),
-		mon:       make([]*slo.Monitor, n),
-		cardEpoch: make([]map[int]int, n),
-		homed:     make([][]*chaosStream, n),
-		cursor:    make([]int64, n),
-		rung:      make([]int, n),
-		rungMax:   make([]int, n),
-		dark:      make([]bool, n),
-		last:      make([]*obsSample, n),
-		stat:      make([]scrapeStat, n),
-		epoch:     map[int]int{},
-		tl:        fleetobs.NewTimeline(),
+// newFleetObs builds the scrape plane and instruments every card: two span
+// registries (the serving side is epoch-stamped from the card's placement
+// view; the client side never knows placements and stamps −1 for the
+// stitcher to resolve) and an SLO monitor whose transitions land in the
+// flight recorder. ctl is the controller partition's engine.
+func newFleetObs(cards []*fleetCard, ctl *sim.Engine) *fleetObs {
+	n := len(cards)
+	o := &fleetObs{
+		tel:     make([]*telemetry.Registry, n),
+		ctel:    make([]*telemetry.Registry, n),
+		mon:     make([]*slo.Monitor, n),
+		homed:   make([][]*stream, n),
+		ctl:     ctl,
+		cursor:  make([]int64, n),
+		rung:    make([]int, n),
+		rungMax: make([]int, n),
+		dark:    make([]bool, n),
+		last:    make([]*obsSample, n),
+		stat:    make([]scrapeStat, n),
+		tl:      fleetobs.NewTimeline(),
 	}
+	for i, fc := range cards {
+		srv := telemetry.New()
+		srv.EpochOf = func(stream int) int { return fc.epoch[stream] }
+		fc.sched.Instrument(srv)
+		o.tel[i] = srv
+
+		cli := telemetry.New()
+		cli.EpochOf = func(int) int { return -1 }
+		o.ctel[i] = cli
+
+		mon := slo.NewMonitor(fc.sched.Name, slo.Config{})
+		mon.OnChange = func(stream int, from, to slo.State) {
+			fc.rec.Record(blackbox.Event{At: fc.eng.Now(), Kind: blackbox.KindSLO,
+				Stream: stream, A: int64(from), B: int64(to),
+				Note: from.String() + "→" + to.String()})
+		}
+		mon.Instrument(srv)
+		mon.Start(fc.eng)
+		o.mon[i] = mon
+	}
+	return o
 }
 
 func niName(i int) string { return fmt.Sprintf("ni%02d", i) }
@@ -147,64 +172,28 @@ func shippable(k blackbox.Kind) bool {
 	return false
 }
 
-// --- card-side wiring (build time, and migration imports in card context) ----
-
-// attachCard instruments card i: two span registries (the serving side is
-// epoch-stamped from the card's placement view; the client side never knows
-// placements and stamps −1 for the stitcher to resolve), an SLO monitor
-// whose transitions land in the flight recorder.
-func (o *fleetObs) attachCard(i int) {
-	fc := o.f.cards[i]
-	o.cardEpoch[i] = map[int]int{}
-
-	srv := telemetry.New()
-	srv.EpochOf = func(stream int) int { return o.cardEpoch[i][stream] }
-	fc.sched.Instrument(srv)
-	o.tel[i] = srv
-
-	cli := telemetry.New()
-	cli.EpochOf = func(int) int { return -1 }
-	o.ctel[i] = cli
-
-	mon := slo.NewMonitor(fc.sched.Name, slo.Config{})
-	mon.OnChange = func(stream int, from, to slo.State) {
-		fc.rec.Record(blackbox.Event{At: fc.eng.Now(), Kind: blackbox.KindSLO,
-			Stream: stream, A: int64(from), B: int64(to),
-			Note: from.String() + "→" + to.String()})
-	}
-	mon.Instrument(srv)
-	mon.Start(fc.eng)
-	o.mon[i] = mon
-}
-
 // attachStream wires one stream at build time: its client's spans record
-// into the home card's client registry, its origin card tracks its SLO, and
-// it starts at epoch 0.
-func (o *fleetObs) attachStream(st *chaosStream) {
-	st.cl.Instrument(o.ctel[st.home])
-	o.cardEpoch[st.orig][st.gid] = 0
-	o.trackOn(st.orig, st)
-	o.homed[st.home] = append(o.homed[st.home], st)
-	o.epoch[st.gid] = 0
-}
-
-// trackOn registers the stream's loss objective with card's SLO monitor, once:
-// a stream that returns to a card it lived on keeps its frozen row.
-func (o *fleetObs) trackOn(card int, st *chaosStream) {
-	if m := o.mon[card]; !m.Tracked(st.gid) {
-		m.TrackStream(st.spec, 0, o.f.cards[card].ext.Sched)
+// into the home card's client registry and its origin card, whose scheduler
+// is sched, tracks its SLO.
+func (o *fleetObs) attachStream(st *stream, sched *dwcs.Scheduler) {
+	if o == nil {
+		return
 	}
+	st.cl.Instrument(o.ctel[st.home])
+	o.trackOn(st.orig, st, sched)
+	o.homed[st.home] = append(o.homed[st.home], st)
 }
 
-// cardImport runs in the target card's partition when a migration (or readd)
-// lands: the card learns the stream's new epoch before any frame dispatches
-// and tracks its SLO. Returns the card's import time — the instant the
-// controller stamps on the span link, because replayed frames dispatch before
-// the commit hop reaches the controller.
-func (o *fleetObs) cardImport(to int, st *chaosStream, epoch int) sim.Time {
-	o.cardEpoch[to][st.gid] = epoch
-	o.trackOn(to, st)
-	return o.f.cards[to].eng.Now()
+// trackOn registers the stream's loss objective with the SLO monitor of card,
+// whose scheduler is sched, once: a stream that returns to a card it lived
+// on keeps its frozen row. Runs in card's partition.
+func (o *fleetObs) trackOn(card int, st *stream, sched *dwcs.Scheduler) {
+	if o == nil {
+		return
+	}
+	if m := o.mon[card]; !m.Tracked(st.gid) {
+		m.TrackStream(st.spec, 0, sched)
+	}
 }
 
 // --- the scrape protocol -----------------------------------------------------
@@ -214,10 +203,11 @@ func (o *fleetObs) cardImport(to int, st *chaosStream, epoch int) sim.Time {
 // instruction, counted as in-band traffic). The flight-recorder cursor rides
 // the request, so the card ships exactly the events the controller has not
 // seen.
-func (o *fleetObs) scrape() {
+func (f *fleet) scrape() {
+	o := f.obs
 	tick := o.tick
 	o.tick++
-	for i := range o.f.cards {
+	for i := range f.cards {
 		i := i
 		if r := o.rung[i]; r > 0 && tick%(1<<uint(r)) != 0 {
 			o.stat[i].skips++
@@ -231,7 +221,7 @@ func (o *fleetObs) scrape() {
 		// replicated control plane it is epoch-stamped and a card whose
 		// fence outranks the sender rejects it (stale leaders cannot even
 		// observe). Unreplicated, cmd is a plain toCard hop.
-		o.f.reps[0].cmd(i, "scrape", 0, func() { o.reply(i, cur) }, nil)
+		f.reps[0].cmd(i, "scrape", 0, func() { f.reply(i, cur) }, nil)
 	}
 }
 
@@ -240,11 +230,11 @@ func (o *fleetObs) scrape() {
 // admission-tests it against its own overload budget, and either ships the
 // sample — charging the reply buffer for one hop's flight — or sheds it with
 // a header-only refusal that keeps the cursor, so nothing is silently lost.
-func (o *fleetObs) reply(i int, cur int64) {
-	fc := o.f.cards[i]
+func (f *fleet) reply(i int, cur int64) {
+	o, fc := f.obs, f.cards[i]
 	at := fc.eng.Now()
 	if fc.sched.Crashed() {
-		o.f.reps[0].fromCard(i, func() { o.onDark(i) })
+		f.reps[0].fromCard(i, func() { o.onDark(i) })
 		return
 	}
 	raw, newest, lost := fc.rec.EventsSince(cur)
@@ -268,7 +258,7 @@ func (o *fleetObs) reply(i int, cur int64) {
 		}
 		fc.rec.Record(blackbox.Event{At: at, Kind: blackbox.KindRefusal,
 			A: cost, Note: "scrape shed"})
-		o.f.reps[0].fromCard(i, func() { o.onShed(i, cost) })
+		f.reps[0].fromCard(i, func() { o.onShed(i, cost) })
 		return
 	}
 	_ = bud.Charge(overload.ClassTelemetry, cost)
@@ -281,15 +271,17 @@ func (o *fleetObs) reply(i int, cur int64) {
 	for _, st := range o.homed[i] {
 		s.recvBytes += st.cl.RecvBytes
 	}
-	o.f.reps[0].fromCard(i, func() { o.onSample(i, s, newest) })
+	host, sw := f.domain(i)
+	f.reps[0].fromCard(i, func() { o.onSample(i, host, sw, s, newest) })
 }
-
-func (o *fleetObs) ctrlNow() sim.Time { return o.f.reps[0].eng().Now() }
 
 // ctrlEvent drops one controller-local event on the timeline.
 func (o *fleetObs) ctrlEvent(kind string, stream int, seq int64, note string) {
+	if o == nil {
+		return
+	}
 	o.tl.Add(fleetobs.TimelineEvent{
-		At: o.ctrlNow(), Src: fleetobs.SrcController, SrcName: "dvcm",
+		At: o.ctl.Now(), Src: fleetobs.SrcController, SrcName: "dvcm",
 		Kind: kind, Stream: stream, Seq: seq, Note: note,
 	})
 }
@@ -329,7 +321,7 @@ func (o *fleetObs) onShed(i int, cost int64) {
 // onSample folds one reply into the controller's fleet view: cursor advance,
 // timeline merge of the shipped flight-recorder events, and rung restoration
 // once the card's budget is back under low water.
-func (o *fleetObs) onSample(i int, s *obsSample, newest int64) {
+func (o *fleetObs) onSample(i int, host, sw string, s *obsSample, newest int64) {
 	st := &o.stat[i]
 	st.samples++
 	st.events += int64(len(s.events))
@@ -349,7 +341,6 @@ func (o *fleetObs) onSample(i int, s *obsSample, newest int64) {
 			"%s under low water (%d/%d); full scrape rate restored",
 			niName(i), s.used, s.size))
 	}
-	host, sw := o.f.hostName(o.f.hostOf(i)), o.f.switchName(o.f.switchOf(i))
 	for _, e := range s.events {
 		o.tl.Add(fleetobs.TimelineEvent{
 			At: e.At, Src: i, SrcName: niName(i), Host: host, Switch: sw,
@@ -365,12 +356,14 @@ func (o *fleetObs) onSample(i int, s *obsSample, newest int64) {
 // --- migration commits: epochs and span links (controller context) -----------
 
 // commitMove records a committed live or cold migration: the stream's epoch
-// advances and the frame-cursor handoff becomes an explicit span link. at is
+// advanced and the frame-cursor handoff becomes an explicit span link. at is
 // the card-side import instant (not the controller's later commit time) so
 // replayed frames dispatched before this hop landed still sort after it.
-func (o *fleetObs) commitMove(st *chaosStream, from, to, epoch int, seq int64,
+func (o *fleetObs) commitMove(st *stream, from, to, epoch int, seq int64,
 	at sim.Time, kind string) {
-	o.epoch[st.gid] = epoch
+	if o == nil {
+		return
+	}
 	o.links = append(o.links, telemetry.SpanLink{
 		Stream: st.gid, FromEpoch: epoch - 1, ToEpoch: epoch,
 		FromWhere: niName(from), ToWhere: niName(to),
@@ -380,32 +373,35 @@ func (o *fleetObs) commitMove(st *chaosStream, from, to, epoch int, seq int64,
 		"%s→%s epoch %d→%d cursor handed off", niName(from), niName(to), epoch-1, epoch))
 }
 
-// commitReadd records a teardown restart: the epoch advances but the cursor
+// commitReadd records a teardown restart: the epoch advanced but the cursor
 // is fresh, so the link is an explicit gap for the stitcher.
-func (o *fleetObs) commitReadd(st *chaosStream, to, epoch int, seq int64, at sim.Time) {
-	prev := o.epoch[st.gid]
-	o.epoch[st.gid] = epoch
+func (o *fleetObs) commitReadd(st *stream, to, epoch int, seq int64, at sim.Time) {
+	if o == nil {
+		return
+	}
 	o.links = append(o.links, telemetry.SpanLink{
-		Stream: st.gid, FromEpoch: prev, ToEpoch: epoch,
+		Stream: st.gid, FromEpoch: epoch - 1, ToEpoch: epoch,
 		FromWhere: "?", ToWhere: niName(to),
 		Seq: seq, At: at, Kind: fleetobs.LinkReadd,
 	})
 	o.ctrlEvent("readd", st.gid, seq, fmt.Sprintf(
-		"→%s epoch %d→%d fresh window", niName(to), prev, epoch))
+		"→%s epoch %d→%d fresh window", niName(to), epoch-1, epoch))
 }
 
-// abortMove records a failed handoff: the epoch does not advance; the link
-// annotates the attempt so the stitched trace shows it.
-func (o *fleetObs) abortMove(st *chaosStream, from, to int, seq int64, why string) {
-	e := o.epoch[st.gid]
+// abortMove records a failed handoff: the stream's epoch stays where it is;
+// the link annotates the attempt so the stitched trace shows it.
+func (o *fleetObs) abortMove(st *stream, from, to, epoch int, seq int64, why string) {
+	if o == nil {
+		return
+	}
 	toW := "?"
 	if to >= 0 {
 		toW = niName(to)
 	}
 	o.links = append(o.links, telemetry.SpanLink{
-		Stream: st.gid, FromEpoch: e, ToEpoch: e,
+		Stream: st.gid, FromEpoch: epoch, ToEpoch: epoch,
 		FromWhere: niName(from), ToWhere: toW,
-		Seq: seq, At: o.ctrlNow(), Kind: fleetobs.LinkAbort,
+		Seq: seq, At: o.ctl.Now(), Kind: fleetobs.LinkAbort,
 	})
 	o.ctrlEvent("migrate-abort", st.gid, seq, why+" (epoch unchanged)")
 }
@@ -416,13 +412,12 @@ func (o *fleetObs) abortMove(st *chaosStream, from, to int, seq int64, why strin
 // budget up to StressPct of size at StressAt, release at StressAt+StressDur.
 // The charge never exceeds size (so it cannot breach), but past the high
 // water it makes every scrape reply — and nothing else — inadmissible.
-func (o *fleetObs) armStress() {
-	cfg := o.f.cfg
+func (f *fleet) armStress() {
+	cfg := f.cfg
 	if cfg.StressPct <= 0 {
 		return
 	}
-	for i := range o.f.cards {
-		fc := o.f.cards[i]
+	for _, fc := range f.cards {
 		fc.eng.At(cfg.StressAt, func() {
 			bud := fc.ctl.Budget
 			n := bud.Size()*int64(cfg.StressPct)/100 - bud.Used()
@@ -447,12 +442,12 @@ func (o *fleetObs) armStress() {
 func RunFleetObs(cfg FleetConfig) *FleetObsResult {
 	f := runFleetChaos(cfg, true)
 	defer f.close()
-	return f.obs.collect()
+	return f.collectObs()
 }
 
-// collect renders the observability artifacts from the settled fleet.
-func (o *fleetObs) collect() *FleetObsResult {
-	f := o.f
+// collectObs renders the observability artifacts from the settled fleet.
+func (f *fleet) collectObs() *FleetObsResult {
+	o := f.obs
 	res := &FleetObsResult{Chaos: f.res, ObsBytes: o.obsBytes,
 		Degrades: o.degrades, Restores: o.restores, Links: len(o.links)}
 
@@ -463,10 +458,8 @@ func (o *fleetObs) collect() *FleetObsResult {
 	cards := make([]fleetobs.CardStat, 0, len(f.cards))
 	var pressures []fleetobs.StreamPressure
 	for i := range f.cards {
-		cs := fleetobs.CardStat{
-			Card: i, Host: f.hostName(f.hostOf(i)), Switch: f.switchName(f.switchOf(i)),
-			Rung: o.rung[i],
-		}
+		cs := fleetobs.CardStat{Card: i, Rung: o.rung[i]}
+		cs.Host, cs.Switch = f.domain(i)
 		s := o.last[i]
 		if s == nil || o.dark[i] {
 			cs.Dark = true
@@ -496,16 +489,16 @@ func (o *fleetObs) collect() *FleetObsResult {
 		cards = append(cards, cs)
 	}
 	res.Rollup = fleetobs.RenderRollup(cards)
-	res.TopK = fleetobs.RenderTopK(pressures, o.f.cfg.TopK)
+	res.TopK = fleetobs.RenderTopK(pressures, fleetTopK)
 	res.Timeline = o.tl.Render()
 
 	// Scrape accounting and the in-band overhead against media goodput.
-	for _, st := range f.cstream {
+	for _, st := range f.streams {
 		res.MediaBytes += st.cl.RecvBytes
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "in-band scrape accounting (base period %v, interval ×2 per shed)\n",
-		o.f.cfg.ScrapeEvery)
+		fleetScrapeEvery)
 	fmt.Fprintf(&b, "%-6s %6s %8s %6s %6s %6s %8s %6s %10s %8s\n",
 		"card", "reqs", "samples", "sheds", "skips", "dark", "events", "lost", "bytes", "rung_max")
 	var tot scrapeStat
@@ -576,7 +569,7 @@ func (o *fleetObs) collect() *FleetObsResult {
 		"fleet-obs: %d cards scraped every %v: reqs=%d samples=%d sheds=%d skips=%d dark=%d "+
 			"events=%d lost=%d degrades=%d restores=%d links=%d stitched_live=%d "+
 			"obs=%dB media=%dB overhead=%.3f%%",
-		len(f.cards), o.f.cfg.ScrapeEvery, tot.reqs, tot.samples, tot.sheds, tot.skips,
+		len(f.cards), fleetScrapeEvery, tot.reqs, tot.samples, tot.sheds, tot.skips,
 		tot.dark, tot.events, tot.lost, o.degrades, o.restores, len(o.links),
 		res.StitchedLive, res.ObsBytes, res.MediaBytes, overhead)
 	return res

@@ -231,11 +231,11 @@ var benchStitched int
 func BenchmarkStitchCollect(b *testing.B) {
 	cfg := obsTestConfig()
 	cfg.Cards, cfg.Dur = 16, 10*sim.Second
-	obs := runFleetChaos(cfg, true).obs
-	defer obs.f.close()
+	f := runFleetChaos(cfg, true)
+	defer f.close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchStitched += len(obs.collect().Stitched)
+		benchStitched += len(f.collectObs().Stitched)
 	}
 }
