@@ -371,8 +371,7 @@ type SchedulerExt struct {
 
 	work *rtos.Semaphore
 	kick func() // wakes a paced sleep early; nil when not sleeping
-	task *rtos.Task
-	regB int // next free register-file word for ring allocation
+	regB int    // next free register-file word for ring allocation
 
 	// The paced sleep's state lives here and its two callbacks are built
 	// once (LoadScheduler), so a wait between decisions allocates nothing.
@@ -448,7 +447,7 @@ func (c *Card) LoadScheduler(cfg SchedulerConfig) (*SchedulerExt, error) {
 		ext.dispatchSem = rtos.NewSemaphore(c.Kernel, c.Name+"/dispatchq", 0)
 		c.Kernel.Spawn(c.Name+"/dispatch", PrioScheduler+1, ext.runDispatcher)
 	}
-	ext.task = c.Kernel.Spawn(ext.srcDWCS, PrioScheduler, ext.run)
+	c.Kernel.Spawn(ext.srcDWCS, PrioScheduler, ext.run)
 	return ext, nil
 }
 
@@ -493,33 +492,21 @@ type ReconfigureArgs struct {
 // Invoke implements core.Extension: the DVCM instruction set of the media
 // scheduler.
 func (ext *SchedulerExt) Invoke(op string, arg any) (any, error) {
+	id, isID := arg.(int)
+	switch op {
+	case "removeStream", "exportStream", "stats", "pause", "resume":
+		if !isID {
+			return nil, fmt.Errorf("dwcs ext: %s wants int, got %T", op, arg)
+		}
+	}
 	switch op {
 	case "addStream":
 		spec, ok := arg.(dwcs.StreamSpec)
 		if !ok {
 			return nil, fmt.Errorf("dwcs ext: addStream wants StreamSpec, got %T", arg)
 		}
-		if ov := ext.Overload; ov != nil {
-			if err := ov.Budget.AdmitStream(StreamMemCost(spec)); err != nil {
-				return nil, err
-			}
-		}
-		if err := ext.Sched.AddStream(spec); err != nil {
-			if ov := ext.Overload; ov != nil {
-				ov.Budget.ReleaseStream(StreamMemCost(spec))
-			}
-			return nil, err
-		}
-		if ext.Overload != nil {
-			ext.ovCost[spec.ID] = StreamMemCost(spec)
-		}
-		ext.QDelay[spec.ID] = &stats.DelayTracker{Name: spec.Name}
-		return nil, nil
+		return nil, ext.admit(spec, func() error { return ext.Sched.AddStream(spec) })
 	case "removeStream":
-		id, ok := arg.(int)
-		if !ok {
-			return nil, fmt.Errorf("dwcs ext: removeStream wants int, got %T", arg)
-		}
 		return nil, ext.removeStream(id)
 	case "importStream":
 		img, ok := arg.(dwcs.StreamSnapshot)
@@ -528,10 +515,6 @@ func (ext *SchedulerExt) Invoke(op string, arg any) (any, error) {
 		}
 		return nil, ext.importStream(img)
 	case "exportStream":
-		id, ok := arg.(int)
-		if !ok {
-			return nil, fmt.Errorf("dwcs ext: exportStream wants int, got %T", arg)
-		}
 		return ext.Sched.ExportStream(id)
 	case "enqueue":
 		ea, ok := arg.(EnqueueArgs)
@@ -540,33 +523,16 @@ func (ext *SchedulerExt) Invoke(op string, arg any) (any, error) {
 		}
 		return nil, ext.Enqueue(ea.StreamID, ea.Packet)
 	case "stats":
-		id, ok := arg.(int)
-		if !ok {
-			return nil, fmt.Errorf("dwcs ext: stats wants int, got %T", arg)
-		}
 		return ext.Sched.Stats(id)
 	case "snapshot":
 		return ext.Sched.Snapshot(), nil
 	case "pause":
-		id, ok := arg.(int)
-		if !ok {
-			return nil, fmt.Errorf("dwcs ext: pause wants int, got %T", arg)
-		}
 		return nil, ext.Sched.Pause(id)
 	case "resume":
-		id, ok := arg.(int)
-		if !ok {
-			return nil, fmt.Errorf("dwcs ext: resume wants int, got %T", arg)
-		}
 		if err := ext.Sched.Resume(id); err != nil {
 			return nil, err
 		}
-		// Freshly-eligible packets may need the task's attention.
-		if ext.kick != nil {
-			ext.kick()
-		} else {
-			ext.work.Give()
-		}
+		ext.wake() // freshly-eligible packets may need the task's attention
 		return nil, nil
 	case "reconfigure":
 		ra, ok := arg.(ReconfigureArgs)
@@ -590,23 +556,34 @@ func (ext *SchedulerExt) AddStream(spec dwcs.StreamSpec) error {
 // mark refuses the migration exactly as it would refuse a new viewer, so
 // the migration protocol's candidate retry / AwaitSpace machinery applies.
 func (ext *SchedulerExt) importStream(img dwcs.StreamSnapshot) error {
-	if ov := ext.Overload; ov != nil {
-		if err := ov.Budget.AdmitStream(StreamMemCost(img.Spec)); err != nil {
+	if err := ext.admit(img.Spec, func() error { return ext.Sched.ImportStream(img) }); err != nil {
+		return err
+	}
+	ext.Blackbox.Record(blackbox.Event{At: ext.Card.Eng.Now(), Kind: blackbox.KindMigrate,
+		Stream: img.Spec.ID, Seq: img.Seq, A: img.WindowX, B: img.WindowY, Note: "import"})
+	return nil
+}
+
+// admit registers spec's stream with add, charging its card-memory cost to
+// the overload budget first, when there is one, and giving it back if add
+// fails.
+func (ext *SchedulerExt) admit(spec dwcs.StreamSpec, add func() error) error {
+	cost, ov := StreamMemCost(spec), ext.Overload
+	if ov != nil {
+		if err := ov.Budget.AdmitStream(cost); err != nil {
 			return err
 		}
 	}
-	if err := ext.Sched.ImportStream(img); err != nil {
-		if ov := ext.Overload; ov != nil {
-			ov.Budget.ReleaseStream(StreamMemCost(img.Spec))
+	if err := add(); err != nil {
+		if ov != nil {
+			ov.Budget.ReleaseStream(cost)
 		}
 		return err
 	}
-	if ext.Overload != nil {
-		ext.ovCost[img.Spec.ID] = StreamMemCost(img.Spec)
+	if ov != nil {
+		ext.ovCost[spec.ID] = cost
 	}
-	ext.QDelay[img.Spec.ID] = &stats.DelayTracker{Name: img.Spec.Name}
-	ext.Blackbox.Record(blackbox.Event{At: ext.Card.Eng.Now(), Kind: blackbox.KindMigrate,
-		Stream: img.Spec.ID, Seq: img.Seq, A: img.WindowX, B: img.WindowY, Note: "import"})
+	ext.QDelay[spec.ID] = &stats.DelayTracker{Name: spec.Name}
 	return nil
 }
 
@@ -818,12 +795,17 @@ func (ext *SchedulerExt) Enqueue(id int, p dwcs.Packet) error {
 	if err := ext.Sched.Enqueue(id, p); err != nil {
 		return err
 	}
+	ext.wake()
+	return nil
+}
+
+// wake ends the scheduler task's paced sleep early, or gives it work.
+func (ext *SchedulerExt) wake() {
 	if ext.kick != nil {
 		ext.kick()
 	} else {
 		ext.work.Give()
 	}
-	return nil
 }
 
 // run is the scheduler task body.
@@ -962,36 +944,6 @@ type Producer struct {
 	Shed      int64 // frames skipped at the source by the degradation ladder
 }
 
-// gateSource holds the producer at the source while overload backpressure is
-// engaged or the budget lacks headroom for the next frame — this is what
-// throttles disk prefetch (path C) and peer DMA (path B) end to end.
-func gateSource(tc *rtos.TaskCtx, ext *SchedulerExt, n int64, p *Producer) {
-	ov := ext.Overload
-	if ov == nil {
-		return
-	}
-	for !ov.AllowSource(n) {
-		p.Throttled++
-		tc.Sleep(ov.PollEvery)
-	}
-}
-
-// skipShed applies the ladder's source downgrade to one frame, keeping the
-// producer's pacing cadence when the frame is skipped. Returns true when the
-// frame was shed.
-func skipShed(tc *rtos.TaskCtx, ext *SchedulerExt, f mpeg.Frame, p *Producer, next *sim.Time, injectEvery sim.Time) bool {
-	ov := ext.Overload
-	if ov == nil || ov.AdmitFrame(f.Type) {
-		return false
-	}
-	p.Shed++
-	if injectEvery > 0 {
-		*next += injectEvery
-		tc.SleepUntil(*next)
-	}
-	return true
-}
-
 // SpawnLocalProducer streams clip from the card's own attached disk into
 // the local scheduler — path C of Figure 3 (disk → NI CPU → network, no
 // I/O bus, no host). Frames are injected every injectEvery (0 = flat out),
@@ -1002,89 +954,175 @@ func (ext *SchedulerExt) SpawnLocalProducer(clip *mpeg.Clip, streamID int, dst s
 	if c.FS == nil {
 		panic("nic: SpawnLocalProducer needs an attached disk")
 	}
-	if loops <= 0 {
-		loops = 1
-	}
-	p := &Producer{}
-	xfer := newFrameIO(c.FS, nil)
-	bufs := &addressedBufs{dst: dst}
-	c.Kernel.Spawn(fmt.Sprintf("%s/prod%d", c.Name, streamID), PrioProducer, func(tc *rtos.TaskCtx) {
-		next := tc.Now()
-		var seq int64 // tracks the dwcs-assigned in-order sequence numbers
-		for loop := 0; loop < loops; loop++ {
-			for _, f := range clip.Frames {
-				if skipShed(tc, ext, f, p, &next, injectEvery) {
-					continue
-				}
-				gateSource(tc, ext, f.Size, p)
-				readStart := tc.Now()
-				xfer.read(tc, f.Offset, f.Size)
-				readEnd := tc.Now()
-				addr := allocWithBackoff(tc, ext, f.Size, p)
-				pkt := dwcs.Packet{Bytes: f.Size, Offset: f.Offset, Payload: bufs.get(c.Mem, addr)}
-				if !enqueueWithBackoff(tc, ext, streamID, pkt, p, injectEvery) {
-					return // stream is gone (failed over); stop sourcing
-				}
-				if c.Tel != nil {
-					c.Tel.Span(streamID, seq, telemetry.StageDisk, c.Name, readStart, readEnd)
-				}
-				seq++
-				p.Injected++
-				if injectEvery > 0 {
-					next += injectEvery
-					tc.SleepUntil(next)
-				}
-			}
-		}
-	})
-	return p
+	return ext.spawnProducer(c, nil, fmt.Sprintf("%s/prod%d", c.Name, streamID), clip, streamID, dst, injectEvery, loops, 0)
 }
 
-// enqueueWithBackoff retries a full ring until dispatches make room, but
-// aborts (false) when the stream itself is gone — a removed or failed-over
-// stream would otherwise trap the producer in an infinite retry spin. The
-// orphaned frame's card memory is released on abort.
-func enqueueWithBackoff(tc *rtos.TaskCtx, ext *SchedulerExt, streamID int, pkt dwcs.Packet, p *Producer, injectEvery sim.Time) bool {
+// SpawnPeerProducer streams clip from src's attached disk, DMAs each frame
+// across the PCI bus into this scheduler card, and enqueues it — path B of
+// Figure 3 (disk → I/O bus → scheduler NI → network; no host CPU or
+// memory).
+func (ext *SchedulerExt) SpawnPeerProducer(src *Card, clip *mpeg.Clip, streamID int, dst string, injectEvery sim.Time, loops int) *Producer {
+	return ext.SpawnPeerProducerFrom(src, clip, streamID, dst, injectEvery, loops, 0)
+}
+
+// SpawnPeerProducerFrom is SpawnPeerProducer with a frame cursor: the first
+// pass over the clip starts at frame startFrame (mod clip length) instead of
+// 0, so a producer respawned after a live migration resumes the title where
+// the moved stream left off rather than replaying from the top.
+func (ext *SchedulerExt) SpawnPeerProducerFrom(src *Card, clip *mpeg.Clip, streamID int, dst string, injectEvery sim.Time, loops int, startFrame int) *Producer {
+	if src.FS == nil {
+		panic("nic: SpawnPeerProducer needs a disk on the source card")
+	}
+	if src.PCI == nil || ext.Card.PCI == nil {
+		panic("nic: SpawnPeerProducer needs both cards on a PCI segment")
+	}
+	return ext.spawnProducer(src, src.PCI, fmt.Sprintf("%s/peer%d", src.Name, streamID), clip, streamID, dst, injectEvery, loops, startFrame)
+}
+
+// The producer's states; each ends in at most one blocking call.
+const (
+	prodStart   = iota // first dispatch: the pacing clock starts
+	prodFrame          // take the next frame; the ladder may shed it
+	prodGate           // hold at the source while overload backpressure is on
+	prodRead           // the disk read is done
+	prodAlloc          // card memory for the frame
+	prodArrived        // the frame is on the scheduler card (after the DMA, on path B)
+	prodEnqueue        // hand it to the scheduler
+)
+
+// producer reads each frame from src's disk into the scheduler card's
+// memory (across the PCI segment when xfer has one) and enqueues it, one
+// frame every `every`. It never holds the CPU: a step task on src's kernel.
+type producer struct {
+	Producer
+	ext      *SchedulerExt
+	src      *Card
+	xfer     *frameIO
+	bufs     addressedBufs
+	clip     *mpeg.Clip
+	frames   []mpeg.Frame // the rest of the current pass
+	loops    int          // passes left after this one
+	streamID int
+	every    sim.Time
+
+	state              int
+	next               sim.Time // the pacing deadline
+	seq                int64    // tracks the dwcs-assigned in-order sequence numbers
+	f                  mpeg.Frame
+	addr               mem.Addr
+	pkt                dwcs.Packet
+	readStart, readEnd sim.Time // the frame's disk and bus spans
+	busStart, busEnd   sim.Time
+}
+
+func (ext *SchedulerExt) spawnProducer(src *Card, pci *bus.Bus, name string, clip *mpeg.Clip, streamID int, dst string, every sim.Time, loops, startFrame int) *Producer {
+	p := &producer{
+		ext: ext, src: src, xfer: newFrameIO(src.FS, pci), bufs: addressedBufs{dst: dst},
+		clip: clip, frames: clip.Frames, loops: max(loops, 1) - 1, streamID: streamID, every: every,
+	}
+	if startFrame > 0 && len(clip.Frames) > 0 {
+		p.frames = clip.Frames[startFrame%len(clip.Frames):]
+	}
+	src.Kernel.SpawnStep(name, PrioProducer, p.step)
+	return &p.Producer
+}
+
+// step runs the frame loop up to its next blocking call.
+func (p *producer) step(tc *rtos.TaskCtx) bool {
+	ov, sched := p.ext.Overload, p.ext.Card
 	for {
-		err := ext.Enqueue(streamID, pkt)
-		if err == nil {
+		switch p.state {
+		case prodStart:
+			p.next, p.state = tc.Now(), prodFrame
+		case prodFrame:
+			for len(p.frames) == 0 {
+				if p.loops == 0 || len(p.clip.Frames) == 0 {
+					return false
+				}
+				p.frames, p.loops = p.clip.Frames, p.loops-1
+			}
+			p.f, p.frames = p.frames[0], p.frames[1:]
+			if ov != nil && !ov.AdmitFrame(p.f.Type) {
+				// The ladder sheds the frame at the source; the cadence holds.
+				p.Shed++
+				p.pace(tc)
+				return true
+			}
+			p.state = prodGate
+		case prodGate:
+			// Backpressure, or a budget short of the frame's bytes, holds the
+			// producer before the disk read (path C) and the DMA (path B).
+			if ov != nil && !ov.AllowSource(p.f.Size) {
+				p.Throttled++
+				tc.Sleep(ov.PollEvery)
+				return true
+			}
+			p.state, p.readStart = prodRead, tc.Now()
+			p.xfer.read(tc, p.f.Offset, p.f.Size)
+			return true
+		case prodRead:
+			p.state, p.readEnd = prodAlloc, tc.Now()
+		case prodAlloc:
+			// Memory pressure stalls the producer; it never loses a frame. The
+			// overload budget's total (stream state, slots, leaks too) must have
+			// headroom in the same instant, so the zero-breach invariant holds.
+			err := mem.ErrOutOfMemory
+			if ov == nil || ov.Budget.HeadroomFor(p.f.Size) {
+				p.addr, err = sched.Mem.Alloc(p.f.Size)
+			}
+			if err != nil {
+				p.Stalled++
+				tc.Sleep(10 * sim.Millisecond)
+				return true
+			}
+			p.state = prodArrived
+			if p.xfer.pci != nil {
+				p.busStart = tc.Now()
+				p.xfer.dma(tc, p.f.Size)
+				return true
+			}
+		case prodArrived:
+			p.busEnd = tc.Now()
+			p.pkt = dwcs.Packet{Bytes: p.f.Size, Offset: p.f.Offset, Payload: p.bufs.get(sched.Mem, p.addr)}
+			p.state = prodEnqueue
+		case prodEnqueue:
+			// A full ring is retried; a stream that is gone (removed or failed
+			// over) ends the producer and releases the orphaned frame's memory.
+			if err := p.ext.Enqueue(p.streamID, p.pkt); err != nil {
+				if errors.Is(err, dwcs.ErrUnknownStream) {
+					releasePayload(p.pkt.Payload)
+					p.Orphaned++
+					return false
+				}
+				p.Stalled++
+				if p.every > 0 {
+					tc.Sleep(p.every)
+				} else {
+					tc.Sleep(5 * sim.Millisecond)
+				}
+				return true
+			}
+			if sched.Tel != nil {
+				sched.Tel.Span(p.streamID, p.seq, telemetry.StageDisk, p.src.Name, p.readStart, p.readEnd)
+				if p.xfer.pci != nil {
+					sched.Tel.Span(p.streamID, p.seq, telemetry.StageBus, p.xfer.pci.Name(), p.busStart, p.busEnd)
+				}
+			}
+			p.seq++
+			p.Injected++
+			p.state = prodFrame
+			p.pace(tc)
 			return true
 		}
-		if errors.Is(err, dwcs.ErrUnknownStream) {
-			releasePayload(pkt.Payload)
-			p.Orphaned++
-			return false
-		}
-		p.Stalled++
-		tc.Sleep(injectOrDefault(injectEvery))
 	}
 }
 
-// allocWithBackoff retries a card-memory allocation until dispatches free
-// frames — memory pressure stalls the producer, it never loses a frame.
-// With an overload controller attached, the budget's accounted total (which
-// also covers stream state, queue slots, and injected leaks) must have
-// headroom too, checked in the same instant as the allocation so the
-// zero-breach invariant holds.
-func allocWithBackoff(tc *rtos.TaskCtx, ext *SchedulerExt, n int64, p *Producer) mem.Addr {
-	m := ext.Card.Mem
-	for {
-		if ov := ext.Overload; ov == nil || ov.Budget.HeadroomFor(n) {
-			addr, err := m.Alloc(n)
-			if err == nil {
-				return addr
-			}
-		}
-		p.Stalled++
-		tc.Sleep(10 * sim.Millisecond)
+// pace sleeps to the next frame's injection time (flat out: not at all).
+func (p *producer) pace(tc *rtos.TaskCtx) {
+	if p.every > 0 {
+		p.next += p.every
+		tc.SleepUntil(p.next)
 	}
-}
-
-func injectOrDefault(d sim.Time) sim.Time {
-	if d > 0 {
-		return d
-	}
-	return 5 * sim.Millisecond
 }
 
 // frameIO is one task's per-frame disk read and bus DMA. The Await
@@ -1155,75 +1193,14 @@ func (b *addressedBuf) Release() {
 	b.bufs.free = append(b.bufs.free, b)
 }
 
-// SpawnPeerProducer streams clip from src's attached disk, DMAs each frame
-// across the PCI bus into this scheduler card, and enqueues it — path B of
-// Figure 3 (disk → I/O bus → scheduler NI → network; no host CPU or
-// memory).
-func (ext *SchedulerExt) SpawnPeerProducer(src *Card, clip *mpeg.Clip, streamID int, dst string, injectEvery sim.Time, loops int) *Producer {
-	return ext.SpawnPeerProducerFrom(src, clip, streamID, dst, injectEvery, loops, 0)
-}
-
-// SpawnPeerProducerFrom is SpawnPeerProducer with a frame cursor: the first
-// pass over the clip starts at frame startFrame (mod clip length) instead of
-// 0, so a producer respawned after a live migration resumes the title where
-// the moved stream left off rather than replaying from the top.
-func (ext *SchedulerExt) SpawnPeerProducerFrom(src *Card, clip *mpeg.Clip, streamID int, dst string, injectEvery sim.Time, loops int, startFrame int) *Producer {
-	if src.FS == nil {
-		panic("nic: SpawnPeerProducer needs a disk on the source card")
+// relayFrame is the offset and size of a relay's i-th frame: clip frame i
+// (mod its length), frameBytes long unless that is 0.
+func relayFrame(clip *mpeg.Clip, i int, frameBytes int64) (off, n int64) {
+	f := clip.Frames[i%len(clip.Frames)]
+	if frameBytes == 0 {
+		frameBytes = f.Size
 	}
-	if src.PCI == nil || ext.Card.PCI == nil {
-		panic("nic: SpawnPeerProducer needs both cards on a PCI segment")
-	}
-	if loops <= 0 {
-		loops = 1
-	}
-	skip := 0
-	if startFrame > 0 && len(clip.Frames) > 0 {
-		skip = startFrame % len(clip.Frames)
-	}
-	sched := ext.Card
-	p := &Producer{}
-	xfer := newFrameIO(src.FS, src.PCI)
-	bufs := &addressedBufs{dst: dst}
-	src.Kernel.Spawn(fmt.Sprintf("%s/peer%d", src.Name, streamID), PrioProducer, func(tc *rtos.TaskCtx) {
-		next := tc.Now()
-		var seq int64 // tracks the dwcs-assigned in-order sequence numbers
-		for loop := 0; loop < loops; loop++ {
-			frames := clip.Frames
-			if loop == 0 {
-				frames = frames[skip:]
-			}
-			for _, f := range frames {
-				if skipShed(tc, ext, f, p, &next, injectEvery) {
-					continue
-				}
-				gateSource(tc, ext, f.Size, p)
-				readStart := tc.Now()
-				xfer.read(tc, f.Offset, f.Size)
-				readEnd := tc.Now()
-				addr := allocWithBackoff(tc, ext, f.Size, p)
-				// Card-to-card peer DMA of the frame body.
-				busStart := tc.Now()
-				xfer.dma(tc, f.Size)
-				busEnd := tc.Now()
-				pkt := dwcs.Packet{Bytes: f.Size, Offset: f.Offset, Payload: bufs.get(sched.Mem, addr)}
-				if !enqueueWithBackoff(tc, ext, streamID, pkt, p, injectEvery) {
-					return // stream is gone (failed over); stop sourcing
-				}
-				if sched.Tel != nil {
-					sched.Tel.Span(streamID, seq, telemetry.StageDisk, src.Name, readStart, readEnd)
-					sched.Tel.Span(streamID, seq, telemetry.StageBus, src.PCI.Name(), busStart, busEnd)
-				}
-				seq++
-				p.Injected++
-				if injectEvery > 0 {
-					next += injectEvery
-					tc.SleepUntil(next)
-				}
-			}
-		}
-	})
-	return p
+	return f.Offset, frameBytes
 }
 
 // SpawnRelay streams clip from the card's attached disk straight to dst
@@ -1238,12 +1215,8 @@ func (c *Card) SpawnRelay(clip *mpeg.Clip, dst string, frameBytes int64, frames 
 	xfer := newFrameIO(c.FS, nil)
 	return c.Kernel.Spawn(c.Name+"/relay", PrioRelay, func(tc *rtos.TaskCtx) {
 		for i := 0; i < frames; i++ {
-			f := clip.Frames[i%len(clip.Frames)]
-			sz := frameBytes
-			if sz == 0 {
-				sz = f.Size
-			}
-			xfer.read(tc, f.Offset, sz)
+			off, sz := relayFrame(clip, i, frameBytes)
+			xfer.read(tc, off, sz)
 			c.send(tc, &netsim.Packet{Src: c.Name, Dst: dst, Bytes: sz, Seq: int64(i)}, nil)
 		}
 		if done != nil {
@@ -1265,29 +1238,33 @@ func (c *Card) SpawnPeerRelay(src *Card, clip *mpeg.Clip, dst string, frameBytes
 		for sent := 0; sent < frames; sent++ {
 			ready.Take(tc)
 			seq := queue.Pop()
-			f := clip.Frames[int(seq)%len(clip.Frames)]
-			sz := frameBytes
-			if sz == 0 {
-				sz = f.Size
-			}
+			_, sz := relayFrame(clip, int(seq), frameBytes)
 			c.send(tc, &netsim.Packet{Src: c.Name, Dst: dst, Bytes: sz, Seq: seq}, nil)
 		}
 		if done != nil {
 			done()
 		}
 	})
+	// The reader only blocks, so it is a step task: its n-th call reads frame
+	// n/2 (even n) or DMAs it (odd n), first queueing the frame DMAed before.
 	xfer := newFrameIO(src.FS, src.PCI)
-	src.Kernel.Spawn(src.Name+"/peer-reader", PrioProducer, func(tc *rtos.TaskCtx) {
-		for i := 0; i < frames; i++ {
-			f := clip.Frames[i%len(clip.Frames)]
-			sz := frameBytes
-			if sz == 0 {
-				sz = f.Size
-			}
-			xfer.read(tc, f.Offset, sz)
-			xfer.dma(tc, sz)
-			queue.Push(int64(i))
+	n := 0
+	src.Kernel.SpawnStep(src.Name+"/peer-reader", PrioProducer, func(tc *rtos.TaskCtx) bool {
+		i := n / 2
+		if n%2 == 0 && i > 0 {
+			queue.Push(int64(i - 1))
 			ready.Give()
 		}
+		if i == frames {
+			return false
+		}
+		off, sz := relayFrame(clip, i, frameBytes)
+		if n%2 == 0 {
+			xfer.read(tc, off, sz)
+		} else {
+			xfer.dma(tc, sz)
+		}
+		n++
+		return true
 	})
 }

@@ -178,24 +178,33 @@ func TestScriptedScenarioMatchesChannelKernel(t *testing.T) {
 	}
 }
 
-// steadyKernel spawns body on a fresh kernel with a context-switch cost and
+// handoffBody is a task that does one operation per 10 µs round trip: a
+// coroutine body, or a step body built for its engine.
+type handoffBody struct {
+	name string
+	body func(eng *sim.Engine, tc *TaskCtx)
+	step func(eng *sim.Engine) func(tc *TaskCtx) bool
+}
+
+// steadyKernel spawns c on a fresh kernel with a context-switch cost and
 // runs the engine long enough for queues, the event arena and the coroutine
 // to reach their steady state.
-func steadyKernel(tb testing.TB, body func(eng *sim.Engine, tc *TaskCtx)) *sim.Engine {
+func steadyKernel(tb testing.TB, c handoffBody) *sim.Engine {
 	eng := sim.NewEngine(1)
 	tb.Cleanup(eng.Close)
 	k := NewKernel(eng, "cpu", sim.Microsecond)
-	k.Spawn("t", 1, func(tc *TaskCtx) { body(eng, tc) })
+	if c.step != nil {
+		k.SpawnStep("t", 1, c.step(eng))
+	} else {
+		k.Spawn("t", 1, func(tc *TaskCtx) { c.body(eng, tc) })
+	}
 	eng.RunUntil(sim.Millisecond)
 	return eng
 }
 
-// The hand-off bodies, one operation per 10 µs round trip.
-var handoffBodies = []struct {
-	name string
-	body func(eng *sim.Engine, tc *TaskCtx)
-}{
-	{"Run", func(eng *sim.Engine, tc *TaskCtx) {
+// The hand-off bodies.
+var handoffBodies = []handoffBody{
+	{name: "Run", body: func(eng *sim.Engine, tc *TaskCtx) {
 		// An event due as the burst ends refuses the in-place completion,
 		// so every burst parks and is resumed by its burst-done event.
 		competitor := func() {}
@@ -204,32 +213,40 @@ var handoffBodies = []struct {
 			tc.Run(10 * sim.Microsecond)
 		}
 	}},
-	{"RunInPlace", func(_ *sim.Engine, tc *TaskCtx) {
+	{name: "RunInPlace", body: func(_ *sim.Engine, tc *TaskCtx) {
 		// A lone task: every burst completes in place until the bound of
 		// the executing RunUntil.
 		for {
 			tc.Run(10 * sim.Microsecond)
 		}
 	}},
-	{"Sleep", func(_ *sim.Engine, tc *TaskCtx) {
+	{name: "Sleep", body: func(_ *sim.Engine, tc *TaskCtx) {
 		for {
 			tc.Sleep(10 * sim.Microsecond)
 		}
 	}},
-	{"Await", func(eng *sim.Engine, tc *TaskCtx) {
+	{name: "Await", body: func(eng *sim.Engine, tc *TaskCtx) {
 		start := func(done func()) { eng.After(10*sim.Microsecond, done) }
 		for {
 			tc.Await(start)
 		}
 	}},
+	{name: "StepSleep", step: func(*sim.Engine) func(tc *TaskCtx) bool {
+		return func(tc *TaskCtx) bool { tc.Sleep(10 * sim.Microsecond); return true }
+	}},
+	{name: "StepAwait", step: func(eng *sim.Engine) func(tc *TaskCtx) bool {
+		start := func(done func()) { eng.After(10*sim.Microsecond, done) }
+		return func(tc *TaskCtx) bool { tc.Await(start); return true }
+	}},
 }
 
 // TestHandoffDoesNotAllocate holds the kernel to its no-allocation rule: a
-// Run burst, a Sleep and wake, and an Await round trip cost no allocation
-// once the task is in its loop.
+// Run burst, a Sleep and wake, and an Await round trip — the last two from a
+// coroutine and from a step task — cost no allocation once the task is in
+// its loop.
 func TestHandoffDoesNotAllocate(t *testing.T) {
 	for _, c := range handoffBodies {
-		eng := steadyKernel(t, c.body)
+		eng := steadyKernel(t, c)
 		allocs := testing.AllocsPerRun(200, func() {
 			eng.RunUntil(eng.Now() + 10*sim.Microsecond)
 		})
@@ -281,13 +298,13 @@ func pingPongKernel(tb testing.TB) *sim.Engine {
 
 // BenchmarkHandoff is the rtos layer's own number: host time and
 // allocations per simulated task operation (one parked Run burst, one Run
-// burst completed in place, one Sleep and wake, one Await round trip, one
-// context switch between two tasks — with nothing else pending, that switch
+// burst completed in place, one Sleep and wake, one Await round trip, each
+// of the last two from a step task too, one context switch between two tasks — with nothing else pending, that switch
 // and the burst after it complete in place).
 func BenchmarkHandoff(b *testing.B) {
 	for _, c := range handoffBodies {
 		b.Run(c.name, func(b *testing.B) {
-			eng := steadyKernel(b, c.body)
+			eng := steadyKernel(b, c)
 			b.ReportAllocs()
 			b.ResetTimer()
 			eng.RunUntil(eng.Now() + sim.Time(b.N)*10*sim.Microsecond)

@@ -78,7 +78,8 @@ func (w *Watchdog) Stop() {
 // Starving reports how long since the last pet.
 func (w *Watchdog) Starving() sim.Time { return w.eng.Now() - w.LastPet }
 
-// SpawnPetter starts a kernel task that pets the watchdog every `every`.
+// SpawnPetter starts a kernel task that pets the watchdog every `every`;
+// it only sleeps, so it is a step task.
 // Run it below the tasks whose liveness it vouches for: if a runaway
 // higher-priority task hogs the CPU — or the kernel halts outright — the
 // petter starves with it and the watchdog bites.
@@ -86,10 +87,9 @@ func (w *Watchdog) SpawnPetter(k *Kernel, name string, prio int, every sim.Time)
 	if every <= 0 || every >= w.timeout {
 		panic("rtos: pet period must be positive and below the watchdog timeout")
 	}
-	return k.Spawn(name, prio, func(tc *TaskCtx) {
-		for {
-			w.Pet()
-			tc.Sleep(every)
-		}
+	return k.SpawnStep(name, prio, func(tc *TaskCtx) bool {
+		w.Pet()
+		tc.Sleep(every)
+		return true
 	})
 }
