@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -211,5 +212,64 @@ func TestDMADoesNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 			t.Errorf("%d masters: %v allocs per round of DMAs, want 0", masters, allocs)
 		}
+	}
+}
+
+// Interleaved bridged transfers in both directions, with other masters on
+// both segments, complete at the instants and in the order of chained
+// per-transfer callbacks (DMA, then the latency, then the second DMA).
+func TestBridgeTransfersMatchChainedCallbacks(t *testing.T) {
+	run := func(chained bool) []string {
+		eng := sim.NewEngine(1)
+		pci, sys := New(eng, PCI("pci")), New(eng, SystemBus("sys"))
+		br := NewBridge(eng, pci, sys, 700*sim.Nanosecond)
+		var log []string
+		for i := 0; i < 12; i++ {
+			from, n := pci, int64(500+300*i)
+			if i%3 == 1 {
+				from = sys
+			}
+			done := func() { log = append(log, fmt.Sprintf("%d@%d", i, eng.Now())) }
+			at := sim.Time(i%5) * sim.Microsecond
+			eng.At(at, func() {
+				from.DMA(200, func() {}) // another master on the first segment
+				if !chained {
+					br.Transfer(from, n, done)
+					return
+				}
+				to := sys
+				if from == sys {
+					to = pci
+				}
+				from.DMA(n, func() {
+					eng.After(br.Latency, func() { to.DMA(n, done) })
+				})
+			})
+		}
+		eng.Run()
+		return log
+	}
+	got, want := run(false), run(true)
+	if len(got) != 12 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("bridged completions %v, want %v", got, want)
+	}
+}
+
+// A bridged transfer allocates nothing once the wait lines have grown.
+func TestBridgeTransferDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	pci, sys := New(eng, PCI("pci")), New(eng, SystemBus("sys"))
+	br := NewBridge(eng, pci, sys, 500*sim.Nanosecond)
+	done := func() {}
+	round := func() {
+		for i := 0; i < 3; i++ {
+			br.Transfer(pci, 1000, done)
+			br.Transfer(sys, 1000, done)
+		}
+		eng.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%v allocs per round of bridged transfers, want 0", allocs)
 	}
 }

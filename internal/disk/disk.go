@@ -210,6 +210,10 @@ type DOSFS struct {
 	FATOffset int64 // byte offset of the FAT region
 
 	reads int64
+	// Data reads waiting for their FAT detour, in the order the disk
+	// completes the detours, and the detour's completion, built once.
+	detoured  sim.FIFO[readReq]
+	fatDoneFn func()
 }
 
 // NewDOSFS returns a dosFs over d with the FAT cached (the NI-resident
@@ -233,12 +237,20 @@ func (f *DOSFS) Read(off, n int64, done func()) {
 	f.reads++
 	if !f.FATCached && f.MetaEvery > 0 && f.reads%f.MetaEvery == 1 {
 		// FAT detour: read a FAT sector far from the data, then the data.
-		f.Disk.Read(f.FATOffset, 512, func() {
-			f.Disk.Read(off, n, done)
-		})
+		if f.fatDoneFn == nil {
+			f.fatDoneFn = f.fatDone
+		}
+		f.detoured.Push(readReq{off: off, n: n, done: done})
+		f.Disk.Read(f.FATOffset, 512, f.fatDoneFn)
 		return
 	}
 	f.Disk.Read(off, n, done)
+}
+
+// fatDone starts the data read of the oldest finished FAT detour.
+func (f *DOSFS) fatDone() {
+	q := f.detoured.Pop()
+	f.Disk.Read(q.off, q.n, q.done)
 }
 
 // UFS models the Solaris UFS: 8 KB logical blocks, a buffer cache, and
@@ -256,6 +268,21 @@ type UFS struct {
 	Hits    int64
 	Misses  int64
 	demands int64
+
+	// Blocks being loaded, in the order the disk completes them, and the
+	// load's completion, built once; finished reads, kept for reuse.
+	loading  sim.FIFO[int64]
+	loadedFn func()
+	free     []*ufsRead
+}
+
+// ufsRead is one Read walking its blocks in order. A finished read is
+// reused, so its step callback is built once.
+type ufsRead struct {
+	u       *UFS
+	b, last int64 // the block waited for, and the read's last block
+	done    func()
+	nextFn  func() // r.next
 }
 
 type blockState struct {
@@ -266,7 +293,7 @@ type blockState struct {
 // NewUFS returns a UFS over d with the paper's 8 KB logical block size,
 // prefetch enabled, and a 256-block cache.
 func NewUFS(eng *sim.Engine, d *Disk) *UFS {
-	return &UFS{
+	u := &UFS{
 		Disk:      d,
 		BlockSize: 8 << 10,
 		HitCost:   60 * sim.Microsecond,
@@ -275,6 +302,8 @@ func NewUFS(eng *sim.Engine, d *Disk) *UFS {
 		eng:       eng,
 		cache:     make(map[int64]*blockState),
 	}
+	u.loadedFn = u.loaded
+	return u
 }
 
 // Name implements FS.
@@ -288,18 +317,30 @@ func (u *UFS) Read(off, n int64, done func()) {
 	if n == 0 {
 		last = first
 	}
-	var next func(b int64)
-	next = func(b int64) {
-		u.ensure(b, true, func() {
-			if b < last {
-				next(b + 1)
-				return
-			}
-			// All blocks resident: charge the copy-out and complete.
-			u.eng.After(u.HitCost, done)
-		})
+	var r *ufsRead
+	if k := len(u.free); k > 0 {
+		r, u.free = u.free[k-1], u.free[:k-1]
+	} else {
+		r = &ufsRead{u: u}
+		r.nextFn = r.next
 	}
-	next(first)
+	r.b, r.last, r.done = first, last, done
+	u.ensure(first, true, r.nextFn)
+}
+
+// next runs once block r.b is resident: it waits for the next block or,
+// all blocks resident, charges the copy-out and completes.
+func (r *ufsRead) next() {
+	u := r.u
+	if r.b < r.last {
+		r.b++
+		u.ensure(r.b, true, r.nextFn)
+		return
+	}
+	done := r.done
+	r.done = nil
+	u.free = append(u.free, r)
+	u.eng.After(u.HitCost, done)
 }
 
 // ensure makes block b resident, then calls ready. demand marks whether this
@@ -325,22 +366,30 @@ func (u *UFS) ensure(b int64, demand bool, ready func()) {
 	}
 	st = &blockState{waiters: []func(){ready}}
 	u.cache[b] = st
-	u.Disk.Read(b*u.BlockSize, u.BlockSize, func() {
-		st.ready = true
-		u.order = append(u.order, b)
-		u.evict()
-		waiters := st.waiters
-		st.waiters = nil
-		for _, w := range waiters {
-			w()
-		}
-	})
+	u.loading.Push(b)
+	u.Disk.Read(b*u.BlockSize, u.BlockSize, u.loadedFn)
 	// Read-ahead is driven by demand misses only; a prefetch never chains
 	// into further prefetches (otherwise one read would walk the whole file).
 	if u.Prefetch && demand {
 		if _, have := u.cache[b+1]; !have {
 			u.ensure(b+1, false, func() {})
 		}
+	}
+}
+
+// loaded makes the oldest loading block resident and wakes its waiters. A
+// loading block is not in the eviction order, so its cache entry is the one
+// ensure made.
+func (u *UFS) loaded() {
+	b := u.loading.Pop()
+	st := u.cache[b]
+	st.ready = true
+	u.order = append(u.order, b)
+	u.evict()
+	waiters := st.waiters
+	st.waiters = nil
+	for _, w := range waiters {
+		w()
 	}
 }
 
