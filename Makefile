@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test race cross fuzz bench repro telemetry slo soak conformance dwcsd-profile build clean
+.PHONY: all test race cross fuzz examples bench repro telemetry slo soak conformance dwcsd-profile build clean
 
 all: build test
 
@@ -32,6 +32,14 @@ fuzz:
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzReassemblerIngest$$' -fuzztime 10s
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzUnmarshalMedia$$' -fuzztime 10s
 	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzReaders$$' -fuzztime 10s
+
+# Every program under examples/ is deterministic: run each and compare its
+# stdout with the examples/<name>/output.txt it was pinned to.
+EXAMPLES := $(notdir $(wildcard examples/*))
+examples:
+	@set -e; for ex in $(EXAMPLES); do \
+		$(GO) run ./examples/$$ex | diff -u examples/$$ex/output.txt - || { echo "examples/$$ex: stdout left output.txt" >&2; exit 1; }; \
+	done
 
 # Kernel, task hand-off, per-operation substrate (link, disk, client, host
 # CPU), scheduler fast-path and observability record/read micro-benchmarks,

@@ -18,7 +18,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/producers.golden")
+var update = flag.Bool("update", false, "rewrite the testdata goldens")
 
 // watchedFS is a filesystem that reports each read's start to onRead, so a
 // test can act while a producer is inside a disk read.
