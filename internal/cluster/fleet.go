@@ -320,7 +320,7 @@ type fleet struct {
 }
 
 // close ends every card's parked tasks once the run's results are collected;
-// without it each run's task coroutines would stay parked and pin the fleet.
+// a coroutine task left parked would pin the fleet through its goroutine.
 func (f *fleet) close() {
 	if f.topo == nil {
 		f.mono.Close()

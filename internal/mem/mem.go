@@ -147,17 +147,25 @@ type Observer interface {
 // each frame in NI memory and manipulates addresses (§3.1.2); Memory is the
 // accounting for that: allocations fail once the installed size is exceeded.
 type Memory struct {
-	size   int64
-	used   int64
-	peak   int64
-	next   Addr
-	blocks map[Addr]int64
-	obs    Observer
+	size int64
+	used int64
+	peak int64
+	obs  Observer
+
+	// Addresses are handed out in increasing order from 1: sizes[i] is the
+	// size of the allocation at base+i, or -1 once it is freed. Frames are
+	// freed roughly in allocation order, so the freed prefix sizes[:head] is
+	// dropped as it forms: the slice is emptied when nothing is live, and
+	// when it is full the live part moves down over a prefix at least half
+	// its length instead of growing it.
+	base  Addr
+	head  int
+	sizes []int64
 }
 
 // NewMemory returns an allocator over size bytes of card memory.
 func NewMemory(size int64) *Memory {
-	return &Memory{size: size, next: 1, blocks: make(map[Addr]int64)}
+	return &Memory{size: size, base: 1}
 }
 
 // Alloc reserves n bytes, returning its address, or ErrOutOfMemory.
@@ -168,13 +176,16 @@ func (m *Memory) Alloc(n int64) (Addr, error) {
 	if m.used+n > m.size {
 		return 0, fmt.Errorf("%w: want %d, free %d", ErrOutOfMemory, n, m.size-m.used)
 	}
-	a := m.next
-	m.next++
+	if len(m.sizes) == cap(m.sizes) && m.head > 0 && 2*m.head >= len(m.sizes) {
+		live := copy(m.sizes, m.sizes[m.head:])
+		m.sizes, m.base, m.head = m.sizes[:live], m.base+Addr(m.head), 0
+	}
+	a := m.base + Addr(len(m.sizes))
+	m.sizes = append(m.sizes, n)
 	m.used += n
 	if m.used > m.peak {
 		m.peak = m.used
 	}
-	m.blocks[a] = n
 	if m.obs != nil {
 		m.obs.OnAlloc(n)
 	}
@@ -184,11 +195,18 @@ func (m *Memory) Alloc(n int64) (Addr, error) {
 // Free releases the allocation at a. Freeing an unknown address panics: it
 // is always a double-free bug in the caller.
 func (m *Memory) Free(a Addr) {
-	n, ok := m.blocks[a]
-	if !ok {
+	i := int(a) - int(m.base)
+	if i < m.head || i >= len(m.sizes) || m.sizes[i] < 0 {
 		panic(fmt.Sprintf("mem: free of unknown addr %d", a))
 	}
-	delete(m.blocks, a)
+	n := m.sizes[i]
+	m.sizes[i] = -1
+	for m.head < len(m.sizes) && m.sizes[m.head] < 0 {
+		m.head++
+	}
+	if m.head == len(m.sizes) {
+		m.sizes, m.base, m.head = m.sizes[:0], m.base+Addr(m.head), 0
+	}
 	m.used -= n
 	if m.obs != nil {
 		m.obs.OnFree(n)

@@ -116,6 +116,75 @@ func TestMemoryDoubleFreePanics(t *testing.T) {
 	m.Free(a)
 }
 
+// Frees in any order release exactly their own bytes, and an address that
+// was never handed out, or was already freed, panics.
+func TestMemoryFreesOutOfOrder(t *testing.T) {
+	m := NewMemory(1 << 20)
+	var live []Addr
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 7; i++ {
+			a, err := m.Alloc(int64(100 + round + i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, a)
+		}
+		// Free every other live allocation, newest first, so the oldest
+		// stays live for a while and gaps open behind it.
+		var keep []Addr
+		for i := len(live) - 1; i >= 0; i-- {
+			if i%2 == round%2 {
+				m.Free(live[i])
+			} else {
+				keep = append([]Addr{live[i]}, keep...)
+			}
+		}
+		live = keep
+	}
+	want := int64(0)
+	for _, a := range live {
+		want += m.sizes[int(a)-int(m.base)]
+	}
+	if m.Used() != want {
+		t.Fatalf("used %d, live allocations hold %d", m.Used(), want)
+	}
+	for _, a := range live {
+		m.Free(a)
+	}
+	if m.Used() != 0 {
+		t.Fatalf("used %d after freeing everything", m.Used())
+	}
+	a, _ := m.Alloc(1)
+	for _, bad := range []Addr{0, live[0], a + 1} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("Free(%d): no panic", bad)
+				}
+			}()
+			m.Free(bad)
+		}()
+	}
+}
+
+// A steady stream of allocations freed in order reuses the size table.
+func TestMemoryAllocFreeDoesNotAllocate(t *testing.T) {
+	m := NewMemory(1 << 20)
+	var ring [16]Addr
+	for i := range ring {
+		ring[i], _ = m.Alloc(1000)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.Free(ring[i%len(ring)])
+		ring[i%len(ring)], _ = m.Alloc(1000)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per free and alloc, want 0", allocs)
+	}
+}
+
 func TestMemoryNegativeAlloc(t *testing.T) {
 	m := NewMemory(100)
 	if _, err := m.Alloc(-1); err == nil {

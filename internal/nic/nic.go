@@ -137,7 +137,7 @@ func (c *Card) Crashed() bool { return c.crashed }
 // holds the CPU for d, starving every other task (the watchdog petter
 // included, which is how the hang gets detected).
 func (c *Card) HangHog(d sim.Time) {
-	c.Kernel.Spawn(c.Name+"/hog", 0, func(tc *rtos.TaskCtx) { tc.Run(d) })
+	c.Kernel.SpawnStep(c.Name+"/hog", 0, func(tc *rtos.TaskCtx) bool { tc.Run(d); return false })
 }
 
 // StartWatchdog arms the card's hardware watchdog with the given timeout
@@ -252,6 +252,11 @@ func (c *Card) Send(tc *rtos.TaskCtx, pkt *netsim.Packet) { c.send(tc, pkt, nil)
 // memory is released once the frame is on the wire.
 func (c *Card) send(tc *rtos.TaskCtx, pkt *netsim.Packet, payload any) {
 	tc.Run(c.Stack.Tx)
+	c.transmit(pkt, payload)
+}
+
+// transmit puts a frame whose protocol encapsulation is paid on the wire.
+func (c *Card) transmit(pkt *netsim.Packet, payload any) {
 	c.FramesSent++
 	buf, owned := payload.(releaser)
 	switch {
@@ -386,7 +391,6 @@ type SchedulerExt struct {
 	dispatchQ   sim.FIFO[dwcs.Packet]
 	dispatchSem *rtos.Semaphore
 	dispatchCap int
-	dispatching dwcs.Packet // the packet the dispatcher task is sending
 }
 
 // buildScheduler constructs the DWCS instance for cfg, allocating ring
@@ -445,9 +449,11 @@ func (c *Card) LoadScheduler(cfg SchedulerConfig) (*SchedulerExt, error) {
 	if cfg.DispatchQueue > 0 {
 		ext.dispatchCap = cfg.DispatchQueue
 		ext.dispatchSem = rtos.NewSemaphore(c.Kernel, c.Name+"/dispatchq", 0)
-		c.Kernel.Spawn(c.Name+"/dispatch", PrioScheduler+1, ext.runDispatcher)
+		disp := &schedTask{ext: ext, after: dispTake}
+		c.Kernel.SpawnStep(c.Name+"/dispatch", PrioScheduler+1, disp.step)
 	}
-	c.Kernel.Spawn(ext.srcDWCS, PrioScheduler, ext.run)
+	sched := &schedTask{ext: ext, after: schedDecide}
+	c.Kernel.SpawnStep(ext.srcDWCS, PrioScheduler, sched.step)
 	return ext, nil
 }
 
@@ -808,86 +814,121 @@ func (ext *SchedulerExt) wake() {
 	}
 }
 
-// run is the scheduler task body.
-func (ext *SchedulerExt) run(tc *rtos.TaskCtx) {
-	c := ext.Card
-	lap := cpu.StartLap(c.Meter)
+// The scheduler's and the dispatcher's states; each ends in at most one
+// blocking call or burst. Both tasks dispatch through the same three.
+const (
+	taskStart    = iota // first dispatch: the task's CPU lap starts
+	schedDecide         // decide and charge the decision
+	schedAct            // account the drops, then act on the decision
+	schedHandOff        // decoupled: queue the decision, backing off while the queue is full
+	dispTake            // the dispatcher waits for a decision
+	dispPop             // and takes it off the queue
+	dispCharge          // charge the dispatch path for packet p
+	dispCharged         // account for p, build its frame, pay protocol encapsulation
+	dispOnWire          // put the frame on the wire
+)
+
+// schedTask is the state of the scheduler task or the decoupled dispatcher
+// task, step tasks on the card. p, the packet being dispatched, stays valid
+// across the dispatch's bursts: the scheduler's decision is only replaced
+// by this task's next Schedule, and the dispatcher sends its own copy.
+type schedTask struct {
+	ext   *SchedulerExt
+	lap   *cpu.Lap
+	state int
+	d     dwcs.Decision // the scheduler's decision
+	p     *dwcs.Packet
+	held  dwcs.Packet // the dispatcher's copy of a queued decision
+	pkt   *netsim.Packet
+	after int // the task's loop state: where it starts and a dispatch returns to
+}
+
+// step runs the task up to its next blocking call or burst.
+func (s *schedTask) step(tc *rtos.TaskCtx) bool {
+	ext, c := s.ext, s.ext.Card
 	for {
-		d := ext.Sched.Schedule()
-		tc.Charge(lap) // decision CPU time at i960 speed
-		ext.Dropped += int64(len(d.Dropped))
-		for _, p := range d.Dropped {
-			ext.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDrop,
-				Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, Note: "deadline"})
-			releasePayload(p.Payload)
-		}
-		switch {
-		case d.Packet != nil:
-			p := d.Packet
-			if ext.dispatchSem != nil {
-				// Decoupled mode: hand the decision to the dispatcher. A
-				// full dispatch queue back-pressures the scheduler task.
-				for ext.dispatchQ.Len() >= ext.dispatchCap {
-					tc.Sleep(sim.Millisecond)
-				}
-				ext.dispatchQ.Push(*p)
-				ext.dispatchSem.Give()
-				continue
+		switch s.state {
+		case taskStart:
+			s.lap, s.state = cpu.StartLap(c.Meter), s.after
+		case schedDecide:
+			s.d = ext.Sched.Schedule()
+			s.state = schedAct
+			tc.Charge(s.lap) // decision CPU time at i960 speed
+			return true
+		case schedAct:
+			d := &s.d
+			ext.Dropped += int64(len(d.Dropped))
+			for _, p := range d.Dropped {
+				ext.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDrop,
+					Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, Note: "deadline"})
+				releasePayload(p.Payload)
 			}
-			ext.dispatch(tc, lap, p)
-		case d.WaitUntil > 0:
-			ext.sleepUntil(tc, d.WaitUntil)
-		case len(d.Dropped) > 0:
-			// progress was made; loop for the next decision
-		default:
-			ext.work.Take(tc) // idle until a producer enqueues
+			s.state = schedDecide
+			switch {
+			case d.Packet != nil && ext.dispatchSem != nil:
+				s.state = schedHandOff
+			case d.Packet != nil:
+				s.p, s.state = d.Packet, dispCharge
+			case d.WaitUntil > 0:
+				// Paced: sleep until the best packet is eligible or an enqueue
+				// kicks the task (charging the decision may have passed it).
+				if ext.sleepAt = d.WaitUntil; ext.sleepAt > tc.Now() {
+					tc.Await(ext.startSleepFn)
+				}
+				return true
+			case len(d.Dropped) > 0:
+				// progress was made; go on to the next decision
+			default:
+				ext.work.Take(tc) // idle until a producer enqueues
+				return true
+			}
+		case schedHandOff:
+			// Decoupled mode: hand the decision to the dispatcher. A full
+			// dispatch queue back-pressures the scheduler task.
+			if ext.dispatchQ.Len() >= ext.dispatchCap {
+				tc.Sleep(sim.Millisecond)
+				return true
+			}
+			ext.dispatchQ.Push(*s.d.Packet)
+			ext.dispatchSem.Give()
+			s.state = schedDecide
+		case dispTake:
+			s.state = dispPop
+			ext.dispatchSem.Take(tc)
+			return true
+		case dispPop:
+			s.held = ext.dispatchQ.Pop()
+			s.p, s.state = &s.held, dispCharge
+		case dispCharge:
+			c.ChargeDispatch()
+			s.state = dispCharged
+			tc.Charge(s.lap)
+			return true
+		case dispCharged:
+			p := s.p
+			if t := ext.QDelay[p.StreamID]; t != nil {
+				t.Record(tc.Now() - p.Enqueued)
+			}
+			if c.Tel != nil {
+				c.Tel.Span(p.StreamID, p.Seq, telemetry.StageQueue, ext.srcDWCS, p.Enqueued, tc.Now())
+				ext.telQDelay.Observe((tc.Now() - p.Enqueued).Milliseconds())
+			}
+			ext.Sent++
+			ext.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDecision,
+				Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, B: int64(tc.Now() - p.Enqueued)})
+			if ext.OnDispatch != nil {
+				ext.OnDispatch(p)
+			}
+			s.pkt = c.packet()
+			*s.pkt = netsim.Packet{Src: c.Name, Dst: streamDst(p), StreamID: p.StreamID, Seq: p.Seq,
+				Bytes: p.Bytes, Enqueued: p.Enqueued, Deadline: p.Deadline, Dispatched: tc.Now()}
+			s.state = dispOnWire
+			tc.Run(c.Stack.Tx)
+			return true
+		case dispOnWire:
+			c.transmit(s.pkt, s.p.Payload)
+			s.pkt, s.state = nil, s.after
 		}
-	}
-}
-
-// dispatch charges the dispatch path and transmits p. It must run on the
-// card. p need only stay valid until dispatch returns: the scheduler's
-// decision in coupled mode, the dispatcher's copy in decoupled mode.
-func (ext *SchedulerExt) dispatch(tc *rtos.TaskCtx, lap *cpu.Lap, p *dwcs.Packet) {
-	c := ext.Card
-	c.ChargeDispatch()
-	tc.Charge(lap)
-	if t := ext.QDelay[p.StreamID]; t != nil {
-		t.Record(tc.Now() - p.Enqueued)
-	}
-	if c.Tel != nil {
-		c.Tel.Span(p.StreamID, p.Seq, telemetry.StageQueue, ext.srcDWCS, p.Enqueued, tc.Now())
-		ext.telQDelay.Observe((tc.Now() - p.Enqueued).Milliseconds())
-	}
-	ext.Sent++
-	ext.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDecision,
-		Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, B: int64(tc.Now() - p.Enqueued)})
-	if ext.OnDispatch != nil {
-		ext.OnDispatch(p)
-	}
-	pkt := c.packet()
-	*pkt = netsim.Packet{
-		Src:        c.Name,
-		Dst:        streamDst(p),
-		StreamID:   p.StreamID,
-		Seq:        p.Seq,
-		Bytes:      p.Bytes,
-		Enqueued:   p.Enqueued,
-		Deadline:   p.Deadline,
-		Dispatched: tc.Now(),
-	}
-	c.send(tc, pkt, p.Payload)
-}
-
-// runDispatcher is the decoupled-dispatch task: it drains the dispatch
-// FIFO, paying the dispatch and protocol costs, while the scheduler task
-// keeps making decisions.
-func (ext *SchedulerExt) runDispatcher(tc *rtos.TaskCtx) {
-	lap := cpu.StartLap(ext.Card.Meter)
-	for {
-		ext.dispatchSem.Take(tc)
-		ext.dispatching = ext.dispatchQ.Pop()
-		ext.dispatch(tc, lap, &ext.dispatching)
 	}
 }
 
@@ -908,16 +949,6 @@ type AddrPayload string
 
 // ClientAddr implements Addressed.
 func (a AddrPayload) ClientAddr() string { return string(a) }
-
-// sleepUntil blocks the scheduler task until `until` or until a new
-// enqueue kicks it, whichever comes first.
-func (ext *SchedulerExt) sleepUntil(tc *rtos.TaskCtx, until sim.Time) {
-	if until <= ext.Card.Eng.Now() {
-		return // charging the decision's CPU time already passed the target
-	}
-	ext.sleepAt = until
-	tc.Await(ext.startSleepFn)
-}
 
 // startSleep arms the paced sleep's timer; until it ends, an enqueue kicks
 // the task awake instead of giving the work semaphore.

@@ -238,10 +238,19 @@ var handoffBodies = []handoffBody{
 		start := func(done func()) { eng.After(10*sim.Microsecond, done) }
 		return func(tc *TaskCtx) bool { tc.Await(start); return true }
 	}},
+	{name: "StepRun", step: func(eng *sim.Engine) func(tc *TaskCtx) bool {
+		// As in Run: every burst parks, and burstDone calls the step again.
+		competitor := func() {}
+		return func(tc *TaskCtx) bool {
+			eng.After(10*sim.Microsecond, competitor)
+			tc.Run(10 * sim.Microsecond)
+			return true
+		}
+	}},
 }
 
 // TestHandoffDoesNotAllocate holds the kernel to its no-allocation rule: a
-// Run burst, a Sleep and wake, and an Await round trip — the last two from a
+// Run burst, a Sleep and wake, and an Await round trip — each from a
 // coroutine and from a step task — cost no allocation once the task is in
 // its loop.
 func TestHandoffDoesNotAllocate(t *testing.T) {
@@ -298,9 +307,10 @@ func pingPongKernel(tb testing.TB) *sim.Engine {
 
 // BenchmarkHandoff is the rtos layer's own number: host time and
 // allocations per simulated task operation (one parked Run burst, one Run
-// burst completed in place, one Sleep and wake, one Await round trip, each
-// of the last two from a step task too, one context switch between two tasks — with nothing else pending, that switch
-// and the burst after it complete in place).
+// burst completed in place, one Sleep and wake, one Await round trip, the
+// parked burst, the Sleep and the Await from a step task too, one context
+// switch between two tasks — with nothing else pending, that switch and the
+// burst after it complete in place).
 func BenchmarkHandoff(b *testing.B) {
 	for _, c := range handoffBodies {
 		b.Run(c.name, func(b *testing.B) {

@@ -3,22 +3,24 @@
 // binary semaphores, blocking I/O waits, and the timestamp-counter rollover
 // management the paper adds to the kernel (§2).
 //
-// A task body is a coroutine (Spawn, iter.Pull) or a step function
-// (SpawnStep), driven in strict handoff by the simulation engine: exactly
+// A task body is a step function (SpawnStep) or a coroutine (Spawn,
+// iter.Pull), driven in strict handoff by the simulation engine: exactly
 // one task (or the kernel) executes at any instant, so the simulation stays
-// deterministic and no hand-off goes through the Go scheduler. A coroutine
-// costs two coroutine switches per hand-off; a step function is called as a
-// plain function. A task that holds the CPU (Run) must be a coroutine; one
-// that only blocks is a step task. A task consumes simulated CPU with Run
-// (or Charge, which drains a cpu.Meter lap), blocks with Sleep/Await/Take,
-// and the kernel always runs the highest-priority ready task of either kind,
-// paying a context-switch cost on every switch. A CPU burst is
-// not preempted mid-flight (bursts in this system are microseconds long);
-// preemption happens at burst and blocking boundaries. A burst or context
-// switch that nothing can interrupt — no ready task that would take the CPU
-// at its end, no halt, no engine event due before it ends — completes in
-// place (sim.Engine.TryAdvance) with no hand-off at all; the same callbacks
-// then run at the same simulated instants in the same order.
+// deterministic and no hand-off goes through the Go scheduler. A step
+// function is called as a plain function and keeps its place in its own
+// state; a coroutine costs two coroutine switches per hand-off. Every task
+// on a card's frame path is a step task; Spawn is for straight-line bodies
+// off it (the Table 4 relays, experiment paths, examples, tests). A task
+// consumes simulated CPU with Run (or Charge, which drains a cpu.Meter lap),
+// blocks with Sleep/Await/Take, and the kernel always runs the
+// highest-priority ready task, paying a context-switch cost on every switch.
+// A CPU burst is not preempted mid-flight (bursts in this system are
+// microseconds long); preemption happens at burst and blocking boundaries.
+// A burst or context switch that nothing can interrupt — no ready task that
+// would take the CPU at its end, no halt, no engine event due before it
+// ends — completes in place (sim.Engine.TryAdvance) with no hand-off at
+// all; the same callbacks then run at the same simulated instants in the
+// same order.
 //
 // A task body runs on the goroutine that steps the engine, so a panic in a
 // body surfaces there. Because a hand-off sits under every simulated frame,
@@ -72,6 +74,7 @@ type Task struct {
 
 	state       TaskState
 	wakePending bool
+	inBurst     bool     // a step task's burst holds the CPU until burstDone
 	sliceUsed   sim.Time // CPU consumed since last dispatch (time slicing)
 
 	// The coroutine: next runs the body up to its next yield (ok == false
@@ -183,14 +186,21 @@ func (k *Kernel) Spawn(name string, prio int, body func(tc *TaskCtx)) *Task {
 }
 
 // SpawnStep creates a step task. Each time it has the CPU the kernel calls
-// step, which works up to one Sleep, SleepUntil, Await or Take and returns
-// true, or returns false when done; if that call completed at once, the
-// kernel calls step again. A step body must not call Run or Charge.
+// step, which works up to one Sleep, SleepUntil, Await, Take, Run or Charge
+// and returns true, or returns false when done; if that call completed at
+// once, the kernel calls step again. A Run burst that parks holds the CPU:
+// the kernel calls step again at its end, or when the task is next
+// dispatched if a ready task preempts it there (a step that returned false
+// ends then). A blocking call or Run after a parked one, in the same step,
+// panics.
 func (k *Kernel) SpawnStep(name string, prio int, step func(tc *TaskCtx) bool) *Task {
 	t := k.newTask(name, prio)
 	t.step, t.tc, t.stop = step, &TaskCtx{k: k, t: t}, func() {}
 	return t
 }
+
+// exitStep is the step of a task whose last step parked a burst.
+func exitStep(*TaskCtx) bool { return false }
 
 // newTask makes a task of either kind ready; the caller then sets its body.
 func (k *Kernel) newTask(name string, prio int) *Task {
@@ -305,7 +315,13 @@ func (k *Kernel) handoff(t *Task) {
 	t.state = Running
 	ok := true
 	if t.step != nil {
-		for ok = t.step(t.tc); ok && t.state != Blocked; ok = t.step(t.tc) {
+		for ok = t.step(t.tc); ok && t.state != Blocked && !t.inBurst; ok = t.step(t.tc) {
+		}
+		if t.inBurst {
+			if !ok {
+				t.step = exitStep // the task ends with its burst
+			}
+			return // CPU stays reserved; burstDone calls the step again
 		}
 	} else {
 		k.Resumes++
@@ -323,6 +339,7 @@ func (k *Kernel) handoff(t *Task) {
 
 // burstDone ends t's CPU burst: a preemption point.
 func (k *Kernel) burstDone(t *Task) {
+	t.inBurst = false
 	// A ready task that preempts t takes the CPU; a processor that froze
 	// during the burst parks t, and Resume re-dispatches it.
 	if k.halted || k.preempts(t) {
@@ -380,15 +397,20 @@ func (tc *TaskCtx) park(kind yieldKind) {
 	}
 }
 
+// parked panics if the calling step task already parked in this step.
+func (t *Task) parked() {
+	if t.state == Blocked || t.inBurst {
+		panic(fmt.Sprintf("rtos %s: two blocking calls in one step", t.name))
+	}
+}
+
 // block parks the calling task until wake.
 func (tc *TaskCtx) block() {
 	t := tc.t
+	t.parked()
 	if t.wakePending {
 		t.wakePending = false
 		return
-	}
-	if t.state == Blocked {
-		panic(fmt.Sprintf("rtos %s: two blocking calls in one step", t.name))
 	}
 	t.state = Blocked
 	if t.step == nil { // handoff parks a step task when its step returns
@@ -401,12 +423,11 @@ func (tc *TaskCtx) block() {
 // When nothing can interrupt the burst — the kernel is not halted, no ready
 // task would take the CPU at its end, and the engine has nothing due before
 // it ends — the burst completes in place: the clock moves on and the body
-// continues without a hand-off. Otherwise the task parks until burstDone.
+// continues without a hand-off. Otherwise the task parks until burstDone: a
+// coroutine inside Run, a step task when its step returns.
 func (tc *TaskCtx) Run(d sim.Time) {
 	t, k := tc.t, tc.k
-	if t.step != nil {
-		panic(fmt.Sprintf("rtos %s: Run from a step task; a task that holds the CPU must be spawned with Spawn", t.name))
-	}
+	t.parked()
 	if d < 0 {
 		panic(fmt.Sprintf("rtos %s: negative run %v", t.name, d))
 	}
@@ -421,6 +442,10 @@ func (tc *TaskCtx) Run(d sim.Time) {
 	}
 	k.eng.After(d, t.burstDoneFn)
 	t.state = Running
+	if t.step != nil {
+		t.inBurst = true // handoff returns when the step does
+		return
+	}
 	tc.park(yBurst)
 }
 

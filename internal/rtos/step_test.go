@@ -33,12 +33,14 @@ func (op blockOp) do(eng *sim.Engine, tc *TaskCtx) {
 	}
 }
 
-// blockScript runs one kernel with two CPU-bound coroutine tasks and three
-// tasks that only block, spawned as coroutines or, with step, as step
-// tasks, under priorities, time slicing, a halt in the middle of a burst
-// and one in the middle of a context switch. It returns the log of every
-// (time, task, event) and the kernel's accounting.
-func blockScript(step bool) string {
+// blockScript runs one kernel with two CPU-bound tasks and three tasks
+// that only block, all spawned as coroutines or, with step, as step tasks,
+// under priorities, time slicing, a halt in the middle of a burst and one
+// in the middle of a context switch; once the halts are done, bursts that
+// nothing can interrupt complete in place. It returns the log of every
+// (time, task, event) and the kernel's accounting, and how many of the
+// CPU-bound tasks' 24 bursts parked.
+func blockScript(step bool) (_ string, parked int) {
 	eng := sim.NewEngine(1)
 	defer eng.Close()
 	k := NewKernel(eng, "cpu", 2*sim.Microsecond)
@@ -50,16 +52,40 @@ func blockScript(step bool) string {
 	x, y := NewSemaphore(k, "x", 0), NewSemaphore(k, "y", 1)
 
 	for _, name := range []string{"hogA", "hogB"} {
-		k.Spawn(name, 5, func(tc *TaskCtx) {
-			for i := 0; i < 12; i++ {
-				tc.Run(6 * sim.Microsecond)
+		var task *Task
+		if !step {
+			task = k.Spawn(name, 5, func(tc *TaskCtx) {
+				for i := 0; i < 12; i++ {
+					tc.Run(6 * sim.Microsecond)
+					mark(tc, fmt.Sprintf("burst %d", i))
+					if i%4 == 3 {
+						tc.Sleep(11 * sim.Microsecond)
+					}
+				}
+				x.Give()
+			})
+		} else {
+			n := 0 // call n runs burst n/2 (even n) or marks its end (odd n)
+			task = k.SpawnStep(name, 5, func(tc *TaskCtx) bool {
+				i := n / 2
+				n++
+				if n%2 == 1 {
+					if i == 12 {
+						x.Give()
+						return false
+					}
+					tc.Run(6 * sim.Microsecond)
+					return true
+				}
 				mark(tc, fmt.Sprintf("burst %d", i))
 				if i%4 == 3 {
 					tc.Sleep(11 * sim.Microsecond)
 				}
-			}
-			x.Give()
-		})
+				return true
+			})
+		}
+		burstDone := task.burstDoneFn
+		task.burstDoneFn = func() { parked++; burstDone() }
 	}
 	blockers := []struct {
 		name string
@@ -100,9 +126,14 @@ func blockScript(step bool) string {
 	}
 
 	halts := 0
-	eng.Every(sim.Microsecond, func() {
+	var stopSampler func()
+	stopSampler = eng.Every(sim.Microsecond, func() {
 		r := k.Running()
-		if halts >= 3 || r == nil {
+		if halts >= 3 {
+			stopSampler() // from here on, lone bursts complete in place
+			return
+		}
+		if r == nil {
 			return
 		}
 		what := ""
@@ -123,34 +154,50 @@ func blockScript(step bool) string {
 		})
 	})
 	eng.RunUntil(600 * sim.Microsecond)
-	fmt.Fprintf(&log, "switches=%d busy=%d\n", k.Switches, k.BusyTime)
-	return log.String()
+	fmt.Fprintf(&log, "switches=%d busy=%d parked=%d\n", k.Switches, k.BusyTime, parked)
+	return log.String(), parked
 }
 
-// A task that only blocks behaves the same as a step task and as a
-// coroutine: the same (time, task, event) log, the same switches and CPU
-// accounting, under priorities, time slicing and halts.
+// A task behaves the same as a step task and as a coroutine, whether it
+// holds the CPU or only blocks: the same (time, task, event) log, the same
+// switches, CPU accounting and parked bursts, under priorities, time
+// slicing, halts and bursts that complete in place.
 func TestStepTaskMatchesCoroutineTask(t *testing.T) {
-	co, st := blockScript(false), blockScript(true)
-	for _, want := range []string{"halt mid-switch", "halt mid-burst", "hi    op 8 a", "eq    op 7 t", "lo    op 5 a"} {
+	co, parked := blockScript(false)
+	st, _ := blockScript(true)
+	for _, want := range []string{"halt mid-switch", "halt mid-burst", "hi    op 8 a", "eq    op 7 t", "lo    op 5 a", "hogB  burst 11"} {
 		if !strings.Contains(co, want) {
 			t.Fatalf("the script no longer reaches %q:\n%s", want, co)
 		}
+	}
+	if parked == 0 || parked == 24 {
+		t.Fatalf("%d of 24 bursts parked; the script must park some and complete some in place", parked)
 	}
 	if co != st {
 		t.Errorf("step tasks left the coroutine log.\n--- step\n%s--- coroutine\n%s", st, co)
 	}
 }
 
-// Run (and so Charge) from a step body panics with a message naming the
-// mistake, and so do two blocking calls in one step.
+// Two blocking calls in one step panic with a message naming the mistake,
+// and so does a blocking call after a Run burst that parked, or a Run
+// after a block.
 func TestStepTaskMisusePanics(t *testing.T) {
 	for _, c := range []struct {
 		name, want string
-		step       func(tc *TaskCtx) bool
+		step       func(eng *sim.Engine, tc *TaskCtx) bool
 	}{
-		{"Run", "Run from a step task", func(tc *TaskCtx) bool { tc.Run(sim.Microsecond); return true }},
-		{"two blocks", "two blocking calls in one step", func(tc *TaskCtx) bool {
+		{"Run, then Sleep", "two blocking calls in one step", func(eng *sim.Engine, tc *TaskCtx) bool {
+			eng.After(sim.Microsecond, func() {}) // refuses the in-place completion
+			tc.Run(2 * sim.Microsecond)
+			tc.Sleep(sim.Microsecond)
+			return true
+		}},
+		{"Sleep, then Run", "two blocking calls in one step", func(_ *sim.Engine, tc *TaskCtx) bool {
+			tc.Sleep(sim.Microsecond)
+			tc.Run(sim.Microsecond)
+			return true
+		}},
+		{"two blocks", "two blocking calls in one step", func(_ *sim.Engine, tc *TaskCtx) bool {
 			tc.Sleep(sim.Microsecond)
 			tc.Sleep(sim.Microsecond)
 			return true
@@ -160,7 +207,7 @@ func TestStepTaskMisusePanics(t *testing.T) {
 			eng := sim.NewEngine(1)
 			defer eng.Close()
 			k := NewKernel(eng, "cpu", 0)
-			k.SpawnStep("bad", 1, c.step)
+			k.SpawnStep("bad", 1, func(tc *TaskCtx) bool { return c.step(eng, tc) })
 			defer func() {
 				if r := recover(); !strings.Contains(fmt.Sprint(r), c.want) {
 					t.Errorf("%s: recovered %v, want a panic saying %q", c.name, r, c.want)
