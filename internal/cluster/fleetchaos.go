@@ -80,16 +80,17 @@ func (f *fleet) domain(card int) (host, sw string) {
 	return hostName(f.hostOf(card)), switchName(f.switchOf(card))
 }
 
-func hostIndex(target string) int {
-	var h int
-	fmt.Sscanf(target, "h%d", &h)
-	return h
-}
-
-func switchIndex(target string) int {
-	var s int
-	fmt.Sscanf(target, "sw%d", &s)
-	return s
+// targetIndex parses the domain a host or switch fault strikes: the host
+// index of a HostCrash or RollingDrain, the switch index of a NetPartition.
+func targetIndex(e faults.Event) int {
+	var i int
+	switch e.Kind {
+	case faults.HostCrash, faults.RollingDrain:
+		fmt.Sscanf(e.Target, "h%d", &i)
+	case faults.NetPartition:
+		fmt.Sscanf(e.Target, "sw%d", &i)
+	}
+	return i
 }
 
 // active reports whether event e covers time t.
@@ -100,8 +101,8 @@ func eventActive(e faults.Event, t sim.Time) bool {
 // hostFaultAt reports whether card's host is inside a fault window of the
 // given kind at t.
 func (f *fleet) hostFaultAt(kind faults.Kind, card int, t sim.Time) bool {
-	for _, e := range f.plan.Events {
-		if e.Kind == kind && eventActive(e, t) && f.hostOf(card) == hostIndex(e.Target) {
+	for k, e := range f.plan.Events {
+		if e.Kind == kind && eventActive(e, t) && f.hostOf(card) == f.planDom[k] {
 			return true
 		}
 	}
@@ -116,11 +117,11 @@ func (f *fleet) deadAt(card int, t sim.Time) bool { return f.hostFaultAt(faults.
 // group, so the hop dies exactly when one endpoint is inside the failed
 // domain and the other is not.
 func (f *fleet) severedAt(a, b int, t sim.Time) bool {
-	for _, e := range f.plan.Events {
+	for k, e := range f.plan.Events {
 		if e.Kind != faults.NetPartition || !eventActive(e, t) {
 			continue
 		}
-		s := switchIndex(e.Target)
+		s := f.planDom[k]
 		if (f.switchOf(a) == s) != (f.switchOf(b) == s) {
 			return true
 		}
@@ -204,8 +205,8 @@ func (f *fleet) candidates(st *stream, t sim.Time, want int, relax bool) []int {
 // controller's view of that placement is stale and the stream needs a
 // teardown restart.
 func (f *fleet) wipedSince(card int, placedAt, t sim.Time) bool {
-	for _, e := range f.plan.Events {
-		if e.Kind != faults.HostCrash || f.hostOf(card) != hostIndex(e.Target) {
+	for k, e := range f.plan.Events {
+		if e.Kind != faults.HostCrash || f.hostOf(card) != f.planDom[k] {
 			continue
 		}
 		if w := e.At + e.Duration; w <= t && w > placedAt {
@@ -562,8 +563,7 @@ func (r *ctrlRep) poll() {
 // here is stale) or unrecoverable (its frames died with the card) — either
 // way the controller owns re-placement, and the wipe guarantees a resumed
 // producer cannot double-feed a migrated stream.
-func (f *fleet) armHostCrash(e faults.Event) {
-	h := hostIndex(e.Target)
+func (f *fleet) armHostCrash(e faults.Event, h int) {
 	for i := 0; i < f.cfg.Cards; i++ {
 		if f.hostOf(i) != h {
 			continue
@@ -607,15 +607,15 @@ func (f *fleet) armDomainMark(e faults.Event, member func(card int) bool) {
 	}
 }
 
-// affects reports whether plan event e bears on stream st, attributed by the
+// affects reports whether plan event k bears on stream st, attributed by the
 // stream's original placement (crash/drain: sourced on the failed host;
 // partition: its source→client path straddles the failed switch domain).
-func (f *fleet) affects(e faults.Event, st *stream) bool {
-	switch e.Kind {
+func (f *fleet) affects(k int, st *stream) bool {
+	switch f.plan.Events[k].Kind {
 	case faults.HostCrash, faults.RollingDrain:
-		return f.hostOf(st.orig) == hostIndex(e.Target)
+		return f.hostOf(st.orig) == f.planDom[k]
 	case faults.NetPartition:
-		s := switchIndex(e.Target)
+		s := f.planDom[k]
 		return (f.switchOf(st.orig) == s) != (f.switchOf(st.home) == s)
 	}
 	return false
@@ -683,6 +683,9 @@ func buildFleetChaos(cfg FleetConfig, observe bool) *fleet {
 	}
 	plan.Sort()
 	f.plan = plan
+	for _, e := range plan.Events {
+		f.planDom = append(f.planDom, targetIndex(e))
+	}
 
 	// Controller replicas. With CtrlHA the standby gets its own partition
 	// ("dvcm-b"), added after the cards so the merge order of same-instant
@@ -714,17 +717,15 @@ func buildFleetChaos(cfg FleetConfig, observe bool) *fleet {
 	// boundary. Reconciles are armed on every replica but run only on the
 	// one holding leadership when the boundary fires.
 	boundary := map[sim.Time]bool{}
-	for _, e := range plan.Events {
-		e := e
+	for k, e := range plan.Events {
+		d := f.planDom[k]
 		switch e.Kind {
 		case faults.HostCrash:
-			f.armHostCrash(e)
+			f.armHostCrash(e, d)
 		case faults.NetPartition:
-			s := switchIndex(e.Target)
-			f.armDomainMark(e, func(card int) bool { return f.switchOf(card) == s })
+			f.armDomainMark(e, func(card int) bool { return f.switchOf(card) == d })
 		case faults.RollingDrain:
-			h := hostIndex(e.Target)
-			f.armDomainMark(e, func(card int) bool { return f.hostOf(card) == h })
+			f.armDomainMark(e, func(card int) bool { return f.hostOf(card) == d })
 		case faults.ControllerCrash, faults.ControllerPartition:
 			f.armCtrlFault(e)
 		}
@@ -884,7 +885,7 @@ func (f *fleet) collectChaos() {
 	for k, e := range f.plan.Events {
 		fmt.Fprintf(&rec, "%v %s %s (for %v):\n", e.At, e.Kind, e.Target, e.Duration)
 		for _, st := range f.streams {
-			if !f.affects(e, st) {
+			if !f.affects(k, st) {
 				continue
 			}
 			if got := st.watchGot[k]; got > 0 {
