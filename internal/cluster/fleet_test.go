@@ -79,9 +79,9 @@ func TestFleetSingleCard(t *testing.T) {
 }
 
 // settledGoroutines reads the goroutine count once it has fallen back to
-// want, giving partition workers that have already signalled their
-// WaitGroup a moment to finish exiting. Callers test for growth only:
-// workers of earlier tests in the package may still be exiting too.
+// want, giving partition workers the run has already joined a moment to
+// finish exiting. Callers test for growth only: workers of earlier tests in
+// the package may still be exiting too.
 func settledGoroutines(want int) int {
 	n := runtime.NumGoroutine()
 	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
@@ -92,8 +92,9 @@ func settledGoroutines(want int) int {
 
 // A run leaves no goroutine behind: the fleet's card tasks are step tasks,
 // and the run closes its engines, so a coroutine task would not outlive it
-// either — on the shared engine, inline, and with tasks run from a fresh
-// worker goroutine per window (the race job runs this with Workers 4).
+// either — on the shared engine, inline, and with tasks run on the
+// topology's worker pool, which RunUntil joins before it returns (Workers 4
+// runs the pool at GOMAXPROCS ≥ 2; CI runs this package at -cpu 1,2,4).
 func TestFleetRunsLeaveNoGoroutines(t *testing.T) {
 	chaos := FleetConfig{Cards: 4, Dur: 2 * sim.Second, Workers: 4}
 	runs := []struct {
