@@ -116,7 +116,7 @@ func main() {
 			dir := flag.Lookup(s.OutFlag).Value.String()
 			cfg := cluster.FleetConfig{Dur: dur, Workers: *workers}
 			if err := s.RunTo(cfg, dir, os.Stdout, os.Stderr); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", s.Name, err)
+				fmt.Fprintln(os.Stderr, "reprogen:", err)
 				exit(1)
 			}
 		}

@@ -202,6 +202,8 @@ type fleetCard struct {
 	ctl   *overload.Controller
 	rec   *blackbox.Recorder
 
+	host, sw string // the card's failure domains, named once at build
+
 	// The card's side of the migration protocol: gid → the stream epoch
 	// stamped at import (spans and the takeover query read it), the highest
 	// leader epoch witnessed, the stale-epoch commands rejected, and the
@@ -400,6 +402,7 @@ func (f *fleet) buildCard(i int, eng *sim.Engine, part *sim.Partition) *fleetCar
 		part: part, eng: eng,
 		disk: diskCard, sched: schedCard,
 		ext: ext, ctl: ctl, rec: rec,
+		host: hostName(f.hostOf(i)), sw: switchName(f.switchOf(i)),
 		epoch: map[int]int{},
 	}
 	return fc

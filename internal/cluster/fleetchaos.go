@@ -77,7 +77,7 @@ func switchName(s int) string { return fmt.Sprintf("sw%d", s) }
 
 // domain names card's host and switch domain.
 func (f *fleet) domain(card int) (host, sw string) {
-	return hostName(f.hostOf(card)), switchName(f.switchOf(card))
+	return f.cards[card].host, f.cards[card].sw
 }
 
 // targetIndex parses the domain a host or switch fault strikes: the host
@@ -868,7 +868,7 @@ func (f *fleet) collectChaos() {
 	for i, fc := range f.cards {
 		c := perCard[i]
 		fmt.Fprintf(&table, "ni%02d   %-5s %8d %8d %8d %8d %8d %8d %10.2f\n",
-			i, hostName(f.hostOf(i)), c.injected, fc.ext.Sent, fc.ext.Dropped,
+			i, fc.host, c.injected, fc.ext.Sent, fc.ext.Dropped,
 			c.recv, c.late, fc.severed, float64(c.bytes)/(1<<20))
 		res.Recv += c.recv
 		res.Late += c.late

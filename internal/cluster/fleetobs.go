@@ -21,7 +21,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/blackbox"
@@ -532,35 +531,33 @@ func (f *fleet) collectObs() *FleetObsResult {
 
 	// Stitched traces: every stream that recorded at least one handoff link,
 	// reassembled from all card- and client-side span registries. One pass
-	// over the logs, in card order, buckets the moved streams' segments; the
-	// rest of the fleet's spans are never copied.
-	moved := map[int][]telemetry.Segment{}
+	// over the logs, in card order, buckets the moved streams' segments by
+	// gid; the rest of the fleet's records are skipped unread.
+	moved := make([]bool, len(f.streams)+1) // by gid (1-based)
 	for _, l := range o.links {
-		moved[l.Stream] = nil
+		moved[l.Stream] = true
 	}
+	keep := func(gid int) bool { return gid > 0 && gid < len(moved) && moved[gid] }
+	segs := make([][]telemetry.Segment, len(moved))
 	for i := range f.cards {
 		for _, log := range [2]*telemetry.SpanLog{o.tel[i].Spans, o.ctel[i].Spans} {
-			for seg := range log.All() {
-				if segs, ok := moved[seg.Stream]; ok {
-					moved[seg.Stream] = append(segs, seg)
-				}
+			for seg := range log.Of(keep) {
+				segs[seg.Stream] = append(segs[seg.Stream], seg)
 			}
 		}
 	}
-	gids := make([]int, 0, len(moved))
-	for g := range moved {
-		gids = append(gids, g)
-	}
-	sort.Ints(gids)
 	var sb strings.Builder
-	for _, g := range gids {
-		st := fleetobs.Stitch(g, moved[g], o.links)
+	for g := range moved {
+		if !moved[g] {
+			continue
+		}
+		st := fleetobs.Stitch(g, segs[g], o.links)
 		sb.WriteString(st.Render())
 		if st.LiveMigrated() && st.FullPath() {
 			res.StitchedLive++
 		}
 	}
-	if len(gids) == 0 {
+	if len(o.links) == 0 {
 		sb.WriteString("no streams migrated; nothing to stitch\n")
 	}
 	res.Stitched = sb.String()

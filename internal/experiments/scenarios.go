@@ -280,18 +280,21 @@ func within2Pct(what string, overhead, media int64) error {
 
 // RunTo is what a command does with its selected row: run it, print Stdout,
 // send the engine diagnostics to stderr, and write the artifact directory
-// when one was asked for.
+// when one was asked for. A gate that breaks fails it at any shape: the
+// artifacts are written first, and the error names the row.
 func (s Scenario) RunTo(cfg cluster.FleetConfig, dir string, stdout, stderr io.Writer) error {
 	out := s.Run(cfg)
 	fmt.Fprint(stdout, out.Stdout)
 	fmt.Fprint(stderr, out.Diag)
-	if dir == "" || len(out.Files) == 0 {
-		return nil
+	if dir != "" && len(out.Files) > 0 {
+		if err := out.WriteDir(dir); err != nil {
+			return fmt.Errorf("%s: %w", s.Name, err)
+		}
+		fmt.Fprintf(stderr, "%s artifacts written to %s\n", s.Name, dir)
 	}
-	if err := out.WriteDir(dir); err != nil {
-		return err
+	if out.Gates != nil {
+		return fmt.Errorf("%s: %w", s.Name, out.Gates)
 	}
-	fmt.Fprintf(stderr, "%s artifacts written to %s\n", s.Name, dir)
 	return nil
 }
 

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // update re-pins the baselines: `go test ./internal/experiments -run
@@ -34,5 +38,28 @@ func TestScenarios(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// A row whose gate breaks still prints and writes its artifacts, and RunTo
+// returns the gate's error under the row's name, which the commands turn
+// into a non-zero exit.
+func TestRunToFailsOnBrokenGate(t *testing.T) {
+	gate := errors.New("double-placed streams = 1, want 0")
+	s := Scenario{Name: "gated", Run: func(cluster.FleetConfig) Output {
+		return Output{Stdout: "out\n", Files: []File{{"a.txt", "a\n"}}, Gates: gate}
+	}}
+	dir := t.TempDir()
+	var stdout, stderr strings.Builder
+	err := s.RunTo(cluster.FleetConfig{}, dir, &stdout, &stderr)
+	if !errors.Is(err, gate) || !strings.HasPrefix(err.Error(), "gated: ") {
+		t.Fatalf("RunTo = %v, want the gate's error under the row's name", err)
+	}
+	if body, rerr := os.ReadFile(filepath.Join(dir, "a.txt")); rerr != nil || string(body) != "a\n" || stdout.String() != "out\n" {
+		t.Fatalf("a broken gate must not hold back the output: stdout %q, a.txt %q (%v)", stdout.String(), body, rerr)
+	}
+	s.Run = func(cluster.FleetConfig) Output { return Output{Stdout: "out\n"} }
+	if err := s.RunTo(cluster.FleetConfig{}, "", &stdout, &stderr); err != nil {
+		t.Fatalf("RunTo with every gate held = %v", err)
 	}
 }

@@ -228,6 +228,17 @@ func TestStitchDedupReplayedFrame(t *testing.T) {
 	if n := st.Epochs[1].PerStage[telemetry.StageQueue]; n != 1 {
 		t.Fatalf("want exactly one stitched queue span for the replayed frame, got %d", n)
 	}
+
+	// The same (epoch, seq, stage) recorded at a second site is a different
+	// hop, not a duplicate; its own repeat is.
+	other := seg(2, 1, 1, telemetry.StageQueue, "ni02", 203*sim.Millisecond)
+	st = Stitch(2, append(segs, other, dup, other), links)
+	if st.Deduped != 4 || st.Unassigned != 0 {
+		t.Fatalf("two sites at one (epoch, seq, stage): deduped=%d unassigned=%d, want 4 and 0", st.Deduped, st.Unassigned)
+	}
+	if n := st.Epochs[1].PerStage[telemetry.StageQueue]; n != 2 {
+		t.Fatalf("want one queue span per site, got %d", n)
+	}
 }
 
 func TestStitchNoLinksSingleEpoch(t *testing.T) {

@@ -2,6 +2,7 @@ package fleetobs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -104,13 +105,16 @@ func Stitch(stream int, segs []telemetry.Segment, links []telemetry.SpanLink) *S
 	})
 	commits := commitLinks(stream, links)
 
+	// The dedupe key holds Where as an index into the few names seen, so
+	// the set hashes no string.
 	type segKey struct {
 		epoch int
 		seq   int64
 		stage telemetry.Stage
-		where string
+		where int
 	}
-	seen := make(map[segKey]bool)
+	seen := make(map[segKey]struct{}, len(segs))
+	var wheres []string
 	byEpoch := make(map[int][]telemetry.Segment)
 	maxEpoch := 0
 	for _, l := range commits {
@@ -127,12 +131,16 @@ func Stitch(stream int, segs []telemetry.Segment, links []telemetry.SpanLink) *S
 			st.Unassigned++
 			continue
 		}
-		k := segKey{e, seg.Seq, seg.Stage, seg.Where}
-		if seen[k] {
+		w := slices.Index(wheres, seg.Where)
+		if w < 0 {
+			w, wheres = len(wheres), append(wheres, seg.Where)
+		}
+		k := segKey{e, seg.Seq, seg.Stage, w}
+		if _, dup := seen[k]; dup {
 			st.Deduped++
 			continue
 		}
-		seen[k] = true
+		seen[k] = struct{}{}
 		byEpoch[e] = append(byEpoch[e], seg)
 	}
 

@@ -82,14 +82,13 @@ type Scheduler struct {
 }
 
 // Instrument attaches a telemetry registry: the host scheduler's counters
-// and queue-delay histogram join under the host component, dispatches record
-// the frame's queue span, and meter charges are cycle-attributed.
+// and queue-delay histogram join under the host component, and dispatches
+// record the frame's queue span.
 func (h *Scheduler) Instrument(reg *telemetry.Registry) {
 	if reg == nil || h.tel != nil {
 		return
 	}
 	h.tel = reg
-	h.Meter.Observe(reg.Prof)
 	h.telQDelay = reg.HistogramMetric("host", "queue_delay_ms",
 		"enqueue-to-dispatch delay per frame on the host scheduler (milliseconds)", nil)
 	reg.CounterFunc("host", "frames_sent_total",

@@ -200,15 +200,13 @@ func (c *Card) AttachDisk(d *disk.Disk, fs disk.FS) {
 	c.Meter.CacheOn = false
 }
 
-// Instrument attaches a telemetry registry: the card's cycle meter reports
-// to the registry's profiler and the card's frame counter is exported under
-// the nic component. Idempotent; safe once per card.
+// Instrument attaches a telemetry registry: the card's frame counter is
+// exported under the nic component. Idempotent; safe once per card.
 func (c *Card) Instrument(reg *telemetry.Registry) {
 	if reg == nil || c.Tel != nil {
 		return
 	}
 	c.Tel = reg
-	c.Meter.Observe(reg.Prof)
 	reg.CounterFunc("nic", "frames_sent_total",
 		"frames handed to the wire by NI cards", func() int64 { return c.FramesSent })
 }

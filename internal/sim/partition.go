@@ -19,7 +19,9 @@
 //     source sequence) — so simultaneous timestamps from different
 //     partitions always tie-break the same way, at any worker count.
 //  2. Every partition computes its safe horizon: the minimum over inbound
-//     channels of (source's next event time + channel lookahead).
+//     channels of (source's LBTS + channel lookahead). A partition's LBTS
+//     bounds every event it can ever run, arrivals included: its next event
+//     time closed over the channels' shortest paths (see horizons).
 //  3. All partitions with work below their horizon run in parallel, each on
 //     its own heap, each collecting outbound messages in a private outbox.
 //     Each worker starts on its own contiguous block of partition IDs, and
@@ -69,15 +71,16 @@ type Topology struct {
 	// la[src][dst] is the lookahead of the channel src→dst, 0 when there is
 	// none (a declared lookahead is positive). A row grows in Connect to
 	// cover its highest destination ID, so Send finds a channel by index.
-	la [][]Time
+	la    [][]Time
+	minLA Time // the shortest declared lookahead, 0 before the first Connect
 
-	// Rounds counts synchronization windows executed, for
-	// efficiency-diagnostic reporting (events per round is the
-	// parallelism grain).
+	// Rounds counts synchronization windows executed, for diagnostics
+	// (events per round is the parallelism grain).
 	Rounds int64
 
-	scratch []xmsg // merge buffer, reused across rounds
-	lbts    []Time // horizons' per-partition bounds, reused across rounds
+	scratch    []xmsg // merge buffer, reused across rounds
+	next, lbts []Time // horizons' scratch, reused across rounds
+	far        []int  // likewise
 }
 
 // NewTopology returns an empty topology. seed decorrelates the partitions'
@@ -98,16 +101,14 @@ func (t *Topology) AddPartition(name string) *Partition {
 		eng: NewEngine(t.seed + int64(uint64(id)*0x9E3779B97F4A7C15)),
 	}
 	t.parts = append(t.parts, p)
-	t.in = append(t.in, nil)
-	t.la = append(t.la, nil)
+	t.in, t.la = append(t.in, nil), append(t.la, nil)
 	return p
 }
 
 // Connect declares a directed channel src→dst whose messages take at least
-// lookahead to arrive. The lookahead must be strictly positive: it is the
-// conservative safe horizon, and a zero-lookahead channel would force the
-// window scheme to a zero-width window (no safe parallel progress at all),
-// so it is a configuration error, not a degraded mode.
+// lookahead to arrive. The lookahead must be strictly positive: a channel
+// without one would force a zero-width window, so it is a configuration
+// error, not a degraded mode.
 func (t *Topology) Connect(src, dst *Partition, lookahead Time) error {
 	if src == nil || dst == nil || src.topo != t || dst.topo != t {
 		return fmt.Errorf("sim: Connect: both partitions must belong to this topology")
@@ -128,6 +129,7 @@ func (t *Topology) Connect(src, dst *Partition, lookahead Time) error {
 	}
 	row[dst.id] = lookahead
 	t.in[dst.id] = append(t.in[dst.id], edge{peer: src.id, lookahead: lookahead})
+	t.minLA = min(cmp.Or(t.minLA, lookahead), lookahead)
 	return nil
 }
 
@@ -222,13 +224,6 @@ func (p *Partition) post(dst *Partition, delay Time, m xmsg) {
 // order of simultaneous cross-partition events — are identical at any
 // worker count.
 func (t *Topology) deliver() {
-	n := 0
-	for _, p := range t.parts {
-		n += len(p.outbox)
-	}
-	if n == 0 {
-		return
-	}
 	msgs := t.scratch[:0]
 	for _, p := range t.parts {
 		msgs = append(msgs, p.outbox...)
@@ -257,57 +252,68 @@ func (t *Topology) deliver() {
 	t.scratch = msgs[:0]
 }
 
-// horizons computes each partition's safe bound for the next window and
-// reports whether any partition has work below its bound. cap is the
-// exclusive upper limit on processable time (end+1 for RunUntil(end)).
+// horizons is a round's step 2: it sets every partition's horizon and whether
+// it has work below it, and reports whether any has. cap is the exclusive
+// upper limit on processable time (end+1 for RunUntil(end)). With m the
+// earliest next event, at partition first, a next event within minLA of m is
+// its partition's LBTS; a partition first reaches over a minLA channel has
+// LBTS and horizon m+minLA; only the rest relax, to the fixed point. An idle
+// partition may be one: a→b→a ping-pong has one side idle every round.
 func (t *Topology) horizons(cap Time) bool {
-	// Next pending event per partition (cancelled-but-unreaped events
-	// included — they only make the bound tighter, never wrong).
 	if len(t.lbts) != len(t.parts) {
-		t.lbts = make([]Time, len(t.parts))
+		t.next, t.lbts = make([]Time, len(t.parts)), make([]Time, len(t.parts))
 	}
-	next := t.lbts
+	next, lbts, far := t.next, t.lbts, t.far[:0]
+	m, first := maxHorizon, -1
 	for i, p := range t.parts {
+		next[i] = maxHorizon // a cancelled-but-unreaped event only tightens
 		if at, ok := p.eng.NextAt(); ok {
 			next[i] = at
-		} else {
-			next[i] = maxHorizon
+		}
+		if next[i] < m {
+			m, first = next[i], i
 		}
 	}
-	// An idle partition is not silent forever: an in-flight causal chain can
-	// wake it (a→b→a ping-pong has one side idle every round). Relax each
-	// bound through inbound channels to the LBTS fixed point: next[i] becomes
-	// a lower bound on the time of ANY event partition i can ever execute,
-	// including ones that arrive later. Lookaheads are strictly positive, so
-	// the relaxation converges (bounds only decrease, by at least one
-	// channel's lookahead per hop, and never below the current global
-	// minimum).
-	lbts := next
-	for changed := true; changed; {
+	for i := range t.parts {
+		if lbts[i] = next[i]; next[i] > m+t.minLA {
+			if t.shortest(first, i) {
+				lbts[i] = m + t.minLA
+			} else {
+				far = append(far, i)
+			}
+		}
+	}
+	for changed := len(far) > 0; changed; {
 		changed = false
-		for i := range t.parts {
+		for _, i := range far {
 			for _, e := range t.in[i] {
 				if nh := lbts[e.peer] + e.lookahead; nh < lbts[i] {
-					lbts[i] = nh
-					changed = true
+					lbts[i], changed = nh, true
 				}
 			}
 		}
 	}
+	t.far = far
 	any := false
 	for i, p := range t.parts {
 		h := cap
-		for _, e := range t.in[i] {
-			if nh := lbts[e.peer] + e.lookahead; nh < h {
-				h = nh
+		if t.shortest(first, i) { // no source is below m, no channel below minLA
+			h = min(h, m+t.minLA)
+		} else {
+			for _, e := range t.in[i] {
+				h = min(h, lbts[e.peer]+e.lookahead)
 			}
 		}
-		p.horizon = h
-		at, ok := p.eng.NextAt()
-		p.active = ok && at < h
+		p.horizon, p.active = h, next[i] < h
 		any = any || p.active
 	}
 	return any
+}
+
+// shortest reports whether src→dst is a channel of the shortest declared
+// lookahead (false for src -1; no row exists before the first Connect).
+func (t *Topology) shortest(src, dst int) bool {
+	return src >= 0 && dst < len(t.la[src]) && t.la[src][dst] == t.minLA
 }
 
 // spinFor bounds a pool goroutine's polling before it parks: about its share of
@@ -454,9 +460,7 @@ func (t *Topology) run(end Time) {
 	}
 }
 
-// Drain releases every partition engine's arena, heap, and free-list
-// storage (see Engine.Drain) — long sweeps drop a finished scenario's peak
-// event capacity before building the next one.
+// Drain releases every partition engine's event storage (see Engine.Drain).
 func (t *Topology) Drain() {
 	for _, p := range t.parts {
 		p.eng.Drain()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -473,5 +474,233 @@ func TestCancelledEventNearHorizonKeepsCausality(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatal("no events fired")
+	}
+}
+
+// relaxHorizons is the full LBTS relaxation horizons replaced, kept as its
+// oracle: every partition's bound relaxed over every inbound channel to the
+// fixed point, then each horizon the minimum over its inbound channels.
+func relaxHorizons(topo *Topology, cap Time) (h []Time, active []bool) {
+	lbts := make([]Time, len(topo.parts))
+	for i, p := range topo.parts {
+		lbts[i] = maxHorizon
+		if at, ok := p.eng.NextAt(); ok {
+			lbts[i] = at
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := range topo.parts {
+			for _, e := range topo.in[i] {
+				if nh := lbts[e.peer] + e.lookahead; nh < lbts[i] {
+					lbts[i], changed = nh, true
+				}
+			}
+		}
+	}
+	for i, p := range topo.parts {
+		hi := cap
+		for _, e := range topo.in[i] {
+			hi = min(hi, lbts[e.peer]+e.lookahead)
+		}
+		at, ok := p.eng.NextAt()
+		h, active = append(h, hi), append(active, ok && at < hi)
+	}
+	return h, active
+}
+
+// horizonModel drives a random topology: every event may send a message over
+// a random outbound channel, schedule a local successor, or end its chain,
+// and some timers are cancelled before they fire (an unreaped cancelled
+// event still counts in NextAt).
+type horizonModel struct {
+	topo *Topology
+	r    *rand.Rand
+}
+
+func (m *horizonModel) poke(p *Partition) {
+	var outs []int
+	for d, la := range m.topo.la[p.id] {
+		if la > 0 {
+			outs = append(outs, d)
+		}
+	}
+	r := p.eng.Rand() // the partition's own: settle may run partitions in parallel
+	switch k := r.Intn(4); {
+	case k == 0 && len(outs) > 0:
+		d := outs[r.Intn(len(outs))]
+		q := m.topo.parts[d]
+		p.Send(q, m.topo.la[p.id][d]+Time(r.Int63n(3)), func() { m.poke(q) })
+	case k == 1:
+		p.eng.After(Time(r.Int63n(8)), func() { m.poke(p) })
+	case k == 2:
+		p.eng.After(Time(r.Int63n(8)), func() { m.poke(p) }).Cancel()
+	}
+}
+
+// settle ends a run the way RunUntil does, every clock aligned, past the
+// furthest one.
+func (m *horizonModel) settle() {
+	end := Time(0)
+	for _, p := range m.topo.parts {
+		end = max(end, p.eng.Now())
+	}
+	m.topo.RunUntil(end + Time(m.r.Int63n(20)))
+}
+
+// seed gives p up to three starting events (none leaves it idle).
+func (m *horizonModel) seed(p *Partition) {
+	for range m.r.Intn(4) {
+		p.eng.At(p.eng.Now()+Time(m.r.Int63n(12)), func() { m.poke(p) })
+	}
+}
+
+// connect declares each missing channel with probability dens, lookahead
+// 1–4 so that ties between paths and between channels are common.
+func (m *horizonModel) connect(dens float64) {
+	for _, src := range m.topo.parts {
+		for _, dst := range m.topo.parts {
+			if _, ok := m.topo.Lookahead(src, dst); src != dst && !ok && m.r.Float64() < dens {
+				if err := m.topo.Connect(src, dst, 1+Time(m.r.Intn(4))); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+}
+
+// rounds runs n rounds as Topology.run does. Each round's horizons must
+// match the relaxation at maxHorizon (Run's cap) and at a finite cap drawn
+// below, between or above the partitions' next events; the round runs under
+// the finite one, since a partition with no inbound channel runs to cap−1.
+func (m *horizonModel) rounds(t *testing.T, label string, n int) {
+	t.Helper()
+	for round := range n {
+		m.topo.deliver()
+		var got bool
+		for _, limit := range []Time{maxHorizon, m.topo.parts[0].eng.Now() + 1 + Time(m.r.Int63n(30))} {
+			wantH, wantA := relaxHorizons(m.topo, limit)
+			got = m.topo.horizons(limit)
+			if want := slices.Contains(wantA, true); got != want {
+				t.Fatalf("%s round %d cap %v: horizons reports work %v, relaxation %v", label, round, limit, got, want)
+			}
+			for i, p := range m.topo.parts {
+				if p.horizon != wantH[i] || p.active != wantA[i] {
+					t.Fatalf("%s round %d cap %v: partition %d horizon %v active %v, relaxation %v %v",
+						label, round, limit, i, p.horizon, p.active, wantH[i], wantA[i])
+				}
+			}
+		}
+		if !got {
+			return
+		}
+		for _, p := range m.topo.parts {
+			if p.active {
+				p.eng.RunUntil(p.horizon - 1)
+			}
+		}
+	}
+}
+
+// horizons gives every partition the bound the full relaxation gives, on
+// random topologies from empty to complete, with idle and unreachable
+// partitions, at every cap, after channels are added to a run topology and
+// after a partition joins one.
+func TestHorizonsMatchRelaxation(t *testing.T) {
+	for k := range 3000 {
+		r := rand.New(rand.NewSource(int64(k)))
+		m := &horizonModel{topo: NewTopology(int64(k)), r: r}
+		for i := range 1 + r.Intn(10) {
+			m.seed(m.topo.AddPartition(fmt.Sprint(i)))
+		}
+		m.connect([]float64{0, 0.1, 0.3, 0.6, 1}[k%5])
+		label := fmt.Sprintf("topology %d", k)
+		m.rounds(t, label, 5)
+		if k%3 != 0 {
+			continue
+		}
+		m.settle()
+		m.connect(0.2)
+		for _, p := range m.topo.parts {
+			m.seed(p)
+		}
+		m.rounds(t, label+" after Connect", 5)
+		m.settle()
+		late := m.topo.AddPartition("late")
+		late.eng.RunUntil(m.topo.parts[0].eng.Now()) // joins at the others' time
+		m.seed(late)
+		m.connect(0.3)
+		m.rounds(t, label+" after AddPartition", 5)
+	}
+}
+
+// BenchmarkHorizons reports horizons' cost per round (ns/round) on the two
+// fleet shapes, driven as Topology.run drives it: the chaos and observed
+// fleets' 66-partition full mesh (controller, 64 cards, standby controller)
+// and the plain fleet's 64-card ring with its controller hub. Every card has
+// a 1 ms tick and forwards every fourth tick over the fleet network (5 ms);
+// the controller polls each card every 200 ms.
+func BenchmarkHorizons(b *testing.B) {
+	const cards, la = 64, 5 * Millisecond
+	for _, shape := range []string{"mesh66", "ring64"} {
+		b.Run(shape, func(b *testing.B) {
+			topo := NewTopology(1)
+			ctrl := topo.AddPartition("dvcm")
+			parts := make([]*Partition, cards)
+			for i := range parts {
+				parts[i] = topo.AddPartition(fmt.Sprintf("card%02d", i))
+			}
+			hubs := []*Partition{ctrl}
+			if shape == "mesh66" {
+				hubs = append(hubs, topo.AddPartition("dvcm-b"))
+			}
+			connect := func(src, dst *Partition) {
+				if err := topo.Connect(src, dst, la); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i, p := range parts {
+				for j, q := range parts {
+					if i != j && (shape == "mesh66" || j == (i+1)%cards) {
+						connect(p, q)
+					}
+				}
+				for _, h := range hubs {
+					connect(h, p)
+					connect(p, h)
+				}
+			}
+			if shape == "mesh66" {
+				connect(hubs[0], hubs[1])
+				connect(hubs[1], hubs[0])
+			}
+			nop := func() {}
+			for i, p := range parts {
+				next, ticks := parts[(i+1)%cards], 0
+				p.eng.At(Time(i)*13*Microsecond, func() {})
+				p.eng.Every(Millisecond, func() {
+					if ticks++; ticks%4 == 0 {
+						p.Send(next, la, nop)
+					}
+				})
+				ctrl.eng.At(Time(i)*200*Millisecond/cards, func() {
+					ctrl.eng.Every(200*Millisecond, func() { ctrl.Send(p, la, nop) })
+				})
+			}
+			var spent time.Duration
+			b.ResetTimer()
+			for range b.N {
+				topo.deliver()
+				start := time.Now()
+				topo.horizons(maxHorizon)
+				spent += time.Since(start)
+				for _, p := range topo.parts {
+					if p.active {
+						p.eng.RunUntil(p.horizon - 1)
+					}
+				}
+			}
+			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/round")
+		})
 	}
 }

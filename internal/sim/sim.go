@@ -249,10 +249,7 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		best := first
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
+		end := min(first+heapArity, n)
 		for c := first + 1; c < end; c++ {
 			if e.less(h[c], h[best]) {
 				best = c
@@ -273,10 +270,9 @@ func (e *Engine) Every(period Time, fn func()) (stop func()) {
 	stopped := false
 	var tick func()
 	tick = func() {
-		if stopped {
-			return
+		if !stopped {
+			fn()
 		}
-		fn()
 		if !stopped {
 			e.After(period, tick)
 		}

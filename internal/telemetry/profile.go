@@ -19,7 +19,7 @@ type ProfileEntry struct {
 // Profiler attributes every cycle a cpu.Meter charges to the (component,
 // operation) context active at charge time — the "where did the 65 µs go"
 // view of the paper's microbenchmark totals. Attach with
-// meter.Observe(reg.Prof); code sets context via meter.SetContext. A nil
+// meter.Observe(prof); code sets context via meter.SetContext. A nil
 // *Profiler is valid and records nothing.
 type Profiler struct {
 	// entries is scanned, not indexed: the pairs are the few contexts the

@@ -163,7 +163,12 @@ func (l *SpanLog) intern(where string) uint16 {
 }
 
 // All iterates the recorded segments in recording order.
-func (l *SpanLog) All() iter.Seq[Segment] {
+func (l *SpanLog) All() iter.Seq[Segment] { return l.Of(nil) }
+
+// Of iterates, in recording order, the segments of the streams keep accepts
+// (every segment for a nil keep). It reads a record's stream before it
+// builds a Segment, so a skipped record costs one call and no copy.
+func (l *SpanLog) Of(keep func(stream int) bool) iter.Seq[Segment] {
 	return func(yield func(Segment) bool) {
 		if l == nil {
 			return
@@ -172,6 +177,9 @@ func (l *SpanLog) All() iter.Seq[Segment] {
 		for _, c := range l.chunks {
 			for i := range c[:min(left, spanChunk)] {
 				r := &c[i]
+				if keep != nil && !keep(int(r.stream)) {
+					continue
+				}
 				if !yield(Segment{
 					Stream: int(r.stream), Seq: r.seq, Epoch: int(r.epoch), Stage: r.stage,
 					Where: l.wheres[r.where], Start: r.start, End: r.end,

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,6 +103,53 @@ func TestSpanLogRoundTrip(t *testing.T) {
 	}
 }
 
+// Of is All filtered by stream: the same segments, Where and Epoch included,
+// in the same order, across chunk boundaries. It builds nothing for a record
+// it skips, so reading past every record of a long log costs what reading
+// past one does.
+func TestSpanLogOfIsAllFiltered(t *testing.T) {
+	l := &SpanLog{}
+	for i := range 2*spanChunk + 7 {
+		l.Record(Segment{
+			Stream: i % 9, Seq: int64(i), Epoch: i%3 - 1, Stage: Stage(i % int(numStages)),
+			Where: fmt.Sprintf("ni%02d", i%5), Start: sim.Time(i), End: sim.Time(i + 2),
+		})
+	}
+	for _, keep := range []func(int) bool{
+		nil,
+		func(int) bool { return false },
+		func(s int) bool { return s == 4 },
+		func(s int) bool { return s%3 == 1 },
+	} {
+		var want, got []Segment
+		for seg := range l.All() {
+			if keep == nil || keep(seg.Stream) {
+				want = append(want, seg)
+			}
+		}
+		for seg := range l.Of(keep) {
+			got = append(got, seg)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("Of yields %d segments, All filtered %d, or their order or fields differ", len(got), len(want))
+		}
+	}
+
+	none := func(int) bool { return false }
+	skipAll := func(l *SpanLog) float64 {
+		return testing.AllocsPerRun(100, func() {
+			for range l.Of(none) {
+				t.Fatal("a rejected stream was yielded")
+			}
+		})
+	}
+	short := &SpanLog{}
+	short.Record(Segment{Stream: 1, Where: "ni00", End: 1})
+	if long, one := skipAll(l), skipAll(short); long != one {
+		t.Errorf("skipping %d records allocates %v, skipping one %v", l.Len(), long, one)
+	}
+}
+
 // StageTable's percentiles come from durations sorted once per stage, in
 // whatever order the frames were recorded.
 func TestStageTableQuantilesFromUnsortedDurations(t *testing.T) {
@@ -135,20 +183,21 @@ func TestRecordPathsDoNotAllocate(t *testing.T) {
 		t.Errorf("Registry.Span allocates %v per frame, want 0", n)
 	}
 
+	prof := NewProfiler()
 	contexts := [][2]string{{"dwcs", "decision"}, {"nic", "dispatch"}, {"dwcs", "enqueue"}, {"", ""}}
 	for _, c := range contexts {
-		reg.Prof.ObserveCycles(c[0], c[1], 1, 1)
+		prof.ObserveCycles(c[0], c[1], 1, 1)
 	}
 	i := 0
 	if n := testing.AllocsPerRun(1000, func() {
 		c := contexts[i%len(contexts)]
-		reg.Prof.ObserveCycles(c[0], c[1], 2, 30)
+		prof.ObserveCycles(c[0], c[1], 2, 30)
 		i++
 	}); n != 0 {
 		t.Errorf("Profiler.ObserveCycles allocates %v per call, want 0", n)
 	}
-	if got := reg.Prof.Cycles("unattributed", "other"); got == 0 || reg.Prof.Total() < got {
-		t.Fatalf("profiler lost the no-context charges: %d of %d", got, reg.Prof.Total())
+	if got := prof.Cycles("unattributed", "other"); got == 0 || prof.Total() < got {
+		t.Fatalf("profiler lost the no-context charges: %d of %d", got, prof.Total())
 	}
 }
 

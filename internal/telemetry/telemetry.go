@@ -203,14 +203,12 @@ type snapshot struct {
 }
 
 // Registry is the root of the telemetry subsystem: the metric store plus
-// the span log and cycle profiler. Construct with New; a nil *Registry is
-// valid and inert.
+// the span log. A cycle Profiler is not part of it: one is attached to a
+// meter only where its table is rendered. Construct with New; a nil
+// *Registry is valid and inert.
 type Registry struct {
 	// Spans is the causal span log.
 	Spans *SpanLog
-	// Prof is the cycle-cost profiler; attach it to a cpu.Meter with
-	// meter.Observe(reg.Prof).
-	Prof *Profiler
 
 	// OnSnapshot, when set, observes every Snapshot call with the capture
 	// time and how many values were recorded — the flight recorder's tap.
@@ -233,7 +231,6 @@ type Registry struct {
 func New() *Registry {
 	return &Registry{
 		Spans: &SpanLog{},
-		Prof:  NewProfiler(),
 		byKey: make(map[string]*metric),
 	}
 }
