@@ -13,7 +13,6 @@ import (
 	"repro/internal/dwcs"
 	"repro/internal/experiments"
 	"repro/internal/fixed"
-	"repro/internal/i2o"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/nic"
@@ -251,22 +250,6 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 
 // --- Library microbenchmarks (Go performance, not simulated time) ---
 
-// BenchmarkProtoEncapsulation measures the full Ethernet/IPv4/UDP/media
-// encapsulation the real-network path performs per fragment.
-func BenchmarkProtoEncapsulation(b *testing.B) {
-	frag := make([]byte, proto.MaxMediaPayload)
-	frags := proto.FragmentFrame(1, 1, frag)
-	b.SetBytes(int64(len(frags[0])))
-	var mac proto.MAC
-	var ip proto.IP
-	for i := 0; i < b.N; i++ {
-		wire := proto.BuildMediaPacket(mac, mac, ip, ip, 1, 2, uint16(i), frags[0])
-		if _, _, err := proto.ParseMediaPacket(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkReassembler measures fragment ingestion and frame completion.
 func BenchmarkReassembler(b *testing.B) {
 	frame := make([]byte, 3*proto.MaxMediaPayload)
@@ -280,23 +263,6 @@ func BenchmarkReassembler(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// BenchmarkI2ORoundTrip measures one host→IOP→host message in simulated
-// time per wall iteration.
-func BenchmarkI2ORoundTrip(b *testing.B) {
-	eng := sim.NewEngine(1)
-	iop := i2o.NewIOP(eng, i2o.Config{Name: "iop", PCI: bus.New(eng, bus.PCI("p"))})
-	drv := i2o.NewHostDriver(iop)
-	done := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drv.Submit(i2o.ExecutiveTID, i2o.FnUtilNop, nil, func(any, uint8) { done++ })
-		eng.Run()
-	}
-	if done != b.N {
-		b.Fatalf("completed %d of %d", done, b.N)
 	}
 }
 

@@ -239,22 +239,30 @@ func TestNISameSegmentAblation(t *testing.T) {
 	}
 	// Placing the web NI's DMA traffic on the scheduler's bus segment (the
 	// configuration the paper's Figure 5 avoids) must not help, and the
-	// separated configuration must be at least as good. The full load ×
-	// segment matrix fans out across the worker pool.
+	// separated configuration must be at least as good. The load × segment
+	// cells, (0, sep), (0, same), (60, sep), (60, same), fan out across the
+	// worker pool.
 	dur := 20 * sim.Second
-	matrix := RunNIMatrix([]float64{0, 60}, dur)
-	for _, load := range []float64{0, 60} {
-		sep, same := matrix[load][false], matrix[load][true]
+	loads := []float64{0, 60}
+	var cells []func() *StreamCurves
+	for _, load := range loads {
+		for _, same := range []bool{false, true} {
+			cells = append(cells, func() *StreamCurves { return RunNILoad(load, dur, same) })
+		}
+	}
+	runs := Collect(cells)
+	for i, load := range loads {
+		sep, same := runs[2*i], runs[2*i+1]
 		if same.SettleBW("s1", dur) > sep.SettleBW("s1", dur)*1.01 {
 			t.Errorf("load %.0f%%: same-segment run outperformed separated run: %.0f vs %.0f",
 				load, same.SettleBW("s1", dur), sep.SettleBW("s1", dur))
 		}
 	}
-	// The matrix's separated 60% cell must agree with the direct run — the
-	// fan-out must not perturb per-run determinism.
+	// The fanned-out separated 60% cell must agree with the direct run —
+	// the fan-out must not perturb per-run determinism.
 	direct := RunNILoad(60, dur, false)
-	if got, want := matrix[60][false].Sent, direct.Sent; got != want {
-		t.Errorf("parallel matrix diverged from direct run: sent %d vs %d", got, want)
+	if got, want := runs[2].Sent, direct.Sent; got != want {
+		t.Errorf("parallel cell diverged from direct run: sent %d vs %d", got, want)
 	}
 }
 

@@ -336,36 +336,6 @@ func RunNIFigures(dur sim.Time) *NIFigures {
 	return &NIFigures{Dur: dur, NoLoad: runs[0], Loaded60: runs[1]}
 }
 
-// RunNIMatrix executes the full NI load × bus-segment matrix (the Figure
-// 9/10 runs plus the same-segment ablation) in one parallel fan-out,
-// returned in row-major (load, segment) order.
-func RunNIMatrix(loads []float64, dur sim.Time) map[float64]map[bool]*StreamCurves {
-	type cell struct {
-		load float64
-		same bool
-	}
-	var cells []cell
-	for _, l := range loads {
-		for _, same := range []bool{false, true} {
-			cells = append(cells, cell{l, same})
-		}
-	}
-	jobs := make([]func() *StreamCurves, len(cells))
-	for i, c := range cells {
-		c := c
-		jobs[i] = func() *StreamCurves { return RunNILoad(c.load, dur, c.same) }
-	}
-	runs := Collect(jobs)
-	out := make(map[float64]map[bool]*StreamCurves, len(loads))
-	for i, c := range cells {
-		if out[c.load] == nil {
-			out[c.load] = make(map[bool]*StreamCurves, 2)
-		}
-		out[c.load][c.same] = runs[i]
-	}
-	return out
-}
-
 // Figure9 reports the NI scheduler's bandwidth immunity to host load.
 func (f *NIFigures) Figure9() *Result {
 	res := &Result{ID: "Figure 9", Title: "NI bandwidth distribution: unaffected by system load"}

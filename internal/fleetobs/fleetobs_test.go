@@ -1,6 +1,8 @@
 package fleetobs
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -238,6 +240,25 @@ func TestStitchDedupReplayedFrame(t *testing.T) {
 	}
 	if n := st.Epochs[1].PerStage[telemetry.StageQueue]; n != 2 {
 		t.Fatalf("want one queue span per site, got %d", n)
+	}
+
+	// Sites that record one (seq, stage, start) keep their collect order
+	// in the stitched frame, whatever their names.
+	tied := slices.Clone(segs)
+	want := []string{"ni01"}
+	for i := 20; i > 4; i-- {
+		where := fmt.Sprintf("ni%02d", i)
+		tied = append(tied, seg(2, 1, 1, telemetry.StageQueue, where, 202*sim.Millisecond))
+		want = append(want, where)
+	}
+	var got []string
+	for _, s := range Stitch(2, tied, links).Epochs[1].FirstFull {
+		if s.Stage == telemetry.StageQueue {
+			got = append(got, s.Where)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("tied queue spans in order %v, want collect order %v", got, want)
 	}
 }
 

@@ -1,9 +1,9 @@
 package fleetobs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -56,7 +56,7 @@ func commitLinks(stream int, links []telemetry.SpanLink) []telemetry.SpanLink {
 			out = append(out, l)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ToEpoch < out[j].ToEpoch })
+	slices.SortStableFunc(out, func(a, b telemetry.SpanLink) int { return cmp.Compare(a.ToEpoch, b.ToEpoch) })
 	return out
 }
 
@@ -97,11 +97,8 @@ func Stitch(stream int, segs []telemetry.Segment, links []telemetry.SpanLink) *S
 			st.Links = append(st.Links, l)
 		}
 	}
-	sort.Slice(st.Links, func(i, j int) bool {
-		if st.Links[i].At != st.Links[j].At {
-			return st.Links[i].At < st.Links[j].At
-		}
-		return st.Links[i].ToEpoch < st.Links[j].ToEpoch
+	slices.SortStableFunc(st.Links, func(a, b telemetry.SpanLink) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.ToEpoch, b.ToEpoch))
 	})
 	commits := commitLinks(stream, links)
 
@@ -155,15 +152,10 @@ func Stitch(stream int, segs []telemetry.Segment, links []telemetry.SpanLink) *S
 			}
 		}
 		segs := byEpoch[e]
-		sort.Slice(segs, func(i, j int) bool {
-			a, b := segs[i], segs[j]
-			if a.Seq != b.Seq {
-				return a.Seq < b.Seq
-			}
-			if a.Stage != b.Stage {
-				return a.Stage < b.Stage
-			}
-			return a.Start < b.Start
+		// Stable: two sites' segments with one (seq, stage, start) keep
+		// their collect order.
+		slices.SortStableFunc(segs, func(a, b telemetry.Segment) int {
+			return cmp.Or(cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Start, b.Start))
 		})
 		perSeq := make(map[int64]int)
 		for _, s := range segs {

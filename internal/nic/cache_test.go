@@ -3,39 +3,11 @@ package nic
 import (
 	"testing"
 
-	"repro/internal/dwcs"
-
-	"repro/internal/cache"
 	"repro/internal/disk"
+	"repro/internal/dwcs"
 	"repro/internal/mpeg"
 	"repro/internal/sim"
 )
-
-// TestCacheFrontedProducer fronts the producer card's filesystem with a
-// media cache: the second pass over a looping clip never touches the disk,
-// the §1 proxy/caching technique composed with NI scheduling.
-func TestCacheFrontedProducer(t *testing.T) {
-	r := newRig(t, true)
-	d := disk.New(r.eng, disk.DefaultSCSI("ni-disk"))
-	fs := cache.New(r.eng, disk.NewDOSFS(d), "clip", 1<<20, 0)
-	r.card.AttachDisk(d, fs)
-
-	ext, _ := r.card.LoadScheduler(SchedulerConfig{EligibleEarly: 10 * sim.Millisecond})
-	ext.AddStream(streamSpec(1, 20*sim.Millisecond))
-	clip, _ := mpeg.Generate(mpeg.GenConfig{Frames: 25, FPS: 30, GOPPattern: "IBB", MeanFrame: 1500, Seed: 5})
-	ext.SpawnLocalProducer(clip, 1, "client-1", 20*sim.Millisecond, 2) // two passes
-
-	r.eng.RunUntil(5 * sim.Second)
-	if r.client.Received != 50 {
-		t.Fatalf("client received %d of 50", r.client.Received)
-	}
-	if d.Stats.Reads != 25 {
-		t.Fatalf("disk reads = %d, want 25 (second pass cached)", d.Stats.Reads)
-	}
-	if fs.Hits != 25 {
-		t.Fatalf("cache hits = %d", fs.Hits)
-	}
-}
 
 func TestStoreKindAndPayloadHelpers(t *testing.T) {
 	if StoreDRAM.String() != "dram" || StoreHardwareQueue.String() != "hw-queue" {

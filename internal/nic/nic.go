@@ -1232,28 +1232,6 @@ func relayFrame(clip *mpeg.Clip, i int, frameBytes int64) (off, n int64) {
 	return f.Offset, frameBytes
 }
 
-// SpawnRelay streams clip from the card's attached disk straight to dst
-// with no scheduler — the Experiment II configuration of Table 4
-// (NI disk → NI CPU → network). perFrame receives each frame's disk-to-
-// wire-handoff start time; done fires after the last frame is handed to
-// the transmitter.
-func (c *Card) SpawnRelay(clip *mpeg.Clip, dst string, frameBytes int64, frames int, done func()) *rtos.Task {
-	if c.FS == nil {
-		panic("nic: SpawnRelay needs an attached disk")
-	}
-	xfer := newFrameIO(c.FS, nil)
-	return c.Kernel.Spawn(c.Name+"/relay", PrioRelay, func(tc *rtos.TaskCtx) {
-		for i := 0; i < frames; i++ {
-			off, sz := relayFrame(clip, i, frameBytes)
-			xfer.read(tc, off, sz)
-			c.send(tc, &netsim.Packet{Src: c.Name, Dst: dst, Bytes: sz, Seq: int64(i)}, nil)
-		}
-		if done != nil {
-			done()
-		}
-	})
-}
-
 // SpawnPeerRelay implements Experiment III of Table 4: src reads each frame
 // from its disk, DMAs it across the PCI bus to this card, and this card
 // transmits it (disk → I/O bus → NI CPU → network).

@@ -226,25 +226,6 @@ func TestHardwareQueueExhaustionPanics(t *testing.T) {
 	}
 }
 
-func TestRelayExperimentIIShape(t *testing.T) {
-	// Table 4 Expt II: NI disk → NI CPU → network ≈ 5.4 ms per 1000-byte
-	// frame.
-	r := newRig(t, false)
-	r.attachDisk()
-	const frames = 100
-	clip, _ := mpeg.Generate(mpeg.GenConfig{Frames: frames, FPS: 30, GOPPattern: "IBB", MeanFrame: 1000, Seed: 6})
-	var doneAt sim.Time
-	r.card.SpawnRelay(clip, "client-1", 1000, frames, func() { doneAt = r.eng.Now() })
-	r.eng.Run()
-	per := doneAt.Milliseconds() / frames
-	if per < 4.6 || per > 6.0 {
-		t.Fatalf("per-frame = %.2f ms, want ≈5.1–5.4", per)
-	}
-	if r.client.Received != frames {
-		t.Fatalf("client received %d", r.client.Received)
-	}
-}
-
 func TestSendWithoutLinkStillCounts(t *testing.T) {
 	eng := sim.NewEngine(1)
 	card := New(eng, Config{Name: "lone"})

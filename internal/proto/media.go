@@ -1,9 +1,23 @@
+// Package proto implements the media framing that carries one MPEG frame
+// across several UDP datagrams and reassembles it at the client.
+//
+// The simulation charges protocol *time* in internal/netsim; this package
+// supplies the media bytes for the path that touches a real network
+// (cmd/dwcsd), where the kernel writes the UDP/IP headers.
 package proto
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+)
+
+// Sizes of the encapsulation a media datagram rides in.
+const (
+	// EthMTU is the classic Ethernet payload limit.
+	EthMTU        = 1500
+	IPv4HeaderLen = 20
+	UDPHeaderLen  = 8
 )
 
 // MediaHeaderLen is the size of the media framing header that rides inside
@@ -30,8 +44,11 @@ type MediaHeader struct {
 // datagram cannot make a receiver allocate gigabytes.
 const MaxFrameSize = 1 << 20
 
-// ErrBadMagic reports a non-media datagram.
-var ErrBadMagic = errors.New("proto: bad media magic")
+// Errors returned by UnmarshalMedia.
+var (
+	ErrTooShort = errors.New("proto: buffer too short")
+	ErrBadMagic = errors.New("proto: bad media magic")
+)
 
 // appendMedia appends the media header and a fragment payload to dst.
 func appendMedia(dst []byte, h MediaHeader, frag []byte) []byte {
@@ -186,41 +203,3 @@ func (r *Reassembler) Ingest(b []byte) error {
 
 // Pending reports streams with incomplete frames.
 func (r *Reassembler) Pending() int { return len(r.partial) }
-
-// BuildMediaPacket wraps one media fragment in UDP, IPv4, and Ethernet —
-// the full encapsulation the NI's transmit path performs.
-func BuildMediaPacket(srcMAC, dstMAC MAC, srcIP, dstIP IP, srcPort, dstPort uint16, ipID uint16, fragment []byte) []byte {
-	udp := MarshalUDP(UDPHeader{SrcPort: srcPort, DstPort: dstPort}, srcIP, dstIP, fragment)
-	ip := MarshalIPv4(IPv4Header{
-		ID:       ipID,
-		TTL:      64,
-		Protocol: ProtoUDP,
-		Src:      srcIP,
-		Dst:      dstIP,
-		DontFrag: true, // media fragments are sized to fit the MTU
-	}, udp)
-	return MarshalEth(EthFrame{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4, Payload: ip})
-}
-
-// ParseMediaPacket reverses BuildMediaPacket, verifying every layer.
-func ParseMediaPacket(wire []byte) (MediaHeader, []byte, error) {
-	eth, err := UnmarshalEth(wire)
-	if err != nil {
-		return MediaHeader{}, nil, err
-	}
-	if eth.EtherType != EtherTypeIPv4 {
-		return MediaHeader{}, nil, ErrBadVersion
-	}
-	iph, ipPayload, err := UnmarshalIPv4(eth.Payload)
-	if err != nil {
-		return MediaHeader{}, nil, err
-	}
-	if iph.Protocol != ProtoUDP {
-		return MediaHeader{}, nil, ErrNotUDP
-	}
-	_, udpPayload, err := UnmarshalUDP(ipPayload, iph.Src, iph.Dst)
-	if err != nil {
-		return MediaHeader{}, nil, err
-	}
-	return UnmarshalMedia(udpPayload)
-}

@@ -3,7 +3,9 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
+	"testing/quick"
 )
 
 // referenceFragmentFrame is FragmentFrame as it stood before AppendFragment
@@ -208,4 +210,175 @@ func FuzzUnmarshalMedia(f *testing.F) {
 			t.Fatalf("header %+v does not round-trip", h)
 		}
 	})
+}
+
+func TestMediaHeaderRoundTrip(t *testing.T) {
+	h := MediaHeader{StreamID: 3, Seq: 99, FrameSize: 1000, FragOff: 500}
+	frag := bytes.Repeat([]byte{0xAB}, 500)
+	b := MarshalMedia(h, frag)
+	got, body, err := UnmarshalMedia(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != h || !bytes.Equal(body, frag) {
+		t.Fatalf("mismatch: %+v", got)
+	}
+	if _, _, err := UnmarshalMedia(b[:10]); !errors.Is(err, ErrTooShort) {
+		t.Errorf("short: %v", err)
+	}
+	b[0] = 0
+	if _, _, err := UnmarshalMedia(b); !errors.Is(err, ErrBadMagic) {
+		t.Errorf("magic: %v", err)
+	}
+	over := MarshalMedia(MediaHeader{FrameSize: 10, FragOff: 8}, []byte{1, 2, 3, 4})
+	if _, _, err := UnmarshalMedia(over); err == nil {
+		t.Error("fragment overflow not detected")
+	}
+}
+
+func TestFragmentAndReassemble(t *testing.T) {
+	frame := make([]byte, 3*MaxMediaPayload+123)
+	for i := range frame {
+		frame[i] = byte(i * 7)
+	}
+	frags := FragmentFrame(5, 42, frame)
+	if len(frags) != 4 {
+		t.Fatalf("fragments = %d, want 4", len(frags))
+	}
+	var gotStream, gotSeq uint32
+	var got []byte
+	r := NewReassembler(func(s, q uint32, f []byte) {
+		gotStream, gotSeq = s, q
+		got = f
+	})
+	for _, f := range frags {
+		if err := r.Ingest(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gotStream != 5 || gotSeq != 42 {
+		t.Fatalf("ids = %d/%d", gotStream, gotSeq)
+	}
+	if !bytes.Equal(got, frame) {
+		t.Fatal("reassembled frame differs")
+	}
+	if r.Completed != 1 || r.Pending() != 0 {
+		t.Fatalf("completed=%d pending=%d", r.Completed, r.Pending())
+	}
+}
+
+func TestReassemblerDiscardsIncompleteOnNewFrame(t *testing.T) {
+	frameA := make([]byte, 2*MaxMediaPayload)
+	frameB := []byte("tiny")
+	fragsA := FragmentFrame(1, 1, frameA)
+	fragsB := FragmentFrame(1, 2, frameB)
+	done := 0
+	r := NewReassembler(func(_, seq uint32, f []byte) {
+		done++
+		if seq != 2 || !bytes.Equal(f, frameB) {
+			t.Fatalf("wrong frame completed: seq=%d", seq)
+		}
+	})
+	r.Ingest(fragsA[0]) // first half of A, second half lost
+	r.Ingest(fragsB[0]) // B arrives: A must be discarded
+	if done != 1 || r.Discarded != 1 {
+		t.Fatalf("done=%d discarded=%d", done, r.Discarded)
+	}
+}
+
+func TestReassemblerInterleavedStreams(t *testing.T) {
+	fa := bytes.Repeat([]byte{1}, 2*MaxMediaPayload)
+	fb := bytes.Repeat([]byte{2}, 2*MaxMediaPayload)
+	a := FragmentFrame(1, 0, fa)
+	b := FragmentFrame(2, 0, fb)
+	completed := map[uint32][]byte{}
+	r := NewReassembler(func(s, _ uint32, f []byte) { completed[s] = f })
+	r.Ingest(a[0])
+	r.Ingest(b[0])
+	r.Ingest(a[1])
+	r.Ingest(b[1])
+	if !bytes.Equal(completed[1], fa) || !bytes.Equal(completed[2], fb) {
+		t.Fatal("interleaved streams not reassembled independently")
+	}
+}
+
+func TestZeroLengthFrame(t *testing.T) {
+	frags := FragmentFrame(1, 7, nil)
+	if len(frags) != 1 {
+		t.Fatalf("fragments = %d", len(frags))
+	}
+	seen := false
+	r := NewReassembler(func(_, seq uint32, f []byte) {
+		seen = true
+		if seq != 7 || len(f) != 0 {
+			t.Fatalf("seq=%d len=%d", seq, len(f))
+		}
+	})
+	if err := r.Ingest(frags[0]); err != nil {
+		t.Fatal(err)
+	}
+	if !seen {
+		t.Fatal("empty frame not delivered")
+	}
+}
+
+// Property: fragment+reassemble is the identity for any frame content.
+func TestFragmentReassembleProperty(t *testing.T) {
+	f := func(frame []byte, stream, seq uint32) bool {
+		var got []byte
+		ok := false
+		r := NewReassembler(func(s, q uint32, f []byte) {
+			ok = s == stream && q == seq
+			got = f
+		})
+		for _, frag := range FragmentFrame(stream, seq, frame) {
+			if r.Ingest(frag) != nil {
+				return false
+			}
+		}
+		return ok && bytes.Equal(got, frame)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the media parser never panics on arbitrary byte soup.
+func TestParsersRobustToRandomBytes(t *testing.T) {
+	f := func(raw []byte) bool {
+		// It may error; it may not panic.
+		_, _, _ = UnmarshalMedia(raw)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a reassembler fed arbitrary interleavings of valid fragments
+// and garbage never completes a frame with wrong content.
+func TestReassemblerRobustness(t *testing.T) {
+	f := func(garbage [][]byte, frame []byte, seed uint32) bool {
+		ok := true
+		r := NewReassembler(func(_, _ uint32, got []byte) {
+			if !bytes.Equal(got, frame) {
+				ok = false
+			}
+		})
+		frags := FragmentFrame(1, seed, frame)
+		gi := 0
+		for _, fr := range frags {
+			if gi < len(garbage) {
+				_ = r.Ingest(garbage[gi]) // errors ignored; must not corrupt
+				gi++
+			}
+			if err := r.Ingest(fr); err != nil {
+				return false
+			}
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
 }

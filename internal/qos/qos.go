@@ -136,18 +136,3 @@ func (r *Report) String() string {
 		len(r.Streams), r.RequestedBps, r.GuaranteedBps,
 		100*r.LinkUtilization, 100*r.CPUUtilization, verdict)
 }
-
-// MaxStreams returns how many identical streams fit a link of linkBps and
-// a scheduler of perDecision cost, by the same bounds Check applies.
-func MaxStreams(s Stream, linkBps float64, perDecision sim.Time) int {
-	if err := s.validate(); err != nil {
-		return 0
-	}
-	byLink := int(linkBps / s.MinBandwidthBps())
-	cpuPer := s.GuaranteedFraction() * perDecision.Seconds() / s.Period.Seconds()
-	byCPU := int(1 / cpuPer)
-	if byLink < byCPU {
-		return byLink
-	}
-	return byCPU
-}

@@ -114,21 +114,6 @@ func TestCheckValidation(t *testing.T) {
 	}
 }
 
-func TestMaxStreams(t *testing.T) {
-	s := s1()
-	n := MaxStreams(s, 100e6, 925*sim.Microsecond)
-	if n == 0 {
-		t.Fatal("no streams fit")
-	}
-	// Link bound: 100e6/125000 = 800; CPU bound: 1/(0.5×0.000925/0.16) ≈ 345.
-	if n != 345 {
-		t.Fatalf("MaxStreams = %d, want 345 (CPU-bound)", n)
-	}
-	if MaxStreams(Stream{}, 1e6, sim.Microsecond) != 0 {
-		t.Error("invalid stream should yield 0")
-	}
-}
-
 // The analytical minimum-bandwidth guarantee must hold on the real
 // scheduler: an overloaded link still delivers each stream at least its
 // guaranteed fraction.

@@ -89,7 +89,8 @@ type Topology struct {
 func NewTopology(seed int64) *Topology { return &Topology{seed: seed} }
 
 // AddPartition appends a partition with its own engine, RNG stream, and
-// clock.
+// clock. The clock starts at the latest of the existing partitions', so a
+// partition added between runs joins at the topology's time.
 func (t *Topology) AddPartition(name string) *Partition {
 	id := int32(len(t.parts))
 	p := &Partition{
@@ -99,6 +100,9 @@ func (t *Topology) AddPartition(name string) *Partition {
 		// Golden-ratio stride decorrelates the per-partition RNG streams
 		// while keeping them a pure function of (seed, partition ID).
 		eng: NewEngine(t.seed + int64(uint64(id)*0x9E3779B97F4A7C15)),
+	}
+	for _, q := range t.parts {
+		p.eng.RunUntil(q.eng.Now())
 	}
 	t.parts = append(t.parts, p)
 	t.in, t.la = append(t.in, nil), append(t.la, nil)

@@ -346,6 +346,26 @@ func TestTopologyRunUntil(t *testing.T) {
 	}
 }
 
+// A partition added after a run starts at the others' time: its first
+// message lands after the destination's clock, not before it.
+func TestAddPartitionJoinsAtTopologyTime(t *testing.T) {
+	topo, a, _ := buildPair(t, Millisecond)
+	topo.RunUntil(60 * Millisecond)
+	late := topo.AddPartition("late")
+	if now := late.Eng().Now(); now != 60*Millisecond {
+		t.Fatalf("late partition starts at %v, want 60ms", now)
+	}
+	if err := topo.Connect(late, a, 10*Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	var at Time
+	late.Send(a, 10*Millisecond, func() { at = a.Eng().Now() })
+	topo.RunUntil(100 * Millisecond)
+	if at != 70*Millisecond {
+		t.Fatalf("message from the late partition arrived at %v, want 70ms", at)
+	}
+}
+
 // Partitions with no channels run to completion independently — the
 // degenerate topology recovers the experiment harness's independent-run
 // fan-out.
@@ -627,7 +647,6 @@ func TestHorizonsMatchRelaxation(t *testing.T) {
 		m.rounds(t, label+" after Connect", 5)
 		m.settle()
 		late := m.topo.AddPartition("late")
-		late.eng.RunUntil(m.topo.parts[0].eng.Now()) // joins at the others' time
 		m.seed(late)
 		m.connect(0.3)
 		m.rounds(t, label+" after AddPartition", 5)

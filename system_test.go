@@ -1,10 +1,11 @@
 // Whole-system integration test: every substrate composed at once — host
-// OSM talking I2O to a scheduler card, peer producer cards reading striped
-// disks, DWCS pacing streams through a lossy switch to reliable-transport
-// receivers feeding playout-buffered players, while web load hammers the
-// host. The assertions are end-user-level: every admitted frame that the
-// lossless path carries arrives in order, the viewers see no mid-stream
-// glitches, and the NI numbers don't move when the host is loaded.
+// DVCM instructions crossing PCI to a scheduler card, peer producer cards
+// reading striped disks, DWCS pacing streams through a lossy switch to
+// reliable-transport receivers feeding playout-buffered players, while web
+// load hammers the host. The assertions are end-user-level: every admitted
+// frame that the lossless path carries arrives in order, the viewers see no
+// mid-stream glitches, and the NI numbers don't move when the host is
+// loaded.
 package repro
 
 import (
@@ -17,7 +18,6 @@ import (
 	"repro/internal/dwcs"
 	"repro/internal/fixed"
 	"repro/internal/hostos"
-	"repro/internal/i2o"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/nic"
@@ -74,7 +74,7 @@ func TestWholeSystem(t *testing.T) {
 	lossyData.DropEvery = 6
 	relSender = transport.NewSender(eng, lossyData, 8, 30*sim.Millisecond)
 
-	// --- Scheduler extension, flight-recorded, driven over I2O from the host.
+	// --- Scheduler extension, flight-recorded, driven from the host.
 	ext, err := schedCard.LoadScheduler(nic.SchedulerConfig{EligibleEarly: 20 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -84,26 +84,20 @@ func TestWholeSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	ext.AttachBlackbox(rec)
-	iop := i2o.NewIOP(eng, i2o.Config{Name: "ni-sched-iop", PCI: pci})
-	if err := iop.AttachDevice(&i2o.VCMBridge{ID: 1, VCM: schedCard.VCM}); err != nil {
-		t.Fatal(err)
-	}
-	osm := i2o.NewHostDriver(iop)
-
 	T := 40 * sim.Millisecond
 	addStream := func(id int, name string) {
-		osm.Submit(1, i2o.FnPrivate, core.Instr{Ext: "dwcs", Op: "addStream", Arg: dwcs.StreamSpec{
+		schedCard.VCM.InvokeAsync(core.Instr{Ext: "dwcs", Op: "addStream", Arg: dwcs.StreamSpec{
 			ID: id, Name: name, Period: T,
 			Loss: fixed.New(1, 8), Lossy: true, BufCap: 64,
-		}}, func(_ any, status uint8) {
-			if status != i2o.StatusSuccess {
-				t.Errorf("addStream %s over I2O: status %#x", name, status)
+		}}, 8, func(_ any, err error) {
+			if err != nil {
+				t.Errorf("addStream %s from the host: %v", name, err)
 			}
 		})
 	}
 	addStream(1, "movie")
 	addStream(2, "mcast-feed")
-	eng.RunUntil(5 * sim.Millisecond) // let the I2O round trips land
+	eng.RunUntil(5 * sim.Millisecond) // let the instructions cross PCI
 
 	const frames = 400
 	clip, err := mpeg.Generate(mpeg.GenConfig{
@@ -174,11 +168,11 @@ func TestWholeSystem(t *testing.T) {
 		t.Errorf("flight recorder holds %d decisions, want >= %d", decisions, frames)
 	}
 
-	// And the stats round-trip over I2O agrees with the extension.
+	// And the stats read from the host agree with the extension.
 	var stats dwcs.StreamStats
-	osm.Submit(1, i2o.FnPrivate, core.Instr{Ext: "dwcs", Op: "stats", Arg: 1},
-		func(reply any, status uint8) {
-			if status == i2o.StatusSuccess {
+	schedCard.VCM.InvokeAsync(core.Instr{Ext: "dwcs", Op: "stats", Arg: 1}, 2,
+		func(reply any, err error) {
+			if err == nil {
 				stats = reply.(dwcs.StreamStats)
 			}
 		})
@@ -187,6 +181,6 @@ func TestWholeSystem(t *testing.T) {
 	stopDaemons()
 	eng.RunUntil(dur + sim.Second)
 	if stats.Serviced != frames {
-		t.Errorf("I2O stats report %d serviced, want %d", stats.Serviced, frames)
+		t.Errorf("host stats report %d serviced, want %d", stats.Serviced, frames)
 	}
 }
