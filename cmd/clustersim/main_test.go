@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -88,8 +89,8 @@ func TestScenarioFlagPrintsRowAndWritesItsFiles(t *testing.T) {
 }
 
 // Two scenario flags, an artifact directory for the sweep that writes none,
-// a sweep without its scenario, or an artifact directory without any
-// scenario are usage errors — not a silent run of something else.
+// a sweep without its scenario, or no scenario at all (bare, or only an
+// artifact directory) are usage errors — not a silent run of something else.
 func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "out")
 	for _, c := range []struct {
@@ -101,6 +102,7 @@ func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 		{[]string{"-chaos-sweep"}, "clustersim: "},
 		{[]string{"-fleet", "-chaos-sweep"}, "clustersim: "},
 		{[]string{"-fleet-out", dir}, "clustersim: "},
+		{nil, "clustersim: pick one scenario: -fleet, -fleet-chaos, -fleet-obs, -ctrl-chaos"},
 		// The scrape period and the top-k bound are constants of the fleet.
 		{[]string{"-fleet-obs", "-scrape-every", "100"}, "flag provided but not defined: -scrape-every"},
 		{[]string{"-fleet-obs", "-topk", "3"}, "flag provided but not defined: -topk"},
@@ -130,7 +132,7 @@ func TestProfileFlagsWriteProfiles(t *testing.T) {
 			args []string
 			code int
 		}{
-			{[]string{"-streams", "2", "-dur", "1"}, 0},
+			{[]string{"-fleet", "-cards", "2", "-dur", "1"}, 0},
 			{[]string{"-chaos-sweep"}, 2},
 		} {
 			path := filepath.Join(t.TempDir(), "run.prof")
@@ -145,29 +147,49 @@ func TestProfileFlagsWriteProfiles(t *testing.T) {
 	}
 }
 
-// -sweep prints a header and one row per cell of the 4 periods × 3 frame
-// sizes grid, and the worker pool that fans the cells out changes no byte.
-func TestSweepIsIndependentOfWorkers(t *testing.T) {
-	var outs []string
-	for _, workers := range []string{"1", "4"} {
-		stdout, stderr, code := clustersim(t, "-sweep", "-workers", workers)
-		if code != 0 {
-			t.Fatalf("-workers %s: exit %d, stderr:\n%s", workers, code, stderr)
+// Every `go run ./cmd/clustersim …` line in the docs names only flags that
+// clustersim -h lists, so a deleted flag cannot survive in an example. A line
+// ending in a backslash continues onto the next; an inline code span ends
+// at its closing backtick, and a pipe ends the command.
+func TestDocsNameOnlyKnownFlags(t *testing.T) {
+	_, usage, code := clustersim(t, "-h")
+	if code != 0 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	known := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage, -1) {
+		known[m[1]] = true
+	}
+	flagRE := regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
+	const cmd = "go run ./cmd/clustersim"
+	checked := 0
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		body, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
 		}
-		outs = append(outs, stdout)
+		lines := strings.Split(string(body), "\n")
+		for i, line := range lines {
+			at := strings.Index(line, cmd)
+			if at < 0 {
+				continue
+			}
+			rest := line[at+len(cmd):]
+			for j := i + 1; strings.HasSuffix(rest, "\\") && j < len(lines); j++ {
+				rest = strings.TrimSuffix(rest, "\\") + " " + lines[j]
+			}
+			if end := strings.IndexAny(rest, "`|"); end >= 0 {
+				rest = rest[:end]
+			}
+			checked++
+			for _, m := range flagRE.FindAllStringSubmatch(rest, -1) {
+				if !known[m[1]] {
+					t.Errorf("%s:%d names -%s, which clustersim does not have: %s", doc, i+1, m[1], line)
+				}
+			}
+		}
 	}
-	lines := strings.Split(strings.TrimSuffix(outs[0], "\n"), "\n")
-	if len(lines) != 13 || !strings.HasPrefix(lines[0], "period_ms") {
-		t.Errorf("want a header and 12 rows, got %d lines:\n%s", len(lines), outs[0])
-	}
-	if outs[0] != outs[1] {
-		t.Errorf("-workers 4 differs from -workers 1:\n%s\nvs\n%s", outs[1], outs[0])
-	}
-}
-
-func TestDefaultModeAdmitsAndStreams(t *testing.T) {
-	stdout, stderr, code := clustersim(t, "-streams", "4", "-dur", "2")
-	if code != 0 || !strings.Contains(stdout, "admitted 4/4 streams across 1 node(s)") {
-		t.Errorf("exit %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	if checked == 0 {
+		t.Errorf("no %q line found in the docs", cmd)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -120,5 +121,52 @@ func TestOverloadWorkersFlagIsGone(t *testing.T) {
 	stdout, stderr, code := reprogen(t, "-overload", "-overload-workers", "1")
 	if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -overload-workers") {
 		t.Errorf("exit %d, stdout %q, stderr:\n%s", code, stdout, stderr)
+	}
+}
+
+// Every `go run ./cmd/reprogen …` line in the docs names only flags that
+// reprogen -h lists, so a deleted flag cannot survive in an example. A line
+// ending in a backslash continues onto the next; an inline code span ends
+// at its closing backtick, and a pipe ends the command.
+func TestDocsNameOnlyKnownFlags(t *testing.T) {
+	_, usage, code := reprogen(t, "-h")
+	if code != 0 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	known := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage, -1) {
+		known[m[1]] = true
+	}
+	flagRE := regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
+	const cmd = "go run ./cmd/reprogen"
+	checked := 0
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		body, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(body), "\n")
+		for i, line := range lines {
+			at := strings.Index(line, cmd)
+			if at < 0 {
+				continue
+			}
+			rest := line[at+len(cmd):]
+			for j := i + 1; strings.HasSuffix(rest, "\\") && j < len(lines); j++ {
+				rest = strings.TrimSuffix(rest, "\\") + " " + lines[j]
+			}
+			if end := strings.IndexAny(rest, "`|"); end >= 0 {
+				rest = rest[:end]
+			}
+			checked++
+			for _, m := range flagRE.FindAllStringSubmatch(rest, -1) {
+				if !known[m[1]] {
+					t.Errorf("%s:%d names -%s, which reprogen does not have: %s", doc, i+1, m[1], line)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Errorf("no %q line found in the docs", cmd)
 	}
 }

@@ -29,6 +29,7 @@
 // (time, replica, arrival) — so a single-replica run renders byte-identical
 // to the pre-HA control plane, and an HA run is byte-identical across
 // Monolithic, Workers=1, and Workers=N.
+
 package cluster
 
 import (
@@ -152,7 +153,7 @@ type ctrlRep struct {
 	lastCkpt sim.Time // follower: arrival of the last checkpoint
 	synced   bool     // follower: heard the current leader at least once
 
-	// Placement state — on the standby, the journal's materialized view.
+	// Where each stream lives — on the standby, the journal's materialized view.
 	loc      map[int]int
 	ckpt     map[int]dwcs.StreamSnapshot
 	lastV    map[int]int64

@@ -1,5 +1,6 @@
-// Fleet: the multi-card scaling scenario (Figure 6 / claim 4) on the
-// partitioned conservative engine. Each card complex — a PCI segment with a
+// Package cluster is the scalable media server of §1 and §6 as a fleet: the
+// multi-card scaling scenario (Figure 6 / claim 4) on the partitioned
+// conservative engine. Each card complex — a PCI segment with a
 // disk NI, a scheduler NI running DWCS with overload control and a flight
 // recorder — lives in its own sim.Partition with a private event heap and
 // RNG stream; a DVCM-style controller partition polls every card over the
@@ -21,7 +22,7 @@
 // There is one fleet type. This file builds what every run shares — cards,
 // streams, the media network — and RunFleet's pulse poll; fleetchaos.go adds
 // the fault plan and the migration protocol, ctrlha.go the controller
-// replicas, fleetobs.go the scrape plane, each only when a run asks for it.
+// replicas, scrape.go the scrape plane, each only when a run asks for it.
 package cluster
 
 import (
@@ -299,7 +300,7 @@ type FleetResult struct {
 // fleet is the one fleet type. RunFleet builds its topology, cards, streams
 // and pulse poll; the chaos runs add a fault plan and the controller
 // replicas that own placement (ctrlha.go); RunFleetObs adds the scrape plane
-// (fleetobs.go).
+// (scrape.go).
 type fleet struct {
 	cfg     FleetConfig
 	topo    *sim.Topology // nil in monolithic mode

@@ -15,6 +15,7 @@
 // interaction rides the same fixed-latency hops the baseline fleet uses —
 // so every artifact is byte-identical across Monolithic, Workers=1, and
 // Workers=N runs of the same configuration.
+
 package cluster
 
 import (

@@ -17,6 +17,7 @@
 // that advances on every committed migration, and the controller records the
 // frame-cursor handoff as an explicit span link — so a stream's
 // disk→wire→playout trace stitches across live migration.
+
 package cluster
 
 import (

@@ -8,6 +8,53 @@ import (
 	"repro/internal/sim"
 )
 
+// A window constraint x/y guarantees a stream (y-x)/y of its frames: on an
+// overloaded link each stream still gets at least its guaranteed fraction.
+func TestGuaranteeHoldsUnderOverload(t *testing.T) {
+	clock := sim.Time(0)
+	// Packets are eligible for their whole period (EligibleEarly = T), so
+	// the scheduler may serve each one any time before its deadline.
+	sched := New(Config{
+		WorkConserving: false,
+		EligibleEarly:  10 * sim.Millisecond,
+		Now:            func() sim.Time { return clock },
+	})
+	specs := []StreamSpec{
+		{ID: 1, Name: "tight", Period: 10 * sim.Millisecond, Loss: fixed.New(1, 4), Lossy: true, BufCap: 256},
+		{ID: 2, Name: "loose", Period: 10 * sim.Millisecond, Loss: fixed.New(3, 4), Lossy: true, BufCap: 256},
+	}
+	for _, sp := range specs {
+		if err := sched.AddStream(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both streams stay backlogged; the "link" only services one packet
+	// per 8 ms — 125 packets/s against 200/s requested, a 1.6× overload.
+	for clock < 10*sim.Second {
+		for _, sp := range specs {
+			for sched.QueueLen(sp.ID) < 4 {
+				if err := sched.Enqueue(sp.ID, Packet{Bytes: 1000}); err != nil {
+					break
+				}
+			}
+		}
+		sched.Schedule()
+		clock += 8 * sim.Millisecond
+	}
+	tight, _ := sched.Stats(1)
+	loose, _ := sched.Stats(2)
+	// The tight stream (guaranteed 3/4) must achieve a higher service
+	// fraction than the loose one (guaranteed 1/4).
+	fTight := float64(tight.Serviced) / float64(tight.Serviced+tight.Dropped)
+	fLoose := float64(loose.Serviced) / float64(loose.Serviced+loose.Dropped)
+	if fTight <= fLoose {
+		t.Fatalf("tight=%.2f loose=%.2f: window constraints not honored", fTight, fLoose)
+	}
+	if fTight < 0.70 {
+		t.Fatalf("tight stream served %.2f, want ≥ its 0.75 guarantee (within slack)", fTight)
+	}
+}
+
 // TestLayeredMPEGProtectsReferenceFrames maps a clip's I/P/B frames onto
 // three DWCS streams with decreasing protection and overloads the service:
 // under DWCS's window constraints the B layer absorbs the losses, the P
@@ -20,7 +67,7 @@ func TestLayeredMPEGProtectsReferenceFrames(t *testing.T) {
 	}
 
 	clk := &testClock{}
-	// Paced with a full period of eligibility, like the qos guarantee test.
+	// Paced with a full period of eligibility, like TestGuaranteeHoldsUnderOverload.
 	T := 10 * sim.Millisecond
 	s := New(Config{EligibleEarly: T, Now: clk.Now})
 	layers := []struct {

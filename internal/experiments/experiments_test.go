@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -106,6 +108,45 @@ func TestHeadlineComparable(t *testing.T) {
 	// "Comparable, although the i960 RD is a much slower processor."
 	if ni/host > 2 {
 		t.Errorf("NI/host overhead ratio = %.2f, want < 2", ni/host)
+	}
+}
+
+// EXPERIMENTS.md prints Tables 1–3 and the headline as reprogen renders
+// them: every decimal number in those sections (measured cells, paper
+// cells, deviations and the figures quoted in the prose) must appear in its
+// run's output, so the document cannot keep numbers the code has moved off.
+func TestExperimentsDocMatchesTables(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	number := regexp.MustCompile(`\d+\.\d+`)
+	runs := map[string]func() *Result{
+		"Table 1 ": RunTable1, "Table 2 ": RunTable2, "Table 3 ": RunTable3, "Headline ": RunHeadline,
+	}
+	for _, section := range strings.Split(string(doc), "\n## ")[1:] {
+		for prefix, run := range runs {
+			if !strings.HasPrefix(section, prefix) {
+				continue
+			}
+			delete(runs, prefix)
+			printed := map[string]bool{}
+			for _, n := range number.FindAllString(run().String(), -1) {
+				printed[n] = true
+			}
+			cells := number.FindAllString(section, -1)
+			if len(cells) == 0 {
+				t.Errorf("EXPERIMENTS.md %s: no numbers found", strings.TrimSpace(prefix))
+			}
+			for _, n := range cells {
+				if !printed[n] {
+					t.Errorf("EXPERIMENTS.md %s: %s is not in the run's output", strings.TrimSpace(prefix), n)
+				}
+			}
+		}
+	}
+	for prefix := range runs {
+		t.Errorf("EXPERIMENTS.md has no %q section", prefix)
 	}
 }
 

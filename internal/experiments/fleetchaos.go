@@ -25,12 +25,10 @@ func RunFleetObs(cfg FleetObsConfig) *FleetObsArtifacts { return cluster.RunFlee
 // FleetChaosSweep runs the chaos scenario across fault severity × fleet
 // size and renders a recovery table: how migration counts, recovery
 // behaviour, and violation containment scale as the fleet grows and the
-// correlated-fault load rises. Deterministic for a fixed config set.
-func FleetChaosSweep(workers int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-22s %6s %6s %6s %6s %8s %10s %11s %8s\n",
-		"cards", "severity", "live", "cold", "readd", "parked",
-		"resumed", "violDuring", "violOutside", "recv")
+// correlated-fault load rises. The ten fleets are independent runs, so they
+// fan out on the default pool, each on a sequential engine; the table is
+// the same bytes at any pool size.
+func FleetChaosSweep() string {
 	severities := []struct {
 		name               string
 		crash, part, drain int
@@ -41,22 +39,27 @@ func FleetChaosSweep(workers int) string {
 		{"all-three", 1, 1, 1},
 		{"2crash+part", 2, 1, -1},
 	}
+	var jobs []func() string
 	for _, cards := range []int{8, 16} {
 		for _, sev := range severities {
-			r := cluster.RunFleetChaos(cluster.FleetConfig{
-				Cards: cards, Workers: workers,
-				HostCrashes: sev.crash, NetPartitions: sev.part, RollingDrains: sev.drain,
+			jobs = append(jobs, func() string {
+				r := cluster.RunFleetChaos(cluster.FleetConfig{
+					Cards: cards, Workers: 1,
+					HostCrashes: sev.crash, NetPartitions: sev.part, RollingDrains: sev.drain,
+				})
+				moved := r.LiveMigrations + r.ColdMigrations
+				attempted := moved + r.Readds + r.Parked
+				resumed := 100.0
+				if attempted > 0 {
+					resumed = 100 * float64(moved) / float64(attempted)
+				}
+				return fmt.Sprintf("%-8d %-22s %6d %6d %6d %6d %7.0f%% %10d %11d %8d\n",
+					cards, sev.name, r.LiveMigrations, r.ColdMigrations, r.Readds, r.Parked,
+					resumed, r.ViolDuring, r.ViolOutside, r.Recv)
 			})
-			moved := r.LiveMigrations + r.ColdMigrations
-			attempted := moved + r.Readds + r.Parked
-			resumed := 100.0
-			if attempted > 0 {
-				resumed = 100 * float64(moved) / float64(attempted)
-			}
-			fmt.Fprintf(&b, "%-8d %-22s %6d %6d %6d %6d %7.0f%% %10d %11d %8d\n",
-				cards, sev.name, r.LiveMigrations, r.ColdMigrations, r.Readds, r.Parked,
-				resumed, r.ViolDuring, r.ViolOutside, r.Recv)
 		}
 	}
-	return b.String()
+	return fmt.Sprintf("%-8s %-22s %6s %6s %6s %6s %8s %10s %11s %8s\n",
+		"cards", "severity", "live", "cold", "readd", "parked",
+		"resumed", "violDuring", "violOutside", "recv") + strings.Join(Collect(jobs), "")
 }

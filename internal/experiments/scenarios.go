@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // File is one artifact of a run: a name inside the artifact directory and
@@ -177,7 +176,11 @@ var Scenarios = []Scenario{
 			a := RunTelemetry(TelemetryConfig{Dur: cfg.Dur})
 			return Output{
 				Stdout: a.Summary + a.StageTable + a.CycleTable,
-				Files:  append(a.dumpFiles(), File{"cycles.txt", a.CycleTable}),
+				Files: []File{
+					{"trace.json", string(a.TraceJSON)}, {"metrics.prom", a.Prom},
+					{"metrics.csv", a.CSV}, {"stages.txt", a.StageTable},
+					{"spans.folded", a.Folded}, {"cycles.txt", a.CycleTable},
+				},
 			}
 		},
 	},
@@ -230,20 +233,6 @@ func chaosFiles(c *cluster.FleetChaosResult, summary string, layer ...File) []Fi
 		File{"migrations.txt", c.MigLog}, File{"recovery.txt", c.Recovery},
 		File{"violations.txt", c.Violations}, File{"streams.csv", c.CSV})
 }
-
-// dumpFiles names the standard dumps of one instrumented run.
-func (a *TelemetryArtifacts) dumpFiles() []File {
-	return []File{
-		{"trace.json", string(a.TraceJSON)}, {"metrics.prom", a.Prom},
-		{"metrics.csv", a.CSV}, {"stages.txt", a.StageTable},
-		{"spans.folded", a.Folded},
-	}
-}
-
-// RegistryFiles renders a registry's standard dumps under the names the
-// telemetry scenario writes them, for runs instrumented outside the table
-// (clustersim -telemetry).
-func RegistryFiles(reg *telemetry.Registry) []File { return registryArtifacts(reg).dumpFiles() }
 
 func roundsDiag(name string, rounds int64, workers int) string {
 	return fmt.Sprintf("%s: %d synchronization rounds (workers=%d)\n", name, rounds, workers)

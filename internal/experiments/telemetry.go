@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cluster"
+	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/disk"
 	"repro/internal/dvcmnet"
 	"repro/internal/dwcs"
 	"repro/internal/fixed"
@@ -25,7 +26,7 @@ import (
 type TelemetryConfig struct {
 	// Dur is the simulated observation length (default 20 s).
 	Dur sim.Time
-	// Streams is how many VOD streams the cluster serves (default 2).
+	// Streams is how many VOD streams the scheduler NI serves (default 2).
 	Streams int
 }
 
@@ -56,7 +57,7 @@ type TelemetryArtifacts struct {
 }
 
 // RunTelemetry executes the full-stack observability demonstration: a
-// one-node cluster serving VOD streams (disk → bus → DWCS queue → wire →
+// one-node server streaming VOD (disk → bus → DWCS queue → wire →
 // client), a host-based scheduler stream under web load, a DVCM management
 // endpoint polling scheduler stats over the SAN, and a reliable transport
 // pair on a lossy link — every substrate instrumented into one registry,
@@ -76,17 +77,44 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 	reg := telemetry.New()
 	clip := mpeg.GenerateDefault()
 
-	// Cluster path: one node, one scheduler NI, one producer NI. Instrument
-	// before admission so clients attached later inherit the registry.
-	c := newTelemetryCluster(eng)
-	c.Instrument(reg)
-	for i := 0; i < cfg.Streams; i++ {
-		p, err := c.Admit(telemetryStreamRequest(fmt.Sprintf("vod%d", i+1), clip))
-		if err != nil {
+	// Server path: the paper's §6 complex at its smallest — one PCI
+	// segment holding a dedicated scheduler NI (cache on, no disk) and a
+	// disk-attached producer NI, joined to the clients by the SAN switch.
+	// It is the one simulator run that schedules with paced Heaps.
+	san := netsim.NewSwitch(eng, "san", 90*sim.Microsecond)
+	seg := bus.New(eng, bus.PCI("n0/pci0"))
+	schedCard := nic.New(eng, nic.Config{Name: "n0/sched0", PCI: seg, CacheOn: true})
+	schedCard.ConnectEthernet(netsim.Fast100(eng, schedCard.Name+"-eth", san))
+	ext, err := schedCard.LoadScheduler(nic.SchedulerConfig{
+		Selector: dwcs.Heaps,
+		// Dispatch a little ahead of each deadline so stack + wire time
+		// lands frames at clients on time.
+		EligibleEarly: 20 * sim.Millisecond,
+	})
+	if err != nil {
+		panic(err)
+	}
+	endpoint := dvcmnet.Attach(eng, san, schedCard.Name, schedCard.VCM)
+	prodCard := nic.New(eng, nic.Config{Name: "n0/prod0", PCI: seg})
+	d := disk.New(eng, disk.DefaultSCSI(prodCard.Name+"-disk"))
+	prodCard.AttachDisk(d, disk.NewDOSFS(d))
+	seg.Instrument(reg)
+	ext.Instrument(reg)
+	endpoint.Instrument(reg)
+	prodCard.Instrument(reg)
+	d.Instrument(reg)
+	for id := 1; id <= cfg.Streams; id++ {
+		if err := ext.AddStream(dwcs.StreamSpec{
+			ID: id, Name: fmt.Sprintf("vod%d", id), Period: streamPeriod,
+			Loss: fixed.New(1, 2), Lossy: true, BufCap: streamBufCap,
+			NominalBytes: clip.MeanFrameSize(),
+		}); err != nil {
 			panic(err)
 		}
-		c.AttachClient(p)
-		c.Start(p, clip, producerEvery, 1<<30)
+		cl := netsim.NewClient(eng, fmt.Sprintf("client-%d", id))
+		cl.Instrument(reg)
+		san.Attach(cl.Name, netsim.Fast100(eng, "san-"+cl.Name, cl))
+		ext.SpawnPeerProducer(prodCard, clip, id, cl.Name, producerEvery, 1<<30)
 	}
 
 	// Host path: the same DWCS code as a host process competing with web
@@ -97,8 +125,8 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 		"host CPU utilization percent across all processors", sys.TotalUtilization)
 	hostCl := netsim.NewClient(eng, "client-host")
 	hostCl.Instrument(reg)
-	c.Switch.Attach(hostCl.Name, netsim.Fast100(eng, "san-"+hostCl.Name, hostCl))
-	sched := host.NewScheduler(eng, sys, netsim.Fast100(eng, "host-eth", c.Switch),
+	san.Attach(hostCl.Name, netsim.Fast100(eng, "san-"+hostCl.Name, hostCl))
+	sched := host.NewScheduler(eng, sys, netsim.Fast100(eng, "host-eth", san),
 		host.SchedulerConfig{EligibleEarly: eligibleEarly})
 	sched.Instrument(reg)
 	hostSpec := dwcs.StreamSpec{
@@ -116,11 +144,10 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 
 	// Control plane: a management endpoint polls the scheduler NI's DWCS
 	// stats over the SAN once per second.
-	mgmt := dvcmnet.Attach(eng, c.Switch, "mgmt", nil)
+	mgmt := dvcmnet.Attach(eng, san, "mgmt", nil)
 	mgmt.Instrument(reg)
-	schedNI := c.Nodes[0].Schedulers[0]
 	eng.Every(sim.Second, func() {
-		mgmt.Invoke(schedNI.Card.Name, core.Instr{Ext: "dwcs", Op: "stats", Arg: 1},
+		mgmt.Invoke(schedCard.Name, core.Instr{Ext: "dwcs", Op: "stats", Arg: 1},
 			func(any, error) {})
 	})
 
@@ -150,53 +177,27 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 	prof, meterCycles, model := profiledMicrobench()
 	mb := RunMicrobench(cpu.FixedPoint, true, nic.StoreDRAM)
 
-	a := registryArtifacts(reg)
-	a.CycleTable = prof.Table(model)
-	a.ProfiledCycles = prof.Total()
-	a.MeteredCycles = meterCycles
-	a.ProfiledTime = model.Duration(prof.Total())
-	a.BenchTotal = mb.TotalSched
-	a.Summary = a.summarize(cfg)
-	return a
-}
-
-// registryArtifacts renders what any instrumented run exports from its
-// registry: the standard-format dumps and the registry's own counts.
-func registryArtifacts(reg *telemetry.Registry) *TelemetryArtifacts {
 	traceJSON, err := telemetry.MarshalChrome(reg.Spans.ChromeEvents())
 	if err != nil {
 		panic(err)
 	}
-	return &TelemetryArtifacts{
-		TraceJSON:  traceJSON,
-		Prom:       reg.PrometheusText(),
-		CSV:        reg.SnapshotsCSV(),
-		StageTable: reg.Spans.StageTable(),
-		Folded:     reg.Spans.Folded(),
-		Components: reg.Components(),
-		SpanCount:  reg.Spans.Len(),
-		Snapshots:  reg.Snapshots(),
+	a := &TelemetryArtifacts{
+		TraceJSON:      traceJSON,
+		Prom:           reg.PrometheusText(),
+		CSV:            reg.SnapshotsCSV(),
+		StageTable:     reg.Spans.StageTable(),
+		Folded:         reg.Spans.Folded(),
+		CycleTable:     prof.Table(model),
+		Components:     reg.Components(),
+		SpanCount:      reg.Spans.Len(),
+		Snapshots:      reg.Snapshots(),
+		ProfiledCycles: prof.Total(),
+		MeteredCycles:  meterCycles,
+		ProfiledTime:   model.Duration(prof.Total()),
+		BenchTotal:     mb.TotalSched,
 	}
-}
-
-// newTelemetryCluster builds the single-node cluster the demonstration
-// streams from.
-func newTelemetryCluster(eng *sim.Engine) *cluster.Cluster {
-	return cluster.New(eng, []cluster.NodeConfig{{
-		Name: "n0", Segments: 1, SchedulerNIs: 1, ProducerNIs: 1,
-	}})
-}
-
-// telemetryStreamRequest shapes one VOD stream like the Figure 7/9 workload.
-func telemetryStreamRequest(name string, clip *mpeg.Clip) cluster.StreamRequest {
-	return cluster.StreamRequest{
-		Name:       name,
-		Period:     streamPeriod,
-		FrameBytes: clip.MeanFrameSize(),
-		Loss:       fixed.New(1, 2),
-		Lossy:      true,
-		BufCap:     streamBufCap,
-	}
+	a.Summary = a.summarize(cfg)
+	return a
 }
 
 // profiledMicrobench reruns the Table 2 scheduled pass (fixed point, cache

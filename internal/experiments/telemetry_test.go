@@ -23,7 +23,7 @@ func TestTelemetryComponents(t *testing.T) {
 		have[c] = true
 	}
 	for _, want := range []string{
-		"bus", "cluster", "disk", "dvcmnet", "dwcs", "host", "netsim", "nic", "transport",
+		"bus", "disk", "dvcmnet", "dwcs", "host", "netsim", "nic", "transport",
 	} {
 		if !have[want] {
 			t.Errorf("component %q missing from %v", want, a.Components)
@@ -35,7 +35,7 @@ func TestTelemetryComponents(t *testing.T) {
 	if want := int(telemetryTestConfig.Dur / sim.Second); a.Snapshots != want {
 		t.Errorf("snapshots = %d, want %d", a.Snapshots, want)
 	}
-	// Every causal stage must appear in the folded stacks: the cluster path
+	// Every causal stage must appear in the folded stacks: the server path
 	// exercises disk/bus/queue/tx/wire/playout, the host path queue onward.
 	for _, stage := range []string{"disk", "bus", "queue", "tx", "wire", "playout"} {
 		if !strings.Contains(a.Folded, "frame;"+stage+";") {

@@ -180,8 +180,8 @@ func (b *Budget) Occupancy() float64 {
 }
 
 // CanAdmit reports (without side effects) whether a projected footprint fits
-// under the high-water mark. Cluster placement uses it to redirect a setup to
-// a less-loaded card instead of burning a reject on this one.
+// under the high-water mark, so a caller can test a setup or a reply before
+// committing to it instead of burning a reject.
 func (b *Budget) CanAdmit(projected int64) bool {
 	return b.total+projected <= b.high
 }
