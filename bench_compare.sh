@@ -8,8 +8,8 @@
 #                                  for the real-traffic job; respects SOAK_DIR
 #                                  and SOAK_FLAGS)
 #
-# The simulator baselines (STAGE_, OVERLOAD_, FLEET_, CHAOS_, FLEETOBS_,
-# CTRLCHAOS_BASELINE.txt) are exact bytes of deterministic runs; which run,
+# The simulator baselines (PAPER_, STAGE_, OVERLOAD_, FLEET_, CHAOS_,
+# FLEETOBS_, CTRLCHAOS_BASELINE.txt) are exact bytes of deterministic runs; which run,
 # at which shape, pins which file is written down once, in the scenario table
 # (internal/experiments/scenarios.go), and TestScenarios is the check: byte
 # equality with the baseline, byte-identical output at any worker count, and

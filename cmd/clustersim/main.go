@@ -13,8 +13,8 @@
 //	                                           # partitions, rolling drains, and
 //	                                           # live stream migration; same
 //	                                           # byte-identical contract
-//	clustersim -fleet-chaos -chaos-sweep       # severity × fleet-size recovery
-//	                                           # table
+//	clustersim -chaos-sweep                    # severity × fleet-size recovery
+//	                                           # table over ten chaos fleets
 //	clustersim -fleet-obs -cards 64            # in-band observability plane
 //	                                           # over the chaos fleet: DVCM
 //	                                           # metric scraping, fleet rollups,
@@ -30,10 +30,9 @@
 //	                                           # takes over; same byte-identical
 //	                                           # contract
 //
-// Every run is exactly one of the four scenarios: none, two of them,
-// -fleet-out with -chaos-sweep, or -chaos-sweep without -fleet-chaos is a
-// usage error (exit 2). -cpuprofile and -memprofile are complete on every
-// way out.
+// Every run is exactly one of the five scenarios, each a row of
+// experiments.Scenarios: none or two of them is a usage error (exit 2).
+// -cpuprofile and -memprofile are complete on every way out.
 package main
 
 import (
@@ -52,18 +51,17 @@ func main() {
 	durSec := flag.Int("dur", 30, "streaming duration (seconds)")
 	cards := flag.Int("cards", 8, "card complexes in the fleet (with -fleet)")
 	fleetStreams := flag.Int("fleet-streams", 2, "streams sourced per card (with -fleet)")
-	workers := flag.Int("workers", 0, "worker pool for the parallel engine and the chaos sweep's runs; 0 = GOMAXPROCS, 1 = sequential")
+	workers := flag.Int("workers", 0, "worker pool for the parallel engine and the chaos sweep's fleets; 0 = GOMAXPROCS, 1 = sequential")
 	fleetOut := flag.String("fleet-out", "", "directory for -fleet artifacts (empty = stdout only)")
 	hostCrashes := flag.Int("host-crashes", 0, "host-crash faults to draw (with -fleet-chaos); 0 = default, negative = none")
 	netPartitions := flag.Int("net-partitions", 0, "switch-partition faults to draw (with -fleet-chaos); 0 = default, negative = none")
 	rollingDrains := flag.Int("rolling-drains", 0, "rolling-drain faults to draw (with -fleet-chaos); 0 = default, negative = none")
 	faultSeed := flag.Int64("fault-seed", 0, "chaos plan seed (with -fleet-chaos); 0 = derived from the fleet seed")
-	chaosSweep := flag.Bool("chaos-sweep", false, "render the severity × fleet-size recovery table (with -fleet-chaos)")
 	ctrlCrashes := flag.Int("ctrl-crashes", 0, "controller-crash faults to draw (with -ctrl-chaos); 0 = default, negative = none")
 	ctrlPartitions := flag.Int("ctrl-partitions", 0, "replica-pair partition faults to draw (with -ctrl-chaos); 0 = default, negative = none")
 	stressPct := flag.Int("stress-pct", 0, "fill every card's budget to this %% mid-run to exercise scrape shedding (with -fleet-obs); 0 = off")
-	// The fleet scenarios are rows of the experiments table, each selected
-	// by the flag the row names.
+	// The scenarios are rows of the experiments table, each selected by the
+	// flag the row names.
 	selected := map[string]*bool{}
 	for _, s := range experiments.Scenarios {
 		if s.Cmd == "clustersim" {
@@ -79,7 +77,6 @@ func main() {
 	}
 	// Every way out goes through exit, so the profiles are complete.
 	exit := profiling.Exit("clustersim", stopProfiles)
-	experiments.DefaultWorkers = *workers
 
 	var picked []experiments.Scenario
 	var names []string
@@ -91,18 +88,12 @@ func main() {
 			}
 		}
 	}
-	// Combinations that would run something other than what was asked: two
-	// scenarios (the first would win), an artifact directory for the sweep,
-	// which writes none, a sweep without the scenario it sweeps, and no
-	// scenario at all.
+	// Two scenarios would run something other than what was asked (the
+	// first would win), and none runs nothing.
 	var misuse string
 	switch {
 	case len(picked) > 1:
 		misuse = fmt.Sprintf("-%s and -%s: pick one scenario", picked[0].Name, picked[1].Name)
-	case *chaosSweep && *fleetOut != "":
-		misuse = "-chaos-sweep prints one table and writes no artifacts; drop -fleet-out"
-	case *chaosSweep && (len(picked) == 0 || picked[0].Name != "fleet-chaos"):
-		misuse = "-chaos-sweep is the -fleet-chaos recovery table; add -fleet-chaos"
 	case len(picked) == 0:
 		misuse = "pick one scenario: " + strings.Join(names, ", ")
 	}
@@ -110,10 +101,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "clustersim:", misuse)
 		flag.Usage()
 		exit(2)
-	}
-	if *chaosSweep {
-		fmt.Print(experiments.FleetChaosSweep())
-		exit(0)
 	}
 	// Everything on stdout and under -fleet-out is byte-identical at any
 	// -workers count; engine diagnostics go to stderr.

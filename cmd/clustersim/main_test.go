@@ -88,21 +88,20 @@ func TestScenarioFlagPrintsRowAndWritesItsFiles(t *testing.T) {
 	}
 }
 
-// Two scenario flags, an artifact directory for the sweep that writes none,
-// a sweep without its scenario, or no scenario at all (bare, or only an
-// artifact directory) are usage errors — not a silent run of something else.
+// Two scenario flags (the chaos sweep is one of them) or no scenario at all
+// (bare, or only an artifact directory) are usage errors — not a silent run
+// of something else.
 func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "out")
 	for _, c := range []struct {
 		args   []string
 		reason string
 	}{
-		{[]string{"-fleet-obs", "-ctrl-chaos"}, "clustersim: "},
-		{[]string{"-fleet-chaos", "-chaos-sweep", "-fleet-out", dir}, "clustersim: "},
-		{[]string{"-chaos-sweep"}, "clustersim: "},
-		{[]string{"-fleet", "-chaos-sweep"}, "clustersim: "},
-		{[]string{"-fleet-out", dir}, "clustersim: "},
-		{nil, "clustersim: pick one scenario: -fleet, -fleet-chaos, -fleet-obs, -ctrl-chaos"},
+		{[]string{"-fleet-obs", "-ctrl-chaos"}, "clustersim: -fleet-obs and -ctrl-chaos: pick one scenario"},
+		{[]string{"-fleet-chaos", "-chaos-sweep", "-fleet-out", dir}, "clustersim: -fleet-chaos and -chaos-sweep: pick one scenario"},
+		{[]string{"-fleet", "-chaos-sweep"}, "clustersim: -fleet and -chaos-sweep: pick one scenario"},
+		{[]string{"-fleet-out", dir}, "clustersim: pick one scenario: "},
+		{nil, "clustersim: pick one scenario: -fleet, -fleet-chaos, -fleet-obs, -ctrl-chaos, -chaos-sweep"},
 		// The scrape period and the top-k bound are constants of the fleet.
 		{[]string{"-fleet-obs", "-scrape-every", "100"}, "flag provided but not defined: -scrape-every"},
 		{[]string{"-fleet-obs", "-topk", "3"}, "flag provided but not defined: -topk"},
@@ -133,7 +132,7 @@ func TestProfileFlagsWriteProfiles(t *testing.T) {
 			code int
 		}{
 			{[]string{"-fleet", "-cards", "2", "-dur", "1"}, 0},
-			{[]string{"-chaos-sweep"}, 2},
+			{nil, 2},
 		} {
 			path := filepath.Join(t.TempDir(), "run.prof")
 			args := append(run.args, flagName, path)

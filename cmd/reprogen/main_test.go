@@ -37,30 +37,38 @@ func reprogen(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
 }
 
-// A table or figure the paper does not have is a usage error, not a silent
-// empty run.
-func TestOutOfRangeSelectionIsUsageError(t *testing.T) {
-	for _, args := range [][]string{
-		{"-table", "99"}, {"-table", "-1"}, {"-table", "6"},
-		{"-figure", "99"}, {"-figure", "5"}, {"-figure", "11"},
-		{"-table", "2", "-figure", "99"},
-	} {
-		stdout, stderr, code := reprogen(t, args...)
-		if code != 2 {
-			t.Errorf("%v: exit %d, want 2", args, code)
-		}
-		if stdout != "" {
-			t.Errorf("%v: printed %q on stdout", args, stdout)
-		}
-		if !strings.Contains(stderr, "reprogen: "+args[len(args)-2]+" "+args[len(args)-1]) ||
-			!strings.Contains(stderr, "-headline") {
-			t.Errorf("%v: stderr lacks the reason or the usage block:\n%s", args, stderr)
-		}
+// A bare run is the paper row: its stdout is PAPER_BASELINE.txt, -csv holds
+// the figure curves, and the status line stays off stdout.
+func TestBareRunPrintsThePaperBaseline(t *testing.T) {
+	dir := t.TempDir()
+	stdout, stderr, code := reprogen(t, "-workers", "1", "-csv", dir)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
+	want, err := os.ReadFile("../../PAPER_BASELINE.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != string(want) {
+		t.Errorf("stdout differs from PAPER_BASELINE.txt:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "paper artifacts written to "+dir) {
+		t.Errorf("stderr lacks the status line:\n%s", stderr)
+	}
+	curves, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil || len(curves) != 23 {
+		t.Errorf("-csv holds %d curves, want 23 (%v)", len(curves), err)
+	}
+}
 
-	stdout, stderr, code := reprogen(t, "-table", "1")
-	if code != 0 || !strings.Contains(stdout, "Table 1") {
-		t.Errorf("-table 1: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+// One run regenerates the whole evaluation, so there is no flag to select a
+// section of it.
+func TestSectionFlagsAreGone(t *testing.T) {
+	for _, name := range []string{"-table", "-figure", "-headline", "-scaling", "-paper"} {
+		stdout, stderr, code := reprogen(t, name)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+name) {
+			t.Errorf("%s: exit %d, stdout %q, stderr:\n%s", name, code, stdout, stderr)
+		}
 	}
 }
 
@@ -92,25 +100,15 @@ func TestTelemetryWritesThePinnedStageTable(t *testing.T) {
 	}
 }
 
-// -cpuprofile and -memprofile each leave a non-empty profile, after a full
-// run and after a usage error alike.
+// -cpuprofile and -memprofile each leave a non-empty profile.
 func TestProfileFlagsWriteProfiles(t *testing.T) {
 	for _, flagName := range []string{"-cpuprofile", "-memprofile"} {
-		for _, run := range []struct {
-			args []string
-			code int
-		}{
-			{[]string{"-table", "1"}, 0},
-			{[]string{"-table", "99"}, 2},
-		} {
-			path := filepath.Join(t.TempDir(), "run.prof")
-			args := append(run.args, flagName, path)
-			if _, stderr, code := reprogen(t, args...); code != run.code {
-				t.Errorf("%v: exit %d, want %d; stderr:\n%s", args, code, run.code, stderr)
-			}
-			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-				t.Errorf("%v: no profile written (%v)", args, err)
-			}
+		path := filepath.Join(t.TempDir(), "run.prof")
+		if _, stderr, code := reprogen(t, "-dur", "10", flagName, path); code != 0 {
+			t.Errorf("%s: exit %d; stderr:\n%s", flagName, code, stderr)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: no profile written (%v)", flagName, err)
 		}
 	}
 }

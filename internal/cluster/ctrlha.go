@@ -635,6 +635,7 @@ func (r *ctrlRep) fenceAndReconcile(why string) {
 	wait := 2*fleetNetLatency + sim.Millisecond
 	r.eng().After(wait, func() {
 		if r.deadNow() || !r.leader {
+			r.view = nil
 			return
 		}
 		r.reconcileJournal(why)

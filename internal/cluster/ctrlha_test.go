@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -197,4 +198,81 @@ func f0reps(res *CtrlChaosResult) []int {
 		out = append(out, n)
 	}
 	return out
+}
+
+// doublePlacedPlans are fault plans on which a fault-boundary reconcile ran
+// while a takeover's fence+query round was still out: a cold move on the
+// new leader's stale placement journaled its own intent, the journal
+// reconcile re-issued that intent as the dead leader's, and two cards
+// imported the stream.
+var doublePlacedPlans = []FleetConfig{
+	{Cards: 8, Dur: 8 * sim.Second, HostCrashes: 2, NetPartitions: -1, RollingDrains: 1, FaultSeed: 11},
+	{Cards: 16, Dur: 8 * sim.Second, HostCrashes: 1, NetPartitions: -1, RollingDrains: 1,
+		CtrlCrashes: 1, CtrlPartitions: 1, FaultSeed: 118},
+}
+
+func TestCtrlChaosNoDoublePlacementDuringTakeover(t *testing.T) {
+	for _, plan := range doublePlacedPlans {
+		for _, engine := range []struct {
+			name    string
+			workers int
+			mono    bool
+		}{{"workers=1", 1, false}, {"workers=2", 2, false}, {"monolithic", 0, true}} {
+			cfg := plan
+			cfg.Workers, cfg.Monolithic = engine.workers, engine.mono
+			if res := RunCtrlChaos(cfg); res.DoublePlaced != 0 {
+				t.Errorf("seed %d, %d cards, %s: %s", plan.FaultSeed, plan.Cards, engine.name, res.HASummary)
+			}
+		}
+	}
+}
+
+// FuzzCtrlChaos draws a controller-chaos plan — fault seed, the five fault
+// counts (0 = default, negative = none) and 4–16 cards — and holds it to the
+// ctrl-chaos row's gates, with the partitioned run byte-identical to the
+// monolithic one.
+func FuzzCtrlChaos(f *testing.F) {
+	for _, p := range doublePlacedPlans {
+		f.Add(p.FaultSeed, int8(p.HostCrashes), int8(p.NetPartitions), int8(p.RollingDrains),
+			int8(p.CtrlCrashes), int8(p.CtrlPartitions), uint8(p.Cards))
+	}
+	f.Add(int64(0), int8(0), int8(0), int8(0), int8(0), int8(0), uint8(8))
+	f.Fuzz(func(t *testing.T, seed int64, crashes, parts, drains, ctrlCrashes, ctrlParts int8, cards uint8) {
+		// wrap folds n into [lo, lo+span) and leaves a value already there as
+		// it is, so the corpus plans run unchanged.
+		wrap := func(n, lo, span int) int { return lo + ((n-lo)%span+span)%span }
+		count := func(n int8) int { return wrap(int(n), -1, 4) } // -1 (none), 0 (default), 1, 2
+		cfg := FleetConfig{
+			Cards: wrap(int(cards), 4, 13), Dur: 8 * sim.Second, FaultSeed: seed,
+			HostCrashes: count(crashes), NetPartitions: count(parts),
+			RollingDrains: count(drains), CtrlCrashes: count(ctrlCrashes),
+			CtrlPartitions: count(ctrlParts), Workers: 2,
+		}
+		plan := fmt.Sprintf("seed %d, %d cards, crashes/partitions/drains %d/%d/%d, ctrl crashes/partitions %d/%d",
+			cfg.FaultSeed, cfg.Cards, cfg.HostCrashes, cfg.NetPartitions, cfg.RollingDrains,
+			cfg.CtrlCrashes, cfg.CtrlPartitions)
+		par := RunCtrlChaos(cfg)
+		if par.DoublePlaced != 0 {
+			t.Errorf("%s: %s", plan, par.HASummary)
+		}
+		if par.Chaos.ViolOutside != 0 {
+			t.Errorf("%s: violations outside outage windows: %s", plan, par.Chaos.Summary)
+		}
+		if par.MediaBytes <= 0 || float64(par.JournalBytes) > 0.02*float64(par.MediaBytes) {
+			t.Errorf("%s: journal %dB against %dB of media, over the 2%% gate", plan, par.JournalBytes, par.MediaBytes)
+		}
+		cfg.Monolithic = true
+		mono := RunCtrlChaos(cfg)
+		for _, a := range []struct{ name, got, want string }{
+			{"summary", par.Chaos.Summary, mono.Chaos.Summary},
+			{"ha summary", par.HASummary, mono.HASummary},
+			{"streams.csv", par.Chaos.CSV, mono.Chaos.CSV},
+			{"migrations", par.Chaos.MigLog, mono.Chaos.MigLog},
+			{"ha timeline", par.HATimeline, mono.HATimeline},
+		} {
+			if a.got != a.want {
+				t.Errorf("%s: partitioned %s differs from monolithic:\n%s\nvs\n%s", plan, a.name, a.got, a.want)
+			}
+		}
+	})
 }

@@ -238,6 +238,14 @@ func (r *ctrlRep) markLost(gid int) {
 
 // step decides and executes one stream's move, if any.
 func (r *ctrlRep) step(st *stream, done func()) {
+	if r.view != nil {
+		// A takeover's fence+query round is still out, so loc may be the
+		// dead leader's; a cold move from it would journal an intent that
+		// reconcileJournal re-issues as the dead leader's, placing the
+		// stream twice. reconcileJournal ends with a full reconcile.
+		done()
+		return
+	}
 	f := r.f
 	t := r.eng().Now()
 	gid := st.gid

@@ -111,41 +111,57 @@ func TestHeadlineComparable(t *testing.T) {
 	}
 }
 
-// EXPERIMENTS.md prints Tables 1–3 and the headline as reprogen renders
-// them: every decimal number in those sections (measured cells, paper
-// cells, deviations and the figures quoted in the prose) must appear in its
-// run's output, so the document cannot keep numbers the code has moved off.
+// EXPERIMENTS.md prints Tables 1–3, the headline and the scaling study as
+// reprogen renders them: every decimal number in those sections (measured
+// cells, paper cells, deviations and the figures quoted in the prose; not
+// the paper's § numbers) must appear in its result's block of
+// PAPER_BASELINE.txt, so the document cannot keep numbers the code has moved
+// off.
 func TestExperimentsDocMatchesTables(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	number := regexp.MustCompile(`\d+\.\d+`)
-	runs := map[string]func() *Result{
-		"Table 1 ": RunTable1, "Table 2 ": RunTable2, "Table 3 ": RunTable3, "Headline ": RunHeadline,
+	baseline, err := os.ReadFile("../../PAPER_BASELINE.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
+	number := regexp.MustCompile(`\d+\.\d+`)
+	// Each result's block starts with its unindented "ID — Title" line.
+	printed := map[string]map[string]bool{}
+	var id string
+	for _, line := range strings.Split(string(baseline), "\n") {
+		if line != "" && line[0] != ' ' {
+			id, _, _ = strings.Cut(line, " — ")
+			printed[id] = map[string]bool{}
+		}
+		for _, n := range number.FindAllString(line, -1) {
+			printed[id][n] = true
+		}
+	}
+	sections := map[string]string{
+		"Table 1 ": "Table 1", "Table 2 ": "Table 2", "Table 3 ": "Table 3",
+		"Headline ": "Headline", "Scaling study": "Scaling",
+	}
+	paperSection := regexp.MustCompile(`§[\d.]+`)
 	for _, section := range strings.Split(string(doc), "\n## ")[1:] {
-		for prefix, run := range runs {
+		for prefix, id := range sections {
 			if !strings.HasPrefix(section, prefix) {
 				continue
 			}
-			delete(runs, prefix)
-			printed := map[string]bool{}
-			for _, n := range number.FindAllString(run().String(), -1) {
-				printed[n] = true
-			}
-			cells := number.FindAllString(section, -1)
+			delete(sections, prefix)
+			cells := number.FindAllString(paperSection.ReplaceAllString(section, ""), -1)
 			if len(cells) == 0 {
-				t.Errorf("EXPERIMENTS.md %s: no numbers found", strings.TrimSpace(prefix))
+				t.Errorf("EXPERIMENTS.md %s: no numbers found", id)
 			}
 			for _, n := range cells {
-				if !printed[n] {
-					t.Errorf("EXPERIMENTS.md %s: %s is not in the run's output", strings.TrimSpace(prefix), n)
+				if !printed[id][n] {
+					t.Errorf("EXPERIMENTS.md %s: %s is not in PAPER_BASELINE.txt's %s block", id, n, id)
 				}
 			}
 		}
 	}
-	for prefix := range runs {
+	for prefix := range sections {
 		t.Errorf("EXPERIMENTS.md has no %q section", prefix)
 	}
 }

@@ -26,9 +26,9 @@ func RunFleetObs(cfg FleetObsConfig) *FleetObsArtifacts { return cluster.RunFlee
 // size and renders a recovery table: how migration counts, recovery
 // behaviour, and violation containment scale as the fleet grows and the
 // correlated-fault load rises. The ten fleets are independent runs, so they
-// fan out on the default pool, each on a sequential engine; the table is
+// fan out on a pool of workers, each on a sequential engine; the table is
 // the same bytes at any pool size.
-func FleetChaosSweep() string {
+func FleetChaosSweep(workers int) string {
 	severities := []struct {
 		name               string
 		crash, part, drain int
@@ -61,5 +61,5 @@ func FleetChaosSweep() string {
 	}
 	return fmt.Sprintf("%-8s %-22s %6s %6s %6s %6s %8s %10s %11s %8s\n",
 		"cards", "severity", "live", "cold", "readd", "parked",
-		"resumed", "violDuring", "violOutside", "recv") + strings.Join(Collect(jobs), "")
+		"resumed", "violDuring", "violOutside", "recv") + strings.Join(CollectWith(Runner{Workers: workers}, jobs), "")
 }

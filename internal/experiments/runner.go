@@ -55,10 +55,10 @@ func (r Runner) Run(n int, job func(i int)) {
 	wg.Wait()
 }
 
-// DefaultWorkers caps the default pool used by Collect and Parallel
-// (0 = GOMAXPROCS). cmd/reprogen's -workers flag sets it, so one knob
-// governs every fan-out in a run; results are collected by index either
-// way, so the setting never changes output bytes.
+// DefaultWorkers caps the default pool used by Collect (0 = GOMAXPROCS).
+// cmd/reprogen's -workers flag sets it, so one knob governs every fan-out in
+// a run; results are collected by index either way, so the setting never
+// changes output bytes.
 var DefaultWorkers int
 
 // Collect runs every job on the default pool and returns their results in
@@ -76,11 +76,4 @@ func CollectWith[T any](r Runner, jobs []func() T) []T {
 		out[i] = jobs[i]()
 	})
 	return out
-}
-
-// Parallel runs the given closures across the default pool and returns when
-// all complete. Each closure must own its results (write to distinct
-// variables or build its own engine).
-func Parallel(jobs ...func()) {
-	Runner{Workers: DefaultWorkers}.Run(len(jobs), func(i int) { jobs[i]() })
 }

@@ -54,7 +54,6 @@ func TestRunnerZeroAndNegativeCounts(t *testing.T) {
 	if ran {
 		t.Fatal("job ran for n <= 0")
 	}
-	Parallel() // no-op, must not hang
 }
 
 // TestParallelFanOutDeterministic is the harness's core guarantee: fanning

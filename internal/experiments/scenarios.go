@@ -1,11 +1,11 @@
-// Scenarios: the one table of artifact-producing runs. Every run whose
-// stdout and artifact directory are under the "same bytes at any -workers"
-// contract is one row here, and a row is the only place that knows the run's
-// stdout order, its artifact file names, the shape CI pins it at, the
-// baseline file that shape must reproduce, and its numeric gates. The
-// commands look a row up by its flag name and RunTo it; TestScenarios holds
-// every row to the contract with the one Verify. Adding a scenario is one
-// row plus, if it pins bytes, one baseline file (DESIGN.md "Scenarios").
+// Scenarios: the one table of runs. Every run reprogen or clustersim makes
+// is one row here, under the "same bytes at any -workers" contract, and a
+// row is the only place that knows the run's stdout order, its artifact file
+// names, the shape CI pins it at, the baseline file that shape must
+// reproduce, and its numeric gates. The commands look a row up by its flag
+// name (a bare reprogen runs the "paper" row) and RunTo it; TestScenarios
+// holds every row to the contract with the one Verify. Adding a scenario is
+// one row plus, if it pins bytes, one baseline file (DESIGN.md "Scenarios").
 package experiments
 
 import (
@@ -14,7 +14,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
@@ -56,9 +55,9 @@ func (o Output) WriteDir(dir string) error {
 
 // Scenario is one row of the table. Its configuration is the cluster
 // layer's: the fleet rows read all of it, the single-card rows only Dur and
-// Workers.
+// Workers, the chaos sweep only Workers.
 type Scenario struct {
-	Name    string // the selecting flag: clustersim -fleet-chaos, reprogen -slo
+	Name    string // the selecting flag: clustersim -fleet-chaos, reprogen -slo; "paper" has none
 	Cmd     string // the command that serves it
 	Help    string // the flag's usage line
 	OutFlag string // the command's flag naming the artifact directory
@@ -74,8 +73,7 @@ type Scenario struct {
 	Run func(cluster.FleetConfig) Output
 }
 
-// Scenarios lists every artifact-producing run, in each command's print
-// order.
+// Scenarios lists every run, in each command's print order.
 var Scenarios = []Scenario{
 	{
 		Name: "fleet", Cmd: "clustersim", OutFlag: "fleet-out",
@@ -154,17 +152,27 @@ var Scenarios = []Scenario{
 		},
 	},
 	{
+		Name: "chaos-sweep", Cmd: "clustersim",
+		Help: "run the chaos fleet across fault severity × fleet size and print the recovery table",
+		Run:  func(cfg cluster.FleetConfig) Output { return Output{Stdout: FleetChaosSweep(cfg.Workers)} },
+	},
+	{
+		Name: "paper", Cmd: "reprogen", OutFlag: "csv",
+		Pinned:   cluster.FleetConfig{Dur: 100 * sim.Second},
+		Baseline: "PAPER_BASELINE.txt", Pins: "stdout",
+		Run: runPaper,
+	},
+	{
 		Name: "faults", Cmd: "reprogen", OutFlag: "csv",
 		Help:   "run the fault-recovery chaos experiment (strictly opt-in)",
 		Pinned: cluster.FleetConfig{Dur: 20 * sim.Second},
 		Run: func(cfg cluster.FleetConfig) Output {
 			fr := RunFaultRecovery(FaultConfig{Dur: cfg.Dur})
-			out := Output{Stdout: fr.Result().String()}
+			var files []File
 			for name, s := range fr.BW {
-				out.Files = append(out.Files, File{"fault-bw-" + name + ".csv", s.CSV()})
+				files = append(files, File{"fault-bw-" + name + ".csv", s.CSV()})
 			}
-			sort.Slice(out.Files, func(i, j int) bool { return out.Files[i].Name < out.Files[j].Name })
-			return out
+			return Output{Stdout: fr.Result().String(), Files: byName(files)}
 		},
 	},
 	{
