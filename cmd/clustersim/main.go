@@ -31,14 +31,16 @@
 //	                                           # contract
 //
 // Every run is exactly one of the five scenarios, each a row of
-// experiments.Scenarios: none or two of them is a usage error (exit 2).
-// -cpuprofile and -memprofile are complete on every way out.
+// experiments.Scenarios: none or two of them is a usage error (exit 2), and
+// so is a set flag that the picked scenario does not read. -cpuprofile and
+// -memprofile are complete on every way out.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -47,16 +49,32 @@ import (
 	"repro/internal/sim"
 )
 
+// The flags every fleet row reads, and every chaos-fleet row.
+const (
+	fleetFlags = "dur cards fleet-streams fleet-out"
+	chaosFlags = fleetFlags + " host-crashes net-partitions rolling-drains fault-seed"
+)
+
+// reads lists the flags each scenario reads besides its own, -workers and
+// the profiles: a set flag the picked scenario does not read is a usage error.
+var reads = map[string]string{
+	"fleet":       fleetFlags,
+	"fleet-chaos": chaosFlags,
+	"fleet-obs":   chaosFlags + " stress-pct",
+	"ctrl-chaos":  chaosFlags + " ctrl-crashes ctrl-partitions",
+	"chaos-sweep": "",
+}
+
 func main() {
 	durSec := flag.Int("dur", 30, "streaming duration (seconds)")
-	cards := flag.Int("cards", 8, "card complexes in the fleet (with -fleet)")
-	fleetStreams := flag.Int("fleet-streams", 2, "streams sourced per card (with -fleet)")
+	cards := flag.Int("cards", 8, "card complexes in the fleet (every scenario but -chaos-sweep)")
+	fleetStreams := flag.Int("fleet-streams", 2, "streams sourced per card (every scenario but -chaos-sweep)")
 	workers := flag.Int("workers", 0, "worker pool for the parallel engine and the chaos sweep's fleets; 0 = GOMAXPROCS, 1 = sequential")
-	fleetOut := flag.String("fleet-out", "", "directory for -fleet artifacts (empty = stdout only)")
-	hostCrashes := flag.Int("host-crashes", 0, "host-crash faults to draw (with -fleet-chaos); 0 = default, negative = none")
-	netPartitions := flag.Int("net-partitions", 0, "switch-partition faults to draw (with -fleet-chaos); 0 = default, negative = none")
-	rollingDrains := flag.Int("rolling-drains", 0, "rolling-drain faults to draw (with -fleet-chaos); 0 = default, negative = none")
-	faultSeed := flag.Int64("fault-seed", 0, "chaos plan seed (with -fleet-chaos); 0 = derived from the fleet seed")
+	fleetOut := flag.String("fleet-out", "", "artifact directory (every scenario but -chaos-sweep; empty = stdout only)")
+	hostCrashes := flag.Int("host-crashes", 0, "host-crash faults to draw (-fleet-chaos, -fleet-obs, -ctrl-chaos); 0 = default, negative = none")
+	netPartitions := flag.Int("net-partitions", 0, "switch-partition faults to draw (-fleet-chaos, -fleet-obs, -ctrl-chaos); 0 = default, negative = none")
+	rollingDrains := flag.Int("rolling-drains", 0, "rolling-drain faults to draw (-fleet-chaos, -fleet-obs, -ctrl-chaos); 0 = default, negative = none")
+	faultSeed := flag.Int64("fault-seed", 0, "chaos plan seed (-fleet-chaos, -fleet-obs, -ctrl-chaos); 0 = derived from the fleet seed")
 	ctrlCrashes := flag.Int("ctrl-crashes", 0, "controller-crash faults to draw (with -ctrl-chaos); 0 = default, negative = none")
 	ctrlPartitions := flag.Int("ctrl-partitions", 0, "replica-pair partition faults to draw (with -ctrl-chaos); 0 = default, negative = none")
 	stressPct := flag.Int("stress-pct", 0, "fill every card's budget to this %% mid-run to exercise scrape shedding (with -fleet-obs); 0 = off")
@@ -89,13 +107,24 @@ func main() {
 		}
 	}
 	// Two scenarios would run something other than what was asked (the
-	// first would win), and none runs nothing.
+	// first would win), none runs nothing, and a flag the scenario does not
+	// read would change nothing.
 	var misuse string
 	switch {
 	case len(picked) > 1:
 		misuse = fmt.Sprintf("-%s and -%s: pick one scenario", picked[0].Name, picked[1].Name)
 	case len(picked) == 0:
 		misuse = "pick one scenario: " + strings.Join(names, ", ")
+	default:
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			if selected[f.Name] == nil && !slices.Contains(strings.Fields("workers cpuprofile memprofile "+reads[picked[0].Name]), f.Name) {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			misuse = fmt.Sprintf("-%s does not read %s", picked[0].Name, strings.Join(ignored, ", "))
+		}
 	}
 	if misuse != "" {
 		fmt.Fprintln(os.Stderr, "clustersim:", misuse)

@@ -123,6 +123,48 @@ func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// A set flag that the picked scenario does not read is a usage error naming
+// the flag, not a run that quietly prints the default table; every
+// clustersim row says which flags it reads, and each of them exists.
+func TestUnreadFlagsAreUsageErrors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	for _, c := range []struct {
+		args   []string
+		reason string
+	}{
+		{[]string{"-chaos-sweep", "-cards", "64", "-dur", "5", "-host-crashes", "3"},
+			"clustersim: -chaos-sweep does not read -cards, -dur, -host-crashes"},
+		{[]string{"-chaos-sweep", "-workers", "1", "-fleet-out", dir}, "clustersim: -chaos-sweep does not read -fleet-out"},
+		{[]string{"-fleet", "-host-crashes", "2"}, "clustersim: -fleet does not read -host-crashes"},
+		{[]string{"-fleet-chaos", "-stress-pct", "50"}, "clustersim: -fleet-chaos does not read -stress-pct"},
+		{[]string{"-fleet-obs", "-ctrl-crashes", "1"}, "clustersim: -fleet-obs does not read -ctrl-crashes"},
+	} {
+		stdout, stderr, code := clustersim(t, c.args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, c.reason) {
+			t.Errorf("%v: exit %d, stdout %q, want exit 2 and %q on stderr:\n%s", c.args, code, stdout, c.reason, stderr)
+		}
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Errorf("a rejected run still created %s", dir)
+	}
+
+	_, usage, _ := clustersim(t, "-h")
+	for _, s := range experiments.Scenarios {
+		if s.Cmd != "clustersim" {
+			continue
+		}
+		flags, ok := reads[s.Name]
+		if !ok {
+			t.Errorf("scenario %s: no entry in reads", s.Name)
+		}
+		for _, f := range strings.Fields(flags) {
+			if !strings.Contains(usage, "\n  -"+f+" ") {
+				t.Errorf("scenario %s reads -%s, which clustersim does not have", s.Name, f)
+			}
+		}
+	}
+}
+
 // -cpuprofile and -memprofile each leave a non-empty profile, after a full
 // run and after a usage error alike.
 func TestProfileFlagsWriteProfiles(t *testing.T) {

@@ -118,13 +118,24 @@ func pathC(clip *mpeg.Clip) result {
 	card.ConnectEthernet(netsim.Fast100(eng, "ni0-eth", sw))
 
 	var doneAt sim.Time
-	card.Kernel.Spawn("relay", nic.PrioRelay, func(tc *rtos.TaskCtx) {
-		for i := 0; i < frames; i++ {
-			f := clip.Frames[i%len(clip.Frames)]
+	// The relay's calls go read, encapsulate, transmit, frame after frame.
+	n := 0
+	card.Kernel.SpawnStep("relay", nic.PrioRelay, func(tc *rtos.TaskCtx) bool {
+		f := clip.Frames[n/3%len(clip.Frames)]
+		switch n % 3 {
+		case 0:
+			if n/3 == frames {
+				doneAt = tc.Now()
+				return false
+			}
 			tc.Await(func(cb func()) { card.FS.Read(f.Offset, f.Size, cb) })
-			card.Send(tc, &netsim.Packet{Src: card.Name, Dst: "player", Bytes: f.Size})
+		case 1:
+			tc.Run(card.Stack.Tx) // protocol encapsulation
+		case 2:
+			card.Transmit(&netsim.Packet{Src: card.Name, Dst: "player", Bytes: f.Size}, nil)
 		}
-		doneAt = tc.Now()
+		n++
+		return true
 	})
 	eng.Run()
 	return result{

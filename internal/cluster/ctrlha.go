@@ -809,7 +809,6 @@ type CtrlChaosResult struct {
 func RunCtrlChaos(cfg FleetConfig) *CtrlChaosResult {
 	cfg.CtrlHA = true
 	f := runFleetChaos(cfg, false)
-	defer f.close()
 	return f.collectHA()
 }
 

@@ -292,9 +292,6 @@ type FleetResult struct {
 	RecvBytes     int64
 
 	Rounds int64
-	// Resumes counts the task coroutine resumes on every card's kernels, an
-	// engine-internal diagnostic like Rounds.
-	Resumes int64
 }
 
 // fleet is the one fleet type. RunFleet builds its topology, cards, streams
@@ -323,16 +320,6 @@ type fleet struct {
 
 	// deliverFn is f.deliver, built once; every partition only reads it.
 	deliverFn func(any)
-}
-
-// close ends every card's parked tasks once the run's results are collected;
-// a coroutine task left parked would pin the fleet through its goroutine.
-func (f *fleet) close() {
-	if f.topo == nil {
-		f.mono.Close()
-	} else {
-		f.topo.Close()
-	}
 }
 
 // ctrlEng is the engine of the "dvcm" controller partition.
@@ -558,7 +545,6 @@ func RunFleet(cfg FleetConfig) *FleetResult {
 	}
 	cfg.setDefaults()
 	f := newFleet(cfg, false)
-	defer f.close()
 	f.addStreams()
 
 	// Controller: poll every card each PollEvery over the fleet network.
@@ -605,7 +591,6 @@ func (f *fleet) collect(res *FleetResult) {
 		res.TotalRecv += c.recv
 		res.TotalLate += c.late
 		res.RecvBytes += c.bytes
-		res.Resumes += fc.disk.Kernel.Resumes + fc.sched.Kernel.Resumes
 	}
 	res.Table = table.String()
 	res.Pulse = strings.Join(f.pulses, "\n") + "\n"

@@ -90,11 +90,10 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// A run leaves no goroutine behind: the fleet's card tasks are step tasks,
-// and the run closes its engines, so a coroutine task would not outlive it
-// either — on the shared engine, inline, and with tasks run on the
-// topology's worker pool, which RunUntil joins before it returns (Workers 4
-// runs the pool at GOMAXPROCS ≥ 2; CI runs this package at -cpu 1,2,4).
+// A run leaves no goroutine behind: a card task owns none, and the
+// topology's worker pool is joined before RunUntil returns — on the shared
+// engine, inline, and on the pool (Workers 4 runs it at GOMAXPROCS ≥ 2; CI
+// runs this package at -cpu 1,2,4).
 func TestFleetRunsLeaveNoGoroutines(t *testing.T) {
 	chaos := FleetConfig{Cards: 4, Dur: 2 * sim.Second, Workers: 4}
 	runs := []struct {
@@ -141,28 +140,5 @@ func TestFleetMallocsPerFrame(t *testing.T) {
 	t.Logf("%d more frames received, %.2f mallocs each", n2-n1, perFrame)
 	if perFrame > 1 {
 		t.Errorf("%.2f mallocs per received frame, want ≤ 1", perFrame)
-	}
-}
-
-// A received frame resumes no task coroutine: every task on the fleet's
-// frame path — the producers, the DWCS scheduler and dispatcher, the
-// watchdog petters and injected hangs — is a step task, which the kernel
-// calls without a coroutine switch. Counted as in TestFleetMallocsPerFrame:
-// the resumes of a 2 sim-s run beyond those of the same fleet run for
-// 1 sim-s, per extra frame received.
-func TestFleetResumesPerFrame(t *testing.T) {
-	run := func(dur sim.Time) (resumes, frames int64) {
-		r := RunFleet(FleetConfig{Cards: 8, StreamsPerCard: 2, Dur: dur, Workers: 1})
-		return r.Resumes, r.TotalRecv
-	}
-	r1, n1 := run(sim.Second)
-	r2, n2 := run(2 * sim.Second)
-	if n2 <= n1 {
-		t.Fatalf("frames received: %d in 1 s, %d in 2 s", n1, n2)
-	}
-	perFrame := float64(r2-r1) / float64(n2-n1)
-	t.Logf("%d more frames received, %.2f coroutine resumes each", n2-n1, perFrame)
-	if perFrame > 0.1 {
-		t.Errorf("%.2f coroutine resumes per received frame, want ≤ 0.1", perFrame)
 	}
 }

@@ -636,14 +636,13 @@ func (f *fleet) affects(k int, st *stream) bool {
 // and runs it, returning byte-deterministic artifacts.
 func RunFleetChaos(cfg FleetConfig) *FleetChaosResult {
 	f := runFleetChaos(cfg, false)
-	defer f.close()
 	return f.res
 }
 
 // runFleetChaos is the one build-run-collect path of every chaos-fleet
 // scenario: the fleet as cfg shapes it — replicated controller with CtrlHA,
 // scrape plane with observe — run to Dur and settled, its chaos artifacts
-// rendered. The caller renders what its part adds and closes the fleet.
+// rendered. The caller renders what its part adds.
 func runFleetChaos(cfg FleetConfig, observe bool) *fleet {
 	cfg.setDefaults()
 	f := buildFleetChaos(cfg, observe)

@@ -441,7 +441,6 @@ func (f *fleet) armStress() {
 // it, and renders the observability artifacts alongside the chaos ones.
 func RunFleetObs(cfg FleetConfig) *FleetObsResult {
 	f := runFleetChaos(cfg, true)
-	defer f.close()
 	return f.collectObs()
 }
 

@@ -126,7 +126,6 @@ func TestFleetObsStitchesLiveMigration(t *testing.T) {
 // stamped on the span link.
 func TestFleetObsImportsLandInTargetRecorder(t *testing.T) {
 	f := runFleetChaos(obsTestConfig(), true)
-	defer f.close()
 	if f.res.LiveMigrations == 0 {
 		t.Skipf("plan produced no live migrations (chaos draw)")
 	}
@@ -232,7 +231,6 @@ func BenchmarkStitchCollect(b *testing.B) {
 	cfg := obsTestConfig()
 	cfg.Cards, cfg.Dur = 16, 10*sim.Second
 	f := runFleetChaos(cfg, true)
-	defer f.close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -95,7 +95,6 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 	a := &DiagnosticsArtifacts{Dur: cfg.Dur}
 
 	eng := sim.NewEngine(42)
-	defer eng.Close()
 	reg := telemetry.New()
 
 	seg := bus.New(eng, bus.PCI("pci0"))

@@ -141,6 +141,7 @@ func TestExperimentsDocMatchesTables(t *testing.T) {
 	}
 	sections := map[string]string{
 		"Table 1 ": "Table 1", "Table 2 ": "Table 2", "Table 3 ": "Table 3",
+		"Table 4 ": "Table 4", "Table 5 ": "Table 5",
 		"Headline ": "Headline", "Scaling study": "Scaling",
 	}
 	paperSection := regexp.MustCompile(`§[\d.]+`)

@@ -96,7 +96,6 @@ func RunFaultRecovery(cfg FaultConfig) *FaultRecovery {
 	}
 
 	eng := sim.NewEngine(42)
-	defer eng.Close()
 	sys := hostos.New(eng, 2, 10*sim.Millisecond)
 	sw := netsim.NewSwitch(eng, "sw0", 90*sim.Microsecond)
 

@@ -180,7 +180,6 @@ func RunHostLoad(loadPct float64, dur sim.Time) *StreamCurves {
 // configuration the paper avoids — for the ablation benchmark.
 func RunNILoad(loadPct float64, dur sim.Time, sameSegment bool) *StreamCurves {
 	eng := sim.NewEngine(42)
-	defer eng.Close()
 	sys := hostos.New(eng, 1, 10*sim.Millisecond) // one CPU online (§4.2.3)
 	webload.Daemons(eng, sys)
 

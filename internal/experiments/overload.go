@@ -211,7 +211,6 @@ func RunOverload(cfg OverloadConfig) *OverloadArtifacts {
 func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
 	pt := &OverloadPoint{Load: loadPct, Mult: mult}
 	eng := sim.NewEngine(42)
-	defer eng.Close()
 	sys := hostos.New(eng, 1, 10*sim.Millisecond)
 	webload.Daemons(eng, sys)
 

@@ -24,6 +24,20 @@ const (
 	t4Frame     = 1000 // bytes
 )
 
+// transfers is the body of a Table 4 task: ops in order, t4Transfers times
+// over. Each op makes at most one blocking call or burst, and makes it last.
+func transfers(ops ...func(tc *rtos.TaskCtx)) func(*rtos.TaskCtx) bool {
+	i := 0
+	return func(tc *rtos.TaskCtx) bool {
+		if i == t4Transfers*len(ops) {
+			return false
+		}
+		ops[i%len(ops)](tc)
+		i++
+		return true
+	}
+}
+
 // clientRig is a switch + client measuring delivery times.
 type clientRig struct {
 	eng       *sim.Engine
@@ -105,16 +119,21 @@ func runExptII() PathLatency {
 	var total sim.Time
 	done := rtos.NewSemaphore(card.Kernel, "delivered", 0)
 	rig.delivered = done.Give
-	card.Kernel.Spawn("expt2", nic.PrioRelay, func(tc *rtos.TaskCtx) {
-		for n := 0; n < t4Transfers; n++ {
-			start := tc.Now()
+	var start sim.Time
+	n := 0
+	card.Kernel.SpawnStep("expt2", nic.PrioRelay, transfers(
+		func(tc *rtos.TaskCtx) {
+			start = tc.Now()
 			f := clip.Frames[n%len(clip.Frames)]
 			tc.Await(func(cb func()) { card.FS.Read(f.Offset, t4Frame, cb) })
-			card.Send(tc, &netsim.Packet{Src: card.Name, Dst: "client", Bytes: t4Frame})
+		},
+		func(tc *rtos.TaskCtx) { tc.Run(card.Stack.Tx) }, // protocol encapsulation
+		func(tc *rtos.TaskCtx) {
+			card.Transmit(&netsim.Packet{Src: card.Name, Dst: "client", Bytes: t4Frame}, nil)
 			done.Take(tc) // strictly sequential transfers
-			total += tc.Now() - start
-		}
-	})
+		},
+		func(tc *rtos.TaskCtx) { total += tc.Now() - start; n++ },
+	))
 	eng.Run()
 	return PathLatency{Name: "II: NI Disk-NI CPU-Network", PerFrame: total / t4Transfers}
 }
@@ -137,23 +156,28 @@ func runExptIII() PathLatency {
 	delivered := rtos.NewSemaphore(src.Kernel, "delivered", 0)
 	rig.delivered = delivered.Give
 
-	tx.Kernel.Spawn("expt3-tx", nic.PrioRelay, func(tc *rtos.TaskCtx) {
-		for n := 0; n < t4Transfers; n++ {
-			frameReady.Take(tc)
-			tx.Send(tc, &netsim.Packet{Src: tx.Name, Dst: "client", Bytes: t4Frame})
-		}
-	})
-	src.Kernel.Spawn("expt3-src", nic.PrioProducer, func(tc *rtos.TaskCtx) {
-		for n := 0; n < t4Transfers; n++ {
-			start := tc.Now()
+	tx.Kernel.SpawnStep("expt3-tx", nic.PrioRelay, transfers(
+		func(tc *rtos.TaskCtx) { frameReady.Take(tc) },
+		func(tc *rtos.TaskCtx) { tc.Run(tx.Stack.Tx) }, // protocol encapsulation
+		func(*rtos.TaskCtx) {
+			tx.Transmit(&netsim.Packet{Src: tx.Name, Dst: "client", Bytes: t4Frame}, nil)
+		},
+	))
+	var start sim.Time
+	n := 0
+	src.Kernel.SpawnStep("expt3-src", nic.PrioProducer, transfers(
+		func(tc *rtos.TaskCtx) {
+			start = tc.Now()
 			f := clip.Frames[n%len(clip.Frames)]
 			tc.Await(func(cb func()) { src.FS.Read(f.Offset, t4Frame, cb) })
-			tc.Await(func(cb func()) { src.PCI.DMA(t4Frame, cb) })
+		},
+		func(tc *rtos.TaskCtx) { tc.Await(func(cb func()) { src.PCI.DMA(t4Frame, cb) }) },
+		func(tc *rtos.TaskCtx) {
 			frameReady.Give()
 			delivered.Take(tc) // sequential: wait for client delivery
-			total += tc.Now() - start
-		}
-	})
+		},
+		func(tc *rtos.TaskCtx) { total += tc.Now() - start; n++ },
+	))
 	eng.Run()
 	return PathLatency{Name: "III: Disk-I/O Bus-NI CPU-Network", PerFrame: total / t4Transfers}
 }

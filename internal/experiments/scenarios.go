@@ -54,8 +54,9 @@ func (o Output) WriteDir(dir string) error {
 }
 
 // Scenario is one row of the table. Its configuration is the cluster
-// layer's: the fleet rows read all of it, the single-card rows only Dur and
-// Workers, the chaos sweep only Workers.
+// layer's: the fleet rows read the fields their clustersim flags set (the
+// command's reads table), the single-card rows only Dur and Workers, the
+// chaos sweep only Workers.
 type Scenario struct {
 	Name    string // the selecting flag: clustersim -fleet-chaos, reprogen -slo; "paper" has none
 	Cmd     string // the command that serves it

@@ -8,9 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// TestRunsLeaveNoGoroutines: every run reprogen and clustersim can ask for
-// closes the engines it built, so the card tasks parked at the end of the
-// run (one goroutine each) do not outlive it and pin the run's memory.
+// TestRunsLeaveNoGoroutines: no run reprogen and clustersim can ask for
+// leaves a goroutine behind to pin the run's memory — a card task parked at
+// the end of a run owns none, and worker pools are joined.
 func TestRunsLeaveNoGoroutines(t *testing.T) {
 	const dur = 2 * sim.Second
 	runs := []struct {

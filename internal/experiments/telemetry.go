@@ -73,7 +73,6 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 	}
 
 	eng := sim.NewEngine(42)
-	defer eng.Close()
 	reg := telemetry.New()
 	clip := mpeg.GenerateDefault()
 

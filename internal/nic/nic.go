@@ -241,20 +241,11 @@ func releasePayload(p any) {
 	}
 }
 
-// Send pays protocol encapsulation on the card CPU and puts the frame on
-// the wire. It must be called from a kernel task on this card.
-func (c *Card) Send(tc *rtos.TaskCtx, pkt *netsim.Packet) { c.send(tc, pkt, nil) }
-
-// send pays protocol encapsulation on the card CPU and puts the frame on
-// the wire. It must be called from a kernel task. A payload owning card
-// memory is released once the frame is on the wire.
-func (c *Card) send(tc *rtos.TaskCtx, pkt *netsim.Packet, payload any) {
-	tc.Run(c.Stack.Tx)
-	c.transmit(pkt, payload)
-}
-
-// transmit puts a frame whose protocol encapsulation is paid on the wire.
-func (c *Card) transmit(pkt *netsim.Packet, payload any) {
+// Transmit puts a frame on the wire. A kernel task on the card pays the
+// frame's protocol encapsulation first, with a Run(c.Stack.Tx) burst that
+// ends its step; the next step transmits. A payload owning card memory
+// (nil for none) is released once the frame is on the wire.
+func (c *Card) Transmit(pkt *netsim.Packet, payload any) {
 	c.FramesSent++
 	buf, owned := payload.(releaser)
 	switch {
@@ -924,7 +915,7 @@ func (s *schedTask) step(tc *rtos.TaskCtx) bool {
 			tc.Run(c.Stack.Tx)
 			return true
 		case dispOnWire:
-			c.transmit(s.pkt, s.p.Payload)
+			c.Transmit(s.pkt, s.p.Payload)
 			s.pkt, s.state = nil, s.after
 		}
 	}
@@ -1241,19 +1232,34 @@ func (c *Card) SpawnPeerRelay(src *Card, clip *mpeg.Clip, dst string, frameBytes
 	}
 	var queue sim.FIFO[int64] // sequence numbers of frames DMAed to this card
 	ready := rtos.NewSemaphore(c.Kernel, c.Name+"/relayq", 0)
-	c.Kernel.Spawn(c.Name+"/peer-relay", PrioRelay, func(tc *rtos.TaskCtx) {
-		for sent := 0; sent < frames; sent++ {
-			ready.Take(tc)
+	// The relay waits for a DMAed frame, pays its encapsulation, and
+	// transmits it at the start of its next wait.
+	var pkt *netsim.Packet
+	sent, taken := 0, false
+	c.Kernel.SpawnStep(c.Name+"/peer-relay", PrioRelay, func(tc *rtos.TaskCtx) bool {
+		switch {
+		case taken:
 			seq := queue.Pop()
 			_, sz := relayFrame(clip, int(seq), frameBytes)
-			c.send(tc, &netsim.Packet{Src: c.Name, Dst: dst, Bytes: sz, Seq: seq}, nil)
+			pkt, taken = &netsim.Packet{Src: c.Name, Dst: dst, Bytes: sz, Seq: seq}, false
+			tc.Run(c.Stack.Tx)
+			return true
+		case pkt != nil:
+			c.Transmit(pkt, nil)
+			pkt, sent = nil, sent+1
 		}
-		if done != nil {
-			done()
+		if sent == frames {
+			if done != nil {
+				done()
+			}
+			return false
 		}
+		taken = true
+		ready.Take(tc)
+		return true
 	})
-	// The reader only blocks, so it is a step task: its n-th call reads frame
-	// n/2 (even n) or DMAs it (odd n), first queueing the frame DMAed before.
+	// The reader's n-th call reads frame n/2 (even n) or DMAs it (odd n),
+	// first queueing the frame DMAed before.
 	xfer := newFrameIO(src.FS, src.PCI)
 	n := 0
 	src.Kernel.SpawnStep(src.Name+"/peer-reader", PrioProducer, func(tc *rtos.TaskCtx) bool {

@@ -229,8 +229,15 @@ func TestHardwareQueueExhaustionPanics(t *testing.T) {
 func TestSendWithoutLinkStillCounts(t *testing.T) {
 	eng := sim.NewEngine(1)
 	card := New(eng, Config{Name: "lone"})
-	card.Kernel.Spawn("t", 10, func(tc *rtos.TaskCtx) {
-		card.Send(tc, &netsim.Packet{Dst: "nowhere", Bytes: 100})
+	paid := false
+	card.Kernel.SpawnStep("t", 10, func(tc *rtos.TaskCtx) bool {
+		if !paid {
+			paid = true
+			tc.Run(card.Stack.Tx)
+			return true
+		}
+		card.Transmit(&netsim.Packet{Dst: "nowhere", Bytes: 100}, nil)
+		return false
 	})
 	eng.Run()
 	if card.FramesSent != 1 {

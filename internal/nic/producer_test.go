@@ -52,7 +52,6 @@ type prodRig struct {
 func newProdRig(t *testing.T, peer bool, memory int64, spec dwcs.StreamSpec) *prodRig {
 	t.Helper()
 	eng := sim.NewEngine(7)
-	t.Cleanup(eng.Close)
 	pci := bus.New(eng, bus.PCI("pci0"))
 	r := &prodRig{eng: eng}
 	r.sched = New(eng, Config{Name: "ni-sched", PCI: pci, CacheOn: true, Memory: memory})

@@ -38,7 +38,6 @@ var schedScenarios = []schedScenario{
 // card's counters.
 func schedulerRun(t *testing.T, sc schedScenario) string {
 	r := newRig(t, true)
-	t.Cleanup(r.eng.Close)
 	ext, err := r.card.LoadScheduler(sc.cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package rtos
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -30,17 +29,22 @@ func scriptedScenario() string {
 // that ended through their engine event.
 func runScript(sampleEvery sim.Time, parkAll bool) (_ string, parked int) {
 	eng := sim.NewEngine(1)
-	defer eng.Close()
 	k := NewKernel(eng, "cpu", 2*sim.Microsecond)
 	k.TimeSlice = 10 * sim.Microsecond
 
 	var log strings.Builder
 	var tasks []*Task
-	mark := func(tc *TaskCtx, what string) {
-		fmt.Fprintf(&log, "%6d %-5s %s\n", tc.Now(), k.Running().Name(), what)
+	// mark returns an op that logs what, with its task and time.
+	mark := func(what string) func(*TaskCtx) {
+		return func(tc *TaskCtx) { fmt.Fprintf(&log, "%6d %-5s %s\n", tc.Now(), k.Running().Name(), what) }
 	}
-	spawn := func(name string, prio int, body func(tc *TaskCtx)) {
-		task := k.Spawn(name, prio, body)
+	// bursts returns an op that logs the task's next burst.
+	bursts := func() func(*TaskCtx) {
+		i := 0
+		return func(tc *TaskCtx) { mark(fmt.Sprintf("burst %d", i))(tc); i++ }
+	}
+	spawn := func(name string, prio int, ops ...func(tc *TaskCtx)) {
+		task := k.SpawnStep(name, prio, seq(ops...))
 		countParks(task, &parked)
 		tasks = append(tasks, task)
 	}
@@ -48,46 +52,30 @@ func runScript(sampleEvery sim.Time, parkAll bool) (_ string, parked int) {
 	early := NewSemaphore(k, "early", 0) // given before it is taken
 	late := NewSemaphore(k, "late", 0)   // taken before it is given
 
-	spawn("lo", 9, func(tc *TaskCtx) {
-		for i := 0; i < 6; i++ {
-			tc.Run(7 * sim.Microsecond)
-			mark(tc, fmt.Sprintf("burst %d", i))
-		}
-		late.Give()
-		mark(tc, "gave late")
-	})
+	spawn("lo", 9, append(repeat(6, run(7*sim.Microsecond), bursts()),
+		func(tc *TaskCtx) { late.Give(); mark("gave late")(tc) })...)
 	for _, name := range []string{"midA", "midB"} {
-		spawn(name, 5, func(tc *TaskCtx) {
-			for i := 0; i < 5; i++ {
-				tc.Run(4 * sim.Microsecond)
-				mark(tc, fmt.Sprintf("burst %d", i))
-			}
-			tc.Sleep(30 * sim.Microsecond)
-			mark(tc, "slept")
-			tc.Run(3 * sim.Microsecond)
-		})
+		spawn(name, 5, append(repeat(5, run(4*sim.Microsecond), bursts()),
+			func(tc *TaskCtx) { tc.Sleep(30 * sim.Microsecond) },
+			mark("slept"), run(3*sim.Microsecond))...)
 	}
-	spawn("hi", 1, func(tc *TaskCtx) {
-		early.Give()
-		tc.Sleep(9 * sim.Microsecond)
-		mark(tc, "awake")
-		early.Take(tc) // count is 1: no block
-		mark(tc, "took early")
+	spawn("hi", 1,
+		func(tc *TaskCtx) { early.Give(); tc.Sleep(9 * sim.Microsecond) },
+		mark("awake"),
+		early.Take, // count is 1: no block
+		mark("took early"),
 		// The completion fires inside start, before the task blocks.
-		tc.Await(func(done func()) { done() })
-		mark(tc, "await immediate")
-		tc.Await(func(done func()) { eng.After(25*sim.Microsecond, done) })
-		mark(tc, "await done")
-		tc.Run(12 * sim.Microsecond) // Halt lands in this burst
-		mark(tc, "long burst")
-		spawn("child", 3, func(tc *TaskCtx) {
-			mark(tc, "started")
-			tc.Run(5 * sim.Microsecond)
-			mark(tc, "exiting")
-		})
-		late.Take(tc)
-		mark(tc, "took late")
-	})
+		func(tc *TaskCtx) { tc.Await(func(done func()) { done() }) },
+		mark("await immediate"),
+		func(tc *TaskCtx) { tc.Await(func(done func()) { eng.After(25*sim.Microsecond, done) }) },
+		mark("await done"),
+		run(12*sim.Microsecond), // Halt lands in this burst
+		mark("long burst"),
+		func(tc *TaskCtx) {
+			spawn("child", 3, mark("started"), run(5*sim.Microsecond), mark("exiting"))
+			late.Take(tc)
+		},
+		mark("took late"))
 
 	// Halt in the middle of hi's 12 µs burst; Resume 15 µs later.
 	midBurst := false
@@ -179,67 +167,28 @@ func TestScriptedScenarioMatchesChannelKernel(t *testing.T) {
 }
 
 // handoffBody is a task that does one operation per 10 µs round trip: a
-// coroutine body, or a step body built for its engine.
+// step body built for its engine.
 type handoffBody struct {
 	name string
-	body func(eng *sim.Engine, tc *TaskCtx)
 	step func(eng *sim.Engine) func(tc *TaskCtx) bool
 }
 
 // steadyKernel spawns c on a fresh kernel with a context-switch cost and
-// runs the engine long enough for queues, the event arena and the coroutine
-// to reach their steady state.
-func steadyKernel(tb testing.TB, c handoffBody) *sim.Engine {
+// runs the engine long enough for queues and the event arena to reach their
+// steady state.
+func steadyKernel(c handoffBody) *sim.Engine {
 	eng := sim.NewEngine(1)
-	tb.Cleanup(eng.Close)
 	k := NewKernel(eng, "cpu", sim.Microsecond)
-	if c.step != nil {
-		k.SpawnStep("t", 1, c.step(eng))
-	} else {
-		k.Spawn("t", 1, func(tc *TaskCtx) { c.body(eng, tc) })
-	}
+	k.SpawnStep("t", 1, c.step(eng))
 	eng.RunUntil(sim.Millisecond)
 	return eng
 }
 
 // The hand-off bodies.
 var handoffBodies = []handoffBody{
-	{name: "Run", body: func(eng *sim.Engine, tc *TaskCtx) {
+	{name: "Run", step: func(eng *sim.Engine) func(tc *TaskCtx) bool {
 		// An event due as the burst ends refuses the in-place completion,
-		// so every burst parks and is resumed by its burst-done event.
-		competitor := func() {}
-		for {
-			eng.After(10*sim.Microsecond, competitor)
-			tc.Run(10 * sim.Microsecond)
-		}
-	}},
-	{name: "RunInPlace", body: func(_ *sim.Engine, tc *TaskCtx) {
-		// A lone task: every burst completes in place until the bound of
-		// the executing RunUntil.
-		for {
-			tc.Run(10 * sim.Microsecond)
-		}
-	}},
-	{name: "Sleep", body: func(_ *sim.Engine, tc *TaskCtx) {
-		for {
-			tc.Sleep(10 * sim.Microsecond)
-		}
-	}},
-	{name: "Await", body: func(eng *sim.Engine, tc *TaskCtx) {
-		start := func(done func()) { eng.After(10*sim.Microsecond, done) }
-		for {
-			tc.Await(start)
-		}
-	}},
-	{name: "StepSleep", step: func(*sim.Engine) func(tc *TaskCtx) bool {
-		return func(tc *TaskCtx) bool { tc.Sleep(10 * sim.Microsecond); return true }
-	}},
-	{name: "StepAwait", step: func(eng *sim.Engine) func(tc *TaskCtx) bool {
-		start := func(done func()) { eng.After(10*sim.Microsecond, done) }
-		return func(tc *TaskCtx) bool { tc.Await(start); return true }
-	}},
-	{name: "StepRun", step: func(eng *sim.Engine) func(tc *TaskCtx) bool {
-		// As in Run: every burst parks, and burstDone calls the step again.
+		// so every burst parks, and burstDone calls the step again.
 		competitor := func() {}
 		return func(tc *TaskCtx) bool {
 			eng.After(10*sim.Microsecond, competitor)
@@ -247,15 +196,26 @@ var handoffBodies = []handoffBody{
 			return true
 		}
 	}},
+	{name: "RunInPlace", step: func(*sim.Engine) func(tc *TaskCtx) bool {
+		// A lone task: every burst completes in place until the bound of
+		// the executing RunUntil.
+		return func(tc *TaskCtx) bool { tc.Run(10 * sim.Microsecond); return true }
+	}},
+	{name: "Sleep", step: func(*sim.Engine) func(tc *TaskCtx) bool {
+		return func(tc *TaskCtx) bool { tc.Sleep(10 * sim.Microsecond); return true }
+	}},
+	{name: "Await", step: func(eng *sim.Engine) func(tc *TaskCtx) bool {
+		start := func(done func()) { eng.After(10*sim.Microsecond, done) }
+		return func(tc *TaskCtx) bool { tc.Await(start); return true }
+	}},
 }
 
 // TestHandoffDoesNotAllocate holds the kernel to its no-allocation rule: a
-// Run burst, a Sleep and wake, and an Await round trip — each from a
-// coroutine and from a step task — cost no allocation once the task is in
-// its loop.
+// Run burst, parked or completed in place, a Sleep and wake, and an Await
+// round trip cost no allocation once the task is in its loop.
 func TestHandoffDoesNotAllocate(t *testing.T) {
 	for _, c := range handoffBodies {
-		eng := steadyKernel(t, c)
+		eng := steadyKernel(c)
 		allocs := testing.AllocsPerRun(200, func() {
 			eng.RunUntil(eng.Now() + 10*sim.Microsecond)
 		})
@@ -270,7 +230,7 @@ func TestHandoffDoesNotAllocate(t *testing.T) {
 // no-op 1 µs ticker.
 func TestContextSwitchDoesNotAllocate(t *testing.T) {
 	for _, parked := range []bool{false, true} {
-		eng := pingPongKernel(t)
+		eng := pingPongKernel()
 		if parked {
 			eng.Every(sim.Microsecond, func() {})
 		}
@@ -285,43 +245,47 @@ func TestContextSwitchDoesNotAllocate(t *testing.T) {
 
 // pingPongKernel runs two tasks that hand each other the CPU through a pair
 // of semaphores, one context switch per 5 µs.
-func pingPongKernel(tb testing.TB) *sim.Engine {
+func pingPongKernel() *sim.Engine {
 	eng := sim.NewEngine(1)
-	tb.Cleanup(eng.Close)
 	k := NewKernel(eng, "cpu", sim.Microsecond)
 	ping, pong := NewSemaphore(k, "ping", 1), NewSemaphore(k, "pong", 0)
-	player := func(mine, theirs *Semaphore) func(tc *TaskCtx) {
-		return func(tc *TaskCtx) {
-			for {
-				mine.Take(tc)
+	player := func(mine, theirs *Semaphore) func(tc *TaskCtx) bool {
+		n := 0 // call n takes (even n, giving first after a burst) or runs a burst
+		return func(tc *TaskCtx) bool {
+			if n%2 == 1 {
 				tc.Run(4 * sim.Microsecond)
-				theirs.Give()
+			} else {
+				if n > 0 {
+					theirs.Give()
+				}
+				mine.Take(tc)
 			}
+			n++
+			return true
 		}
 	}
-	k.Spawn("ping", 1, player(ping, pong))
-	k.Spawn("pong", 1, player(pong, ping))
+	k.SpawnStep("ping", 1, player(ping, pong))
+	k.SpawnStep("pong", 1, player(pong, ping))
 	eng.RunUntil(sim.Millisecond)
 	return eng
 }
 
 // BenchmarkHandoff is the rtos layer's own number: host time and
 // allocations per simulated task operation (one parked Run burst, one Run
-// burst completed in place, one Sleep and wake, one Await round trip, the
-// parked burst, the Sleep and the Await from a step task too, one context
-// switch between two tasks — with nothing else pending, that switch and the
-// burst after it complete in place).
+// burst completed in place, one Sleep and wake, one Await round trip, one
+// context switch between two tasks — with nothing else pending, that switch
+// and the burst after it complete in place).
 func BenchmarkHandoff(b *testing.B) {
 	for _, c := range handoffBodies {
 		b.Run(c.name, func(b *testing.B) {
-			eng := steadyKernel(b, c)
+			eng := steadyKernel(c)
 			b.ReportAllocs()
 			b.ResetTimer()
 			eng.RunUntil(eng.Now() + sim.Time(b.N)*10*sim.Microsecond)
 		})
 	}
 	b.Run("Switch", func(b *testing.B) {
-		eng := pingPongKernel(b)
+		eng := pingPongKernel()
 		b.ReportAllocs()
 		b.ResetTimer()
 		eng.RunUntil(eng.Now() + sim.Time(b.N)*5*sim.Microsecond)
@@ -333,12 +297,8 @@ func BenchmarkHandoff(b *testing.B) {
 // channel kernel it crashed the process from an unrelated goroutine).
 func TestTaskPanicSurfacesOnEngineCaller(t *testing.T) {
 	eng := sim.NewEngine(1)
-	defer eng.Close()
 	k := NewKernel(eng, "cpu", 0)
-	k.Spawn("bad", 1, func(tc *TaskCtx) {
-		tc.Run(sim.Microsecond)
-		panic("boom")
-	})
+	k.SpawnStep("bad", 1, seq(run(sim.Microsecond), func(*TaskCtx) { panic("boom") }))
 	defer func() {
 		if r := recover(); r != "boom" {
 			t.Errorf("recovered %v, want the task's panic value", r)
@@ -346,45 +306,6 @@ func TestTaskPanicSurfacesOnEngineCaller(t *testing.T) {
 	}()
 	eng.Run()
 	t.Error("engine returned; the task's panic was lost")
-}
-
-// TestShutdownUnwindsParkedTasks: closing the engine ends every task —
-// blocked, mid-burst, ready but never dispatched — running the deferred
-// calls of the bodies that had started, and leaves no goroutine behind.
-func TestShutdownUnwindsParkedTasks(t *testing.T) {
-	before := runtime.NumGoroutine()
-	eng := sim.NewEngine(1)
-	k := NewKernel(eng, "cpu", sim.Microsecond)
-	sem := NewSemaphore(k, "never", 0)
-	var unwound []string
-	body := func(name string, park func(tc *TaskCtx)) *Task {
-		return k.Spawn(name, 1, func(tc *TaskCtx) {
-			defer func() { unwound = append(unwound, name) }()
-			park(tc)
-			t.Errorf("%s: ran past its park point", name)
-		})
-	}
-	tasks := []*Task{
-		body("blocked", func(tc *TaskCtx) { sem.Take(tc) }),
-		body("sleeping", func(tc *TaskCtx) { tc.Sleep(sim.Second) }),
-		body("bursting", func(tc *TaskCtx) { tc.Run(sim.Second) }),
-	}
-	eng.RunUntil(10 * sim.Microsecond)
-	tasks = append(tasks, body("unstarted", func(tc *TaskCtx) {}))
-
-	eng.Close()
-	if got := strings.Join(unwound, ","); got != "blocked,sleeping,bursting" {
-		t.Errorf("unwound %q, want the three started bodies in spawn order", got)
-	}
-	for _, task := range tasks {
-		if task.State() != Exited {
-			t.Errorf("%s: state %v after shutdown, want Exited", task.Name(), task.State())
-		}
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines: %d before, %d after shutdown", before, after)
-	}
-	eng.Close() // closing twice is harmless
 }
 
 // scriptedScenarioGolden is scriptedScenario's log under the kernel that

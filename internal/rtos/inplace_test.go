@@ -10,16 +10,14 @@ import (
 // accounting is the burst's, and nothing is scheduled on the engine.
 func TestLoneBurstCompletesInPlace(t *testing.T) {
 	eng := sim.NewEngine(1)
-	defer eng.Close()
 	k := NewKernel(eng, "cpu", sim.Microsecond)
 	var parked int
 	var pendingBefore, pendingAfter int
 	var start, end sim.Time
-	task := k.Spawn("lone", 1, func(tc *TaskCtx) {
+	task := k.SpawnStep("lone", 1, seq(func(tc *TaskCtx) {
 		pendingBefore, start = eng.Pending(), tc.Now()
 		tc.Run(7 * sim.Microsecond)
-		pendingAfter, end = eng.Pending(), tc.Now()
-	})
+	}, func(tc *TaskCtx) { pendingAfter, end = eng.Pending(), tc.Now() }))
 	countParks(task, &parked)
 	eng.RunUntil(sim.Millisecond)
 	if parked != 0 || end-start != 7*sim.Microsecond {
@@ -41,22 +39,23 @@ func TestInterruptibleBurstParks(t *testing.T) {
 	const d = 4 * sim.Microsecond
 	cases := []struct {
 		name string
-		// before runs in the task body just ahead of the burst under test.
+		// before runs in the task body just ahead of the burst under test,
+		// and may end with one burst of its own.
 		before     func(k *Kernel, tc *TaskCtx)
 		wantParked int
 	}{
 		{"nothing", func(*Kernel, *TaskCtx) {}, 0},
 		{"higher-priority ready task", func(k *Kernel, _ *TaskCtx) {
-			k.Spawn("hi", 1, func(*TaskCtx) {})
+			k.SpawnStep("hi", 1, seq())
 		}, 1},
 		{"lower-priority ready task", func(k *Kernel, _ *TaskCtx) {
-			k.Spawn("lo", 9, func(*TaskCtx) {})
+			k.SpawnStep("lo", 9, seq())
 		}, 0},
 		{"equal-priority ready task, slice not spent", func(k *Kernel, _ *TaskCtx) {
-			k.Spawn("peer", 5, func(*TaskCtx) {})
+			k.SpawnStep("peer", 5, seq())
 		}, 0},
 		{"equal-priority ready task, slice spent", func(k *Kernel, tc *TaskCtx) {
-			k.Spawn("peer", 5, func(*TaskCtx) {})
+			k.SpawnStep("peer", 5, seq())
 			tc.Run(k.TimeSlice - d) // in place: the slice ends with the next burst
 		}, 1},
 		{"halted kernel", func(k *Kernel, _ *TaskCtx) {
@@ -79,12 +78,10 @@ func TestInterruptibleBurstParks(t *testing.T) {
 		k.TimeSlice = 10 * sim.Microsecond
 		var parked int
 		var start, end sim.Time
-		task := k.Spawn("t", 5, func(tc *TaskCtx) {
-			c.before(k, tc)
+		task := k.SpawnStep("t", 5, seq(func(tc *TaskCtx) { c.before(k, tc) }, func(tc *TaskCtx) {
 			start = tc.Now()
 			tc.Run(d)
-			end = tc.Now()
-		})
+		}, func(tc *TaskCtx) { end = tc.Now() }))
 		countParks(task, &parked)
 		eng.RunUntil(10 * sim.Millisecond)
 		if parked != c.wantParked {
@@ -93,7 +90,6 @@ func TestInterruptibleBurstParks(t *testing.T) {
 		if c.wantParked == 0 && end-start != d {
 			t.Errorf("%s: the in-place burst took %v, want %v", c.name, end-start, d)
 		}
-		eng.Close()
 	}
 }
 
@@ -115,12 +111,12 @@ func TestContextSwitchInPlaceUnlessInterruptible(t *testing.T) {
 		k := NewKernel(eng, "cpu", ctx)
 		var parked int
 		var started sim.Time
-		k.Spawn("first", 1, func(tc *TaskCtx) {
+		k.SpawnStep("first", 1, seq(func(tc *TaskCtx) {
 			if c.competitor != 0 {
 				eng.After(c.competitor, func() {})
 			}
-		})
-		second := k.Spawn("second", 1, func(tc *TaskCtx) { started = tc.Now() })
+		}))
+		second := k.SpawnStep("second", 1, seq(func(tc *TaskCtx) { started = tc.Now() }))
 		countParks(second, &parked)
 		eng.RunUntil(sim.Millisecond)
 		// The first dispatch counts as a switch too, at no cost.
@@ -128,6 +124,5 @@ func TestContextSwitchInPlaceUnlessInterruptible(t *testing.T) {
 			t.Errorf("%s: %d switches parked, second started at %v after %d switches; want %d, %v, 2",
 				c.name, parked, started, k.Switches, c.wantParked, ctx)
 		}
-		eng.Close()
 	}
 }

@@ -3,40 +3,32 @@
 // binary semaphores, blocking I/O waits, and the timestamp-counter rollover
 // management the paper adds to the kernel (§2).
 //
-// A task body is a step function (SpawnStep) or a coroutine (Spawn,
-// iter.Pull), driven in strict handoff by the simulation engine: exactly
-// one task (or the kernel) executes at any instant, so the simulation stays
-// deterministic and no hand-off goes through the Go scheduler. A step
-// function is called as a plain function and keeps its place in its own
-// state; a coroutine costs two coroutine switches per hand-off. Every task
-// on a card's frame path is a step task; Spawn is for straight-line bodies
-// off it (the Table 4 relays, experiment paths, examples, tests). A task
-// consumes simulated CPU with Run (or Charge, which drains a cpu.Meter lap),
-// blocks with Sleep/Await/Take, and the kernel always runs the
-// highest-priority ready task, paying a context-switch cost on every switch.
-// A CPU burst is not preempted mid-flight (bursts in this system are
-// microseconds long); preemption happens at burst and blocking boundaries.
-// A burst or context switch that nothing can interrupt — no ready task that
-// would take the CPU at its end, no halt, no engine event due before it
-// ends — completes in place (sim.Engine.TryAdvance) with no hand-off at
-// all; the same callbacks then run at the same simulated instants in the
-// same order.
+// A task body is a step function (SpawnStep): a state machine the kernel
+// calls as a plain function, driven in strict handoff by the simulation
+// engine. Exactly one task (or the kernel) executes at any instant, so the
+// simulation stays deterministic, no hand-off goes through the Go scheduler
+// and no task owns a goroutine. Each call works up to one blocking call or
+// CPU burst, and the task keeps its place in its own state. A task consumes
+// simulated CPU with Run (or Charge, which drains a cpu.Meter lap), blocks
+// with Sleep/Await/Take, and the kernel always runs the highest-priority
+// ready task, paying a context-switch cost on every switch. A CPU burst is
+// not preempted mid-flight (bursts in this system are microseconds long);
+// preemption happens at burst and blocking boundaries. A burst or context
+// switch that nothing can interrupt — no ready task that would take the CPU
+// at its end, no halt, no engine event due before it ends — completes in
+// place (sim.Engine.TryAdvance) with no hand-off at all; the same callbacks
+// then run at the same simulated instants in the same order.
 //
 // A task body runs on the goroutine that steps the engine, so a panic in a
 // body surfaces there. Because a hand-off sits under every simulated frame,
 // the steady-state Run/Sleep/Await/Take paths allocate nothing: every
 // engine callback the kernel schedules is a func value built once, at
-// NewKernel or at Spawn/SpawnStep.
-//
-// A task parked when a run ends would otherwise stay parked forever and pin
-// everything its body references. Shutdown unwinds every such task; kernels
-// register it with their engine, so closing the engine (sim.Engine.Close,
-// sim.Topology.Close) is what a run does when its results are collected.
+// NewKernel or at SpawnStep. A task still parked when a run ends holds only
+// its own state, so a finished run needs no shutdown.
 package rtos
 
 import (
 	"fmt"
-	"iter"
 
 	"repro/internal/cpu"
 	"repro/internal/sim"
@@ -53,19 +45,6 @@ const (
 	Exited
 )
 
-// yieldKind is what a task reports when it hands the CPU back; a body that
-// returns ends the coroutine instead.
-type yieldKind int
-
-const (
-	yBlocked yieldKind = iota // off the CPU until woken
-	yBurst                    // CPU stays held until the burst-done event
-)
-
-// taskKilled is the panic value that unwinds a parked task's body when its
-// kernel shuts down; Spawn's coroutine wrapper recovers it.
-type taskKilled struct{}
-
 // Task is one VxWorks-style task.
 type Task struct {
 	name string
@@ -74,19 +53,14 @@ type Task struct {
 
 	state       TaskState
 	wakePending bool
-	inBurst     bool     // a step task's burst holds the CPU until burstDone
+	inBurst     bool     // a parked burst holds the CPU until burstDone
 	sliceUsed   sim.Time // CPU consumed since last dispatch (time slicing)
 
-	// The coroutine: next runs the body up to its next yield (ok == false
-	// once the body has returned), stop unwinds a parked body. A step task
-	// has a no-op stop, and step and its context instead of next.
-	next func() (yieldKind, bool)
-	stop func()
-	step func(*TaskCtx) bool
+	step func(*TaskCtx) bool // the body
 	tc   *TaskCtx
 
-	// Engine callbacks, built once at Spawn so scheduling them allocates
-	// nothing.
+	// Engine callbacks, built once at SpawnStep so scheduling them
+	// allocates nothing.
 	wakeFn       func()
 	burstDoneFn  func()
 	switchDoneFn func()
@@ -107,7 +81,6 @@ type Kernel struct {
 	name    string
 	ctxCost sim.Time
 
-	tasks           []*Task // every task spawned, for Shutdown
 	ready           []*Task // sorted by (prio, seq)
 	dispatchFn      func()  // k.dispatch, built once
 	running         *Task
@@ -124,17 +97,14 @@ type Kernel struct {
 
 	// Switches counts context switches (task-to-task transitions).
 	Switches int64
-	Resumes  int64 // coroutine resumes; calling a step task is not one
 	// BusyTime accumulates CPU time consumed by all tasks.
 	BusyTime sim.Time
 }
 
 // NewKernel returns a kernel on eng charging ctxCost per context switch.
-// The kernel shuts down when eng is closed.
 func NewKernel(eng *sim.Engine, name string, ctxCost sim.Time) *Kernel {
 	k := &Kernel{eng: eng, name: name, ctxCost: ctxCost}
 	k.dispatchFn = k.dispatch
-	eng.OnClose(k.Shutdown)
 	return k
 }
 
@@ -160,32 +130,13 @@ func (k *Kernel) Utilization() float64 {
 type TaskCtx struct {
 	k *Kernel
 	t *Task
-	// yield hands the CPU back to the kernel and returns when the kernel
-	// next resumes the task: false if it shut down instead.
-	yield func(yieldKind) bool
 }
 
 // Now returns the current simulated time.
 func (tc *TaskCtx) Now() sim.Time { return tc.k.eng.Now() }
 
-// Spawn creates a coroutine task; it becomes ready immediately and runs
-// when it is the highest-priority ready task.
-func (k *Kernel) Spawn(name string, prio int, body func(tc *TaskCtx)) *Task {
-	t := k.newTask(name, prio)
-	t.next, t.stop = iter.Pull(func(yield func(yieldKind) bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, killed := r.(taskKilled); !killed {
-					panic(r)
-				}
-			}
-		}()
-		body(&TaskCtx{k: k, t: t, yield: yield})
-	})
-	return t
-}
-
-// SpawnStep creates a step task. Each time it has the CPU the kernel calls
+// SpawnStep creates a task; it becomes ready immediately and runs when it is
+// the highest-priority ready task. Each time it has the CPU the kernel calls
 // step, which works up to one Sleep, SleepUntil, Await, Take, Run or Charge
 // and returns true, or returns false when done; if that call completed at
 // once, the kernel calls step again. A Run burst that parks holds the CPU:
@@ -194,25 +145,18 @@ func (k *Kernel) Spawn(name string, prio int, body func(tc *TaskCtx)) *Task {
 // ends then). A blocking call or Run after a parked one, in the same step,
 // panics.
 func (k *Kernel) SpawnStep(name string, prio int, step func(tc *TaskCtx) bool) *Task {
-	t := k.newTask(name, prio)
-	t.step, t.tc, t.stop = step, &TaskCtx{k: k, t: t}, func() {}
+	t := &Task{name: name, prio: prio, step: step}
+	t.tc = &TaskCtx{k: k, t: t}
+	t.wakeFn = func() { k.wake(t) }
+	t.burstDoneFn = func() { k.burstDone(t) }
+	t.switchDoneFn = func() { k.switchDone(t) }
+	k.enqueueReady(t)
+	k.kick()
 	return t
 }
 
 // exitStep is the step of a task whose last step parked a burst.
 func exitStep(*TaskCtx) bool { return false }
-
-// newTask makes a task of either kind ready; the caller then sets its body.
-func (k *Kernel) newTask(name string, prio int) *Task {
-	t := &Task{name: name, prio: prio}
-	t.wakeFn = func() { k.wake(t) }
-	t.burstDoneFn = func() { k.burstDone(t) }
-	t.switchDoneFn = func() { k.switchDone(t) }
-	k.tasks = append(k.tasks, t)
-	k.enqueueReady(t)
-	k.kick()
-	return t
-}
 
 func (k *Kernel) enqueueReady(t *Task) {
 	t.state = Ready
@@ -310,25 +254,18 @@ func (k *Kernel) resumeTask(t *Task) {
 	k.handoff(t)
 }
 
-// handoff runs t's body up to its next yield or park and acts on it.
+// handoff calls t's step until it blocks, parks a burst or ends.
 func (k *Kernel) handoff(t *Task) {
 	t.state = Running
-	ok := true
-	if t.step != nil {
-		for ok = t.step(t.tc); ok && t.state != Blocked && !t.inBurst; ok = t.step(t.tc) {
+	ok := t.step(t.tc)
+	for ok && t.state != Blocked && !t.inBurst {
+		ok = t.step(t.tc)
+	}
+	if t.inBurst {
+		if !ok {
+			t.step = exitStep // the task ends with its burst
 		}
-		if t.inBurst {
-			if !ok {
-				t.step = exitStep // the task ends with its burst
-			}
-			return // CPU stays reserved; burstDone calls the step again
-		}
-	} else {
-		k.Resumes++
-		var kind yieldKind
-		if kind, ok = t.next(); ok && kind == yBurst {
-			return // CPU stays reserved; the burst-done event resumes the task
-		}
+		return // CPU stays reserved; burstDone calls the step again
 	}
 	if !ok {
 		t.state = Exited
@@ -362,19 +299,6 @@ func (k *Kernel) preempts(t *Task) bool {
 	return head < t.prio || (head == t.prio && k.TimeSlice > 0 && t.sliceUsed >= k.TimeSlice)
 }
 
-// Shutdown ends every task that has not exited: a parked task's body is
-// unwound (its deferred calls run), a task that was never dispatched never
-// starts. The kernel is halted for good. Call it once the engine has
-// stopped running — never from a task body or an engine callback.
-func (k *Kernel) Shutdown() {
-	k.halted = true
-	for _, t := range k.tasks {
-		t.stop()
-		t.state = Exited
-	}
-	k.tasks, k.ready, k.running = nil, nil, nil
-}
-
 // wake makes t ready; if t has not yet blocked (a completion raced ahead of
 // the block), the wakeup is remembered.
 func (k *Kernel) wake(t *Task) {
@@ -389,15 +313,7 @@ func (k *Kernel) wake(t *Task) {
 	}
 }
 
-// park hands the CPU back to the kernel until it resumes the task. Must be
-// called from the task's own body.
-func (tc *TaskCtx) park(kind yieldKind) {
-	if !tc.yield(kind) {
-		panic(taskKilled{}) // the kernel shut down: unwind the body
-	}
-}
-
-// parked panics if the calling step task already parked in this step.
+// parked panics if the calling task already parked in this step.
 func (t *Task) parked() {
 	if t.state == Blocked || t.inBurst {
 		panic(fmt.Sprintf("rtos %s: two blocking calls in one step", t.name))
@@ -412,19 +328,16 @@ func (tc *TaskCtx) block() {
 		t.wakePending = false
 		return
 	}
-	t.state = Blocked
-	if t.step == nil { // handoff parks a step task when its step returns
-		tc.park(yBlocked)
-	}
+	t.state = Blocked // handoff parks the task when its step returns
 }
 
 // Run consumes d of simulated CPU, holding the processor.
 //
 // When nothing can interrupt the burst — the kernel is not halted, no ready
 // task would take the CPU at its end, and the engine has nothing due before
-// it ends — the burst completes in place: the clock moves on and the body
-// continues without a hand-off. Otherwise the task parks until burstDone: a
-// coroutine inside Run, a step task when its step returns.
+// it ends — the burst completes in place: the clock moves on and the step
+// continues without a hand-off. Otherwise the task parks until burstDone,
+// once its step returns.
 func (tc *TaskCtx) Run(d sim.Time) {
 	t, k := tc.t, tc.k
 	t.parked()
@@ -441,12 +354,7 @@ func (tc *TaskCtx) Run(d sim.Time) {
 		return
 	}
 	k.eng.After(d, t.burstDoneFn)
-	t.state = Running
-	if t.step != nil {
-		t.inBurst = true // handoff returns when the step does
-		return
-	}
-	tc.park(yBurst)
+	t.inBurst = true // handoff returns when the step does
 }
 
 // Charge consumes CPU for all cycles accumulated on lap since its last

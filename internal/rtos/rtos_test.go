@@ -8,14 +8,38 @@ import (
 	"repro/internal/sim"
 )
 
+// seq is a step body that runs ops in order, one per call, and then ends.
+// Each op makes at most one blocking call or burst, and makes it last, so
+// the ops read as the straight-line body they split.
+func seq(ops ...func(tc *TaskCtx)) func(*TaskCtx) bool {
+	i := 0
+	return func(tc *TaskCtx) bool {
+		if i == len(ops) {
+			return false
+		}
+		i++
+		ops[i-1](tc)
+		return true
+	}
+}
+
+// repeat lists ops n times over, for seq.
+func repeat(n int, ops ...func(tc *TaskCtx)) []func(*TaskCtx) {
+	var all []func(*TaskCtx)
+	for range n {
+		all = append(all, ops...)
+	}
+	return all
+}
+
+// run returns an op that runs a d burst.
+func run(d sim.Time) func(*TaskCtx) { return func(tc *TaskCtx) { tc.Run(d) } }
+
 func TestSingleTaskRuns(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := NewKernel(eng, "ni0", 0)
 	ran := false
-	k.Spawn("t", 100, func(tc *TaskCtx) {
-		tc.Run(10 * sim.Microsecond)
-		ran = true
-	})
+	k.SpawnStep("t", 100, seq(run(10*sim.Microsecond), func(*TaskCtx) { ran = true }))
 	eng.Run()
 	if !ran {
 		t.Fatal("task did not run")
@@ -34,10 +58,10 @@ func TestPriorityOrder(t *testing.T) {
 		prio int
 	}{{"low", 200}, {"high", 50}, {"mid", 100}} {
 		spec := spec
-		k.Spawn(spec.name, spec.prio, func(tc *TaskCtx) {
+		k.SpawnStep(spec.name, spec.prio, seq(func(tc *TaskCtx) {
 			order = append(order, spec.name)
 			tc.Run(sim.Microsecond)
-		})
+		}))
 	}
 	eng.Run()
 	want := []string{"high", "mid", "low"}
@@ -52,14 +76,11 @@ func TestRunHoldsCPUExclusively(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := NewKernel(eng, "ni0", 0)
 	var aDone, bStart sim.Time
-	k.Spawn("a", 10, func(tc *TaskCtx) {
-		tc.Run(100 * sim.Microsecond)
-		aDone = tc.Now()
-	})
-	k.Spawn("b", 20, func(tc *TaskCtx) {
+	k.SpawnStep("a", 10, seq(run(100*sim.Microsecond), func(tc *TaskCtx) { aDone = tc.Now() }))
+	k.SpawnStep("b", 20, seq(func(tc *TaskCtx) {
 		bStart = tc.Now()
 		tc.Run(50 * sim.Microsecond)
-	})
+	}))
 	eng.Run()
 	if bStart < aDone {
 		t.Fatalf("b started at %v before a finished at %v", bStart, aDone)
@@ -70,15 +91,11 @@ func TestSleepYieldsCPU(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := NewKernel(eng, "ni0", 0)
 	var trace []string
-	k.Spawn("sleeper", 10, func(tc *TaskCtx) {
+	k.SpawnStep("sleeper", 10, seq(func(tc *TaskCtx) {
 		trace = append(trace, "s1")
 		tc.Sleep(100 * sim.Microsecond)
-		trace = append(trace, "s2")
-	})
-	k.Spawn("worker", 20, func(tc *TaskCtx) {
-		tc.Run(10 * sim.Microsecond)
-		trace = append(trace, "w")
-	})
+	}, func(*TaskCtx) { trace = append(trace, "s2") }))
+	k.SpawnStep("worker", 20, seq(run(10*sim.Microsecond), func(*TaskCtx) { trace = append(trace, "w") }))
 	eng.Run()
 	want := []string{"s1", "w", "s2"}
 	if len(trace) != 3 || trace[0] != want[0] || trace[1] != want[1] || trace[2] != want[2] {
@@ -90,15 +107,10 @@ func TestHigherPriorityWakeupPreemptsAtBoundary(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := NewKernel(eng, "ni0", 0)
 	var highRanAt sim.Time
-	k.Spawn("high", 10, func(tc *TaskCtx) {
-		tc.Sleep(30 * sim.Microsecond)
-		highRanAt = tc.Now()
-	})
-	k.Spawn("low", 200, func(tc *TaskCtx) {
-		for i := 0; i < 10; i++ {
-			tc.Run(10 * sim.Microsecond) // bursts; preemption at boundaries
-		}
-	})
+	k.SpawnStep("high", 10, seq(func(tc *TaskCtx) { tc.Sleep(30 * sim.Microsecond) },
+		func(tc *TaskCtx) { highRanAt = tc.Now() }))
+	// Bursts; preemption at boundaries.
+	k.SpawnStep("low", 200, seq(repeat(10, run(10*sim.Microsecond))...))
 	eng.Run()
 	// high wakes at 30µs, exactly a burst boundary of low; it must run
 	// right there, not after all of low's bursts (100µs).
@@ -112,11 +124,8 @@ func TestContextSwitchCostCharged(t *testing.T) {
 	ctx := 5 * sim.Microsecond
 	k := NewKernel(eng, "ni0", ctx)
 	var bDone sim.Time
-	k.Spawn("a", 10, func(tc *TaskCtx) { tc.Run(10 * sim.Microsecond) })
-	k.Spawn("b", 20, func(tc *TaskCtx) {
-		tc.Run(10 * sim.Microsecond)
-		bDone = tc.Now()
-	})
+	k.SpawnStep("a", 10, seq(run(10*sim.Microsecond)))
+	k.SpawnStep("b", 20, seq(run(10*sim.Microsecond), func(tc *TaskCtx) { bDone = tc.Now() }))
 	eng.Run()
 	// a runs 0-10 (first dispatch: no previous task → no switch), switch 5,
 	// b runs 15-25.
@@ -132,12 +141,11 @@ func TestAwaitCompletesAfterCallback(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := NewKernel(eng, "ni0", 0)
 	var done sim.Time
-	k.Spawn("io", 10, func(tc *TaskCtx) {
+	k.SpawnStep("io", 10, seq(func(tc *TaskCtx) {
 		tc.Await(func(cb func()) {
 			eng.After(70*sim.Microsecond, cb)
 		})
-		done = tc.Now()
-	})
+	}, func(tc *TaskCtx) { done = tc.Now() }))
 	eng.Run()
 	if done != 70*sim.Microsecond {
 		t.Fatalf("await done at %v", done)
@@ -148,10 +156,9 @@ func TestAwaitImmediateCompletionDoesNotDeadlock(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := NewKernel(eng, "ni0", 0)
 	finished := false
-	k.Spawn("io", 10, func(tc *TaskCtx) {
+	k.SpawnStep("io", 10, seq(func(tc *TaskCtx) {
 		tc.Await(func(cb func()) { cb() }) // completes synchronously
-		finished = true
-	})
+	}, func(*TaskCtx) { finished = true }))
 	eng.Run()
 	if !finished {
 		t.Fatal("task stuck on pre-completed await")
@@ -163,14 +170,9 @@ func TestSemaphoreBlocksAndWakes(t *testing.T) {
 	k := NewKernel(eng, "ni0", 0)
 	sem := NewSemaphore(k, "frames", 0)
 	var got sim.Time
-	k.Spawn("consumer", 10, func(tc *TaskCtx) {
-		sem.Take(tc)
-		got = tc.Now()
-	})
-	k.Spawn("producer", 20, func(tc *TaskCtx) {
-		tc.Sleep(40 * sim.Microsecond)
-		sem.Give()
-	})
+	k.SpawnStep("consumer", 10, seq(sem.Take, func(tc *TaskCtx) { got = tc.Now() }))
+	k.SpawnStep("producer", 20, seq(func(tc *TaskCtx) { tc.Sleep(40 * sim.Microsecond) },
+		func(*TaskCtx) { sem.Give() }))
 	eng.Run()
 	if got != 40*sim.Microsecond {
 		t.Fatalf("consumer resumed at %v", got)
@@ -198,13 +200,10 @@ func TestSemaphoreGiveFromInterruptContext(t *testing.T) {
 	k := NewKernel(eng, "ni0", 0)
 	sem := NewSemaphore(k, "irq", 0)
 	served := 0
-	k.Spawn("worker", 10, func(tc *TaskCtx) {
-		for i := 0; i < 3; i++ {
-			sem.Take(tc)
-			served++
-			tc.Run(5 * sim.Microsecond)
-		}
-	})
+	k.SpawnStep("worker", 10, seq(repeat(3, sem.Take, func(tc *TaskCtx) {
+		served++
+		tc.Run(5 * sim.Microsecond)
+	})...))
 	for i := 1; i <= 3; i++ {
 		eng.At(sim.Time(i)*100*sim.Microsecond, sem.Give)
 	}
@@ -220,11 +219,10 @@ func TestChargeDrainsMeterLap(t *testing.T) {
 	m := cpu.NewMeter(cpu.I960RD())
 	lap := cpu.StartLap(m)
 	var took sim.Time
-	k.Spawn("t", 10, func(tc *TaskCtx) {
+	k.SpawnStep("t", 10, seq(func(tc *TaskCtx) {
 		m.Int(660) // 660 cycles = 10 µs at 66 MHz
 		tc.Charge(lap)
-		took = tc.Now()
-	})
+	}, func(tc *TaskCtx) { took = tc.Now() }))
 	eng.Run()
 	if took != 10*sim.Microsecond {
 		t.Fatalf("charge consumed %v, want 10µs", took)
@@ -235,14 +233,14 @@ func TestNegativeRunPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := NewKernel(eng, "ni0", 0)
 	panicked := false
-	k.Spawn("bad", 10, func(tc *TaskCtx) {
+	k.SpawnStep("bad", 10, seq(func(tc *TaskCtx) {
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
 		tc.Run(-1)
-	})
+	}))
 	eng.Run()
 	if !panicked {
 		t.Fatal("expected panic")
@@ -252,10 +250,7 @@ func TestNegativeRunPanics(t *testing.T) {
 func TestUtilizationAccounting(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := NewKernel(eng, "ni0", 0)
-	k.Spawn("t", 10, func(tc *TaskCtx) {
-		tc.Run(25 * sim.Microsecond)
-		tc.Sleep(75 * sim.Microsecond)
-	})
+	k.SpawnStep("t", 10, seq(run(25*sim.Microsecond), func(tc *TaskCtx) { tc.Sleep(75 * sim.Microsecond) }))
 	eng.Run()
 	u := k.Utilization()
 	if u < 0.24 || u > 0.26 {
@@ -269,10 +264,10 @@ func TestFIFOWithinSamePriority(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		k.Spawn("t", 100, func(tc *TaskCtx) {
+		k.SpawnStep("t", 100, seq(func(tc *TaskCtx) {
 			order = append(order, i)
 			tc.Run(sim.Microsecond)
-		})
+		}))
 	}
 	eng.Run()
 	for i := range order {
@@ -341,10 +336,7 @@ func TestKernelSerializationProperty(t *testing.T) {
 			i := i
 			d := sim.Time(b) * sim.Microsecond
 			total += d
-			k.Spawn("t", 50, func(tc *TaskCtx) {
-				tc.Run(d)
-				order = append(order, i)
-			})
+			k.SpawnStep("t", 50, seq(run(d), func(*TaskCtx) { order = append(order, i) }))
 		}
 		eng.Run()
 		if eng.Now() != total {
@@ -367,18 +359,15 @@ func TestTimeSliceRoundRobinsEqualPriority(t *testing.T) {
 	k := NewKernel(eng, "ni0", 0)
 	k.TimeSlice = 20 * sim.Microsecond
 	var firstB sim.Time
-	work := func(name string, mark *sim.Time) func(*TaskCtx) {
-		return func(tc *TaskCtx) {
-			for i := 0; i < 4; i++ {
-				tc.Run(10 * sim.Microsecond)
-				if mark != nil && *mark == 0 {
-					*mark = tc.Now()
-				}
+	work := func(mark *sim.Time) func(*TaskCtx) bool {
+		return seq(repeat(4, run(10*sim.Microsecond), func(tc *TaskCtx) {
+			if mark != nil && *mark == 0 {
+				*mark = tc.Now()
 			}
-		}
+		})...)
 	}
-	k.Spawn("a", 100, work("a", nil))
-	k.Spawn("b", 100, work("b", &firstB))
+	k.SpawnStep("a", 100, work(nil))
+	k.SpawnStep("b", 100, work(&firstB))
 	eng.Run()
 	// Without slicing, "a" runs all 40 µs first and b's first burst ends at
 	// 50 µs. With a 20 µs slice the CPU rotates after two bursts, so b's
@@ -395,16 +384,11 @@ func TestNoTimeSliceRunsToBlock(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := NewKernel(eng, "ni0", 0)
 	var order []string
-	work := func(name string) func(*TaskCtx) {
-		return func(tc *TaskCtx) {
-			for i := 0; i < 3; i++ {
-				tc.Run(10 * sim.Microsecond)
-				order = append(order, name)
-			}
-		}
+	work := func(name string) func(*TaskCtx) bool {
+		return seq(repeat(3, run(10*sim.Microsecond), func(*TaskCtx) { order = append(order, name) })...)
 	}
-	k.Spawn("a", 100, work("a"))
-	k.Spawn("b", 100, work("b"))
+	k.SpawnStep("a", 100, work("a"))
+	k.SpawnStep("b", 100, work("b"))
 	eng.Run()
 	want := []string{"a", "a", "a", "b", "b", "b"}
 	for i := range want {
@@ -419,13 +403,8 @@ func TestTimeSliceDoesNotStarveLowerPriority(t *testing.T) {
 	k := NewKernel(eng, "ni0", 0)
 	k.TimeSlice = 10 * sim.Microsecond
 	done := false
-	k.Spawn("high", 50, func(tc *TaskCtx) {
-		tc.Run(30 * sim.Microsecond)
-	})
-	k.Spawn("low", 200, func(tc *TaskCtx) {
-		tc.Run(10 * sim.Microsecond)
-		done = true
-	})
+	k.SpawnStep("high", 50, seq(run(30*sim.Microsecond)))
+	k.SpawnStep("low", 200, seq(run(10*sim.Microsecond), func(*TaskCtx) { done = true }))
 	eng.Run()
 	if !done {
 		t.Fatal("low-priority task starved")

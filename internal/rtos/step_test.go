@@ -2,7 +2,6 @@ package rtos
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -34,15 +33,13 @@ func (op blockOp) do(eng *sim.Engine, tc *TaskCtx) {
 }
 
 // blockScript runs one kernel with two CPU-bound tasks and three tasks
-// that only block, all spawned as coroutines or, with step, as step tasks,
-// under priorities, time slicing, a halt in the middle of a burst and one
-// in the middle of a context switch; once the halts are done, bursts that
-// nothing can interrupt complete in place. It returns the log of every
-// (time, task, event) and the kernel's accounting, and how many of the
-// CPU-bound tasks' 24 bursts parked.
-func blockScript(step bool) (_ string, parked int) {
+// that only block, under priorities, time slicing, a halt in the middle of
+// a burst and one in the middle of a context switch; once the halts are
+// done, bursts that nothing can interrupt complete in place. It returns the
+// log of every (time, task, event) and the kernel's accounting, and how many
+// of the CPU-bound tasks' 24 bursts parked.
+func blockScript() (_ string, parked int) {
 	eng := sim.NewEngine(1)
-	defer eng.Close()
 	k := NewKernel(eng, "cpu", 2*sim.Microsecond)
 	k.TimeSlice = 10 * sim.Microsecond
 	var log strings.Builder
@@ -52,38 +49,24 @@ func blockScript(step bool) (_ string, parked int) {
 	x, y := NewSemaphore(k, "x", 0), NewSemaphore(k, "y", 1)
 
 	for _, name := range []string{"hogA", "hogB"} {
-		var task *Task
-		if !step {
-			task = k.Spawn(name, 5, func(tc *TaskCtx) {
-				for i := 0; i < 12; i++ {
-					tc.Run(6 * sim.Microsecond)
-					mark(tc, fmt.Sprintf("burst %d", i))
-					if i%4 == 3 {
-						tc.Sleep(11 * sim.Microsecond)
-					}
+		n := 0 // call n runs burst n/2 (even n) or marks its end (odd n)
+		task := k.SpawnStep(name, 5, func(tc *TaskCtx) bool {
+			i := n / 2
+			n++
+			if n%2 == 1 {
+				if i == 12 {
+					x.Give()
+					return false
 				}
-				x.Give()
-			})
-		} else {
-			n := 0 // call n runs burst n/2 (even n) or marks its end (odd n)
-			task = k.SpawnStep(name, 5, func(tc *TaskCtx) bool {
-				i := n / 2
-				n++
-				if n%2 == 1 {
-					if i == 12 {
-						x.Give()
-						return false
-					}
-					tc.Run(6 * sim.Microsecond)
-					return true
-				}
-				mark(tc, fmt.Sprintf("burst %d", i))
-				if i%4 == 3 {
-					tc.Sleep(11 * sim.Microsecond)
-				}
+				tc.Run(6 * sim.Microsecond)
 				return true
-			})
-		}
+			}
+			mark(tc, fmt.Sprintf("burst %d", i))
+			if i%4 == 3 {
+				tc.Sleep(11 * sim.Microsecond)
+			}
+			return true
+		})
 		burstDone := task.burstDoneFn
 		task.burstDoneFn = func() { parked++; burstDone() }
 	}
@@ -102,15 +85,6 @@ func blockScript(step bool) (_ string, parked int) {
 			{kind: 'g', sem: x}, {kind: 'g', sem: x}, {kind: 'a', d: sim.Microsecond}}},
 	}
 	for _, b := range blockers {
-		if !step {
-			k.Spawn(b.name, b.prio, func(tc *TaskCtx) {
-				for i, op := range b.ops {
-					op.do(eng, tc)
-					mark(tc, fmt.Sprintf("op %d %c", i, op.kind))
-				}
-			})
-			continue
-		}
 		i := 0
 		k.SpawnStep(b.name, b.prio, func(tc *TaskCtx) bool {
 			if i > 0 {
@@ -158,23 +132,22 @@ func blockScript(step bool) (_ string, parked int) {
 	return log.String(), parked
 }
 
-// A task behaves the same as a step task and as a coroutine, whether it
-// holds the CPU or only blocks: the same (time, task, event) log, the same
-// switches, CPU accounting and parked bursts, under priorities, time
-// slicing, halts and bursts that complete in place.
+// A step task logs what the coroutine task it replaced logged, whether it
+// holds the CPU or only blocks: blockScript's (time, task, event) log,
+// switches, CPU accounting and parked bursts equal blockScriptGolden under
+// priorities, time slicing, halts and bursts that complete in place.
 func TestStepTaskMatchesCoroutineTask(t *testing.T) {
-	co, parked := blockScript(false)
-	st, _ := blockScript(true)
+	got, parked := blockScript()
 	for _, want := range []string{"halt mid-switch", "halt mid-burst", "hi    op 8 a", "eq    op 7 t", "lo    op 5 a", "hogB  burst 11"} {
-		if !strings.Contains(co, want) {
-			t.Fatalf("the script no longer reaches %q:\n%s", want, co)
+		if !strings.Contains(got, want) {
+			t.Fatalf("the script no longer reaches %q:\n%s", want, got)
 		}
 	}
 	if parked == 0 || parked == 24 {
 		t.Fatalf("%d of 24 bursts parked; the script must park some and complete some in place", parked)
 	}
-	if co != st {
-		t.Errorf("step tasks left the coroutine log.\n--- step\n%s--- coroutine\n%s", st, co)
+	if got != blockScriptGolden {
+		t.Errorf("step tasks left the coroutine log.\n--- got\n%s--- want\n%s", got, blockScriptGolden)
 	}
 }
 
@@ -205,7 +178,6 @@ func TestStepTaskMisusePanics(t *testing.T) {
 	} {
 		func() {
 			eng := sim.NewEngine(1)
-			defer eng.Close()
 			k := NewKernel(eng, "cpu", 0)
 			k.SpawnStep("bad", 1, func(tc *TaskCtx) bool { return c.step(eng, tc) })
 			defer func() {
@@ -218,29 +190,61 @@ func TestStepTaskMisusePanics(t *testing.T) {
 	}
 }
 
-// Closing the engine ends a parked step task — blocked, sleeping, ready but
-// never dispatched — without a goroutine to unwind or leave behind.
-func TestShutdownEndsParkedStepTasks(t *testing.T) {
-	before := runtime.NumGoroutine()
-	eng := sim.NewEngine(1)
-	k := NewKernel(eng, "cpu", sim.Microsecond)
-	sem := NewSemaphore(k, "never", 0)
-	tasks := []*Task{
-		k.SpawnStep("blocked", 1, func(tc *TaskCtx) bool { sem.Take(tc); return true }),
-		k.SpawnStep("sleeping", 1, func(tc *TaskCtx) bool { tc.Sleep(sim.Second); return true }),
-	}
-	eng.RunUntil(10 * sim.Microsecond)
-	tasks = append(tasks, k.SpawnStep("unstarted", 1, func(tc *TaskCtx) bool { return false }))
-	if k.Resumes != 0 {
-		t.Errorf("%d coroutine resumes, want 0 on a kernel of step tasks", k.Resumes)
-	}
-	eng.Close()
-	for _, task := range tasks {
-		if task.State() != Exited {
-			t.Errorf("%s: state %v after shutdown, want Exited", task.Name(), task.State())
-		}
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines: %d before, %d after shutdown", before, after)
-	}
-}
+// blockScriptGolden is blockScript's log with every task spawned as an
+// iter.Pull coroutine, recorded at the parent of the commit that deleted
+// coroutine tasks.
+const blockScriptGolden = `  1000 ----- halt mid-switch to hogA
+ 16000 ----- resume
+ 16000 hi    op 0 s
+ 16000 hi    op 1 i
+ 16000 hi    op 2 t
+ 24000 hogB  burst 0
+ 34000 ----- halt mid-burst of hogA
+ 49000 ----- resume
+ 50000 ----- halt mid-switch to hi
+ 65000 ----- resume
+ 67000 hi    op 3 a
+ 67000 hi    op 4 g
+ 67000 hi    op 5 s
+ 69000 hogB  burst 1
+ 77000 hi    op 6 u
+ 79000 hogA  burst 0
+ 85000 hogA  burst 1
+ 93000 eq    op 0 t
+ 95000 hogB  burst 2
+101000 hogB  burst 3
+103000 hogA  burst 2
+109000 hogA  burst 3
+111000 eq    op 1 s
+111000 eq    op 2 g
+113000 lo    op 0 i
+121000 hogB  burst 4
+135000 hogA  burst 4
+143000 eq    op 3 a
+143000 eq    op 4 u
+145000 hogB  burst 5
+151000 hogB  burst 6
+159000 hogA  burst 5
+165000 hogA  burst 6
+173000 hogB  burst 7
+175000 hogA  burst 7
+177000 lo    op 1 s
+177000 lo    op 2 t
+177000 lo    op 3 g
+177000 lo    op 4 g
+179000 hi    op 7 t
+181000 lo    op 5 a
+184000 hi    op 8 a
+186000 eq    op 5 s
+186000 eq    op 6 i
+186000 eq    op 7 t
+194000 hogB  burst 8
+208000 hogA  burst 8
+216000 hogB  burst 9
+222000 hogB  burst 10
+230000 hogA  burst 9
+236000 hogA  burst 10
+244000 hogB  burst 11
+246000 hogA  burst 11
+switches=35 busy=144000 parked=16
+`

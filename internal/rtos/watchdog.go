@@ -78,8 +78,7 @@ func (w *Watchdog) Stop() {
 // Starving reports how long since the last pet.
 func (w *Watchdog) Starving() sim.Time { return w.eng.Now() - w.LastPet }
 
-// SpawnPetter starts a kernel task that pets the watchdog every `every`;
-// it only sleeps, so it is a step task.
+// SpawnPetter starts a kernel task that pets the watchdog every `every`.
 // Run it below the tasks whose liveness it vouches for: if a runaway
 // higher-priority task hogs the CPU — or the kernel halts outright — the
 // petter starves with it and the watchdog bites.

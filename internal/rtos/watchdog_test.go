@@ -58,7 +58,7 @@ func TestWatchdogBitesRunawayTask(t *testing.T) {
 	w := NewWatchdog(eng, 100*sim.Millisecond, nil)
 	w.SpawnPetter(k, "pet", 60, 25*sim.Millisecond)
 	eng.At(sim.Second, func() {
-		k.Spawn("hog", 0, func(tc *TaskCtx) { tc.Run(400 * sim.Millisecond) })
+		k.SpawnStep("hog", 0, seq(run(400*sim.Millisecond)))
 	})
 	eng.RunUntil(5 * sim.Second)
 	if w.Bites < 2 || w.Bites > 5 {
@@ -86,10 +86,7 @@ func TestHaltParksMidBurstTask(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := NewKernel(eng, "ni", 0)
 	var doneAt sim.Time
-	k.Spawn("worker", 50, func(tc *TaskCtx) {
-		tc.Run(10 * sim.Millisecond)
-		doneAt = tc.Now()
-	})
+	k.SpawnStep("worker", 50, seq(run(10*sim.Millisecond), func(tc *TaskCtx) { doneAt = tc.Now() }))
 	eng.At(5*sim.Millisecond, k.Halt)
 	eng.RunUntil(sim.Second)
 	if doneAt != 0 {
@@ -111,7 +108,7 @@ func TestHaltBlocksNewSpawns(t *testing.T) {
 	k := NewKernel(eng, "ni", 0)
 	k.Halt()
 	ran := sim.Time(-1)
-	k.Spawn("late", 50, func(tc *TaskCtx) { ran = tc.Now() })
+	k.SpawnStep("late", 50, seq(func(tc *TaskCtx) { ran = tc.Now() }))
 	eng.RunUntil(sim.Second)
 	if ran != -1 {
 		t.Fatalf("task ran at %v on a halted kernel", ran)
