@@ -60,14 +60,14 @@ repro:
 # snapshots, per-stage latency table, folded stacks, and cycle attribution,
 # written to telemetry-out/. Inspect with ./cmd/tracetool.
 telemetry:
-	$(GO) run ./cmd/reprogen -telemetry -dur 20
+	$(GO) run ./cmd/reprogen -telemetry -dur 20 -out telemetry-out
 
 # Chaos-diagnostics run: drives one protected scheduler card through a task
 # hang, a memory leak, and refused late setups with the flight recorder and
 # SLO monitor attached; incident dumps, the SLO health table, and the run-diff
 # inputs land in slo-out/. See README "Diagnosing a bad run".
 slo:
-	$(GO) run ./cmd/reprogen -slo -dur 20
+	$(GO) run ./cmd/reprogen -slo -dur 20 -out slo-out
 
 # Real-traffic soak: dwcsd paces thousands of in-process UDP client
 # sessions through real sockets with flash arrivals and session churn, and
@@ -86,7 +86,7 @@ soak:
 # tolerances (stage medians within 50%, one-side-only stages demoted to
 # info). Exit 3 means the real daemon regressed past the sim reference.
 conformance:
-	$(GO) run ./cmd/reprogen -slo -slo-out /tmp/conf-sim -dur 8 > /dev/null
+	$(GO) run ./cmd/reprogen -slo -out /tmp/conf-sim -dur 8 > /dev/null
 	SOAK_DIR=/tmp/conf-soak ./bench_compare.sh -soak-only
 	$(GO) run ./cmd/tracetool -diff -conformance /tmp/conf-sim /tmp/conf-soak
 

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"bytes"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -15,38 +12,19 @@ import (
 	"repro/internal/experiments"
 )
 
-// The test binary doubles as clustersim: re-executed with this variable set
-// it runs main, so the tests below see the real flag parsing and exit codes.
-const asMainEnv = "CLUSTERSIM_TEST_AS_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(asMainEnv) == "1" {
-		main()
-		return
-	}
-	os.Exit(m.Run())
-}
-
-func clustersim(t *testing.T, args ...string) (stdout, stderr string, code int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), asMainEnv+"=1")
-	var out, errOut bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errOut
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if err != nil && !errors.As(err, &exit) {
-		t.Fatal(err)
-	}
-	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
+// clustersim runs the command in process with main's -dur default.
+func clustersim(args ...string) (stdout, stderr string, code int) {
+	var out, errOut strings.Builder
+	code = experiments.Main("clustersim", 30, args, &out, &errOut)
+	return out.String(), errOut.String(), code
 }
 
 // A scenario flag prints its row's stdout — the bytes CHAOS_BASELINE.txt
-// pins — and -fleet-out holds exactly the row's files; the diagnostics stay
+// pins — and -out holds exactly the row's files; the diagnostics stay
 // on stderr.
 func TestScenarioFlagPrintsRowAndWritesItsFiles(t *testing.T) {
 	dir := t.TempDir()
-	stdout, stderr, code := clustersim(t, "-fleet-chaos", "-dur", "6", "-workers", "1", "-fleet-out", dir)
+	stdout, stderr, code := clustersim("-fleet-chaos", "-dur", "6", "-workers", "1", "-out", dir)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
@@ -84,7 +62,7 @@ func TestScenarioFlagPrintsRowAndWritesItsFiles(t *testing.T) {
 	}
 	sort.Strings(wantFiles)
 	if len(wantFiles) == 0 || strings.Join(gotFiles, " ") != strings.Join(wantFiles, " ") {
-		t.Errorf("-fleet-out holds %v, want exactly %v", gotFiles, wantFiles)
+		t.Errorf("-out holds %v, want exactly %v", gotFiles, wantFiles)
 	}
 }
 
@@ -98,16 +76,18 @@ func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 		reason string
 	}{
 		{[]string{"-fleet-obs", "-ctrl-chaos"}, "clustersim: -fleet-obs and -ctrl-chaos: pick one scenario"},
-		{[]string{"-fleet-chaos", "-chaos-sweep", "-fleet-out", dir}, "clustersim: -fleet-chaos and -chaos-sweep: pick one scenario"},
+		{[]string{"-fleet-chaos", "-chaos-sweep", "-out", dir}, "clustersim: -fleet-chaos and -chaos-sweep: pick one scenario"},
 		{[]string{"-fleet", "-chaos-sweep"}, "clustersim: -fleet and -chaos-sweep: pick one scenario"},
-		{[]string{"-fleet-out", dir}, "clustersim: pick one scenario: "},
+		{[]string{"-out", dir}, "clustersim: pick one scenario: "},
 		{nil, "clustersim: pick one scenario: -fleet, -fleet-chaos, -fleet-obs, -ctrl-chaos, -chaos-sweep"},
 		// The scrape period and the top-k bound are constants of the fleet.
 		{[]string{"-fleet-obs", "-scrape-every", "100"}, "flag provided but not defined: -scrape-every"},
 		{[]string{"-fleet-obs", "-topk", "3"}, "flag provided but not defined: -topk"},
+		// One -out names every row's artifact directory.
+		{[]string{"-fleet", "-fleet-out", dir}, "flag provided but not defined: -fleet-out"},
 	} {
 		args := c.args
-		stdout, stderr, code := clustersim(t, args...)
+		stdout, stderr, code := clustersim(args...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
@@ -124,8 +104,7 @@ func TestConflictingFlagsAreUsageErrors(t *testing.T) {
 }
 
 // A set flag that the picked scenario does not read is a usage error naming
-// the flag, not a run that quietly prints the default table; every
-// clustersim row says which flags it reads, and each of them exists.
+// the flag, not a run that quietly prints the default table.
 func TestUnreadFlagsAreUsageErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "out")
 	for _, c := range []struct {
@@ -134,12 +113,12 @@ func TestUnreadFlagsAreUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-chaos-sweep", "-cards", "64", "-dur", "5", "-host-crashes", "3"},
 			"clustersim: -chaos-sweep does not read -cards, -dur, -host-crashes"},
-		{[]string{"-chaos-sweep", "-workers", "1", "-fleet-out", dir}, "clustersim: -chaos-sweep does not read -fleet-out"},
+		{[]string{"-chaos-sweep", "-workers", "1", "-out", dir}, "clustersim: -chaos-sweep does not read -out"},
 		{[]string{"-fleet", "-host-crashes", "2"}, "clustersim: -fleet does not read -host-crashes"},
 		{[]string{"-fleet-chaos", "-stress-pct", "50"}, "clustersim: -fleet-chaos does not read -stress-pct"},
 		{[]string{"-fleet-obs", "-ctrl-crashes", "1"}, "clustersim: -fleet-obs does not read -ctrl-crashes"},
 	} {
-		stdout, stderr, code := clustersim(t, c.args...)
+		stdout, stderr, code := clustersim(c.args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, c.reason) {
 			t.Errorf("%v: exit %d, stdout %q, want exit 2 and %q on stderr:\n%s", c.args, code, stdout, c.reason, stderr)
 		}
@@ -147,38 +126,19 @@ func TestUnreadFlagsAreUsageErrors(t *testing.T) {
 	if _, err := os.Stat(dir); err == nil {
 		t.Errorf("a rejected run still created %s", dir)
 	}
-
-	_, usage, _ := clustersim(t, "-h")
-	for _, s := range experiments.Scenarios {
-		if s.Cmd != "clustersim" {
-			continue
-		}
-		flags, ok := reads[s.Name]
-		if !ok {
-			t.Errorf("scenario %s: no entry in reads", s.Name)
-		}
-		for _, f := range strings.Fields(flags) {
-			if !strings.Contains(usage, "\n  -"+f+" ") {
-				t.Errorf("scenario %s reads -%s, which clustersim does not have", s.Name, f)
-			}
-		}
-	}
 }
 
 // -cpuprofile and -memprofile each leave a non-empty profile, after a full
 // run and after a usage error alike.
 func TestProfileFlagsWriteProfiles(t *testing.T) {
-	for _, flagName := range []string{"-cpuprofile", "-memprofile"} {
-		for _, run := range []struct {
-			args []string
-			code int
-		}{
-			{[]string{"-fleet", "-cards", "2", "-dur", "1"}, 0},
-			{nil, 2},
-		} {
+	for _, run := range []struct {
+		args []string
+		code int
+	}{{[]string{"-fleet", "-cards", "2", "-dur", "1"}, 0}, {nil, 2}} {
+		for _, flagName := range []string{"-cpuprofile", "-memprofile"} {
 			path := filepath.Join(t.TempDir(), "run.prof")
 			args := append(run.args, flagName, path)
-			if _, stderr, code := clustersim(t, args...); code != run.code {
+			if _, stderr, code := clustersim(args...); code != run.code {
 				t.Errorf("%v: exit %d, want %d; stderr:\n%s", args, code, run.code, stderr)
 			}
 			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
@@ -188,23 +148,23 @@ func TestProfileFlagsWriteProfiles(t *testing.T) {
 	}
 }
 
-// Every `go run ./cmd/clustersim …` line in the docs names only flags that
-// clustersim -h lists, so a deleted flag cannot survive in an example. A line
-// ending in a backslash continues onto the next; an inline code span ends
-// at its closing backtick, and a pipe ends the command.
+// Every `run ./cmd/clustersim …` line in the docs, the Makefile and CI names
+// only flags that clustersim -h lists, so a deleted flag cannot survive in an
+// example. A line ending in a backslash continues onto the next; an inline
+// code span ends at its closing backtick, and a pipe ends the command.
 func TestDocsNameOnlyKnownFlags(t *testing.T) {
-	_, usage, code := clustersim(t, "-h")
-	if code != 0 {
-		t.Fatalf("-h: exit %d", code)
-	}
+	stdout, usage, code := clustersim("-h")
 	known := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage, -1) {
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stdout+usage, -1) {
 		known[m[1]] = true
 	}
+	if code != 0 || len(known) == 0 {
+		t.Fatalf("-h: exit %d, usage:\n%s", code, usage)
+	}
 	flagRE := regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
-	const cmd = "go run ./cmd/clustersim"
+	const cmd = "run ./cmd/clustersim"
 	checked := 0
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile", ".github/workflows/ci.yml"} {
 		body, err := os.ReadFile(filepath.Join("../..", doc))
 		if err != nil {
 			t.Fatal(err)

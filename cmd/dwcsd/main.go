@@ -54,7 +54,7 @@ func main() {
 	flash := flag.Bool("flash", false, "soak mode: flash-crowd arrivals (every session sets up inside the first 100ms)")
 	churn := flag.Float64("churn", 0.25, "soak mode: fraction of sessions torn down and replaced mid-run")
 	throttle := flag.Duration("throttle", 0, "soak mode: stall injected before every dispatch (validates the regression gate)")
-	cpuProfile, memProfile := profiling.Flags()
+	cpuProfile, memProfile := profiling.Flags(flag.CommandLine)
 	flag.Parse()
 
 	cfg := runConfig{period: *period, dur: *dur, drain: *drain, metrics: *metricsAddr, dir: *artifacts}

@@ -2,46 +2,27 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
-// The test binary doubles as reprogen: re-executed with this variable set it
-// runs main, so the tests below see the real flag parsing and exit codes.
-const asMainEnv = "REPROGEN_TEST_AS_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(asMainEnv) == "1" {
-		main()
-		return
-	}
-	os.Exit(m.Run())
+// reprogen runs the command in process with main's -dur default.
+func reprogen(args ...string) (stdout, stderr string, code int) {
+	var out, errOut strings.Builder
+	code = experiments.Main("reprogen", 100, args, &out, &errOut)
+	return out.String(), errOut.String(), code
 }
 
-func reprogen(t *testing.T, args ...string) (stdout, stderr string, code int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), asMainEnv+"=1")
-	var out, errOut bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errOut
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if err != nil && !errors.As(err, &exit) {
-		t.Fatal(err)
-	}
-	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
-}
-
-// A bare run is the paper row: its stdout is PAPER_BASELINE.txt, -csv holds
+// A bare run is the paper row: its stdout is PAPER_BASELINE.txt, -out holds
 // the figure curves, and the status line stays off stdout.
 func TestBareRunPrintsThePaperBaseline(t *testing.T) {
 	dir := t.TempDir()
-	stdout, stderr, code := reprogen(t, "-workers", "1", "-csv", dir)
+	stdout, stderr, code := reprogen("-workers", "1", "-out", dir)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
@@ -57,18 +38,56 @@ func TestBareRunPrintsThePaperBaseline(t *testing.T) {
 	}
 	curves, err := filepath.Glob(filepath.Join(dir, "*.csv"))
 	if err != nil || len(curves) != 23 {
-		t.Errorf("-csv holds %d curves, want 23 (%v)", len(curves), err)
+		t.Errorf("-out holds %d curves, want 23 (%v)", len(curves), err)
 	}
 }
 
-// One run regenerates the whole evaluation, so there is no flag to select a
-// section of it.
+// gone runs args and wants the flag name in them rejected as undefined:
+// exit 2 and nothing on stdout.
+func gone(t *testing.T, name string, args ...string) {
+	t.Helper()
+	stdout, stderr, code := reprogen(args...)
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+name) {
+		t.Errorf("%v: exit %d, stdout %q, stderr:\n%s", args, code, stdout, stderr)
+	}
+}
+
+// One run regenerates the whole evaluation, so no flag selects a section of
+// it.
 func TestSectionFlagsAreGone(t *testing.T) {
 	for _, name := range []string{"-table", "-figure", "-headline", "-scaling", "-paper"} {
-		stdout, stderr, code := reprogen(t, name)
-		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+name) {
-			t.Errorf("%s: exit %d, stdout %q, stderr:\n%s", name, code, stdout, stderr)
+		gone(t, name, name)
+	}
+}
+
+// -workers governs every fan-out, the overload sweep's included; the
+// sweep-specific spelling is gone.
+func TestOverloadWorkersFlagIsGone(t *testing.T) {
+	gone(t, "-overload-workers", "-overload", "-overload-workers", "1")
+}
+
+// One -out names every row's artifact directory. The per-row spellings are
+// gone, so the old way of asking for the paper's curves on the telemetry
+// row is rejected, naming the flag, before any directory is made.
+func TestOutDirFlagsAreGone(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "curves")
+	gone(t, "-csv", "-telemetry", "-csv", dir, "-dur", "1")
+	for _, name := range []string{"-telemetry-out", "-overload-out", "-slo-out"} {
+		gone(t, name, "-slo", name, dir)
+	}
+	for _, d := range []string{dir, "telemetry-out"} {
+		if _, err := os.Stat(d); err == nil {
+			t.Errorf("a rejected run created %s", d)
 		}
+	}
+}
+
+// The opt-in runs are one selection each, as on clustersim: two of them is a
+// usage error, not a run of both.
+func TestTwoScenariosAreAUsageError(t *testing.T) {
+	stdout, stderr, code := reprogen("-faults", "-slo")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "reprogen: -faults and -slo: pick one scenario") {
+		t.Errorf("exit %d, stdout %q, stderr:\n%s", code, stdout, stderr)
 	}
 }
 
@@ -77,7 +96,7 @@ func TestSectionFlagsAreGone(t *testing.T) {
 // off stdout.
 func TestTelemetryWritesThePinnedStageTable(t *testing.T) {
 	dir := t.TempDir()
-	stdout, stderr, code := reprogen(t, "-telemetry", "-dur", "5", "-telemetry-out", dir)
+	stdout, stderr, code := reprogen("-telemetry", "-dur", "5", "-out", dir)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
@@ -100,45 +119,43 @@ func TestTelemetryWritesThePinnedStageTable(t *testing.T) {
 	}
 }
 
-// -cpuprofile and -memprofile each leave a non-empty profile.
+// -cpuprofile and -memprofile each leave a non-empty profile, after a full
+// run and after a usage error alike.
 func TestProfileFlagsWriteProfiles(t *testing.T) {
-	for _, flagName := range []string{"-cpuprofile", "-memprofile"} {
-		path := filepath.Join(t.TempDir(), "run.prof")
-		if _, stderr, code := reprogen(t, "-dur", "10", flagName, path); code != 0 {
-			t.Errorf("%s: exit %d; stderr:\n%s", flagName, code, stderr)
-		}
-		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-			t.Errorf("%s: no profile written (%v)", flagName, err)
+	for _, run := range []struct {
+		args []string
+		code int
+	}{{[]string{"-dur", "10"}, 0}, {[]string{"-faults", "-slo"}, 2}} {
+		for _, flagName := range []string{"-cpuprofile", "-memprofile"} {
+			path := filepath.Join(t.TempDir(), "run.prof")
+			args := append(run.args, flagName, path)
+			if _, stderr, code := reprogen(args...); code != run.code {
+				t.Errorf("%v: exit %d, want %d; stderr:\n%s", args, code, run.code, stderr)
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("%v: no profile written (%v)", args, err)
+			}
 		}
 	}
 }
 
-// -workers governs every fan-out, the overload sweep's included; the
-// sweep-specific spelling is gone.
-func TestOverloadWorkersFlagIsGone(t *testing.T) {
-	stdout, stderr, code := reprogen(t, "-overload", "-overload-workers", "1")
-	if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -overload-workers") {
-		t.Errorf("exit %d, stdout %q, stderr:\n%s", code, stdout, stderr)
-	}
-}
-
-// Every `go run ./cmd/reprogen …` line in the docs names only flags that
-// reprogen -h lists, so a deleted flag cannot survive in an example. A line
-// ending in a backslash continues onto the next; an inline code span ends
-// at its closing backtick, and a pipe ends the command.
+// Every `run ./cmd/reprogen …` line in the docs, the Makefile and CI names
+// only flags that reprogen -h lists, so a deleted flag cannot survive in an
+// example. A line ending in a backslash continues onto the next; an inline
+// code span ends at its closing backtick, and a pipe ends the command.
 func TestDocsNameOnlyKnownFlags(t *testing.T) {
-	_, usage, code := reprogen(t, "-h")
-	if code != 0 {
-		t.Fatalf("-h: exit %d", code)
-	}
+	stdout, usage, code := reprogen("-h")
 	known := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage, -1) {
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stdout+usage, -1) {
 		known[m[1]] = true
 	}
+	if code != 0 || len(known) == 0 {
+		t.Fatalf("-h: exit %d, usage:\n%s", code, usage)
+	}
 	flagRE := regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
-	const cmd = "go run ./cmd/reprogen"
+	const cmd = "run ./cmd/reprogen"
 	checked := 0
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile", ".github/workflows/ci.yml"} {
 		body, err := os.ReadFile(filepath.Join("../..", doc))
 		if err != nil {
 			t.Fatal(err)

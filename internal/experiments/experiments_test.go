@@ -221,8 +221,9 @@ func TestHostFiguresShape(t *testing.T) {
 	within(t, "no-load mean util", h.Runs[0].Util.Mean(), 15, 0.35)
 	within(t, "45% mean util", h.Runs[45].Util.Mean(), 45, 0.15)
 	within(t, "60% mean util", h.Runs[60].Util.Mean(), 60, 0.15)
-	if h.Runs[60].Util.Max() < 80 {
-		t.Errorf("60%% run peak util = %.1f, want bursts above 80", h.Runs[60].Util.Max())
+	// A sample is the busy share of its own interval, so none passes 100 %.
+	if peak := h.Runs[60].Util.Max(); peak < 80 || peak > 100 {
+		t.Errorf("60%% run peak util = %.2f, want bursts above 80 and no sample above 100", peak)
 	}
 
 	// Figure 7: bandwidth degradation, per stream.

@@ -56,9 +56,9 @@ func (r Runner) Run(n int, job func(i int)) {
 }
 
 // DefaultWorkers caps the default pool used by Collect (0 = GOMAXPROCS).
-// cmd/reprogen's -workers flag sets it, so one knob governs every fan-out in
-// a run; results are collected by index either way, so the setting never
-// changes output bytes.
+// Main sets it from -workers, so one knob governs every fan-out in a run,
+// and the benchmark sets it to 1; results are collected by index either
+// way, so the setting never changes output bytes.
 var DefaultWorkers int
 
 // Collect runs every job on the default pool and returns their results in

@@ -1,22 +1,24 @@
 // Scenarios: the one table of runs. Every run reprogen or clustersim makes
-// is one row here, under the "same bytes at any -workers" contract, and a
-// row is the only place that knows the run's stdout order, its artifact file
-// names, the shape CI pins it at, the baseline file that shape must
-// reproduce, and its numeric gates. The commands look a row up by its flag
-// name (a bare reprogen runs the "paper" row) and RunTo it; TestScenarios
-// holds every row to the contract with the one Verify. Adding a scenario is
-// one row plus, if it pins bytes, one baseline file (DESIGN.md "Scenarios").
+// is one row here, under the "same bytes at any -workers" contract; a row is
+// the only place that knows the run's stdout order, artifact names, flags,
+// pinned shape, baseline file and numeric gates. Main, both commands' front
+// end, builds their flags from the rows and runs the one picked (a bare
+// reprogen runs "paper"); TestScenarios holds every row to the contract with
+// Verify. A new scenario is one row plus, if it pins bytes, one baseline file.
 package experiments
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/profiling"
 	"repro/internal/sim"
 )
 
@@ -54,14 +56,12 @@ func (o Output) WriteDir(dir string) error {
 }
 
 // Scenario is one row of the table. Its configuration is the cluster
-// layer's: the fleet rows read the fields their clustersim flags set (the
-// command's reads table), the single-card rows only Dur and Workers, the
-// chaos sweep only Workers.
+// layer's, set by the flags Reads names; every row reads -workers too.
 type Scenario struct {
-	Name    string // the selecting flag: clustersim -fleet-chaos, reprogen -slo; "paper" has none
-	Cmd     string // the command that serves it
-	Help    string // the flag's usage line
-	OutFlag string // the command's flag naming the artifact directory
+	Name  string // the selecting flag: clustersim -fleet-chaos, reprogen -slo
+	Cmd   string // the command that serves it
+	Help  string // the flag's usage line; "" = no flag, the row runs when none is set
+	Reads string // the flags it reads besides its selector, -workers and the profiles
 
 	// Pinned is the shape CI holds the row to; Verify varies Workers and
 	// Monolithic over it. Mono marks rows with a single-engine reference.
@@ -74,10 +74,16 @@ type Scenario struct {
 	Run func(cluster.FleetConfig) Output
 }
 
-// Scenarios lists every run, in each command's print order.
+// The flags every fleet row reads, and every chaos-fleet row.
+const (
+	fleetReads = "dur out cards fleet-streams"
+	chaosReads = fleetReads + " host-crashes net-partitions rolling-drains fault-seed"
+)
+
+// Scenarios lists every run, in each command's selector order.
 var Scenarios = []Scenario{
 	{
-		Name: "fleet", Cmd: "clustersim", OutFlag: "fleet-out",
+		Name: "fleet", Cmd: "clustersim", Reads: fleetReads,
 		Help:   "run the partitioned multi-card fleet on the parallel engine",
 		Pinned: cluster.FleetConfig{Cards: 64, Dur: 2 * sim.Second}, Mono: true,
 		Baseline: "FLEET_BASELINE.txt", Pins: "streams.csv",
@@ -94,7 +100,7 @@ var Scenarios = []Scenario{
 		},
 	},
 	{
-		Name: "fleet-chaos", Cmd: "clustersim", OutFlag: "fleet-out",
+		Name: "fleet-chaos", Cmd: "clustersim", Reads: chaosReads,
 		Help:   "inject correlated failure domains into the fleet and migrate streams live",
 		Pinned: cluster.FleetConfig{Dur: 6 * sim.Second}, Mono: true,
 		Baseline: "CHAOS_BASELINE.txt", Pins: "stdout",
@@ -109,7 +115,7 @@ var Scenarios = []Scenario{
 		},
 	},
 	{
-		Name: "fleet-obs", Cmd: "clustersim", OutFlag: "fleet-out",
+		Name: "fleet-obs", Cmd: "clustersim", Reads: chaosReads + " stress-pct",
 		Help:   "scrape the chaos fleet in-band: rollups, incident timeline, stitched traces",
 		Pinned: cluster.FleetConfig{Cards: 64, Dur: 6 * sim.Second}, Mono: true,
 		Baseline: "FLEETOBS_BASELINE.txt", Pins: "stdout",
@@ -132,7 +138,7 @@ var Scenarios = []Scenario{
 		},
 	},
 	{
-		Name: "ctrl-chaos", Cmd: "clustersim", OutFlag: "fleet-out",
+		Name: "ctrl-chaos", Cmd: "clustersim", Reads: chaosReads + " ctrl-crashes ctrl-partitions",
 		Help:   "replicate the DVCM controller and inject controller crashes/partitions into the chaos fleet",
 		Pinned: cluster.FleetConfig{Dur: 8 * sim.Second}, Mono: true,
 		Baseline: "CTRLCHAOS_BASELINE.txt", Pins: "stdout",
@@ -158,13 +164,13 @@ var Scenarios = []Scenario{
 		Run:  func(cfg cluster.FleetConfig) Output { return Output{Stdout: FleetChaosSweep(cfg.Workers)} },
 	},
 	{
-		Name: "paper", Cmd: "reprogen", OutFlag: "csv",
+		Name: "paper", Cmd: "reprogen", Reads: "dur out",
 		Pinned:   cluster.FleetConfig{Dur: 100 * sim.Second},
 		Baseline: "PAPER_BASELINE.txt", Pins: "stdout",
 		Run: runPaper,
 	},
 	{
-		Name: "faults", Cmd: "reprogen", OutFlag: "csv",
+		Name: "faults", Cmd: "reprogen", Reads: "dur out",
 		Help:   "run the fault-recovery chaos experiment (strictly opt-in)",
 		Pinned: cluster.FleetConfig{Dur: 20 * sim.Second},
 		Run: func(cfg cluster.FleetConfig) Output {
@@ -177,7 +183,7 @@ var Scenarios = []Scenario{
 		},
 	},
 	{
-		Name: "telemetry", Cmd: "reprogen", OutFlag: "telemetry-out",
+		Name: "telemetry", Cmd: "reprogen", Reads: "dur out",
 		Help:     "run the instrumented observability demonstration (strictly opt-in)",
 		Pinned:   cluster.FleetConfig{Dur: 5 * sim.Second},
 		Baseline: "STAGE_BASELINE.txt", Pins: "stages.txt",
@@ -194,7 +200,7 @@ var Scenarios = []Scenario{
 		},
 	},
 	{
-		Name: "overload", Cmd: "reprogen", OutFlag: "overload-out",
+		Name: "overload", Cmd: "reprogen", Reads: "dur out",
 		Help:     "run the overload-protection sweep (strictly opt-in)",
 		Pinned:   cluster.FleetConfig{Dur: 10 * sim.Second},
 		Baseline: "OVERLOAD_BASELINE.txt", Pins: "ladder.txt",
@@ -211,7 +217,7 @@ var Scenarios = []Scenario{
 		},
 	},
 	{
-		Name: "slo", Cmd: "reprogen", OutFlag: "slo-out",
+		Name: "slo", Cmd: "reprogen", Reads: "dur out",
 		Help:   "run the chaos-diagnostics experiment: flight recorder, SLO monitor, incident dumps (strictly opt-in)",
 		Pinned: cluster.FleetConfig{Dur: 8 * sim.Second},
 		Run: func(cfg cluster.FleetConfig) Output {
@@ -257,7 +263,7 @@ func excerpt(s string, n int) string {
 	if len(lines) <= n+1 {
 		return s
 	}
-	return strings.Join(lines[:n], "") + fmt.Sprintf("  … %d more line(s); full timeline in -fleet-out\n", len(lines)-n-1)
+	return strings.Join(lines[:n], "") + fmt.Sprintf("  … %d more line(s); full timeline in -out\n", len(lines)-n-1)
 }
 
 func wantZero(what string, n int64) error {
@@ -276,7 +282,119 @@ func within2Pct(what string, overhead, media int64) error {
 	return nil
 }
 
-// RunTo is what a command does with its selected row: run it, print Stdout,
+// Main is the whole of reprogen and clustersim and returns the exit code. It
+// registers a selector per row of cmd (a row with no Help runs when none is
+// set), the flags those rows read with durSec as the -dur default, -workers
+// and the profile flags. Two rows, no row, or a set flag the picked row does
+// not read is exit 2 before anything is written; a broken gate or a failed
+// write is exit 1. The profiles are complete on every way out.
+func Main(cmd string, durSec int, args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		cfg       cluster.FleetConfig
+		out       string
+		rows      []Scenario
+		selectors []string
+		on        = map[string]*bool{}
+		readers   = map[string][]string{} // flag name → the rows that read it
+	)
+	for _, s := range Scenarios {
+		if s.Cmd != cmd {
+			continue
+		}
+		rows = append(rows, s)
+		if s.Help != "" {
+			on[s.Name] = fs.Bool(s.Name, false, s.Help)
+			selectors = append(selectors, "-"+s.Name)
+		}
+		for _, f := range strings.Fields(s.Reads) {
+			readers[f] = append(readers[f], "-"+s.Name)
+		}
+	}
+
+	// Every flag a row can read, bound to what it sets; only those some row
+	// of cmd reads are registered, each naming its readers unless all read it.
+	all := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	all.IntVar(&durSec, "dur", durSec, "simulated run length (seconds)")
+	all.StringVar(&out, "out", "", "artifact directory (empty = stdout only)")
+	all.IntVar(&cfg.Cards, "cards", 8, "card complexes in the fleet")
+	all.IntVar(&cfg.StreamsPerCard, "fleet-streams", 2, "streams sourced per card")
+	all.IntVar(&cfg.HostCrashes, "host-crashes", 0, "host-crash faults to draw; 0 = default, negative = none")
+	all.IntVar(&cfg.NetPartitions, "net-partitions", 0, "switch-partition faults to draw; 0 = default, negative = none")
+	all.IntVar(&cfg.RollingDrains, "rolling-drains", 0, "rolling-drain faults to draw; 0 = default, negative = none")
+	all.Int64Var(&cfg.FaultSeed, "fault-seed", 0, "chaos plan seed; 0 = derived from the fleet seed")
+	all.IntVar(&cfg.CtrlCrashes, "ctrl-crashes", 0, "controller-crash faults to draw; 0 = default, negative = none")
+	all.IntVar(&cfg.CtrlPartitions, "ctrl-partitions", 0, "replica-pair partition faults to draw; 0 = default, negative = none")
+	all.IntVar(&cfg.StressPct, "stress-pct", 0, "fill every card's budget to this % mid-run to exercise scrape shedding; 0 = off")
+	all.VisitAll(func(f *flag.Flag) {
+		if r := readers[f.Name]; r != nil {
+			if len(r) < len(rows) {
+				f.Usage += " (" + strings.Join(r, ", ") + ")"
+			}
+			fs.Var(f.Value, f.Name, f.Usage)
+		}
+	})
+	fs.IntVar(&cfg.Workers, "workers", 0, "worker pool for every fan-out and the parallel engine (0 = GOMAXPROCS, 1 = sequential); never changes output bytes")
+	cpuPath, memPath := profiling.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	stop, err := profiling.Start(*cpuPath, *memPath)
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", cmd, err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", cmd, err)
+			code = max(code, 1)
+		}
+	}()
+
+	// Two rows would run something other than what was asked, none runs
+	// nothing, and a flag the row does not read would change nothing.
+	picked := slices.DeleteFunc(slices.Clone(rows), func(s Scenario) bool { return on[s.Name] == nil || !*on[s.Name] })
+	if len(picked) == 0 {
+		picked = slices.DeleteFunc(rows, func(s Scenario) bool { return on[s.Name] != nil })
+	}
+	var misuse string
+	switch {
+	case len(picked) > 1:
+		misuse = fmt.Sprintf("-%s and -%s: pick one scenario", picked[0].Name, picked[1].Name)
+	case len(picked) == 0:
+		misuse = "pick one scenario: " + strings.Join(selectors, ", ")
+	default:
+		reads := strings.Fields("workers cpuprofile memprofile " + picked[0].Reads)
+		var unread []string
+		fs.Visit(func(f *flag.Flag) {
+			if on[f.Name] == nil && !slices.Contains(reads, f.Name) {
+				unread = append(unread, "-"+f.Name)
+			}
+		})
+		if len(unread) > 0 {
+			misuse = fmt.Sprintf("-%s does not read %s", picked[0].Name, strings.Join(unread, ", "))
+		}
+	}
+	if misuse != "" {
+		fmt.Fprintf(stderr, "%s: %s\n", cmd, misuse)
+		fs.Usage()
+		return 2
+	}
+
+	DefaultWorkers = cfg.Workers
+	cfg.Dur = sim.Time(durSec) * sim.Second
+	if err := picked[0].RunTo(cfg, out, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", cmd, err)
+		return 1
+	}
+	return 0
+}
+
+// RunTo is what Main does with the picked row: run it, print Stdout,
 // send the engine diagnostics to stderr, and write the artifact directory
 // when one was asked for. A gate that breaks fails it at any shape: the
 // artifacts are written first, and the error names the row.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -61,5 +62,51 @@ func TestRunToFailsOnBrokenGate(t *testing.T) {
 	s.Run = func(cluster.FleetConfig) Output { return Output{Stdout: "out\n"} }
 	if err := s.RunTo(cluster.FleetConfig{}, "", &stdout, &stderr); err != nil {
 		t.Fatalf("RunTo with every gate held = %v", err)
+	}
+}
+
+// commands maps the two front ends to the -dur default each main passes.
+var commands = map[string]int{"reprogen": 100, "clustersim": 30}
+
+// flagsOf returns the flags cmd -h lists.
+func flagsOf(t *testing.T, cmd string) map[string]bool {
+	t.Helper()
+	var usage strings.Builder
+	if code := Main(cmd, commands[cmd], []string{"-h"}, &usage, &usage); code != 0 {
+		t.Fatalf("%s -h: exit %d", cmd, code)
+	}
+	known := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage.String(), -1) {
+		known[m[1]] = true
+	}
+	return known
+}
+
+// Every flag a row reads is registered, and every registered flag but the
+// selectors, -workers and the profiles is read by some row: no row can ask
+// for a flag its command lacks, and no flag can be dead.
+func TestRowReadsMatchRegisteredFlags(t *testing.T) {
+	for cmd := range commands {
+		registered, unread := flagsOf(t, cmd), flagsOf(t, cmd)
+		delete(unread, "workers")
+		delete(unread, "cpuprofile")
+		delete(unread, "memprofile")
+		rows := 0
+		for _, s := range Scenarios {
+			if s.Cmd != cmd {
+				continue
+			}
+			rows++
+			delete(unread, s.Name)
+			for _, f := range strings.Fields(s.Reads) {
+				if !registered[f] {
+					t.Errorf("%s row %s reads -%s, which %s does not register", cmd, s.Name, f, cmd)
+				}
+				delete(unread, f)
+			}
+		}
+		if rows == 0 || len(unread) > 0 {
+			t.Errorf("%s: %d rows; flags no row reads: %v", cmd, rows, unread)
+		}
 	}
 }

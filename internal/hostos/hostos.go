@@ -60,9 +60,11 @@ type CPU struct {
 	busy       bool     // running holds a job in its slice
 	running    job      // the job in its slice
 	slice      sim.Time // the slice's length
+	creditedTo sim.Time // the running slice is in BusyTime up to here
 	sliceEndFn func()   // c.sliceEnd, built once
 
-	// BusyTime accumulates executed demand.
+	// BusyTime accumulates executed demand: every ended slice and, after a
+	// utilization sample, the running slice up to that sample.
 	BusyTime sim.Time
 }
 
@@ -93,14 +95,25 @@ func (c *CPU) kick() {
 	c.queued -= j.remaining
 	c.busy, c.running = true, j
 	c.slice = min(j.remaining, c.quantum)
+	c.creditedTo = c.eng.Now()
 	c.eng.After(c.slice, c.sliceEndFn)
 }
 
-// sliceEnd charges the finished slice: an unfinished job goes to the back
-// of the queue (round-robin), a finished one completes. Then the next
-// slice starts.
+// credit adds the running slice's time since it was last credited to
+// BusyTime, so a slice that straddles a sample boundary is split across the
+// two intervals instead of landing whole in the later one.
+func (c *CPU) credit() {
+	if c.busy {
+		c.BusyTime += c.eng.Now() - c.creditedTo
+		c.creditedTo = c.eng.Now()
+	}
+}
+
+// sliceEnd charges what a sample has not yet credited of the finished
+// slice: an unfinished job goes to the back of the queue (round-robin), a
+// finished one completes. Then the next slice starts.
 func (c *CPU) sliceEnd() {
-	c.BusyTime += c.slice
+	c.credit()
 	j := c.running
 	j.remaining -= c.slice
 	c.busy, c.running = false, job{}
@@ -209,6 +222,7 @@ func (s *System) SampleUtilization(period sim.Time, series *stats.Series) (stop 
 	return s.eng.Every(period, func() {
 		var busy sim.Time
 		for _, c := range s.cpus {
+			c.credit()
 			busy += c.BusyTime
 		}
 		interval := s.eng.Now() - s.lastSample

@@ -5,16 +5,15 @@ package profiling
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// Flags registers -cpuprofile and -memprofile on the default flag set.
-func Flags() (cpuPath, memPath *string) {
-	return flag.String("cpuprofile", "", "write a CPU profile of the run to this file"),
-		flag.String("memprofile", "", "write a heap profile to this file on exit")
+// Flags registers -cpuprofile and -memprofile on fs.
+func Flags(fs *flag.FlagSet) (cpuPath, memPath *string) {
+	return fs.String("cpuprofile", "", "write a CPU profile of the run to this file"),
+		fs.String("memprofile", "", "write a heap profile to this file on exit")
 }
 
 // Start starts the CPU profile and returns the function that stops it and
@@ -52,17 +51,4 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 		}
 		return f.Close()
 	}, nil
-}
-
-// Exit returns the exit function of a command whose every way out ends in
-// os.Exit: it runs stop first, and a profile it could not write turns a
-// zero exit code into 1. cmd prefixes the error message.
-func Exit(cmd string, stop func() error) func(code int) {
-	return func(code int) {
-		if err := stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
-			code = max(code, 1)
-		}
-		os.Exit(code)
-	}
 }
