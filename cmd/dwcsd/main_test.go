@@ -245,7 +245,7 @@ func TestPerStreamPrometheusRoundTrip(t *testing.T) {
 
 // TestObsSLOViolationDumpsIncident wires the bundle end-to-end: a stream
 // whose stats burn its whole loss budget escalates to violated, which must
-// leave a KindSLO trail and a triggered incident holding the registry state.
+// leave a KindSLO trail and one slo-burn incident holding the registry state.
 func TestObsSLOViolationDumpsIncident(t *testing.T) {
 	o := newObs("dwcsd", "")
 	var losses int64
@@ -267,8 +267,13 @@ func TestObsSLOViolationDumpsIncident(t *testing.T) {
 	if violations == 0 {
 		t.Fatal("all-loss stream never violated")
 	}
-	if !strings.Contains(dump, "slo violated: stream 5") {
-		t.Fatalf("no violation incident:\n%s", dump)
+	// One slo-burn incident (the card's first violation), and the ring
+	// shows stream 5 going to violated.
+	if !strings.Contains(dump, "=== incident 1: slo-burn at ") || strings.Contains(dump, "=== incident 2") {
+		t.Fatalf("want one slo-burn incident:\n%s", dump)
+	}
+	if !strings.Contains(dump, " slo stream=5 a=2 b=3 burning -> violated\n") {
+		t.Fatalf("no ring line of stream 5 going to violated:\n%s", dump)
 	}
 	if !strings.Contains(dump, "state:") {
 		t.Fatalf("incident carries no registry state:\n%s", dump)

@@ -61,17 +61,10 @@ func newObs(name, artifactsDir string) *obs {
 	o.rec.StateFn = o.reg.ValuesText
 	o.rec.Instrument(o.reg)
 	o.mon.Instrument(o.reg)
-	// OnChange fires inside mon.Eval, which tick() calls with o.mu held —
-	// so this hook must not re-lock.
-	o.mon.OnChange = func(stream int, from, to slo.State) {
-		at := o.now()
-		o.rec.Record(blackbox.Event{At: at, Kind: blackbox.KindSLO,
-			Stream: stream, A: int64(from), B: int64(to),
-			Note: from.String() + "->" + to.String()})
-		if to == slo.StateViolated {
-			o.rec.Trigger(at, fmt.Sprintf("slo violated: stream %d", stream))
-		}
-	}
+	// The monitor records its transitions (and the first violation's
+	// incident) itself, stamped on the bundle's clock.
+	o.rec.Clock = o.clk
+	o.mon.Rec = o.rec
 	return o
 }
 

@@ -4,24 +4,22 @@
 // report when something goes wrong. The design constraint is the paper's own:
 // the i960 RD has 4 MB of on-board RAM (§3.1.2), and diagnostic state is
 // card-resident like everything else, so the ring's bytes are charged against
-// the card's overload.Budget (ClassBlackbox) exactly like stream state or
-// frame buffers. A recorder that cannot afford its ring does not silently
-// shrink — construction fails, and the caller decides what to give up.
+// the card's overload budget (ClassBlackbox) exactly like stream state or
+// frame buffers. The charge is made where the recorder is put on a card
+// (nic.AttachBlackbox), and a card too full for the ring refuses it there.
 //
-// Triggers are pull-based: the recorder never watches anything itself. The
-// wiring layer (nic.AttachBlackbox, experiments.RunDiagnostics) taps the
-// existing hooks — faults.Tee on the chaos plan, rtos.Watchdog.Observe on the
-// deadman, overload.Budget.OnReject on admission refusals, slo.Monitor state
-// transitions — and calls Trigger with a reason. Every dump is a pure function
-// of the simulated event sequence, so two identical runs produce byte-identical
-// incident reports at any host worker count.
+// The recorder is the card's one event stream and watches nothing itself:
+// every emitter — the scheduler, the overload budget and ladder, the SLO
+// monitor, the watchdog's bite, the chaos injector — records its own event
+// at the moment it happens and makes its own Trigger decision. Every dump is
+// a pure function of the simulated event sequence, so two identical runs
+// produce byte-identical incident reports at any host worker count.
 package blackbox
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/overload"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -135,10 +133,6 @@ type Config struct {
 	// MaxIncidents bounds retained dumps; beyond it triggers are counted as
 	// suppressed instead of allocating. Zero selects 4.
 	MaxIncidents int
-	// Budget, when set, is charged Bytes under ClassBlackbox at construction
-	// and credited back at Close. Construction fails if the charge is
-	// refused: a card too full for diagnostics must say so, not under-record.
-	Budget *overload.Budget
 }
 
 // Incident is one captured dump: the ring contents at trigger time plus the
@@ -180,6 +174,10 @@ type Recorder struct {
 	// incident — typically the budget ledger, ladder rung, and registry
 	// values of the card at that instant.
 	StateFn func() string
+	// Clock is the card's clock: emitters that keep no time of their own
+	// (the overload budget and ladder, the SLO monitor) stamp their events
+	// with Now. Nil stamps them at zero.
+	Clock interface{ Now() sim.Time }
 
 	incidents []Incident
 
@@ -192,7 +190,7 @@ type Recorder struct {
 	Suppressed  int64
 }
 
-// New builds a recorder and charges its ring against cfg.Budget (if any).
+// New builds a recorder.
 func New(cfg Config) (*Recorder, error) {
 	if cfg.Bytes <= 0 {
 		cfg.Bytes = 16 << 10
@@ -206,11 +204,6 @@ func New(cfg Config) (*Recorder, error) {
 			cfg.Name, cfg.Bytes, EventBytes)
 	}
 	cfg.Bytes = int64(capacity) * EventBytes // charge exactly what the ring holds
-	if cfg.Budget != nil {
-		if err := cfg.Budget.Charge(overload.ClassBlackbox, cfg.Bytes); err != nil {
-			return nil, fmt.Errorf("blackbox: %s: ring refused: %w", cfg.Name, err)
-		}
-	}
 	return &Recorder{cfg: cfg, ring: make([]Event, capacity)}, nil
 }
 
@@ -219,6 +212,14 @@ func (r *Recorder) Name() string { return r.cfg.Name }
 
 // RingBytes returns the bytes charged for the ring.
 func (r *Recorder) RingBytes() int64 { return r.cfg.Bytes }
+
+// Now reads the card's clock; zero without one.
+func (r *Recorder) Now() sim.Time {
+	if r == nil || r.Clock == nil {
+		return 0
+	}
+	return r.Clock.Now()
+}
 
 // Capacity returns the ring capacity in events.
 func (r *Recorder) Capacity() int { return len(r.ring) }
@@ -350,14 +351,4 @@ func (r *Recorder) Instrument(reg *telemetry.Registry) {
 		"triggers beyond the retained-incident cap", func() int64 { return r.Suppressed })
 	reg.GaugeFunc("blackbox", "ring_bytes",
 		"budget bytes charged for the event ring", func() float64 { return float64(r.cfg.Bytes) })
-}
-
-// Close releases the ring's budget charge. Safe to call once; the recorder
-// keeps its incidents (the dump outlives the flight).
-func (r *Recorder) Close() {
-	if r == nil || r.cfg.Budget == nil {
-		return
-	}
-	r.cfg.Budget.Release(overload.ClassBlackbox, r.cfg.Bytes)
-	r.cfg.Budget = nil
 }

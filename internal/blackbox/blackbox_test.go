@@ -4,19 +4,18 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/overload"
 	"repro/internal/sim"
 )
 
 // feed replays a fixed event sequence with a trigger mid-stream, the way a
 // chaos run does, and returns the full dump.
-func feed(t *testing.T, budget *overload.Budget) string {
+func feed(t *testing.T) string {
 	t.Helper()
-	rec, err := New(Config{Name: "ni-0", Bytes: 1 << 10, MaxIncidents: 2, Budget: budget})
+	rec, err := New(Config{Name: "ni-0", Bytes: 1 << 10, MaxIncidents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.StateFn = func() string { return budget.String() }
+	rec.StateFn = func() string { return "ni-0: used 0/1048576" }
 	for i := 0; i < 40; i++ { // 1 KiB ring holds 16 events: plenty of wraparound
 		rec.Record(Event{At: sim.Time(i) * sim.Millisecond, Kind: KindDecision,
 			Stream: 1 + i%3, Seq: int64(i)})
@@ -27,14 +26,11 @@ func feed(t *testing.T, budget *overload.Budget) string {
 	rec.Record(Event{At: 50 * sim.Millisecond, Kind: KindWatchdog, Note: "deadman"})
 	rec.Trigger(50*sim.Millisecond, "watchdog")
 	rec.Trigger(60*sim.Millisecond, "extra") // beyond MaxIncidents: suppressed
-	dump := rec.DumpAll()
-	rec.Close()
-	return dump
+	return rec.DumpAll()
 }
 
 func TestIdenticalRunsDumpByteIdentical(t *testing.T) {
-	a := feed(t, overload.NewBudget("ni-0", 1<<20))
-	b := feed(t, overload.NewBudget("ni-0", 1<<20))
+	a, b := feed(t), feed(t)
 	if a != b {
 		t.Fatalf("identical runs produced different dumps:\n--- a ---\n%s--- b ---\n%s", a, b)
 	}
@@ -50,22 +46,19 @@ func TestIdenticalRunsDumpByteIdentical(t *testing.T) {
 	}
 }
 
-func TestRingChargedToAndBoundedByBudget(t *testing.T) {
-	budget := overload.NewBudget("ni-0", 1<<20)
-	rec, err := New(Config{Name: "ni-0", Bytes: 1 << 10, Budget: budget})
+// The ring is the bound: recording far past capacity overwrites the oldest
+// slots in order and never grows it. (The ring's budget charge is made where
+// the recorder is put on a card: nic's TestAttachBlackboxRecordsAndTriggers.)
+func TestRingBoundedByCapacity(t *testing.T) {
+	rec, err := New(Config{Name: "ni-0", Bytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(rec.Capacity()) * EventBytes
-	if got := budget.UsedClass(overload.ClassBlackbox); got != want {
-		t.Fatalf("ring charge = %d, want %d", got, want)
+	if want := int64(rec.Capacity()) * EventBytes; rec.RingBytes() != want {
+		t.Fatalf("RingBytes = %d, want %d", rec.RingBytes(), want)
 	}
-	// Recording far past capacity never grows the charge: the ring is the bound.
 	for i := 0; i < 10*rec.Capacity(); i++ {
 		rec.Record(Event{At: sim.Time(i), Kind: KindDecision, Seq: int64(i)})
-	}
-	if got := budget.UsedClass(overload.ClassBlackbox); got != want {
-		t.Fatalf("ring charge grew to %d after wraparound, want %d", got, want)
 	}
 	if got := len(rec.Events()); got != rec.Capacity() {
 		t.Fatalf("live events = %d, want capacity %d", got, rec.Capacity())
@@ -80,28 +73,6 @@ func TestRingChargedToAndBoundedByBudget(t *testing.T) {
 			t.Fatalf("ring out of order at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
 		}
 	}
-	rec.Close()
-	if got := budget.UsedClass(overload.ClassBlackbox); got != 0 {
-		t.Fatalf("charge after Close = %d, want 0", got)
-	}
-	charged, released := budget.Ledger()
-	if charged != released {
-		t.Fatalf("ledger conservation: charged %d != released %d", charged, released)
-	}
-	rec.Close() // idempotent
-}
-
-func TestNewRefusedWhenBudgetFull(t *testing.T) {
-	budget := overload.NewBudget("ni-0", 1<<10)
-	if err := budget.Charge(overload.ClassFrameBuf, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{Name: "ni-0", Bytes: 1 << 10, Budget: budget}); err == nil {
-		t.Fatal("New should refuse a ring the budget cannot hold")
-	}
-	if budget.UsedClass(overload.ClassBlackbox) != 0 {
-		t.Fatal("refused construction must not leave a charge behind")
-	}
 }
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -110,6 +81,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Trigger(0, "x") != nil || r.Events() != nil || r.DumpAll() != "" {
 		t.Fatal("nil recorder should no-op")
 	}
-	r.Close()
+	if r.Now() != 0 {
+		t.Fatal("nil recorder should read time zero")
+	}
 	r.Instrument(nil)
 }

@@ -374,14 +374,16 @@ func (f *fleet) buildCard(i int, eng *sim.Engine, part *sim.Partition) *fleetCar
 		panic(err)
 	}
 	ctl := overload.NewController(schedCard.Name, schedCard.Mem.Size())
-	ext.AttachOverload(ctl)
-	rec, err := blackbox.New(blackbox.Config{
-		Name: schedCard.Name, Bytes: fleetRingBytes, Budget: ctl.Budget,
-	})
+	if err := ext.AttachOverload(ctl); err != nil {
+		panic(err)
+	}
+	rec, err := blackbox.New(blackbox.Config{Name: schedCard.Name, Bytes: fleetRingBytes})
+	if err == nil {
+		err = ext.AttachBlackbox(rec)
+	}
 	if err != nil {
 		panic(err)
 	}
-	ext.AttachBlackbox(rec)
 
 	schedCard.ConnectEthernet(netsim.Fast100(eng, name+"-eth",
 		netsim.PortFunc(func(p *netsim.Packet) { f.forward(i, p) })))

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func chaosArtifacts(r *FleetChaosResult) string {
@@ -130,4 +133,36 @@ func TestFleetChaosHeavyPlan(t *testing.T) {
 	if pct := resumedPct(r); pct < 90 {
 		t.Errorf("resumed %.0f%% < 90%%: %s\n%s", pct, r.Summary, r.MigLog)
 	}
+}
+
+// FuzzFleetChaos draws a fleet-chaos plan — fault seed, the three domain
+// fault counts (-1 = none, 0 = default, 1–3), 4–32 cards and 6–16 s — and
+// holds it to the fleet-chaos row's gate (no loss-window violation outside
+// the outage windows), with the partitioned run byte-identical to the
+// monolithic one.
+func FuzzFleetChaos(f *testing.F) {
+	f.Add(int64(0), int8(0), int8(0), int8(0), uint8(8), uint8(6))
+	f.Add(int64(7), int8(3), int8(3), int8(3), uint8(32), uint8(16))
+	f.Add(int64(-3), int8(-1), int8(2), int8(-1), uint8(4), uint8(10))
+	f.Fuzz(func(t *testing.T, seed int64, crashes, parts, drains int8, cards, secs uint8) {
+		// wrap folds n into [lo, lo+span) and leaves a value already there as
+		// it is, so the corpus plans run unchanged.
+		wrap := func(n, lo, span int) int { return lo + ((n-lo)%span+span)%span }
+		count := func(n int8) int { return wrap(int(n), -1, 5) }
+		cfg := FleetConfig{
+			Cards: wrap(int(cards), 4, 29), Dur: sim.Time(wrap(int(secs), 6, 11)) * sim.Second,
+			FaultSeed: seed, HostCrashes: count(crashes), NetPartitions: count(parts),
+			RollingDrains: count(drains), Workers: 2,
+		}
+		plan := fmt.Sprintf("seed %d, %d cards, %v, crashes/partitions/drains %d/%d/%d",
+			cfg.FaultSeed, cfg.Cards, cfg.Dur, cfg.HostCrashes, cfg.NetPartitions, cfg.RollingDrains)
+		par := RunFleetChaos(cfg)
+		if par.ViolOutside != 0 {
+			t.Errorf("%s: violations outside outage windows: %s", plan, par.Summary)
+		}
+		cfg.Monolithic = true
+		if mono := chaosArtifacts(RunFleetChaos(cfg)); mono != chaosArtifacts(par) {
+			t.Errorf("%s: partitioned run differs from monolithic:\n%s", plan, firstDiff(chaosArtifacts(par), mono))
+		}
+	})
 }

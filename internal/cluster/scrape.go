@@ -146,11 +146,7 @@ func newFleetObs(cards []*fleetCard, ctl *sim.Engine) *fleetObs {
 		o.ctel[i] = cli
 
 		mon := slo.NewMonitor(fc.sched.Name, slo.Config{})
-		mon.OnChange = func(stream int, from, to slo.State) {
-			fc.rec.Record(blackbox.Event{At: fc.eng.Now(), Kind: blackbox.KindSLO,
-				Stream: stream, A: int64(from), B: int64(to),
-				Note: from.String() + "→" + to.String()})
-		}
+		mon.Rec = fc.rec
 		mon.Instrument(srv)
 		mon.Start(fc.eng)
 		o.mon[i] = mon

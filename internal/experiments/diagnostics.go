@@ -116,23 +116,25 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 
 	ctl := overload.NewController(schedCard.Name, schedCard.Mem.Size())
 	ctl.BP.High, ctl.BP.Low = overloadBPHigh, overloadBPLow
-	ext.AttachOverload(ctl)
+	if err := ext.AttachOverload(ctl); err != nil {
+		panic(err)
+	}
 	ctl.Instrument(reg)
 
 	// Deadman: the injected hang starves the petter; the bite itself is the
 	// diagnostic event, so recovery is just the hog draining.
 	schedCard.StartWatchdog(diagWatchdog, func() { a.WatchdogBites++ })
 
-	// Flight recorder, charged against the card budget. Attached after the
-	// watchdog so the bite tap lands.
+	// Flight recorder, charged against the card budget as it is attached.
 	rec, err := blackbox.New(blackbox.Config{
-		Name: schedCard.Name, Bytes: diagRingBytes,
-		MaxIncidents: diagIncidents, Budget: ctl.Budget,
+		Name: schedCard.Name, Bytes: diagRingBytes, MaxIncidents: diagIncidents,
 	})
+	if err == nil {
+		err = ext.AttachBlackbox(rec)
+	}
 	if err != nil {
 		panic(err)
 	}
-	ext.AttachBlackbox(rec)
 	rec.Instrument(reg)
 
 	// Streams, producers, clients — the overload experiment's population.
@@ -170,26 +172,12 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 				return lastA, lastL
 			})
 	}
-	// Every stream transition lands in the ring, but the incident trigger is
-	// card-level: the first stream to harden to violated flips the card's
-	// health, and that is the moment worth a dump — not each sibling stream
-	// confirming the same overload a tick later.
-	sloBurned := false
-	mon.OnChange = func(stream int, from, to slo.State) {
-		rec.Record(blackbox.Event{At: eng.Now(), Kind: blackbox.KindSLO,
-			Stream: stream, A: int64(from), B: int64(to),
-			Note: from.String() + " -> " + to.String()})
-		if to == slo.StateViolated && !sloBurned {
-			sloBurned = true
-			rec.Trigger(eng.Now(), "slo-burn")
-		}
-	}
+	mon.Rec = rec
 	mon.Instrument(reg)
 	mon.Start(eng)
 
-	// Fan-out taps: pipeline spans feed the SLO latency windows and (queue
-	// stage aside, which dispatch already records as decisions) the ring;
-	// registry snapshots leave a marker event in the ring.
+	// Pipeline spans feed the SLO latency windows and (queue stage aside,
+	// which dispatch already records as decisions) the ring.
 	reg.Spans.Observer = func(seg telemetry.Segment) {
 		mon.ObserveSegment(seg)
 		if seg.Stage != telemetry.StageQueue {
@@ -197,10 +185,6 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 				Stream: seg.Stream, Seq: seg.Seq,
 				A: int64(seg.Stage), B: int64(seg.End - seg.Start)})
 		}
-	}
-	reg.OnSnapshot = func(at sim.Time, values int) {
-		rec.Record(blackbox.Event{At: at, Kind: blackbox.KindSnapshot,
-			A: int64(values)})
 	}
 
 	for _, spec := range base {
@@ -224,39 +208,17 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 	}
 
 	// Chaos plan: a memory leak squeezing the budget through the back half,
-	// and a task hang starving the watchdog petter. The injector tee mirrors
-	// every arm/recovery into the flight recorder and triggers on arming.
+	// and a task hang starving the watchdog petter.
 	plan := &faults.Plan{Events: []faults.Event{
 		{At: cfg.Dur / 4, Duration: diagHang, Kind: faults.TaskHang,
 			Target: schedCard.Name},
 		{At: cfg.Dur / 2, Duration: cfg.Dur / 4, Kind: faults.MemLeak,
 			Target: schedCard.Name, Factor: diagLeakKBps},
 	}}
-	var stopLeak func()
-	inj := faults.InjectorFuncs{
-		OnInject: func(e faults.Event) {
-			switch e.Kind {
-			case faults.TaskHang:
-				schedCard.HangHog(e.Duration)
-			case faults.MemLeak:
-				stopLeak = ctl.Budget.Drip(eng, overloadSampleEvery, e.Factor)
-			}
-		},
-		OnRecover: func(e faults.Event) {
-			if e.Kind == faults.MemLeak {
-				stopLeak()
-				ctl.Budget.ReclaimLeak()
-			}
-		},
-	}
-	tapped := faults.Tee(inj, func(e faults.Event, recover bool) {
-		ext.RecordFault(eng.Now(), e.Kind.String(), e.Target, recover)
-	})
-	if err := plan.Arm(eng, tapped, nil); err != nil {
+	if err := plan.Arm(eng, diagInjector(schedCard, ctl.Budget), nil); err != nil {
 		panic(err)
 	}
-
-	reg.SnapshotEvery(eng, sim.Second)
+	eng.Every(sim.Second, func() { snapshotMarked(schedCard, reg) })
 	eng.RunUntil(cfg.Dur)
 	mon.Stop()
 
@@ -277,6 +239,43 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 	a.SLOViolations = mon.Violations
 	a.Summary = a.summarize(cfg, rec)
 	return a
+}
+
+// diagInjector is the diagnostics card's chaos injector: a task hang hogs
+// the card, a memory leak drips into budget. It records every arm and
+// recovery into the card's flight recorder before acting, and an arm
+// triggers an incident (a recovery is good news).
+func diagInjector(card *nic.Card, budget *overload.Budget) faults.InjectorFuncs {
+	eng, rec := card.Eng, card.Blackbox
+	var stopLeak func()
+	return faults.InjectorFuncs{
+		OnInject: func(e faults.Event) {
+			note := e.Kind.String() + " " + e.Target
+			rec.Record(blackbox.Event{At: eng.Now(), Kind: blackbox.KindFault, Note: note})
+			rec.Trigger(eng.Now(), "fault: "+note)
+			switch e.Kind {
+			case faults.TaskHang:
+				card.HangHog(e.Duration)
+			case faults.MemLeak:
+				stopLeak = budget.Drip(eng, overloadSampleEvery, e.Factor)
+			}
+		},
+		OnRecover: func(e faults.Event) {
+			rec.Record(blackbox.Event{At: eng.Now(), Kind: blackbox.KindFault,
+				Note: e.Kind.String() + " " + e.Target + " recovered"})
+			if e.Kind == faults.MemLeak {
+				stopLeak()
+				budget.ReclaimLeak()
+			}
+		},
+	}
+}
+
+// snapshotMarked snapshots reg and leaves a marker in the card's flight
+// recorder (A = values captured).
+func snapshotMarked(card *nic.Card, reg *telemetry.Registry) {
+	n := reg.Snapshot(card.Eng.Now())
+	card.Blackbox.Record(blackbox.Event{At: card.Eng.Now(), Kind: blackbox.KindSnapshot, A: int64(n)})
 }
 
 func (a *DiagnosticsArtifacts) summarize(cfg DiagnosticsConfig, rec *blackbox.Recorder) string {

@@ -232,12 +232,9 @@ func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
 	}
 	ctl := overload.NewController(schedCard.Name, schedCard.Mem.Size())
 	ctl.BP.High, ctl.BP.Low = overloadBPHigh, overloadBPLow
-	ctl.Ladder.OnChange = func(_, to overload.Rung) {
-		if to > pt.NIMaxRung {
-			pt.NIMaxRung = to
-		}
+	if err := ext.AttachOverload(ctl); err != nil {
+		panic(err)
 	}
-	ext.AttachOverload(ctl)
 
 	clip := mpeg.GenerateDefault()
 	nominal := clip.MeanFrameSize()
@@ -361,6 +358,9 @@ func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
 	pt.NITransitions = ctl.Ladder.Transitions
 	for r := overload.RungNone; r <= overload.RungRevoke; r++ {
 		pt.NIEvals[r] = ctl.Ladder.Evals[r]
+		if pt.NIEvals[r] > 0 {
+			pt.NIMaxRung = r // every rung the ladder reached spent an evaluation there
+		}
 	}
 	for _, id := range ext.Sched.StreamIDs() {
 		if st, err := ext.Sched.Stats(id); err == nil {

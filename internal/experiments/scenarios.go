@@ -285,9 +285,10 @@ func within2Pct(what string, overhead, media int64) error {
 // Main is the whole of reprogen and clustersim and returns the exit code. It
 // registers a selector per row of cmd (a row with no Help runs when none is
 // set), the flags those rows read with durSec as the -dur default, -workers
-// and the profile flags. Two rows, no row, or a set flag the picked row does
-// not read is exit 2 before anything is written; a broken gate or a failed
-// write is exit 1. The profiles are complete on every way out.
+// and the profile flags. Two rows, no row, a set flag the picked row does
+// not read, or a negative -dur, -cards, -fleet-streams or -workers is exit 2
+// before anything is written; a broken gate or a failed write is exit 1.
+// The profiles are complete on every way out.
 func Main(cmd string, durSec int, args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -377,6 +378,16 @@ func Main(cmd string, durSec int, args []string, stdout, stderr io.Writer) (code
 		})
 		if len(unread) > 0 {
 			misuse = fmt.Sprintf("-%s does not read %s", picked[0].Name, strings.Join(unread, ", "))
+		}
+	}
+	// A size is 0 for the default or positive; the chaos counts alone read
+	// a negative value (none).
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"dur", durSec}, {"cards", cfg.Cards}, {"fleet-streams", cfg.StreamsPerCard}, {"workers", cfg.Workers}} {
+		if misuse == "" && f.v < 0 {
+			misuse = fmt.Sprintf("-%s %d: must not be negative", f.name, f.v)
 		}
 	}
 	if misuse != "" {

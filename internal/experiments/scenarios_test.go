@@ -110,3 +110,32 @@ func TestRowReadsMatchRegisteredFlags(t *testing.T) {
 		}
 	}
 }
+
+// A negative size is a usage error naming the flag, before anything is
+// written; 0 stays "default" and a chaos count keeps -1 for "none".
+func TestMainRejectsNegativeSizes(t *testing.T) {
+	for _, c := range []struct {
+		cmd  string
+		args []string
+		want string // the stderr naming the flag; "" = runs, exit 0
+	}{
+		{"reprogen", []string{"-dur", "-5"}, "reprogen: -dur -5: must not be negative"},
+		{"clustersim", []string{"-fleet", "-cards", "-3"}, "clustersim: -cards -3: must not be negative"},
+		{"clustersim", []string{"-fleet", "-fleet-streams", "-2"}, "clustersim: -fleet-streams -2: must not be negative"},
+		{"clustersim", []string{"-fleet", "-workers", "-3"}, "clustersim: -workers -3: must not be negative"},
+		{"clustersim", []string{"-fleet-chaos", "-dur", "1", "-host-crashes", "-1", "-net-partitions", "-1", "-rolling-drains", "-1"}, ""},
+	} {
+		dir := filepath.Join(t.TempDir(), "out")
+		var stdout, stderr strings.Builder
+		code := Main(c.cmd, commands[c.cmd], append(c.args, "-out", dir), &stdout, &stderr)
+		_, statErr := os.Stat(dir)
+		switch {
+		case c.want == "" && (code != 0 || statErr != nil):
+			t.Errorf("%s %v: exit %d (dir: %v), want a run\n%s", c.cmd, c.args, code, statErr, stderr.String())
+		case c.want != "" && (code != 2 || !strings.HasPrefix(stderr.String(), c.want+"\n") ||
+			stdout.Len() > 0 || statErr == nil):
+			t.Errorf("%s %v: exit %d, stdout %d bytes, dir written %v, stderr %.80q; want exit 2 with %q and nothing written",
+				c.cmd, c.args, code, stdout.Len(), statErr == nil, stderr.String(), c.want)
+		}
+	}
+}

@@ -161,33 +161,6 @@ func (f InjectorFuncs) Recover(e Event) {
 	}
 }
 
-// tee forwards to an inner injector and mirrors every event to fn.
-type tee struct {
-	inner Injector
-	fn    func(e Event, recover bool)
-}
-
-func (t tee) Inject(e Event) {
-	t.fn(e, false)
-	t.inner.Inject(e)
-}
-
-func (t tee) Recover(e Event) {
-	t.fn(e, true)
-	t.inner.Recover(e)
-}
-
-// Tee wraps inj so fn also observes every injection (recover=false) and
-// recovery (recover=true), before the inner injector acts — the flight
-// recorder's tap on the chaos schedule, so the incident ring shows the
-// fault that is about to strike.
-func Tee(inj Injector, fn func(e Event, recover bool)) Injector {
-	if fn == nil {
-		return inj
-	}
-	return tee{inner: inj, fn: fn}
-}
-
 // Plan is a deterministic chaos schedule. The zero value is an empty plan
 // (no faults); experiments treat chaos as strictly opt-in.
 type Plan struct {

@@ -11,94 +11,70 @@ import (
 )
 
 // TestAttachBlackboxRecordsAndTriggers drives one card through dispatches, a
-// budget refusal, a ladder climb, and a watchdog bite, and asserts the flight
-// recorder saw each through the attached taps.
+// budget refusal and a watchdog bite with the recorder attached before and
+// after the overload controller and the watchdog: the attach order is not a
+// rule, so both runs dump the same bytes, and both hold the ring's charge.
 func TestAttachBlackboxRecordsAndTriggers(t *testing.T) {
-	r := newRig(t, true)
-	ext, err := r.card.LoadScheduler(SchedulerConfig{WorkConserving: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl := overload.NewController(r.card.Name, 64<<10) // tiny budget: easy to refuse
-	ext.AttachOverload(ctl)
-	r.card.StartWatchdog(50*sim.Millisecond, func() { r.card.Reset() })
+	run := func(blackboxFirst bool) string {
+		r := newRig(t, true)
+		ext, err := r.card.LoadScheduler(SchedulerConfig{WorkConserving: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl := overload.NewController(r.card.Name, 64<<10) // tiny budget: easy to refuse
+		rec, err := blackbox.New(blackbox.Config{Name: r.card.Name, Bytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		attach := func() {
+			if err := ext.AttachBlackbox(rec); err != nil {
+				t.Fatal(err)
+			}
+			ext.AttachBlackbox(rec) // idempotent
+		}
+		if blackboxFirst {
+			attach()
+		}
+		if err := ext.AttachOverload(ctl); err != nil {
+			t.Fatal(err)
+		}
+		r.card.StartWatchdog(50*sim.Millisecond, func() { r.card.Reset() })
+		if !blackboxFirst {
+			attach()
+		}
 
-	rec, err := blackbox.New(blackbox.Config{Name: r.card.Name, Bytes: 4 << 10,
-		Budget: ctl.Budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext.AttachBlackbox(rec)
-	ext.AttachBlackbox(rec) // idempotent
+		if err := ext.AddStream(streamSpec(1, 10*sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		// A stream whose projected ring cannot fit the 64 KiB budget: refusal.
+		big := streamSpec(2, 10*sim.Millisecond)
+		big.NominalBytes = 4096
+		big.BufCap = 64
+		if err := ext.AddStream(big); err == nil {
+			t.Fatal("oversized stream should be refused")
+		}
+		for i := 0; i < 20; i++ {
+			ext.Enqueue(1, dwcs.Packet{Bytes: 1000})
+		}
+		r.eng.At(200*sim.Millisecond, func() { r.card.HangHog(300 * sim.Millisecond) })
+		r.eng.RunUntil(sim.Second)
 
-	if err := ext.AddStream(streamSpec(1, 10*sim.Millisecond)); err != nil {
-		t.Fatal(err)
+		if got := ctl.Budget.UsedClass(overload.ClassBlackbox); got != rec.RingBytes() {
+			t.Fatalf("ring charge = %d, want %d", got, rec.RingBytes())
+		}
+		return rec.DumpAll()
 	}
-	// A stream whose projected ring cannot fit the 64 KiB budget: refusal.
-	big := streamSpec(2, 10*sim.Millisecond)
-	big.NominalBytes = 4096
-	big.BufCap = 64
-	if err := ext.AddStream(big); err == nil {
-		t.Fatal("oversized stream should be refused")
+	dump := run(false)
+	for _, want := range []string{
+		"decision stream=1", "refusal", "admission refused", "watchdog deadman bite",
+		"=== incident 1: budget-refusal", ": watchdog at ",
+		"ladder rung:", "ni0: used", // the default StateFn: budget ledger and ladder rung
+	} {
+		if !strings.Contains(dump, want) {
+			t.Fatalf("dump lacks %q:\n%s", want, dump)
+		}
 	}
-
-	for i := 0; i < 20; i++ {
-		ext.Enqueue(1, dwcs.Packet{Bytes: 1000})
-	}
-	r.eng.At(200*sim.Millisecond, func() { r.card.HangHog(300 * sim.Millisecond) })
-	r.eng.RunUntil(sim.Second)
-
-	kinds := map[blackbox.Kind]int{}
-	for _, e := range rec.Events() {
-		kinds[e.Kind]++
-	}
-	if kinds[blackbox.KindDecision] == 0 {
-		t.Fatal("no scheduler decisions recorded")
-	}
-	if kinds[blackbox.KindRefusal] == 0 {
-		t.Fatal("budget refusal not recorded")
-	}
-	if kinds[blackbox.KindWatchdog] == 0 {
-		t.Fatal("watchdog bite not recorded")
-	}
-	var reasons []string
-	for _, inc := range rec.Incidents() {
-		reasons = append(reasons, inc.Reason)
-	}
-	joined := strings.Join(reasons, " ")
-	if !strings.Contains(joined, "budget-refusal") || !strings.Contains(joined, "watchdog") {
-		t.Fatalf("incident reasons %v should include budget-refusal and watchdog", reasons)
-	}
-	// The default StateFn carries the budget ledger and ladder rung.
-	if dump := rec.DumpAll(); !strings.Contains(dump, "ladder rung:") ||
-		!strings.Contains(dump, r.card.Name+": used") {
-		t.Fatalf("incident state missing budget/ladder:\n%s", dump)
-	}
-	// The ring itself is charged to the card budget.
-	if got := ctl.Budget.UsedClass(overload.ClassBlackbox); got != rec.RingBytes() {
-		t.Fatalf("ring charge = %d, want %d", got, rec.RingBytes())
-	}
-}
-
-// TestRecordFaultTriggersOnArmOnly exercises the faults.Tee adapter surface.
-func TestRecordFaultTriggersOnArmOnly(t *testing.T) {
-	r := newRig(t, true)
-	ext, err := r.card.LoadScheduler(SchedulerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := blackbox.New(blackbox.Config{Name: r.card.Name})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext.AttachBlackbox(rec)
-	ext.RecordFault(sim.Second, "mem-leak", "ni0", false)
-	ext.RecordFault(2*sim.Second, "mem-leak", "ni0", true)
-	if rec.Triggers != 1 {
-		t.Fatalf("Triggers = %d, want 1 (arm only, not recovery)", rec.Triggers)
-	}
-	evs := rec.Events()
-	if len(evs) != 2 || evs[0].Kind != blackbox.KindFault || evs[1].Note != "mem-leak ni0 recovered" {
-		t.Fatalf("fault events %v", evs)
+	if first := run(true); first != dump {
+		t.Fatalf("recorder attached first dumps differently:\n%s\n--- attached last ---\n%s", first, dump)
 	}
 }

@@ -89,6 +89,9 @@ type Card struct {
 
 	// Watchdog is the card's hardware deadman, if StartWatchdog armed one.
 	Watchdog *rtos.Watchdog
+	// Blackbox is the card's flight recorder once AttachBlackbox put one on
+	// it; nil (the default) records nothing (blackbox.Recorder is nil-safe).
+	Blackbox *blackbox.Recorder
 	// Crashes and Resets count fault-injection lifecycle transitions.
 	Crashes int64
 	Resets  int64
@@ -143,13 +146,20 @@ func (c *Card) HangHog(d sim.Time) {
 // StartWatchdog arms the card's hardware watchdog with the given timeout
 // and spawns the petter task that feeds it while the kernel is alive.
 // onBite fires on expiry — typically scheduling a Reset after the card's
-// reset latency. The watchdog keeps biting once per timeout while the card
-// stays wedged, so a lost reset is retried.
+// reset latency — and then the bite is recorded and triggers an incident.
+// The watchdog keeps biting once per timeout while the card stays wedged,
+// so a lost reset is retried.
 func (c *Card) StartWatchdog(timeout sim.Time, onBite func()) *rtos.Watchdog {
 	if c.Watchdog != nil {
 		return c.Watchdog
 	}
-	c.Watchdog = rtos.NewWatchdog(c.Eng, timeout, onBite)
+	c.Watchdog = rtos.NewWatchdog(c.Eng, timeout, func() {
+		if onBite != nil {
+			onBite()
+		}
+		c.Blackbox.Record(blackbox.Event{At: c.Eng.Now(), Kind: blackbox.KindWatchdog, Note: "deadman bite"})
+		c.Blackbox.Trigger(c.Eng.Now(), "watchdog")
+	})
 	c.Watchdog.SpawnPetter(c.Kernel, c.Name+"/wdpet", PrioWatchdog, timeout/4)
 	return c.Watchdog
 }
@@ -347,9 +357,6 @@ type SchedulerExt struct {
 	// one; nil (the default) leaves every admission and pressure path
 	// exactly as before.
 	Overload *overload.Controller
-	// Blackbox is the card's flight recorder once AttachBlackbox wired one;
-	// nil (the default) records nothing (blackbox.Recorder is nil-safe).
-	Blackbox *blackbox.Recorder
 	// OnReinstate fires when a revoked stream is readmitted, so the harness
 	// can restart its producer.
 	OnReinstate func(spec dwcs.StreamSpec)
@@ -554,7 +561,7 @@ func (ext *SchedulerExt) importStream(img dwcs.StreamSnapshot) error {
 	if err := ext.admit(img.Spec, func() error { return ext.Sched.ImportStream(img) }); err != nil {
 		return err
 	}
-	ext.Blackbox.Record(blackbox.Event{At: ext.Card.Eng.Now(), Kind: blackbox.KindMigrate,
+	ext.Card.Blackbox.Record(blackbox.Event{At: ext.Card.Eng.Now(), Kind: blackbox.KindMigrate,
 		Stream: img.Spec.ID, Seq: img.Seq, A: img.WindowX, B: img.WindowY, Note: "import"})
 	return nil
 }
@@ -592,7 +599,7 @@ func (ext *SchedulerExt) ImportStream(img dwcs.StreamSnapshot) error {
 func (ext *SchedulerExt) ExportStream(id int) (dwcs.StreamSnapshot, error) {
 	img, err := ext.Sched.ExportStream(id)
 	if err == nil {
-		ext.Blackbox.Record(blackbox.Event{At: ext.Card.Eng.Now(), Kind: blackbox.KindMigrate,
+		ext.Card.Blackbox.Record(blackbox.Event{At: ext.Card.Eng.Now(), Kind: blackbox.KindMigrate,
 			Stream: id, Seq: img.Seq, A: img.WindowX, B: img.WindowY, Note: "export"})
 	}
 	return img, err
@@ -685,10 +692,12 @@ func (ext *SchedulerExt) removeStream(id int) error {
 // AttachOverload wires an overload controller to this extension: the card's
 // allocator reports frame-buffer traffic to the budget, the controller's
 // hooks drive shed/revoke/reinstate against the scheduler, and periodic
-// evaluation starts on the card's engine. Idempotent; call once per card.
-func (ext *SchedulerExt) AttachOverload(ctl *overload.Controller) {
+// evaluation starts on the card's engine. A flight recorder already on the
+// card is charged to the budget, and a refused charge fails the attach (see
+// AttachBlackbox). Idempotent; call once per card.
+func (ext *SchedulerExt) AttachOverload(ctl *overload.Controller) error {
 	if ext.Overload != nil {
-		return
+		return nil
 	}
 	ext.Overload = ctl
 	ext.ovCost = make(map[int]overload.StreamCost)
@@ -700,6 +709,7 @@ func (ext *SchedulerExt) AttachOverload(ctl *overload.Controller) {
 		Reinstate:    ext.reinstateOne,
 	}
 	ctl.Start(ext.Card.Eng)
+	return ext.recordOverload()
 }
 
 // shedTolerant is the ladder's rung-1 action: walk streams in insertion
@@ -717,7 +727,7 @@ func (ext *SchedulerExt) shedTolerant(max int) int {
 		}
 		releasePayload(pkt.Payload)
 		ext.Dropped++
-		ext.Blackbox.Record(blackbox.Event{At: ext.Card.Eng.Now(), Kind: blackbox.KindDrop,
+		ext.Card.Blackbox.Record(blackbox.Event{At: ext.Card.Eng.Now(), Kind: blackbox.KindDrop,
 			Stream: pkt.StreamID, Seq: pkt.Seq, A: pkt.Bytes, Note: "shed"})
 		shed++
 	}
@@ -848,7 +858,7 @@ func (s *schedTask) step(tc *rtos.TaskCtx) bool {
 			d := &s.d
 			ext.Dropped += int64(len(d.Dropped))
 			for _, p := range d.Dropped {
-				ext.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDrop,
+				ext.Card.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDrop,
 					Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, Note: "deadline"})
 				releasePayload(p.Payload)
 			}
@@ -903,7 +913,7 @@ func (s *schedTask) step(tc *rtos.TaskCtx) bool {
 				ext.telQDelay.Observe((tc.Now() - p.Enqueued).Milliseconds())
 			}
 			ext.Sent++
-			ext.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDecision,
+			ext.Card.Blackbox.Record(blackbox.Event{At: tc.Now(), Kind: blackbox.KindDecision,
 				Stream: p.StreamID, Seq: p.Seq, A: p.Bytes, B: int64(tc.Now() - p.Enqueued)})
 			if ext.OnDispatch != nil {
 				ext.OnDispatch(p)

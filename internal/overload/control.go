@@ -1,6 +1,7 @@
 package overload
 
 import (
+	"repro/internal/blackbox"
 	"repro/internal/mpeg"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -83,7 +84,8 @@ type Ladder struct {
 	hot, cool   int
 	Transitions int64
 	Evals       [numRungs]int64 // evaluations spent at each rung
-	OnChange    func(from, to Rung)
+	// Rec is the card's flight recorder: every transition is recorded.
+	Rec *blackbox.Recorder
 }
 
 // NewLadder returns a ladder with the default thresholds.
@@ -121,9 +123,8 @@ func (l *Ladder) step(to Rung) {
 	l.rung = to
 	l.hot, l.cool = 0, 0
 	l.Transitions++
-	if l.OnChange != nil {
-		l.OnChange(from, to)
-	}
+	l.Rec.Record(blackbox.Event{At: l.Rec.Now(), Kind: blackbox.KindLadder,
+		A: int64(from), B: int64(to), Note: from.String() + " -> " + to.String()})
 }
 
 // Hooks are the card-side actions a Controller drives. All are optional;

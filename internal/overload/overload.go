@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/blackbox"
 	"repro/internal/sim"
 )
 
@@ -121,11 +122,9 @@ type Budget struct {
 	Rejects  int64
 	Breaches int64
 
-	// OnReject, when set, observes every admission refusal with the
-	// projected footprint that was turned away; OnBreach observes every
-	// breach. The flight recorder hangs its incident triggers here.
-	OnReject func(projected int64)
-	OnBreach func()
+	// Rec is the card's flight recorder: every refusal and breach is
+	// recorded and triggers an incident. Nil records nothing.
+	Rec *blackbox.Recorder
 
 	waiters  []func() // FIFO reject-then-retry queue
 	draining bool     // reentrancy guard: waiters may re-enroll while firing
@@ -192,9 +191,9 @@ func (b *Budget) CanAdmit(projected int64) bool {
 func (b *Budget) AdmitStream(sc StreamCost) error {
 	if !b.CanAdmit(sc.Projected()) {
 		b.Rejects++
-		if b.OnReject != nil {
-			b.OnReject(sc.Projected())
-		}
+		b.Rec.Record(blackbox.Event{At: b.Rec.Now(), Kind: blackbox.KindRefusal,
+			A: sc.Projected(), Note: "admission refused"})
+		b.Rec.Trigger(b.Rec.Now(), "budget-refusal")
 		return fmt.Errorf("%w (%s: used %d + projected %d > high %d)",
 			ErrAdmission, b.name, b.total, sc.Projected(), b.high)
 	}
@@ -217,14 +216,19 @@ func (b *Budget) HeadroomFor(n int64) bool { return b.total+n <= b.size }
 // absolute size.
 func (b *Budget) Charge(c Class, n int64) error {
 	if b.total+n > b.size {
-		b.Breaches++
-		if b.OnBreach != nil {
-			b.OnBreach()
-		}
+		b.breach()
 		return fmt.Errorf("%w (%s: used %d + %d > size %d)", ErrBudget, b.name, b.total, n, b.size)
 	}
 	b.apply(c, n)
 	return nil
+}
+
+// breach counts a charge past the absolute size, records it, and triggers.
+func (b *Budget) breach() {
+	b.Breaches++
+	b.Rec.Record(blackbox.Event{At: b.Rec.Now(), Kind: blackbox.KindRefusal,
+		A: b.total, Note: "budget breach"})
+	b.Rec.Trigger(b.Rec.Now(), "budget-breach")
 }
 
 // apply records a charge that has already been validated (or that mirrors a
@@ -256,10 +260,7 @@ func (b *Budget) Release(c Class, n int64) {
 // overflows the budget that is a breach (the gates upstream failed).
 func (b *Budget) OnAlloc(n int64) {
 	if b.total+n > b.size {
-		b.Breaches++
-		if b.OnBreach != nil {
-			b.OnBreach()
-		}
+		b.breach()
 	}
 	b.apply(ClassFrameBuf, n)
 }
@@ -271,10 +272,7 @@ func (b *Budget) OnFree(n int64) { b.Release(ClassFrameBuf, n) }
 // be refused; overflow counts as a breach.
 func (b *Budget) Leak(n int64) {
 	if b.total+n > b.size {
-		b.Breaches++
-		if b.OnBreach != nil {
-			b.OnBreach()
-		}
+		b.breach()
 	}
 	b.apply(ClassLeak, n)
 }

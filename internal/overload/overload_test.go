@@ -331,3 +331,24 @@ func TestDripClampsStopsAndReclaims(t *testing.T) {
 		t.Fatalf("reclaimed %d, %d left; want 700 and 0", n, b.Used())
 	}
 }
+
+func TestBlackboxClassAccounting(t *testing.T) {
+	b := NewBudget("card", 1<<20)
+	if err := b.Charge(ClassBlackbox, 16<<10); err != nil {
+		t.Fatalf("charge: %v", err)
+	}
+	if got := b.UsedClass(ClassBlackbox); got != 16<<10 {
+		t.Fatalf("UsedClass(ClassBlackbox) = %d, want %d", got, 16<<10)
+	}
+	if ClassBlackbox.String() != "blackbox" {
+		t.Fatalf("ClassBlackbox.String() = %q", ClassBlackbox.String())
+	}
+	b.Release(ClassBlackbox, 16<<10)
+	if b.Used() != 0 {
+		t.Fatalf("Used = %d after release, want 0", b.Used())
+	}
+	charged, released := b.Ledger()
+	if charged != released {
+		t.Fatalf("ledger conservation: charged %d != released %d", charged, released)
+	}
+}

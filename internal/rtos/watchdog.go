@@ -46,19 +46,6 @@ func (w *Watchdog) bite() {
 	}
 }
 
-// Observe chains fn to run after the existing reset callback on every
-// bite — the flight recorder's tap on the deadman, attached without
-// disturbing whatever recovery action the watchdog was armed with.
-func (w *Watchdog) Observe(fn func()) {
-	prev := w.onBite
-	w.onBite = func() {
-		if prev != nil {
-			prev()
-		}
-		fn()
-	}
-}
-
 // Pet feeds the watchdog, pushing the next bite a full timeout out.
 func (w *Watchdog) Pet() {
 	if w.stopped {

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/blackbox"
 	"repro/internal/dwcs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -164,9 +165,10 @@ type Monitor struct {
 	Name string
 	Cfg  Config
 
-	// OnChange observes every per-stream state transition; the flight
-	// recorder hangs KindSLO events and the slo-burn trigger here.
-	OnChange func(stream int, from, to State)
+	// Rec is the card's flight recorder: every stream transition is
+	// recorded, and the card's first transition to violated triggers
+	// "slo-burn" (not each sibling stream confirming the same overload).
+	Rec *blackbox.Recorder
 
 	streams []*stream
 	byID    map[int]*stream
@@ -332,8 +334,11 @@ func (m *Monitor) Eval() {
 			if next == StateViolated {
 				m.Violations++
 			}
-			if m.OnChange != nil {
-				m.OnChange(s.obj.Stream, from, next)
+			m.Rec.Record(blackbox.Event{At: m.Rec.Now(), Kind: blackbox.KindSLO,
+				Stream: s.obj.Stream, A: int64(from), B: int64(next),
+				Note: from.String() + " -> " + next.String()})
+			if next == StateViolated && m.Violations == 1 {
+				m.Rec.Trigger(m.Rec.Now(), "slo-burn")
 			}
 		}
 	}

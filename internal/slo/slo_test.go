@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blackbox"
 	"repro/internal/dwcs"
 	"repro/internal/fixed"
 	"repro/internal/sim"
@@ -44,10 +45,7 @@ func TestFromSpec(t *testing.T) {
 
 func TestBurnEscalationAndSustainToViolated(t *testing.T) {
 	m, cs := newTestMonitor(Objective{Stream: 1, Name: "s1", LossTarget: 0.1})
-	var trans []string
-	m.OnChange = func(id int, from, to State) {
-		trans = append(trans, from.String()+">"+to.String())
-	}
+	m.Rec, _ = blackbox.New(blackbox.Config{Name: "ni-0"})
 
 	// Clean traffic: 100 attempts/eval, no loss.
 	for i := 0; i < 4; i++ {
@@ -71,9 +69,13 @@ func TestBurnEscalationAndSustainToViolated(t *testing.T) {
 	if m.Health() != StateViolated || m.Violations != 1 {
 		t.Fatalf("health=%v violations=%d", m.Health(), m.Violations)
 	}
-	// Escalation passed through burning before hardening.
-	joined := strings.Join(trans, " ")
-	if !strings.Contains(joined, ">burning") || !strings.Contains(joined, "burning>violated") {
+	// Escalation passed through burning before hardening, in the ring.
+	var trans []string
+	for _, e := range m.Rec.Events() {
+		trans = append(trans, e.Note)
+	}
+	joined := strings.Join(trans, ", ")
+	if !strings.Contains(joined, "-> burning") || !strings.Contains(joined, "burning -> violated") {
 		t.Fatalf("transitions %v should pass through burning to violated", trans)
 	}
 

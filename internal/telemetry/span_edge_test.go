@@ -82,16 +82,12 @@ func TestSpanLogObserverSeesAcceptedSegmentsOnly(t *testing.T) {
 	}
 }
 
-func TestRegistryOnSnapshotAndValuesText(t *testing.T) {
+func TestRegistryValuesText(t *testing.T) {
 	r := New()
 	r.Counter("a", "c", "").Add(3)
 	r.Gauge("b", "g", "").Set(1.5)
-	var at sim.Time
-	var n int
-	r.OnSnapshot = func(t sim.Time, values int) { at, n = t, values }
-	r.Snapshot(7 * sim.Second)
-	if at != 7*sim.Second || n != 2 {
-		t.Fatalf("OnSnapshot got (%v, %d), want (7s, 2)", at, n)
+	if n := r.Snapshot(7 * sim.Second); n != 2 {
+		t.Fatalf("Snapshot captured %d values, want 2", n)
 	}
 	want := "a.c 3\nb.g 1.5\n"
 	if got := r.ValuesText(); got != want {

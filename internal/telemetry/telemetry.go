@@ -210,10 +210,6 @@ type Registry struct {
 	// Spans is the causal span log.
 	Spans *SpanLog
 
-	// OnSnapshot, when set, observes every Snapshot call with the capture
-	// time and how many values were recorded — the flight recorder's tap.
-	OnSnapshot func(at sim.Time, values int)
-
 	// EpochOf, when set, resolves the serving epoch of a stream at span
 	// recording time — the hook the fleet wires so spans recorded before and
 	// after a live migration stay one stitchable identity. It must return -1
@@ -349,10 +345,11 @@ func (r *Registry) Components() []string {
 
 // Snapshot captures every metric's current value at simulated time `at`,
 // appending one row set to the time-series dump (SnapshotsCSV). Histograms
-// contribute their running count and sum.
-func (r *Registry) Snapshot(at sim.Time) {
+// contribute their running count and sum. It returns how many values the
+// row set holds.
+func (r *Registry) Snapshot(at sim.Time) int {
 	if r == nil {
-		return
+		return 0
 	}
 	s := snapshot{at: at}
 	for _, m := range r.sorted() {
@@ -367,9 +364,7 @@ func (r *Registry) Snapshot(at sim.Time) {
 		}
 	}
 	r.snaps = append(r.snaps, s)
-	if r.OnSnapshot != nil {
-		r.OnSnapshot(at, len(s.values))
-	}
+	return len(s.values)
 }
 
 // ValuesText renders every metric's current value as compact sorted
