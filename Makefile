@@ -26,17 +26,20 @@ cross:
 # Ten seconds of each native fuzz target (go test -fuzz takes one per run):
 # the wire framing a hostile sender can reach, every artifact reader behind
 # `tracetool -diff` (one target feeds each input to all seven), the
-# fleet-chaos fault plan (the outage gate, partitioned equal to monolithic)
-# and the controller-chaos fault plan (every ctrl-chaos gate, partitioned
-# equal to monolithic). The seed corpus — including the two datagram
-# sequences that used to crash dwcsd -recv and the two plans that used to
-# place a stream twice — runs as ordinary tests in `make test`.
+# fleet-chaos fault plan (the outage gate, partitioned equal to monolithic),
+# the controller-chaos fault plan (every ctrl-chaos gate, partitioned equal
+# to monolithic) and the span stitch (segment sets through the span lanes
+# and the stitch, rendered equal to the 40-byte-record path). The seed
+# corpus — including the two datagram sequences that used to crash dwcsd
+# -recv and the two plans that used to place a stream twice — runs as
+# ordinary tests in `make test`.
 fuzz:
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzReassemblerIngest$$' -fuzztime 10s
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzUnmarshalMedia$$' -fuzztime 10s
 	$(GO) test ./internal/rundiff -run '^$$' -fuzz '^FuzzReaders$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFleetChaos$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzCtrlChaos$$' -fuzztime 10s
+	$(GO) test ./internal/fleetobs -run '^$$' -fuzz '^FuzzSpanStitch$$' -fuzztime 10s
 
 # Every program under examples/ is deterministic: run each and compare its
 # stdout with the examples/<name>/output.txt it was pinned to.

@@ -255,13 +255,15 @@ func (r *Recorder) Events() []Event {
 
 // EventsSince returns the live ring events whose recording ordinal is greater
 // than since (ordinals are 1-based over every event ever offered, i.e. the
-// Recorded counter at the time the event was written), along with the newest
-// ordinal to pass back on the next call and the count of matching events that
-// were already lost to ring wraparound. This is the incremental-scrape
+// Recorded counter at the time the event was written) and whose kind keep
+// accepts (every kind for a nil keep), along with the newest ordinal to pass
+// back on the next call and the count of events after since, of any kind,
+// that were already lost to ring wraparound. This is the incremental-scrape
 // interface: a remote observer that polls faster than the ring wraps sees
 // every event exactly once; one that polls too slowly learns how much history
-// it missed instead of silently getting a gap.
-func (r *Recorder) EventsSince(since int64) (events []Event, newest int64, lost int64) {
+// it missed instead of silently getting a gap. Only the kept events are
+// copied, and none at all allocates nothing.
+func (r *Recorder) EventsSince(since int64, keep func(Kind) bool) (events []Event, newest int64, lost int64) {
 	if r == nil {
 		return nil, since, 0
 	}
@@ -276,9 +278,10 @@ func (r *Recorder) EventsSince(since int64) (events []Event, newest int64, lost 
 	}
 	want := int(newest - since)
 	start := (r.head - want + len(r.ring)) % len(r.ring)
-	events = make([]Event, 0, want)
 	for i := 0; i < want; i++ {
-		events = append(events, r.ring[(start+i)%len(r.ring)])
+		if e := &r.ring[(start+i)%len(r.ring)]; keep == nil || keep(e.Kind) {
+			events = append(events, *e)
+		}
 	}
 	return events, newest, lost
 }

@@ -86,3 +86,52 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	r.Instrument(nil)
 }
+
+// EventsSince with a filter is the unfiltered read with the other kinds left
+// out: the same cursor, the same count of events lost to wraparound (every
+// kind counts), and nothing allocated when no event passes.
+func TestEventsSinceFiltered(t *testing.T) {
+	rec, err := New(Config{Name: "ni-0", Bytes: 16 * EventBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	incident := func(k Kind) bool { return k == KindRefusal || k == KindWatchdog }
+	for i := 1; i <= 40; i++ {
+		k := KindDecision
+		switch i % 10 {
+		case 3:
+			k = KindRefusal
+		case 7:
+			k = KindWatchdog
+		}
+		rec.Record(Event{At: sim.Time(i), Kind: k, Seq: int64(i)})
+	}
+	for _, since := range []int64{0, 20, 24, 30, 39, 40} {
+		all, newest, lost := rec.EventsSince(since, nil)
+		kept, newestF, lostF := rec.EventsSince(since, incident)
+		if newestF != newest || lostF != lost {
+			t.Fatalf("since %d: filtered read newest=%d lost=%d, unfiltered %d and %d", since, newestF, lostF, newest, lost)
+		}
+		var want []Event
+		for _, e := range all {
+			if incident(e.Kind) {
+				want = append(want, e)
+			}
+		}
+		if len(kept) != len(want) {
+			t.Fatalf("since %d: %d events kept, want %d", since, len(kept), len(want))
+		}
+		for i := range want {
+			if kept[i] != want[i] {
+				t.Fatalf("since %d: event %d is %+v, want %+v", since, i, kept[i], want[i])
+			}
+		}
+	}
+	if _, _, lost := rec.EventsSince(0, incident); lost != 24 {
+		t.Fatalf("lost = %d, want the 24 overwritten events of every kind", lost)
+	}
+	none := func(Kind) bool { return false }
+	if n := testing.AllocsPerRun(100, func() { rec.EventsSince(0, none) }); n != 0 {
+		t.Fatalf("a read that keeps nothing allocates %v", n)
+	}
+}

@@ -142,3 +142,29 @@ func TestFleetMallocsPerFrame(t *testing.T) {
 		t.Errorf("%.2f mallocs per received frame, want ≤ 1", perFrame)
 	}
 }
+
+// The observed fleet's bytes per received frame: every heap byte a
+// fleet-obs run allocates — construction, the frames, the scrape plane,
+// span recording and the stitched traces — over the frames its clients
+// received. Span lanes hold a segment in about 8 bytes, the stitch reads
+// each moved stream's lanes into one reused buffer, and a scrape reply
+// copies only the events it ships; before, with 40-byte span records, a
+// collect that copied every moved stream's segments at once, a stitch that
+// built a dedup map per stream and replies that copied the whole ring's
+// churn, this shape allocated 1926 B per frame (935 at 64 cards × 30 s).
+// The bound is half of that 935; this shape reads 408 today.
+func TestFleetObsBytesPerFrame(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := RunFleetObs(FleetConfig{Cards: 16, Dur: 30 * sim.Second, Workers: 1, FaultSeed: 1960})
+	runtime.ReadMemStats(&after)
+	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.Chaos.Recv)
+	t.Logf("%d frames received, %.0f bytes allocated each", r.Chaos.Recv, perFrame)
+	if r.Links == 0 {
+		t.Fatal("no stream migrated: the stitch was not exercised")
+	}
+	if perFrame > 467 {
+		t.Errorf("%.0f bytes allocated per received frame, want ≤ 467", perFrame)
+	}
+}

@@ -233,13 +233,7 @@ func (f *fleet) reply(i int, cur int64) {
 		f.reps[0].fromCard(i, func() { o.onDark(i) })
 		return
 	}
-	raw, newest, lost := fc.rec.EventsSince(cur)
-	var events []blackbox.Event
-	for _, e := range raw {
-		if shippable(e.Kind) {
-			events = append(events, e)
-		}
-	}
+	events, newest, lost := fc.rec.EventsSince(cur, shippable)
 	samples := o.mon[i].Sample()
 	bud := fc.ctl.Budget
 	cost := int64(fleetobs.ReplyHeaderBytes +
@@ -526,37 +520,13 @@ func (f *fleet) collectObs() *FleetObsResult {
 	res.EventsShipped, res.EventsLost = tot.events, tot.lost
 
 	// Stitched traces: every stream that recorded at least one handoff link,
-	// reassembled from all card- and client-side span registries. One pass
-	// over the logs, in card order, buckets the moved streams' segments by
-	// gid; the rest of the fleet's records are skipped unread.
-	moved := make([]bool, len(f.streams)+1) // by gid (1-based)
-	for _, l := range o.links {
-		moved[l.Stream] = true
-	}
-	keep := func(gid int) bool { return gid > 0 && gid < len(moved) && moved[gid] }
-	segs := make([][]telemetry.Segment, len(moved))
+	// read lane by lane from the card- and client-side span registries, in
+	// card order.
+	logs := make([]*telemetry.SpanLog, 0, 2*len(f.cards))
 	for i := range f.cards {
-		for _, log := range [2]*telemetry.SpanLog{o.tel[i].Spans, o.ctel[i].Spans} {
-			for seg := range log.Of(keep) {
-				segs[seg.Stream] = append(segs[seg.Stream], seg)
-			}
-		}
+		logs = append(logs, o.tel[i].Spans, o.ctel[i].Spans)
 	}
-	var sb strings.Builder
-	for g := range moved {
-		if !moved[g] {
-			continue
-		}
-		st := fleetobs.Stitch(g, segs[g], o.links)
-		sb.WriteString(st.Render())
-		if st.LiveMigrated() && st.FullPath() {
-			res.StitchedLive++
-		}
-	}
-	if len(o.links) == 0 {
-		sb.WriteString("no streams migrated; nothing to stitch\n")
-	}
-	res.Stitched = sb.String()
+	res.Stitched, res.StitchedLive = fleetobs.StitchLogs(logs, o.links)
 
 	res.Summary = fmt.Sprintf(
 		"fleet-obs: %d cards scraped every %v: reqs=%d samples=%d sheds=%d skips=%d dark=%d "+

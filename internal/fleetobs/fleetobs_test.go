@@ -223,7 +223,7 @@ func TestStitchDedupReplayedFrame(t *testing.T) {
 		Stream: 2, FromEpoch: 0, ToEpoch: 1, FromWhere: "ni00", ToWhere: "ni01",
 		Seq: 1, At: 150 * sim.Millisecond, Kind: LinkLive,
 	}}
-	st := Stitch(2, segs, links)
+	st := Stitch(2, slices.Clone(segs), links) // Stitch reorders its input
 	if st.Deduped != 2 {
 		t.Fatalf("want 2 duplicate segments collapsed, got %d", st.Deduped)
 	}
@@ -234,7 +234,7 @@ func TestStitchDedupReplayedFrame(t *testing.T) {
 	// The same (epoch, seq, stage) recorded at a second site is a different
 	// hop, not a duplicate; its own repeat is.
 	other := seg(2, 1, 1, telemetry.StageQueue, "ni02", 203*sim.Millisecond)
-	st = Stitch(2, append(segs, other, dup, other), links)
+	st = Stitch(2, append(slices.Clone(segs), other, dup, other), links)
 	if st.Deduped != 4 || st.Unassigned != 0 {
 		t.Fatalf("two sites at one (epoch, seq, stage): deduped=%d unassigned=%d, want 4 and 0", st.Deduped, st.Unassigned)
 	}

@@ -87,9 +87,11 @@ func assignEpoch(seg telemetry.Segment, commits []telemetry.SpanLink) int {
 }
 
 // Stitch reassembles one stream's span history from segments gathered off
-// every card's registry and the handoff links the migration controller
-// recorded. Duplicate (epoch, seq, stage, where) segments — the dedup-replay
-// path can legitimately record the same hop twice — collapse to one.
+// every card's registry, in collect order, and the handoff links the
+// migration controller recorded. Duplicate (epoch, seq, stage, where)
+// segments — the dedup-replay path can legitimately record the same hop
+// twice — collapse to the first one collected. Stitch reorders segs in place
+// and keeps no reference to it, so one buffer can serve every stream.
 func Stitch(stream int, segs []telemetry.Segment, links []telemetry.SpanLink) *Stitched {
 	st := &Stitched{Stream: stream}
 	for _, l := range links {
@@ -101,46 +103,58 @@ func Stitch(stream int, segs []telemetry.Segment, links []telemetry.SpanLink) *S
 		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.ToEpoch, b.ToEpoch))
 	})
 	commits := commitLinks(stream, links)
-
-	// The dedupe key holds Where as an index into the few names seen, so
-	// the set hashes no string.
-	type segKey struct {
-		epoch int
-		seq   int64
-		stage telemetry.Stage
-		where int
-	}
-	seen := make(map[segKey]struct{}, len(segs))
-	var wheres []string
-	byEpoch := make(map[int][]telemetry.Segment)
 	maxEpoch := 0
 	for _, l := range commits {
 		if l.ToEpoch > maxEpoch {
 			maxEpoch = l.ToEpoch
 		}
 	}
+	epoch := func(s telemetry.Segment) int { return assignEpoch(s, commits) }
+
+	// Keep the stream's segments that land in an epoch, then group them by
+	// (epoch, seq, stage). The sort is stable, so each group stays in
+	// collect order: the first of a group's segments at one site is the one
+	// kept, and the rest are duplicates.
+	kept := segs[:0]
 	for _, seg := range segs {
 		if seg.Stream != stream || int(seg.Stage) >= stageCount {
 			continue
 		}
-		e := assignEpoch(seg, commits)
-		if e < 0 || e > maxEpoch {
+		if e := epoch(seg); e < 0 || e > maxEpoch {
 			st.Unassigned++
 			continue
 		}
-		w := slices.Index(wheres, seg.Where)
-		if w < 0 {
-			w, wheres = len(wheres), append(wheres, seg.Where)
+		kept = append(kept, seg)
+	}
+	slices.SortStableFunc(kept, func(a, b telemetry.Segment) int {
+		return cmp.Or(cmp.Compare(epoch(a), epoch(b)), cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Stage, b.Stage))
+	})
+	segs = kept[:0]
+	for i := 0; i < len(kept); {
+		first, e := kept[i], epoch(kept[i])
+		j := i + 1
+		for j < len(kept) && kept[j].Seq == first.Seq && kept[j].Stage == first.Stage && epoch(kept[j]) == e {
+			j++
 		}
-		k := segKey{e, seg.Seq, seg.Stage, w}
-		if _, dup := seen[k]; dup {
-			st.Deduped++
-			continue
+		group := len(segs)
+	next:
+		for _, seg := range kept[i:j] {
+			for _, k := range segs[group:] {
+				if k.Where == seg.Where {
+					st.Deduped++
+					continue next
+				}
+			}
+			segs = append(segs, seg)
 		}
-		seen[k] = struct{}{}
-		byEpoch[e] = append(byEpoch[e], seg)
+		// Stable: two sites' segments with one (seq, stage, start) keep
+		// their collect order.
+		slices.SortStableFunc(segs[group:], func(a, b telemetry.Segment) int { return cmp.Compare(a.Start, b.Start) })
+		i = j
 	}
 
+	// segs now runs in (epoch, seq, stage, start) order, one epoch after
+	// another.
 	for e := 0; e <= maxEpoch; e++ {
 		es := EpochSummary{Epoch: e, MinSeq: -1, MaxSeq: -1}
 		for _, l := range commits {
@@ -151,14 +165,11 @@ func Stitch(stream int, segs []telemetry.Segment, links []telemetry.SpanLink) *S
 				es.Where = l.FromWhere
 			}
 		}
-		segs := byEpoch[e]
-		// Stable: two sites' segments with one (seq, stage, start) keep
-		// their collect order.
-		slices.SortStableFunc(segs, func(a, b telemetry.Segment) int {
-			return cmp.Or(cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Start, b.Start))
-		})
-		perSeq := make(map[int64]int)
-		for _, s := range segs {
+		n := 0
+		for n < len(segs) && epoch(segs[n]) == e {
+			n++
+		}
+		for _, s := range segs[:n] {
 			if es.MinSeq < 0 || s.Seq < es.MinSeq {
 				es.MinSeq = s.Seq
 			}
@@ -172,29 +183,58 @@ func Stitch(stream int, segs []telemetry.Segment, links []telemetry.SpanLink) *S
 				es.End = s.End
 			}
 			es.PerStage[s.Stage]++
-			perSeq[s.Seq] |= 1 << s.Stage
 		}
-		full := int64(-1)
+		// A frame is complete when its seq's run holds every stage; the
+		// first complete one is the lowest.
 		all := 1<<stageCount - 1
-		for seq, mask := range perSeq {
+		for i := 0; i < n; {
+			j, mask := i, 0
+			for ; j < n && segs[j].Seq == segs[i].Seq; j++ {
+				mask |= 1 << segs[j].Stage
+			}
 			if mask == all {
+				if es.Complete == 0 {
+					es.firstFullS = segs[i].Seq
+					es.FirstFull = slices.Clone(segs[i:j])
+				}
 				es.Complete++
-				if full < 0 || seq < full {
-					full = seq
-				}
 			}
+			i = j
 		}
-		if full >= 0 {
-			es.firstFullS = full
-			for _, s := range segs {
-				if s.Seq == full {
-					es.FirstFull = append(es.FirstFull, s)
-				}
-			}
-		}
+		segs = segs[n:]
 		st.Epochs = append(st.Epochs, es)
 	}
 	return st
+}
+
+// StitchLogs stitches every stream that has a handoff link, in stream order,
+// reading each one's segments straight from its lanes in logs — given in
+// collect order — into one buffer that every stream reuses. It returns the
+// rendered traces and how many of the streams made a live handoff and
+// recorded a full span path.
+func StitchLogs(logs []*telemetry.SpanLog, links []telemetry.SpanLink) (rendered string, live int) {
+	if len(links) == 0 {
+		return "no streams migrated; nothing to stitch\n", 0
+	}
+	moved := make([]int, 0, len(links))
+	for _, l := range links {
+		moved = append(moved, l.Stream)
+	}
+	slices.Sort(moved)
+	var b strings.Builder
+	var segs []telemetry.Segment
+	for _, g := range slices.Compact(moved) {
+		segs = segs[:0]
+		for _, log := range logs {
+			segs = log.AppendStream(segs, g)
+		}
+		st := Stitch(g, segs, links)
+		b.WriteString(st.Render())
+		if st.LiveMigrated() && st.FullPath() {
+			live++
+		}
+	}
+	return b.String(), live
 }
 
 // Render writes the stitched trace in its byte-stable artifact form: one

@@ -277,6 +277,7 @@ func StartProducer(eng *sim.Engine, sys *hostos.System, target EnqueueTarget, cf
 		}
 		p.Injected++
 	}
+	mean := cfg.Clip.MeanFrameSize()
 	i := 0
 	p.stop = eng.Every(cfg.Every, func() {
 		if i >= len(cfg.Clip.Frames) {
@@ -290,7 +291,6 @@ func StartProducer(eng *sim.Engine, sys *hostos.System, target EnqueueTarget, cf
 		if cfg.PerFrameCPU > 0 && sys != nil {
 			// Segmentation + copy cost scales with frame size (I frames
 			// cost several times what B frames do).
-			mean := cfg.Clip.MeanFrameSize()
 			d := cfg.PerFrameCPU
 			if mean > 0 {
 				d = sim.Time(int64(d) * f.Size / mean)

@@ -459,9 +459,17 @@ func (c *Client) playout(arg any) {
 	}
 }
 
-// MeanLatency returns the mean send-to-delivered latency.
+// MeanLatency returns the mean send-to-delivered latency, truncated to the
+// nanosecond; zero before the first delivery.
 func (c *Client) MeanLatency() sim.Time {
-	return stats.Summarize(c.Latencies).Mean
+	if len(c.Latencies) == 0 {
+		return 0
+	}
+	var sum sim.Time
+	for _, l := range c.Latencies {
+		sum += l
+	}
+	return sum / sim.Time(len(c.Latencies))
 }
 
 // Jitter returns the mean absolute deviation of inter-arrival gaps — the

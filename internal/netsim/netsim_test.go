@@ -159,6 +159,24 @@ func TestClientAccounting(t *testing.T) {
 	}
 }
 
+// MeanLatency is the integer mean stats.Summarize computes, without the
+// sorted copy: the same nanosecond for any set of samples, zero for none.
+func TestMeanLatencyMatchesSummarize(t *testing.T) {
+	c := &Client{}
+	if c.MeanLatency() != 0 {
+		t.Fatalf("no samples: mean %v", c.MeanLatency())
+	}
+	if err := quick.Check(func(us []uint32) bool {
+		c.Latencies = c.Latencies[:0]
+		for _, u := range us {
+			c.Latencies = append(c.Latencies, sim.Time(u)*sim.Microsecond/7)
+		}
+		return c.MeanLatency() == stats.Summarize(c.Latencies).Mean
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestZeroRateLinkPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
 	defer func() {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"fmt"
 	"iter"
 	"math"
@@ -85,34 +86,136 @@ type SpanLink struct {
 	Kind      string
 }
 
-// spanChunk is how many records one storage chunk of a SpanLog holds: 40 KB,
-// small enough that a short run's one chunk is cheap, large enough that a
-// long run appends a chunk pointer a few times a second at most.
-const spanChunk = 1024
+// A lane's storage: records go to a head chunk that starts at laneChunkMin
+// bytes and doubles as it fills, up to laneChunkMax; a full head of that size
+// is sealed, never copied or cleared again, and the next one starts at full
+// size. So a stream recorded a few times costs tens of bytes, and a
+// long-lived one seals a 4 KiB chunk every few hundred records.
+const (
+	laneChunkMin = 24
+	laneChunkMax = 4 << 10
+)
 
-// spanRec is a Segment as the log stores it: pointer-free, so the collector
-// never scans span memory, with Where interned to an index into the log's
-// name table. Stream, Seq and the times keep their full width; Epoch narrows
-// to 32 bits (placements count migrations, and -1 round-trips).
-type spanRec struct {
-	start, end sim.Time
-	seq        int64
-	stream     int64
-	epoch      int32
-	where      uint16
-	stage      Stage
+// laneDense bounds the stream ids whose lane is found through the log's dense
+// table; any other id (a wire-supplied 0xFFFFFFFF, a negative one) goes
+// through a map, so no id sizes the table past 16 KiB.
+const laneDense = 1 << 12
+
+// The header byte of a lane record. The fields that follow it, in this order:
+// a stage byte when the header's stage bits are all ones; the seq delta as a
+// zigzag varint when the header's seq code is recSeqWide (codes 0-2 are the
+// delta itself); the start, less the previous record's end, as a zigzag
+// varint (a frame's next stage mostly starts where its last one ended); the
+// duration as a uvarint; the epoch as a zigzag varint when recEpoch is set;
+// Where's index in the log's name table as a uvarint when recWhere is set.
+// Epoch and Where are written only when they change, and a lane starts from
+// seq 0, end 0, epoch 0 and no Where.
+const (
+	recStage    = 0x07 // the stage; all ones: a stage byte follows
+	recEpoch    = 0x08
+	recWhere    = 0x10
+	recSeqShift = 5 // bits 5-6: the seq code
+	recSeqWide  = 3
+	recMax      = 1 + 1 + 4*binary.MaxVarintLen64 + binary.MaxVarintLen16 // longest record
+)
+
+// lane is one stream's segments in a SpanLog: delta-encoded records in
+// chunks, and the values of the last record the next one is coded against.
+type lane struct {
+	stream int
+	full   [][]byte // sealed chunks, oldest first
+	head   []byte   // the chunk being filled
+	seq    int64
+	end    sim.Time
+	epoch  int
+	where  int32 // index into the log's name table; -1 before the first record
 }
 
-// SpanLog accumulates span segments in fixed-size chunks of packed records:
-// a full chunk is never copied or cleared again, and the first chunk is
-// allocated by the first Record, so a log nothing records into costs nothing.
-// Recording order is engine order, which is already deterministic; exports
-// additionally sort canonically so two logs with the same segment set render
-// identically. Read the segments back with All.
+// put appends one encoded record to the head chunk, doubling the head or
+// sealing it when the record does not fit.
+func (ln *lane) put(rec []byte) {
+	if len(ln.head)+len(rec) > cap(ln.head) {
+		switch c := cap(ln.head); {
+		case c >= laneChunkMax:
+			ln.full = append(ln.full, ln.head)
+			ln.head = make([]byte, 0, laneChunkMax)
+		default:
+			head := make([]byte, len(ln.head), max(min(2*c, laneChunkMax), laneChunkMin, len(ln.head)+len(rec)))
+			copy(head, ln.head)
+			ln.head = head
+		}
+	}
+	ln.head = append(ln.head, rec...)
+}
+
+// each decodes the lane's records in order, stopping when yield returns
+// false, and reports whether it ran to the end.
+func (ln *lane) each(wheres []string, yield func(Segment) bool) bool {
+	seg := Segment{Stream: ln.stream}
+	for i := 0; i <= len(ln.full); i++ {
+		c := ln.head
+		if i < len(ln.full) {
+			c = ln.full[i]
+		}
+		for len(c) > 0 {
+			c = decode(c, &seg, wheres)
+			if !yield(seg) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// decode reads the record at the head of b into seg, which holds the previous
+// record's values, and returns the rest of b.
+func decode(b []byte, seg *Segment, wheres []string) []byte {
+	h := b[0]
+	b = b[1:]
+	seg.Stage = Stage(h & recStage)
+	if seg.Stage == recStage {
+		seg.Stage = Stage(b[0])
+		b = b[1:]
+	}
+	if d := h >> recSeqShift & 3; d != recSeqWide {
+		seg.Seq += int64(d)
+	} else {
+		v, n := binary.Varint(b)
+		seg.Seq += v
+		b = b[n:]
+	}
+	v, n := binary.Varint(b)
+	seg.Start = seg.End + sim.Time(v)
+	b = b[n:]
+	u, n := binary.Uvarint(b)
+	seg.End = seg.Start + sim.Time(u)
+	b = b[n:]
+	if h&recEpoch != 0 {
+		v, n := binary.Varint(b)
+		seg.Epoch = int(v)
+		b = b[n:]
+	}
+	if h&recWhere != 0 {
+		u, n := binary.Uvarint(b)
+		seg.Where = wheres[u]
+		b = b[n:]
+	}
+	return b
+}
+
+// SpanLog accumulates span segments in one lane per stream: each lane holds
+// its stream's segments in recording order as delta-encoded records of about
+// 8 bytes (a header byte and varints; see recStage), in chunks that grow
+// geometrically. A log nothing records into costs nothing. Recording order is
+// engine order, which is already deterministic; exports additionally sort
+// canonically so two logs with the same segment set render identically.
+// Read the segments back with All, Of or AppendStream.
 type SpanLog struct {
-	chunks []*[spanChunk]spanRec
-	n      int      // recorded segments; the last chunk holds n % spanChunk
-	wheres []string // interned Segment.Where names, indexed by spanRec.where
+	lanes  []lane        // in order of each stream's first segment
+	dense  []int32       // stream id → lanes index + 1, for ids below laneDense
+	sparse map[int]int32 // stream id → lanes index, for every other id
+	n      int           // recorded segments
+	wheres []string      // interned Segment.Where names
 
 	// Links are the recorded epoch-handoff edges, in engine order.
 	Links []SpanLink
@@ -131,65 +234,134 @@ func (l *SpanLog) Record(seg Segment) {
 	if l == nil || seg.End < seg.Start {
 		return
 	}
-	i := l.n % spanChunk
-	if i == 0 {
-		l.chunks = append(l.chunks, new([spanChunk]spanRec))
+	i := l.find(seg.Stream)
+	if i < 0 {
+		i = l.open(seg.Stream)
 	}
-	l.chunks[len(l.chunks)-1][i] = spanRec{
-		start: seg.Start, end: seg.End, seq: seg.Seq, stream: int64(seg.Stream),
-		epoch: int32(seg.Epoch), where: l.intern(seg.Where), stage: seg.Stage,
+	ln := &l.lanes[i]
+	var rec [recMax]byte
+	h, n := byte(seg.Stage), 1
+	if seg.Stage >= recStage {
+		h = recStage
+		rec[n] = byte(seg.Stage)
+		n++
 	}
+	if d := seg.Seq - ln.seq; uint64(d) < recSeqWide {
+		h |= byte(d) << recSeqShift
+	} else {
+		h |= recSeqWide << recSeqShift
+		n += binary.PutVarint(rec[n:], d)
+	}
+	n += binary.PutVarint(rec[n:], int64(seg.Start-ln.end))
+	n += binary.PutUvarint(rec[n:], uint64(seg.End-seg.Start))
+	if seg.Epoch != ln.epoch {
+		h |= recEpoch
+		n += binary.PutVarint(rec[n:], int64(seg.Epoch))
+	}
+	if ln.where < 0 || l.wheres[ln.where] != seg.Where {
+		h |= recWhere
+		ln.where = int32(l.intern(seg.Where))
+		n += binary.PutUvarint(rec[n:], uint64(ln.where))
+	}
+	rec[0] = h
+	ln.put(rec[:n])
+	ln.seq, ln.end, ln.epoch = seg.Seq, seg.End, seg.Epoch
 	l.n++
 	if l.Observer != nil {
 		l.Observer(seg)
 	}
 }
 
+// open adds stream's lane, on the stream's first segment, and returns its
+// index.
+func (l *SpanLog) open(stream int) int {
+	i := len(l.lanes)
+	l.lanes = append(l.lanes, lane{stream: stream, where: -1})
+	if uint(stream) < laneDense {
+		if stream >= len(l.dense) {
+			n := min(max(2*len(l.dense), stream+1, 16), laneDense)
+			l.dense = append(l.dense, make([]int32, n-len(l.dense))...)
+		}
+		l.dense[stream] = int32(i + 1)
+	} else {
+		if l.sparse == nil {
+			l.sparse = make(map[int]int32)
+		}
+		l.sparse[stream] = int32(i)
+	}
+	return i
+}
+
+// find returns the index of stream's lane, or -1 if it has none.
+func (l *SpanLog) find(stream int) int {
+	if uint(stream) < laneDense {
+		if stream < len(l.dense) {
+			return int(l.dense[stream]) - 1
+		}
+		return -1
+	}
+	if i, ok := l.sparse[stream]; ok {
+		return int(i)
+	}
+	return -1
+}
+
 // intern returns where's index in the log's name table, adding it on first
 // sight. A log sees a handful of names (a card's own hops, the cards that
-// served a client), so the table is scanned, newest first: consecutive
-// records mostly repeat a recent name.
-func (l *SpanLog) intern(where string) uint16 {
+// served a client), so the table is scanned, newest first; Record asks only
+// when a lane's Where changes.
+func (l *SpanLog) intern(where string) int {
 	for i := len(l.wheres) - 1; i >= 0; i-- {
 		if l.wheres[i] == where {
-			return uint16(i)
+			return i
 		}
 	}
 	if len(l.wheres) > math.MaxUint16 {
 		panic("telemetry: more than 65536 distinct span sites in one log")
 	}
 	l.wheres = append(l.wheres, where)
-	return uint16(len(l.wheres) - 1)
+	return len(l.wheres) - 1
 }
 
-// All iterates the recorded segments in recording order.
+// All iterates the recorded segments lane by lane: streams in the order of
+// their first segment, each stream's segments in recording order.
 func (l *SpanLog) All() iter.Seq[Segment] { return l.Of(nil) }
 
-// Of iterates, in recording order, the segments of the streams keep accepts
-// (every segment for a nil keep). It reads a record's stream before it
-// builds a Segment, so a skipped record costs one call and no copy.
+// Of iterates, lane by lane as All does, the segments of the streams keep
+// accepts (every segment for a nil keep). keep is asked once per lane, so a
+// skipped stream costs one call and no decoding.
 func (l *SpanLog) Of(keep func(stream int) bool) iter.Seq[Segment] {
 	return func(yield func(Segment) bool) {
 		if l == nil {
 			return
 		}
-		left := l.n
-		for _, c := range l.chunks {
-			for i := range c[:min(left, spanChunk)] {
-				r := &c[i]
-				if keep != nil && !keep(int(r.stream)) {
-					continue
-				}
-				if !yield(Segment{
-					Stream: int(r.stream), Seq: r.seq, Epoch: int(r.epoch), Stage: r.stage,
-					Where: l.wheres[r.where], Start: r.start, End: r.end,
-				}) {
-					return
-				}
+		for i := range l.lanes {
+			ln := &l.lanes[i]
+			if keep != nil && !keep(ln.stream) {
+				continue
 			}
-			left -= spanChunk
+			if !ln.each(l.wheres, yield) {
+				return
+			}
 		}
 	}
+}
+
+// AppendStream appends stream's segments to dst in recording order and
+// returns the extended slice. It decodes that stream's lane alone.
+func (l *SpanLog) AppendStream(dst []Segment, stream int) []Segment {
+	if l == nil {
+		return dst
+	}
+	i := l.find(stream)
+	if i < 0 {
+		return dst
+	}
+	l.lanes[i].each(l.wheres, func(seg Segment) bool {
+		dst = append(dst, seg)
+		return true
+	})
+	return dst
 }
 
 // RecordLink appends one epoch-handoff edge. Nil-safe like Record.

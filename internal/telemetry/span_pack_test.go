@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -42,14 +43,17 @@ func TestSpanRecordKeepsZeroLengthDropsNegative(t *testing.T) {
 	}
 }
 
-// Every value a caller can produce survives the packed record: a stream id
-// as wide as the wire carries, the client side's epoch -1, zero-length
-// spans, more site names than a card ever uses, and logs that end one short
-// of, exactly on, and one past a chunk boundary. Iteration order is record
-// order and the observer sees the very Segment that was recorded.
+// Every value a caller can produce survives the log: a stream id as wide as
+// the wire carries, the client side's epoch -1, zero-length spans, more site
+// names than a card ever uses, and logs of one record up to several chunks
+// per lane. All yields lane by lane — streams in the order of their first
+// segment, each in recording order — and the observer sees the very Segment
+// that was recorded, in recording order.
 func TestSpanLogRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, spanChunk - 1, spanChunk, spanChunk + 1, 2*spanChunk + 3} {
-		var want, observed []Segment
+	for _, n := range []int{0, 1, 7, 500, 5000} {
+		var observed []Segment
+		var order []int                 // streams by first segment
+		byStream := map[int][]Segment{} // each stream's segments, recording order
 		l := &SpanLog{Observer: func(s Segment) { observed = append(observed, s) }}
 		for i := 0; i < n; i++ {
 			seg := Segment{
@@ -68,25 +72,23 @@ func TestSpanLogRoundTrip(t *testing.T) {
 				seg.Seq = math.MaxInt64
 			}
 			l.Record(seg)
-			want = append(want, seg)
-		}
-		if l.Len() != n {
-			t.Fatalf("n=%d: Len = %d", n, l.Len())
-		}
-		var got []Segment
-		for seg := range l.All() {
-			got = append(got, seg)
-		}
-		if len(got) != n || len(observed) != n {
-			t.Fatalf("n=%d: iterated %d, observed %d", n, len(got), len(observed))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: segment %d read back as %+v, recorded %+v", n, i, got[i], want[i])
+			if _, ok := byStream[seg.Stream]; !ok {
+				order = append(order, seg.Stream)
 			}
-			if observed[i] != want[i] {
-				t.Fatalf("n=%d: observer saw %+v, recorded %+v", n, observed[i], want[i])
+			byStream[seg.Stream] = append(byStream[seg.Stream], seg)
+			if observed[len(observed)-1] != seg {
+				t.Fatalf("n=%d: observer saw %+v, recorded %+v", n, observed[len(observed)-1], seg)
 			}
+		}
+		if l.Len() != n || len(observed) != n {
+			t.Fatalf("n=%d: Len = %d, observed %d", n, l.Len(), len(observed))
+		}
+		var want []Segment
+		for _, s := range order {
+			want = append(want, byStream[s]...)
+		}
+		if got := slices.Collect(l.All()); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: All yields %d segments, want %d lane by lane in recording order", n, len(got), len(want))
 		}
 		if n > 11 && len(l.wheres) != 11 {
 			t.Fatalf("n=%d: interned %d site names, want 11", n, len(l.wheres))
@@ -103,17 +105,84 @@ func TestSpanLogRoundTrip(t *testing.T) {
 	}
 }
 
-// Of is All filtered by stream: the same segments, Where and Epoch included,
-// in the same order, across chunk boundaries. It builds nothing for a record
-// it skips, so reading past every record of a long log costs what reading
-// past one does.
+// One lane round-trips every field through its delta encoding: epoch -1 and
+// epoch changes, zero-length segments and durations past 2^32 ns, Where
+// changing mid-lane, seq and start stepping backwards and across the whole
+// int64 range, stages past the header's three bits, the stream ids 0 and
+// 0xFFFFFFFF, and enough records to fill several chunks.
+func TestSpanLaneRoundTrip(t *testing.T) {
+	for _, stream := range []int{0, 1, laneDense - 1, laneDense, math.MaxUint32, -1} {
+		l := &SpanLog{}
+		var want []Segment
+		rec := func(s Segment) {
+			s.Stream = stream
+			l.Record(s)
+			want = append(want, s)
+		}
+		rec(Segment{Seq: 0, Epoch: -1, Stage: StagePlayout, Where: "c", Start: 0, End: 0})
+		rec(Segment{Seq: 0, Epoch: -1, Stage: StageWire, Where: "c", Start: 5, End: 5 + 1<<33})
+		rec(Segment{Seq: 3, Epoch: 0, Stage: StageDisk, Where: "ni00", Start: 4, End: 4})
+		rec(Segment{Seq: 2, Epoch: 7, Stage: Stage(200), Where: "ni01", Start: -9, End: 1 << 40})
+		rec(Segment{Seq: math.MaxInt64, Epoch: math.MinInt32, Stage: 7, Where: "", Start: math.MinInt64, End: math.MaxInt64})
+		rec(Segment{Seq: math.MinInt64, Epoch: math.MaxInt64, Stage: StageQueue, Where: "ni00", Start: math.MaxInt64, End: math.MaxInt64})
+		rec(Segment{Seq: 1, Epoch: 0, Stage: StageBus, Where: "ni00", Start: 0, End: 1<<32 + 1})
+		for i := range 3000 {
+			where := "ni00"
+			if i%500 == 499 {
+				where = fmt.Sprintf("ni%02d", i/500+1) // a new card mid-lane
+			}
+			epoch := i / 1000
+			if i%3 == 2 {
+				epoch = -1
+			}
+			rec(Segment{Seq: int64(i / 3), Epoch: epoch, Stage: Stage(i % 3), Where: where,
+				Start: sim.Time(i) * 33 * sim.Millisecond, End: sim.Time(i)*33*sim.Millisecond + sim.Time(i%5)*sim.Second})
+		}
+		ln := &l.lanes[l.find(stream)]
+		if len(l.lanes) != 1 || len(ln.full) < 3 {
+			t.Fatalf("stream %d: %d lanes, %d sealed chunks; want one lane over several chunks", stream, len(l.lanes), len(ln.full))
+		}
+		if got := slices.Collect(l.All()); !slices.Equal(got, want) {
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("stream %d: segment %d read back as %+v, recorded %+v", stream, i, got[i], want[i])
+				}
+			}
+			t.Fatalf("stream %d: read back %d segments, recorded %d", stream, len(got), len(want))
+		}
+		if got := l.AppendStream(nil, stream); !slices.Equal(got, want) {
+			t.Fatalf("stream %d: AppendStream differs from All", stream)
+		}
+		if got := l.AppendStream(nil, stream+1); got != nil {
+			t.Fatalf("stream %d: AppendStream of an unrecorded stream yields %d segments", stream, len(got))
+		}
+	}
+	// No wide id sizes the dense table.
+	l := &SpanLog{}
+	l.Record(Segment{Stream: math.MaxUint32, End: 1})
+	l.Record(Segment{Stream: laneDense + 5, End: 1})
+	if len(l.dense) != 0 || len(l.sparse) != 2 {
+		t.Fatalf("wide ids: dense table %d entries, map %d; want 0 and 2", len(l.dense), len(l.sparse))
+	}
+	l.Record(Segment{Stream: laneDense - 1, End: 1})
+	if len(l.dense) != laneDense {
+		t.Fatalf("dense table grew to %d for id %d, want %d", len(l.dense), laneDense-1, laneDense)
+	}
+}
+
+// Of yields exactly what All yields for the accepted streams, in the same
+// order, and skipping every lane of a long log allocates no more than
+// skipping a one-record log.
 func TestSpanLogOfIsAllFiltered(t *testing.T) {
 	l := &SpanLog{}
-	for i := range 2*spanChunk + 7 {
+	for i := range 9*1500 + 7 {
 		l.Record(Segment{
 			Stream: i % 9, Seq: int64(i), Epoch: i%3 - 1, Stage: Stage(i % int(numStages)),
 			Where: fmt.Sprintf("ni%02d", i%5), Start: sim.Time(i), End: sim.Time(i + 2),
 		})
+	}
+	if len(l.lanes[0].full) == 0 {
+		t.Fatalf("lane 0 sealed no chunk; the log should span several")
 	}
 	for _, keep := range []func(int) bool{
 		nil,
@@ -150,6 +219,47 @@ func TestSpanLogOfIsAllFiltered(t *testing.T) {
 	}
 }
 
+// A stream's records take a few bytes each, and a flood of streams seen a few
+// times each costs no more per segment than a fixed 40-byte record would.
+func TestSpanLaneBytes(t *testing.T) {
+	l := &SpanLog{}
+	for i := range 10000 {
+		at := sim.Time(i) * 33 * sim.Millisecond
+		l.Record(Segment{Stream: 4, Seq: int64(i), Stage: StageDisk, Where: "ni01", Start: at, End: at + 4*sim.Millisecond})
+		l.Record(Segment{Stream: 4, Seq: int64(i), Stage: StageBus, Where: "pci0", Start: at + 4*sim.Millisecond, End: at + 4*sim.Millisecond + 37*sim.Microsecond})
+	}
+	used := len(l.lanes[0].head)
+	for _, c := range l.lanes[0].full {
+		used += len(c)
+	}
+	if per := float64(used) / float64(l.Len()); per > 12 {
+		t.Errorf("%.1f bytes per stored segment, want <= 12", per)
+	}
+
+	const ids, each = 4096, 5
+	flood := func() *SpanLog {
+		l := &SpanLog{}
+		for i := range ids * each {
+			id := math.MaxUint32 - i%ids
+			l.Record(Segment{Stream: id, Seq: int64(i / ids), Stage: StagePlayout, Where: "dwcsd",
+				Start: sim.Time(i) * sim.Microsecond, End: sim.Time(i+3) * sim.Microsecond})
+		}
+		return l
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := flood()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(after.HeapAlloc-before.HeapAlloc) / float64(ids*each)
+	runtime.KeepAlive(kept)
+	t.Logf("flood of %d ids x %d segments: %.1f live bytes per segment", ids, each, per)
+	if per > 40 {
+		t.Errorf("flood of %d ids x %d segments: %.1f live bytes per segment, want <= 40", ids, each, per)
+	}
+}
+
 // StageTable's percentiles come from durations sorted once per stage, in
 // whatever order the frames were recorded.
 func TestStageTableQuantilesFromUnsortedDurations(t *testing.T) {
@@ -173,13 +283,18 @@ func TestRecordPathsDoNotAllocate(t *testing.T) {
 	reg.EpochOf = func(stream int) int { return epochs[stream] }
 	var durs sim.Time
 	reg.Spans.Observer = func(s Segment) { durs += s.Dur() }
-	reg.Span(3, 0, StageQueue, "ni00/dwcs", 0, 1) // the first record allocates the chunk
-	seq := int64(1)
-	if n := testing.AllocsPerRun(spanChunk/4, func() { // stays inside the first chunk
+	seq := int64(0)
+	frame := func() {
 		reg.Span(3, seq, StageQueue, "ni00/dwcs", sim.Time(seq), sim.Time(seq)+5)
 		reg.Span(3, seq, StageDisk, "ni01", sim.Time(seq), sim.Time(seq)+9)
 		seq++
-	}); n != 0 {
+	}
+	// Fill the lane until it seals a chunk and starts a fresh full-size
+	// head, which the measured frames below do not fill.
+	for frame(); len(reg.Spans.lanes[0].full) == 0 || len(reg.Spans.lanes[0].head) > 64; {
+		frame()
+	}
+	if n := testing.AllocsPerRun(100, frame); n != 0 {
 		t.Errorf("Registry.Span allocates %v per frame, want 0", n)
 	}
 
