@@ -8,13 +8,15 @@
 #                                  for the real-traffic job; respects SOAK_DIR
 #                                  and SOAK_FLAGS)
 #
-# The simulator baselines (PAPER_, STAGE_, OVERLOAD_, FLEET_, CHAOS_,
-# FLEETOBS_, CTRLCHAOS_BASELINE.txt) are exact bytes of deterministic runs; which run,
-# at which shape, pins which file is written down once, in the scenario table
-# (internal/experiments/scenarios.go), and TestScenarios is the check: byte
-# equality with the baseline, byte-identical output at any worker count, and
-# the 2% scrape/journal overhead and zero-breach gates. -update runs that
-# test in its golden-file update mode. The soak baseline is different in
+# The simulator baselines are exact bytes of deterministic runs: PAPER_
+# (reprogen stdout), STAGE_ (-telemetry stages.txt), OVERLOAD_ (-overload
+# stdout: ladder plus host/NI table), SLO_ (-slo incidents.txt), FLEET_
+# (-fleet streams.csv), CHAOS_, FLEETOBS_ and CTRLCHAOS_BASELINE.txt (their
+# rows' stdout). Which run, at which shape, pins which file is written down
+# once, in the scenario table (internal/experiments/scenarios.go), and
+# TestScenarios is the check: byte equality with the baseline, byte-identical
+# output at any worker count, and the 2% scrape/journal overhead and
+# zero-breach gates. -update runs that test in its golden-file update mode. The soak baseline is different in
 # kind: dwcsd -soak runs real UDP sockets on a wall clock, so
 # SOAK_BASELINE.txt holds goodput/jitter/drop thresholds instead of exact
 # bytes, and check_soak gates the summary line against them (set SOAK_DIR to

@@ -203,7 +203,7 @@ var Scenarios = []Scenario{
 		Name: "overload", Cmd: "reprogen", Reads: "dur out",
 		Help:     "run the overload-protection sweep (strictly opt-in)",
 		Pinned:   cluster.FleetConfig{Dur: 10 * sim.Second},
-		Baseline: "OVERLOAD_BASELINE.txt", Pins: "ladder.txt",
+		Baseline: "OVERLOAD_BASELINE.txt", Pins: "stdout",
 		Run: func(cfg cluster.FleetConfig) Output {
 			a := RunOverload(OverloadConfig{Dur: cfg.Dur, Workers: cfg.Workers})
 			table := a.Table.String()
@@ -218,8 +218,9 @@ var Scenarios = []Scenario{
 	},
 	{
 		Name: "slo", Cmd: "reprogen", Reads: "dur out",
-		Help:   "run the chaos-diagnostics experiment: flight recorder, SLO monitor, incident dumps (strictly opt-in)",
-		Pinned: cluster.FleetConfig{Dur: 8 * sim.Second},
+		Help:     "run the chaos-diagnostics experiment: flight recorder, SLO monitor, incident dumps (strictly opt-in)",
+		Pinned:   cluster.FleetConfig{Dur: 8 * sim.Second},
+		Baseline: "SLO_BASELINE.txt", Pins: "incidents.txt",
 		Run: func(cfg cluster.FleetConfig) Output {
 			a := RunDiagnostics(DiagnosticsConfig{Dur: cfg.Dur})
 			return Output{
