@@ -16,11 +16,7 @@ import (
 
 	"repro/internal/blackbox"
 	"repro/internal/bus"
-	"repro/internal/disk"
-	"repro/internal/dwcs"
 	"repro/internal/faults"
-	"repro/internal/mpeg"
-	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/overload"
 	"repro/internal/sim"
@@ -96,29 +92,10 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 
 	eng := sim.NewEngine(42)
 	reg := telemetry.New()
-
-	seg := bus.New(eng, bus.PCI("pci0"))
-	sw := netsim.NewSwitch(eng, "sw0", 90*sim.Microsecond)
-
-	diskCard := nic.New(eng, nic.Config{Name: "ni-disk", PCI: seg})
-	d := disk.New(eng, disk.DefaultSCSI("ni-disk0"))
-	diskCard.AttachDisk(d, disk.NewDOSFS(d))
-	schedCard := nic.New(eng, nic.Config{
-		Name: "ni-sched", PCI: seg, CacheOn: true, Memory: overloadCardMem,
-	})
-	schedCard.ConnectEthernet(netsim.Fast100(eng, "ni-sched-eth", sw))
-
-	ext, err := schedCard.LoadScheduler(nic.SchedulerConfig{EligibleEarly: eligibleEarly})
-	if err != nil {
-		panic(err)
-	}
+	// The overload sweep's card pair, streams and clients, on one segment.
+	b := newOverloadBed(eng, bus.New(eng, bus.PCI("pci0")), cfg.Mult)
+	schedCard, ext, ctl := b.card, b.ext, b.ctl
 	ext.Instrument(reg)
-
-	ctl := overload.NewController(schedCard.Name, schedCard.Mem.Size())
-	ctl.BP.High, ctl.BP.Low = overloadBPHigh, overloadBPLow
-	if err := ext.AttachOverload(ctl); err != nil {
-		panic(err)
-	}
 	ctl.Instrument(reg)
 
 	// Deadman: the injected hang starves the petter; the bite itself is the
@@ -137,21 +114,6 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 	}
 	rec.Instrument(reg)
 
-	// Streams, producers, clients — the overload experiment's population.
-	clip := mpeg.GenerateDefault()
-	nominal := clip.MeanFrameSize()
-	base := overloadStreams(nominal)
-	late := overloadLateStreams(nominal)
-	for _, spec := range append(append([]dwcs.StreamSpec{}, base...), late...) {
-		cl := netsim.NewClient(eng, "client-"+spec.Name)
-		sw.Attach(cl.Name, netsim.Fast100(eng, "sw-"+cl.Name, cl))
-	}
-	every := streamPeriod / sim.Time(cfg.Mult)
-	spawn := func(spec dwcs.StreamSpec) {
-		ext.SpawnPeerProducer(diskCard, clip, spec.ID, "client-"+spec.Name, every, 1<<30)
-	}
-	ext.OnReinstate = spawn
-
 	// SLO monitor: loss budgets read off the DWCS windows, latency bounds a
 	// small multiple of the period. The reading freezes while a stream is
 	// revoked; a reinstated stream's counters restart at zero and are read as
@@ -161,8 +123,7 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 	// a run this short, never — and the burn columns would end at 0.00, so
 	// this site keeps its own source.)
 	mon := slo.NewMonitor(schedCard.Name, slo.Config{})
-	for _, spec := range base {
-		spec := spec
+	for _, spec := range b.base {
 		var lastA, lastL int64
 		mon.Track(slo.FromSpec(spec, diagLatencyPeriods*streamPeriod),
 			func() (int64, int64) {
@@ -187,18 +148,12 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 		}
 	}
 
-	for _, spec := range base {
-		if err := ext.AddStream(spec); err != nil {
-			panic(err)
-		}
-		spawn(spec)
-	}
+	b.admitBase()
 
 	// Late setups under pressure: refusals at the high-water mark feed the
 	// budget-refusal trigger. No retry queue here — the refusal is the event
 	// this experiment is about.
-	for i, spec := range late {
-		spec := spec
+	for i, spec := range b.late {
 		eng.At(cfg.Dur/2+sim.Time(i)*200*sim.Millisecond, func() {
 			if err := ext.AddStream(spec); err != nil &&
 				!errors.Is(err, overload.ErrAdmission) {

@@ -110,12 +110,9 @@ func RunFaultRecovery(cfg FaultConfig) *FaultRecovery {
 	}
 
 	specs := figureStreams()
-	clients := make([]*netsim.Client, len(specs))
+	clients := attachClients(eng, sw, specs)
 	for i, spec := range specs {
-		cl := netsim.NewClient(eng, "client-"+spec.Name)
-		cl.BW = stats.NewBandwidthMeter(spec.Name, bwWindow)
-		sw.Attach(cl.Name, netsim.Fast100(eng, "sw-"+cl.Name, cl))
-		clients[i] = cl
+		clients[i].BW = stats.NewBandwidthMeter(spec.Name, bwWindow)
 	}
 
 	// Primary: the dedicated scheduler NI.

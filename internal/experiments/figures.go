@@ -112,40 +112,38 @@ func PeakWindow(dur sim.Time) (from, to sim.Time) {
 	return dur / 2, dur * 3 / 4
 }
 
-// RunHostLoad runs the host-based-scheduler experiment (Figure 5 with
-// component 3 as an Intel 82557 NI) at the given web-load level.
-func RunHostLoad(loadPct float64, dur sim.Time) *StreamCurves {
+// hostBed is the Figure 5 testbed with DWCS as a host process behind an
+// Intel 82557 NI: a 2-CPU host running the web daemons, a client per stream
+// on sw0, the scheduler pinned to CPU 0 sending on host-eth, and a looping
+// producer per stream. RunHostLoad and the overload sweep's host baseline
+// both run on it.
+type hostBed struct {
+	eng     *sim.Engine
+	sys     *hostos.System
+	clients []*netsim.Client // one per spec, in spec order
+	sched   *host.Scheduler
+}
+
+// newHostBed builds the host testbed for specs, each stream's producer
+// injecting clip frames every every, and starts web load topping the host up
+// to loadPct total utilization.
+func newHostBed(clip *mpeg.Clip, specs []dwcs.StreamSpec, loadPct float64, every sim.Time) *hostBed {
 	eng := sim.NewEngine(42)
 	sys := hostos.New(eng, 2, 15*sim.Millisecond)
 	webload.Daemons(eng, sys)
 
 	sw := netsim.NewSwitch(eng, "sw0", 90*sim.Microsecond)
-	curves := &StreamCurves{
-		Load:   loadName(loadPct),
-		BW:     make(map[string]*stats.Series),
-		QDelay: make(map[string]*stats.DelayTracker),
-		Jitter: make(map[string]sim.Time),
-	}
-	var clients []*netsim.Client
-	for _, spec := range figureStreams() {
-		cl := netsim.NewClient(eng, "client-"+spec.Name)
-		cl.BW = stats.NewBandwidthMeter(spec.Name, bwWindow)
-		sw.Attach(cl.Name, netsim.Fast100(eng, "sw-"+cl.Name, cl))
-		clients = append(clients, cl)
-	}
-	link := netsim.Fast100(eng, "host-eth", sw)
-
-	sched := host.NewScheduler(eng, sys, link, host.SchedulerConfig{
+	b := &hostBed{eng: eng, sys: sys, clients: attachClients(eng, sw, specs)}
+	b.sched = host.NewScheduler(eng, sys, netsim.Fast100(eng, "host-eth", sw), host.SchedulerConfig{
 		CPU:           0, // pbind to processor 0
 		EligibleEarly: eligibleEarly,
 	})
-	clip := mpeg.GenerateDefault()
-	for _, spec := range figureStreams() {
-		if err := sched.AddStream(spec, "client-"+spec.Name); err != nil {
+	for _, spec := range specs {
+		if err := b.sched.AddStream(spec, "client-"+spec.Name); err != nil {
 			panic(err)
 		}
-		host.StartProducer(eng, sys, sched, host.ProducerConfig{
-			Clip: clip, StreamID: spec.ID, Every: producerEvery,
+		host.StartProducer(eng, sys, b.sched, host.ProducerConfig{
+			Clip: clip, StreamID: spec.ID, Every: every,
 			PerFrameCPU: producerFrameCPU, CPU: hostos.AnyCPU, Loop: true,
 		})
 	}
@@ -153,24 +151,80 @@ func RunHostLoad(loadPct float64, dur sim.Time) *StreamCurves {
 		// The paper's load levels are *total* utilization including the
 		// streaming workload's own ~15%; the web generator supplies the
 		// remainder.
-		webPct := loadPct - baselineUtilPct
-		if webPct < 0 {
-			webPct = 0
-		}
-		webload.NewGenerator(eng, sys, webload.TargetUtilization(curves.Load, webPct, 2)).Start()
+		webPct := max(loadPct-baselineUtilPct, 0)
+		webload.NewGenerator(eng, sys, webload.TargetUtilization(loadName(loadPct), webPct, 2)).Start()
 	}
-	sys.SampleUtilization(sim.Second, &curves.Util)
+	return b
+}
 
-	eng.RunUntil(dur)
+// attachClients puts a client per spec on sw, in spec order.
+func attachClients(eng *sim.Engine, sw *netsim.Switch, specs []dwcs.StreamSpec) []*netsim.Client {
+	clients := make([]*netsim.Client, len(specs))
+	for i, spec := range specs {
+		cl := netsim.NewClient(eng, "client-"+spec.Name)
+		sw.Attach(cl.Name, netsim.Fast100(eng, "sw-"+cl.Name, cl))
+		clients[i] = cl
+	}
+	return clients
+}
+
+// newNIHost builds the NI placement's host: the seed-42 engine, one CPU
+// online (§4.2.3) running the web daemons, and two PCI segments, the web
+// NI's and the scheduler's.
+func newNIHost() (eng *sim.Engine, sys *hostos.System, webSeg, schedSeg *bus.Bus) {
+	eng = sim.NewEngine(42)
+	sys = hostos.New(eng, 1, 10*sim.Millisecond)
+	webload.Daemons(eng, sys)
+	return eng, sys, bus.New(eng, bus.PCI("pci0")), bus.New(eng, bus.PCI("pci1"))
+}
+
+// startNIWebLoad puts loadPct web load on the NI placement's host CPU, the
+// web responses DMAing across seg.
+func startNIWebLoad(eng *sim.Engine, sys *hostos.System, seg *bus.Bus, loadPct float64) {
+	if loadPct > 0 {
+		webload.NewGenerator(eng, sys, webload.TargetUtilization(loadName(loadPct), loadPct, 1)).Start()
+		eng.Every(250*sim.Millisecond, func() {
+			seg.DMA(64<<10, nil)
+		})
+	}
+}
+
+// meteredCurves returns the empty curves of one load level and puts a
+// bandwidth meter on each figure stream's client.
+func meteredCurves(loadPct float64, clients []*netsim.Client) *StreamCurves {
+	for i, spec := range figureStreams() {
+		clients[i].BW = stats.NewBandwidthMeter(spec.Name, bwWindow)
+	}
+	return &StreamCurves{
+		Load:   loadName(loadPct),
+		BW:     make(map[string]*stats.Series),
+		QDelay: make(map[string]*stats.DelayTracker),
+		Jitter: make(map[string]sim.Time),
+	}
+}
+
+// collect reads a run that ended at dur off the figure streams' clients and
+// their scheduler's queuing delays and counters.
+func (c *StreamCurves) collect(dur sim.Time, clients []*netsim.Client, qdelay map[int]*stats.DelayTracker, sent, dropped int64) *StreamCurves {
 	for i, spec := range figureStreams() {
 		clients[i].BW.FlushUntil(dur)
-		curves.BW[spec.Name] = &clients[i].BW.Series
-		curves.QDelay[spec.Name] = sched.QDelay[spec.ID]
-		curves.Jitter[spec.Name] = clients[i].Jitter()
+		c.BW[spec.Name] = &clients[i].BW.Series
+		c.QDelay[spec.Name] = qdelay[spec.ID]
+		c.Jitter[spec.Name] = clients[i].Jitter()
 	}
-	curves.Sent = sched.Sent
-	curves.Dropped = sched.Dropped
-	return curves
+	c.Sent, c.Dropped = sent, dropped
+	return c
+}
+
+// RunHostLoad runs the host-based-scheduler experiment (Figure 5 with
+// component 3 as an Intel 82557 NI) at the given web-load level.
+func RunHostLoad(loadPct float64, dur sim.Time) *StreamCurves {
+	b := newHostBed(mpeg.GenerateDefault(), figureStreams(), loadPct, producerEvery)
+	curves := meteredCurves(loadPct, b.clients)
+	b.sys.SampleUtilization(sim.Second, &curves.Util)
+
+	b.eng.RunUntil(dur)
+	return curves.collect(dur, b.clients, b.sched.QDelay, b.sched.Sent, b.sched.Dropped)
 }
 
 // RunNILoad runs the NI-based-scheduler experiment (Figure 5 with component
@@ -179,32 +233,14 @@ func RunHostLoad(loadPct float64, dur sim.Time) *StreamCurves {
 // sameSegment moves the web NI onto the scheduler's bus segment — the
 // configuration the paper avoids — for the ablation benchmark.
 func RunNILoad(loadPct float64, dur sim.Time, sameSegment bool) *StreamCurves {
-	eng := sim.NewEngine(42)
-	sys := hostos.New(eng, 1, 10*sim.Millisecond) // one CPU online (§4.2.3)
-	webload.Daemons(eng, sys)
-
-	seg0 := bus.New(eng, bus.PCI("pci0")) // web NI segment
-	seg1 := bus.New(eng, bus.PCI("pci1")) // scheduler segment
-	schedSeg := seg1
-	webSeg := seg0
+	eng, sys, webSeg, schedSeg := newNIHost()
 	if sameSegment {
-		webSeg = seg1
+		webSeg = schedSeg
 	}
 
 	sw := netsim.NewSwitch(eng, "sw0", 90*sim.Microsecond)
-	curves := &StreamCurves{
-		Load:   loadName(loadPct),
-		BW:     make(map[string]*stats.Series),
-		QDelay: make(map[string]*stats.DelayTracker),
-		Jitter: make(map[string]sim.Time),
-	}
-	var clients []*netsim.Client
-	for _, spec := range figureStreams() {
-		cl := netsim.NewClient(eng, "client-"+spec.Name)
-		cl.BW = stats.NewBandwidthMeter(spec.Name, bwWindow)
-		sw.Attach(cl.Name, netsim.Fast100(eng, "sw-"+cl.Name, cl))
-		clients = append(clients, cl)
-	}
+	clients := attachClients(eng, sw, figureStreams())
+	curves := meteredCurves(loadPct, clients)
 
 	// Disk card sources frames; dedicated scheduler card (cache enabled, no
 	// disk) schedules and transmits — the paper's preferred split (§4.2).
@@ -225,27 +261,11 @@ func RunNILoad(loadPct float64, dur sim.Time, sameSegment bool) *StreamCurves {
 		}
 		ext.SpawnPeerProducer(diskCard, clip, spec.ID, "client-"+spec.Name, producerEvery, 1<<30)
 	}
-
-	if loadPct > 0 {
-		g := webload.NewGenerator(eng, sys, webload.TargetUtilization(curves.Load, loadPct, 1))
-		g.Start()
-		// Web responses DMA across the web NI's bus segment.
-		eng.Every(250*sim.Millisecond, func() {
-			webSeg.DMA(64<<10, nil)
-		})
-	}
+	startNIWebLoad(eng, sys, webSeg, loadPct)
 	sys.SampleUtilization(sim.Second, &curves.Util)
 
 	eng.RunUntil(dur)
-	for i, spec := range figureStreams() {
-		clients[i].BW.FlushUntil(dur)
-		curves.BW[spec.Name] = &clients[i].BW.Series
-		curves.QDelay[spec.Name] = ext.QDelay[spec.ID]
-		curves.Jitter[spec.Name] = clients[i].Jitter()
-	}
-	curves.Sent = ext.Sent
-	curves.Dropped = ext.Dropped
-	return curves
+	return curves.collect(dur, clients, ext.QDelay, ext.Sent, ext.Dropped)
 }
 
 func loadName(pct float64) string {
@@ -269,7 +289,6 @@ func RunHostFigures(dur sim.Time) *HostFigures {
 	pcts := []float64{0, 45, 60}
 	jobs := make([]func() *StreamCurves, len(pcts))
 	for i, pct := range pcts {
-		pct := pct
 		jobs[i] = func() *StreamCurves { return RunHostLoad(pct, dur) }
 	}
 	runs := Collect(jobs)

@@ -22,6 +22,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/bus"
@@ -29,14 +30,11 @@ import (
 	"repro/internal/dwcs"
 	"repro/internal/faults"
 	"repro/internal/fixed"
-	"repro/internal/host"
-	"repro/internal/hostos"
 	"repro/internal/mpeg"
 	"repro/internal/netsim"
 	"repro/internal/nic"
 	"repro/internal/overload"
 	"repro/internal/sim"
-	"repro/internal/webload"
 )
 
 // Overload testbed parameters.
@@ -188,7 +186,6 @@ func RunOverload(cfg OverloadConfig) *OverloadArtifacts {
 	}
 	jobs := make([]func() *OverloadPoint, len(cells))
 	for i, c := range cells {
-		c := c
 		jobs[i] = func() *OverloadPoint {
 			pt := runOverloadNI(c.load, c.mult, cfg.Dur)
 			runOverloadHost(pt, c.load, c.mult, cfg.Dur)
@@ -204,76 +201,88 @@ func RunOverload(cfg OverloadConfig) *OverloadArtifacts {
 	return a
 }
 
-// runOverloadNI runs one cell on the protected NI testbed: the RunNILoad
-// topology (disk card feeding a dedicated scheduler card over PCI, web load
-// on the host CPU and the other bus segment) with an overload controller
-// attached and four mid-run setup attempts probing admission.
-func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
-	pt := &OverloadPoint{Load: loadPct, Mult: mult}
-	eng := sim.NewEngine(42)
-	sys := hostos.New(eng, 1, 10*sim.Millisecond)
-	webload.Daemons(eng, sys)
+// overloadBed is the memory-capped NI placement the overload sweep and the
+// diagnostics run share: a disk card feeding a dedicated scheduler card of
+// overloadCardMem over one PCI segment, an overload controller on the
+// scheduler, a client per base and late stream, and the producer spawn a
+// reinstated stream reuses.
+type overloadBed struct {
+	card       *nic.Card // the scheduler card
+	ext        *nic.SchedulerExt
+	ctl        *overload.Controller
+	base, late []dwcs.StreamSpec
+	clients    []*netsim.Client
+	producers  map[int]*nic.Producer // the latest producer per stream ID
+	spawn      func(dwcs.StreamSpec)
+}
 
-	seg0 := bus.New(eng, bus.PCI("pci0")) // web NI segment
-	seg1 := bus.New(eng, bus.PCI("pci1")) // scheduler segment
+// newOverloadBed builds the card pair on seg; each producer injects at mult
+// times the service rate. No stream is admitted yet: admitBase does that.
+func newOverloadBed(eng *sim.Engine, seg *bus.Bus, mult int) *overloadBed {
 	sw := netsim.NewSwitch(eng, "sw0", 90*sim.Microsecond)
-
-	diskCard := nic.New(eng, nic.Config{Name: "ni-disk", PCI: seg1})
+	diskCard := nic.New(eng, nic.Config{Name: "ni-disk", PCI: seg})
 	d := disk.New(eng, disk.DefaultSCSI("ni-disk0"))
 	diskCard.AttachDisk(d, disk.NewDOSFS(d))
-	schedCard := nic.New(eng, nic.Config{
-		Name: "ni-sched", PCI: seg1, CacheOn: true, Memory: overloadCardMem,
-	})
-	schedCard.ConnectEthernet(netsim.Fast100(eng, "ni-sched-eth", sw))
+	b := &overloadBed{
+		card:      nic.New(eng, nic.Config{Name: "ni-sched", PCI: seg, CacheOn: true, Memory: overloadCardMem}),
+		producers: make(map[int]*nic.Producer),
+	}
+	b.card.ConnectEthernet(netsim.Fast100(eng, "ni-sched-eth", sw))
 
-	ext, err := schedCard.LoadScheduler(nic.SchedulerConfig{EligibleEarly: eligibleEarly})
-	if err != nil {
+	var err error
+	if b.ext, err = b.card.LoadScheduler(nic.SchedulerConfig{EligibleEarly: eligibleEarly}); err != nil {
 		panic(err)
 	}
-	ctl := overload.NewController(schedCard.Name, schedCard.Mem.Size())
-	ctl.BP.High, ctl.BP.Low = overloadBPHigh, overloadBPLow
-	if err := ext.AttachOverload(ctl); err != nil {
+	b.ctl = overload.NewController(b.card.Name, b.card.Mem.Size())
+	b.ctl.BP.High, b.ctl.BP.Low = overloadBPHigh, overloadBPLow
+	if err := b.ext.AttachOverload(b.ctl); err != nil {
 		panic(err)
 	}
 
 	clip := mpeg.GenerateDefault()
-	nominal := clip.MeanFrameSize()
-	base := overloadStreams(nominal)
-	late := overloadLateStreams(nominal)
-
-	clients := make(map[int]*netsim.Client)
-	for _, spec := range append(append([]dwcs.StreamSpec{}, base...), late...) {
-		cl := netsim.NewClient(eng, "client-"+spec.Name)
-		sw.Attach(cl.Name, netsim.Fast100(eng, "sw-"+cl.Name, cl))
-		clients[spec.ID] = cl
-	}
-
+	b.base, b.late = overloadStreams(clip.MeanFrameSize()), overloadLateStreams(clip.MeanFrameSize())
+	b.clients = attachClients(eng, sw, append(slices.Clone(b.base), b.late...))
 	every := streamPeriod / sim.Time(mult)
-	producers := make(map[int]*nic.Producer)
-	spawn := func(spec dwcs.StreamSpec) {
-		producers[spec.ID] = ext.SpawnPeerProducer(diskCard, clip, spec.ID,
+	b.spawn = func(spec dwcs.StreamSpec) {
+		b.producers[spec.ID] = b.ext.SpawnPeerProducer(diskCard, clip, spec.ID,
 			"client-"+spec.Name, every, 1<<30)
 	}
 	// A reinstated stream gets its producer back — the revocation rung is
 	// fully reversible end to end.
-	ext.OnReinstate = spawn
-	for _, spec := range base {
-		if err := ext.AddStream(spec); err != nil {
+	b.ext.OnReinstate = b.spawn
+	return b
+}
+
+// admitBase admits the base streams and starts their producers.
+func (b *overloadBed) admitBase() {
+	for _, spec := range b.base {
+		if err := b.ext.AddStream(spec); err != nil {
 			panic(err)
 		}
-		spawn(spec)
+		b.spawn(spec)
 	}
+}
+
+// runOverloadNI runs one cell on the protected NI testbed: the RunNILoad
+// host (web load on its one CPU and the web NI's bus segment) with the
+// overload bed on the scheduler segment and four mid-run setup attempts
+// probing admission.
+func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
+	pt := &OverloadPoint{Load: loadPct, Mult: mult}
+	eng, sys, webSeg, schedSeg := newNIHost()
+	b := newOverloadBed(eng, schedSeg, mult)
+	ext, ctl := b.ext, b.ctl
+	b.admitBase()
 
 	// Mid-run setup attempts: under pressure they are refused at the
 	// high-water mark and queue for FIFO readmission; at service-rate load
 	// they are admitted outright.
-	for i, spec := range late {
-		spec := spec
+	for i, spec := range b.late {
 		eng.At(dur/4+sim.Time(i)*200*sim.Millisecond, func() {
 			err := ext.AddStream(spec)
 			if err == nil {
 				pt.NILateAdmits++
-				spawn(spec)
+				b.spawn(spec)
 				return
 			}
 			if !errors.Is(err, overload.ErrAdmission) {
@@ -292,7 +301,7 @@ func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
 				}
 				if err := ext.AddStream(spec); err == nil {
 					pt.NIRetryAdmits++
-					spawn(spec)
+					b.spawn(spec)
 					return
 				}
 				ctl.Budget.AwaitSpace(retry)
@@ -309,7 +318,7 @@ func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
 	if mult >= overloadLeakMult {
 		plan := &faults.Plan{Events: []faults.Event{{
 			At: dur / 2, Duration: dur / 4, Kind: faults.MemLeak,
-			Target: schedCard.Name, Factor: overloadLeakKBps,
+			Target: b.card.Name, Factor: overloadLeakKBps,
 		}}}
 		var stopLeak func()
 		inj := faults.InjectorFuncs{
@@ -326,14 +335,7 @@ func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
 		}
 	}
 
-	if loadPct > 0 {
-		g := webload.NewGenerator(eng, sys, webload.TargetUtilization(loadName(loadPct), loadPct, 1))
-		g.Start()
-		eng.Every(250*sim.Millisecond, func() {
-			seg0.DMA(64<<10, nil)
-		})
-	}
-
+	startNIWebLoad(eng, sys, webSeg, loadPct)
 	eng.Every(overloadSampleEvery, func() {
 		if q := ext.Sched.QueuedBytes(); q > pt.NIQueuedPeakBytes {
 			pt.NIQueuedPeakBytes = q
@@ -367,14 +369,10 @@ func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
 			pt.NIViolations += st.Violations
 		}
 	}
-	for _, p := range producers {
+	for _, p := range b.producers {
 		pt.NIThrottled += p.Throttled
 	}
-	var recv int64
-	for _, cl := range clients {
-		recv += cl.RecvBytes
-	}
-	pt.NIGoodputKbps = float64(recv*8) / dur.Seconds() / 1000
+	pt.NIGoodputKbps = goodputKbps(b.clients, dur)
 	return pt
 }
 
@@ -382,70 +380,42 @@ func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
 // per-stream rings deep enough that nothing is ever refused: the backlog
 // simply grows, which is the collapse the NI's budget forbids.
 func runOverloadHost(pt *OverloadPoint, loadPct float64, mult int, dur sim.Time) {
-	eng := sim.NewEngine(42)
-	sys := hostos.New(eng, 2, 15*sim.Millisecond)
-	webload.Daemons(eng, sys)
-
-	sw := netsim.NewSwitch(eng, "sw0", 90*sim.Microsecond)
 	clip := mpeg.GenerateDefault()
 	specs := overloadStreams(clip.MeanFrameSize())
 	for i := range specs {
 		specs[i].BufCap = overloadHostRing
 	}
-	clients := make([]*netsim.Client, len(specs))
-	for i, spec := range specs {
-		cl := netsim.NewClient(eng, "client-"+spec.Name)
-		sw.Attach(cl.Name, netsim.Fast100(eng, "sw-"+cl.Name, cl))
-		clients[i] = cl
-	}
-	link := netsim.Fast100(eng, "host-eth", sw)
-
-	sched := host.NewScheduler(eng, sys, link, host.SchedulerConfig{
-		CPU: 0, EligibleEarly: eligibleEarly,
-	})
-	every := streamPeriod / sim.Time(mult)
-	for _, spec := range specs {
-		if err := sched.AddStream(spec, "client-"+spec.Name); err != nil {
-			panic(err)
-		}
-		host.StartProducer(eng, sys, sched, host.ProducerConfig{
-			Clip: clip, StreamID: spec.ID, Every: every,
-			PerFrameCPU: producerFrameCPU, CPU: hostos.AnyCPU, Loop: true,
-		})
-	}
-	if loadPct > 0 {
-		webPct := loadPct - baselineUtilPct
-		if webPct < 0 {
-			webPct = 0
-		}
-		webload.NewGenerator(eng, sys, webload.TargetUtilization(loadName(loadPct), webPct, 2)).Start()
-	}
-
-	eng.Every(overloadSampleEvery, func() {
-		if q := sched.QueuedBytes(); q > pt.HostQueuedPeakBytes {
+	b := newHostBed(clip, specs, loadPct, streamPeriod/sim.Time(mult))
+	b.eng.Every(overloadSampleEvery, func() {
+		if q := b.sched.QueuedBytes(); q > pt.HostQueuedPeakBytes {
 			pt.HostQueuedPeakBytes = q
 		}
 	})
 
-	eng.RunUntil(dur)
+	b.eng.RunUntil(dur)
 
-	pt.HostSent = sched.Sent
-	pt.HostDropped = sched.Dropped
+	pt.HostSent = b.sched.Sent
+	pt.HostDropped = b.sched.Dropped
 	for _, spec := range specs {
-		if st, err := sched.Sched.Stats(spec.ID); err == nil {
+		if st, err := b.sched.Sched.Stats(spec.ID); err == nil {
 			pt.HostViolations += st.Violations
 		}
-		if t := sched.QDelay[spec.ID]; t != nil {
+		if t := b.sched.QDelay[spec.ID]; t != nil {
 			if ms := int64(t.Max().Milliseconds()); ms > pt.HostMaxQDelayMs {
 				pt.HostMaxQDelayMs = ms
 			}
 		}
 	}
+	pt.HostGoodputKbps = goodputKbps(b.clients, dur)
+}
+
+// goodputKbps is the clients' received payload over a run of dur, in kbps.
+func goodputKbps(clients []*netsim.Client, dur sim.Time) float64 {
 	var recv int64
 	for _, cl := range clients {
 		recv += cl.RecvBytes
 	}
-	pt.HostGoodputKbps = float64(recv*8) / dur.Seconds() / 1000
+	return float64(recv*8) / dur.Seconds() / 1000
 }
 
 // worst returns the highest-pressure cell (last grid point: max load × max
