@@ -375,9 +375,9 @@ type Client struct {
 	Received  int64
 	RecvBytes int64
 	Late      int64
-	Latencies []sim.Time // send-to-delivered per packet
 	Gaps      []sim.Time // inter-arrival gaps (delay-jitter raw data)
 
+	latencySum  sim.Time // send-to-delivered, summed over Received frames
 	lastArrival sim.Time
 	gotFirst    bool
 	pending     int       // frames inside the receive stack
@@ -442,7 +442,7 @@ func (c *Client) playout(arg any) {
 	c.telFrames.Inc()
 	c.Received++
 	c.RecvBytes += p.Bytes
-	c.Latencies = append(c.Latencies, c.eng.Now()-p.Sent)
+	c.latencySum += c.eng.Now() - p.Sent
 	if c.gotFirst {
 		c.Gaps = append(c.Gaps, c.eng.Now()-c.lastArrival)
 	}
@@ -462,14 +462,10 @@ func (c *Client) playout(arg any) {
 // MeanLatency returns the mean send-to-delivered latency, truncated to the
 // nanosecond; zero before the first delivery.
 func (c *Client) MeanLatency() sim.Time {
-	if len(c.Latencies) == 0 {
+	if c.Received == 0 {
 		return 0
 	}
-	var sum sim.Time
-	for _, l := range c.Latencies {
-		sum += l
-	}
-	return sum / sim.Time(len(c.Latencies))
+	return c.latencySum / sim.Time(c.Received)
 }
 
 // Jitter returns the mean absolute deviation of inter-arrival gaps — the

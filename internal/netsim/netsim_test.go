@@ -150,8 +150,12 @@ func TestClientAccounting(t *testing.T) {
 	if c.Late != 1 {
 		t.Fatalf("late = %d, want 1", c.Late)
 	}
-	if len(c.Latencies) != 2 || c.MeanLatency() <= 0 {
-		t.Fatalf("latencies: %v", c.Latencies)
+	// A frame's latency runs from its start on the wire (Sent): its wire
+	// time, the propagation delay and the receive stack.
+	first := l.WireTime(1000) + 2*sim.Microsecond + c.RxStack
+	second := l.WireTime(500) + 2*sim.Microsecond + c.RxStack
+	if want := (first + second) / 2; c.MeanLatency() != want {
+		t.Fatalf("mean latency %v, want %v", c.MeanLatency(), want)
 	}
 	c.BW.FlushUntil(sim.Second)
 	if c.BW.Series.Len() == 0 {
@@ -159,19 +163,21 @@ func TestClientAccounting(t *testing.T) {
 	}
 }
 
-// MeanLatency is the integer mean stats.Summarize computes, without the
-// sorted copy: the same nanosecond for any set of samples, zero for none.
+// MeanLatency is the integer mean stats.Summarize computes over the
+// send-to-delivered latencies of the frames played out: the same nanosecond
+// for any set of deliveries, zero for none.
 func TestMeanLatencyMatchesSummarize(t *testing.T) {
-	c := &Client{}
-	if c.MeanLatency() != 0 {
-		t.Fatalf("no samples: mean %v", c.MeanLatency())
-	}
 	if err := quick.Check(func(us []uint32) bool {
-		c.Latencies = c.Latencies[:0]
-		for _, u := range us {
-			c.Latencies = append(c.Latencies, sim.Time(u)*sim.Microsecond/7)
+		eng := sim.NewEngine(1)
+		c := NewClient(eng, "player")
+		eng.RunUntil(1000 * sim.Second) // past the longest latency (614 s)
+		known := make([]sim.Time, len(us))
+		for i, u := range us {
+			known[i] = sim.Time(u)*sim.Microsecond/7 + c.RxStack
+			c.Deliver(&Packet{Bytes: 1, Sent: eng.Now() - known[i] + c.RxStack})
 		}
-		return c.MeanLatency() == stats.Summarize(c.Latencies).Mean
+		eng.Run()
+		return c.MeanLatency() == stats.Summarize(known).Mean
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +233,6 @@ func TestSwitchDeliveryProperty(t *testing.T) {
 func TestClientDeliverDoesNotAllocate(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := NewClient(eng, "player")
-	c.Latencies = make([]sim.Time, 0, 1024)
 	c.Gaps = make([]sim.Time, 0, 1024)
 	p := &Packet{Bytes: 1000, StreamID: 1}
 	round := func() {
@@ -242,6 +247,11 @@ func TestClientDeliverDoesNotAllocate(t *testing.T) {
 	}
 	if c.Received != 4*102 || c.Pending() != 0 {
 		t.Errorf("received %d, pending %d", c.Received, c.Pending())
+	}
+	// Round k (1..102) plays its four frames out k receive stacks after
+	// time 0, their Sent: the mean is 51.5 stacks.
+	if want := c.RxStack * 103 / 2; c.MeanLatency() != want {
+		t.Errorf("mean latency %v, want %v", c.MeanLatency(), want)
 	}
 }
 
