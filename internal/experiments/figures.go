@@ -124,9 +124,9 @@ type hostBed struct {
 	sched   *host.Scheduler
 }
 
-// newHostBed builds the host testbed for specs, each stream's producer
-// injecting clip frames every every, and starts web load topping the host up
-// to loadPct total utilization.
+// newHostBed builds the host testbed for specs, each producer injecting a
+// frame of clip per period of every, and starts web load topping the host
+// up to loadPct total utilization.
 func newHostBed(clip *mpeg.Clip, specs []dwcs.StreamSpec, loadPct float64, every sim.Time) *hostBed {
 	eng := sim.NewEngine(42)
 	sys := hostos.New(eng, 2, 15*sim.Millisecond)
