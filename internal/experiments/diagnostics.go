@@ -94,7 +94,8 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 	reg := telemetry.New()
 	// The overload sweep's card pair, streams and clients, on one segment.
 	b := newOverloadBed(eng, bus.New(eng, bus.PCI("pci0")), cfg.Mult)
-	schedCard, ext, ctl := b.card, b.ext, b.ctl
+	ext, ctl := b.ext, b.ctl
+	schedCard := ext.Card
 	ext.Instrument(reg)
 	ctl.Instrument(reg)
 

@@ -178,6 +178,23 @@ func newNIHost() (eng *sim.Engine, sys *hostos.System, webSeg, schedSeg *bus.Bus
 	return eng, sys, bus.New(eng, bus.PCI("pci0")), bus.New(eng, bus.PCI("pci1"))
 }
 
+// newCardPair builds the NI placement's cards on seg: a disk card sourcing
+// frames and a dedicated scheduler card of memory bytes (0 = the default;
+// cache enabled, no disk) that schedules and transmits onto sw — the paper's
+// preferred split (§4.2).
+func newCardPair(eng *sim.Engine, seg *bus.Bus, sw *netsim.Switch, memory int64) (diskCard *nic.Card, ext *nic.SchedulerExt) {
+	diskCard = nic.New(eng, nic.Config{Name: "ni-disk", PCI: seg})
+	d := disk.New(eng, disk.DefaultSCSI("ni-disk0"))
+	diskCard.AttachDisk(d, disk.NewDOSFS(d))
+	schedCard := nic.New(eng, nic.Config{Name: "ni-sched", PCI: seg, CacheOn: true, Memory: memory})
+	schedCard.ConnectEthernet(netsim.Fast100(eng, "ni-sched-eth", sw))
+	ext, err := schedCard.LoadScheduler(nic.SchedulerConfig{EligibleEarly: eligibleEarly})
+	if err != nil {
+		panic(err)
+	}
+	return diskCard, ext
+}
+
 // startNIWebLoad puts loadPct web load on the NI placement's host CPU, the
 // web responses DMAing across seg.
 func startNIWebLoad(eng *sim.Engine, sys *hostos.System, seg *bus.Bus, loadPct float64) {
@@ -242,18 +259,7 @@ func RunNILoad(loadPct float64, dur sim.Time, sameSegment bool) *StreamCurves {
 	clients := attachClients(eng, sw, figureStreams())
 	curves := meteredCurves(loadPct, clients)
 
-	// Disk card sources frames; dedicated scheduler card (cache enabled, no
-	// disk) schedules and transmits — the paper's preferred split (§4.2).
-	diskCard := nic.New(eng, nic.Config{Name: "ni-disk", PCI: schedSeg})
-	d := disk.New(eng, disk.DefaultSCSI("ni-disk0"))
-	diskCard.AttachDisk(d, disk.NewDOSFS(d))
-	schedCard := nic.New(eng, nic.Config{Name: "ni-sched", PCI: schedSeg, CacheOn: true})
-	schedCard.ConnectEthernet(netsim.Fast100(eng, "ni-sched-eth", sw))
-
-	ext, err := schedCard.LoadScheduler(nic.SchedulerConfig{EligibleEarly: eligibleEarly})
-	if err != nil {
-		panic(err)
-	}
+	diskCard, ext := newCardPair(eng, schedSeg, sw, 0)
 	clip := mpeg.GenerateDefault()
 	for _, spec := range figureStreams() {
 		if err := ext.AddStream(spec); err != nil {

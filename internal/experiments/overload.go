@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/bus"
-	"repro/internal/disk"
 	"repro/internal/dwcs"
 	"repro/internal/faults"
 	"repro/internal/fixed"
@@ -207,7 +206,6 @@ func RunOverload(cfg OverloadConfig) *OverloadArtifacts {
 // scheduler, a client per base and late stream, and the producer spawn a
 // reinstated stream reuses.
 type overloadBed struct {
-	card       *nic.Card // the scheduler card
 	ext        *nic.SchedulerExt
 	ctl        *overload.Controller
 	base, late []dwcs.StreamSpec
@@ -220,20 +218,9 @@ type overloadBed struct {
 // times the service rate. No stream is admitted yet: admitBase does that.
 func newOverloadBed(eng *sim.Engine, seg *bus.Bus, mult int) *overloadBed {
 	sw := netsim.NewSwitch(eng, "sw0", 90*sim.Microsecond)
-	diskCard := nic.New(eng, nic.Config{Name: "ni-disk", PCI: seg})
-	d := disk.New(eng, disk.DefaultSCSI("ni-disk0"))
-	diskCard.AttachDisk(d, disk.NewDOSFS(d))
-	b := &overloadBed{
-		card:      nic.New(eng, nic.Config{Name: "ni-sched", PCI: seg, CacheOn: true, Memory: overloadCardMem}),
-		producers: make(map[int]*nic.Producer),
-	}
-	b.card.ConnectEthernet(netsim.Fast100(eng, "ni-sched-eth", sw))
-
-	var err error
-	if b.ext, err = b.card.LoadScheduler(nic.SchedulerConfig{EligibleEarly: eligibleEarly}); err != nil {
-		panic(err)
-	}
-	b.ctl = overload.NewController(b.card.Name, b.card.Mem.Size())
+	diskCard, ext := newCardPair(eng, seg, sw, overloadCardMem)
+	b := &overloadBed{ext: ext, producers: make(map[int]*nic.Producer)}
+	b.ctl = overload.NewController(ext.Card.Name, ext.Card.Mem.Size())
 	b.ctl.BP.High, b.ctl.BP.Low = overloadBPHigh, overloadBPLow
 	if err := b.ext.AttachOverload(b.ctl); err != nil {
 		panic(err)
@@ -318,7 +305,7 @@ func runOverloadNI(loadPct float64, mult int, dur sim.Time) *OverloadPoint {
 	if mult >= overloadLeakMult {
 		plan := &faults.Plan{Events: []faults.Event{{
 			At: dur / 2, Duration: dur / 4, Kind: faults.MemLeak,
-			Target: b.card.Name, Factor: overloadLeakKBps,
+			Target: b.ext.Card.Name, Factor: overloadLeakKBps,
 		}}}
 		var stopLeak func()
 		inj := faults.InjectorFuncs{

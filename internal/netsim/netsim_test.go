@@ -167,6 +167,9 @@ func TestClientAccounting(t *testing.T) {
 // send-to-delivered latencies of the frames played out: the same nanosecond
 // for any set of deliveries, zero for none.
 func TestMeanLatencyMatchesSummarize(t *testing.T) {
+	if c := NewClient(sim.NewEngine(1), "player"); c.MeanLatency() != 0 {
+		t.Fatalf("no deliveries: mean %v", c.MeanLatency())
+	}
 	if err := quick.Check(func(us []uint32) bool {
 		eng := sim.NewEngine(1)
 		c := NewClient(eng, "player")
