@@ -157,59 +157,6 @@ func BenchmarkAblationFramePull(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDispatchCoupling compares coupled scheduling+dispatch
-// against the decoupled dispatch queue of §3.1.1.
-func BenchmarkAblationDispatchCoupling(b *testing.B) {
-	for _, queue := range []int{0, 16} {
-		name := "coupled"
-		if queue > 0 {
-			name = "decoupled"
-		}
-		b.Run(name, func(b *testing.B) {
-			var drained sim.Time
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine(1)
-				seg := bus.New(eng, bus.PCI("pci0"))
-				card := nic.New(eng, nic.Config{Name: "bench", CacheOn: true, PCI: seg})
-				ext, err := card.LoadScheduler(nic.SchedulerConfig{
-					WorkConserving: true, DispatchQueue: queue,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ext.AddStream(dwcs.StreamSpec{ID: 1, Period: sim.Second,
-					Loss: fixed.New(1, 2), Lossy: true, BufCap: 64})
-				for j := 0; j < 50; j++ {
-					ext.Enqueue(1, dwcs.Packet{Bytes: 1000})
-				}
-				for eng.Now() < 5*sim.Second && ext.Sched.Len() > 0 {
-					eng.RunUntil(eng.Now() + sim.Millisecond)
-				}
-				drained = eng.Now()
-			}
-			b.ReportMetric(drained.Milliseconds(), "ms/drain-50-decisions")
-		})
-	}
-}
-
-// BenchmarkAblationBusSegments compares the paper's separated-segment
-// configuration against co-locating web-NI traffic with the scheduler NI.
-func BenchmarkAblationBusSegments(b *testing.B) {
-	for _, same := range []bool{false, true} {
-		name := "separate-segments"
-		if same {
-			name = "same-segment"
-		}
-		b.Run(name, func(b *testing.B) {
-			var run *experiments.StreamCurves
-			for i := 0; i < b.N; i++ {
-				run = experiments.RunNILoad(60, 20*sim.Second, same)
-			}
-			b.ReportMetric(run.SettleBW("s1", 20*sim.Second), "bps")
-		})
-	}
-}
-
 // BenchmarkSchedulerDecision measures the raw Go cost of one DWCS decision
 // (library performance, not simulated-hardware time).
 func BenchmarkSchedulerDecision(b *testing.B) {

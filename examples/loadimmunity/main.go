@@ -36,14 +36,14 @@ func main() {
 	fmt.Println("=== NI-based DWCS (i960 RD card, own bus segment) ===")
 	fmt.Println("load        settle-bw s1   max qdelay s1   dropped")
 	for _, pct := range []float64{0, 60} {
-		run := experiments.RunNILoad(pct, dur/2, false)
+		run := experiments.RunNILoad(pct, dur/2)
 		fmt.Printf("%-10s  %9.0f bps  %11.1f s   %7d\n",
 			run.Load, run.SettleBW("s1", dur/2), run.QDelay["s1"].Max().Seconds(), run.Dropped)
 	}
 	fmt.Println()
 	fmt.Println("=== queuing-delay distribution, s1 (1s buckets) ===")
 	host60 := experiments.RunHostLoad(60, dur)
-	ni60 := experiments.RunNILoad(60, dur/2, false)
+	ni60 := experiments.RunNILoad(60, dur/2)
 	for _, c := range []struct {
 		name  string
 		delay []sim.Time

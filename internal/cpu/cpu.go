@@ -117,31 +117,6 @@ func I960RD() *Model {
 	return m
 }
 
-// PentiumPro200 models one 200 MHz Pentium Pro host CPU of the quad server.
-func PentiumPro200() *Model {
-	m := &Model{
-		Name:            "PentiumPro-200MHz",
-		ClockHz:         200_000_000,
-		HasFPU:          true,
-		UncachedPenalty: 30,
-		CtxSwitch:       4000, // deep cache hierarchy + pollution (§1, contribution 2)
-	}
-	m.Cost = [numOpClasses]int64{
-		OpInt:      1,
-		OpBranch:   1,
-		OpMemRead:  3,
-		OpMemWrite: 3,
-		OpRegRead:  3,
-		OpRegWrite: 3,
-		OpSoftFP:   200,
-		OpNativeFP: 4,
-		OpFixed:    20,
-		OpCall:     6,
-		OpSyscall:  500,
-	}
-	return m
-}
-
 // UltraSparc300 models the 300 MHz UltraSPARC on which the host-based DWCS
 // overhead of ~50 µs was measured in the prior work the paper compares to.
 func UltraSparc300() *Model {

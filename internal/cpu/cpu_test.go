@@ -176,7 +176,7 @@ func TestMeterAdditive(t *testing.T) {
 // Property: Elapsed is monotone in charged work.
 func TestElapsedMonotone(t *testing.T) {
 	f := func(n uint16) bool {
-		m := NewMeter(PentiumPro200())
+		m := NewMeter(I960RD())
 		m.Int(int(n))
 		before := m.Elapsed()
 		m.Int(1)

@@ -292,39 +292,6 @@ func TestNIFiguresImmunity(t *testing.T) {
 	}
 }
 
-func TestNISameSegmentAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure runs are slow")
-	}
-	// Placing the web NI's DMA traffic on the scheduler's bus segment (the
-	// configuration the paper's Figure 5 avoids) must not help, and the
-	// separated configuration must be at least as good. The load × segment
-	// cells, (0, sep), (0, same), (60, sep), (60, same), fan out across the
-	// worker pool.
-	dur := 20 * sim.Second
-	loads := []float64{0, 60}
-	var cells []func() *StreamCurves
-	for _, load := range loads {
-		for _, same := range []bool{false, true} {
-			cells = append(cells, func() *StreamCurves { return RunNILoad(load, dur, same) })
-		}
-	}
-	runs := Collect(cells)
-	for i, load := range loads {
-		sep, same := runs[2*i], runs[2*i+1]
-		if same.SettleBW("s1", dur) > sep.SettleBW("s1", dur)*1.01 {
-			t.Errorf("load %.0f%%: same-segment run outperformed separated run: %.0f vs %.0f",
-				load, same.SettleBW("s1", dur), sep.SettleBW("s1", dur))
-		}
-	}
-	// The fanned-out separated 60% cell must agree with the direct run —
-	// the fan-out must not perturb per-run determinism.
-	direct := RunNILoad(60, dur, false)
-	if got, want := runs[2].Sent, direct.Sent; got != want {
-		t.Errorf("parallel cell diverged from direct run: sent %d vs %d", got, want)
-	}
-}
-
 func TestFigureRunsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

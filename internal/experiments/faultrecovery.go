@@ -149,7 +149,7 @@ func RunFaultRecovery(cfg FaultConfig) *FaultRecovery {
 	for _, spec := range specs {
 		host.StartProducer(eng, sys, ft, host.ProducerConfig{
 			Clip: clip, StreamID: spec.ID, Every: streamPeriod,
-			PerFrameCPU: producerFrameCPU, CPU: hostos.AnyCPU, Loop: true,
+			PerFrameCPU: producerFrameCPU, CPU: hostos.AnyCPU,
 		})
 	}
 

@@ -144,7 +144,7 @@ func newHostBed(clip *mpeg.Clip, specs []dwcs.StreamSpec, loadPct float64, every
 		}
 		host.StartProducer(eng, sys, b.sched, host.ProducerConfig{
 			Clip: clip, StreamID: spec.ID, Every: every,
-			PerFrameCPU: producerFrameCPU, CPU: hostos.AnyCPU, Loop: true,
+			PerFrameCPU: producerFrameCPU, CPU: hostos.AnyCPU,
 		})
 	}
 	if loadPct > 0 {
@@ -247,13 +247,8 @@ func RunHostLoad(loadPct float64, dur sim.Time) *StreamCurves {
 // RunNILoad runs the NI-based-scheduler experiment (Figure 5 with component
 // 3 as an i960 RD I2O NI on its own bus segment): the web load hammers the
 // host CPU and the web NI's segment while DWCS runs entirely on the card.
-// sameSegment moves the web NI onto the scheduler's bus segment — the
-// configuration the paper avoids — for the ablation benchmark.
-func RunNILoad(loadPct float64, dur sim.Time, sameSegment bool) *StreamCurves {
+func RunNILoad(loadPct float64, dur sim.Time) *StreamCurves {
 	eng, sys, webSeg, schedSeg := newNIHost()
-	if sameSegment {
-		webSeg = schedSeg
-	}
 
 	sw := netsim.NewSwitch(eng, "sw0", 90*sim.Microsecond)
 	clients := attachClients(eng, sw, figureStreams())
@@ -354,8 +349,8 @@ type NIFigures struct {
 // the worker pool.
 func RunNIFigures(dur sim.Time) *NIFigures {
 	runs := Collect([]func() *StreamCurves{
-		func() *StreamCurves { return RunNILoad(0, dur, false) },
-		func() *StreamCurves { return RunNILoad(60, dur, false) },
+		func() *StreamCurves { return RunNILoad(0, dur) },
+		func() *StreamCurves { return RunNILoad(60, dur) },
 	})
 	return &NIFigures{Dur: dur, NoLoad: runs[0], Loaded60: runs[1]}
 }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dwcs"
 	"repro/internal/fixed"
+	"repro/internal/host"
 	"repro/internal/mpeg"
 	"repro/internal/nic"
 	"repro/internal/sim"
@@ -182,7 +183,7 @@ func RunHeadline() *Result {
 	sched := dwcs.New(dwcs.Config{
 		WorkConserving:   true,
 		Meter:            meter,
-		DecisionOverhead: 14600, // shared-memory sync + gettimeofday syscalls
+		DecisionOverhead: host.DefaultHostDecisionOverhead, // shared-memory sync + gettimeofday syscalls
 	})
 	for _, spec := range microStreamSpecs(perStream) {
 		if err := sched.AddStream(spec); err != nil {

@@ -204,13 +204,15 @@ func RunOverload(cfg OverloadConfig) *OverloadArtifacts {
 // diagnostics run share: a disk card feeding a dedicated scheduler card of
 // overloadCardMem over one PCI segment, an overload controller on the
 // scheduler, a client per base and late stream, and the producer spawn a
-// reinstated stream reuses.
+// reinstated stream reuses. producers keeps every producer spawned, a
+// revoked stream's beside its reinstated successor, so their counters sum
+// over the whole run.
 type overloadBed struct {
 	ext        *nic.SchedulerExt
 	ctl        *overload.Controller
 	base, late []dwcs.StreamSpec
 	clients    []*netsim.Client
-	producers  map[int]*nic.Producer // the latest producer per stream ID
+	producers  []*nic.Producer
 	spawn      func(dwcs.StreamSpec)
 }
 
@@ -219,7 +221,7 @@ type overloadBed struct {
 func newOverloadBed(eng *sim.Engine, seg *bus.Bus, mult int) *overloadBed {
 	sw := netsim.NewSwitch(eng, "sw0", 90*sim.Microsecond)
 	diskCard, ext := newCardPair(eng, seg, sw, overloadCardMem)
-	b := &overloadBed{ext: ext, producers: make(map[int]*nic.Producer)}
+	b := &overloadBed{ext: ext}
 	b.ctl = overload.NewController(ext.Card.Name, ext.Card.Mem.Size())
 	b.ctl.BP.High, b.ctl.BP.Low = overloadBPHigh, overloadBPLow
 	if err := b.ext.AttachOverload(b.ctl); err != nil {
@@ -231,8 +233,8 @@ func newOverloadBed(eng *sim.Engine, seg *bus.Bus, mult int) *overloadBed {
 	b.clients = attachClients(eng, sw, append(slices.Clone(b.base), b.late...))
 	every := streamPeriod / sim.Time(mult)
 	b.spawn = func(spec dwcs.StreamSpec) {
-		b.producers[spec.ID] = b.ext.SpawnPeerProducer(diskCard, clip, spec.ID,
-			"client-"+spec.Name, every, 1<<30)
+		b.producers = append(b.producers, b.ext.SpawnPeerProducer(diskCard, clip, spec.ID,
+			"client-"+spec.Name, every, 1<<30))
 	}
 	// A reinstated stream gets its producer back — the revocation rung is
 	// fully reversible end to end.

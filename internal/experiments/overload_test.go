@@ -87,3 +87,31 @@ func TestOverloadLadderEngagesUnderPressure(t *testing.T) {
 		t.Errorf("summary lost the zero-breach verdict:\n%s", a.Summary)
 	}
 }
+
+// TestOverloadBedCountsRevokedProducers holds the bed's producer list, which
+// ni_throttled sums, to every producer it spawned: after a revocation and a
+// reinstatement the revoked stream's first producer is still counted beside
+// its successor, so the producers' throttled fetches add up to every fetch
+// the controller gated.
+func TestOverloadBedCountsRevokedProducers(t *testing.T) {
+	eng, _, _, schedSeg := newNIHost()
+	b := newOverloadBed(eng, schedSeg, 8)
+	b.admitBase()
+	eng.RunUntil(2 * sim.Second)
+	if !b.ctl.Hooks.Revoke() {
+		t.Fatal("no stream to revoke")
+	}
+	eng.RunUntil(3 * sim.Second)
+	if !b.ctl.Hooks.Reinstate() {
+		t.Fatal("the revoked stream did not come back")
+	}
+	eng.RunUntil(5 * sim.Second)
+	var throttled int64
+	for _, p := range b.producers {
+		throttled += p.Throttled
+	}
+	if throttled == 0 || throttled != b.ctl.SourceStalls {
+		t.Errorf("producers' throttled fetches = %d, controller gated %d (%d producers for %d base streams)",
+			throttled, b.ctl.SourceStalls, len(b.producers), len(b.base))
+	}
+}

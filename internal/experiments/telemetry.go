@@ -137,7 +137,7 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 	}
 	host.StartProducer(eng, sys, sched, host.ProducerConfig{
 		Clip: clip, StreamID: hostSpec.ID, Every: producerEvery,
-		PerFrameCPU: producerFrameCPU, CPU: hostos.AnyCPU, Loop: true,
+		PerFrameCPU: producerFrameCPU, CPU: hostos.AnyCPU,
 	})
 	webload.NewGenerator(eng, sys, webload.TargetUtilization("telemetry", 30, 1)).Start()
 

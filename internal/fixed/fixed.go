@@ -3,16 +3,10 @@
 // (§4.2: "arguments are simply stored as fractions with numerator and
 // denominator with divisions implemented as shifts").
 //
-// Two representations are provided:
-//
-//   - Frac: an exact numerator/denominator pair, used by the DWCS scheduler
-//     for loss-tolerance (window-constraint) values x/y.
-//   - Q16: a 32.16 binary fixed-point scalar whose division is implemented
-//     with shifts, used where a stream of arithmetic is needed (rates,
-//     utilization accounting).
-//
-// All operations are integer-only; nothing in this package touches float64
-// except the explicit conversion helpers, mirroring the paper's split
+// Its one type, Frac, is an exact numerator/denominator pair, used by the
+// DWCS scheduler for loss-tolerance (window-constraint) values x/y. All
+// operations are integer-only; nothing in this package touches float64
+// except the explicit conversion helper, mirroring the paper's split
 // between the software-FP build and the fixed-point build.
 package fixed
 
@@ -161,56 +155,3 @@ func gcd(a, b int64) int64 {
 	}
 	return a
 }
-
-// Q16 is a signed binary fixed-point number with 16 fractional bits. The
-// paper's fixed-point library implements divisions as shifts; Q16 does the
-// same: scaling by the 2^16 radix is a shift, and DivPow2 divides by 2^k
-// with an arithmetic shift.
-type Q16 int64
-
-// OneQ16 is the Q16 representation of 1.
-const OneQ16 Q16 = 1 << 16
-
-// FromInt converts an integer to Q16.
-func FromInt(v int64) Q16 { return Q16(v << 16) }
-
-// FromRatio converts the ratio num/den to Q16 (rounded toward zero).
-func FromRatio(num, den int64) Q16 {
-	if den == 0 {
-		return 0
-	}
-	return Q16((num << 16) / den)
-}
-
-// Int returns the integer part of q (truncated toward zero).
-func (q Q16) Int() int64 {
-	if q < 0 {
-		return -int64(-q >> 16)
-	}
-	return int64(q >> 16)
-}
-
-// MulQ returns q*r in Q16.
-func (q Q16) MulQ(r Q16) Q16 { return Q16((int64(q) * int64(r)) >> 16) }
-
-// DivQ returns q/r in Q16. Division by zero returns 0.
-func (q Q16) DivQ(r Q16) Q16 {
-	if r == 0 {
-		return 0
-	}
-	return Q16((int64(q) << 16) / int64(r))
-}
-
-// DivPow2 divides q by 2^k using an arithmetic shift — the shift-based
-// division the paper calls out.
-func (q Q16) DivPow2(k uint) Q16 { return q >> k }
-
-// MulPow2 multiplies q by 2^k using a shift.
-func (q Q16) MulPow2(k uint) Q16 { return q << k }
-
-// Float converts q to float64 for reporting.
-func (q Q16) Float() float64 { return float64(q) / float64(OneQ16) }
-
-// FromFloat converts a float64 to Q16. Only for test calibration; the
-// embedded code paths never construct Q16 from floats.
-func FromFloat(v float64) Q16 { return Q16(v * float64(OneQ16)) }

@@ -1,7 +1,6 @@
 package fixed
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -140,63 +139,5 @@ func TestReducePreservesValue(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQ16Basics(t *testing.T) {
-	if got := FromInt(5).Int(); got != 5 {
-		t.Errorf("FromInt(5).Int() = %d", got)
-	}
-	half := FromRatio(1, 2)
-	if got := half.Float(); math.Abs(got-0.5) > 1e-4 {
-		t.Errorf("1/2 as Q16 = %v", got)
-	}
-	if got := half.MulQ(FromInt(6)).Int(); got != 3 {
-		t.Errorf("0.5*6 = %d, want 3", got)
-	}
-	if got := FromInt(6).DivQ(FromInt(4)).Float(); math.Abs(got-1.5) > 1e-4 {
-		t.Errorf("6/4 = %v, want 1.5", got)
-	}
-	if got := FromInt(8).DivPow2(2).Int(); got != 2 {
-		t.Errorf("8>>2 = %d, want 2", got)
-	}
-	if got := FromInt(3).MulPow2(3).Int(); got != 24 {
-		t.Errorf("3<<3 = %d, want 24", got)
-	}
-	if got := FromInt(5).DivQ(0); got != 0 {
-		t.Errorf("div by zero = %v, want 0", got)
-	}
-	if got := FromRatio(1, 0); got != 0 {
-		t.Errorf("FromRatio(1,0) = %v, want 0", got)
-	}
-}
-
-func TestQ16NegativeInt(t *testing.T) {
-	if got := FromInt(-5).Int(); got != -5 {
-		t.Errorf("FromInt(-5).Int() = %d", got)
-	}
-	if got := FromRatio(-3, 2).Float(); math.Abs(got - -1.5) > 1e-4 {
-		t.Errorf("-3/2 = %v", got)
-	}
-}
-
-// Property: Q16 multiply matches float multiply within quantization error.
-func TestQ16MulMatchesFloat(t *testing.T) {
-	f := func(a, b int16) bool {
-		qa, qb := FromInt(int64(a)), FromRatio(int64(b), 100)
-		got := qa.MulQ(qb).Float()
-		want := float64(a) * float64(b) / 100
-		return math.Abs(got-want) <= math.Abs(want)*1e-3+1e-3
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFromFloatRoundTrip(t *testing.T) {
-	for _, v := range []float64{0, 1, -1, 0.25, 123.5, -42.75} {
-		if got := FromFloat(v).Float(); math.Abs(got-v) > 1e-4 {
-			t.Errorf("FromFloat(%v).Float() = %v", v, got)
-		}
 	}
 }

@@ -72,7 +72,7 @@ func TestProducerKeepsStreamingThroughFailover(t *testing.T) {
 	clip, _ := mpeg.Generate(mpeg.GenConfig{Frames: 200, FPS: 30, GOPPattern: "IBB", MeanFrame: 1500, Seed: 9})
 	p := StartProducer(b.eng, b.sys, f, ProducerConfig{
 		Clip: clip, StreamID: 1, Every: 40 * sim.Millisecond,
-		PerFrameCPU: 200 * sim.Microsecond, CPU: hostos.AnyCPU, Loop: true,
+		PerFrameCPU: 200 * sim.Microsecond, CPU: hostos.AnyCPU,
 	})
 	b.eng.At(2*sim.Second, func() {
 		pri.dead = true

@@ -32,11 +32,9 @@ const perDecisionSyscalls = 3
 
 // SchedulerConfig parameterizes the host-based scheduler process.
 type SchedulerConfig struct {
-	CPU            int // processor the process is bound to (pbind)
-	Model          *cpu.Model
-	Precedence     dwcs.Precedence
-	WorkConserving bool
-	EligibleEarly  sim.Time
+	CPU           int // processor the process is bound to (pbind)
+	Model         *cpu.Model
+	EligibleEarly sim.Time
 	// DecisionOverheadCycles covers shared-memory synchronization and
 	// library overhead per decision; 0 uses the value calibrated to the
 	// ≈50 µs UltraSPARC figure the paper quotes.
@@ -122,8 +120,6 @@ func NewScheduler(eng *sim.Engine, sys *hostos.System, link *netsim.Link, cfg Sc
 		dst:    make(map[int]string),
 	}
 	h.Sched = dwcs.New(dwcs.Config{
-		Precedence:          cfg.Precedence,
-		WorkConserving:      cfg.WorkConserving,
 		EligibleEarly:       cfg.EligibleEarly,
 		Meter:               meter,
 		Now:                 eng.Now,
@@ -258,10 +254,10 @@ type ProducerConfig struct {
 	Every       sim.Time // injection period
 	PerFrameCPU sim.Time // host CPU per *mean-size* frame; scaled by frame size
 	CPU         int      // hostos CPU for that work, or hostos.AnyCPU
-	Loop        bool     // cycle through the clip forever
 }
 
-// StartProducer begins injecting into target until Stop.
+// StartProducer begins injecting into target, cycling through the clip,
+// until Stop.
 func StartProducer(eng *sim.Engine, sys *hostos.System, target EnqueueTarget, cfg ProducerConfig) *Producer {
 	if cfg.Every <= 0 {
 		panic("host: producer period must be positive")
@@ -281,10 +277,6 @@ func StartProducer(eng *sim.Engine, sys *hostos.System, target EnqueueTarget, cf
 	i := 0
 	p.stop = eng.Every(cfg.Every, func() {
 		if i >= len(cfg.Clip.Frames) {
-			if !cfg.Loop {
-				p.stop()
-				return
-			}
 			i = 0
 		}
 		f := &cfg.Clip.Frames[i]

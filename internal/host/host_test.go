@@ -68,7 +68,7 @@ func TestHostSchedulerDegradesUnderLoad(t *testing.T) {
 		clip, _ := mpeg.Generate(mpeg.GenConfig{Frames: 60, FPS: 30, GOPPattern: "IBB", MeanFrame: 1500, Seed: 9})
 		StartProducer(b.eng, b.sys, b.sched, ProducerConfig{
 			Clip: clip, StreamID: 1, Every: 40 * sim.Millisecond,
-			PerFrameCPU: 200 * sim.Microsecond, CPU: hostos.AnyCPU, Loop: true,
+			PerFrameCPU: 200 * sim.Microsecond, CPU: hostos.AnyCPU,
 		})
 		if loadPct > 0 {
 			g := webload.NewGenerator(b.eng, b.sys, webload.TargetUtilization("w", loadPct, 2))
@@ -92,7 +92,7 @@ func TestProducerLoopAndStop(t *testing.T) {
 	b.sched.AddStream(stream(1, 10*sim.Millisecond), "c1")
 	clip, _ := mpeg.Generate(mpeg.GenConfig{Frames: 5, FPS: 30, GOPPattern: "IBB", MeanFrame: 800, Seed: 2})
 	p := StartProducer(b.eng, b.sys, b.sched, ProducerConfig{
-		Clip: clip, StreamID: 1, Every: 5 * sim.Millisecond, Loop: true,
+		Clip: clip, StreamID: 1, Every: 5 * sim.Millisecond,
 	})
 	b.eng.RunUntil(200 * sim.Millisecond)
 	if p.Injected <= 5 {
@@ -104,19 +104,6 @@ func TestProducerLoopAndStop(t *testing.T) {
 	b.eng.RunUntil(400 * sim.Millisecond)
 	if p.Injected != before {
 		t.Fatal("producer kept injecting after Stop")
-	}
-}
-
-func TestProducerWithoutLoopStops(t *testing.T) {
-	b := newBench(t)
-	b.sched.AddStream(stream(1, 10*sim.Millisecond), "c1")
-	clip, _ := mpeg.Generate(mpeg.GenConfig{Frames: 7, FPS: 30, GOPPattern: "IBB", MeanFrame: 800, Seed: 2})
-	p := StartProducer(b.eng, b.sys, b.sched, ProducerConfig{
-		Clip: clip, StreamID: 1, Every: 5 * sim.Millisecond,
-	})
-	b.eng.RunUntil(sim.Second)
-	if p.Injected != 7 {
-		t.Fatalf("injected = %d, want 7 (one pass)", p.Injected)
 	}
 }
 

@@ -6,50 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestATMFramingCellMath(t *testing.T) {
-	f := ATMFraming{}
-	// 40 bytes + 8 trailer = 48 → exactly 1 cell = 53×8 bits.
-	if got := f.WireBits(40); got != 53*8 {
-		t.Fatalf("40B = %d bits, want %d", got, 53*8)
-	}
-	// 41 bytes + 8 = 49 → 2 cells.
-	if got := f.WireBits(41); got != 2*53*8 {
-		t.Fatalf("41B = %d bits, want %d", got, 2*53*8)
-	}
-	if got := f.WireBits(0); got != 53*8 {
-		t.Fatalf("0B = %d bits, want one cell", got)
-	}
-	if f.Name() != "atm-aal5" || (EthernetFraming{}).Name() != "ethernet" {
-		t.Error("framing names")
-	}
-}
-
-func TestATMLinkFasterButWithCellTax(t *testing.T) {
-	eng := sim.NewEngine(1)
-	eth := Fast100(eng, "eth", nil)
-	atm := NewATM(eng, "atm", nil)
-	// OC-3 outruns fast Ethernet for bulk payloads.
-	if atm.WireTime(64<<10) >= eth.WireTime(64<<10) {
-		t.Fatal("OC-3 should beat 100 Mbps Ethernet")
-	}
-	// The ~10% cell tax: efficiency is 48/53 before the trailer.
-	bits := ATMFraming{}.WireBits(48000)
-	if float64(bits)/float64(48000*8) < 53.0/48.0-0.01 {
-		t.Fatalf("cell overhead missing: %d bits for 48000 bytes", bits)
-	}
-}
-
-func TestATMDelivery(t *testing.T) {
-	eng := sim.NewEngine(1)
-	c := NewClient(eng, "c")
-	atm := NewATM(eng, "atm", c)
-	atm.Send(&Packet{Dst: "c", Bytes: 9000}, nil)
-	eng.Run()
-	if c.Received != 1 {
-		t.Fatalf("received = %d", c.Received)
-	}
-}
-
 func TestDropEveryInjectsLoss(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := NewClient(eng, "c")

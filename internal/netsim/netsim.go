@@ -65,49 +65,6 @@ type PortFunc func(p *Packet)
 // Deliver implements Port.
 func (f PortFunc) Deliver(p *Packet) { f(p) }
 
-// Framing computes how many bits a media payload of n bytes occupies on a
-// particular link technology.
-type Framing interface {
-	// WireBits returns total bits on the wire for an n-byte payload.
-	WireBits(n int64) int64
-	// Name identifies the technology.
-	Name() string
-}
-
-// EthernetFraming fragments payloads into MTU-sized frames, each paying
-// PerFrameOverhead bytes.
-type EthernetFraming struct{}
-
-// WireBits implements Framing.
-func (EthernetFraming) WireBits(n int64) int64 {
-	frames := (n + MTU - 1) / MTU
-	if frames == 0 {
-		frames = 1
-	}
-	return (n + frames*PerFrameOverhead) * 8
-}
-
-// Name implements Framing.
-func (EthernetFraming) Name() string { return "ethernet" }
-
-// ATMFraming carries payloads in AAL5 PDUs over 53-byte cells with 48-byte
-// payloads — the FORE SBA-200 interconnect the DVCM was first built on
-// (§5). The AAL5 trailer adds 8 bytes and the PDU pads to a cell multiple.
-type ATMFraming struct{}
-
-// WireBits implements Framing.
-func (ATMFraming) WireBits(n int64) int64 {
-	pdu := n + 8 // AAL5 trailer
-	cells := (pdu + 47) / 48
-	if cells == 0 {
-		cells = 1
-	}
-	return cells * 53 * 8
-}
-
-// Name implements Framing.
-func (ATMFraming) Name() string { return "atm-aal5" }
-
 // Link is one half-duplex transmit path at a fixed bit rate. Transmissions
 // serialize FIFO; each completes after wire time plus propagation and is
 // then delivered to the attached port.
@@ -120,12 +77,11 @@ func (ATMFraming) Name() string { return "atm-aal5" }
 // propagation is the same for every packet — so the deliver callback always
 // takes the head of inFlight.
 type Link struct {
-	eng     *sim.Engine
-	name    string
-	bps     int64
-	prop    sim.Time
-	dst     Port
-	framing Framing
+	eng  *sim.Engine
+	name string
+	bps  int64
+	prop sim.Time
+	dst  Port
 
 	busy      bool               // a transmission is on the wire
 	onWire    func()             // its onWire callback
@@ -157,7 +113,7 @@ func NewLink(eng *sim.Engine, name string, bps int64, prop sim.Time, dst Port) *
 	if bps <= 0 {
 		panic("netsim: link rate must be positive")
 	}
-	l := &Link{eng: eng, name: name, bps: bps, prop: prop, dst: dst, framing: EthernetFraming{}}
+	l := &Link{eng: eng, name: name, bps: bps, prop: prop, dst: dst}
 	l.freeFn = l.free
 	l.deliverFn = l.deliver
 	l.sendFn = func(p any) { l.Send(p.(*Packet), nil) }
@@ -170,27 +126,20 @@ type transmit struct {
 	onWire func()
 }
 
-// NewATM returns an OC-3 (155.52 Mbps) ATM link with AAL5 framing and 2 µs
-// propagation — the FORE-style system-area interconnect of the original
-// DVCM (§5).
-func NewATM(eng *sim.Engine, name string, dst Port) *Link {
-	l := NewLink(eng, name, 155_520_000, 2*sim.Microsecond, dst)
-	l.framing = ATMFraming{}
-	return l
-}
-
-// Framing returns the link's framing model.
-func (l *Link) Framing() Framing { return l.framing }
-
 // Fast100 returns a 100 Mbps link with 2 µs propagation.
 func Fast100(eng *sim.Engine, name string, dst Port) *Link {
 	return NewLink(eng, name, 100_000_000, 2*sim.Microsecond, dst)
 }
 
-// WireTime returns the serialization time of a media payload of n bytes,
-// including the link technology's framing overhead.
+// WireTime returns the serialization time of a media payload of n bytes:
+// the payload fragments into MTU-sized Ethernet frames, each paying
+// PerFrameOverhead bytes.
 func (l *Link) WireTime(n int64) sim.Time {
-	bits := l.framing.WireBits(n)
+	frames := (n + MTU - 1) / MTU
+	if frames == 0 {
+		frames = 1
+	}
+	bits := (n + frames*PerFrameOverhead) * 8
 	// Split the division so huge payloads don't overflow int64 nanoseconds.
 	secs := bits / l.bps
 	rem := bits % l.bps
@@ -363,15 +312,6 @@ type Client struct {
 	// BW, if set, meters goodput.
 	BW *stats.BandwidthMeter
 
-	// MaxPending caps frames resident in the receive stack (the player's rx
-	// ring). A slow client otherwise accumulates pending deliveries without
-	// bound while the server keeps sending. Zero keeps the historical
-	// unlimited behaviour; overflow frames are dropped and counted.
-	MaxPending int
-	// RxDropped counts frames discarded at the rx ring — overflow while
-	// MaxPending frames are pending, or any arrival while draining.
-	RxDropped int64
-
 	Received  int64
 	RecvBytes int64
 	Late      int64
@@ -380,8 +320,6 @@ type Client struct {
 	latencySum  sim.Time // send-to-delivered, summed over Received frames
 	lastArrival sim.Time
 	gotFirst    bool
-	pending     int       // frames inside the receive stack
-	paused      bool      // draining: the player stopped reading
 	playoutFn   func(any) // c.playout, built once
 
 	tel       *telemetry.Registry
@@ -404,20 +342,8 @@ func NewClient(eng *sim.Engine, name string) *Client {
 	return c
 }
 
-// SetDraining marks the client as stalled (true): the player has stopped
-// reading, so every arrival is dropped at the rx ring until the client
-// resumes (false). Frames already inside the receive stack still complete.
-func (c *Client) SetDraining(on bool) { c.paused = on }
-
-// Pending reports frames currently inside the receive stack.
-func (c *Client) Pending() int { return c.pending }
-
 // Deliver implements Port.
 func (c *Client) Deliver(p *Packet) {
-	if c.paused || (c.MaxPending > 0 && c.pending >= c.MaxPending) {
-		c.RxDropped++
-		return
-	}
 	arrival := c.eng.Now()
 	if c.tel != nil && p.StreamID > 0 {
 		if p.Dispatched != 0 && p.FirstSent != 0 {
@@ -427,7 +353,6 @@ func (c *Client) Deliver(p *Packet) {
 			c.tel.Span(p.StreamID, p.Seq, telemetry.StageWire, c.Name, p.FirstSent, arrival)
 		}
 	}
-	c.pending++
 	c.eng.AfterArg(c.RxStack, c.playoutFn, p)
 }
 
@@ -435,7 +360,6 @@ func (c *Client) Deliver(p *Packet) {
 // the packet, and it arrived RxStack ago.
 func (c *Client) playout(arg any) {
 	p := arg.(*Packet)
-	c.pending--
 	if c.tel != nil && p.StreamID > 0 {
 		c.tel.Span(p.StreamID, p.Seq, telemetry.StagePlayout, c.Name, c.eng.Now()-c.RxStack, c.eng.Now())
 	}

@@ -166,6 +166,21 @@ func TestClientAccounting(t *testing.T) {
 // MeanLatency is the integer mean stats.Summarize computes over the
 // send-to-delivered latencies of the frames played out: the same nanosecond
 // for any set of deliveries, zero for none.
+// A receive stack slower than the arrivals queues them without bound: every
+// frame still plays out.
+func TestClientUnlimitedByDefault(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cl := NewClient(eng, "c")
+	cl.RxStack = 10 * sim.Millisecond
+	for i := 0; i < 100; i++ {
+		cl.Deliver(&Packet{Seq: int64(i), Bytes: 1000})
+	}
+	eng.Run()
+	if cl.Received != 100 {
+		t.Fatalf("received=%d, want 100", cl.Received)
+	}
+}
+
 func TestMeanLatencyMatchesSummarize(t *testing.T) {
 	if c := NewClient(sim.NewEngine(1), "player"); c.MeanLatency() != 0 {
 		t.Fatalf("no deliveries: mean %v", c.MeanLatency())
@@ -248,8 +263,8 @@ func TestClientDeliverDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Errorf("%v allocs per four deliveries, want 0", allocs)
 	}
-	if c.Received != 4*102 || c.Pending() != 0 {
-		t.Errorf("received %d, pending %d", c.Received, c.Pending())
+	if c.Received != 4*102 {
+		t.Errorf("received %d", c.Received)
 	}
 	// Round k (1..102) plays its four frames out k receive stacks after
 	// time 0, their Sent: the mean is 51.5 stacks.

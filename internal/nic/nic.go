@@ -61,7 +61,6 @@ type Config struct {
 	Arith   cpu.Arithmetic // softFP or fixed-point build of the scheduler
 	Memory  int64          // installed local memory; 0 = 4 MB
 	Model   *cpu.Model     // nil = i960 RD 66 MHz
-	Seed    int64          // reserved for stochastic card behaviour
 }
 
 // Card is one I2O NI.
@@ -323,14 +322,6 @@ type SchedulerConfig struct {
 	// wind-kernel loop overhead, and heap bookkeeping. 0 uses the value
 	// calibrated against Table 2.
 	DecisionOverheadCycles int64
-	MaxDescriptors         int
-	// DispatchQueue > 0 decouples scheduling and dispatch (§3.1.1): the
-	// scheduler task deposits decisions in a FIFO of that depth and a
-	// separate dispatcher task drains it. Decisions can then be made at a
-	// higher rate, at the cost of additional queuing delay and jitter in
-	// the dispatch queue. 0 keeps scheduling and dispatch coupled (the
-	// paper's memory-conserving default).
-	DispatchQueue int
 }
 
 // DefaultDecisionOverhead is calibrated so the fixed-point, cache-enabled
@@ -381,12 +372,6 @@ type SchedulerExt struct {
 	sleepWake    func()    // its completion, from Await
 	startSleepFn func(wake func())
 	endSleepFn   func()
-
-	// decoupled-dispatch state (nil/unused when coupled): decisions by
-	// value, since a decision's packet is only valid until the next one
-	dispatchQ   sim.FIFO[dwcs.Packet]
-	dispatchSem *rtos.Semaphore
-	dispatchCap int
 }
 
 // buildScheduler constructs the DWCS instance for cfg, allocating ring
@@ -416,7 +401,6 @@ func (c *Card) buildScheduler(cfg SchedulerConfig, next *int) *dwcs.Scheduler {
 		Now:              c.Eng.Now,
 		DecisionOverhead: cfg.DecisionOverheadCycles,
 		NewStore:         newStore,
-		MaxDescriptors:   cfg.MaxDescriptors,
 	})
 }
 
@@ -442,13 +426,7 @@ func (c *Card) LoadScheduler(cfg SchedulerConfig) (*SchedulerExt, error) {
 	if err := c.VCM.Register(ext); err != nil {
 		return nil, err
 	}
-	if cfg.DispatchQueue > 0 {
-		ext.dispatchCap = cfg.DispatchQueue
-		ext.dispatchSem = rtos.NewSemaphore(c.Kernel, c.Name+"/dispatchq", 0)
-		disp := &schedTask{ext: ext, after: dispTake}
-		c.Kernel.SpawnStep(c.Name+"/dispatch", PrioScheduler+1, disp.step)
-	}
-	sched := &schedTask{ext: ext, after: schedDecide}
+	sched := &schedTask{ext: ext}
 	c.Kernel.SpawnStep(ext.srcDWCS, PrioScheduler, sched.step)
 	return ext, nil
 }
@@ -703,7 +681,7 @@ func (ext *SchedulerExt) AttachOverload(ctl *overload.Controller) error {
 	ext.ovCost = make(map[int]overload.StreamCost)
 	ext.Card.Mem.Observe(ctl.Budget)
 	ctl.Hooks = overload.Hooks{
-		QueueDepth:   func() int { return ext.Sched.Len() + ext.dispatchQ.Len() },
+		QueueDepth:   func() int { return ext.Sched.Len() },
 		ShedTolerant: ext.shedTolerant,
 		Revoke:       ext.revokeLowestValue,
 		Reinstate:    ext.reinstateOne,
@@ -813,33 +791,27 @@ func (ext *SchedulerExt) wake() {
 	}
 }
 
-// The scheduler's and the dispatcher's states; each ends in at most one
-// blocking call or burst. Both tasks dispatch through the same three.
+// The scheduler task's states; each ends in at most one blocking call or
+// burst. Scheduling and dispatch are coupled (§3.1.1): the task sends each
+// decision's packet before it makes the next decision.
 const (
-	taskStart    = iota // first dispatch: the task's CPU lap starts
-	schedDecide         // decide and charge the decision
-	schedAct            // account the drops, then act on the decision
-	schedHandOff        // decoupled: queue the decision, backing off while the queue is full
-	dispTake            // the dispatcher waits for a decision
-	dispPop             // and takes it off the queue
-	dispCharge          // charge the dispatch path for packet p
-	dispCharged         // account for p, build its frame, pay protocol encapsulation
-	dispOnWire          // put the frame on the wire
+	taskStart   = iota // first dispatch: the task's CPU lap starts
+	schedDecide        // decide and charge the decision
+	schedAct           // account the drops, then act on the decision
+	dispCharge         // charge the dispatch path for the decision's packet
+	dispCharged        // account for it, build its frame, pay protocol encapsulation
+	dispOnWire         // put the frame on the wire
 )
 
-// schedTask is the state of the scheduler task or the decoupled dispatcher
-// task, step tasks on the card. p, the packet being dispatched, stays valid
-// across the dispatch's bursts: the scheduler's decision is only replaced
-// by this task's next Schedule, and the dispatcher sends its own copy.
+// schedTask is the state of the scheduler task, a step task on the card.
+// The decision's packet stays valid across the dispatch's bursts: the
+// scheduler replaces it only at this task's next Schedule.
 type schedTask struct {
 	ext   *SchedulerExt
 	lap   *cpu.Lap
 	state int
 	d     dwcs.Decision // the scheduler's decision
-	p     *dwcs.Packet
-	held  dwcs.Packet // the dispatcher's copy of a queued decision
 	pkt   *netsim.Packet
-	after int // the task's loop state: where it starts and a dispatch returns to
 }
 
 // step runs the task up to its next blocking call or burst.
@@ -848,7 +820,7 @@ func (s *schedTask) step(tc *rtos.TaskCtx) bool {
 	for {
 		switch s.state {
 		case taskStart:
-			s.lap, s.state = cpu.StartLap(c.Meter), s.after
+			s.lap, s.state = cpu.StartLap(c.Meter), schedDecide
 		case schedDecide:
 			s.d = ext.Sched.Schedule()
 			s.state = schedAct
@@ -864,10 +836,8 @@ func (s *schedTask) step(tc *rtos.TaskCtx) bool {
 			}
 			s.state = schedDecide
 			switch {
-			case d.Packet != nil && ext.dispatchSem != nil:
-				s.state = schedHandOff
 			case d.Packet != nil:
-				s.p, s.state = d.Packet, dispCharge
+				s.state = dispCharge
 			case d.WaitUntil > 0:
 				// Paced: sleep until the best packet is eligible or an enqueue
 				// kicks the task (charging the decision may have passed it).
@@ -881,30 +851,13 @@ func (s *schedTask) step(tc *rtos.TaskCtx) bool {
 				ext.work.Take(tc) // idle until a producer enqueues
 				return true
 			}
-		case schedHandOff:
-			// Decoupled mode: hand the decision to the dispatcher. A full
-			// dispatch queue back-pressures the scheduler task.
-			if ext.dispatchQ.Len() >= ext.dispatchCap {
-				tc.Sleep(sim.Millisecond)
-				return true
-			}
-			ext.dispatchQ.Push(*s.d.Packet)
-			ext.dispatchSem.Give()
-			s.state = schedDecide
-		case dispTake:
-			s.state = dispPop
-			ext.dispatchSem.Take(tc)
-			return true
-		case dispPop:
-			s.held = ext.dispatchQ.Pop()
-			s.p, s.state = &s.held, dispCharge
 		case dispCharge:
 			c.ChargeDispatch()
 			s.state = dispCharged
 			tc.Charge(s.lap)
 			return true
 		case dispCharged:
-			p := s.p
+			p := s.d.Packet
 			if t := ext.QDelay[p.StreamID]; t != nil {
 				t.Record(tc.Now() - p.Enqueued)
 			}
@@ -925,8 +878,8 @@ func (s *schedTask) step(tc *rtos.TaskCtx) bool {
 			tc.Run(c.Stack.Tx)
 			return true
 		case dispOnWire:
-			c.Transmit(s.pkt, s.p.Payload)
-			s.pkt, s.state = nil, s.after
+			c.Transmit(s.pkt, s.d.Packet.Payload)
+			s.pkt, s.state = nil, schedDecide
 		}
 	}
 }

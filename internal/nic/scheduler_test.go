@@ -12,8 +12,8 @@ import (
 	"repro/internal/sim"
 )
 
-// schedScenario is one shape of the scheduler task: coupled or decoupled,
-// paced or work-conserving, with a hang and a crash landing mid-run.
+// schedScenario is one shape of the scheduler task: paced or
+// work-conserving, with a hang and a crash landing mid-run.
 type schedScenario struct {
 	name string
 	cfg  SchedulerConfig
@@ -26,8 +26,6 @@ type schedScenario struct {
 var schedScenarios = []schedScenario{
 	{name: "coupled, paced", cfg: SchedulerConfig{EligibleEarly: 5 * sim.Millisecond}, hogs: 20, crash: 45},
 	{name: "coupled, work-conserving", cfg: SchedulerConfig{WorkConserving: true}, hogs: 30, crash: 70},
-	{name: "decoupled, queue 2", cfg: SchedulerConfig{WorkConserving: true, DispatchQueue: 2}, hogs: 25, crash: 60},
-	{name: "decoupled, paced", cfg: SchedulerConfig{EligibleEarly: 5 * sim.Millisecond, DispatchQueue: 2}, hogs: 15, crash: 40},
 }
 
 // schedulerRun drives one scheduler card through sc for 1.5 s: two lossy
@@ -103,9 +101,8 @@ func schedulerRun(t *testing.T, sc schedScenario) string {
 		k.Switches, k.BusyTime, r.card.Crashes, log.String())
 }
 
-// TestSchedulerTaskPaths pins the scheduler and dispatcher tasks — coupled
-// and decoupled, paced and work-conserving — with deadline drops, the
-// decoupled hand-off's back-pressure sleep, a HangHog that preempts at a
+// TestSchedulerTaskPaths pins the scheduler task — paced and
+// work-conserving — with deadline drops, a HangHog that preempts at a
 // burst end and a crash inside a burst, to testdata/scheduler.golden: every
 // received frame's dispatch and arrival time, every deadline drop, and the
 // card's counters.

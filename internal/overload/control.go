@@ -130,8 +130,8 @@ func (l *Ladder) step(to Rung) {
 // Hooks are the card-side actions a Controller drives. All are optional;
 // a nil hook simply disables that rung's mechanism.
 type Hooks struct {
-	// QueueDepth returns the transmit-path backlog in frames (scheduler
-	// rings plus dispatch queue).
+	// QueueDepth returns the transmit-path backlog in frames (the
+	// scheduler rings).
 	QueueDepth func() int
 	// ShedTolerant sheds up to max queued frames whose streams still have
 	// DWCS loss budget, returning how many were shed.
