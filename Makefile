@@ -54,7 +54,7 @@ examples:
 # each reporting allocations, for convenience; `go run ./bench` is the
 # judged benchmark.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSimulationThroughput|BenchmarkMissScan|BenchmarkHandoff|BenchmarkLinkSend|BenchmarkDiskRead|BenchmarkClientDeliver|BenchmarkCPUSubmit|BenchmarkSpanRecord|BenchmarkStitchCollect' \
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkMissScan|BenchmarkHandoff|BenchmarkLinkSend|BenchmarkDiskRead|BenchmarkClientDeliver|BenchmarkCPUSubmit|BenchmarkSpanRecord|BenchmarkStitchCollect' \
 		-benchmem -benchtime 0.5s ./...
 
 # Regenerate every table and figure of the paper's evaluation section.

@@ -6,10 +6,8 @@
 // simulation.
 //
 // The library lives in internal/ packages (see DESIGN.md for the system
-// inventory); this root package carries the benchmark harness that
-// regenerates every table and figure of the paper's evaluation — run
-//
-//	go test -bench=. -benchmem
-//
-// or use cmd/reprogen for the paper-vs-measured comparison tables.
+// inventory); this root package holds only the whole-system integration
+// test. cmd/reprogen regenerates every table and figure of the paper's
+// evaluation as paper-vs-measured comparison tables, and go run ./bench
+// times it.
 package repro

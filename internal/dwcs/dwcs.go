@@ -98,16 +98,14 @@ func (k SelectorKind) String() string {
 }
 
 // Errors returned by scheduler operations. The per-frame paths — an
-// enqueue bounced off a full ring or an exhausted descriptor table, any
-// call naming an unknown stream — return values built once, so a rejected
-// frame allocates nothing; match them with errors.Is.
+// enqueue bounced off a full ring, any call naming an unknown stream —
+// return values built once, so a rejected frame allocates nothing; match
+// them with errors.Is.
 var (
 	ErrUnknownStream = errors.New("dwcs: unknown stream")
 	ErrDuplicateID   = errors.New("dwcs: duplicate stream id")
 	ErrBufferFull    = errors.New("dwcs: stream buffer full")
 	ErrBadSpec       = errors.New("dwcs: invalid stream spec")
-
-	errTableFull = fmt.Errorf("%w: descriptor table exhausted", ErrBufferFull)
 )
 
 // StreamSpec declares one media stream.
@@ -231,8 +229,6 @@ type Config struct {
 	// uses plain pinned-DRAM stores (Table 2). Supplying register-file
 	// regions reproduces Table 3.
 	NewStore func(words int) mem.WordStore
-	// MaxDescriptors bounds the descriptor table; 0 means unbounded.
-	MaxDescriptors int
 	// MaxDropsPerDecision bounds how many late packets one Schedule call
 	// may retire (0 = unbounded). The paper's host implementation considers
 	// one head packet per scheduling pass, so a starved scheduler pays a
@@ -560,19 +556,16 @@ func (s *Scheduler) FlushStream(id int) ([]Packet, error) {
 	return out, nil
 }
 
-func (s *Scheduler) allocSlot() (uint32, bool) {
+func (s *Scheduler) allocSlot() uint32 {
 	if n := len(s.free); n > 0 {
 		slot := s.free[n-1]
 		s.free = s.free[:n-1]
 		s.meter.MemRead(1)
 		s.meter.MemWrite(1)
-		return slot, true
-	}
-	if s.cfg.MaxDescriptors > 0 && len(s.table) >= s.cfg.MaxDescriptors {
-		return 0, false
+		return slot
 	}
 	s.table = append(s.table, Packet{})
-	return uint32(len(s.table) - 1), true
+	return uint32(len(s.table) - 1)
 }
 
 func (s *Scheduler) freeSlot(slot uint32) {
@@ -591,11 +584,7 @@ func (s *Scheduler) Enqueue(id int, p Packet) error {
 	if !ok {
 		return ErrUnknownStream
 	}
-	slot, ok := s.allocSlot()
-	if !ok {
-		st.stats.RejectedFull++
-		return errTableFull
-	}
+	slot := s.allocSlot()
 	now := s.now()
 	base := st.last
 	if now > base {

@@ -106,21 +106,6 @@ func TestEnqueueFullRing(t *testing.T) {
 	}
 }
 
-func TestMaxDescriptorsBound(t *testing.T) {
-	clk := &testClock{}
-	s := newScheduler(clk, func(c *Config) { c.MaxDescriptors = 1 })
-	mustAdd(t, s, spec(1, sim.Millisecond, fixed.New(1, 2)))
-	mustEnqueue(t, s, 1, Packet{})
-	if err := s.Enqueue(1, Packet{}); !errors.Is(err, ErrBufferFull) {
-		t.Fatalf("err = %v", err)
-	}
-	// Dispatch frees the descriptor; enqueue works again.
-	if d := s.Schedule(); d.Packet == nil {
-		t.Fatal("no dispatch")
-	}
-	mustEnqueue(t, s, 1, Packet{})
-}
-
 func TestDeadlinesOffsetByPeriod(t *testing.T) {
 	clk := &testClock{}
 	s := newScheduler(clk)
@@ -477,7 +462,7 @@ func TestDispatchedPacketSurvivesSlotReuse(t *testing.T) {
 
 func TestRemoveStreamFreesDescriptors(t *testing.T) {
 	clk := &testClock{}
-	s := newScheduler(clk, func(c *Config) { c.MaxDescriptors = 2 })
+	s := newScheduler(clk)
 	mustAdd(t, s, spec(1, sim.Millisecond, fixed.New(1, 2)))
 	mustEnqueue(t, s, 1, Packet{})
 	mustEnqueue(t, s, 1, Packet{})
@@ -489,6 +474,10 @@ func TestRemoveStreamFreesDescriptors(t *testing.T) {
 	mustEnqueue(t, s, 2, Packet{})
 	if got := s.StreamIDs(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("StreamIDs = %v", got)
+	}
+	// The removed stream's two descriptors were reused, not appended.
+	if len(s.table) != 2 {
+		t.Fatalf("descriptor table grew to %d slots, want 2", len(s.table))
 	}
 }
 
@@ -562,9 +551,6 @@ func TestRejectedEnqueueDoesNotAllocate(t *testing.T) {
 	mustAdd(t, ring, full)
 	mustEnqueue(t, ring, 1, Packet{})
 	mustEnqueue(t, ring, 1, Packet{})
-	table := newScheduler(&testClock{}, func(c *Config) { c.MaxDescriptors = 1 })
-	mustAdd(t, table, spec(1, sim.Millisecond, fixed.New(1, 2)))
-	mustEnqueue(t, table, 1, Packet{})
 	cases := []struct {
 		name string
 		s    *Scheduler
@@ -573,7 +559,6 @@ func TestRejectedEnqueueDoesNotAllocate(t *testing.T) {
 		msg  string
 	}{
 		{"ring full", ring, 1, ErrBufferFull, "dwcs: stream buffer full: stream 1 ring (cap 2)"},
-		{"descriptor table exhausted", table, 1, ErrBufferFull, "dwcs: stream buffer full: descriptor table exhausted"},
 		{"unknown stream", ring, 42, ErrUnknownStream, "dwcs: unknown stream"},
 	}
 	for _, c := range cases {

@@ -48,9 +48,12 @@ const (
 
 // DiagnosticsConfig parameterizes RunDiagnostics.
 type DiagnosticsConfig struct {
-	Dur  sim.Time // observation length; 0 = 30 s
-	Mult int      // producer oversubscription; 0 = 8 (past the leak threshold)
+	Dur sim.Time // observation length; 0 = 30 s
 }
+
+// diagnosticsMult is the diagnostics run's producer oversubscription, past
+// the leak threshold.
+const diagnosticsMult = 8
 
 // DiagnosticsArtifacts is everything one diagnostics run exports.
 type DiagnosticsArtifacts struct {
@@ -85,15 +88,12 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 	if cfg.Dur <= 0 {
 		cfg.Dur = 30 * sim.Second
 	}
-	if cfg.Mult <= 0 {
-		cfg.Mult = 8
-	}
 	a := &DiagnosticsArtifacts{Dur: cfg.Dur}
 
 	eng := sim.NewEngine(42)
 	reg := telemetry.New()
 	// The overload sweep's card pair, streams and clients, on one segment.
-	b := newOverloadBed(eng, bus.New(eng, bus.PCI("pci0")), cfg.Mult)
+	b := newOverloadBed(eng, bus.New(eng, bus.PCI("pci0")), diagnosticsMult)
 	ext, ctl := b.ext, b.ctl
 	schedCard := ext.Card
 	ext.Instrument(reg)
@@ -193,7 +193,7 @@ func RunDiagnostics(cfg DiagnosticsConfig) *DiagnosticsArtifacts {
 	a.Rejects = ctl.Budget.Rejects
 	a.Health = mon.Health()
 	a.SLOViolations = mon.Violations
-	a.Summary = a.summarize(cfg, rec)
+	a.Summary = a.summarize(rec)
 	return a
 }
 
@@ -234,9 +234,9 @@ func snapshotMarked(card *nic.Card, reg *telemetry.Registry) {
 	card.Blackbox.Record(blackbox.Event{At: card.Eng.Now(), Kind: blackbox.KindSnapshot, A: int64(n)})
 }
 
-func (a *DiagnosticsArtifacts) summarize(cfg DiagnosticsConfig, rec *blackbox.Recorder) string {
+func (a *DiagnosticsArtifacts) summarize(rec *blackbox.Recorder) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Diagnostics chaos run: %v at %dx oversubscription\n", a.Dur, cfg.Mult)
+	fmt.Fprintf(&b, "Diagnostics chaos run: %v at %dx oversubscription\n", a.Dur, diagnosticsMult)
 	fmt.Fprintf(&b, "  incidents: %d trigger(s), %d retained, %d suppressed\n",
 		a.Triggers, len(rec.Incidents()), a.Suppressed)
 	fmt.Fprintf(&b, "  flight-recorder ring: %d B charged to the card budget (class blackbox: %d B at end)\n",

@@ -2,7 +2,7 @@
 // evaluation (§4). Each Run* function builds the corresponding testbed from
 // the substrate packages, executes it deterministically, and returns the
 // measured values alongside the paper's reported numbers so cmd/reprogen,
-// the test suite, and bench_test.go all share one source of truth.
+// the test suite, and the bench workloads all share one source of truth.
 //
 // The reproduction criterion is *shape*, not absolute equality (DESIGN.md
 // §5): the simulated substrate is calibrated from the paper's own

@@ -23,14 +23,16 @@ import (
 
 // FaultConfig parameterizes RunFaultRecovery.
 type FaultConfig struct {
-	Dur  sim.Time     // observation length; 0 = 30 s
-	Plan *faults.Plan // chaos schedule; nil = DefaultFaultPlan(Dur)
-	// ResetDelay is how long a watchdog-initiated card reset takes
-	// (firmware reload); 0 = 1 s.
-	ResetDelay sim.Time
-	// WatchdogTimeout is the card deadman period; 0 = 250 ms.
-	WatchdogTimeout sim.Time
+	Dur sim.Time // observation length; 0 = 30 s
 }
+
+const (
+	// faultResetDelay is how long a watchdog-initiated card reset takes
+	// (firmware reload).
+	faultResetDelay = sim.Second
+	// faultWatchdogTimeout is the card deadman period.
+	faultWatchdogTimeout = 250 * sim.Millisecond
+)
 
 // Chaos-plan target names understood by the fault-recovery testbed.
 const (
@@ -84,15 +86,6 @@ type FaultRecovery struct {
 func RunFaultRecovery(cfg FaultConfig) *FaultRecovery {
 	if cfg.Dur == 0 {
 		cfg.Dur = 30 * sim.Second
-	}
-	if cfg.Plan == nil {
-		cfg.Plan = DefaultFaultPlan(cfg.Dur)
-	}
-	if cfg.ResetDelay == 0 {
-		cfg.ResetDelay = sim.Second
-	}
-	if cfg.WatchdogTimeout == 0 {
-		cfg.WatchdogTimeout = 250 * sim.Millisecond
 	}
 
 	eng := sim.NewEngine(42)
@@ -160,7 +153,7 @@ func RunFaultRecovery(cfg FaultConfig) *FaultRecovery {
 	var violationsBeforeCrash int64
 	var injectedAtCrash int64
 	resetArmed := false
-	card.StartWatchdog(cfg.WatchdogTimeout, func() {
+	card.StartWatchdog(faultWatchdogTimeout, func() {
 		if !card.Crashed() || resetArmed {
 			return // spurious bite (e.g. a task hang that clears itself)
 		}
@@ -168,7 +161,7 @@ func RunFaultRecovery(cfg FaultConfig) *FaultRecovery {
 		fr.BiteAt = eng.Now()
 		fr.DetectionLoss = ft.ToPrimary - injectedAtCrash
 		ft.FailToBackup()
-		eng.After(cfg.ResetDelay, func() {
+		eng.After(faultResetDelay, func() {
 			for _, spec := range specs {
 				_ = ext.Sched.RemoveStream(spec.ID)
 			}
@@ -184,7 +177,7 @@ func RunFaultRecovery(cfg FaultConfig) *FaultRecovery {
 		})
 	})
 
-	err = cfg.Plan.Arm(eng, faults.InjectorFuncs{
+	err = DefaultFaultPlan(cfg.Dur).Arm(eng, faults.InjectorFuncs{
 		OnInject: func(e faults.Event) {
 			switch e.Kind {
 			case faults.CardCrash:

@@ -35,8 +35,72 @@ type Microbench struct {
 // paper headlines as ≈65 µs.
 func (m Microbench) Overhead() sim.Time { return m.AvgSched - m.AvgNoSched }
 
-// microStreamSpecs returns the stream set the clip is split across.
-func microStreamSpecs(perStream int) []dwcs.StreamSpec {
+// drainPass is §4.2's measurement method, the one pass behind Tables 1–3,
+// the headline, the scaling study and the telemetry row's cycle profile:
+// add the streams, enqueue packet i on stream i mod len(specs), reset the
+// meter, then drain the rings flat-out.
+type drainPass struct {
+	meter   *cpu.Meter
+	sched   *dwcs.Scheduler
+	specs   []dwcs.StreamSpec
+	packets []dwcs.Packet
+	// fcfs drains in arrival order with no DWCS decision: the "w/o
+	// Scheduler" pass, execution re-routed straight to the dispatch point.
+	fcfs bool
+	// dispatch, if set, is charged after each frame's dequeue.
+	dispatch func()
+	// observer, if set, is attached to the meter after the reset.
+	observer cpu.CycleObserver
+}
+
+// run performs the pass and returns how many frames it drained.
+func (p drainPass) run() int {
+	for _, spec := range p.specs {
+		if err := p.sched.AddStream(spec); err != nil {
+			panic(err)
+		}
+	}
+	for i, pkt := range p.packets {
+		if err := p.sched.Enqueue(p.specs[i%len(p.specs)].ID, pkt); err != nil {
+			panic(err)
+		}
+	}
+	p.meter.Reset()
+	if p.observer != nil {
+		p.meter.Observe(p.observer)
+	}
+	frames := 0
+	for {
+		if p.fcfs {
+			if p.sched.DequeueFCFS() == nil {
+				break
+			}
+		} else if p.sched.Schedule().Packet == nil {
+			break
+		}
+		if p.dispatch != nil {
+			p.dispatch()
+		}
+		frames++
+	}
+	return frames
+}
+
+// microPackets is the Table 1–3 workload: the default clip, one packet per
+// frame.
+func microPackets() []dwcs.Packet {
+	clip := mpeg.GenerateDefault()
+	pkts := make([]dwcs.Packet, len(clip.Frames))
+	for i, f := range clip.Frames {
+		pkts[i] = dwcs.Packet{Bytes: f.Size, Offset: f.Offset}
+	}
+	return pkts
+}
+
+// microStreamSpecs returns the stream set the workload's packets are split
+// across.
+func microStreamSpecs(packets int) []dwcs.StreamSpec {
+	perStream := (packets + MicrobenchStreams - 1) / MicrobenchStreams
 	losses := []fixed.Frac{fixed.New(1, 2), fixed.New(1, 4), fixed.New(2, 8), fixed.New(3, 10)}
 	specs := make([]dwcs.StreamSpec, MicrobenchStreams)
 	for i := range specs {
@@ -52,52 +116,33 @@ func microStreamSpecs(perStream int) []dwcs.StreamSpec {
 	return specs
 }
 
+// microPass runs the workload once on a fresh card, charging the NI
+// dispatch after each frame, and returns the card's meter and the frame
+// count.
+func microPass(pkts []dwcs.Packet, arith cpu.Arithmetic, cacheOn bool, store nic.StoreKind, fcfs bool, observer cpu.CycleObserver) (*cpu.Meter, int) {
+	card := nic.New(sim.NewEngine(1), nic.Config{Name: "bench", CacheOn: cacheOn, Arith: arith})
+	frames := drainPass{
+		meter:    card.Meter,
+		sched:    card.NewBenchScheduler(nic.SchedulerConfig{Store: store, WorkConserving: true}),
+		specs:    microStreamSpecs(len(pkts)),
+		packets:  pkts,
+		fcfs:     fcfs,
+		dispatch: card.ChargeDispatch,
+		observer: observer,
+	}.run()
+	return card.Meter, frames
+}
+
 // RunMicrobench measures one configuration of the Table 1–3 benchmark.
 func RunMicrobench(arith cpu.Arithmetic, cacheOn bool, store nic.StoreKind) Microbench {
-	clip := mpeg.GenerateDefault()
-	perStream := (len(clip.Frames) + MicrobenchStreams - 1) / MicrobenchStreams
-
-	run := func(noSched bool) (total sim.Time, frames int) {
-		eng := sim.NewEngine(1)
-		card := nic.New(eng, nic.Config{Name: "bench", CacheOn: cacheOn, Arith: arith})
-		sched := card.NewBenchScheduler(nic.SchedulerConfig{
-			Store:          store,
-			WorkConserving: true,
-		})
-		for _, spec := range microStreamSpecs(perStream) {
-			if err := sched.AddStream(spec); err != nil {
-				panic(err)
-			}
-		}
-		for i, f := range clip.Frames {
-			if err := sched.Enqueue(i%MicrobenchStreams, dwcs.Packet{Bytes: f.Size, Offset: f.Offset}); err != nil {
-				panic(err)
-			}
-		}
-		card.Meter.Reset()
-		for {
-			if noSched {
-				if sched.DequeueFCFS() == nil {
-					break
-				}
-			} else {
-				d := sched.Schedule()
-				if d.Packet == nil {
-					break
-				}
-			}
-			card.ChargeDispatch()
-			frames++
-		}
-		return card.Meter.Elapsed(), frames
-	}
-
+	pkts := microPackets()
 	m := Microbench{Arith: arith, CacheOn: cacheOn, Store: store}
-	var n int
-	m.TotalSched, n = run(false)
+	sched, n := microPass(pkts, arith, cacheOn, store, false, nil)
+	noSched, _ := microPass(pkts, arith, cacheOn, store, true, nil)
 	m.Frames = n
+	m.TotalSched = sched.Elapsed()
 	m.AvgSched = m.TotalSched / sim.Time(n)
-	m.TotalNoSched, _ = run(true)
+	m.TotalNoSched = noSched.Elapsed()
 	m.AvgNoSched = m.TotalNoSched / sim.Time(n)
 	return m
 }
@@ -175,34 +220,20 @@ func RunHeadline() *Result {
 	ni := RunMicrobench(cpu.FixedPoint, true, nic.StoreDRAM)
 
 	// Host variant: same scheduler code metered on the UltraSPARC model
-	// with native FP and host-process overheads.
-	clip := mpeg.GenerateDefault()
-	perStream := (len(clip.Frames) + MicrobenchStreams - 1) / MicrobenchStreams
+	// with native FP and host-process overheads, no NI dispatch.
+	pkts := microPackets()
 	meter := cpu.NewMeter(cpu.UltraSparc300())
 	meter.Arith = cpu.NativeFP
-	sched := dwcs.New(dwcs.Config{
-		WorkConserving:   true,
-		Meter:            meter,
-		DecisionOverhead: host.DefaultHostDecisionOverhead, // shared-memory sync + gettimeofday syscalls
-	})
-	for _, spec := range microStreamSpecs(perStream) {
-		if err := sched.AddStream(spec); err != nil {
-			panic(err)
-		}
-	}
-	for i, f := range clip.Frames {
-		if err := sched.Enqueue(i%MicrobenchStreams, dwcs.Packet{Bytes: f.Size}); err != nil {
-			panic(err)
-		}
-	}
-	meter.Reset()
-	frames := 0
-	for {
-		if d := sched.Schedule(); d.Packet == nil {
-			break
-		}
-		frames++
-	}
+	frames := drainPass{
+		meter: meter,
+		sched: dwcs.New(dwcs.Config{
+			WorkConserving:   true,
+			Meter:            meter,
+			DecisionOverhead: host.DefaultHostDecisionOverhead, // shared-memory sync + gettimeofday syscalls
+		}),
+		specs:   microStreamSpecs(len(pkts)),
+		packets: pkts,
+	}.run()
 	hostPerFrame := meter.Elapsed() / sim.Time(frames)
 
 	res := &Result{ID: "Headline", Title: "Scheduling overhead: host UltraSPARC vs NI i960 RD"}

@@ -142,11 +142,15 @@ type OverloadPoint struct {
 
 // OverloadConfig parameterizes RunOverload.
 type OverloadConfig struct {
-	Dur     sim.Time  // observation length per cell; 0 = 30 s
-	Loads   []float64 // web-load percents; nil = {0, 45, 60}
-	Mults   []int     // oversubscription multiples; nil = {1, 4, 8}
-	Workers int       // worker pool for the sweep; 0 = GOMAXPROCS
+	Dur     sim.Time // observation length per cell; 0 = 30 s
+	Workers int      // worker pool for the sweep; 0 = GOMAXPROCS
 }
+
+// The overload grid: web-load percents × oversubscription multiples.
+var (
+	overloadLoads = []float64{0, 45, 60}
+	overloadMults = []int{1, 4, 8}
+)
 
 // OverloadArtifacts is everything RunOverload produces. All four renderings
 // are deterministic functions of the points, in grid order.
@@ -167,19 +171,13 @@ func RunOverload(cfg OverloadConfig) *OverloadArtifacts {
 	if cfg.Dur == 0 {
 		cfg.Dur = 30 * sim.Second
 	}
-	if cfg.Loads == nil {
-		cfg.Loads = []float64{0, 45, 60}
-	}
-	if cfg.Mults == nil {
-		cfg.Mults = []int{1, 4, 8}
-	}
 	type cell struct {
 		load float64
 		mult int
 	}
 	var cells []cell
-	for _, l := range cfg.Loads {
-		for _, m := range cfg.Mults {
+	for _, l := range overloadLoads {
+		for _, m := range overloadMults {
 			cells = append(cells, cell{l, m})
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dwcs"
@@ -43,10 +44,15 @@ func RunStreamScaling(counts []int) ([]ScalingPoint, *Result) {
 			cells = append(cells, cell{sel, n})
 		}
 	}
+	// Every cell preloads six packets per stream, read from one shared set.
+	packets := make([]dwcs.Packet, 6*slices.Max(counts))
+	for i := range packets {
+		packets[i] = dwcs.Packet{Bytes: 1000}
+	}
 	jobs := make([]func() ScalingPoint, len(cells))
 	for i, c := range cells {
 		c := c
-		jobs[i] = func() ScalingPoint { return measureScaling(c.sel, c.n) }
+		jobs[i] = func() ScalingPoint { return measureScaling(c.sel, c.n, packets[:6*c.n]) }
 	}
 	points := Collect(jobs)
 	for _, p := range points {
@@ -64,38 +70,30 @@ func RunStreamScaling(counts []int) ([]ScalingPoint, *Result) {
 	return points, res
 }
 
-func measureScaling(sel dwcs.SelectorKind, streams int) ScalingPoint {
-	eng := sim.NewEngine(1)
-	card := nic.New(eng, nic.Config{Name: "scale", CacheOn: true})
-	sched := card.NewBenchScheduler(nic.SchedulerConfig{
-		Selector: sel,
-		// The calendar queue requires the deadline-primary variant; use it
-		// for every selector so the comparison is apples to apples.
-		Precedence:     dwcs.EDFFirst,
-		WorkConserving: true,
-	})
-	for s := 0; s < streams; s++ {
-		if err := sched.AddStream(dwcs.StreamSpec{
+func measureScaling(sel dwcs.SelectorKind, streams int, packets []dwcs.Packet) ScalingPoint {
+	card := nic.New(sim.NewEngine(1), nic.Config{Name: "scale", CacheOn: true})
+	specs := make([]dwcs.StreamSpec, streams)
+	for s := range specs {
+		specs[s] = dwcs.StreamSpec{
 			ID:     s,
 			Period: sim.Second,
 			Loss:   fixed.New(int64(s%3), int64(s%3)+2),
 			Lossy:  true,
 			BufCap: 8,
-		}); err != nil {
-			panic(err)
 		}
 	}
-	perStream := 6
-	for j := 0; j < streams*perStream; j++ {
-		if err := sched.Enqueue(j%streams, dwcs.Packet{Bytes: 1000}); err != nil {
-			panic(err)
-		}
-	}
-	card.Meter.Reset()
-	decisions := 0
-	for sched.Schedule().Packet != nil {
-		decisions++
-	}
+	decisions := drainPass{
+		meter: card.Meter,
+		sched: card.NewBenchScheduler(nic.SchedulerConfig{
+			Selector: sel,
+			// The calendar queue requires the deadline-primary variant; use it
+			// for every selector so the comparison is apples to apples.
+			Precedence:     dwcs.EDFFirst,
+			WorkConserving: true,
+		}),
+		specs:   specs,
+		packets: packets,
+	}.run()
 	cycles := card.Meter.Cycles() / int64(decisions)
 	us := card.Meter.Model.Duration(cycles).Microseconds()
 	return ScalingPoint{

@@ -26,9 +26,10 @@ import (
 type TelemetryConfig struct {
 	// Dur is the simulated observation length (default 20 s).
 	Dur sim.Time
-	// Streams is how many VOD streams the scheduler NI serves (default 2).
-	Streams int
 }
+
+// telemetryStreams is how many VOD streams the scheduler NI serves.
+const telemetryStreams = 2
 
 // TelemetryArtifacts is everything one instrumented run exports: the
 // standard-format dumps (Chrome trace JSON, Prometheus text, snapshot CSV)
@@ -68,9 +69,6 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 	if cfg.Dur <= 0 {
 		cfg.Dur = 20 * sim.Second
 	}
-	if cfg.Streams <= 0 {
-		cfg.Streams = 2
-	}
 
 	eng := sim.NewEngine(42)
 	reg := telemetry.New()
@@ -102,7 +100,7 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 	endpoint.Instrument(reg)
 	prodCard.Instrument(reg)
 	d.Instrument(reg)
-	for id := 1; id <= cfg.Streams; id++ {
+	for id := 1; id <= telemetryStreams; id++ {
 		if err := ext.AddStream(dwcs.StreamSpec{
 			ID: id, Name: fmt.Sprintf("vod%d", id), Period: streamPeriod,
 			Loss: fixed.New(1, 2), Lossy: true, BufCap: streamBufCap,
@@ -171,9 +169,12 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 	reg.SnapshotEvery(eng, sim.Second)
 	eng.RunUntil(cfg.Dur)
 
-	// Cycle attribution: profile the Table 2 fixed-point pass and reconcile
-	// against the plain measurement of the identical configuration.
-	prof, meterCycles, model := profiledMicrobench()
+	// Cycle attribution: rerun the Table 2 fixed-point scheduled pass with a
+	// profiler observing the card meter from its reset on, so the attributed
+	// total must equal the metered one, and reconcile it against the plain
+	// measurement of the identical configuration.
+	prof := telemetry.NewProfiler()
+	meter, _ := microPass(microPackets(), cpu.FixedPoint, true, nic.StoreDRAM, false, prof)
 	mb := RunMicrobench(cpu.FixedPoint, true, nic.StoreDRAM)
 
 	traceJSON, err := telemetry.MarshalChrome(reg.Spans.ChromeEvents())
@@ -186,61 +187,24 @@ func RunTelemetry(cfg TelemetryConfig) *TelemetryArtifacts {
 		CSV:            reg.SnapshotsCSV(),
 		StageTable:     reg.Spans.StageTable(),
 		Folded:         reg.Spans.Folded(),
-		CycleTable:     prof.Table(model),
+		CycleTable:     prof.Table(meter.Model),
 		Components:     reg.Components(),
 		SpanCount:      reg.Spans.Len(),
 		Snapshots:      reg.Snapshots(),
 		ProfiledCycles: prof.Total(),
-		MeteredCycles:  meterCycles,
-		ProfiledTime:   model.Duration(prof.Total()),
+		MeteredCycles:  meter.Cycles(),
+		ProfiledTime:   meter.Model.Duration(prof.Total()),
 		BenchTotal:     mb.TotalSched,
 	}
 	a.Summary = a.summarize(cfg)
 	return a
 }
 
-// profiledMicrobench reruns the Table 2 scheduled pass (fixed point, cache
-// on, DRAM descriptor store) with a cycle profiler observing the card meter
-// from the same instant the plain benchmark resets it, so the attributed
-// total must equal the metered total exactly.
-func profiledMicrobench() (prof *telemetry.Profiler, meterCycles int64, model *cpu.Model) {
-	clip := mpeg.GenerateDefault()
-	perStream := (len(clip.Frames) + MicrobenchStreams - 1) / MicrobenchStreams
-
-	eng := sim.NewEngine(1)
-	card := nic.New(eng, nic.Config{Name: "bench", CacheOn: true, Arith: cpu.FixedPoint})
-	sched := card.NewBenchScheduler(nic.SchedulerConfig{
-		Store:          nic.StoreDRAM,
-		WorkConserving: true,
-	})
-	for _, spec := range microStreamSpecs(perStream) {
-		if err := sched.AddStream(spec); err != nil {
-			panic(err)
-		}
-	}
-	for i, f := range clip.Frames {
-		if err := sched.Enqueue(i%MicrobenchStreams, dwcs.Packet{Bytes: f.Size, Offset: f.Offset}); err != nil {
-			panic(err)
-		}
-	}
-	card.Meter.Reset()
-	prof = telemetry.NewProfiler()
-	card.Meter.Observe(prof)
-	for {
-		d := sched.Schedule()
-		if d.Packet == nil {
-			break
-		}
-		card.ChargeDispatch()
-	}
-	return prof, card.Meter.Cycles(), card.Meter.Model
-}
-
 // summarize renders the one-screen run overview.
 func (a *TelemetryArtifacts) summarize(cfg TelemetryConfig) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "telemetry run: %v simulated, %d cluster streams + 1 host stream\n",
-		cfg.Dur, cfg.Streams)
+		cfg.Dur, telemetryStreams)
 	fmt.Fprintf(&b, "  components instrumented: %d (%s)\n",
 		len(a.Components), strings.Join(a.Components, ", "))
 	fmt.Fprintf(&b, "  span segments: %d   snapshots: %d\n", a.SpanCount, a.Snapshots)

@@ -10,7 +10,7 @@ import (
 )
 
 // telemetryTestConfig keeps the instrumented run short for tests.
-var telemetryTestConfig = TelemetryConfig{Dur: 5 * sim.Second, Streams: 2}
+var telemetryTestConfig = TelemetryConfig{Dur: 5 * sim.Second}
 
 // TestTelemetryComponents asserts every instrumented substrate shows up.
 func TestTelemetryComponents(t *testing.T) {

@@ -77,7 +77,6 @@ type Card struct {
 	FS     disk.FS
 	Stack  netsim.StackProfile
 	VCM    *core.VCM
-	TSC    *rtos.Timestamp
 
 	// FramesSent counts frames handed to the wire by any path on this card.
 	FramesSent int64
@@ -186,7 +185,6 @@ func New(eng *sim.Engine, cfg Config) *Card {
 		PCI:    cfg.PCI,
 		Stack:  netsim.I960Stack(),
 		VCM:    core.NewVCM(cfg.Name),
-		TSC:    rtos.NewTimestamp(eng, model.ClockHz, 32),
 	}
 	c.wireDoneFn = c.wireDone
 	if cfg.PCI != nil {

@@ -431,46 +431,3 @@ func (s *Semaphore) Give() {
 
 // Count returns the current count (waiters imply 0).
 func (s *Semaphore) Count() int { return s.count }
-
-// Timestamp models the i960 RD free-running timestamp counter: a width-
-// limited register incrementing at a fixed rate. The paper adds "timestamp
-// counter rollover management" to VxWorks; Extended reconstructs a
-// monotonic 64-bit count from the rolling register, provided it is read at
-// least once per wrap period.
-type Timestamp struct {
-	eng  *sim.Engine
-	hz   int64
-	bits uint
-
-	lastRaw  uint64
-	rollBase uint64
-}
-
-// NewTimestamp returns a counter of the given register width and rate.
-func NewTimestamp(eng *sim.Engine, hz int64, bits uint) *Timestamp {
-	if bits == 0 || bits > 63 {
-		panic("rtos: timestamp width must be 1..63")
-	}
-	return &Timestamp{eng: eng, hz: hz, bits: bits}
-}
-
-// Raw returns the rolling register value at the current simulated time.
-func (ts *Timestamp) Raw() uint64 {
-	ticks := uint64(ts.eng.Now()) * uint64(ts.hz) / uint64(sim.Second)
-	return ticks & ((1 << ts.bits) - 1)
-}
-
-// Extended returns a monotonic tick count, applying rollover management.
-func (ts *Timestamp) Extended() uint64 {
-	raw := ts.Raw()
-	if raw < ts.lastRaw {
-		ts.rollBase += 1 << ts.bits
-	}
-	ts.lastRaw = raw
-	return ts.rollBase + raw
-}
-
-// WrapPeriod returns how long the register takes to wrap.
-func (ts *Timestamp) WrapPeriod() sim.Time {
-	return sim.Time(uint64(sim.Second) * (1 << ts.bits) / uint64(ts.hz))
-}

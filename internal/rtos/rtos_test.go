@@ -277,53 +277,6 @@ func TestFIFOWithinSamePriority(t *testing.T) {
 	}
 }
 
-func TestTimestampRaw(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ts := NewTimestamp(eng, 66_000_000, 32)
-	eng.RunUntil(sim.Second)
-	if got := ts.Raw(); got != 66_000_000 {
-		t.Fatalf("raw after 1s = %d, want 66e6", got)
-	}
-}
-
-func TestTimestampRolloverManagement(t *testing.T) {
-	eng := sim.NewEngine(1)
-	// 16-bit counter at 66 MHz wraps every ~0.99 ms.
-	ts := NewTimestamp(eng, 66_000_000, 16)
-	wrap := ts.WrapPeriod()
-	if wrap.Microseconds() < 900 || wrap.Microseconds() > 1100 {
-		t.Fatalf("wrap period = %v", wrap)
-	}
-	var last uint64
-	// Sample twice per wrap for 20 wraps: Extended must be monotonic.
-	step := wrap / 2
-	for i := 0; i < 40; i++ {
-		eng.RunUntil(eng.Now() + step)
-		got := ts.Extended()
-		if got < last {
-			t.Fatalf("Extended went backwards: %d < %d at %v", got, last, eng.Now())
-		}
-		last = got
-	}
-	if last < 39*uint64(step)*66/1000 { // sanity: roughly hz*elapsed
-		t.Fatalf("Extended = %d, too small", last)
-	}
-}
-
-func TestTimestampWidthValidation(t *testing.T) {
-	eng := sim.NewEngine(1)
-	for _, bits := range []uint{0, 64} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("bits=%d: expected panic", bits)
-				}
-			}()
-			NewTimestamp(eng, 1000, bits)
-		}()
-	}
-}
-
 // Property: N equal-priority tasks each running a burst complete in spawn
 // order with total time = sum of bursts.
 func TestKernelSerializationProperty(t *testing.T) {
