@@ -164,8 +164,8 @@ func TestSenderDrainsOnShutdown(t *testing.T) {
 }
 
 // TestReceiverStopsOnShutdown interrupts a receiver blocked on a quiet wire;
-// the receive half's 50ms read-deadline poll must notice the stop within
-// one cycle.
+// the stop sets a past read deadline, so the blocked read returns at once
+// rather than at the end of its poll.
 func TestReceiverStopsOnShutdown(t *testing.T) {
 	lc := newLifecycle()
 	time.AfterFunc(100*time.Millisecond, lc.trigger)
@@ -174,12 +174,36 @@ func TestReceiverStopsOnShutdown(t *testing.T) {
 	if err := run(runConfig{dur: 30 * time.Second}.recv("127.0.0.1:0"), lc, &out); err != nil {
 		t.Fatal(err)
 	}
-	// 100ms to the stop, one 50ms poll, and slack for a loaded machine.
-	if el := time.Since(start); el > 100*time.Millisecond+recvPoll+time.Second {
+	// 100ms to the stop, and slack for a loaded machine.
+	if el := time.Since(start); el > 100*time.Millisecond+time.Second {
 		t.Fatalf("receiver ignored shutdown; ran %v of a 30s duration", el)
 	}
 	if !strings.Contains(out.String(), "dwcsd: interrupted; reporting partial run") {
 		t.Fatalf("no interruption report:\n%s", out.String())
+	}
+}
+
+// The receive half's stop wakes a read blocked on a quiet wire at once,
+// not when the poll's own deadline fires.
+func TestReceiveStopWakesBlockedRead(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	cfg := runConfig{}.recv("127.0.0.1:0")
+	r, err := newRun(cfg, newObs(cfg.role, ""), &vclock{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := r.startReceive(pc.(*net.UDPConn))
+	time.Sleep(recvPoll / 10) // the read is blocked on its first poll
+	start := time.Now()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > recvPoll/2 {
+		t.Fatalf("stop took %v; a blocked read waits out its %v poll only if the stop does not wake it", el, recvPoll)
 	}
 }
 

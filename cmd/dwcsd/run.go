@@ -176,6 +176,10 @@ type runState struct {
 	playout                                            playoutStarts
 	received, bytesIn, discarded, datagrams, malformed *telemetry.Counter
 	lastDiscarded                                      int64
+	// landed, once awaitLanded arms it, closes when received reaches
+	// landedAt: every frame the send half sent has been booked.
+	landed   chan struct{}
+	landedAt int64
 
 	// Both halves in one process: the session-scale distributions.
 	wire                          wireSpans
@@ -289,9 +293,7 @@ func run(cfg runConfig, lc *lifecycle, out io.Writer) (err error) {
 	}
 	stopRecv := func() error { return nil }
 	if in != nil {
-		done, rerr := make(chan struct{}), make(chan error, 1)
-		go func() { rerr <- r.receive(in, done) }()
-		stopRecv = sync.OnceValue(func() error { close(done); return <-rerr })
+		stopRecv = r.startReceive(in)
 		defer stopRecv()
 	}
 
@@ -319,7 +321,7 @@ func run(cfg runConfig, lc *lifecycle, out io.Writer) (err error) {
 		}
 	}
 	if r.p != nil && in != nil {
-		time.Sleep(150 * time.Millisecond) // the last datagrams cross the loopback
+		r.awaitLanded()
 	}
 	at := o.now()
 	if err := stopRecv(); err != nil {
@@ -329,6 +331,34 @@ func run(cfg runConfig, lc *lifecycle, out io.Writer) (err error) {
 	defer o.mu.Unlock()
 	r.report(out, at, interrupted)
 	return nil
+}
+
+// lostFrameBound is how long the end of a soak waits for frames still
+// crossing the loopback: only a frame the kernel lost takes all of it.
+const lostFrameBound = 150 * time.Millisecond
+
+// awaitLanded returns once the receive half has booked as many frames as
+// the send half sent, a count that is final once its loop has returned, or
+// once lostFrameBound has passed.
+func (r *runState) awaitLanded() {
+	r.o.mu.Lock()
+	r.landed, r.landedAt = make(chan struct{}), r.sent.Value()
+	landed := r.landed
+	r.checkLanded()
+	r.o.mu.Unlock()
+	select {
+	case <-landed:
+	case <-time.After(lostFrameBound):
+	}
+}
+
+// checkLanded closes landed once its target is booked. Caller holds the
+// obs lock.
+func (r *runState) checkLanded() {
+	if r.landed != nil && r.received.Value() >= r.landedAt {
+		close(r.landed)
+		r.landed = nil
+	}
 }
 
 // report prints the run's summary: bench/ and bench_compare.sh parse the
@@ -488,21 +518,36 @@ func newSenderStream(o *obs, id int) *senderStream {
 	}
 }
 
-// recvPoll is the receive half's read deadline, which bounds how long a
-// stop waits on a quiet wire.
+// startReceive runs the receive half on conn until the returned stop is
+// called; stop returns the half's error. Stop sets a past read deadline,
+// which wakes a read blocked on a quiet wire at once.
+func (r *runState) startReceive(conn *net.UDPConn) (stop func() error) {
+	done, rerr := make(chan struct{}), make(chan error, 1)
+	go func() { rerr <- r.receive(conn, done) }()
+	return sync.OnceValue(func() error {
+		close(done)
+		conn.SetReadDeadline(time.Now())
+		return <-rerr
+	})
+}
+
+// recvPoll is the receive half's read deadline: how often a quiet wire
+// still gets its snapshot and SLO evaluation.
 const recvPoll = 50 * time.Millisecond
 
 // receive runs the receive half on conn until stop closes: one read
-// deadline per poll, then the periodic snapshot and SLO evaluation.
+// deadline per poll, then the periodic snapshot and SLO evaluation. A stop
+// closes stop before it sets its past deadline, so each poll arms its own
+// deadline before it checks stop and never overwrites the stop's.
 func (r *runState) receive(conn *net.UDPConn, stop <-chan struct{}) error {
 	buf := make([]byte, 64<<10)
 	for {
+		conn.SetReadDeadline(time.Now().Add(recvPoll))
 		select {
 		case <-stop:
 			return nil
 		default:
 		}
-		conn.SetReadDeadline(time.Now().Add(recvPoll))
 		for {
 			n, err := conn.Read(buf)
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -558,6 +603,7 @@ func (r *runState) reassembled(stream, seq uint32, frame []byte) {
 	}
 	r.received.Inc()
 	r.bytesIn.Add(int64(len(frame)))
+	r.checkLanded()
 }
 
 // recvStream is a session's per-stream series on the receive half: counters

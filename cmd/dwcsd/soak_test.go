@@ -196,3 +196,91 @@ func TestSoakReceiveHalfCountsMalformedDatagrams(t *testing.T) {
 			r.malformed.Value(), r.datagrams.Value(), r.received.Value())
 	}
 }
+
+// A soak ends when its last frame lands: with nothing lost on the loopback,
+// run returns well inside the lostFrameBound it would wait for a lost frame,
+// and the summary books every frame sent.
+func TestSoakEndsWhenLastFrameLands(t *testing.T) {
+	const dur = 400 * time.Millisecond
+	cfg, err := runConfig{period: 20 * time.Millisecond, dur: dur, drain: time.Second}.soak(40, false, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	start := time.Now()
+	if err := run(cfg, newLifecycle(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if over := time.Since(start) - dur; over > lostFrameBound*2/3 {
+		t.Errorf("run took %v beyond -dur; a lossless soak should end well inside %v", over, lostFrameBound)
+	}
+	sum := summaryFields(t, out.String())
+	if sum["frames_sent"] == "0" || sum["frames_recv"] != sum["frames_sent"] {
+		t.Fatalf("frames_recv=%s frames_sent=%s, want equal and nonzero", sum["frames_recv"], sum["frames_sent"])
+	}
+}
+
+// A frame the kernel lost never lands: the wait ends at lostFrameBound, not
+// never, and the summary reports the shortfall. Frames that do land after
+// the wait begins still end it early.
+func TestSoakWaitForLostFrameIsBounded(t *testing.T) {
+	cfg, err := runConfig{period: 20 * time.Millisecond, dur: time.Second}.soak(4, false, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newObs(cfg.role, "")
+	r, err := newRun(cfg, o, &vclock{}, io.Discard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(seqs ...uint32) {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		for _, seq := range seqs {
+			r.ingest(proto.FragmentFrame(1, seq, make([]byte, 300))[0])
+		}
+	}
+	r.sent.Add(3)
+	deliver(0)
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		deliver(1, 2) // in flight when the wait begins
+	}()
+	start := time.Now()
+	r.awaitLanded()
+	if el := time.Since(start); el >= lostFrameBound {
+		t.Fatalf("wait took %v with every frame landing; bound %v", el, lostFrameBound)
+	}
+
+	r.sent.Add(2) // frames 3 and 4; 4 is lost
+	deliver(3)
+	start = time.Now()
+	r.awaitLanded()
+	if el := time.Since(start); el < lostFrameBound || el > lostFrameBound+time.Second {
+		t.Fatalf("wait for a lost frame took %v, want its bound %v", el, lostFrameBound)
+	}
+	var out strings.Builder
+	o.mu.Lock()
+	r.report(&out, o.now(), false)
+	o.mu.Unlock()
+	sum := summaryFields(t, out.String())
+	if sum["frames_sent"] != "5" || sum["frames_recv"] != "4" {
+		t.Fatalf("frames_sent=%s frames_recv=%s, want 5 and 4", sum["frames_sent"], sum["frames_recv"])
+	}
+}
+
+// summaryFields parses the soak summary line's key=value fields.
+func summaryFields(t *testing.T, out string) map[string]string {
+	t.Helper()
+	_, line, ok := strings.Cut(out, "soak summary:")
+	if !ok {
+		t.Fatalf("missing summary line:\n%s", out)
+	}
+	line, _, _ = strings.Cut(line, "\n")
+	kv := map[string]string{}
+	for _, f := range strings.Fields(line) {
+		k, v, _ := strings.Cut(f, "=")
+		kv[k] = v
+	}
+	return kv
+}
